@@ -137,6 +137,12 @@ func runNode(args []string) error {
 		// Per-peer session health, read from the live session at scrape
 		// time (PeerStats returns zero values for quiet peers).
 		selfLabel := strconv.Itoa(*self)
+		reg.CounterFunc("ocmx_session_frames_total",
+			"Reliable-session data frames sent for the first time.",
+			func() float64 { return float64(sess.Stats().Frames) }, "node", selfLabel)
+		reg.CounterFunc("ocmx_session_ack_frames_total",
+			"Pure ack frames sent: acknowledgements that found no data frame to ride.",
+			func() float64 { return float64(sess.Stats().AckFrames) }, "node", selfLabel)
 		for pos := range addrs {
 			if pos == ocube.Pos(*self) {
 				continue

@@ -1,5 +1,5 @@
 // TCP cluster: four nodes communicating over real loopback TCP sockets
-// (gob-framed), taking turns on the distributed mutex. The same code
+// (binary-framed), taking turns on the distributed mutex. The same code
 // works across machines by listing real peer addresses.
 //
 //	go run ./examples/tcpcluster

@@ -265,6 +265,12 @@ func Run(cfg Config) (*Result, error) {
 			cfg.Metrics.CounterFunc("ocmx_session_dup_drops_total",
 				"Received session data frames discarded as duplicates.",
 				func() float64 { return float64(m.sessionStats().DupDrops) }, "node", label)
+			cfg.Metrics.CounterFunc("ocmx_session_frames_total",
+				"Reliable-session data frames sent for the first time.",
+				func() float64 { return float64(m.sessionStats().Frames) }, "node", label)
+			cfg.Metrics.CounterFunc("ocmx_session_ack_frames_total",
+				"Pure ack frames sent: acknowledgements that found no data frame to ride.",
+				func() float64 { return float64(m.sessionStats().AckFrames) }, "node", label)
 		}
 	}
 	d.trafficCtx, d.trafficCancel = context.WithCancel(context.Background())

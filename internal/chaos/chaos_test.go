@@ -62,13 +62,31 @@ func reached(rep []props.Assertion, id string) bool {
 	return false
 }
 
-func requireReached(t *testing.T, res *Result, ids ...string) {
+// requireReached runs the episode and requires the given coverage points.
+// Whether a sometimes assertion is reached depends on where a few seconds
+// of wall-clock scheduling put the holder when the fault lands, and on a
+// loaded two-core box one episode can miss it; so when coverage alone is
+// missing the episode is run again, at most three times in all. An always
+// failure or a failed drain (runStorm) still fails at once.
+func requireReached(t *testing.T, cfg Config, ids ...string) *Result {
 	t.Helper()
-	for _, id := range ids {
-		if !reached(res.Report, id) {
-			t.Errorf("coverage %q not reached\n%s", id, props.Format(res.Report))
-			return
+	const attempts = 3
+	for attempt := 1; ; attempt++ {
+		res := runStorm(t, cfg)
+		missing := ""
+		for _, id := range ids {
+			if !reached(res.Report, id) {
+				missing = id
+				break
+			}
 		}
+		if missing == "" {
+			return res
+		}
+		if attempt == attempts {
+			t.Fatalf("coverage %q not reached in %d episodes\n%s", missing, attempts, props.Format(res.Report))
+		}
+		t.Logf("coverage %q not reached in episode %d; running it again", missing, attempt)
 	}
 }
 
@@ -98,8 +116,7 @@ func TestLiveStorm_HolderKill(t *testing.T) {
 			cfg.Faults = []Fault{
 				{At: 700 * time.Millisecond, Kind: FaultKillHolder, Node: v, Down: 500 * time.Millisecond},
 			}
-			res := runStorm(t, cfg)
-			requireReached(t, res, props.PropKillWhileHolding, props.PropReclaimAfterKill)
+			res := requireReached(t, cfg, props.PropKillWhileHolding, props.PropReclaimAfterKill)
 			if res.Kills != 1 {
 				t.Fatalf("kills = %d, want 1", res.Kills)
 			}
@@ -124,8 +141,7 @@ func TestLiveStorm_DoubleKill(t *testing.T) {
 				{At: 700 * time.Millisecond, Kind: FaultKillHolder, Node: v, Down: 800 * time.Millisecond},
 				{At: 1000 * time.Millisecond, Kind: FaultKill, Node: w, Down: 500 * time.Millisecond},
 			}
-			res := runStorm(t, cfg)
-			requireReached(t, res, props.PropKillWhileHolding, props.PropReclaimAfterKill)
+			res := requireReached(t, cfg, props.PropKillWhileHolding, props.PropReclaimAfterKill)
 			if res.Kills != 2 {
 				t.Fatalf("kills = %d, want 2", res.Kills)
 			}
@@ -151,8 +167,7 @@ func TestLiveStorm_KillDuringSearch(t *testing.T) {
 				{At: 700 * time.Millisecond, Kind: FaultKillHolder, Node: v, Down: 700 * time.Millisecond},
 				{At: 850 * time.Millisecond, Kind: FaultKill, Node: w, Down: 700 * time.Millisecond},
 			}
-			res := runStorm(t, cfg)
-			requireReached(t, res, props.PropKillWhileHolding, props.PropReclaimAfterKill)
+			requireReached(t, cfg, props.PropKillWhileHolding, props.PropReclaimAfterKill)
 		})
 	}
 }
@@ -179,8 +194,7 @@ func TestChaosSmoke(t *testing.T) {
 		Kills:    2,
 	}
 	cfg.Log = t.Logf
-	res := runStorm(t, cfg)
-	requireReached(t, res,
+	res := requireReached(t, cfg,
 		props.PropKillWhileHolding,
 		props.PropReclaimAfterLease,
 		props.PropPartitionHeal,

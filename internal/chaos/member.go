@@ -105,9 +105,7 @@ func (m *member) kill() {
 	}
 	m.alive = false
 	space, sess := m.space, m.sess
-	st := sess.Stats()
-	m.prev.Retransmits += st.Retransmits
-	m.prev.DupDrops += st.DupDrops
+	m.prev = addSessionStats(m.prev, sess.Stats())
 	m.mu.Unlock()
 	space.Close()
 	sess.Close()
@@ -116,15 +114,21 @@ func (m *member) kill() {
 // sessionStats returns the member's cumulative session counters across
 // every incarnation: dead boots' totals plus the live session's. The
 // result only ever grows, which is what lets the /metrics scrape expose
-// it as a pair of counters.
+// it as counters.
 func (m *member) sessionStats() transport.SessionStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := m.prev
 	if m.alive {
-		st := m.sess.Stats()
-		out.Retransmits += st.Retransmits
-		out.DupDrops += st.DupDrops
+		return addSessionStats(m.prev, m.sess.Stats())
 	}
-	return out
+	return m.prev
+}
+
+// addSessionStats sums the counters the /metrics scrape exports.
+func addSessionStats(a, b transport.SessionStats) transport.SessionStats {
+	a.Frames += b.Frames
+	a.Retransmits += b.Retransmits
+	a.DupDrops += b.DupDrops
+	a.AckFrames += b.AckFrames
+	return a
 }

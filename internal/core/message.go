@@ -139,8 +139,9 @@ func (r TestReply) String() string {
 }
 
 // Message is the single wire format for all protocol traffic. Fields not
-// meaningful for a Kind are zero. All fields are exported so transports
-// can gob-encode messages directly.
+// meaningful for a Kind are zero. The TCP transports carry every field
+// in a hand-written record (transport/wire.go); a field added here must
+// be added there, which the transport's round-trip test enforces.
 type Message struct {
 	Kind Kind
 	From ocube.Pos

@@ -12,19 +12,25 @@ import (
 // bumps, out-of-order sequence jumps, garbage acks — and checks the
 // delivered stream against a reference model of the dedup contract:
 // within one sender incarnation every sequence number is delivered at
-// most once, a higher boot restarts the sequence space, a lower boot
-// delivers nothing. The seed corpus (f.Add plus testdata/fuzz) encodes
+// most once, a higher boot — on a data frame or a pure ack — restarts the
+// sequence space, a lower boot delivers nothing, and neither does a
+// frame addressed to another incarnation of the receiver. The seed corpus (f.Add plus testdata/fuzz) encodes
 // the E11 duplicate-token shapes: the same transfer frame re-sent after
 // an ack loss, and a reborn node replaying its old sequence numbers.
 //
-// Input encoding: 3 bytes per op — opcode (mod 5), boot (1..4 before
+// Input encoding: 3 bytes per op — opcode (mod 6), boot (1..4 before
 // bumps), seq (0..15; 0 is a pure ack wire-wise).
 //
 //	op 0: send data frame (boot, seq)
 //	op 1: send it twice (the retransmit-duplicate shape)
-//	op 2: send a pure ack frame (exercises onAck against no sender state)
+//	op 2: send a pure ack frame (acks against no sender state; its boot
+//	      still announces the sender's incarnation)
 //	op 3: send (boot, seq+64) — a far-future seq that parks in recvSeen
 //	op 4: send (boot+4, seq) — a rebirth bump
+//	op 5: send (boot, seq) carrying ack fields and a ToBoot taken from the
+//	      raw bytes — a piggybacked ack must not disturb the data half of
+//	      its frame, and only ToBoot 0 or the receiver's own boot (1) let
+//	      the payload through
 func FuzzSessionDedup(f *testing.F) {
 	// Retransmit duplicate: one frame, then the same frame twice more.
 	f.Add([]byte{0, 1, 1, 1, 1, 1})
@@ -38,6 +44,11 @@ func FuzzSessionDedup(f *testing.F) {
 	f.Add([]byte{3, 1, 5, 0, 1, 1, 0, 1, 2, 3, 1, 5})
 	// Ack-only noise around a delivery.
 	f.Add([]byte{2, 1, 1, 0, 1, 1, 2, 1, 1, 2, 3, 0})
+	// Garbage piggybacked acks on a delivery, its duplicate and a rebirth.
+	f.Add([]byte{5, 1, 1, 5, 0x71, 0xff, 5, 0x41, 0x31, 4, 1, 1, 5, 0x7f, 0x12})
+	// Frames addressed to another incarnation of the receiver: refused,
+	// though a higher boot on them still resets the window.
+	f.Add([]byte{0, 1, 1, 5, 0x81, 0x02, 5, 0xc2, 0x01, 0, 1, 1, 0, 2, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 600 {
@@ -58,13 +69,16 @@ func FuzzSessionDedup(f *testing.F) {
 		var want []uint64
 		cur := uint64(0)
 		seen := make(map[uint64]struct{})
-		model := func(boot, seq uint64) {
-			if seq == 0 || boot < cur {
+		model := func(boot, seq, toBoot uint64) {
+			if boot < cur {
 				return
 			}
 			if boot > cur {
 				cur = boot
 				seen = make(map[uint64]struct{})
+			}
+			if seq == 0 || toBoot > 1 {
+				return
 			}
 			if _, dup := seen[seq]; dup {
 				return
@@ -72,16 +86,19 @@ func FuzzSessionDedup(f *testing.F) {
 			seen[seq] = struct{}{}
 			want = append(want, boot<<32|seq)
 		}
+		var ack SessFrame // ack fields of the next data frame
 		send := func(boot, seq uint64) {
 			ep.SendFrame(1, SessFrame{
 				From: 0, Boot: boot, Seq: seq,
+				Ack: ack.Ack, ToBoot: ack.ToBoot, AckRun: ack.AckRun,
 				Batch: []core.Envelope{{Instance: boot<<32 | seq}},
 			})
-			model(boot, seq)
+			model(boot, seq, ack.ToBoot)
+			ack = SessFrame{}
 		}
 
 		for i := 0; i+2 < len(data); i += 3 {
-			op := data[i] % 5
+			op := data[i] % 6
 			boot := uint64(data[i+1]%4) + 1
 			seq := uint64(data[i+2] % 16)
 			switch op {
@@ -92,10 +109,16 @@ func FuzzSessionDedup(f *testing.F) {
 				send(boot, seq)
 			case 2:
 				ep.SendFrame(1, SessFrame{From: 0, Boot: boot, Ack: seq})
+				model(boot, 0, 0)
 			case 3:
 				send(boot, seq+64)
 			case 4:
 				send(boot+4, seq)
+			case 5:
+				// ToBoot 1 is the receiver's own boot, so some of these
+				// reach retire: huge runs, runs past seq 1, unknown seqs.
+				ack = SessFrame{Ack: uint64(data[i+2]), ToBoot: uint64(data[i+1] >> 6), AckRun: uint32(data[i+1]) << 24}
+				send(boot, seq)
 			}
 		}
 

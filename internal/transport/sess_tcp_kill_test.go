@@ -33,23 +33,20 @@ func reserveLoopbackAddrs(t *testing.T, n int) map[ocube.Pos]string {
 // whatever died on the wire.
 func killLiveConns(t *SessTCP) int {
 	t.link.mu.Lock()
-	conns := t.link.conns
-	t.link.conns = map[ocube.Pos]*peerConn{}
-	acc := make([]net.Conn, 0, len(t.link.accepted))
+	var conns []net.Conn
+	for _, pc := range t.link.conns {
+		if pc.conn != nil {
+			conns = append(conns, pc.conn)
+		}
+	}
 	for c := range t.link.accepted {
-		acc = append(acc, c)
+		conns = append(conns, c)
 	}
 	t.link.mu.Unlock()
-	n := 0
-	for _, pc := range conns {
-		pc.conn.Close()
-		n++
-	}
-	for _, c := range acc {
+	for _, c := range conns {
 		c.Close()
-		n++
 	}
-	return n
+	return len(conns)
 }
 
 // TestSessTCPMidStreamKillReplays streams batches over a real loopback
@@ -57,7 +54,7 @@ func killLiveConns(t *SessTCP) int {
 // mid-stream. The reconnect-and-replay contract: retransmissions
 // actually happened (Retransmits > 0), every batch reaches the app
 // exactly once with its contents intact (frame-level continuity — a
-// torn gob stream kills the connection, never yields a partial batch),
+// torn frame kills the connection, never yields a partial batch),
 // and no duplicate surfaces to the app.
 func TestSessTCPMidStreamKillReplays(t *testing.T) {
 	addrs := reserveLoopbackAddrs(t, 2)

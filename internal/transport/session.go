@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // This file is the live half of the PR-6 session layer: the paper assumes
 // reliable bounded-delay channels (Section 2), and a Session manufactures
 // that channel out of a lossy one — per-peer monotonic sequence numbers,
-// a sliding-window receiver that drops duplicates, per-frame acks, and
+// a sliding-window receiver that drops duplicates, selective acks, and
 // exponential-backoff retransmission with jitter. A bounded in-flight
 // window applies backpressure to senders instead of buffering without
 // limit. The simulator hosts its own driver of the same discipline
@@ -23,6 +24,16 @@ import (
 // SessMesh for tests and SessTCP for multi-process deployments, where a
 // dropped connection is repaired by tcpLink's lazy redial and the
 // retransmit timers replay everything the drop swallowed.
+//
+// Acks ride, they are not sent: a received data frame makes its ack
+// owed, and owed acks leave on the next data frame to that peer. Only
+// when no data frame comes do they travel alone, as one pure ack frame
+// once the oldest has waited RTO/4 or Window/4 of them are owed; a
+// duplicate (its sender is already retransmitting) and a gap in the
+// sequence (something was lost or reordered) are acked at once. When an
+// ack leaves is this driver's choice — the sim driver acks per frame,
+// where an ack is one uncounted engine event — and no part of the
+// reliability contract the two share.
 
 // SessionConfig tunes a reliable session. The zero value selects the
 // defaults documented per field.
@@ -83,32 +94,51 @@ type SessionStats struct {
 	// AckTimeouts counts retransmission timeouts that expired with the
 	// frame still unacknowledged.
 	AckTimeouts int64
-	// StaleBootDrops counts frames discarded because they carried a boot
-	// below the sender's current incarnation — traffic from a dead
-	// incarnation still in flight after a restart.
+	// StaleBootDrops counts data frames discarded because they came from a
+	// dead incarnation of the sender (a boot below its current one) or
+	// addressed a dead incarnation of this node — traffic still in flight
+	// after a restart.
 	StaleBootDrops int64
+	// AckFrames counts pure ack frames sent: acknowledgements that found
+	// no data frame to ride.
+	AckFrames int64
+	// AcksPiggybacked counts received data frames whose acknowledgement
+	// left on a data frame; with AckFrames it gives the coalescing ratio.
+	AcksPiggybacked int64
 }
 
 // SessFrame is the wire unit of a live session: a data frame carries one
 // envelope batch under a per-sender sequence number, a pure ack carries
-// Seq 0. Acks are per-frame, not cumulative, so a lost ack costs one
-// retransmission rather than a window stall.
+// Seq 0. Either may acknowledge a run of the peer's frames. Acks are
+// selective, not cumulative, so a lost ack costs one retransmission
+// rather than a window stall.
+//
+// A frame travels between two incarnations: Boot is the sender's, ToBoot
+// the one it addresses. Sequence numbers, acks and payloads all belong
+// to that pair, so nothing meant for a node's previous life — an ack for
+// frames it no longer holds, a payload its previous life may already
+// have consumed — takes effect in the next.
 type SessFrame struct {
 	// From is the sending node.
 	From ocube.Pos
-	// Boot is an incarnation number: on a data frame, the sender's boot
-	// (SessionConfig.Boot); on a pure ack, an echo of the boot of the
-	// frame being acknowledged, so a reborn sender ignores acks meant
-	// for its previous life. Sequence numbers are scoped to a boot — the
+	// Boot is the sender's incarnation number (SessionConfig.Boot). The
 	// receiver resets its dedup window when a peer comes back with a
 	// higher boot and drops frames from lower ones.
 	Boot uint64
 	// Seq numbers data frames per sender starting at 1; 0 marks a pure
 	// ack frame.
 	Seq uint64
-	// Ack acknowledges receipt of the peer's data frame Ack (0 = none);
-	// it is meaningful only on pure ack frames (data frames leave it 0).
+	// Ack acknowledges receipt of the peer's data frames Ack-AckRun
+	// through Ack (0 = none).
 	Ack uint64
+	// AckRun is how many frames immediately below Ack are acknowledged
+	// with it; a receiver acks contiguous arrivals as one run.
+	AckRun uint32
+	// ToBoot is the incarnation of the receiver this frame addresses: the
+	// boot of the last frame the sender had from it, 0 if it has had
+	// none. A receiver whose boot differs ignores the ack fields and
+	// refuses the payload; 0 addresses whichever incarnation is there.
+	ToBoot uint64
 	// Batch is the payload of a data frame.
 	Batch []core.Envelope
 }
@@ -138,6 +168,18 @@ type sessPeer struct {
 	recvHigh uint64              // every seq ≤ recvHigh was delivered
 	recvSeen map[uint64]struct{} // delivered seqs above recvHigh
 
+	// Owed acks: the run of recvBoot's frames (ackHi-ackN, ackHi] was
+	// received and not yet acknowledged; ackN == 0 means nothing is owed.
+	ackHi    uint64
+	ackN     uint32
+	ackSince time.Time // arrival of the oldest owed frame
+
+	// timer is the peer's one timer: it serves the ack delay and the
+	// earliest retransmission alike. timerAt is when it is set to fire,
+	// zero when it is not armed.
+	timer   *time.Timer
+	timerAt time.Time
+
 	// Per-peer slices of the aggregate SessionStats counters (kept here,
 	// not in SessionStats, so that struct stays comparable with ==).
 	retransmits int64 // data frames re-sent to this peer
@@ -147,7 +189,7 @@ type sessPeer struct {
 type sessOut struct {
 	batch    []core.Envelope
 	attempts int
-	timer    *time.Timer
+	due      time.Time // when it is sent again unless acked first
 }
 
 // Session is a reliable BatchTransport over an unreliable FrameLink:
@@ -158,13 +200,17 @@ type Session struct {
 	self ocube.Pos
 	link FrameLink
 	cfg  SessionConfig
+	// Derived from cfg: owed acks leave alone once ackEvery are owed or
+	// the oldest has waited ackDelay.
+	ackEvery uint32
+	ackDelay time.Duration
 
 	mu      sync.Mutex
 	peers   map[ocube.Pos]*sessPeer
 	stats   SessionStats
 	rng     *rand.Rand
 	closed  bool
-	pending [][]core.Envelope // received, acked, not yet handed to the app
+	pending [][]core.Envelope // received, not yet handed to the app
 
 	out      chan []core.Envelope
 	pendingC chan struct{} // wakes deliverLoop; cap 1, best-effort
@@ -176,10 +222,13 @@ type Session struct {
 // NewSession wraps link in a reliable session for node self. The session
 // owns the link: Close closes it.
 func NewSession(self ocube.Pos, link FrameLink, cfg SessionConfig) *Session {
+	cfg = cfg.withDefaults()
 	s := &Session{
 		self:     self,
 		link:     link,
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
+		ackEvery: uint32(max(1, cfg.Window/4)),
+		ackDelay: cfg.RTO / 4,
 		peers:    make(map[ocube.Pos]*sessPeer),
 		rng:      rand.New(rand.NewSource(int64(self)*2654435761 + 1)),
 		out:      make(chan []core.Envelope, 1024),
@@ -248,6 +297,9 @@ func (s *Session) SendBatch(to ocube.Pos, batch []core.Envelope) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	if len(batch) > MaxBatch {
+		return fmt.Errorf("transport: batch of %d envelopes exceeds the frame cap %d", len(batch), MaxBatch)
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -273,17 +325,61 @@ func (s *Session) SendBatch(to ocube.Pos, batch []core.Envelope) error {
 	}
 	p.nextSeq++
 	seq := p.nextSeq
-	out := &sessOut{batch: owned}
+	out := &sessOut{batch: owned, due: time.Now().Add(s.backoff(0))}
 	p.unacked[seq] = out
 	s.stats.Frames++
-	rto := s.backoff(out.attempts)
-	out.timer = time.AfterFunc(rto, func() { s.retransmit(to, seq) })
+	f := s.dataFrame(p, seq, owned)
+	s.arm(to, p, out.due)
 	s.mu.Unlock()
 
 	// A send error means the frame may be lost (e.g. the TCP peer is
 	// down); the retransmit timer repairs it after the link re-dials.
-	s.link.SendFrame(to, SessFrame{From: s.self, Boot: s.cfg.Boot, Seq: seq, Batch: owned})
+	s.link.SendFrame(to, f)
 	return nil
+}
+
+// dataFrame builds data frame seq for p; whatever acks p is owed ride on
+// it. The caller holds s.mu.
+func (s *Session) dataFrame(p *sessPeer, seq uint64, batch []core.Envelope) SessFrame {
+	f := SessFrame{From: s.self, Boot: s.cfg.Boot, ToBoot: p.recvBoot, Seq: seq, Batch: batch}
+	if p.ackN > 0 {
+		s.stats.AcksPiggybacked += int64(p.ackN)
+		f.Ack, f.AckRun = p.ackHi, p.ackN-1
+		p.ackN = 0
+	}
+	return f
+}
+
+// ackFrame builds a pure ack frame for the run of n of p's frames ending
+// at hi. The caller holds s.mu.
+func (s *Session) ackFrame(p *sessPeer, hi uint64, n uint32) SessFrame {
+	s.stats.AckFrames++
+	return SessFrame{From: s.self, Boot: s.cfg.Boot, ToBoot: p.recvBoot, Ack: hi, AckRun: n - 1}
+}
+
+// owedFrame empties p's owed acks into a pure ack frame. The caller holds
+// s.mu.
+func (s *Session) owedFrame(p *sessPeer) SessFrame {
+	f := s.ackFrame(p, p.ackHi, p.ackN)
+	p.ackN = 0
+	return f
+}
+
+// arm makes sure p's timer fires no later than at. A timer already set
+// to fire earlier is left alone — onTimer re-arms for whatever is next —
+// so steady traffic resets the timer about once per RTO, not per frame.
+// The caller holds s.mu.
+func (s *Session) arm(to ocube.Pos, p *sessPeer, at time.Time) {
+	if !p.timerAt.IsZero() && !at.Before(p.timerAt) {
+		return
+	}
+	p.timerAt = at
+	d := time.Until(at)
+	if p.timer == nil {
+		p.timer = time.AfterFunc(d, func() { s.onTimer(to) })
+	} else {
+		p.timer.Reset(d)
+	}
 }
 
 // backoff returns the retransmission timeout for the given attempt
@@ -299,112 +395,228 @@ func (s *Session) backoff(attempts int) time.Duration {
 	return rto
 }
 
-// retransmit re-sends frame seq to peer to if it is still unacked.
-func (s *Session) retransmit(to ocube.Pos, seq uint64) {
+// onTimer is peer to's timer firing: it re-sends every unacked frame that
+// is overdue, in Seq order, sends the owed acks alone if they have waited
+// out the ack delay, and re-arms for whichever comes next.
+func (s *Session) onTimer(to ocube.Pos) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	p := s.peers[to]
-	out := p.unacked[seq]
-	if out == nil {
-		s.mu.Unlock()
-		return
+	p.timerAt = time.Time{}
+	now := time.Now()
+
+	var overdue []uint64
+	for seq, out := range p.unacked {
+		if !out.due.After(now) {
+			overdue = append(overdue, seq)
+		}
 	}
-	out.attempts++
-	s.stats.AckTimeouts++
-	s.stats.Retransmits++
-	p.retransmits++
-	rto := s.backoff(out.attempts)
-	out.timer = time.AfterFunc(rto, func() { s.retransmit(to, seq) })
-	batch := out.batch
+	sort.Slice(overdue, func(i, j int) bool { return overdue[i] < overdue[j] })
+	var frames []SessFrame
+	for _, seq := range overdue {
+		out := p.unacked[seq]
+		out.attempts++
+		out.due = now.Add(s.backoff(out.attempts))
+		s.stats.AckTimeouts++
+		s.stats.Retransmits++
+		p.retransmits++
+		frames = append(frames, s.dataFrame(p, seq, out.batch))
+	}
+	if p.ackN > 0 && !p.ackSince.Add(s.ackDelay).After(now) {
+		frames = append(frames, s.owedFrame(p))
+	}
+
+	var next time.Time
+	if p.ackN > 0 {
+		next = p.ackSince.Add(s.ackDelay)
+	}
+	for _, out := range p.unacked {
+		if next.IsZero() || out.due.Before(next) {
+			next = out.due
+		}
+	}
+	if !next.IsZero() {
+		s.arm(to, p, next)
+	}
 	s.mu.Unlock()
 
-	s.link.SendFrame(to, SessFrame{From: s.self, Boot: s.cfg.Boot, Seq: seq, Batch: batch})
+	for _, f := range frames {
+		s.link.SendFrame(to, f)
+	}
 }
 
-// recvLoop turns inbound frames into acks and queued deliveries. It
-// exits on link closure or session Close — the former matters for links
-// whose endpoints are owned elsewhere (SessMesh) and outlive the
-// session. Delivery to the app happens in deliverLoop, never here: if
-// acking waited on the app consuming RecvBatch, two nodes could
-// deadlock — each blocked in a send with a full window, neither
-// draining its inbox, so neither's acks ever arrive. Decoupling makes
-// the ack path unconditional; the cost is that the queue of
-// acked-but-undelivered batches is unbounded (the usual
+// recvLoop feeds inbound frames to onFrame. It exits on link closure or
+// session Close — the former matters for links whose endpoints are owned
+// elsewhere (SessMesh) and outlive the session. Delivery to the app
+// happens in deliverLoop, never here: if acking waited on the app
+// consuming RecvBatch, two nodes could deadlock — each blocked in a send
+// with a full window, neither draining its inbox, so neither's acks ever
+// arrive. Decoupling makes the ack path unconditional; the cost is that
+// the queue of received-but-undelivered batches is unbounded (the usual
 // reliable-channel idealization — a permanently stalled consumer costs
 // memory, not cluster-wide deadlock).
 func (s *Session) recvLoop() {
 	defer s.wg.Done()
 	defer close(s.recvDone)
 	for {
-		var f SessFrame
 		select {
-		case got, ok := <-s.link.RecvFrame():
-			if !ok {
+		case f, ok := <-s.link.RecvFrame():
+			if !ok || !s.onFrame(f) {
 				return
 			}
-			f = got
 		case <-s.done:
 			return
 		}
-		if f.Seq == 0 {
-			if f.Ack != 0 {
-				s.onAck(f.From, f.Ack, f.Boot)
-			}
-			continue // pure ack
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		p := s.peer(f.From)
-		if f.Boot < p.recvBoot {
-			// A frame from a dead incarnation of the peer; its session is
-			// gone, so there is no point acking it either.
+	}
+}
+
+// onFrame handles one inbound frame: it retires what the frame
+// acknowledges, and for a data frame runs the dedup window, queues the
+// batch for delivery and books the ack it now owes. It reports false once
+// the session is closed.
+func (s *Session) onFrame(f SessFrame) bool {
+	// At most two pure acks leave per frame: a run closed by a gap, and
+	// the frame's own.
+	var ackBuf [2]SessFrame
+	acks := ackBuf[:0]
+
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return false
+	}
+	p := s.peer(f.From)
+	if f.Boot < p.recvBoot {
+		// A frame from a dead incarnation of the peer; its session is
+		// gone, so there is no point acking it either.
+		if f.Seq != 0 {
 			s.stats.StaleBootDrops++
-			s.mu.Unlock()
-			continue
-		}
-		if f.Boot > p.recvBoot {
-			// The peer was reborn: its sequence space restarted, so the
-			// dedup window keyed to the old incarnation must restart too.
-			p.recvBoot = f.Boot
-			p.recvHigh = 0
-			p.recvSeen = make(map[uint64]struct{})
-		}
-		dup := f.Seq <= p.recvHigh
-		if !dup {
-			_, dup = p.recvSeen[f.Seq]
-		}
-		if dup {
-			s.stats.DupDrops++
-			p.dupDrops++
-		} else {
-			p.recvSeen[f.Seq] = struct{}{}
-			for {
-				if _, ok := p.recvSeen[p.recvHigh+1]; !ok {
-					break
-				}
-				delete(p.recvSeen, p.recvHigh+1)
-				p.recvHigh++
-			}
-			s.pending = append(s.pending, f.Batch)
 		}
 		s.mu.Unlock()
-		// Ack unconditionally: a duplicate means the original ack was
-		// lost (or is still in flight) and the sender is retransmitting.
-		// The ack echoes the frame's boot so only that incarnation
-		// retires the frame.
-		s.link.SendFrame(f.From, SessFrame{From: s.self, Boot: f.Boot, Ack: f.Seq})
-		if !dup {
-			select {
-			case s.pendingC <- struct{}{}:
-			default: // deliverLoop is already awake
+		return true
+	}
+	if f.Boot > p.recvBoot {
+		p.reborn(f.Boot)
+	}
+	if f.ToBoot == s.cfg.Boot {
+		if f.Ack != 0 {
+			p.retire(f.Ack, f.AckRun)
+		}
+	} else if f.ToBoot != 0 && f.Seq != 0 {
+		// Addressed to a previous life of this node, which may have
+		// consumed it already: refuse it, and tell the sender who is here
+		// now (a bare frame — its Boot is the message), so it stops
+		// re-sending what died with that life.
+		s.stats.StaleBootDrops++
+		hello := SessFrame{From: s.self, Boot: s.cfg.Boot, ToBoot: p.recvBoot}
+		s.mu.Unlock()
+		s.link.SendFrame(f.From, hello)
+		return true
+	}
+	if f.Seq == 0 {
+		s.mu.Unlock()
+		return true // pure ack
+	}
+	dup := f.Seq <= p.recvHigh
+	if !dup {
+		_, dup = p.recvSeen[f.Seq]
+	}
+	if dup {
+		// The original ack was lost (or is still owed) and the sender is
+		// retransmitting: answer at once.
+		s.stats.DupDrops++
+		p.dupDrops++
+		acks = append(acks, s.ackFrame(p, f.Seq, 1))
+	} else {
+		p.recvSeen[f.Seq] = struct{}{}
+		for {
+			if _, ok := p.recvSeen[p.recvHigh+1]; !ok {
+				break
+			}
+			delete(p.recvSeen, p.recvHigh+1)
+			p.recvHigh++
+		}
+		s.pending = append(s.pending, f.Batch)
+
+		// Book the ack. A frame that does not extend the owed run marks
+		// a loss or a reordering: the run and the frame are acked at once.
+		gap := p.ackN > 0 && f.Seq != p.ackHi+1
+		if gap {
+			acks = append(acks, s.owedFrame(p))
+		}
+		if p.ackN == 0 {
+			p.ackSince = time.Now()
+		}
+		p.ackHi = f.Seq
+		p.ackN++
+		if gap || p.ackN >= s.ackEvery {
+			acks = append(acks, s.owedFrame(p))
+		} else if p.ackN == 1 {
+			s.arm(f.From, p, p.ackSince.Add(s.ackDelay))
+		}
+	}
+	s.mu.Unlock()
+
+	for _, a := range acks {
+		s.link.SendFrame(f.From, a)
+	}
+	if !dup {
+		select {
+		case s.pendingC <- struct{}{}:
+		default: // deliverLoop is already awake
+		}
+	}
+	return true
+}
+
+// reborn notes that the peer now runs incarnation boot. Its sequence
+// space restarted, so the dedup window restarts too; the acks owed to
+// the previous incarnation have no one to go to; and the frames it never
+// acknowledged were addressed to it and died with it — it may have
+// consumed them, so they must not reach its successor. A first contact
+// (no incarnation known before) abandons nothing.
+func (p *sessPeer) reborn(boot uint64) {
+	if p.recvBoot != 0 {
+		for seq := range p.unacked {
+			p.retireOne(seq)
+		}
+	}
+	p.recvBoot = boot
+	p.recvHigh = 0
+	p.recvSeen = make(map[uint64]struct{})
+	p.ackN = 0
+}
+
+// retire drops the unacked frames hi-run through hi, which an ack for
+// this incarnation named, and frees their window slots.
+func (p *sessPeer) retire(hi uint64, run uint32) {
+	lo := hi - min(uint64(run), hi-1)
+	if hi-lo >= uint64(len(p.unacked)) {
+		// A run longer than what is in flight (a forged or garbled frame
+		// at worst): walk the frames, not the run.
+		for seq := range p.unacked {
+			if lo <= seq && seq <= hi {
+				p.retireOne(seq)
 			}
 		}
+		return
+	}
+	for seq := lo; seq <= hi; seq++ {
+		p.retireOne(seq)
+	}
+}
+
+func (p *sessPeer) retireOne(seq uint64) {
+	if _, ok := p.unacked[seq]; !ok {
+		return
+	}
+	delete(p.unacked, seq)
+	select {
+	case <-p.sendSlot:
+	default:
 	}
 }
 
@@ -447,32 +659,6 @@ func (s *Session) deliverLoop() {
 	}
 }
 
-// onAck retires an acknowledged frame and frees its window slot. Acks
-// echoing a different boot are for a previous incarnation's frames —
-// this incarnation's frame with the same seq is still outstanding.
-func (s *Session) onAck(from ocube.Pos, seq, boot uint64) {
-	if boot != s.cfg.Boot {
-		return
-	}
-	s.mu.Lock()
-	p := s.peers[from]
-	var out *sessOut
-	if p != nil {
-		out = p.unacked[seq]
-		if out != nil {
-			delete(p.unacked, seq)
-			out.timer.Stop()
-		}
-	}
-	s.mu.Unlock()
-	if out != nil {
-		select {
-		case <-p.sendSlot:
-		default:
-		}
-	}
-}
-
 // RecvBatch implements BatchTransport.
 func (s *Session) RecvBatch() <-chan []core.Envelope { return s.out }
 
@@ -486,8 +672,8 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	for _, p := range s.peers {
-		for _, out := range p.unacked {
-			out.timer.Stop()
+		if p.timer != nil {
+			p.timer.Stop()
 		}
 	}
 	s.mu.Unlock()
@@ -583,8 +769,8 @@ func (e *sessMeshEndpoint) Close() error { return nil } // owned by the mesh
 
 var _ FrameLink = (*sessMeshEndpoint)(nil)
 
-// SessTCP is a FrameLink over TCP sockets with one gob-encoded session
-// frame per wire frame. Pair it with NewSession for a reliable
+// SessTCP is a FrameLink over TCP sockets with one binary-framed session
+// frame per wire frame (wire.go). Pair it with NewSession for a reliable
 // multi-process BatchTransport: a dropped connection is re-dialed lazily
 // by the link, and the session's retransmission replays whatever the
 // drop swallowed.
@@ -595,7 +781,7 @@ type SessTCP struct {
 // NewSessTCP starts a session frame link for self, listening on
 // addrs[self].
 func NewSessTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*SessTCP, error) {
-	link, err := newTCPLink[SessFrame](self, addrs)
+	link, err := newTCPLink(self, addrs, sessCodec)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -79,7 +80,8 @@ func TestSessionPeerRebirthResetsDedup(t *testing.T) {
 
 // TestSessionRebirthIgnoresStaleAcks checks a reborn sender does not let
 // acks addressed to its previous incarnation retire its fresh frames:
-// the ack echoes the acked frame's boot, and a mismatch is ignored.
+// the ack names the incarnation it acknowledges (ToBoot), and a mismatch
+// is ignored.
 func TestSessionRebirthIgnoresStaleAcks(t *testing.T) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
@@ -97,7 +99,7 @@ func TestSessionRebirthIgnoresStaleAcks(t *testing.T) {
 	if err := a.SendBatch(1, payload(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := mesh.Endpoint(1).SendFrame(0, SessFrame{From: 1, Boot: 1, Ack: 1}); err != nil {
+	if err := mesh.Endpoint(1).SendFrame(0, SessFrame{From: 1, Boot: 1, Ack: 1, ToBoot: 1}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -109,7 +111,7 @@ func TestSessionRebirthIgnoresStaleAcks(t *testing.T) {
 	}
 
 	// A current-boot ack retires it.
-	if err := mesh.Endpoint(1).SendFrame(0, SessFrame{From: 1, Boot: 2, Ack: 1}); err != nil {
+	if err := mesh.Endpoint(1).SendFrame(0, SessFrame{From: 1, Boot: 1, Ack: 1, ToBoot: 2}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -161,5 +163,79 @@ func TestSessionAckPathNotBlockedByDelivery(t *testing.T) {
 		if got[uint64(i+1)] != 1 {
 			t.Fatalf("batch %d delivered %d times", i, got[uint64(i+1)])
 		}
+	}
+}
+
+// TestSessionPreviousLifeFramesNotRedelivered is the receiver-side boot
+// rule: a frame the previous incarnation of a node consumed, but whose
+// ack never made it back, must not be delivered again to its successor.
+// The sender keeps retransmitting it addressed to the old incarnation;
+// the successor refuses it and announces itself, and the sender abandons
+// what it had in flight to the dead one. (Redelivered, a token transfer
+// becomes a second token — the chaos rig found exactly that once acks
+// began to ride on droppable data frames.)
+func TestSessionPreviousLifeFramesNotRedelivered(t *testing.T) {
+	mesh, err := NewSessMesh(2, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropMu sync.Mutex
+	cutAcks := false
+	mesh.Drop = func(to ocube.Pos, f SessFrame) bool {
+		dropMu.Lock()
+		defer dropMu.Unlock()
+		return cutAcks && to == 0
+	}
+	cfg := SessionConfig{RTO: 10 * time.Millisecond, MaxRTO: 20 * time.Millisecond}
+	y := NewSession(0, mesh.Endpoint(0), cfg)
+	x1 := NewSession(1, mesh.Endpoint(1), cfg)
+	t.Cleanup(func() {
+		y.Close()
+		mesh.Close()
+	})
+
+	// y hears from x's first life, so it knows which incarnation it
+	// addresses from here on.
+	if err := x1.SendBatch(0, payload(0)); err != nil {
+		t.Fatal(err)
+	}
+	collect(t, y, 1)
+
+	dropMu.Lock()
+	cutAcks = true
+	dropMu.Unlock()
+	if err := y.SendBatch(1, payload(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, x1, 1); got[2] != 1 {
+		t.Fatalf("first life received %v", got)
+	}
+	x1.Close() // dies with the ack undelivered
+	dropMu.Lock()
+	cutAcks = false
+	dropMu.Unlock()
+
+	cfg.Boot = 2
+	x2 := NewSession(1, mesh.Endpoint(1), cfg)
+	t.Cleanup(func() { x2.Close() })
+	deadline := time.Now().Add(10 * time.Second)
+	for x2.Stats().StaleBootDrops == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the retransmission never reached the second life: y=%+v x2=%+v", y.Stats(), x2.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitQuiet(t, y) // y abandoned the frame once x2 announced itself
+
+	if err := y.SendBatch(1, payload(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, x2); got[0].Instance != 3 {
+		t.Fatalf("second life received %+v, want only the batch sent to it", got)
+	}
+	select {
+	case extra := <-x2.RecvBatch():
+		t.Fatalf("second life also received %+v", extra)
+	case <-time.After(50 * time.Millisecond):
 	}
 }

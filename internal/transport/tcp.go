@@ -1,44 +1,57 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ocube"
 )
 
+// dialTimeout bounds one lazy dial. A send to a black-holed address
+// fails after this long instead of waiting out the kernel's SYN retries;
+// the frame counts as lost, which every caller already tolerates.
+const dialTimeout = 2 * time.Second
+
 // tcpLink is the generic TCP machinery shared by the single-message
-// transport (TCP) and the envelope-batch transport (EnvTCP): each node
-// listens on its own address and dials peers lazily; outbound
-// connections are cached and serialized per peer; inbound frames of type
-// F are gob-decoded into the inbox. Suitable for the multi-process
-// examples; production hardening (TLS, reconnection backoff) is out of
-// scope for the reproduction.
+// transport (TCP), the envelope-batch transport (EnvTCP) and the session
+// frame link (SessTCP): each node listens on its own address and dials
+// peers lazily; outbound connections are cached and serialized per peer;
+// frames of type F travel in the fixed binary layout of wire.go. Suitable
+// for the multi-process examples; production hardening (TLS,
+// reconnection backoff) is out of scope for the reproduction.
 type tcpLink[F any] struct {
 	self  ocube.Pos
 	addrs map[ocube.Pos]string
+	codec wireCodec[F]
+	// dial opens the connection to a peer address (a hook for tests).
+	dial func(addr string) (net.Conn, error)
 
 	listener net.Listener
 	inbox    chan F
+	closed   atomic.Bool // set under mu; readLoop reads it without
 
 	mu       sync.Mutex
 	conns    map[ocube.Pos]*peerConn
 	accepted map[net.Conn]bool
-	closed   bool
 	wg       sync.WaitGroup
 }
 
+// peerConn is the outbound state of one peer. Its mu serializes dialing
+// and writing to that peer only, so a peer that hangs in dial or write
+// delays nobody else. conn is written with both mu and the link's mu
+// held and may be read under either.
 type peerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
+	buf  []byte // encode buffer, reused across sends
 }
 
 // newTCPLink starts the listener and accept loop for self.
-func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string) (*tcpLink[F], error) {
+func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string, codec wireCodec[F]) (*tcpLink[F], error) {
 	addr, ok := addrs[self]
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for self %v", self)
@@ -48,8 +61,12 @@ func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string) (*tcpLink[F],
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	t := &tcpLink[F]{
-		self:     self,
-		addrs:    make(map[ocube.Pos]string, len(addrs)),
+		self:  self,
+		addrs: make(map[ocube.Pos]string, len(addrs)),
+		codec: codec,
+		dial: func(addr string) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, dialTimeout)
+		},
 		listener: ln,
 		inbox:    make(chan F, 1024),
 		conns:    make(map[ocube.Pos]*peerConn),
@@ -74,7 +91,7 @@ func (t *tcpLink[F]) acceptLoop() {
 			return // listener closed
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			conn.Close()
 			return
@@ -94,16 +111,14 @@ func (t *tcpLink[F]) readLoop(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
+	r := newWireReader(conn)
 	for {
-		var f F
-		if err := dec.Decode(&f); err != nil {
+		body, err := r.next()
+		if err != nil {
 			return
 		}
-		t.mu.Lock()
-		closed := t.closed
-		t.mu.Unlock()
-		if closed {
+		f, err := t.codec.get(body)
+		if err != nil || t.closed.Load() {
 			return
 		}
 		select {
@@ -115,40 +130,53 @@ func (t *tcpLink[F]) readLoop(conn net.Conn) {
 	}
 }
 
-// send gob-encodes one frame to the peer, dialing lazily.
+// send encodes one frame and writes it to the peer, dialing lazily.
 func (t *tcpLink[F]) send(to ocube.Pos, frame F) error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return ErrClosed
 	}
 	pc := t.conns[to]
 	if pc == nil {
-		addr, ok := t.addrs[to]
-		if !ok {
+		if _, ok := t.addrs[to]; !ok {
 			t.mu.Unlock()
 			return fmt.Errorf("transport: no address for %v", to)
 		}
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.mu.Unlock()
-			return fmt.Errorf("transport: dial %v: %w", to, err)
-		}
-		pc = &peerConn{conn: conn, enc: gob.NewEncoder(conn)}
+		pc = &peerConn{}
 		t.conns[to] = pc
 	}
 	t.mu.Unlock()
 
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if err := pc.enc.Encode(frame); err != nil {
-		// Drop the broken connection; the next send re-dials.
-		t.mu.Lock()
-		if t.conns[to] == pc {
-			delete(t.conns, to)
+	if pc.conn == nil {
+		// Dial holding only this peer's lock: a black-holed address
+		// stalls sends to that peer, not the link.
+		conn, err := t.dial(t.addrs[to])
+		if err != nil {
+			return fmt.Errorf("transport: dial %v: %w", to, err)
 		}
+		t.mu.Lock()
+		if t.closed.Load() {
+			t.mu.Unlock()
+			conn.Close()
+			return ErrClosed
+		}
+		pc.conn = conn
 		t.mu.Unlock()
+	}
+	buf, err := appendWireFrame(pc.buf[:0], t.codec, frame)
+	if err != nil {
+		return err
+	}
+	pc.buf = buf
+	if _, err := pc.conn.Write(buf); err != nil {
+		// Drop the broken connection; the next send re-dials.
 		pc.conn.Close()
+		t.mu.Lock()
+		pc.conn = nil
+		t.mu.Unlock()
 		return fmt.Errorf("transport: send to %v: %w", to, err)
 	}
 	return nil
@@ -157,24 +185,24 @@ func (t *tcpLink[F]) send(to ocube.Pos, frame F) error {
 // close shuts the listener, every connection, and the inbox.
 func (t *tcpLink[F]) close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
-	conns := t.conns
-	t.conns = map[ocube.Pos]*peerConn{}
-	accepted := make([]net.Conn, 0, len(t.accepted))
+	t.closed.Store(true)
+	conns := make([]net.Conn, 0, len(t.conns)+len(t.accepted))
+	for _, pc := range t.conns {
+		if pc.conn != nil {
+			conns = append(conns, pc.conn) //ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
+		}
+	}
 	for c := range t.accepted {
-		accepted = append(accepted, c) //ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
+		conns = append(conns, c) //ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
 	}
 	t.mu.Unlock()
 
 	err := t.listener.Close()
-	for _, pc := range conns {
-		pc.conn.Close()
-	}
-	for _, c := range accepted {
+	for _, c := range conns {
 		c.Close()
 	}
 	t.wg.Wait()
@@ -182,15 +210,15 @@ func (t *tcpLink[F]) close() error {
 	return err
 }
 
-// TCP is a Transport over TCP sockets with one gob-encoded message per
-// frame (examples/tcpcluster).
+// TCP is a Transport over TCP sockets with one binary-framed message per
+// wire frame (examples/tcpcluster).
 type TCP struct {
 	link *tcpLink[core.Message]
 }
 
 // NewTCP starts a TCP transport for self, listening on addrs[self].
 func NewTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*TCP, error) {
-	link, err := newTCPLink[core.Message](self, addrs)
+	link, err := newTCPLink(self, addrs, messageCodec)
 	if err != nil {
 		return nil, err
 	}
@@ -211,10 +239,11 @@ func (t *TCP) Close() error { return t.link.close() }
 
 var _ Transport = (*TCP)(nil)
 
-// EnvTCP is a BatchTransport over TCP sockets with one gob-encoded
-// envelope batch per frame — the multi-process wire of a lockspace. All
-// instances share one connection mesh: the per-peer connection carries
-// every instance's traffic, batched per destination by the sender.
+// EnvTCP is a BatchTransport over TCP sockets with one binary-framed
+// envelope batch per wire frame — the multi-process wire of a lockspace.
+// All instances share one connection mesh: the per-peer connection
+// carries every instance's traffic, batched per destination by the
+// sender.
 type EnvTCP struct {
 	link *tcpLink[[]core.Envelope]
 }
@@ -222,7 +251,7 @@ type EnvTCP struct {
 // NewEnvTCP starts an envelope-batch transport for self, listening on
 // addrs[self].
 func NewEnvTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*EnvTCP, error) {
-	link, err := newTCPLink[[]core.Envelope](self, addrs)
+	link, err := newTCPLink(self, addrs, batchCodec)
 	if err != nil {
 		return nil, err
 	}

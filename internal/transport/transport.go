@@ -2,8 +2,8 @@
 // communication system the paper assumes reliable with a bounded
 // transmission delay δ (Section 2). Two implementations are provided: an
 // in-memory Mesh for single-process clusters (examples, tests,
-// benchmarks) and a TCP transport with gob-encoded frames for
-// multi-process deployment (examples/tcpcluster).
+// benchmarks) and a TCP transport with fixed-layout binary frames
+// (wire.go) for multi-process deployment (examples/tcpcluster).
 package transport
 
 import (

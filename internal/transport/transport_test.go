@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -214,5 +215,62 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("timeout after redial")
+	}
+}
+
+// TestTCPDeadPeerDoesNotStallLink pins the dial discipline: a dial that
+// hangs (a black-holed address) holds only that peer's lock, so a send to
+// another peer completes meanwhile. With the dial under the link-wide
+// lock the second send waits for the first to give up.
+func TestTCPDeadPeerDoesNotStallLink(t *testing.T) {
+	addrs := reserveLoopbackAddrs(t, 3)
+	a, err := NewTCP(0, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	c, err := NewTCP(2, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	dialing := make(chan struct{})
+	release := make(chan struct{})
+	a.link.dial = func(addr string) (net.Conn, error) {
+		if addr == addrs[1] {
+			close(dialing)
+			<-release
+			return nil, errors.New("black hole")
+		}
+		return net.DialTimeout("tcp", addr, dialTimeout)
+	}
+
+	dead := make(chan error, 1)
+	go func() { dead <- a.Send(core.Message{Kind: core.KindRequest, To: 1, Seq: 1}) }()
+	<-dialing
+
+	live := make(chan error, 1)
+	go func() { live <- a.Send(core.Message{Kind: core.KindRequest, To: 2, Seq: 2}) }()
+	select {
+	case err := <-live:
+		if err != nil {
+			t.Fatalf("send to the live peer: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("send to a live peer waited on the dial to a dead one")
+	}
+	select {
+	case got := <-c.Recv():
+		if got.Seq != 2 {
+			t.Errorf("got seq %d, want 2", got.Seq)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("timeout")
+	}
+
+	close(release)
+	if err := <-dead; err == nil {
+		t.Error("send to the dead peer reported success")
 	}
 }

@@ -1,0 +1,191 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// fillDistinct sets every leaf field under v to a distinct non-zero
+// value, walking the type: a field the hand-written codec does not carry
+// comes back zero and fails the round trip, whichever struct it was
+// added to. A kind the walk does not know fails the test outright, so a
+// new field type forces a look at the codec too.
+func fillDistinct(t *testing.T, v reflect.Value, next *uint64) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		*next++
+		v.SetInt(int64(*next))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		*next++
+		v.SetUint(*next)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(t, v.Field(i), next)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), next)
+		}
+	default:
+		t.Fatalf("the wire codec test cannot fill a %v (%v): extend the codec and this walk", v.Kind(), v.Type())
+	}
+}
+
+func filled[F any](t *testing.T) F {
+	t.Helper()
+	var f F
+	var next uint64
+	fillDistinct(t, reflect.ValueOf(&f).Elem(), &next)
+	if next > 255 {
+		t.Fatalf("%d leaf fields: the one-byte fields no longer get distinct values", next)
+	}
+	return f
+}
+
+// roundTrip frames f, reads the frame back through a wireReader and
+// decodes it.
+func roundTrip[F any](t *testing.T, c wireCodec[F], f F) F {
+	t.Helper()
+	buf, err := appendWireFrame(nil, c, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newWireReader(bytes.NewReader(buf))
+	body, err := r.next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.get(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.next(); err == nil {
+		t.Fatal("bytes left over after the frame")
+	}
+	return got
+}
+
+// TestWireRoundTripEveryField is the completeness check of the codec: a
+// frame with every field of SessFrame, core.Envelope and core.Message
+// set to a distinct non-zero value survives all three frame types.
+func TestWireRoundTripEveryField(t *testing.T) {
+	msg := filled[core.Message](t)
+	if got := roundTrip(t, messageCodec, msg); got != msg {
+		t.Errorf("core.Message:\n got %+v\nwant %+v", got, msg)
+	}
+	batch := filled[[]core.Envelope](t)
+	if got := roundTrip(t, batchCodec, batch); !reflect.DeepEqual(got, batch) {
+		t.Errorf("[]core.Envelope:\n got %+v\nwant %+v", got, batch)
+	}
+	frame := filled[SessFrame](t)
+	if got := roundTrip(t, sessCodec, frame); !reflect.DeepEqual(got, frame) {
+		t.Errorf("SessFrame:\n got %+v\nwant %+v", got, frame)
+	}
+	// Negative positions (ocube.None) and an empty batch are legal too.
+	ack := SessFrame{From: -1, Boot: 1<<64 - 1, Ack: 9, ToBoot: 3, AckRun: 1<<32 - 1}
+	if got := roundTrip(t, sessCodec, ack); !reflect.DeepEqual(got, ack) {
+		t.Errorf("pure ack:\n got %+v\nwant %+v", got, ack)
+	}
+}
+
+// TestWireRejectsBeforeAllocating pins the caps: a declared length above
+// a full frame fails in the reader without growing its buffer, and a
+// declared count the body cannot hold fails in the decoder.
+func TestWireRejectsBeforeAllocating(t *testing.T) {
+	var huge [4]byte
+	binary.LittleEndian.PutUint32(huge[:], wireMaxBody+1)
+	r := newWireReader(bytes.NewReader(huge[:]))
+	if _, err := r.next(); err != errWireMalformed {
+		t.Errorf("oversized length: err = %v, want errWireMalformed", err)
+	}
+	if cap(r.scratch) != 0 {
+		t.Errorf("reader grew its buffer to %d for an oversized length", cap(r.scratch))
+	}
+
+	body, err := batchCodec.put(nil, envBatch(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, count := range []uint32{1, 3, MaxBatch + 1, 1<<32 - 1} {
+		binary.LittleEndian.PutUint32(body, count)
+		if got, err := batchCodec.get(body); err == nil {
+			t.Errorf("count %d over a 2-record body decoded to %d envelopes", count, len(got))
+		}
+	}
+	if _, err := batchCodec.put(nil, make([]core.Envelope, MaxBatch+1)); err == nil {
+		t.Error("a batch above MaxBatch was encoded")
+	}
+}
+
+// FuzzWireDecode feeds arbitrary bytes to everything that reads a socket
+// in this package: the frame reader, then all three decoders on every
+// body it yields. Nothing may panic or hold more than a full frame, and
+// whatever decodes must survive re-encoding unchanged — the decoders
+// accept exactly what the encoders emit.
+func FuzzWireDecode(f *testing.F) {
+	for _, seed := range wireSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := newWireReader(bytes.NewReader(data))
+		for {
+			body, err := r.next()
+			if err != nil {
+				break
+			}
+			if len(body) > wireMaxBody {
+				t.Fatalf("reader returned a %d-byte body", len(body))
+			}
+			if m, err := messageCodec.get(body); err == nil {
+				if again := roundTrip(t, messageCodec, m); again != m {
+					t.Fatalf("core.Message changed on re-encoding:\n%+v\n%+v", m, again)
+				}
+			}
+			if b, err := batchCodec.get(body); err == nil {
+				if len(b) > MaxBatch {
+					t.Fatalf("batch of %d decoded", len(b))
+				}
+				if again := roundTrip(t, batchCodec, b); !reflect.DeepEqual(again, b) {
+					t.Fatalf("batch changed on re-encoding:\n%+v\n%+v", b, again)
+				}
+			}
+			if sf, err := sessCodec.get(body); err == nil {
+				if len(sf.Batch) > MaxBatch {
+					t.Fatalf("batch of %d decoded", len(sf.Batch))
+				}
+				if again := roundTrip(t, sessCodec, sf); !reflect.DeepEqual(again, sf) {
+					t.Fatalf("SessFrame changed on re-encoding:\n%+v\n%+v", sf, again)
+				}
+			}
+		}
+		if cap(r.scratch) > wireMaxBody {
+			t.Fatalf("reader buffer grew to %d, cap is %d", cap(r.scratch), wireMaxBody)
+		}
+	})
+}
+
+// wireSeeds are well-formed streams of each frame type (the corpus under
+// testdata/fuzz adds malformed ones: torn frames, lying counts, an
+// oversized length, unknown flag bits).
+func wireSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	must := func(b []byte, err error) []byte {
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
+	}
+	msg := must(appendWireFrame(nil, messageCodec, core.Message{Kind: core.KindToken, From: 3, To: 1, Lender: -1, Seq: 7, Epoch: 2, Fence: 9}))
+	batch := must(appendWireFrame(nil, batchCodec, envBatch(5, 3)))
+	data := must(appendWireFrame(nil, sessCodec, SessFrame{From: 2, Boot: 4, Seq: 17, Ack: 12, ToBoot: 1, AckRun: 3, Batch: envBatch(9, 2)}))
+	ack := must(appendWireFrame(nil, sessCodec, SessFrame{From: 1, Boot: 1, Ack: 64, ToBoot: 1, AckRun: 15}))
+	return [][]byte{msg, batch, data, ack, append(append([]byte(nil), data...), ack...)}
+}
