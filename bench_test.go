@@ -16,8 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/lockspace"
 	"repro/internal/ocube"
+	"repro/internal/transport"
 )
 
 // BenchmarkE1WorstCaseMessages regenerates E1: worst-case messages per
@@ -206,6 +209,59 @@ func BenchmarkLiveClusterContended(b *testing.B) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkLockspaceMeshAcquire measures the keyed live path — the one
+// bench/ocmxload's live workloads time: 8 lockspace nodes, each over its
+// own session on the in-memory SessMesh, configured like `ocmxchaos node`,
+// and one client roaming over nodes and 64 keys, so nearly every acquire
+// fetches the token from another node.
+func BenchmarkLockspaceMeshAcquire(b *testing.B) {
+	const n, keys = 8, 64
+	mesh, err := transport.NewSessMesh(n, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mesh.Close()
+	nodes := make([]*lockspace.Lockspace, n)
+	for i := range nodes {
+		self := ocube.Pos(i)
+		sess := transport.NewSession(self, mesh.Endpoint(self), transport.SessionConfig{})
+		defer sess.Close()
+		nodes[i], err = lockspace.New(lockspace.Config{
+			Node: core.Config{
+				Self: self, P: 3, FT: true, EpochFence: true,
+				Delta: 200 * time.Millisecond, CSEstimate: 200 * time.Millisecond,
+				SuspicionSlack: time.Second,
+			},
+			Transport: sess,
+			LeaseTTL:  2 * time.Second,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer nodes[i].Close()
+	}
+	names := make([]string, keys)
+	for k := range names {
+		names[k] = "key-" + itoa(k)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Each pass over the keys starts one node further on, so a key's
+		// next acquire always comes from another node.
+		node, key := nodes[(i+i/keys)%n], names[i%keys]
+		fence, err := node.Lock(ctx, key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := node.Unlock(key, fence); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func itoa(n int) string {

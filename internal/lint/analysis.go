@@ -23,6 +23,9 @@
 //     receivers, and core.Config.Observe / chaos.Config.Autopsy /
 //     shard.Config.Autopsy uses must be nil-guarded, keeping the
 //     zero-cost-when-off contract honest.
+//   - looptimer: the live lockspace node loop owns one time.Timer under
+//     one deadline heap; time.AfterFunc and time.After are forbidden in
+//     its files, so a closed node cannot be kept alive by what it armed.
 //
 // A genuine exception is silenced with an annotation carrying a
 // mandatory reason:
@@ -101,6 +104,7 @@ func Analyzers() []*Analyzer {
 		WiresizeAnalyzer,
 		ArenaRetainAnalyzer,
 		NilsafeAnalyzer,
+		LooptimerAnalyzer,
 	}
 }
 
@@ -154,6 +158,20 @@ func CheckWith(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
 	return diags, nil
+}
+
+// selectedPkg returns the import path of the package sel selects from
+// (time in time.Now), or "" when sel.X is not a package name.
+func selectedPkg(pass *Pass, sel *ast.SelectorExpr) string {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	pn, ok := pass.Info.Uses[id].(*types.PkgName)
+	if !ok {
+		return ""
+	}
+	return pn.Imported().Path()
 }
 
 // exprString renders an expression for diagnostics.

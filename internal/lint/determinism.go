@@ -72,12 +72,8 @@ func runDeterminism(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			id, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pn, ok := pass.Info.Uses[id].(*types.PkgName)
-			if !ok {
+			pkg := selectedPkg(pass, sel)
+			if pkg == "" {
 				return true
 			}
 			// Only package-level functions leak nondeterminism; type
@@ -87,7 +83,7 @@ func runDeterminism(pass *Pass) error {
 				return true
 			}
 			name := sel.Sel.Name
-			switch pn.Imported().Path() {
+			switch pkg {
 			case "time":
 				if forbiddenTime[name] {
 					pass.Reportf(sel.Pos(),

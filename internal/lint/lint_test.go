@@ -54,6 +54,14 @@ func TestNilsafeHookGuards(t *testing.T) {
 	linttest.Run(t, fixtures, "testdata/src/nilsafe/a", lint.NilsafeAnalyzer)
 }
 
+func TestLooptimerLiveLoopFiles(t *testing.T) {
+	linttest.Run(t, fixtures, "testdata/src/looptimer/lockspace", lint.LooptimerAnalyzer)
+}
+
+func TestLooptimerOtherPackages(t *testing.T) {
+	linttest.Run(t, fixtures, "testdata/src/looptimer/transport", lint.LooptimerAnalyzer)
+}
+
 // TestTreeIsClean runs the full suite over the real module: the tree
 // must carry zero findings, so every invariant the analyzers encode is
 // structurally true of the shipped code (annotated allowances

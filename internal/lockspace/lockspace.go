@@ -19,7 +19,8 @@ package lockspace
 
 //ocmxvet:live -- this file is the live goroutine runtime (wall-clock leases,
 // session transports, context cancellation); the deterministic simulated path
-// lives in mux.go/wheel.go, which stay under the determinism analyzer.
+// lives in mux.go, and wheel.go — the deadline heap both share — stays under
+// the determinism analyzer with it.
 
 import (
 	"context"
@@ -130,10 +131,10 @@ type Config struct {
 	// into the cluster.
 	Stable StableStore
 	// Metrics, when set, registers this node's live series (grants,
-	// locks held, waiter depth, lease reclaims and their latency) in the
-	// given registry, labeled node=<self>. Nil disables metric
-	// collection at zero cost: the handles stay nil and every mutation
-	// is a nil-receiver no-op.
+	// locks held, waiter depth, pending deadlines, lease reclaims and
+	// their latency) in the given registry, labeled node=<self>. Nil
+	// disables metric collection at zero cost: the handles stay nil and
+	// every mutation is a nil-receiver no-op.
 	Metrics *obs.Registry
 	// Flight, when set, records every instance's token lineage (via
 	// core.Config.Observe) plus lockspace-level events (lease reclaims)
@@ -147,21 +148,29 @@ type Config struct {
 
 // Lockspace is one node of the live keyed lock service, driving every
 // hosted instance from a single goroutine — the per-node shared resource
-// of the live path — with real timers and per-destination batching of
-// outbound envelopes.
+// of the live path — with one deadline heap under one real timer and
+// per-destination batching of outbound envelopes.
 type Lockspace struct {
 	cfg Config
 
-	calls  chan lcall
-	timerC chan ltimer
-	leaseC chan uint64 // lease-expiry checks, by instance id
-	stop   chan struct{}
-	done   chan struct{}
+	calls chan lcall
+	stop  chan struct{}
+	done  chan struct{}
 
 	// Loop-owned state (no locks: only the loop goroutine touches it).
 	insts  map[uint64]*instance
 	outbox map[ocube.Pos][]core.Envelope
-	dests  []ocube.Pos // destinations touched this iteration, in touch order
+	dests  []ocube.Pos // destinations touched since the last flush, in touch order
+
+	// Every pending deadline of every instance — protocol timers and lease
+	// checks — lives in wheel, measured from epoch; timer is the one
+	// runtime timer, aimed at the earliest of them (armedAt while armed).
+	// All of it dies with the loop.
+	wheel   timerWheel
+	epoch   time.Time
+	timer   *time.Timer
+	armed   bool
+	armedAt time.Duration
 
 	states atomic.Int64
 	closed atomic.Bool
@@ -172,6 +181,7 @@ type Lockspace struct {
 	obsReclaims   *obs.Counter
 	obsHeld       *obs.Gauge
 	obsWaiters    *obs.Gauge
+	obsDeadlines  *obs.Gauge
 	obsReclaimLat *obs.Histogram
 }
 
@@ -186,8 +196,8 @@ type instance struct {
 	// zero while not held.
 	fence uint64
 	// leaseDeadline is when the current hold's lease lapses; leaseArmed
-	// tracks whether an expiry check is pending, so renewals reset the
-	// deadline without stacking timers.
+	// tracks whether an expiry check is pending in the wheel, so renewals
+	// reset the deadline without touching the heap.
 	leaseDeadline time.Time
 	leaseArmed    bool
 	// saved is the last StableState written through to Config.Stable,
@@ -240,12 +250,6 @@ type CensusRow struct {
 	Epoch     uint32
 }
 
-type ltimer struct {
-	inst uint64
-	kind core.TimerKind
-	gen  uint64
-}
-
 // New builds and starts a lockspace node. The caller owns the
 // transport's lifetime.
 func New(cfg Config) (*Lockspace, error) {
@@ -259,13 +263,14 @@ func New(cfg Config) (*Lockspace, error) {
 	ls := &Lockspace{
 		cfg:    cfg,
 		calls:  make(chan lcall),
-		timerC: make(chan ltimer, 128),
-		leaseC: make(chan uint64, 128),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		insts:  make(map[uint64]*instance),
 		outbox: make(map[ocube.Pos][]core.Envelope),
+		epoch:  time.Now(),
+		timer:  time.NewTimer(time.Hour),
 	}
+	ls.timer.Stop() // nothing is pending yet; rearm aims it
 	if cfg.Metrics != nil {
 		node := strconv.Itoa(int(cfg.Node.Self))
 		ls.obsGrants = cfg.Metrics.Counter("ocmx_lock_grants_total",
@@ -276,6 +281,8 @@ func New(cfg Config) (*Lockspace, error) {
 			"Keys currently held by this node's clients.", "node", node)
 		ls.obsWaiters = cfg.Metrics.Gauge("ocmx_lock_waiters",
 			"Local clients queued for a key (holders included).", "node", node)
+		ls.obsDeadlines = cfg.Metrics.Gauge("ocmx_lock_deadlines_pending",
+			"Protocol timers and lease checks pending in this node's deadline heap.", "node", node)
 		ls.obsReclaimLat = cfg.Metrics.Histogram("ocmx_lease_reclaim_seconds",
 			"Lapse-to-next-local-grant latency of lease reclaims.",
 			obs.LatencyBuckets(), "node", node)
@@ -421,8 +428,9 @@ func (ls *Lockspace) Census() ([]CensusRow, error) {
 	}
 }
 
-// Close stops the node's loop and timers. It does not close the
-// transport.
+// Close stops the node's loop and drops every pending deadline with it:
+// nothing the runtime still holds refers to a closed node. It does not
+// close the transport.
 func (ls *Lockspace) Close() error {
 	if ls.closed.Swap(true) {
 		return nil
@@ -434,6 +442,7 @@ func (ls *Lockspace) Close() error {
 	// member restarting this node in the same registry starts clean.
 	ls.obsHeld.Set(0)
 	ls.obsWaiters.Set(0)
+	ls.obsDeadlines.Set(0)
 	if ls.cfg.Autopsy != nil {
 		ls.autopsyStuck()
 	}
@@ -471,69 +480,138 @@ func (ls *Lockspace) autopsyStuck() {
 		ls.cfg.Flight, stuck, states)
 }
 
-// loop is the node's single event loop: every hosted instance's inputs
-// — inbound envelope batches, timer fires, client calls — funnel through
-// it, and each iteration's outbound envelopes flush as one batch per
-// destination.
+// drainMax bounds how many inputs one loop iteration handles before it
+// flushes. It is a constant, not a knob: a burst's envelopes to one peer
+// share a frame up to this many inputs deep, and however long the burst,
+// what the first of them sent waits for at most this many handlers.
+const drainMax = 64
+
+// loop is the node's single event loop and the only owner of what wakes
+// it: inbound envelope batches, the one deadline timer, client calls.
+// After the one blocking select it takes whatever further batches and
+// calls are already waiting, without blocking and up to drainMax inputs,
+// and only then flushes — one batch per destination for the whole burst,
+// and at once for a lone input.
 func (ls *Lockspace) loop() {
 	defer close(ls.done)
+	defer ls.timer.Stop()
+	recv := ls.cfg.Transport.RecvBatch()
 	for {
 		select {
 		case <-ls.stop:
 			return
-		case batch, ok := <-ls.cfg.Transport.RecvBatch():
+		case batch, ok := <-recv:
 			if !ok {
 				return
 			}
-			for _, env := range batch {
-				if env.Instance == core.NoInstance {
-					continue // untagged traffic is not ours
-				}
-				st := ls.ensure(env.Instance)
-				ls.apply(env.Instance, st, st.node.HandleMessage(env.Msg))
-				ls.persist(env.Instance, st)
-			}
-		case tf := <-ls.timerC:
-			st := ls.insts[tf.inst]
-			if st == nil || st.node.TimerGen(tf.kind) != tf.gen {
-				break // dead fire: instance unknown or generation superseded
-			}
-			ls.apply(tf.inst, st, st.node.HandleTimer(tf.kind, tf.gen))
-			ls.persist(tf.inst, st)
-		case id := <-ls.leaseC:
-			ls.leaseCheck(id)
+			ls.receive(batch)
+		case <-ls.timer.C:
+			ls.armed = false
+			ls.fireDue()
 		case c := <-ls.calls:
-			switch c.op {
-			case opAcquire:
-				c.reply <- ls.acquire(c.inst, c.w)
-			case opRelease:
-				c.reply <- ls.release(c.inst, c.fence)
-			case opCancel:
-				c.reply <- ls.cancel(c.inst, c.w)
-			case opKeepalive:
-				c.reply <- ls.keepalive(c.inst, c.fence)
-			case opCensus:
-				rows := make([]CensusRow, 0, len(ls.insts))
-				for id, st := range ls.insts {
-					rows = append(rows, CensusRow{
-						Instance: id, TokenHere: st.node.TokenHere(),
-						Held: st.held, Busy: st.node.Busy(), Epoch: st.node.Epoch(),
-					})
+			ls.call(c)
+		}
+	drain:
+		for n := 1; n < drainMax; n++ {
+			select {
+			case batch, ok := <-recv:
+				if !ok {
+					return
 				}
-				// Instance order, not map order: census consumers (the
-				// chaos token census, autopsy state lines) render rows,
-				// and replayed runs must render them identically.
-				sort.Slice(rows, func(i, j int) bool { return rows[i].Instance < rows[j].Instance })
-				c.rows <- rows
-			}
-			if c.op != opCensus {
-				if st := ls.insts[c.inst]; st != nil {
-					ls.persist(c.inst, st)
-				}
+				ls.receive(batch)
+			case c := <-ls.calls:
+				ls.call(c)
+			default:
+				break drain
 			}
 		}
 		ls.flush()
+		ls.rearm()
 	}
+}
+
+// receive handles one inbound envelope batch.
+func (ls *Lockspace) receive(batch []core.Envelope) {
+	for _, env := range batch {
+		if env.Instance == core.NoInstance {
+			continue // untagged traffic is not ours
+		}
+		st := ls.ensure(env.Instance)
+		ls.apply(env.Instance, st, st.node.HandleMessage(env.Msg))
+		ls.persist(env.Instance, st)
+	}
+}
+
+// call serves one client call.
+func (ls *Lockspace) call(c lcall) {
+	switch c.op {
+	case opAcquire:
+		c.reply <- ls.acquire(c.inst, c.w)
+	case opRelease:
+		c.reply <- ls.release(c.inst, c.fence)
+	case opCancel:
+		c.reply <- ls.cancel(c.inst, c.w)
+	case opKeepalive:
+		c.reply <- ls.keepalive(c.inst, c.fence)
+	case opCensus:
+		rows := make([]CensusRow, 0, len(ls.insts))
+		for id, st := range ls.insts {
+			rows = append(rows, CensusRow{
+				Instance: id, TokenHere: st.node.TokenHere(),
+				Held: st.held, Busy: st.node.Busy(), Epoch: st.node.Epoch(),
+			})
+		}
+		// Instance order, not map order: census consumers (the
+		// chaos token census, autopsy state lines) render rows,
+		// and replayed runs must render them identically.
+		sort.Slice(rows, func(i, j int) bool { return rows[i].Instance < rows[j].Instance })
+		c.rows <- rows
+		return
+	}
+	if st := ls.insts[c.inst]; st != nil {
+		ls.persist(c.inst, st)
+	}
+}
+
+// now is the loop's clock: the time since it started, which is what the
+// wheel's deadlines are measured in.
+func (ls *Lockspace) now() time.Duration { return time.Since(ls.epoch) }
+
+// fireDue handles every deadline that has come due, in (deadline,
+// schedule-order) sequence: lease checks, and protocol timers whose
+// generation the instance has not superseded since they were armed.
+func (ls *Lockspace) fireDue() {
+	now := ls.now()
+	for {
+		ent, ok := ls.wheel.popDue(now)
+		if !ok {
+			return
+		}
+		if ent.kind == wheelLease {
+			ls.leaseCheck(ent.inst)
+			continue
+		}
+		st := ls.insts[ent.inst]
+		if st == nil || st.node.TimerGen(ent.kind) != ent.gen {
+			continue // dead: cancelled or superseded since it was scheduled
+		}
+		ls.apply(ent.inst, st, st.node.HandleTimer(ent.kind, ent.gen))
+		ls.persist(ent.inst, st)
+	}
+}
+
+// rearm keeps the one runtime timer aimed at the wheel's earliest
+// deadline. It only ever tightens: a fire that finds nothing due (the
+// deadline it was armed for was rescheduled later) costs one empty
+// fireDue, which is cheaper than resetting the timer on every input.
+func (ls *Lockspace) rearm() {
+	ls.obsDeadlines.Set(float64(len(ls.wheel.ents)))
+	at, ok := ls.wheel.earliest()
+	if !ok || ls.armed && ls.armedAt <= at {
+		return
+	}
+	ls.armed, ls.armedAt = true, at
+	ls.timer.Reset(at - ls.now())
 }
 
 // ensure returns the instance, instantiating its state machine on first
@@ -721,16 +799,7 @@ func (ls *Lockspace) armLease(id uint64, st *instance) {
 
 // leaseTimer schedules a lease-expiry check after d.
 func (ls *Lockspace) leaseTimer(id uint64, d time.Duration) {
-	if ls.closed.Load() {
-		return
-	}
-	time.AfterFunc(d, func() {
-		select {
-		case ls.leaseC <- id:
-		case <-ls.stop:
-		case <-ls.done: // loop died under a closed transport; stop never closes
-		}
-	})
+	ls.wheel.schedule(id, wheelLease, 0, ls.now()+d)
 }
 
 // leaseCheck handles a lease-expiry check: renewed holds re-arm for the
@@ -766,8 +835,8 @@ func (ls *Lockspace) leaseCheck(id uint64) {
 }
 
 // apply executes one instance's effects: sends join the per-destination
-// outbox (flushed once per loop iteration), timers arm real clocks,
-// grants wake the head waiter.
+// outbox (flushed once per loop iteration), timers take their slot in the
+// wheel, grants wake the head waiter.
 func (ls *Lockspace) apply(id uint64, st *instance, effs []core.Effect) {
 	for _, e := range effs {
 		switch e := e.(type) {
@@ -778,7 +847,9 @@ func (ls *Lockspace) apply(id uint64, st *instance, effs []core.Effect) {
 			}
 			ls.outbox[to] = append(ls.outbox[to], core.Envelope{Instance: id, Msg: e.Msg})
 		case *core.StartTimer:
-			ls.armTimer(id, *e)
+			// In place per (instance, kind): the arming this one replaces
+			// could only have fired dead.
+			ls.wheel.schedule(id, e.Kind, e.Gen, ls.now()+e.Delay)
 		case *core.Grant:
 			if len(st.queue) == 0 {
 				// A grant with no local waiter (defensive: the queue
@@ -809,25 +880,10 @@ func (ls *Lockspace) apply(id uint64, st *instance, effs []core.Effect) {
 	}
 }
 
-// armTimer schedules a timer fire. Like cluster.Node, timers are not
-// tracked individually: fires after Close are swallowed by the stop
-// select, and outdated generations are discarded at delivery.
-func (ls *Lockspace) armTimer(id uint64, e core.StartTimer) {
-	if ls.closed.Load() {
-		return
-	}
-	time.AfterFunc(e.Delay, func() {
-		select {
-		case ls.timerC <- ltimer{inst: id, kind: e.Kind, gen: e.Gen}:
-		case <-ls.stop:
-		case <-ls.done: // loop died under a closed transport; stop never closes
-		}
-	})
-}
-
-// flush sends this iteration's outbox, one batch per touched
-// destination, in touch order. Transport errors are equivalent to
-// message loss, which the per-instance failure machinery tolerates.
+// flush sends what the iteration's inputs put in the outbox, one batch
+// per touched destination, in touch order. Transport errors are
+// equivalent to message loss, which the per-instance failure machinery
+// tolerates.
 func (ls *Lockspace) flush() {
 	if len(ls.dests) == 0 {
 		return

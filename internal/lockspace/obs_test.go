@@ -103,6 +103,50 @@ func TestLiveMetricsAndLineage(t *testing.T) {
 	}
 }
 
+// TestDeadlinesPendingGauge: the depth of the loop's deadline heap is a
+// series. The loop publishes it at the end of each iteration, so the test
+// reads it after a second call has gone through the loop.
+func TestDeadlinesPendingGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	mesh, err := transport.NewEnvMesh(1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	ls, err := New(Config{
+		Node:      core.Config{Self: 0, P: 0},
+		Transport: mesh.Endpoint(0),
+		LeaseTTL:  time.Hour,
+		Metrics:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	pending := reg.Gauge("ocmx_lock_deadlines_pending", "", "node", "0")
+	if _, err := ls.Census(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pending.Value(); got != 0 {
+		t.Errorf("ocmx_lock_deadlines_pending{node=0} on an idle node = %g, want 0", got)
+	}
+	for _, key := range []string{"a", "b"} {
+		if _, err := ls.Lock(context.Background(), key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ls.Census(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pending.Value(); got != 2 {
+		t.Errorf("ocmx_lock_deadlines_pending{node=0} with two leases running = %g, want 2", got)
+	}
+	ls.Close()
+	if got := pending.Value(); got != 0 {
+		t.Errorf("ocmx_lock_deadlines_pending{node=0} after Close = %g, want 0", got)
+	}
+}
+
 // TestCloseStuckWaiterAutopsy closes a lockspace with a hold and a
 // queued waiter still in place: Close must write a JSONL autopsy naming
 // the key's instance, its lineage (through the attached flight

@@ -6,10 +6,15 @@ import (
 	"repro/internal/core"
 )
 
-// wheelRelease is the pseudo timer kind of a driver-scheduled critical
-// section release. Protocol timers use the core.TimerKind values 1..5;
-// kind 0 is free.
-const wheelRelease core.TimerKind = 0
+// Protocol timers use the core.TimerKind values 1..5; kind 0 is free for
+// the one deadline a driver schedules for itself.
+const (
+	// wheelRelease is the simulated driver's scheduled critical-section
+	// release.
+	wheelRelease core.TimerKind = 0
+	// wheelLease is the live loop's lease-expiry check.
+	wheelLease core.TimerKind = 0
+)
 
 // wheelEntry is one pending instance deadline.
 type wheelEntry struct {
@@ -21,35 +26,34 @@ type wheelEntry struct {
 }
 
 // timerWheel multiplexes the timers of every instance hosted at one
-// position onto a single engine timer slot: the simulator's per-(node,
-// kind) slot table cannot grow with thousands of instances, so the mux
-// peer keeps this private deadline heap and arms one engine timer for
-// the earliest entry. Like the engine's own slot table, re-arming an
-// (instance, kind) pair reschedules its existing entry in place — FT
-// runs re-arm suspicion timers on nearly every message, and corpses
-// would otherwise dominate the heap. Everything is deterministic:
-// binary-heap order on (at, seq), no map iteration (the slot map is
-// only ever indexed, never ranged over).
+// position onto a single timer: the simulator's per-(node, kind) slot
+// table cannot grow with thousands of instances, so the mux peer keeps
+// this private deadline heap and arms one engine timer for the earliest
+// entry; the live node loop (lockspace.go) keeps one too, under its one
+// time.Timer, with at measured from the loop's start. Like the engine's
+// own slot table, re-arming an (instance, kind) pair reschedules its
+// existing entry in place — FT runs re-arm suspicion timers on nearly
+// every message, and corpses would otherwise dominate the heap.
+// Everything is deterministic: binary-heap order on (at, seq), no map
+// iteration (the slot maps are only ever indexed, never ranged over).
 type timerWheel struct {
 	ents []wheelEntry
-	slot map[uint64]int // slotKey(inst, kind) → heap index
+	// slot[kind] maps an instance id to its entry's heap index. One map
+	// per kind keys each on the whole 64-bit id: the live path's ids are
+	// FNV hashes (KeyInstance), and no packing of (id, kind) into one
+	// word keeps two ids that differ only in their top bits apart.
+	slot [core.NumTimerKinds + 1]map[uint64]int
 	seq  uint64
-}
-
-// slotKey packs (inst, kind) into one map key; kinds fit three bits.
-func slotKey(inst uint64, kind core.TimerKind) uint64 {
-	return inst<<3 | uint64(kind)
 }
 
 // schedule arms (or in-place reschedules) the entry for (inst, kind).
 func (w *timerWheel) schedule(inst uint64, kind core.TimerKind, gen uint64, at time.Duration) {
-	if w.slot == nil {
-		w.slot = make(map[uint64]int)
+	if w.slot[kind] == nil {
+		w.slot[kind] = make(map[uint64]int)
 	}
 	w.seq++
 	ent := wheelEntry{at: at, seq: w.seq, inst: inst, kind: kind, gen: gen}
-	key := slotKey(inst, kind)
-	if i, ok := w.slot[key]; ok {
+	if i, ok := w.slot[kind][inst]; ok {
 		old := w.ents[i]
 		w.ents[i] = ent
 		if ent.at < old.at || (ent.at == old.at && ent.seq < old.seq) {
@@ -60,7 +64,7 @@ func (w *timerWheel) schedule(inst uint64, kind core.TimerKind, gen uint64, at t
 		return
 	}
 	w.ents = append(w.ents, ent)
-	w.slot[key] = len(w.ents) - 1
+	w.slot[kind][inst] = len(w.ents) - 1
 	w.siftUp(len(w.ents) - 1)
 }
 
@@ -78,13 +82,12 @@ func (w *timerWheel) popDue(now time.Duration) (wheelEntry, bool) {
 		return wheelEntry{}, false
 	}
 	ent := w.ents[0]
-	delete(w.slot, slotKey(ent.inst, ent.kind))
+	delete(w.slot[ent.kind], ent.inst)
 	last := len(w.ents) - 1
 	moved := w.ents[last]
 	w.ents = w.ents[:last]
 	if last > 0 {
 		w.ents[0] = moved
-		w.slot[slotKey(moved.inst, moved.kind)] = 0
 		w.siftDown(0)
 	}
 	return ent, true
@@ -94,8 +97,8 @@ func (w *timerWheel) popDue(now time.Duration) (wheelEntry, bool) {
 // keeping capacity.
 func (w *timerWheel) clear() {
 	w.ents = w.ents[:0]
-	for k := range w.slot {
-		delete(w.slot, k)
+	for _, m := range w.slot {
+		clear(m)
 	}
 }
 
@@ -108,7 +111,7 @@ func (w *timerWheel) less(a, b *wheelEntry) bool {
 
 func (w *timerWheel) place(i int, ent wheelEntry) {
 	w.ents[i] = ent
-	w.slot[slotKey(ent.inst, ent.kind)] = i
+	w.slot[ent.kind][ent.inst] = i
 }
 
 func (w *timerWheel) siftUp(i int) {

@@ -76,3 +76,43 @@ func TestWheelSameInstantRescheduleKeepsOrder(t *testing.T) {
 		t.Errorf("earliest = %v ok=%v, want %v", next, ok, at+time.Millisecond)
 	}
 }
+
+// TestWheelKeepsHashedIdsApart pins the slot key on the whole 64-bit
+// instance id. The live loop's ids are FNV hashes (KeyInstance), so two
+// may differ only in their top bits; a key that packed (id, kind) into
+// one word shifted those bits out, the second schedule rescheduled the
+// first one's entry in place, and a timer was silently lost.
+func TestWheelKeepsHashedIdsApart(t *testing.T) {
+	const lo, hi = uint64(0x1234), uint64(0x1234) | 1<<63
+	var w timerWheel
+	w.schedule(lo, core.TimerSuspicion, 7, time.Millisecond)
+	w.schedule(hi, core.TimerSuspicion, 9, 2*time.Millisecond)
+	if len(w.ents) != 2 {
+		t.Fatalf("%d entries after scheduling two instances, want 2", len(w.ents))
+	}
+	// Each instance still reschedules its own entry in place.
+	w.schedule(lo, core.TimerSuspicion, 8, 3*time.Millisecond)
+	if len(w.ents) != 2 {
+		t.Fatalf("%d entries after a reschedule, want 2", len(w.ents))
+	}
+	first, ok1 := w.popDue(3 * time.Millisecond)
+	second, ok2 := w.popDue(3 * time.Millisecond)
+	if !ok1 || !ok2 || first.inst != hi || first.gen != 9 || second.inst != lo || second.gen != 8 {
+		t.Errorf("pops = %+v (%v) then %+v (%v), want inst %#x gen 9 then inst %#x gen 8",
+			first, ok1, second, ok2, hi, lo)
+	}
+	// The same id under two kinds is two entries too.
+	w.schedule(hi, wheelLease, 0, time.Millisecond)
+	w.schedule(hi, core.TimerTransferAck, 1, time.Millisecond)
+	if len(w.ents) != 2 {
+		t.Errorf("%d entries for one instance under two kinds, want 2", len(w.ents))
+	}
+	w.clear()
+	if _, ok := w.earliest(); ok {
+		t.Error("wheel not empty after clear")
+	}
+	w.schedule(hi, wheelLease, 0, time.Millisecond)
+	if len(w.ents) != 1 {
+		t.Errorf("%d entries after clear and one schedule, want 1", len(w.ents))
+	}
+}

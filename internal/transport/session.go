@@ -156,6 +156,22 @@ type FrameLink interface {
 	Close() error
 }
 
+// framePusher is a FrameLink that can call its receiver instead of
+// queueing for it: the in-tree links (SessTCP, a SessMesh endpoint) hand
+// each inbound frame to the session on the goroutine that read it, which
+// saves the hop through RecvFrame's channel and recvLoop. NewSession
+// discovers it; a wrapper that only forwards the FrameLink methods hides
+// it, and its session is fed through RecvFrame as before.
+type framePusher interface {
+	// pushTo makes the link call sink for each inbound frame from now on,
+	// possibly from several goroutines at once, and returns the undo,
+	// after which frames queue for RecvFrame again. sink must not block
+	// and must not send on the link: on TCP it runs on the connection's
+	// reader, and a reader that waits for a write to drain can wait for a
+	// peer whose own reader is doing the same.
+	pushTo(sink func(SessFrame)) (stop func())
+}
+
 // sessPeer is one directed peer's session state.
 type sessPeer struct {
 	// Sender side: frames to this peer.
@@ -174,9 +190,15 @@ type sessPeer struct {
 	ackN     uint32
 	ackSince time.Time // arrival of the oldest owed frame
 
-	// timer is the peer's one timer: it serves the ack delay and the
-	// earliest retransmission alike. timerAt is when it is set to fire,
-	// zero when it is not armed.
+	// urgent holds the pure acks onFrame wants sent at once — for a
+	// duplicate, a gap, Window/4 owed, a stale ToBoot. onFrame may be
+	// running on the link's reader, which must not write to the link, so
+	// they leave from the timer's goroutine, armed for now.
+	urgent []SessFrame
+
+	// timer is the peer's one timer: it serves the ack delay, the earliest
+	// retransmission and the urgent acks alike. timerAt is when it is set
+	// to fire, zero when it is not armed.
 	timer   *time.Timer
 	timerAt time.Time
 
@@ -205,17 +227,28 @@ type Session struct {
 	ackEvery uint32
 	ackDelay time.Duration
 
-	mu      sync.Mutex
-	peers   map[ocube.Pos]*sessPeer
-	stats   SessionStats
-	rng     *rand.Rand
-	closed  bool
-	pending [][]core.Envelope // received, not yet handed to the app
+	mu     sync.Mutex
+	peers  map[ocube.Pos]*sessPeer
+	stats  SessionStats
+	rng    *rand.Rand
+	closed bool
+	// A received batch goes straight onto out when nothing is ahead of
+	// it. When the app is behind (out is full, or older batches are still
+	// waiting) it joins pending, which deliverLoop hands over in order;
+	// delivering says deliverLoop still holds batches it took from
+	// pending. outClosed is set before out is closed.
+	pending    [][]core.Envelope
+	delivering bool
+	outClosed  bool
 
+	// out is buffered so that a consumer busy with one batch does not push
+	// every arrival onto the deliverLoop path; its size only decides when
+	// arrivals start to queue in pending instead, nothing is ever dropped.
 	out      chan []core.Envelope
 	pendingC chan struct{} // wakes deliverLoop; cap 1, best-effort
 	recvDone chan struct{} // recvLoop exited (link closed)
 	done     chan struct{}
+	unpush   func() // undoes the link's pushTo; nil for a link that cannot push
 	wg       sync.WaitGroup
 }
 
@@ -239,6 +272,11 @@ func NewSession(self ocube.Pos, link FrameLink, cfg SessionConfig) *Session {
 	s.wg.Add(2)
 	go s.recvLoop()
 	go s.deliverLoop()
+	if pl, ok := link.(framePusher); ok {
+		// recvLoop stays: it takes what the link queued before this call
+		// and sees the link close.
+		s.unpush = pl.pushTo(func(f SessFrame) { s.onFrame(f) })
+	}
 	return s
 }
 
@@ -395,9 +433,10 @@ func (s *Session) backoff(attempts int) time.Duration {
 	return rto
 }
 
-// onTimer is peer to's timer firing: it re-sends every unacked frame that
-// is overdue, in Seq order, sends the owed acks alone if they have waited
-// out the ack delay, and re-arms for whichever comes next.
+// onTimer is peer to's timer firing: it sends the urgent acks, re-sends
+// every unacked frame that is overdue, in Seq order, sends the owed acks
+// alone if they have waited out the ack delay, and re-arms for whichever
+// comes next.
 func (s *Session) onTimer(to ocube.Pos) {
 	s.mu.Lock()
 	if s.closed {
@@ -415,7 +454,8 @@ func (s *Session) onTimer(to ocube.Pos) {
 		}
 	}
 	sort.Slice(overdue, func(i, j int) bool { return overdue[i] < overdue[j] })
-	var frames []SessFrame
+	frames := append([]SessFrame(nil), p.urgent...)
+	p.urgent = p.urgent[:0]
 	for _, seq := range overdue {
 		out := p.unacked[seq]
 		out.attempts++
@@ -448,16 +488,11 @@ func (s *Session) onTimer(to ocube.Pos) {
 	}
 }
 
-// recvLoop feeds inbound frames to onFrame. It exits on link closure or
-// session Close — the former matters for links whose endpoints are owned
-// elsewhere (SessMesh) and outlive the session. Delivery to the app
-// happens in deliverLoop, never here: if acking waited on the app
-// consuming RecvBatch, two nodes could deadlock — each blocked in a send
-// with a full window, neither draining its inbox, so neither's acks ever
-// arrive. Decoupling makes the ack path unconditional; the cost is that
-// the queue of received-but-undelivered batches is unbounded (the usual
-// reliable-channel idealization — a permanently stalled consumer costs
-// memory, not cluster-wide deadlock).
+// recvLoop feeds onFrame from RecvFrame: the whole ingress of a link that
+// cannot push, and for one that can, the frames it queued before the
+// session bound it. It exits on link closure or session Close — the former
+// matters for links whose endpoints are owned elsewhere (SessMesh) and
+// outlive the session.
 func (s *Session) recvLoop() {
 	defer s.wg.Done()
 	defer close(s.recvDone)
@@ -474,18 +509,23 @@ func (s *Session) recvLoop() {
 }
 
 // onFrame handles one inbound frame: it retires what the frame
-// acknowledges, and for a data frame runs the dedup window, queues the
-// batch for delivery and books the ack it now owes. It reports false once
+// acknowledges, and for a data frame runs the dedup window, hands the
+// batch to the app and books the ack it now owes. It reports false once
 // the session is closed.
+//
+// It runs on whatever goroutine the link received the frame on, so it
+// holds s.mu briefly, never waits for the app and never writes to the
+// link. If acking waited on the app consuming RecvBatch, two nodes could
+// deadlock — each blocked in a send with a full window, neither draining
+// its inbox, so neither's acks ever arrive: a batch the app is not ready
+// for queues in pending, unbounded (the usual reliable-channel
+// idealization — a permanently stalled consumer costs memory, not
+// cluster-wide deadlock). And the acks that must leave at once are
+// queued for the peer's timer goroutine (see sessPeer.urgent).
 func (s *Session) onFrame(f SessFrame) bool {
-	// At most two pure acks leave per frame: a run closed by a gap, and
-	// the frame's own.
-	var ackBuf [2]SessFrame
-	acks := ackBuf[:0]
-
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return false
 	}
 	p := s.peer(f.From)
@@ -495,7 +535,6 @@ func (s *Session) onFrame(f SessFrame) bool {
 		if f.Seq != 0 {
 			s.stats.StaleBootDrops++
 		}
-		s.mu.Unlock()
 		return true
 	}
 	if f.Boot > p.recvBoot {
@@ -511,13 +550,10 @@ func (s *Session) onFrame(f SessFrame) bool {
 		// now (a bare frame — its Boot is the message), so it stops
 		// re-sending what died with that life.
 		s.stats.StaleBootDrops++
-		hello := SessFrame{From: s.self, Boot: s.cfg.Boot, ToBoot: p.recvBoot}
-		s.mu.Unlock()
-		s.link.SendFrame(f.From, hello)
+		s.sendSoon(f.From, p, SessFrame{From: s.self, Boot: s.cfg.Boot, ToBoot: p.recvBoot})
 		return true
 	}
 	if f.Seq == 0 {
-		s.mu.Unlock()
 		return true // pure ack
 	}
 	dup := f.Seq <= p.recvHigh
@@ -529,47 +565,65 @@ func (s *Session) onFrame(f SessFrame) bool {
 		// retransmitting: answer at once.
 		s.stats.DupDrops++
 		p.dupDrops++
-		acks = append(acks, s.ackFrame(p, f.Seq, 1))
-	} else {
-		p.recvSeen[f.Seq] = struct{}{}
-		for {
-			if _, ok := p.recvSeen[p.recvHigh+1]; !ok {
-				break
-			}
-			delete(p.recvSeen, p.recvHigh+1)
-			p.recvHigh++
-		}
-		s.pending = append(s.pending, f.Batch)
-
-		// Book the ack. A frame that does not extend the owed run marks
-		// a loss or a reordering: the run and the frame are acked at once.
-		gap := p.ackN > 0 && f.Seq != p.ackHi+1
-		if gap {
-			acks = append(acks, s.owedFrame(p))
-		}
-		if p.ackN == 0 {
-			p.ackSince = time.Now()
-		}
-		p.ackHi = f.Seq
-		p.ackN++
-		if gap || p.ackN >= s.ackEvery {
-			acks = append(acks, s.owedFrame(p))
-		} else if p.ackN == 1 {
-			s.arm(f.From, p, p.ackSince.Add(s.ackDelay))
-		}
+		s.sendSoon(f.From, p, s.ackFrame(p, f.Seq, 1))
+		return true
 	}
-	s.mu.Unlock()
-
-	for _, a := range acks {
-		s.link.SendFrame(f.From, a)
-	}
-	if !dup {
-		select {
-		case s.pendingC <- struct{}{}:
-		default: // deliverLoop is already awake
+	p.recvSeen[f.Seq] = struct{}{}
+	for {
+		if _, ok := p.recvSeen[p.recvHigh+1]; !ok {
+			break
 		}
+		delete(p.recvSeen, p.recvHigh+1)
+		p.recvHigh++
+	}
+	s.deliver(f.Batch)
+
+	// Book the ack. A frame that does not extend the owed run marks a
+	// loss or a reordering: the run and the frame are acked at once.
+	gap := p.ackN > 0 && f.Seq != p.ackHi+1
+	if gap {
+		s.sendSoon(f.From, p, s.owedFrame(p))
+	}
+	if p.ackN == 0 {
+		p.ackSince = time.Now()
+	}
+	p.ackHi = f.Seq
+	p.ackN++
+	if gap || p.ackN >= s.ackEvery {
+		s.sendSoon(f.From, p, s.owedFrame(p))
+	} else if p.ackN == 1 {
+		s.arm(f.From, p, p.ackSince.Add(s.ackDelay))
 	}
 	return true
+}
+
+// sendSoon queues pure ack a for peer to's timer goroutine and arms the
+// timer for now. The caller holds s.mu.
+func (s *Session) sendSoon(to ocube.Pos, p *sessPeer, a SessFrame) {
+	p.urgent = append(p.urgent, a)
+	s.arm(to, p, time.Now())
+}
+
+// deliver hands a received batch to the app: straight onto out when
+// nothing received earlier is still waiting and out has room, else
+// through pending and deliverLoop, which keeps arrival order. The caller
+// holds s.mu.
+func (s *Session) deliver(batch []core.Envelope) {
+	if s.outClosed {
+		return // the link closed under the session; its last frames raced the close
+	}
+	if len(s.pending) == 0 && !s.delivering {
+		select {
+		case s.out <- batch:
+			return
+		default:
+		}
+	}
+	s.pending = append(s.pending, batch)
+	select {
+	case s.pendingC <- struct{}{}:
+	default: // deliverLoop is already awake
+	}
 }
 
 // reborn notes that the peer now runs incarnation boot. Its sequence
@@ -620,38 +674,46 @@ func (p *sessPeer) retireOne(seq uint64) {
 	}
 }
 
-// deliverLoop hands queued batches to the app. Separated from recvLoop
-// so delivery backpressure never stalls ack processing (see recvLoop).
+// deliverLoop hands over the batches that could not go straight onto out:
+// it blocks on the app so that onFrame never has to. It closes out when
+// the link or the session closes.
 func (s *Session) deliverLoop() {
 	defer s.wg.Done()
-	defer close(s.out)
-	for {
+	defer func() {
 		s.mu.Lock()
-		batches := s.pending
-		s.pending = nil
+		s.outClosed = true
 		s.mu.Unlock()
-		for _, b := range batches {
-			select {
-			case s.out <- b:
-			case <-s.done:
-				return
-			}
-		}
-		select {
-		case <-s.pendingC:
-		case <-s.recvDone:
-			// The link closed; flush whatever recvLoop queued last.
+		close(s.out)
+	}()
+	// drain empties pending, in order, until nothing is left; it reports
+	// false if the session closed first.
+	drain := func() bool {
+		for {
 			s.mu.Lock()
-			rest := s.pending
+			batches := s.pending
 			s.pending = nil
+			s.delivering = len(batches) > 0
 			s.mu.Unlock()
-			for _, b := range rest {
+			if len(batches) == 0 {
+				return true
+			}
+			for _, b := range batches {
 				select {
 				case s.out <- b:
 				case <-s.done:
-					return
+					return false
 				}
 			}
+		}
+	}
+	for {
+		select {
+		case <-s.pendingC:
+			if !drain() {
+				return
+			}
+		case <-s.recvDone:
+			drain() // the link closed; hand over what it delivered last
 			return
 		case <-s.done:
 			return
@@ -678,6 +740,9 @@ func (s *Session) Close() error {
 	}
 	s.mu.Unlock()
 	close(s.done)
+	if s.unpush != nil {
+		s.unpush()
+	}
 	err := s.link.Close()
 	s.wg.Wait()
 	return err
@@ -691,6 +756,7 @@ var _ BatchTransport = (*Session)(nil)
 type SessMesh struct {
 	mu     sync.Mutex
 	boxes  []chan SessFrame
+	sinks  []*func(SessFrame) // per node: where a bound session takes its frames (see framePusher)
 	closed bool
 	// Drop, when set, is consulted for every frame; returning true loses
 	// it. Set before any traffic flows.
@@ -706,7 +772,7 @@ func NewSessMesh(n, buffer int) (*SessMesh, error) {
 	if buffer < 1 {
 		buffer = 1024
 	}
-	m := &SessMesh{boxes: make([]chan SessFrame, n)}
+	m := &SessMesh{boxes: make([]chan SessFrame, n), sinks: make([]*func(SessFrame), n)}
 	for i := range m.boxes {
 		m.boxes[i] = make(chan SessFrame, buffer)
 	}
@@ -738,16 +804,27 @@ var errFrameLost = errors.New("transport: frame lost")
 
 func (m *SessMesh) send(to ocube.Pos, f SessFrame) error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return ErrClosed
 	}
 	if !to.Valid(len(m.boxes)) {
+		m.mu.Unlock()
 		return fmt.Errorf("transport: destination %v out of range", to)
 	}
 	if m.Drop != nil && m.Drop(to, f) {
+		m.mu.Unlock()
 		return errFrameLost
 	}
+	if sink := m.sinks[to]; sink != nil {
+		// The receiving session runs on the sender's goroutine, outside
+		// the mesh lock: frames to different nodes do not wait for each
+		// other.
+		m.mu.Unlock()
+		(*sink)(f)
+		return nil
+	}
+	defer m.mu.Unlock()
 	select {
 	case m.boxes[to] <- f:
 		return nil
@@ -767,7 +844,24 @@ func (e *sessMeshEndpoint) RecvFrame() <-chan SessFrame { return e.mesh.boxes[e.
 
 func (e *sessMeshEndpoint) Close() error { return nil } // owned by the mesh
 
-var _ FrameLink = (*sessMeshEndpoint)(nil)
+func (e *sessMeshEndpoint) pushTo(sink func(SessFrame)) (stop func()) {
+	m := e.mesh
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sinks[e.self] = &sink
+	return func() {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.sinks[e.self] == &sink { // not the next session's
+			m.sinks[e.self] = nil
+		}
+	}
+}
+
+var (
+	_ FrameLink   = (*sessMeshEndpoint)(nil)
+	_ framePusher = (*sessMeshEndpoint)(nil)
+)
 
 // SessTCP is a FrameLink over TCP sockets with one binary-framed session
 // frame per wire frame (wire.go). Pair it with NewSession for a reliable
@@ -800,4 +894,12 @@ func (t *SessTCP) RecvFrame() <-chan SessFrame { return t.link.inbox }
 // Close implements FrameLink.
 func (t *SessTCP) Close() error { return t.link.close() }
 
-var _ FrameLink = (*SessTCP)(nil)
+func (t *SessTCP) pushTo(sink func(SessFrame)) (stop func()) {
+	t.link.sink.Store(&sink)
+	return func() { t.link.sink.CompareAndSwap(&sink, nil) }
+}
+
+var (
+	_ FrameLink   = (*SessTCP)(nil)
+	_ framePusher = (*SessTCP)(nil)
+)

@@ -86,13 +86,17 @@ func waitQuiet(t *testing.T, sessions ...*Session) {
 // a frame, every ack finds a ride. The long RTO keeps the delay trigger
 // out of the picture for the length of the exchange.
 func TestSessionRequestReplySendsNoPureAcks(t *testing.T) {
+	eachIngress(t, testSessionRequestReplySendsNoPureAcks)
+}
+
+func testSessionRequestReplySendsNoPureAcks(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var log frameLog
 	mesh.Drop = log.hook
-	a, b := sessPairOver(t, mesh, SessionConfig{RTO: 2 * time.Second, MaxRTO: 4 * time.Second})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{RTO: 2 * time.Second, MaxRTO: 4 * time.Second})
 
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -126,6 +130,10 @@ func TestSessionRequestReplySendsNoPureAcks(t *testing.T) {
 // every Window/4 frames, so a one-way burst of ten windows never waits
 // for the ack delay (500 ms here) — the count keeps the window open.
 func TestSessionOneWayBurstAckedByCount(t *testing.T) {
+	eachIngress(t, testSessionOneWayBurstAckedByCount)
+}
+
+func testSessionOneWayBurstAckedByCount(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +141,7 @@ func TestSessionOneWayBurstAckedByCount(t *testing.T) {
 	var log frameLog
 	mesh.Drop = log.hook
 	cfg := SessionConfig{RTO: 2 * time.Second, MaxRTO: 4 * time.Second}.withDefaults()
-	a, b := sessPairOver(t, mesh, cfg)
+	a, b := sessPairOver(t, wrap, mesh, cfg)
 
 	n := 10 * cfg.Window
 	start := time.Now()
@@ -166,6 +174,10 @@ func TestSessionOneWayBurstAckedByCount(t *testing.T) {
 // dup-drops it and re-acks at once with a pure ack; both batches are
 // still delivered exactly once.
 func TestSessionLostPiggybackCostsOneRetransmit(t *testing.T) {
+	eachIngress(t, testSessionLostPiggybackCostsOneRetransmit)
+}
+
+func testSessionLostPiggybackCostsOneRetransmit(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +192,7 @@ func TestSessionLostPiggybackCostsOneRetransmit(t *testing.T) {
 		return false
 	}
 	mesh.Drop = log.hook
-	a, b := sessPairOver(t, mesh, SessionConfig{RTO: 50 * time.Millisecond})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{RTO: 50 * time.Millisecond})
 
 	if err := a.SendBatch(1, payload(0)); err != nil {
 		t.Fatal(err)
@@ -222,6 +234,10 @@ func TestSessionLostPiggybackCostsOneRetransmit(t *testing.T) {
 // incarnation die with it — the next frame to the reborn peer
 // acknowledges only what the new incarnation sent, under its boot.
 func TestSessionRebirthDiscardsOwedAcks(t *testing.T) {
+	eachIngress(t, testSessionRebirthDiscardsOwedAcks)
+}
+
+func testSessionRebirthDiscardsOwedAcks(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -231,14 +247,14 @@ func TestSessionRebirthDiscardsOwedAcks(t *testing.T) {
 	// The long RTO keeps owed acks owed until a data frame collects them,
 	// and keeps retransmissions (which are re-acked at once) out.
 	slow := SessionConfig{RTO: 2 * time.Second, MaxRTO: 4 * time.Second}
-	b := NewSession(1, mesh.Endpoint(1), slow)
+	b := NewSession(1, wrap(mesh.Endpoint(1)), slow)
 	t.Cleanup(func() {
 		b.Close()
 		mesh.Close()
 	})
 
 	slow.Boot = 1
-	a1 := NewSession(0, mesh.Endpoint(0), slow)
+	a1 := NewSession(0, wrap(mesh.Endpoint(0)), slow)
 	for i := 0; i < 3; i++ {
 		if err := a1.SendBatch(1, payload(i)); err != nil {
 			t.Fatal(err)
@@ -248,7 +264,7 @@ func TestSessionRebirthDiscardsOwedAcks(t *testing.T) {
 	a1.Close()
 
 	slow.Boot = 2
-	a2 := NewSession(0, mesh.Endpoint(0), slow)
+	a2 := NewSession(0, wrap(mesh.Endpoint(0)), slow)
 	t.Cleanup(func() { a2.Close() })
 	if err := a2.SendBatch(1, payload(10)); err != nil {
 		t.Fatal(err)

@@ -16,17 +16,21 @@ import (
 // session pair with a higher boot and checks the survivor accepts the
 // restarted sequence space while refusing leftovers of the old one.
 func TestSessionPeerRebirthResetsDedup(t *testing.T) {
+	eachIngress(t, testSessionPeerRebirthResetsDedup)
+}
+
+func testSessionPeerRebirthResetsDedup(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewSession(1, mesh.Endpoint(1), SessionConfig{})
+	b := NewSession(1, wrap(mesh.Endpoint(1)), SessionConfig{})
 	t.Cleanup(func() {
 		b.Close()
 		mesh.Close()
 	})
 
-	a1 := NewSession(0, mesh.Endpoint(0), SessionConfig{Boot: 1})
+	a1 := NewSession(0, wrap(mesh.Endpoint(0)), SessionConfig{Boot: 1})
 	for i := 0; i < 3; i++ {
 		if err := a1.SendBatch(1, payload(i)); err != nil {
 			t.Fatal(err)
@@ -42,7 +46,7 @@ func TestSessionPeerRebirthResetsDedup(t *testing.T) {
 
 	// The reincarnation reuses seqs 1..3. Pre-boot dedup would drop all
 	// of them silently.
-	a2 := NewSession(0, mesh.Endpoint(0), SessionConfig{Boot: 2})
+	a2 := NewSession(0, wrap(mesh.Endpoint(0)), SessionConfig{Boot: 2})
 	t.Cleanup(func() { a2.Close() })
 	for i := 10; i < 13; i++ {
 		if err := a2.SendBatch(1, payload(i)); err != nil {
@@ -83,11 +87,15 @@ func TestSessionPeerRebirthResetsDedup(t *testing.T) {
 // the ack names the incarnation it acknowledges (ToBoot), and a mismatch
 // is ignored.
 func TestSessionRebirthIgnoresStaleAcks(t *testing.T) {
+	eachIngress(t, testSessionRebirthIgnoresStaleAcks)
+}
+
+func testSessionRebirthIgnoresStaleAcks(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewSession(0, mesh.Endpoint(0), SessionConfig{Boot: 2, RTO: 20 * time.Millisecond})
+	a := NewSession(0, wrap(mesh.Endpoint(0)), SessionConfig{Boot: 2, RTO: 20 * time.Millisecond})
 	t.Cleanup(func() {
 		a.Close()
 		mesh.Close()
@@ -130,11 +138,15 @@ func TestSessionRebirthIgnoresStaleAcks(t *testing.T) {
 // window jams shut. This is the live analogue of a node blocked in
 // flush toward a partitioned peer while traffic pours in.
 func TestSessionAckPathNotBlockedByDelivery(t *testing.T) {
+	eachIngress(t, testSessionAckPathNotBlockedByDelivery)
+}
+
+func testSessionAckPathNotBlockedByDelivery(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := sessPairOver(t, mesh, SessionConfig{Window: 8})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{Window: 8})
 
 	const n = 1500 // > out-channel cap (1024) + window
 	sent := make(chan error, 1)
@@ -166,6 +178,61 @@ func TestSessionAckPathNotBlockedByDelivery(t *testing.T) {
 	}
 }
 
+// TestSessionIngressNeverWaitsForTheApp is the same contract at its
+// tightest, aimed at the pushing links, whose frames the session handles
+// on the link's own reader: two sessions with a window of one send at
+// each other while neither app reads. Every frame needs its ack before
+// the next may leave, and both delivery buffers fill long before the
+// sends are done. If handling a frame ever waited for the app, neither
+// side would take in the ack it is itself waiting for, and the two would
+// stop for good.
+func TestSessionIngressNeverWaitsForTheApp(t *testing.T) {
+	eachIngress(t, testSessionIngressNeverWaitsForTheApp)
+}
+
+func testSessionIngressNeverWaitsForTheApp(t *testing.T, wrap linkWrap) {
+	mesh, err := NewSessMesh(2, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{Window: 1})
+
+	const n = 1500 // > out-channel cap (1024) + window
+	sent := make(chan error, 2)
+	for _, dir := range []struct {
+		from *Session
+		to   ocube.Pos
+	}{{a, 1}, {b, 0}} {
+		go func() {
+			for i := 0; i < n; i++ {
+				if err := dir.from.SendBatch(dir.to, payload(i)); err != nil {
+					sent <- err
+					return
+				}
+			}
+			sent <- nil
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-sent:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatalf("sends stalled with neither app reading (a=%+v b=%+v)", a.Stats(), b.Stats())
+		}
+	}
+	for _, s := range []*Session{a, b} {
+		got := collect(t, s, n)
+		for i := 0; i < n; i++ {
+			if got[uint64(i+1)] != 1 {
+				t.Fatalf("batch %d delivered %d times", i, got[uint64(i+1)])
+			}
+		}
+	}
+}
+
 // TestSessionPreviousLifeFramesNotRedelivered is the receiver-side boot
 // rule: a frame the previous incarnation of a node consumed, but whose
 // ack never made it back, must not be delivered again to its successor.
@@ -175,6 +242,10 @@ func TestSessionAckPathNotBlockedByDelivery(t *testing.T) {
 // becomes a second token — the chaos rig found exactly that once acks
 // began to ride on droppable data frames.)
 func TestSessionPreviousLifeFramesNotRedelivered(t *testing.T) {
+	eachIngress(t, testSessionPreviousLifeFramesNotRedelivered)
+}
+
+func testSessionPreviousLifeFramesNotRedelivered(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +258,8 @@ func TestSessionPreviousLifeFramesNotRedelivered(t *testing.T) {
 		return cutAcks && to == 0
 	}
 	cfg := SessionConfig{RTO: 10 * time.Millisecond, MaxRTO: 20 * time.Millisecond}
-	y := NewSession(0, mesh.Endpoint(0), cfg)
-	x1 := NewSession(1, mesh.Endpoint(1), cfg)
+	y := NewSession(0, wrap(mesh.Endpoint(0)), cfg)
+	x1 := NewSession(1, wrap(mesh.Endpoint(1)), cfg)
 	t.Cleanup(func() {
 		y.Close()
 		mesh.Close()
@@ -216,7 +287,7 @@ func TestSessionPreviousLifeFramesNotRedelivered(t *testing.T) {
 	dropMu.Unlock()
 
 	cfg.Boot = 2
-	x2 := NewSession(1, mesh.Endpoint(1), cfg)
+	x2 := NewSession(1, wrap(mesh.Endpoint(1)), cfg)
 	t.Cleanup(func() { x2.Close() })
 	deadline := time.Now().Add(10 * time.Second)
 	for x2.Stats().StaleBootDrops == 0 {

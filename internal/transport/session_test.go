@@ -14,10 +14,58 @@ import (
 // must come out of a lossy substrate via retransmission and dedup, and
 // the SessionStats counters must account for the repair work.
 
-func sessPairOver(t *testing.T, mesh *SessMesh, cfg SessionConfig) (*Session, *Session) {
+// A session takes its frames one of two ways: an in-tree link calls it
+// on the goroutine that read the frame, any other link is read through
+// RecvFrame by the session's recvLoop. Both end in onFrame, and every test
+// of the session contract in this package runs over both.
+type linkWrap func(FrameLink) FrameLink
+
+// pullOnly forwards the three FrameLink methods and nothing else, so
+// NewSession cannot see that the link underneath could push — what any
+// wrapper written outside this package (the bench's link tap) does.
+type pullOnly struct{ FrameLink }
+
+func eachIngress(t *testing.T, test func(*testing.T, linkWrap)) {
+	t.Run("push", func(t *testing.T) { test(t, func(l FrameLink) FrameLink { return l }) })
+	t.Run("pull", func(t *testing.T) { test(t, func(l FrameLink) FrameLink { return pullOnly{l} }) })
+}
+
+// TestIngressPathsDiffer keeps eachIngress honest: the in-tree links are
+// bound for pushing, a wrapped one is not.
+func TestIngressPathsDiffer(t *testing.T) {
+	mesh, err := NewSessMesh(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	links := map[string]func() FrameLink{
+		"SessMesh endpoint": func() FrameLink { return mesh.Endpoint(0) },
+		"SessTCP": func() FrameLink {
+			l, err := NewSessTCP(0, map[ocube.Pos]string{0: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
+		},
+	}
+	for name, open := range links {
+		wrapped := NewSession(0, pullOnly{open()}, SessionConfig{})
+		bare := NewSession(0, open(), SessionConfig{})
+		if wrapped.unpush != nil {
+			t.Errorf("%s behind a RecvFrame-only wrapper was bound for pushing", name)
+		}
+		if bare.unpush == nil {
+			t.Errorf("%s was not bound for pushing", name)
+		}
+		wrapped.Close()
+		bare.Close()
+	}
+}
+
+func sessPairOver(t *testing.T, wrap linkWrap, mesh *SessMesh, cfg SessionConfig) (*Session, *Session) {
 	t.Helper()
-	a := NewSession(0, mesh.Endpoint(0), cfg)
-	b := NewSession(1, mesh.Endpoint(1), cfg)
+	a := NewSession(0, wrap(mesh.Endpoint(0)), cfg)
+	b := NewSession(1, wrap(mesh.Endpoint(1)), cfg)
 	t.Cleanup(func() {
 		a.Close()
 		b.Close()
@@ -54,7 +102,9 @@ func collect(t *testing.T, s *Session, n int) map[uint64]int {
 
 // TestSessionExactlyOnceUnderLoss drops every third data frame and checks
 // every batch still arrives exactly once, paid for in retransmissions.
-func TestSessionExactlyOnceUnderLoss(t *testing.T) {
+func TestSessionExactlyOnceUnderLoss(t *testing.T) { eachIngress(t, testSessionExactlyOnceUnderLoss) }
+
+func testSessionExactlyOnceUnderLoss(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +120,7 @@ func TestSessionExactlyOnceUnderLoss(t *testing.T) {
 		nData++
 		return nData%3 == 0
 	}
-	a, b := sessPairOver(t, mesh, SessionConfig{RTO: 5 * time.Millisecond, MaxRTO: 50 * time.Millisecond})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{RTO: 5 * time.Millisecond, MaxRTO: 50 * time.Millisecond})
 
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -96,7 +146,9 @@ func TestSessionExactlyOnceUnderLoss(t *testing.T) {
 // TestSessionAckLossCausesDupDrops drops every second pure ack: the
 // sender keeps retransmitting already-delivered frames, and the receiver
 // must discard those duplicates (counting them) rather than re-deliver.
-func TestSessionAckLossCausesDupDrops(t *testing.T) {
+func TestSessionAckLossCausesDupDrops(t *testing.T) { eachIngress(t, testSessionAckLossCausesDupDrops) }
+
+func testSessionAckLossCausesDupDrops(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +164,7 @@ func TestSessionAckLossCausesDupDrops(t *testing.T) {
 		nAcks++
 		return nAcks%2 == 1
 	}
-	a, b := sessPairOver(t, mesh, SessionConfig{RTO: 5 * time.Millisecond, MaxRTO: 50 * time.Millisecond})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{RTO: 5 * time.Millisecond, MaxRTO: 50 * time.Millisecond})
 
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -144,7 +196,9 @@ func TestSessionAckLossCausesDupDrops(t *testing.T) {
 // TestSessionWindowBackpressure pins the bounded in-flight window: with
 // Window=2 and the link black-holing data frames, the third SendBatch
 // blocks, and unblocks once the link heals and acks free a slot.
-func TestSessionWindowBackpressure(t *testing.T) {
+func TestSessionWindowBackpressure(t *testing.T) { eachIngress(t, testSessionWindowBackpressure) }
+
+func testSessionWindowBackpressure(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +210,7 @@ func TestSessionWindowBackpressure(t *testing.T) {
 		defer dropMu.Unlock()
 		return blackhole && f.Seq != 0
 	}
-	a, b := sessPairOver(t, mesh, SessionConfig{Window: 2, RTO: 5 * time.Millisecond, MaxRTO: 20 * time.Millisecond})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{Window: 2, RTO: 5 * time.Millisecond, MaxRTO: 20 * time.Millisecond})
 
 	if err := a.SendBatch(1, payload(0)); err != nil {
 		t.Fatal(err)
@@ -193,12 +247,14 @@ func TestSessionWindowBackpressure(t *testing.T) {
 
 // TestSessionClosedSend pins the shutdown contract: SendBatch on a closed
 // session reports ErrClosed instead of blocking on a window slot.
-func TestSessionClosedSend(t *testing.T) {
+func TestSessionClosedSend(t *testing.T) { eachIngress(t, testSessionClosedSend) }
+
+func testSessionClosedSend(t *testing.T, wrap linkWrap) {
 	mesh, err := NewSessMesh(2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewSession(0, mesh.Endpoint(0), SessionConfig{})
+	a := NewSession(0, wrap(mesh.Endpoint(0)), SessionConfig{})
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +266,9 @@ func TestSessionClosedSend(t *testing.T) {
 
 // TestSessTCPRoundTrip runs the session over real loopback sockets: the
 // reliable BatchTransport for multi-process deployments.
-func TestSessTCPRoundTrip(t *testing.T) {
+func TestSessTCPRoundTrip(t *testing.T) { eachIngress(t, testSessTCPRoundTrip) }
+
+func testSessTCPRoundTrip(t *testing.T, wrap linkWrap) {
 	// Reserve two loopback ports (same bootstrap as tcpPair).
 	addrs := map[ocube.Pos]string{}
 	for i := ocube.Pos(0); i < 2; i++ {
@@ -231,8 +289,8 @@ func TestSessTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := NewSession(0, l0, SessionConfig{RTO: 20 * time.Millisecond})
-	b := NewSession(1, l1, SessionConfig{RTO: 20 * time.Millisecond})
+	a := NewSession(0, wrap(l0), SessionConfig{RTO: 20 * time.Millisecond})
+	b := NewSession(1, wrap(l1), SessionConfig{RTO: 20 * time.Millisecond})
 	defer a.Close()
 	defer b.Close()
 

@@ -32,7 +32,10 @@ type tcpLink[F any] struct {
 
 	listener net.Listener
 	inbox    chan F
-	closed   atomic.Bool // set under mu; readLoop reads it without
+	// sink, when set, takes each inbound frame on the connection's reader
+	// in place of inbox (SessTCP.pushTo).
+	sink   atomic.Pointer[func(F)]
+	closed atomic.Bool // set under mu; readLoop reads it without
 
 	mu       sync.Mutex
 	conns    map[ocube.Pos]*peerConn
@@ -120,6 +123,10 @@ func (t *tcpLink[F]) readLoop(conn net.Conn) {
 		f, err := t.codec.get(body)
 		if err != nil || t.closed.Load() {
 			return
+		}
+		if sink := t.sink.Load(); sink != nil {
+			(*sink)(f)
+			continue
 		}
 		select {
 		case t.inbox <- f:
