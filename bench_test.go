@@ -11,7 +11,10 @@ package opencubemx
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +23,9 @@ import (
 	"repro/internal/harness"
 	"repro/internal/lockspace"
 	"repro/internal/ocube"
+	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // BenchmarkE1WorstCaseMessages regenerates E1: worst-case messages per
@@ -370,5 +375,90 @@ func BenchmarkE13Sharded(b *testing.B) {
 			}
 			b.ReportMetric(float64(msgs)/float64(grants), "msgs/grant")
 		})
+	}
+}
+
+// spaceKeyedRep runs one failure-free keyed repetition — the shape of
+// bench/ocmxload's sim-keyed at a CI-sized scale: 2^6 positions, 8192
+// Zipf(1.1) keys (above the dense-slot cap, so the mux runs its sparse
+// slots), two requests per key over E9's horizon — from set-up to
+// quiescence, and returns the engine events dispatched and the grants
+// served.
+func spaceKeyedRep(seed int64) (events uint64, grants int64, err error) {
+	const p, keys, count = 6, 8192, 2 * 8192
+	const delta = time.Millisecond
+	horizon := time.Duration(count*(4*p+8)) * delta
+	reqs, err := workload.KeyedZipf(rand.New(rand.NewSource(seed)), 1<<p, keys, count, horizon, 1.1)
+	if err != nil {
+		return 0, 0, err
+	}
+	sp, err := lockspace.NewSpace(lockspace.SpaceConfig{
+		P: p, Instances: keys, Seed: seed,
+		Node: core.Config{FT: true, Delta: delta, CSEstimate: delta,
+			SuspicionSlack: time.Duration(24+8*p) * delta},
+		Delay:  sim.UniformDelay(delta/2, delta),
+		CSTime: func(rng *rand.Rand) time.Duration { return time.Duration(rng.Int63n(int64(delta))) },
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, q := range reqs {
+		sp.Request(q.Key, ocube.Pos(q.Node), q.At)
+	}
+	switch {
+	case !sp.Run(horizon + 32000*delta):
+		return 0, 0, errors.New("the space did not quiesce")
+	case sp.Violations() != 0:
+		return 0, 0, fmt.Errorf("%d mutual-exclusion violations", sp.Violations())
+	case sp.Grants() == 0:
+		return 0, 0, errors.New("no grant")
+	}
+	return sp.Network().Eng.Steps(), sp.Grants(), nil
+}
+
+// BenchmarkSpaceKeyed prices the keyed simulator per engine event
+// (ROADMAP item 4(c)): one op is one spaceKeyedRep, schedule generation
+// and set-up included.
+func BenchmarkSpaceKeyed(b *testing.B) {
+	b.ReportAllocs()
+	var events uint64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < b.N; i++ {
+		ev, _, err := spaceKeyedRep(1993)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events = ev
+	}
+	runtime.ReadMemStats(&m1)
+	total := float64(events) * float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/total, "allocs/event")
+}
+
+// spaceAllocsPerEventCeiling is the gate of TestSpaceAllocsPerEvent. The
+// repetition reads 0.199 allocs/event on go1.24 (0.817 before instances
+// were minted from host slabs and shared one effect scratch); the margin
+// is for map growth, which differs between Go releases.
+const spaceAllocsPerEventCeiling = 0.25
+
+// TestSpaceAllocsPerEvent makes ROADMAP 4(c) a gate: a keyed repetition
+// may not allocate more than the stated ceiling per engine event. The
+// count is exact — one seed, one goroutine — so a regression shows as a
+// failed test, not as a moved benchmark reading.
+func TestSpaceAllocsPerEvent(t *testing.T) {
+	var events uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		ev, _, err := spaceKeyedRep(1993)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = ev
+	})
+	per := allocs / float64(events)
+	t.Logf("%.0f allocations over %d events: %.3f allocs/event", allocs, events, per)
+	if per > spaceAllocsPerEventCeiling {
+		t.Errorf("%.3f allocs/event, ceiling %.2f", per, spaceAllocsPerEventCeiling)
 	}
 }

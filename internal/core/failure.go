@@ -77,26 +77,26 @@ func searchPos(s []ocube.Pos, k ocube.Pos) int {
 // slack returns the configured timeout slack, never less than δ/8 so that
 // an answer arriving at exactly 2δ is never tied with the round deadline.
 func (n *Node) slack() time.Duration {
-	if s := n.cfg.SuspicionSlack; s > n.cfg.Delta/8 {
+	if s := n.h.cfg.SuspicionSlack; s > n.h.cfg.Delta/8 {
 		return s
 	}
-	return n.cfg.Delta / 8
+	return n.h.cfg.Delta / 8
 }
 
 // suspicionDelay is the paper's "at least 2·pmax·δ" plus slack.
 func (n *Node) suspicionDelay() time.Duration {
-	return 2*time.Duration(n.cfg.P)*n.cfg.Delta + n.slack()
+	return 2*time.Duration(n.h.cfg.P)*n.h.cfg.Delta + n.slack()
 }
 
 // roundDelay is the 2δ window in which any probed correct node answers,
 // plus slack to absorb scheduling ties.
 func (n *Node) roundDelay() time.Duration {
-	return 2*n.cfg.Delta + n.slack()
+	return 2*n.h.cfg.Delta + n.slack()
 }
 
 // armSuspicion starts the token-arrival watchdog for a pending request.
 func (n *Node) armSuspicion() {
-	if !n.cfg.FT {
+	if !n.h.cfg.FT {
 		return
 	}
 	n.armTimer(TimerSuspicion, n.suspicionDelay())
@@ -120,14 +120,14 @@ func (n *Node) onSuspicion() {
 func (n *Node) beginLoan(target, source ocube.Pos, seq uint64) {
 	n.loanTarget, n.loanSource, n.loanSeq = target, source, seq
 	n.returnGrace = false
-	if !n.cfg.FT {
+	if !n.h.cfg.FT {
 		return
 	}
 	var d time.Duration
 	if target == source {
-		d = 2*n.cfg.Delta + n.cfg.CSEstimate
+		d = 2*n.h.cfg.Delta + n.h.cfg.CSEstimate
 	} else {
-		d = time.Duration(n.cfg.P+1)*n.cfg.Delta + n.cfg.CSEstimate
+		d = time.Duration(n.h.cfg.P+1)*n.h.cfg.Delta + n.h.cfg.CSEstimate
 	}
 	n.armTimer(TimerTokenReturn, d+n.slack())
 }
@@ -164,7 +164,7 @@ func (n *Node) onEnquiry(m Message) {
 	switch {
 	case n.inCS && sameRequest(n.csSeq, m.Seq):
 		status = StatusInCS
-	case n.mandator == n.cfg.Self && sameRequest(n.curSeq, m.Seq):
+	case n.mandator == n.h.cfg.Self && sameRequest(n.curSeq, m.Seq):
 		// Still waiting for (or searching a new father because of) that
 		// very request — the mandate stays set during search_father — so
 		// the token never arrived: it was lost on the path.
@@ -185,13 +185,13 @@ func (n *Node) onEnquiryReply(m Message) {
 		// Keep waiting a full critical section plus round trip.
 		n.returnGrace = false
 		n.cancelTimer(TimerEnquiry)
-		n.armTimer(TimerTokenReturn, 2*n.cfg.Delta+n.cfg.CSEstimate+n.slack())
+		n.armTimer(TimerTokenReturn, 2*n.h.cfg.Delta+n.h.cfg.CSEstimate+n.slack())
 	case StatusTokenReturned:
 		// If a return is genuinely in flight it arrives within δ; beyond
 		// that grace the next TimerTokenReturn fire concludes loss.
 		n.returnGrace = true
 		n.cancelTimer(TimerEnquiry)
-		n.armTimer(TimerTokenReturn, n.cfg.Delta+n.slack())
+		n.armTimer(TimerTokenReturn, n.h.cfg.Delta+n.slack())
 	case StatusTokenLost:
 		n.regenerateToken("source reported token lost")
 	}
@@ -226,7 +226,7 @@ func (n *Node) regenerateToken(reason string) {
 // guardTransfer records an outgoing unlent token and arms the
 // acknowledgment watchdog. Inert without fault tolerance.
 func (n *Node) guardTransfer(to ocube.Pos, seq uint64, source ocube.Pos) {
-	if !n.cfg.FT {
+	if !n.h.cfg.FT {
 		return
 	}
 	n.xferTo, n.xferSeq, n.xferSource, n.xferPending = to, seq, source, true
@@ -296,20 +296,20 @@ func (n *Node) becomeRootWithToken(reason string) {
 	n.bumpEpoch()
 	n.emitRegenerated(reason)
 	switch {
-	case n.mandator == n.cfg.Self:
+	case n.mandator == n.h.cfg.Self:
 		// Our own claim: enter the critical section as the new root.
 		n.cancelTimer(TimerSuspicion)
-		n.lender = n.cfg.Self
+		n.lender = n.h.cfg.Self
 		n.csSeq = n.curSeq
 		n.mandator = ocube.None
 		n.curSource = ocube.None
 		n.inCS = true
-		n.emitGrant(n.cfg.Self)
+		n.emitGrant(n.h.cfg.Self)
 		// asking remains true until ReleaseCS.
 	case n.mandator != ocube.None:
 		// Serve the mandate by lending the regenerated token.
 		n.cancelTimer(TimerSuspicion)
-		n.send(Message{Kind: KindToken, To: n.mandator, Lender: n.cfg.Self,
+		n.send(Message{Kind: KindToken, To: n.mandator, Lender: n.h.cfg.Self,
 			Source: n.curSource, Seq: n.curSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
 		n.tokenHere = false
 		n.beginLoan(n.mandator, n.curSource, n.curSeq)
@@ -336,8 +336,8 @@ func (n *Node) becomeRootWithToken(reason string) {
 // resource can order. (The live chaos rig caught exactly that under a
 // double kill.) Epochs stay strictly increasing; they just stride.
 func (n *Node) bumpEpoch() {
-	nn := uint32(1) << n.cfg.P
-	self := uint32(n.cfg.Self)
+	nn := uint32(1) << n.h.cfg.P
+	self := uint32(n.h.cfg.Self)
 	e := n.epoch + 1
 	if r := e % nn; r != self {
 		e += (nn + self - r) % nn
@@ -364,7 +364,7 @@ func (n *Node) startSearch(phase int, recovery bool) {
 	n.repairGen++
 	s.active, s.phase, s.startPhase, s.recovery = true, phase, phase, recovery
 	n.emitSearchStarted(phase)
-	if phase > n.cfg.P {
+	if phase > n.h.cfg.P {
 		n.searchExhausted()
 		return
 	}
@@ -384,13 +384,13 @@ func (n *Node) probeRound(inject bool) {
 	s.outstanding = append(s.outstanding[:0], s.deferred...)
 	s.deferred = s.deferred[:0]
 	if inject {
-		s.outstanding = ocube.AppendAtDist(s.outstanding, n.cfg.Self, s.phase)
+		s.outstanding = ocube.AppendAtDist(s.outstanding, n.h.cfg.Self, s.phase)
 		slices.Sort(s.outstanding)
 	}
 	s.progress = false
 	for _, k := range s.outstanding {
 		s.tested++
-		n.send(Message{Kind: KindTest, To: k, Phase: int32(ocube.Dist(n.cfg.Self, k)), Gen: n.repairGen})
+		n.send(Message{Kind: KindTest, To: k, Phase: int32(ocube.Dist(n.h.cfg.Self, k)), Gen: n.repairGen})
 	}
 	n.armTimer(TimerSearchRound, n.roundDelay())
 }
@@ -417,10 +417,10 @@ func (n *Node) onSearchRound() {
 		n.probeRound(false)
 		return
 	}
-	if s.phase <= n.cfg.P {
+	if s.phase <= n.h.cfg.P {
 		s.phase++
 	}
-	if s.phase > n.cfg.P {
+	if s.phase > n.h.cfg.P {
 		if len(s.deferred) == 0 {
 			n.searchExhausted()
 			return
@@ -447,7 +447,7 @@ func (n *Node) onTest(m Message) {
 			// paper's equal-phase identity tie-break.
 			n.send(Message{Kind: KindTestReply, To: m.From, Phase: m.Phase, Gen: m.Gen,
 				Reply: ReplyOK, FromSearcher: true})
-		case m.From < n.cfg.Self && !n.cfg.DisableEarlyAdopt:
+		case m.From < n.h.cfg.Self && !n.h.cfg.DisableEarlyAdopt:
 			// A senior prober is ahead of us. The paper's optimization
 			// lets us conclude father := prober immediately; restricted
 			// to senior probers to keep adoption acyclic.
@@ -484,7 +484,7 @@ func (n *Node) onTest(m Message) {
 		// owner is about to exist. Claiming root power keeps the "some
 		// node answers ok whenever a token exists" invariant unbroken
 		// across ownership transfers.
-		p = n.cfg.P
+		p = n.h.cfg.P
 	}
 	switch {
 	case p >= d:
@@ -515,7 +515,7 @@ func (n *Node) onTestReply(m Message) {
 	}
 	switch m.Reply {
 	case ReplyOK:
-		if m.FromSearcher && m.From > n.cfg.Self && !n.cfg.DisableTieBreak {
+		if m.FromSearcher && m.From > n.h.cfg.Self && !n.h.cfg.DisableTieBreak {
 			// A junior searcher's promise may be undercut when its own
 			// search concludes: treat it as discarded. Only the junior
 			// side of a searcher pair adopts, so concurrent searches
@@ -563,8 +563,8 @@ func (n *Node) onTestReply(m Message) {
 		// before any regeneration, so one that meanwhile became a root
 		// or searcher re-enters as a live witness.
 		wo := m.Target
-		if n.queuedTarget(m.From) || wo == n.cfg.Self ||
-			(wo.Valid(1<<n.cfg.P) && (searchPos(s.absorbed, wo) >= 0 || n.queuedTarget(wo))) {
+		if n.queuedTarget(m.From) || wo == n.h.cfg.Self ||
+			(wo.Valid(1<<n.h.cfg.P) && (searchPos(s.absorbed, wo) >= 0 || n.queuedTarget(wo))) {
 			s.absorb(m.From)
 			s.progress = true
 			return
@@ -577,7 +577,7 @@ func (n *Node) onTestReply(m Message) {
 		// never collapse, because the closure only learns from answers
 		// to live probes. A target the sweep has not reached yet needs
 		// no help — its phase will inject it.
-		if wo != n.cfg.Self && wo.Valid(1<<n.cfg.P) && ocube.Dist(n.cfg.Self, wo) <= s.phase &&
+		if wo != n.h.cfg.Self && wo.Valid(1<<n.h.cfg.P) && ocube.Dist(n.h.cfg.Self, wo) <= s.phase &&
 			searchPos(s.outstanding, wo) < 0 && !slices.Contains(s.deferred, wo) {
 			s.deferred = append(s.deferred, wo)
 		}
@@ -628,7 +628,7 @@ func (n *Node) searchExhausted() {
 	if n.search.startPhase == 1 {
 		sweeps++
 	}
-	if n.cfg.DisableConfirmSweep {
+	if n.h.cfg.DisableConfirmSweep {
 		sweeps = 2 // paper-faithful: regenerate on the first exhaustion
 	}
 	if sweeps < 2 {
@@ -679,15 +679,15 @@ func (n *Node) reissueRequest() {
 	// Stay within the request's sequence block so the source's enquiry
 	// answers still recognize the loan (see seqStride).
 	n.curSeq++
-	if n.curSource == n.cfg.Self {
+	if n.curSource == n.h.cfg.Self {
 		n.seq = n.curSeq
 	}
 	n.send(Message{Kind: KindRequest, To: n.father,
-		Target: n.cfg.Self, Source: n.curSource, Seq: n.curSeq, Regen: true, Gen: n.repairGen})
+		Target: n.h.cfg.Self, Source: n.curSource, Seq: n.curSeq, Regen: true, Gen: n.repairGen})
 	// The adopted father may itself be repairing (it possibly answered
 	// from inside its own search), so give the re-issued request room for
 	// a full search of its own before suspecting again.
-	n.armTimer(TimerSuspicion, n.suspicionDelay()+time.Duration(n.cfg.P+1)*n.roundDelay())
+	n.armTimer(TimerSuspicion, n.suspicionDelay()+time.Duration(n.h.cfg.P+1)*n.roundDelay())
 }
 
 // onAnomaly reacts to a father's structural rejection: behave exactly as
@@ -697,7 +697,7 @@ func (n *Node) onAnomaly(m Message) {
 	if m.From != n.father || n.mandator == ocube.None || n.search.active {
 		return
 	}
-	n.startSearch(ocube.Dist(n.cfg.Self, n.father), false)
+	n.startSearch(ocube.Dist(n.h.cfg.Self, n.father), false)
 }
 
 // Recover re-initializes a node after a fail-stop crash. Per Section 5 it

@@ -113,8 +113,11 @@ func (n *Node) markGranted(source ocube.Pos, seq uint64) {
 // from a single goroutine; they return the effects the driver must
 // execute, in order.
 type Node struct {
-	cfg    Config
-	policy Policy
+	// h owns what the node shares with its siblings: the validated
+	// Config and the effect scratch (host.go). inst is the instance the
+	// node was minted for, stamped on every TokenEvent.
+	h    *Host
+	inst uint64
 
 	// Section 3.1 local state.
 	father    ocube.Pos
@@ -177,31 +180,37 @@ type Node struct {
 	search    searchState
 	repairGen uint32
 	gens      [numTimerKinds + 1]uint64
-
-	// Effect accumulation: effects holds pointers into arena, both
-	// recycled when the next driver call begins (effect.go).
-	effects []Effect
-	arena   effectArena
 }
 
 // NewNode constructs a node in the pristine open-cube configuration: the
-// father relation is the initial one, and position 0 holds the token.
+// father relation is the initial one, and position 0 holds the token. It
+// is a host of one — the node and the Host behind it share a single
+// allocation, sized to stay in the 768-byte class a Node took when it
+// held all of this itself — for drivers that run one instance per
+// position.
 func NewNode(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol = OpenCubePolicy{}
-	}
-	// The queue arena and track table are lazily grown on first use: a
-	// large simulated network builds 2^P nodes per run and most never
-	// proxy a request.
-	n := &Node{
-		cfg:        cfg,
-		policy:     pol,
-		father:     ocube.InitialFather(cfg.Self),
-		tokenHere:  cfg.Self == 0,
+	solo := new(struct {
+		host Host
+		node Node
+	})
+	solo.host.init(cfg)
+	solo.node.init(&solo.host, NoInstance)
+	return &solo.node, nil
+}
+
+// init puts the node in the pristine configuration of position
+// h.cfg.Self. The queue arena and track table are lazily grown on first
+// use: a large simulated network builds 2^P nodes per run and most never
+// proxy a request.
+func (n *Node) init(h *Host, inst uint64) {
+	*n = Node{
+		h:          h,
+		inst:       inst,
+		father:     ocube.InitialFather(h.cfg.Self),
+		tokenHere:  h.cfg.Self == 0,
 		mandator:   ocube.None,
 		lender:     ocube.None,
 		curSource:  ocube.None,
@@ -209,13 +218,16 @@ func NewNode(cfg Config) (*Node, error) {
 		loanTarget: ocube.None,
 	}
 	n.q.reset()
-	return n, nil
 }
 
 // --- introspection (used by drivers, invariant checkers and tests) ---
 
 // Self returns the node's position.
-func (n *Node) Self() ocube.Pos { return n.cfg.Self }
+func (n *Node) Self() ocube.Pos { return n.h.cfg.Self }
+
+// Instance returns the instance the node was minted for (Host.NewNode);
+// NoInstance for a NewNode host of one.
+func (n *Node) Instance() uint64 { return n.inst }
 
 // Father returns the current father pointer (None for a root).
 func (n *Node) Father() ocube.Pos { return n.father }
@@ -257,7 +269,7 @@ func (n *Node) Power() int {
 }
 
 // Policy returns the node's scheme policy.
-func (n *Node) Policy() Policy { return n.policy }
+func (n *Node) Policy() Policy { return n.h.cfg.Policy }
 
 // Epoch returns the highest token generation the node has observed.
 func (n *Node) Epoch() uint32 { return n.epoch }
@@ -289,28 +301,29 @@ func (n *Node) RestoreStable(seq uint64, epoch, repairGen uint32) error {
 }
 
 func (n *Node) view() View {
-	return View{Self: n.cfg.Self, Father: n.father, TokenHere: n.tokenHere, Pmax: n.cfg.P}
+	return View{Self: n.h.cfg.Self, Father: n.father, TokenHere: n.tokenHere, Pmax: n.h.cfg.P}
 }
 
 // --- effect plumbing ---
 
 // begin starts a new driver call: the effects handed out by the previous
-// call expire now, so the effect slice and its backing arenas are
-// recycled in place. Every public entry point calls it first.
+// call into any node of this host expire now, so the host's effect slice
+// and its backing arenas are recycled in place. Every public entry point
+// calls it first.
 func (n *Node) begin() {
-	n.effects = n.effects[:0]
-	n.arena.reset()
+	n.h.effects = n.h.effects[:0]
+	n.h.arena.reset()
 }
 
 // take hands the accumulated effects to the driver: the returned slice
 // and the arena-pooled values it points into are valid only until the
-// next call into this node, which every driver satisfies by executing
-// (or copying) the effects before delivering further inputs.
+// next call into any node of the same host, which every driver satisfies
+// by executing (or copying) the effects before delivering further inputs.
 func (n *Node) take() []Effect {
-	if len(n.effects) == 0 {
+	if len(n.h.effects) == 0 {
 		return nil
 	}
-	return n.effects
+	return n.h.effects
 }
 
 // The emit helpers append the concrete value to its scratch arena and
@@ -320,47 +333,47 @@ func (n *Node) take() []Effect {
 // immutable for the rest of the call — still safe to read.
 
 func (n *Node) send(m Message) {
-	m.From = n.cfg.Self
-	if n.cfg.Observe != nil {
+	m.From = n.h.cfg.Self
+	if n.h.cfg.Observe != nil {
 		n.observeSend(m)
 	}
-	n.arena.sends = append(n.arena.sends, Send{Msg: m})
-	n.effects = append(n.effects, &n.arena.sends[len(n.arena.sends)-1])
+	n.h.arena.sends = append(n.h.arena.sends, Send{Msg: m})
+	n.h.effects = append(n.h.effects, &n.h.arena.sends[len(n.h.arena.sends)-1])
 }
 
 func (n *Node) emitGrant(lender ocube.Pos) {
 	n.fenceCtr++
 	fence := uint64(n.tokenEpoch)<<32 | uint64(n.fenceCtr)
-	if n.cfg.Observe != nil {
-		n.cfg.Observe(TokenEvent{
-			Kind: TokenEvGrant, Self: n.cfg.Self, Peer: lender,
+	if n.h.cfg.Observe != nil {
+		n.h.cfg.Observe(TokenEvent{
+			Kind: TokenEvGrant, Self: n.h.cfg.Self, Instance: n.inst, Peer: lender,
 			Epoch: n.tokenEpoch, Fence: fence,
 		})
 	}
-	n.arena.grants = append(n.arena.grants, Grant{Lender: lender, Fence: fence})
-	n.effects = append(n.effects, &n.arena.grants[len(n.arena.grants)-1])
+	n.h.arena.grants = append(n.h.arena.grants, Grant{Lender: lender, Fence: fence})
+	n.h.effects = append(n.h.effects, &n.h.arena.grants[len(n.h.arena.grants)-1])
 }
 
 func (n *Node) emitDropped(m Message, reason string) {
-	n.arena.drops = append(n.arena.drops, Dropped{Msg: m, Reason: reason})
-	n.effects = append(n.effects, &n.arena.drops[len(n.arena.drops)-1])
+	n.h.arena.drops = append(n.h.arena.drops, Dropped{Msg: m, Reason: reason})
+	n.h.effects = append(n.h.effects, &n.h.arena.drops[len(n.h.arena.drops)-1])
 }
 
 func (n *Node) emitRegenerated(reason string) {
-	if n.cfg.Observe != nil {
-		n.cfg.Observe(TokenEvent{
-			Kind: TokenEvRegenerated, Self: n.cfg.Self, Peer: ocube.None,
+	if n.h.cfg.Observe != nil {
+		n.h.cfg.Observe(TokenEvent{
+			Kind: TokenEvRegenerated, Self: n.h.cfg.Self, Instance: n.inst, Peer: ocube.None,
 			Epoch: n.epoch, Reason: reason,
 		})
 	}
-	n.arena.regens = append(n.arena.regens, TokenRegenerated{Reason: reason, Epoch: n.epoch})
-	n.effects = append(n.effects, &n.arena.regens[len(n.arena.regens)-1])
+	n.h.arena.regens = append(n.h.arena.regens, TokenRegenerated{Reason: reason, Epoch: n.epoch})
+	n.h.effects = append(n.h.effects, &n.h.arena.regens[len(n.h.arena.regens)-1])
 }
 
 func (n *Node) emitStaleToken(m Message) {
-	if n.cfg.Observe != nil {
-		n.cfg.Observe(TokenEvent{
-			Kind: TokenEvStale, Self: n.cfg.Self, Peer: m.From,
+	if n.h.cfg.Observe != nil {
+		n.h.cfg.Observe(TokenEvent{
+			Kind: TokenEvStale, Self: n.h.cfg.Self, Instance: n.inst, Peer: m.From,
 			Epoch: m.Epoch, Fence: composeFence(m.Epoch, m.Fence),
 			Reason: "stale-epoch token discarded",
 		})
@@ -368,29 +381,29 @@ func (n *Node) emitStaleToken(m Message) {
 	// No arena: sightings require a raced regeneration first, so they are
 	// rare by construction, and a heap allocation here is cheaper than a
 	// permanent arena header on every node of every network.
-	n.effects = append(n.effects, &StaleToken{Msg: m, Epoch: m.Epoch, Known: n.epoch})
+	n.h.effects = append(n.h.effects, &StaleToken{Msg: m, Epoch: m.Epoch, Known: n.epoch})
 }
 
 func (n *Node) emitBecameRoot(reason string) {
-	n.arena.roots = append(n.arena.roots, BecameRoot{Reason: reason})
-	n.effects = append(n.effects, &n.arena.roots[len(n.arena.roots)-1])
+	n.h.arena.roots = append(n.h.arena.roots, BecameRoot{Reason: reason})
+	n.h.effects = append(n.h.effects, &n.h.arena.roots[len(n.h.arena.roots)-1])
 }
 
 func (n *Node) emitSearchStarted(phase int) {
-	n.arena.starts = append(n.arena.starts, SearchStarted{Phase: phase})
-	n.effects = append(n.effects, &n.arena.starts[len(n.arena.starts)-1])
+	n.h.arena.starts = append(n.h.arena.starts, SearchStarted{Phase: phase})
+	n.h.effects = append(n.h.effects, &n.h.arena.starts[len(n.h.arena.starts)-1])
 }
 
 func (n *Node) emitSearchEnded(father ocube.Pos, tested int) {
-	n.arena.ends = append(n.arena.ends, SearchEnded{Father: father, Tested: tested})
-	n.effects = append(n.effects, &n.arena.ends[len(n.arena.ends)-1])
+	n.h.arena.ends = append(n.h.arena.ends, SearchEnded{Father: father, Tested: tested})
+	n.h.effects = append(n.h.effects, &n.h.arena.ends[len(n.h.arena.ends)-1])
 }
 
 // armTimer bumps the generation for kind and schedules a fire.
 func (n *Node) armTimer(kind TimerKind, delay time.Duration) {
 	n.gens[kind]++
-	n.arena.timers = append(n.arena.timers, StartTimer{Kind: kind, Gen: n.gens[kind], Delay: delay})
-	n.effects = append(n.effects, &n.arena.timers[len(n.arena.timers)-1])
+	n.h.arena.timers = append(n.h.arena.timers, StartTimer{Kind: kind, Gen: n.gens[kind], Delay: delay})
+	n.h.effects = append(n.h.effects, &n.h.arena.timers[len(n.h.arena.timers)-1])
 }
 
 // cancelTimer invalidates any outstanding fire of kind.
@@ -455,9 +468,9 @@ func (n *Node) ReleaseCS() ([]Effect, error) {
 	}
 	n.inCS = false
 	n.wantCS = false
-	if n.lender != n.cfg.Self {
+	if n.lender != n.h.cfg.Self {
 		n.send(Message{Kind: KindToken, To: n.lender, Lender: ocube.None,
-			Source: n.cfg.Self, Seq: n.csSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
+			Source: n.h.cfg.Self, Seq: n.csSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
 		n.tokenHere = false
 		n.guardTransfer(n.lender, n.csSeq, ocube.None)
 	}
@@ -493,24 +506,24 @@ func (n *Node) processEnterCS() {
 		// so that exit_cs keeps the token (DESIGN.md note 1).
 		n.seq += seqStride
 		n.csSeq = n.seq
-		n.lender = n.cfg.Self
+		n.lender = n.h.cfg.Self
 		n.inCS = true
-		n.emitGrant(n.cfg.Self)
+		n.emitGrant(n.h.cfg.Self)
 		return
 	}
 	n.seq += seqStride
-	n.mandator = n.cfg.Self
-	n.curSource = n.cfg.Self
+	n.mandator = n.h.cfg.Self
+	n.curSource = n.h.cfg.Self
 	n.curSeq = n.seq
 	n.send(Message{Kind: KindRequest, To: n.father,
-		Target: n.cfg.Self, Source: n.cfg.Self, Seq: n.seq})
+		Target: n.h.cfg.Self, Source: n.h.cfg.Self, Seq: n.seq})
 	n.armSuspicion()
 }
 
 // processRequest is the body of the paper's "receipt of request(j)"
 // action, reached once the node is no longer busy.
 func (n *Node) processRequest(m Message) {
-	if m.Target == n.cfg.Self {
+	if m.Target == n.h.cfg.Self {
 		// Cannot happen in correct runs (a request never revisits its own
 		// target); guard against pathological reconfigurations.
 		n.emitDropped(m, "request targets self")
@@ -533,7 +546,7 @@ func (n *Node) processRequest(m Message) {
 		n.send(Message{Kind: KindObsolete, To: m.Target, Source: m.Source, Seq: m.Seq})
 		return
 	}
-	switch n.policy.Decide(n.view(), m.Target) {
+	switch n.h.cfg.Policy.Decide(n.view(), m.Target) {
 	case BehaviorAnomaly:
 		// Section 5: power(self) < dist(self, target) is impossible in an
 		// open-cube; the target's father relation is stale (we recovered
@@ -566,7 +579,7 @@ func (n *Node) processRequest(m Message) {
 		n.asking = true
 		if n.tokenHere {
 			// Temporarily lend the token; it must come back here.
-			n.send(Message{Kind: KindToken, To: m.Target, Lender: n.cfg.Self,
+			n.send(Message{Kind: KindToken, To: m.Target, Lender: n.h.cfg.Self,
 				Source: m.Source, Seq: m.Seq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
 			n.tokenHere = false
 			n.beginLoan(m.Target, m.Source, m.Seq)
@@ -575,7 +588,7 @@ func (n *Node) processRequest(m Message) {
 			n.curSource = m.Source
 			n.curSeq = m.Seq
 			n.send(Message{Kind: KindRequest, To: n.father,
-				Target: n.cfg.Self, Source: m.Source, Seq: m.Seq, Regen: false})
+				Target: n.h.cfg.Self, Source: m.Source, Seq: m.Seq, Regen: false})
 			n.armSuspicion()
 		}
 	}
@@ -613,7 +626,7 @@ func (n *Node) HandleMessage(m Message) []Effect {
 
 // onRequest queues or processes a request, discarding stale re-issues.
 func (n *Node) onRequest(m Message) {
-	if !m.Source.Valid(1<<n.cfg.P) || !m.Target.Valid(1<<n.cfg.P) {
+	if !m.Source.Valid(1<<n.h.cfg.P) || !m.Target.Valid(1<<n.h.cfg.P) {
 		// Malformed network input (live transports decode arbitrary
 		// bytes): the tracking table's key domain is the position range,
 		// with None as its empty-slot sentinel, so out-of-range sources
@@ -621,7 +634,7 @@ func (n *Node) onRequest(m Message) {
 		n.emitDropped(m, "source or target out of range")
 		return
 	}
-	if m.Source == n.cfg.Self && m.Target != n.cfg.Self {
+	if m.Source == n.h.cfg.Self && m.Target != n.h.cfg.Self {
 		// Our own request came back as a proxy's re-issue — a
 		// failure-recovery duplicate that looped. Taking the mandate
 		// would make us a proxy in a CYCLE on our own request (the §7
@@ -634,7 +647,7 @@ func (n *Node) onRequest(m Message) {
 		// copy in flight.
 		n.emitDropped(m, "own request returned")
 		n.send(Message{Kind: KindObsolete, To: m.Target, Source: m.Source, Seq: m.Seq})
-		if n.wantCS && n.mandator == n.cfg.Self && sameRequest(m.Seq, n.curSeq) {
+		if n.wantCS && n.mandator == n.h.cfg.Self && sameRequest(m.Seq, n.curSeq) {
 			if m.Seq > n.curSeq {
 				n.curSeq = m.Seq
 			}
@@ -690,7 +703,7 @@ func (n *Node) resyncReissue() {
 		return
 	}
 	n.send(Message{Kind: KindRequest, To: n.father,
-		Target: n.cfg.Self, Source: n.curSource, Seq: n.curSeq,
+		Target: n.h.cfg.Self, Source: n.curSource, Seq: n.curSeq,
 		Regen: true, Gen: n.repairGen})
 	n.armSuspicion()
 }
@@ -743,7 +756,7 @@ func (n *Node) onObsolete(m Message) {
 	if n.mandator == ocube.None || n.curSource != m.Source || !sameRequest(n.curSeq, m.Seq) {
 		return
 	}
-	if n.mandator == n.cfg.Self {
+	if n.mandator == n.h.cfg.Self {
 		// Our own claim cannot be obsolete from our perspective: we have
 		// not been granted. Ignore; if the claim was truly served through
 		// a duplicate, the token grant reaches us, and otherwise our
@@ -774,7 +787,7 @@ func (n *Node) onToken(m Message) {
 	// fence is on). Otherwise adopt the newer knowledge.
 	if m.Epoch < n.epoch {
 		n.emitStaleToken(m)
-		if n.cfg.EpochFence {
+		if n.h.cfg.EpochFence {
 			// Epoch-fenced adoption: refuse to act on the surviving old
 			// token. No acknowledgment is sent either — the sender keeps
 			// guardianship of an unlent survivor and its watchdog (or a
@@ -786,7 +799,7 @@ func (n *Node) onToken(m Message) {
 	} else {
 		n.epoch = m.Epoch
 	}
-	if m.Lender == ocube.None && n.cfg.FT {
+	if m.Lender == ocube.None && n.h.cfg.FT {
 		// Unlent tokens are guarded by their sender until acknowledged.
 		n.send(Message{Kind: KindTokenAck, To: m.From, Seq: m.Seq})
 	}
@@ -800,7 +813,7 @@ func (n *Node) onToken(m Message) {
 		// us), keeping the token unique and the system live.
 		if m.Lender != ocube.None {
 			n.emitDropped(m, "unexpected lent token")
-			if m.Source == n.cfg.Self && m.Lender != n.cfg.Self {
+			if m.Source == n.h.cfg.Self && m.Lender != n.h.cfg.Self {
 				// The loan served a dead request of OURS (we are not
 				// asking — the request's copies outlived a crash and
 				// recovery). Without feedback the lender waits out its
@@ -876,11 +889,11 @@ func (n *Node) onToken(m Message) {
 		n.returnGrace = false
 		n.asking = false
 		n.drain()
-	case n.mandator == n.cfg.Self:
+	case n.mandator == n.h.cfg.Self:
 		// Our own claim is satisfied.
 		n.cancelTimer(TimerSuspicion)
 		if m.Lender == ocube.None {
-			n.lender = n.cfg.Self
+			n.lender = n.h.cfg.Self
 			n.father = ocube.None
 			n.emitBecameRoot("received unlent token")
 		} else {
@@ -900,7 +913,7 @@ func (n *Node) onToken(m Message) {
 			// The token has no lender: become the root and lend it.
 			n.father = ocube.None
 			n.emitBecameRoot("received unlent token as proxy")
-			n.send(Message{Kind: KindToken, To: n.mandator, Lender: n.cfg.Self,
+			n.send(Message{Kind: KindToken, To: n.mandator, Lender: n.h.cfg.Self,
 				Source: n.curSource, Seq: n.curSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
 			n.tokenHere = false
 			n.beginLoan(n.mandator, n.curSource, n.curSeq)

@@ -57,12 +57,15 @@ func (k TokenEventKind) String() string {
 // is passed by value and holds no pointers, so an observer may retain
 // it without aliasing node state.
 type TokenEvent struct {
-	Kind  TokenEventKind
-	Self  ocube.Pos // the reporting node
-	Peer  ocube.Pos // the other endpoint (ocube.None when not applicable)
-	Epoch uint32    // token epoch carried by or known at the event
-	Fence uint64    // composed fencing token where one applies, else 0
-	Seq   uint64    // request sequence number where one applies, else 0
+	Kind TokenEventKind
+	Self ocube.Pos // the reporting node
+	// Instance is the instance the reporting node was minted for
+	// (Host.NewNode); NoInstance for a single-instance node.
+	Instance uint64
+	Peer     ocube.Pos // the other endpoint (ocube.None when not applicable)
+	Epoch    uint32    // token epoch carried by or known at the event
+	Fence    uint64    // composed fencing token where one applies, else 0
+	Seq      uint64    // request sequence number where one applies, else 0
 	// Reason is the recovery path label for regeneration/stale events.
 	Reason string
 }
@@ -73,25 +76,25 @@ type TokenEvent struct {
 // nil-safe on its own terms (and visibly so to the nilsafe analyzer),
 // not only through its single caller.
 func (n *Node) observeSend(m Message) {
-	if n.cfg.Observe == nil {
+	if n.h.cfg.Observe == nil {
 		return
 	}
 	switch m.Kind {
 	case KindRequest:
-		n.cfg.Observe(TokenEvent{
-			Kind: TokenEvRequest, Self: n.cfg.Self, Peer: m.To,
+		n.h.cfg.Observe(TokenEvent{
+			Kind: TokenEvRequest, Self: n.h.cfg.Self, Instance: n.inst, Peer: m.To,
 			Epoch: m.Epoch, Seq: m.Seq,
 		})
 	case KindToken:
 		kind := TokenEvForward
 		switch m.Lender {
-		case n.cfg.Self:
+		case n.h.cfg.Self:
 			kind = TokenEvLend
 		case ocube.None:
 			kind = TokenEvTransfer
 		}
-		n.cfg.Observe(TokenEvent{
-			Kind: kind, Self: n.cfg.Self, Peer: m.To,
+		n.h.cfg.Observe(TokenEvent{
+			Kind: kind, Self: n.h.cfg.Self, Instance: n.inst, Peer: m.To,
 			Epoch: m.Epoch, Fence: composeFence(m.Epoch, m.Fence),
 		})
 	}

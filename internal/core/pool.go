@@ -248,13 +248,13 @@ func (t *trackTable) check() error {
 // hook: the simulator's pool tests call it on every node at quiescence.
 func (n *Node) CheckPools() error {
 	if err := n.q.check(); err != nil {
-		return fmt.Errorf("core: node %v wait queue: %w", n.cfg.Self, err)
+		return fmt.Errorf("core: node %v wait queue: %w", n.h.cfg.Self, err)
 	}
 	if err := n.track.check(); err != nil {
-		return fmt.Errorf("core: node %v track table: %w", n.cfg.Self, err)
+		return fmt.Errorf("core: node %v track table: %w", n.h.cfg.Self, err)
 	}
-	if got, want := len(n.effects), n.arena.len(); got != want {
-		return fmt.Errorf("core: node %v effect arenas hold %d values for %d effects", n.cfg.Self, want, got)
+	if got, want := len(n.h.effects), n.h.arena.len(); got != want {
+		return fmt.Errorf("core: node %v effect arenas hold %d values for %d effects", n.h.cfg.Self, want, got)
 	}
 	return nil
 }

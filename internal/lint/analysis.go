@@ -12,13 +12,15 @@
 //     packages (seeded rand.New(rand.NewSource(...)) stays legal).
 //   - mapiter: ranging over a map while emitting output, collecting
 //     results or sending effects needs a subsequent deterministic sort.
-//   - wiresize: core.Message must be exactly 80 bytes and the engine's
-//     heap entry at most 24, recomputed from go/types layout so the
-//     diagnostic names the offending field at the line that grew it.
+//   - wiresize: core.Message must be exactly 80 bytes, core.Node at
+//     most 424 and the engine's heap entry at most 24, recomputed from
+//     go/types layout so the diagnostic names the offending field at the
+//     line that grew it.
 //   - arenaretain: pooled effect values (pointer-boxed arena entries)
 //     must not be stored in struct fields, globals, or goroutine
-//     closures — they are valid only until the next call into the
-//     emitting state machine.
+//     closures, nor read after a later call into a core.Node — they are
+//     valid only until the next call into any node of the emitting
+//     state machine's host.
 //   - nilsafe: obs.Counter/Gauge/Histogram methods must tolerate nil
 //     receivers, and core.Config.Observe / chaos.Config.Autopsy /
 //     shard.Config.Autopsy uses must be nil-guarded, keeping the

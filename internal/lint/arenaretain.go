@@ -10,10 +10,10 @@ import (
 const corePath = "repro/internal/core"
 
 // effectStructs are the pointer-boxed arena entries behind core.Effect:
-// a driver receives *core.Send etc. pointing into the emitting node's
-// scratch arena, recycled wholesale at the next call into that node
-// (DESIGN.md §9). Holding one past the driver call aliases a slot that
-// the next emission will scribble over.
+// a driver receives *core.Send etc. pointing into the scratch arena of
+// the emitting node's host, recycled wholesale at the next call into any
+// node of that host (DESIGN.md §9). Holding one past the driver call
+// aliases a slot that the next emission will scribble over.
 var effectStructs = map[string]bool{
 	"Send": true, "SendEnvelope": true, "Grant": true, "StartTimer": true,
 	"TokenRegenerated": true, "StaleToken": true, "BecameRoot": true,
@@ -23,8 +23,12 @@ var effectStructs = map[string]bool{
 // ArenaRetainAnalyzer forbids retaining pooled arena values — the
 // core.Effect interface, slices of it, and pointers to the effect
 // structs — in struct fields, package-level variables, or goroutine
-// closures. Drivers must execute or copy effects before the next call
-// into the emitting state machine; storing the pointer instead is a
+// closures, and forbids reading a local that holds a node call's effects
+// after a later call into a core.Node: nodes minted by one core.Host
+// share one scratch, so the later call — into the same instance or a
+// sibling — has recycled what the local points at. Drivers must execute
+// or copy effects before the next call into the emitting state machine's
+// host (translate, then call); keeping the pointer instead is a
 // use-after-recycle waiting for a warm arena. The owning package
 // (internal/core) is exempt: filling its own arenas is the mechanism,
 // and its internal discipline is pinned by the CheckPools model tests.
@@ -90,6 +94,7 @@ func runArenaRetain(pass *Pass) error {
 }
 
 func checkRetention(pass *Pass, body *ast.BlockStmt) {
+	checkStaleAcrossCalls(pass, body)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
@@ -166,6 +171,109 @@ func checkEscapingClosure(pass *Pass, call *ast.CallExpr, how string) {
 			pass.Reportf(id.Pos(),
 				"arena-backed effect %s captured by a %s escapes the driver call that owns its storage",
 				id.Name, how)
+		}
+		return true
+	})
+}
+
+// isNodeEntryCall reports whether call is a method call on a *core.Node
+// that returns arena-backed effects — HandleMessage, HandleTimer,
+// RequestCS, ReleaseCS, Recover: the calls that begin a new accumulation
+// cycle in the node's host and so expire every effect handed out before.
+func isNodeEntryCall(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	s := pass.Info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return false
+	}
+	recv := s.Recv()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != corePath || named.Obj().Name() != "Node" {
+		return false
+	}
+	res := s.Type().(*types.Signature).Results()
+	for i := 0; i < res.Len(); i++ {
+		if isTransient(res.At(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkStaleAcrossCalls flags a read of a local holding one node call's
+// effects once a later node call has completed. The check is positional
+// within one function body — a read is judged against the latest
+// assignment of the variable that precedes it in the source — which is
+// exact for the straight-line translate-then-call shape drivers use and
+// errs towards silence across loop back-edges.
+func checkStaleAcrossCalls(pass *Pass, body *ast.BlockStmt) {
+	type assignment struct{ pos, end token.Pos }
+	assigned := map[*types.Var][]assignment{} // locals assigned from a node entry call
+	var entries []*ast.CallExpr
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if isNodeEntryCall(pass, n) {
+				entries = append(entries, n)
+			}
+		case *ast.AssignStmt:
+			if len(n.Rhs) != 1 {
+				return true
+			}
+			call, ok := n.Rhs[0].(*ast.CallExpr)
+			if !ok || !isNodeEntryCall(pass, call) {
+				return true
+			}
+			for _, lhs := range n.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				obj := pass.Info.Defs[id]
+				if obj == nil {
+					obj = pass.Info.Uses[id]
+				}
+				if v, ok := obj.(*types.Var); ok && isTransient(v.Type()) && v.Parent() != pass.Pkg.Scope() {
+					assigned[v] = append(assigned[v], assignment{n.Pos(), n.End()})
+				}
+			}
+		}
+		return true
+	})
+	if len(assigned) == 0 || len(entries) < 2 {
+		return
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		v, ok := pass.Info.Uses[id].(*types.Var)
+		if !ok {
+			return true
+		}
+		var last *assignment
+		for i, a := range assigned[v] {
+			if a.end <= id.Pos() && (last == nil || a.pos > last.pos) {
+				last = &assigned[v][i]
+			}
+		}
+		if last == nil {
+			return true
+		}
+		for _, call := range entries {
+			if call.Pos() >= last.end && call.End() <= id.Pos() {
+				pass.Reportf(id.Pos(),
+					"%s holds effects of an earlier node call, but %s has since recycled the scratch every node of its host shares; execute or copy the effects before calling into a node again",
+					id.Name, types.ExprString(call.Fun))
+				return true
+			}
 		}
 		return true
 	})

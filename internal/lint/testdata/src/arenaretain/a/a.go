@@ -58,3 +58,36 @@ func copied(effs []core.Effect) []core.Message {
 func allowed(d *driver, effs []core.Effect) {
 	d.all = effs //ocmxvet:allow arenaretain -- fixture: driver drains the slice before returning
 }
+
+// The effect scratch belongs to the host, not the node: a call into a
+// sibling instance recycles what an earlier call handed out.
+
+func siblings(h *core.Host, m core.Message) (int, int) {
+	a, b := h.NewNode(1), h.NewNode(2)
+	effsA := a.HandleMessage(m)
+	effsB := b.HandleMessage(m)
+	return len(effsA), len(effsB) // want "effsA holds effects of an earlier node call, but b.HandleMessage has since recycled"
+}
+
+func sameNode(n *core.Node, m core.Message) {
+	effs, err := n.RequestCS()
+	if err != nil {
+		return
+	}
+	more := n.HandleMessage(m)
+	process(effs) // want "effs holds effects of an earlier node call, but n.HandleMessage has since recycled"
+	process(more)
+}
+
+func translateThenCall(h *core.Host, m core.Message) []core.Message {
+	a, b := h.NewNode(1), h.NewNode(2)
+	effs := a.HandleMessage(m)
+	out := copied(effs) // translated before the next call: legal
+	effs = b.HandleMessage(m)
+	return append(out, copied(effs)...) // the variable was reassigned by the later call: legal
+}
+
+func nested(a, b *core.Node, m core.Message) {
+	process(a.HandleMessage(m)) // consumed where it is produced: legal
+	process(b.HandleMessage(m))
+}

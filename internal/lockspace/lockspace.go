@@ -158,6 +158,9 @@ type Lockspace struct {
 	done  chan struct{}
 
 	// Loop-owned state (no locks: only the loop goroutine touches it).
+	// host mints every instance's state machine from the one validated
+	// template and holds the effect scratch they share.
+	host   *core.Host
 	insts  map[uint64]*instance
 	outbox map[ocube.Pos][]core.Envelope
 	dests  []ocube.Pos // destinations touched since the last flush, in touch order
@@ -256,12 +259,19 @@ func New(cfg Config) (*Lockspace, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("lockspace: nil transport")
 	}
-	// Validate the template once so lazy instantiation cannot fail.
-	if _, err := core.NewNode(cfg.Node); err != nil {
+	tmpl := cfg.Node
+	if cfg.Flight != nil {
+		tmpl.Observe = flightObserver(cfg.Flight, func() int64 { return time.Now().UnixNano() })
+	}
+	// The template is validated here, once, so lazy instantiation cannot
+	// fail.
+	host, err := core.NewHost(tmpl)
+	if err != nil {
 		return nil, fmt.Errorf("lockspace: node template: %w", err)
 	}
 	ls := &Lockspace{
 		cfg:    cfg,
+		host:   host,
 		calls:  make(chan lcall),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -623,23 +633,7 @@ func (ls *Lockspace) rearm() {
 func (ls *Lockspace) ensure(id uint64) *instance {
 	st := ls.insts[id]
 	if st == nil {
-		nodeCfg := ls.cfg.Node
-		if fl := ls.cfg.Flight; fl != nil {
-			// Per-instance closure: the node reports its protocol events
-			// into the shared flight recorder, stamped with wall time.
-			nodeCfg.Observe = func(ev core.TokenEvent) {
-				fl.Record(obs.Event{
-					At: time.Now().UnixNano(), Node: int(ev.Self), Instance: id,
-					Kind: ev.Kind.String(), Peer: int(ev.Peer), Epoch: ev.Epoch,
-					Fence: ev.Fence, Seq: ev.Seq, Note: ev.Reason,
-				})
-			}
-		}
-		node, err := core.NewNode(nodeCfg)
-		if err != nil {
-			// The template was validated by New; this is unreachable.
-			panic(fmt.Sprintf("lockspace: instantiate %d: %v", id, err))
-		}
+		node := ls.host.NewNode(id)
 		st = &instance{node: node}
 		ls.insts[id] = st
 		ls.states.Add(1)

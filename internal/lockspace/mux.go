@@ -1,10 +1,11 @@
 package lockspace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -32,15 +33,13 @@ import (
 const muxTimerKind = core.TimerSuspicion
 
 // denseSlotCap bounds the dense per-position slot array: up to this many
-// instances every position pre-allocates K slots (16 bytes each — the
-// layout every pre-sharding experiment was measured on, kept exactly so
-// the e9 BENCH gates stay bit-identical). Above it the space switches to
-// sparse slots keyed by instance id: at the sharded runtime's scale
-// (E13: millions of keys split into per-shard spaces of tens of
-// thousands) a dense array would cost 2^P·K slots per shard while the
-// lazily touched population is a few states per key, so the sparse map
-// tracks only what actually exists. Both representations are
-// behaviorally identical — TestSparseSlotsMatchDense pins it.
+// instances every position pre-allocates K node pointers. Above it the
+// space switches to sparse slots keyed by instance id: at the sharded
+// runtime's scale (E13: millions of keys split into per-shard spaces of
+// tens of thousands) a dense array would cost 2^P·K slots per shard
+// while the lazily touched population is a few states per key, so the
+// sparse index tracks only what actually exists. Both representations
+// are behaviorally identical — TestSparseSlotsMatchDense pins it.
 const denseSlotCap = 4096
 
 // SpaceConfig describes a simulated lockspace.
@@ -101,17 +100,15 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 	if cfg.Instances < 1 {
 		return nil, fmt.Errorf("lockspace: Instances=%d out of range", cfg.Instances)
 	}
-	// Validate the node template once, up front: lazy instantiation must
-	// never fail mid-run.
-	probe := cfg.Node
-	probe.Self, probe.P = 0, cfg.P
-	if _, err := core.NewNode(probe); err != nil {
-		return nil, fmt.Errorf("lockspace: node template: %w", err)
-	}
 	sp := &Space{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
 		occupancy: make([]int32, cfg.Instances),
+	}
+	tmpl := cfg.Node
+	tmpl.P = cfg.P
+	if cfg.Flight != nil {
+		tmpl.Observe = flightObserver(cfg.Flight, func() int64 { return int64(sp.w.Eng.Now()) })
 	}
 	algo := sim.Algorithm{
 		Name: "lockspace",
@@ -119,11 +116,18 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 			sp.peers = make([]*muxPeer, n)
 			out := make([]sim.Peer, n)
 			for i := range out {
-				p := &muxPeer{sp: sp, self: ocube.Pos(i)}
+				// One host per position: the template is validated here,
+				// once, so lazy instantiation cannot fail mid-run.
+				tmpl.Self = ocube.Pos(i)
+				host, err := core.NewHost(tmpl)
+				if err != nil {
+					return nil, fmt.Errorf("lockspace: node template: %w", err)
+				}
+				p := &muxPeer{sp: sp, self: ocube.Pos(i), host: host}
 				if cfg.Instances <= denseSlotCap && !cfg.forceSparse {
-					p.slots = make([]muxSlot, cfg.Instances)
+					p.dense = make([]*core.Node, cfg.Instances)
 				} else {
-					p.sparse = make(map[uint64]*muxSlot)
+					p.index = make(map[uint64]int32)
 				}
 				sp.peers[i] = p
 				out[i] = p
@@ -146,11 +150,28 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 	return sp, nil
 }
 
+// flightObserver returns the core.Config.Observe hook both keyed drivers
+// install on their hosts when a flight recorder is attached: every
+// instance's protocol events go into fl under the instance the reporting
+// node was minted for, stamped by now (virtual time here, wall time
+// live).
+func flightObserver(fl *obs.Flight, now func() int64) func(core.TokenEvent) {
+	return func(ev core.TokenEvent) {
+		fl.Record(obs.Event{
+			At: now(), Node: int(ev.Self), Instance: ev.Instance,
+			Kind: ev.Kind.String(), Peer: int(ev.Peer), Epoch: ev.Epoch,
+			Fence: ev.Fence, Seq: ev.Seq, Note: ev.Reason,
+		})
+	}
+}
+
 // Network exposes the underlying simulated network (failure injection,
 // loss counters, virtual clock).
 func (sp *Space) Network() *sim.Network { return sp.w }
 
 // Request schedules node x's wish to lock instance inst after delay d.
+// An instance or a position out of range panics here, at the caller (the
+// position check is the Network's).
 func (sp *Space) Request(inst int, x ocube.Pos, d time.Duration) {
 	if inst < 0 || inst >= sp.cfg.Instances {
 		panic(fmt.Sprintf("lockspace: instance %d out of range", inst))
@@ -203,14 +224,11 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 	seen := make(map[uint64]bool)
 	var insts []uint64
 	for _, p := range sp.peers {
-		visit := func(inst uint64, s *muxSlot) {
-			if s == nil || s.node == nil {
-				return
-			}
-			n := s.node
+		for _, n := range p.byInstance() {
 			if !n.Busy() && !n.TokenHere() {
-				return
+				continue
 			}
+			inst := n.Instance()
 			states = append(states, obs.NodeState{
 				Node: int(p.self), Instance: inst, Father: int(n.Father()),
 				TokenHere: n.TokenHere(), Asking: n.Asking(), InCS: n.InCS(),
@@ -221,19 +239,8 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 				insts = append(insts, inst)
 			}
 		}
-		if p.slots != nil {
-			for i := range p.slots {
-				visit(uint64(i)+1, &p.slots[i])
-			}
-		} else {
-			ids := append([]uint64(nil), p.touched...)
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, id := range ids {
-				visit(id, p.sparse[id])
-			}
-		}
 	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
+	slices.Sort(insts)
 	if insts == nil {
 		// No busy instance: scope the lineage to nothing rather than
 		// letting WriteAutopsy default to every instance ever recorded.
@@ -267,88 +274,77 @@ func (sp *Space) noteGrant(p *muxPeer, inst uint64) {
 	p.wheel.schedule(inst, wheelRelease, 0, sp.w.Eng.Now()+dur)
 }
 
-// muxSlot is one lazily instantiated instance at one position.
-type muxSlot struct {
-	node *core.Node
-	busy bool // cached Busy, folded into the peer's busyN
-}
-
 // muxPeer multiplexes every instance hosted at one position behind the
 // sim.Peer seam. It implements the InstancePeer, TimerPeer, FailingPeer
 // and RecoveringPeer capabilities; grants are swallowed (see noteGrant)
 // and sends re-emitted as instance-tagged envelopes.
 //
-// Slots live in exactly one of two representations chosen at
-// construction (see denseSlotCap): the dense array indexed by instance,
-// or the sparse map plus the touched list recording instantiation.
-// Everything that iterates visits instances in ascending id order in
-// both modes, so the two replay identically.
+// Every state machine is minted by the position's core.Host and listed
+// in nodes in instantiation order. An instance id resolves to its
+// machine through exactly one of two representations chosen at
+// construction (see denseSlotCap): the dense pointer array indexed by
+// instance, or the sparse index into nodes. Everything order-sensitive
+// visits instances in ascending id order in both modes (byInstance), so
+// the two replay identically.
 type muxPeer struct {
-	sp      *Space
-	self    ocube.Pos
-	slots   []muxSlot           // dense by instance — iteration order is the id order
-	sparse  map[uint64]*muxSlot // sparse by instance id (nil when dense)
-	touched []uint64            // sparse mode: every instantiated id, unordered
-	wheel   timerWheel
-	em      core.Emitter
+	sp    *Space
+	self  ocube.Pos
+	host  *core.Host
+	nodes []*core.Node     // every instantiated machine, in instantiation order
+	dense []*core.Node     // by instance-1, nil until touched (nil slice when sparse)
+	index map[uint64]int32 // sparse: instance id → position in nodes (nil when dense)
+	wheel timerWheel
+	em    core.Emitter
 
 	gen     uint64 // engine-facing timer generation
 	armed   bool
 	armedAt time.Duration
-	busyN   int
+	busyN   int // hosted machines reporting Busy
 }
 
-// slot returns the instance's slot, or nil when the instance was never
-// touched at this position (sparse mode only — dense slots all exist).
-func (p *muxPeer) slot(inst uint64) *muxSlot {
-	if p.slots != nil {
-		return &p.slots[int(inst)-1]
+// lookup returns the instance's state machine, or nil when the instance
+// was never touched at this position.
+func (p *muxPeer) lookup(inst uint64) *core.Node {
+	if p.dense != nil {
+		return p.dense[inst-1]
 	}
-	return p.sparse[inst]
+	if i, ok := p.index[inst]; ok {
+		return p.nodes[i]
+	}
+	return nil
 }
 
 // ensure returns the instance's state machine, instantiating it
 // pristine on first touch.
 func (p *muxPeer) ensure(inst uint64) *core.Node {
-	s := p.slot(inst)
-	if s == nil {
-		s = &muxSlot{}
-		p.sparse[inst] = s
-		p.touched = append(p.touched, inst)
+	if n := p.lookup(inst); n != nil {
+		return n
 	}
-	if s.node == nil {
-		cfg := p.sp.cfg.Node
-		cfg.Self, cfg.P = p.self, p.sp.cfg.P
-		if fl := p.sp.cfg.Flight; fl != nil {
-			sp := p.sp
-			cfg.Observe = func(ev core.TokenEvent) {
-				fl.Record(obs.Event{
-					At: int64(sp.w.Eng.Now()), Node: int(ev.Self), Instance: inst,
-					Kind: ev.Kind.String(), Peer: int(ev.Peer), Epoch: ev.Epoch,
-					Fence: ev.Fence, Seq: ev.Seq, Note: ev.Reason,
-				})
-			}
-		}
-		node, err := core.NewNode(cfg)
-		if err != nil {
-			// The template was validated by NewSpace; this is unreachable.
-			panic(fmt.Sprintf("lockspace: instantiate %v/%d: %v", p.self, inst, err))
-		}
-		s.node = node
-		p.sp.states++
+	n := p.host.NewNode(inst)
+	if p.dense != nil {
+		p.dense[inst-1] = n
+	} else {
+		p.index[inst] = int32(len(p.nodes))
 	}
-	return s.node
+	p.nodes = append(p.nodes, n)
+	p.sp.states++
+	return n
 }
 
-// touch refreshes the instance's cached busy bit.
-func (p *muxPeer) touch(inst uint64) {
-	s := p.slot(inst)
-	if s == nil {
-		return
-	}
-	b := s.node != nil && s.node.Busy()
-	if b != s.busy {
-		s.busy = b
+// byInstance returns the instantiated machines in ascending instance
+// order — the fixed iteration order deterministic replay requires.
+func (p *muxPeer) byInstance() []*core.Node {
+	out := append([]*core.Node(nil), p.nodes...)
+	slices.SortFunc(out, func(a, b *core.Node) int { return cmp.Compare(a.Instance(), b.Instance()) })
+	return out
+}
+
+// settle folds one machine's Busy transition across a call into the
+// peer's count: wasBusy is what the machine reported before the call.
+// The count needs no per-machine cache because every call into a
+// machine is bracketed this way, Failed zeroes it and Recover recounts.
+func (p *muxPeer) settle(n *core.Node, wasBusy bool) {
+	if b := n.Busy(); b != wasBusy {
 		if b {
 			p.busyN++
 		} else {
@@ -360,7 +356,8 @@ func (p *muxPeer) touch(inst uint64) {
 // translate re-emits an instance's effects in mux form: sends become
 // tagged envelopes, timers go to the wheel, grants are settled at the
 // space, counters are folded. The inner effect slice expires at the next
-// call into the same instance, so translation copies everything it keeps.
+// call into any instance of this position (they share the host's
+// scratch), so translation copies everything it keeps.
 func (p *muxPeer) translate(inst uint64, effs []core.Effect) {
 	for _, e := range effs {
 		switch e := e.(type) {
@@ -397,11 +394,11 @@ func (p *muxPeer) rearm() {
 // release ends an instance's simulated critical section (wheel-driven,
 // the analogue of the Network's evRelease).
 func (p *muxPeer) release(inst uint64) {
-	s := p.slot(inst)
-	if s == nil || s.node == nil {
+	node := p.lookup(inst)
+	if node == nil {
 		return
 	}
-	node := s.node
+	was := node.Busy()
 	effs, err := node.ReleaseCS()
 	if err != nil {
 		// The instance is no longer in the CS this release was scheduled
@@ -414,7 +411,7 @@ func (p *muxPeer) release(inst uint64) {
 		p.sp.occupancy[idx]--
 	}
 	p.translate(inst, effs)
-	p.touch(inst)
+	p.settle(node, was)
 }
 
 // --- sim.Peer ---
@@ -448,8 +445,9 @@ func (p *muxPeer) HandleEnvelope(env core.Envelope) []core.Effect {
 		panic(fmt.Sprintf("lockspace: envelope instance %d out of range at %v", env.Instance, p.self))
 	}
 	node := p.ensure(env.Instance)
+	was := node.Busy()
 	p.translate(env.Instance, node.HandleMessage(env.Msg))
-	p.touch(env.Instance)
+	p.settle(node, was)
 	p.rearm()
 	return p.em.Take()
 }
@@ -461,6 +459,7 @@ func (p *muxPeer) RequestInstanceCS(inst uint64) ([]core.Effect, error) {
 		return nil, fmt.Errorf("lockspace: instance %d out of range at %v", inst, p.self)
 	}
 	node := p.ensure(inst)
+	was := node.Busy()
 	effs, err := node.RequestCS()
 	if err != nil {
 		return nil, err
@@ -469,7 +468,7 @@ func (p *muxPeer) RequestInstanceCS(inst uint64) ([]core.Effect, error) {
 		p.sp.onAccept(int(inst)-1, p.self)
 	}
 	p.translate(inst, effs)
-	p.touch(inst)
+	p.settle(node, was)
 	p.rearm()
 	return p.em.Take(), nil
 }
@@ -495,13 +494,13 @@ func (p *muxPeer) HandleTimer(_ core.TimerKind, gen uint64) []core.Effect {
 			p.release(ent.inst)
 			continue
 		}
-		s := p.slot(ent.inst)
-		if s == nil || s.node == nil || s.node.TimerGen(ent.kind) != ent.gen {
+		node := p.lookup(ent.inst)
+		if node == nil || node.TimerGen(ent.kind) != ent.gen {
 			continue // dead: cancelled or superseded since it was scheduled
 		}
-		node := s.node
+		was := node.Busy()
 		p.translate(ent.inst, node.HandleTimer(ent.kind, ent.gen))
-		p.touch(ent.inst)
+		p.settle(node, was)
 	}
 	p.rearm()
 	return p.em.Take()
@@ -514,25 +513,13 @@ func (p *muxPeer) TimerGen(core.TimerKind) uint64 { return p.gen }
 
 // Failed settles the crash instant: instances in their critical section
 // release their occupancy (their grant died with the node), every local
-// deadline is void, and the busy cache is zeroed (a down node never
+// deadline is void, and the busy count is zeroed (a down node never
 // reports busy). Per-instance settlement is independent, so the visit
-// order (dense index order vs sparse touch order) is immaterial.
+// order is immaterial.
 func (p *muxPeer) Failed() {
-	settle := func(s *muxSlot, idx int) {
-		if s.node != nil && s.node.InCS() {
-			if p.sp.occupancy[idx] > 0 {
-				p.sp.occupancy[idx]--
-			}
-		}
-		s.busy = false
-	}
-	if p.slots != nil {
-		for i := range p.slots {
-			settle(&p.slots[i], i)
-		}
-	} else {
-		for _, inst := range p.touched {
-			settle(p.sparse[inst], int(inst)-1)
+	for _, n := range p.nodes {
+		if idx := int(n.Instance()) - 1; n.InCS() && p.sp.occupancy[idx] > 0 {
+			p.sp.occupancy[idx]--
 		}
 	}
 	p.busyN = 0
@@ -541,28 +528,14 @@ func (p *muxPeer) Failed() {
 }
 
 // Recover restarts every instantiated instance through its Section 5
-// rejoin, in instance order (deterministic replay requires a fixed
-// iteration order — the dense slot slice provides it, and the sparse
-// mode sorts its touched ids to visit the identical sequence).
+// rejoin, in instance order, and recounts the busy machines from zero —
+// where Failed left the count.
 func (p *muxPeer) Recover() []core.Effect {
 	p.em.Begin()
-	recover1 := func(inst uint64, node *core.Node) {
-		if node == nil {
-			return
-		}
-		p.translate(inst, node.Recover())
-		p.touch(inst)
-	}
-	if p.slots != nil {
-		for i := range p.slots {
-			recover1(uint64(i)+1, p.slots[i].node)
-		}
-	} else {
-		insts := append([]uint64(nil), p.touched...)
-		sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-		for _, inst := range insts {
-			recover1(inst, p.sparse[inst].node)
-		}
+	p.busyN = 0
+	for _, n := range p.byInstance() {
+		p.translate(n.Instance(), n.Recover())
+		p.settle(n, false)
 	}
 	p.rearm()
 	return p.em.Take()

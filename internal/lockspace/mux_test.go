@@ -244,3 +244,32 @@ func TestSpaceDeterminism(t *testing.T) {
 		t.Fatalf("seeded lockspace runs diverged:\n  first  %+v\n  second %+v", a, b)
 	}
 }
+
+// TestRequestRejectsOutOfRangeArguments: Space.Request panics on an
+// instance or a position outside the space at the call — an accepted
+// out-of-range position used to sit in the queue and panic inside the
+// engine's dispatcher when its event fired.
+func TestRequestRejectsOutOfRangeArguments(t *testing.T) {
+	sp, err := NewSpace(SpaceConfig{P: 2, Instances: 3, Node: ftTemplate()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		inst int
+		x    ocube.Pos
+	}{{3, 0}, {-1, 0}, {0, 4}, {0, ocube.None}, {2, 1 << 20}}
+	for _, b := range bad {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Request(inst=%d, x=%v) was accepted", b.inst, b.x)
+				}
+			}()
+			sp.Request(b.inst, b.x, delta)
+		}()
+	}
+	sp.Request(2, 3, delta)
+	if !sp.Run(time.Minute) || sp.Grants() != 1 {
+		t.Errorf("after the rejected calls one valid request served %d grants", sp.Grants())
+	}
+}

@@ -27,9 +27,18 @@
 // experiments, the same-instant FIFO golden scenario) touch the heap
 // once per instant. Dispatch order stays bit-for-bit identical to
 // per-event popping (see Engine.Step).
+//
+// Beside the heap runs the arrivals lane (lane): a chunked FIFO that
+// takes every non-timer entry scheduled at or after its own tail — a
+// request schedule pushed in time order above all — in O(1) with no
+// copying, so the heap holds the in-flight set instead of every pending
+// arrival. Lane and heap are each ordered by (at, seq) and the engine
+// always takes the smaller head, which is the same total order one heap
+// would produce.
 package sim
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/core"
@@ -97,6 +106,7 @@ type Engine struct {
 	next  uint64
 	steps uint64      // events dispatched so far (see Steps)
 	ev    []heapEntry // 4-ary min-heap by (at, seq)
+	lane  lane        // FIFO by (at, seq) of non-timer entries that arrived in order
 
 	// batch is the FIFO of the current instant's remaining events: when
 	// the clock advances, the whole same-instant run is drained out of
@@ -115,18 +125,64 @@ type Engine struct {
 	slotGen []uint64
 	h       handler
 
-	// Payload arenas with free lists; entry ref indexes them. Untagged
-	// messages and instance-tagged envelopes keep separate arenas so the
-	// classic single-instance hot path pays nothing for the lockspace's
-	// wider payload.
-	msgs     []core.Message
-	msgFree  []int32
-	envs     []core.Envelope
-	envFree  []int32
-	ireqs    []instReq
-	ireqFree []int32
-	fns      []func()
-	fnFree   []int32
+	// Payload arenas; entry ref indexes them. Untagged messages and
+	// instance-tagged envelopes keep separate arenas so the classic
+	// single-instance hot path pays nothing for the lockspace's wider
+	// payload.
+	msgs  arena[core.Message]
+	envs  arena[core.Envelope]
+	ireqs arena[instReq]
+	fns   arena[func()]
+}
+
+// arenaBase is the size of a payload arena's first block; block k holds
+// arenaBase<<k slots.
+const arenaBase = 16
+
+// arena stores event payloads out of line, recycling slots through a
+// free list. It grows by doubling blocks, so growing never copies a
+// payload already stored — a schedule of a hundred thousand requests
+// pushed before the run starts costs a dozen blocks and no growslice —
+// and a network of a few nodes pays for a few slots.
+type arena[T any] struct {
+	blocks [][]T
+	n      int32 // slots ever handed out
+	free   []int32
+}
+
+// slot locates ref: block k covers refs arenaBase·(2^k−1) up to
+// arenaBase·(2^(k+1)−1).
+func (a *arena[T]) slot(ref int32) (k int, off uint32) {
+	k = bits.Len32(uint32(ref)/arenaBase+1) - 1
+	return k, uint32(ref) - (1<<k-1)*arenaBase
+}
+
+// put stores v and returns its ref.
+func (a *arena[T]) put(v T) int32 {
+	ref := a.n
+	if n := len(a.free); n > 0 {
+		ref = a.free[n-1]
+		a.free = a.free[:n-1]
+	} else {
+		a.n++
+	}
+	k, off := a.slot(ref)
+	if k == len(a.blocks) {
+		a.blocks = append(a.blocks, make([]T, arenaBase<<k))
+	}
+	a.blocks[k][off] = v
+	return ref
+}
+
+// take claims the payload at ref and recycles its slot, which is zeroed
+// so a stored closure or pointer does not outlive its event.
+func (a *arena[T]) take(ref int32) T {
+	k, off := a.slot(ref)
+	v := a.blocks[k][off]
+	var zero T
+	a.blocks[k][off] = zero
+	a.free = append(a.free, ref)
+	return v
 }
 
 // instReq is the payload of a scheduled instance-tagged critical-section
@@ -150,101 +206,52 @@ func (e *Engine) bind(h handler, timerSlots int) {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of scheduled events (heap plus the current
-// instant's batched run).
-func (e *Engine) Pending() int { return len(e.ev) + len(e.batch) - e.batchHead }
+// Pending returns the number of scheduled events (heap, arrivals lane
+// and the current instant's batched run).
+func (e *Engine) Pending() int { return len(e.ev) + e.lane.n + len(e.batch) - e.batchHead }
 
 // After schedules fn to run at Now()+d. A non-positive d runs fn at the
 // current instant, after already-scheduled same-instant events.
 func (e *Engine) After(d time.Duration, fn func()) {
-	var ref int32
-	if n := len(e.fnFree); n > 0 {
-		ref = e.fnFree[n-1]
-		e.fnFree = e.fnFree[:n-1]
-		e.fns[ref] = fn
-	} else {
-		e.fns = append(e.fns, fn)
-		ref = int32(len(e.fns) - 1)
-	}
-	e.schedule(d, evFunc, ref)
+	e.schedule(d, evFunc, e.fns.put(fn))
 }
 
 // scheduleMsg schedules the delivery of the untagged message m after d.
 func (e *Engine) scheduleMsg(d time.Duration, m core.Message) {
-	var ref int32
-	if n := len(e.msgFree); n > 0 {
-		ref = e.msgFree[n-1]
-		e.msgFree = e.msgFree[:n-1]
-		e.msgs[ref] = m
-	} else {
-		e.msgs = append(e.msgs, m)
-		ref = int32(len(e.msgs) - 1)
-	}
-	e.schedule(d, evDeliver, ref)
-}
-
-// takeMsg claims the delivered message and recycles its arena slot.
-func (e *Engine) takeMsg(ref int32) core.Message {
-	m := e.msgs[ref]
-	e.msgFree = append(e.msgFree, ref)
-	return m
+	e.schedule(d, evDeliver, e.msgs.put(m))
 }
 
 // scheduleEnv schedules the delivery of the tagged envelope env after d.
 func (e *Engine) scheduleEnv(d time.Duration, env core.Envelope) {
-	var ref int32
-	if n := len(e.envFree); n > 0 {
-		ref = e.envFree[n-1]
-		e.envFree = e.envFree[:n-1]
-		e.envs[ref] = env
-	} else {
-		e.envs = append(e.envs, env)
-		ref = int32(len(e.envs) - 1)
-	}
-	e.schedule(d, evDeliverEnv, ref)
-}
-
-// takeEnv claims the delivered envelope and recycles its arena slot.
-func (e *Engine) takeEnv(ref int32) core.Envelope {
-	env := e.envs[ref]
-	e.envFree = append(e.envFree, ref)
-	return env
+	e.schedule(d, evDeliverEnv, e.envs.put(env))
 }
 
 // scheduleInstReq schedules an instance-tagged RequestCS after d.
 func (e *Engine) scheduleInstReq(d time.Duration, node ocube.Pos, inst uint64) {
-	var ref int32
-	if n := len(e.ireqFree); n > 0 {
-		ref = e.ireqFree[n-1]
-		e.ireqFree = e.ireqFree[:n-1]
-		e.ireqs[ref] = instReq{node: node, inst: inst}
-	} else {
-		e.ireqs = append(e.ireqs, instReq{node: node, inst: inst})
-		ref = int32(len(e.ireqs) - 1)
-	}
-	e.schedule(d, evRequestInst, ref)
+	e.schedule(d, evRequestInst, e.ireqs.put(instReq{node: node, inst: inst}))
 }
 
-// takeInstReq claims the scheduled request and recycles its arena slot.
-func (e *Engine) takeInstReq(ref int32) instReq {
-	r := e.ireqs[ref]
-	e.ireqFree = append(e.ireqFree, ref)
-	return r
-}
-
-// schedule stamps a new entry and pushes it. A zero-delay event joins
+// schedule stamps a new entry and queues it. A zero-delay event joins
 // the current instant's batch directly — in FIFO position, since its seq
-// is the largest yet — unless the heap still holds a same-instant entry
-// (a timer rescheduled to now) that must dispatch first; then it takes
-// the heap path so the (at, seq) order is restored by the heap instead.
+// is the largest yet — unless a same-instant entry is still queued (a
+// timer rescheduled to now, and whatever the batch drain left behind it)
+// that must dispatch first. Otherwise an entry at or after the lane's
+// tail appends to the lane, and only one that would break the lane's
+// order pays for a heap push.
 func (e *Engine) schedule(d time.Duration, kind eventKind, ref int32) {
 	if d < 0 {
 		d = 0
 	}
 	e.next++
 	ent := heapEntry{at: e.now + d, seq: e.next, kind: kind, ref: ref}
-	if d == 0 && (len(e.ev) == 0 || e.ev[0].at != e.now) {
-		e.batch = append(e.batch, ent)
+	if d == 0 {
+		if f, _ := e.front(); f == nil || f.at != e.now {
+			e.batch = append(e.batch, ent)
+			return
+		}
+	}
+	if e.lane.n == 0 || ent.at >= e.lane.tailAt {
+		e.lane.push(ent)
 		return
 	}
 	e.ev = append(e.ev, ent)
@@ -324,7 +331,7 @@ func (e *Engine) siftDown(i int) {
 	e.place(i, ent)
 }
 
-// pop removes and returns the earliest entry.
+// pop removes and returns the heap's earliest entry.
 func (e *Engine) pop() heapEntry {
 	ent := e.ev[0]
 	if ent.kind == evTimer {
@@ -340,17 +347,40 @@ func (e *Engine) pop() heapEntry {
 	return ent
 }
 
+// front returns the earliest entry queued outside the batch — the lane's
+// head or the heap's top, whichever (at, seq) puts first — and whether it
+// is the lane's; nil when both are empty.
+func (e *Engine) front() (ent *heapEntry, inLane bool) {
+	switch {
+	case e.lane.n == 0 && len(e.ev) == 0:
+		return nil, false
+	case e.lane.n == 0:
+		return &e.ev[0], false
+	case len(e.ev) == 0 || entryLess(e.lane.head(), &e.ev[0]):
+		return e.lane.head(), true
+	}
+	return &e.ev[0], false
+}
+
+// popFront removes and returns the entry front reported.
+func (e *Engine) popFront(inLane bool) heapEntry {
+	if inLane {
+		return e.lane.pop()
+	}
+	return e.pop()
+}
+
 // Step runs the next event; it reports false when none remain.
 //
 // Batched delivery: when the clock reaches a new instant, the entire
-// same-instant run at the top of the heap is drained into the batch FIFO
-// in one pass, and subsequent Steps dispatch from the batch without
-// touching the heap. Because seq numbers are monotonic, events the run
-// spawns at the same instant append behind it in exactly the (at, seq)
-// order the heap would have produced — dispatch order is bit-for-bit
-// identical to per-event popping, as the golden-trace fixtures pin.
-// The drain pauses at timer entries (see Engine.batch) and resumes once
-// they dispatch.
+// same-instant run at the front of lane and heap is drained into the
+// batch FIFO in one merged pass, and subsequent Steps dispatch from the
+// batch without touching either. Because seq numbers are monotonic,
+// events the run spawns at the same instant append behind it in exactly
+// the (at, seq) order one heap would have produced — dispatch order is
+// bit-for-bit identical to per-event popping, as the golden-trace
+// fixtures pin. The drain pauses at timer entries (see Engine.batch) and
+// resumes once they dispatch.
 func (e *Engine) Step() bool {
 	if e.batchHead < len(e.batch) {
 		ent := e.batch[e.batchHead]
@@ -362,13 +392,14 @@ func (e *Engine) Step() bool {
 		e.dispatch(ent)
 		return true
 	}
-	if len(e.ev) == 0 {
+	f, inLane := e.front()
+	if f == nil {
 		return false
 	}
-	ent := e.pop()
+	ent := e.popFront(inLane)
 	e.now = ent.at
-	for len(e.ev) > 0 && e.ev[0].at == e.now && e.ev[0].kind != evTimer {
-		e.batch = append(e.batch, e.pop())
+	for f, inLane = e.front(); f != nil && f.at == e.now && f.kind != evTimer; f, inLane = e.front() {
+		e.batch = append(e.batch, e.popFront(inLane))
 	}
 	e.dispatch(ent)
 	return true
@@ -384,10 +415,7 @@ func (e *Engine) Steps() uint64 { return e.steps }
 func (e *Engine) dispatch(ent heapEntry) {
 	e.steps++
 	if ent.kind == evFunc {
-		fn := e.fns[ent.ref]
-		e.fns[ent.ref] = nil
-		e.fnFree = append(e.fnFree, ent.ref)
-		fn()
+		e.fns.take(ent.ref)()
 		return
 	}
 	e.h.handle(ent)
@@ -398,10 +426,10 @@ func (e *Engine) peekAt() (time.Duration, bool) {
 	if e.batchHead < len(e.batch) {
 		return e.batch[e.batchHead].at, true
 	}
-	if len(e.ev) == 0 {
-		return 0, false
+	if f, _ := e.front(); f != nil {
+		return f.at, true
 	}
-	return e.ev[0].at, true
+	return 0, false
 }
 
 // RunUntil executes events with timestamps ≤ deadline and advances the

@@ -254,9 +254,13 @@ func TestEngineTimerOrderingAcrossKeys(t *testing.T) {
 }
 
 // TestHeapStaysBoundedUnderFT: the dead-timer elimination must keep the
-// event heap bounded by live work (one slot per node and timer kind plus
-// in-flight traffic) even though fault-tolerant runs re-arm suspicion
-// timers on nearly every message.
+// engine's queues — heap, arrivals lane and batch together, which is
+// what Pending counts — bounded by live work (one slot per node and
+// timer kind plus in-flight traffic) even though fault-tolerant runs
+// re-arm suspicion timers on nearly every message. The heap alone is
+// held to the tighter bound the lane exists for: the scheduled requests
+// were pushed in time order, so they wait in the lane and the heap holds
+// timers and traffic only.
 func TestHeapStaysBoundedUnderFT(t *testing.T) {
 	w, err := New(Config{
 		P:     4,
@@ -278,12 +282,18 @@ func TestHeapStaysBoundedUnderFT(t *testing.T) {
 		if !w.Eng.Step() {
 			break
 		}
-		// Exact occupancy invariant: every heap entry is a scheduled op, an
-		// in-flight message, or one of the ≤ slots timer entries. Without
+		// Exact occupancy invariant: every queued entry is a scheduled op,
+		// an in-flight message, or one of the ≤ slots timer entries. Without
 		// in-place rescheduling, dead suspicion timers blow through this.
 		if bound := w.pendingOps + w.inflight + slots; w.Eng.Pending() > bound {
-			t.Fatalf("heap holds %d events with %d ops + %d in flight (bound %d): dead timers accumulate",
+			t.Fatalf("engine holds %d events with %d ops + %d in flight (bound %d): dead timers accumulate",
 				w.Eng.Pending(), w.pendingOps, w.inflight, bound)
+		}
+		// Releases are the only ops scheduled while the run is under way;
+		// at most one per node is outstanding.
+		if bound := w.N() + w.inflight + slots; len(w.Eng.ev) > bound {
+			t.Fatalf("heap holds %d events with %d in flight (bound %d): scheduled requests are not waiting in the lane",
+				len(w.Eng.ev), w.inflight, bound)
 		}
 	}
 	if w.Violations() != 0 {

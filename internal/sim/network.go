@@ -345,9 +345,19 @@ func (w *Network) logf(format string, args ...any) {
 	}
 }
 
+// checkPos rejects a position outside the network where the caller named
+// it: scheduled as given, it would only surface as an index panic inside
+// handle when the event fires, far from the mistake.
+func (w *Network) checkPos(x ocube.Pos) {
+	if !x.Valid(w.n) {
+		panic(fmt.Sprintf("sim: position %v out of range for %d nodes", x, w.n))
+	}
+}
+
 // RequestCS schedules node x's wish to enter the critical section after
 // delay d of virtual time.
 func (w *Network) RequestCS(x ocube.Pos, d time.Duration) {
+	w.checkPos(x)
 	w.pendingOps++
 	w.Eng.schedule(d, evRequest, int32(x))
 }
@@ -356,6 +366,7 @@ func (w *Network) RequestCS(x ocube.Pos, d time.Duration) {
 // critical section after delay d — the keyed entry point of multiplexing
 // algorithms (the peer at x must implement InstancePeer).
 func (w *Network) RequestInstanceCS(x ocube.Pos, inst uint64, d time.Duration) {
+	w.checkPos(x)
 	w.pendingOps++
 	w.Eng.scheduleInstReq(d, x, inst)
 }
@@ -363,6 +374,7 @@ func (w *Network) RequestInstanceCS(x ocube.Pos, inst uint64, d time.Duration) {
 // Fail crashes node x after delay d: it stops processing and every
 // message in flight towards it is lost.
 func (w *Network) Fail(x ocube.Pos, d time.Duration) {
+	w.checkPos(x)
 	w.pendingOps++
 	w.Eng.schedule(d, evFail, int32(x))
 }
@@ -372,6 +384,7 @@ func (w *Network) Fail(x ocube.Pos, d time.Duration) {
 // simply resume with their pre-crash state — and whatever was in flight
 // towards them while down is gone for good.
 func (w *Network) Recover(x ocube.Pos, d time.Duration) {
+	w.checkPos(x)
 	w.pendingOps++
 	w.Eng.schedule(d, evRecover, int32(x))
 }
@@ -384,7 +397,7 @@ func (w *Network) handle(ent heapEntry) {
 	var x ocube.Pos
 	switch ent.kind {
 	case evDeliver:
-		m := w.Eng.takeMsg(ent.ref)
+		m := w.Eng.msgs.take(ent.ref)
 		x = m.To
 		w.inflight--
 		if m.Kind == core.KindToken {
@@ -399,7 +412,7 @@ func (w *Network) handle(ent heapEntry) {
 		}
 		w.apply(x, w.peers[x].HandleMessage(m))
 	case evDeliverEnv:
-		env := w.Eng.takeEnv(ent.ref)
+		env := w.Eng.envs.take(ent.ref)
 		x = env.Msg.To
 		w.inflight--
 		if env.Msg.Kind == core.KindToken {
@@ -455,7 +468,7 @@ func (w *Network) handle(ent heapEntry) {
 		w.apply(x, effs)
 	case evRequestInst:
 		w.pendingOps--
-		r := w.Eng.takeInstReq(ent.ref)
+		r := w.Eng.ireqs.take(ent.ref)
 		x = r.node
 		if w.down[x] {
 			return

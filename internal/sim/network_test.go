@@ -130,3 +130,33 @@ func TestOnEffectObservesGrants(t *testing.T) {
 		t.Errorf("grant observations = %d, want 11", grants)
 	}
 }
+
+// TestOutOfRangePositionRejectedAtTheCall: a position outside the
+// network panics in the scheduling call that names it — not when the
+// event fires, as an index error inside handle.
+func TestOutOfRangePositionRejectedAtTheCall(t *testing.T) {
+	w, err := New(ftConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]func(){
+		"RequestCS":         func() { w.RequestCS(4, time.Millisecond) },
+		"RequestCS(None)":   func() { w.RequestCS(ocube.None, time.Millisecond) },
+		"RequestInstanceCS": func() { w.RequestInstanceCS(7, 1, time.Millisecond) },
+		"Fail":              func() { w.Fail(4, 0) },
+		"Recover":           func() { w.Recover(-2, 0) },
+	}
+	for name, call := range calls {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted an out-of-range position", name)
+				}
+			}()
+			call()
+		}()
+	}
+	if w.Eng.Pending() != 0 || w.Busy() {
+		t.Errorf("rejected calls left %d events queued (busy=%v)", w.Eng.Pending(), w.Busy())
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -134,16 +133,4 @@ func KeyedZipf(rng *rand.Rand, n, keys, count int, horizon time.Duration, s floa
 	}
 	sortKeyedSchedule(out)
 	return out, nil
-}
-
-func sortKeyedSchedule(reqs []KeyedRequest) {
-	sort.Slice(reqs, func(i, j int) bool {
-		if reqs[i].At != reqs[j].At {
-			return reqs[i].At < reqs[j].At
-		}
-		if reqs[i].Node != reqs[j].Node {
-			return reqs[i].Node < reqs[j].Node
-		}
-		return reqs[i].Key < reqs[j].Key
-	})
 }

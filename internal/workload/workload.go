@@ -7,8 +7,9 @@
 package workload
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -132,15 +133,6 @@ func RoundRobin(n int, gap time.Duration) []Request {
 	return out
 }
 
-func sortSchedule(reqs []Request) {
-	sort.Slice(reqs, func(i, j int) bool {
-		if reqs[i].At != reqs[j].At {
-			return reqs[i].At < reqs[j].At
-		}
-		return reqs[i].Node < reqs[j].Node
-	})
-}
-
 // ChurnEvent is one scheduled fail-stop crash or recovery. Events are
 // emitted in nondecreasing At order; every crash is paired with a later
 // recovery, so a schedule applied to completion leaves every node up.
@@ -183,6 +175,12 @@ func Churn(rng *rand.Rand, n int, meanFailGap, meanDown, horizon time.Duration) 
 		out = append(out, ChurnEvent{Node: victim, At: t + down, Recover: true})
 		upAt[victim] = t + down
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
+	sortChurn(out)
 	return out
+}
+
+// sortChurn orders events by At alone and stably: a crash and a recovery
+// at one instant keep their emission order.
+func sortChurn(evs []ChurnEvent) {
+	slices.SortStableFunc(evs, func(a, b ChurnEvent) int { return cmp.Compare(a.At, b.At) })
 }
