@@ -1,6 +1,6 @@
 // Command ocmxvet is the repository's invariant checker: a vet-style
 // multichecker running the internal/lint analyzer suite (determinism,
-// mapiter, wiresize, arenaretain, nilsafe, looptimer) plus the stock
+// mapiter, wiresize, arenaretain, nilsafe, looptimer, heldblock) plus the stock
 // `go vet` passes over the named packages. It exits nonzero when any finding
 // survives the annotation layer, which makes it a tier-1 CI gate: the
 // contracts the runtime tests and byte-identity cmp gates verify after

@@ -28,6 +28,10 @@
 //   - looptimer: the live lockspace node loop owns one time.Timer under
 //     one deadline heap; time.AfterFunc and time.After are forbidden in
 //     its files, so a closed node cannot be kept alive by what it armed.
+//   - heldblock: the live lockspace node is stepped under one mutex by
+//     whoever has the input; a function documented "the caller holds
+//     ls.mu" may not wait on a channel, select without a default, sleep
+//     or lock the mutex again.
 //
 // A genuine exception is silenced with an annotation carrying a
 // mandatory reason:
@@ -107,6 +111,7 @@ func Analyzers() []*Analyzer {
 		ArenaRetainAnalyzer,
 		NilsafeAnalyzer,
 		LooptimerAnalyzer,
+		HeldblockAnalyzer,
 	}
 }
 

@@ -1,0 +1,106 @@
+package lint
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+)
+
+// heldPhrase is how a function of the live lockspace says it runs inside
+// a step: its doc comment contains these words, wherever the lines break.
+const heldPhrase = "caller holds ls.mu"
+
+// HeldblockAnalyzer keeps waiting out of the steps of the live lockspace
+// node (DESIGN.md §16). A node is stepped under its one mutex by whoever
+// has the input — a client call, the loop with a received burst or a
+// fired timer — so a function that runs with ls.mu held and waits for
+// another goroutine stalls every client of the node, and one that takes
+// the mutex again deadlocks it. In the //ocmxvet:live files of a package
+// named lockspace, a function whose doc comment says the caller holds
+// ls.mu may therefore contain no channel send or receive outside a
+// select with a default, no select without one, no range over a channel,
+// no time.Sleep and no .mu.Lock(). Function literals are not followed:
+// what they do happens when they are called. The one wait a step does
+// make — the transport's SendBatch, in flush — is a method call on an
+// interface and outside what source can show; §16 says why it is
+// tolerated.
+var HeldblockAnalyzer = &Analyzer{
+	Name: "heldblock",
+	Doc:  "a live lockspace function documented \"the caller holds ls.mu\" does not block: no channel wait, select without default, time.Sleep or .mu.Lock()",
+	Run:  runHeldblock,
+}
+
+func runHeldblock(pass *Pass) error {
+	if pass.Pkg.Name() != "lockspace" {
+		return nil
+	}
+	for _, f := range pass.Files {
+		if live, _ := filePragmas(pass.Fset, pass.Files, f.Pos()); !live {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil || fn.Doc == nil {
+				continue
+			}
+			if doc := strings.Join(strings.Fields(fn.Doc.Text()), " "); strings.Contains(doc, heldPhrase) {
+				heldWalk(pass, fn.Name.Name, fn.Body)
+			}
+		}
+	}
+	return nil
+}
+
+// heldWalk reports what may block in n, part of the body of fn.
+func heldWalk(pass *Pass, fn string, n ast.Node) {
+	report := func(pos token.Pos, what string) {
+		pass.Reportf(pos, "%s in %s, which runs with ls.mu held: a step never waits for another goroutine", what, fn)
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.SelectStmt:
+			polls := false
+			for _, c := range n.Body.List {
+				polls = polls || c.(*ast.CommClause).Comm == nil
+			}
+			if !polls {
+				report(n.Pos(), "select without default")
+			}
+			// The communications of a select are judged with it; what its
+			// clauses then do is ordinary code.
+			for _, c := range n.Body.List {
+				for _, s := range c.(*ast.CommClause).Body {
+					heldWalk(pass, fn, s)
+				}
+			}
+			return false
+		case *ast.SendStmt:
+			report(n.Pos(), "channel send")
+		case *ast.UnaryExpr:
+			if n.Op == token.ARROW {
+				report(n.Pos(), "channel receive")
+			}
+		case *ast.RangeStmt:
+			if tv, ok := pass.Info.Types[n.X]; ok {
+				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+					report(n.Pos(), "range over a channel")
+				}
+			}
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok {
+				break
+			}
+			if sel.Sel.Name == "Sleep" && selectedPkg(pass, sel) == "time" {
+				report(n.Pos(), "time.Sleep")
+			}
+			if field, ok := sel.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Lock" && field.Sel.Name == "mu" {
+				report(n.Pos(), exprString(sel)+"()")
+			}
+		}
+		return true
+	})
+}

@@ -62,6 +62,14 @@ func TestLooptimerOtherPackages(t *testing.T) {
 	linttest.Run(t, fixtures, "testdata/src/looptimer/transport", lint.LooptimerAnalyzer)
 }
 
+func TestHeldblockLiveStepFunctions(t *testing.T) {
+	linttest.Run(t, fixtures, "testdata/src/heldblock/lockspace", lint.HeldblockAnalyzer)
+}
+
+func TestHeldblockOtherPackages(t *testing.T) {
+	linttest.Run(t, fixtures, "testdata/src/heldblock/transport", lint.HeldblockAnalyzer)
+}
+
 // TestTreeIsClean runs the full suite over the real module: the tree
 // must carry zero findings, so every invariant the analyzers encode is
 // structurally true of the shipped code (annotated allowances

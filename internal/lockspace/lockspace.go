@@ -5,10 +5,11 @@
 // are lazily instantiated on first touch (an untouched position of an
 // instance is exactly a pristine core.Node, because a node's view of an
 // instance only changes by processing that instance's traffic); and
-// every instance shares its node's resources — one goroutine per node in
-// the live path (this file), one typed-event engine in the simulated
-// path (mux.go), one transport mesh with per-destination envelope
-// batching on the wire.
+// every instance shares its node's resources — one mutex-guarded state
+// per node in the live path (this file), stepped to completion by
+// whichever goroutine has the input; one typed-event engine in the
+// simulated path (mux.go); one transport mesh with per-destination
+// envelope batching on the wire.
 //
 // The unit of scale here is resources rather than nodes: the paper's
 // O(log₂²N) per-critical-section bound holds per instance, and the
@@ -29,6 +30,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -125,7 +127,7 @@ type Config struct {
 	// instead rejoins as a leaf and searches for the living structure.
 	Rejoin bool
 	// Stable, when set, persists each instance's Section 5 stable
-	// storage (StableState) write-through from the event loop, and seeds
+	// storage (StableState) write-through at the end of each step, and seeds
 	// restored instances from it before recovery. Pair it with Rejoin:
 	// Stable carries the values across the restart, Rejoin replays them
 	// into the cluster.
@@ -146,29 +148,35 @@ type Config struct {
 	Autopsy io.Writer
 }
 
-// Lockspace is one node of the live keyed lock service, driving every
-// hosted instance from a single goroutine — the per-node shared resource
-// of the live path — with one deadline heap under one real timer and
-// per-destination batching of outbound envelopes.
+// Lockspace is one node of the live keyed lock service: every hosted
+// instance, one deadline heap under one real timer and the
+// per-destination outbox of outbound envelopes, all guarded by one mutex.
+// Whoever has an input — a client in Lock or Unlock, the loop goroutine
+// with a received burst or a fired timer — takes mu, steps the instances
+// to completion, writes stable storage through, flushes the outbox,
+// re-aims the timer and only then lets go (DESIGN.md §16).
 type Lockspace struct {
 	cfg Config
 
-	calls chan lcall
-	stop  chan struct{}
-	done  chan struct{}
+	stop chan struct{}
+	done chan struct{}
 
-	// Loop-owned state (no locks: only the loop goroutine touches it).
+	// mu guards everything down to armedAt. What runs with it held waits
+	// for nothing but the transport's SendBatch (flush).
+	mu sync.Mutex
+	// dead is set by the loop as it exits, so later calls return ErrClosed.
+	dead bool
 	// host mints every instance's state machine from the one validated
 	// template and holds the effect scratch they share.
 	host   *core.Host
 	insts  map[uint64]*instance
-	outbox map[ocube.Pos][]core.Envelope
-	dests  []ocube.Pos // destinations touched since the last flush, in touch order
+	outbox [][]core.Envelope // by destination position
+	dests  []ocube.Pos       // destinations touched since the last flush, in touch order
 
-	// Every pending deadline of every instance — protocol timers and lease
-	// checks — lives in wheel, measured from epoch; timer is the one
-	// runtime timer, aimed at the earliest of them (armedAt while armed).
-	// All of it dies with the loop.
+	// Every live deadline of every instance — protocol timers and lease
+	// checks — is in wheel, measured from epoch; timer is the one runtime
+	// timer, aimed at the earliest of them (armedAt while armed). All of
+	// it dies with the loop.
 	wheel   timerWheel
 	epoch   time.Time
 	timer   *time.Timer
@@ -192,17 +200,18 @@ type Lockspace struct {
 // FIFO of waiting clients. The queue head is the current holder once
 // held is set, else the client whose RequestCS is in flight.
 type instance struct {
-	node  *core.Node
+	node *core.Node
+	// ref is the instance's row in the wheel's slot table.
+	ref   int32
 	queue []*waiter
 	held  bool
 	// fence is the fencing token of the current hold (core.Grant.Fence);
 	// zero while not held.
 	fence uint64
-	// leaseDeadline is when the current hold's lease lapses; leaseArmed
-	// tracks whether an expiry check is pending in the wheel, so renewals
-	// reset the deadline without touching the heap.
-	leaseDeadline time.Time
-	leaseArmed    bool
+	// leaseDeadline is when the current hold's lease lapses, on the
+	// wheel's clock. One expiry check is in the wheel while the hold
+	// lasts, so renewals reset the deadline without touching the heap.
+	leaseDeadline time.Duration
 	// saved is the last StableState written through to Config.Stable,
 	// so unchanged states cost no store traffic.
 	saved StableState
@@ -212,34 +221,28 @@ type instance struct {
 	reclaimedAt time.Time
 }
 
-type waiter struct {
-	granted chan struct{}
-	// fence is the grant's fencing token, written by the loop before
-	// granted closes (the close publishes it to the client).
-	fence uint64
-	// abandoned marks a cancelled waiter whose RequestCS is already in
-	// flight: the protocol has no recall, so the eventual grant is given
-	// straight back. Loop-owned.
-	abandoned bool
+// pop drops the head waiter, keeping the queue's backing array for the
+// next one.
+func (st *instance) pop() {
+	n := copy(st.queue, st.queue[1:])
+	st.queue[n] = nil
+	st.queue = st.queue[:n]
 }
 
-type lop uint8
-
-const (
-	opAcquire lop = iota + 1
-	opRelease
-	opCancel
-	opKeepalive
-	opCensus
-)
-
-type lcall struct {
-	op    lop
-	inst  uint64
-	w     *waiter // acquire/cancel: the waiter concerned
-	fence uint64  // release/keepalive: required hold (0 = whatever is held)
-	reply chan error
-	rows  chan []CensusRow // census: the snapshot reply
+// waiter is one Lock call in an instance's FIFO. All of it is written
+// under ls.mu.
+type waiter struct {
+	// granted is what a Lock that did not find its grant at home parks
+	// on (nil otherwise); the step that brings the grant closes it.
+	granted chan struct{}
+	// fence is the grant's fencing token, set with served (the close of
+	// granted publishes both to a parked client).
+	fence  uint64
+	served bool
+	// abandoned marks a cancelled waiter whose RequestCS is already in
+	// flight: the protocol has no recall, so the eventual grant is given
+	// straight back.
+	abandoned bool
 }
 
 // CensusRow is one instance's snapshot in a Census: the fields the
@@ -272,11 +275,10 @@ func New(cfg Config) (*Lockspace, error) {
 	ls := &Lockspace{
 		cfg:    cfg,
 		host:   host,
-		calls:  make(chan lcall),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		insts:  make(map[uint64]*instance),
-		outbox: make(map[ocube.Pos][]core.Envelope),
+		outbox: make([][]core.Envelope, 1<<cfg.Node.P),
 		epoch:  time.Now(),
 		timer:  time.NewTimer(time.Hour),
 	}
@@ -309,55 +311,70 @@ func (ls *Lockspace) Self() ocube.Pos { return ls.cfg.Node.Self }
 // anywhere.
 func (ls *Lockspace) States() int64 { return ls.states.Load() }
 
+// begin takes ls.mu for one client step; it reports false, with the
+// mutex released, on a node whose loop has exited.
+func (ls *Lockspace) begin() bool {
+	ls.mu.Lock()
+	if ls.dead {
+		ls.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// end completes a step and releases ls.mu: what the step sent leaves and
+// the timer is aimed at what it scheduled. The caller holds ls.mu.
+func (ls *Lockspace) end() {
+	ls.flush()
+	ls.rearm()
+	ls.mu.Unlock()
+}
+
 // Lock blocks until this node holds key's lock, or ctx is done, and
 // returns the grant's fencing token: strictly increasing per key across
 // re-grants (higher epoch or higher grant counter), so a storage system
 // comparing fences rejects writes from any holder whose lock has since
-// moved on — see opencubemx.FencedResource. On cancellation the caller
-// leaves the local FIFO immediately; if its protocol request was already
-// in flight, the eventual grant is given straight back (the protocol has
-// no request recall).
+// moved on — see opencubemx.FencedResource. The calling goroutine steps
+// the instance itself: a token found at home is a grant without a wait,
+// and a request that has to travel is on the transport before Lock parks.
+// On cancellation the caller leaves the local FIFO immediately; if its
+// protocol request was already in flight, the eventual grant is given
+// straight back (the protocol has no request recall).
 func (ls *Lockspace) Lock(ctx context.Context, key string) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	id := KeyInstance(key)
-	w := &waiter{granted: make(chan struct{})}
-	reply := make(chan error, 1)
-	select {
-	case ls.calls <- lcall{op: opAcquire, inst: id, w: w, reply: reply}:
-	case <-ls.stop:
-		return 0, ErrClosed
-	case <-ls.done:
-		return 0, ErrClosed
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-	// Every wait below also watches ls.done: the loop can die between
-	// accepting the call and serving the grant — Close racing an
-	// in-flight Lock, or the transport closing under the loop (a killed
-	// node's session), where ls.stop never closes. Without the guard the
-	// caller's goroutine would leak, parked on a reply nobody sends.
-	select {
-	case err := <-reply:
-		if err != nil {
-			return 0, fmt.Errorf("lockspace: lock %q: %w", key, err)
-		}
-	case <-ls.done:
+	w := &waiter{}
+	if !ls.begin() {
 		return 0, ErrClosed
 	}
+	st := ls.ensure(id)
+	err := ls.acquire(id, st, w)
+	if err == nil && !w.served {
+		w.granted = make(chan struct{})
+	}
+	ls.settle(id, st)
+	ls.end()
+	if err != nil {
+		return 0, fmt.Errorf("lockspace: lock %q: %w", key, err)
+	}
+	if w.granted == nil {
+		return w.fence, nil
+	}
+	// The wait also watches ls.done: the loop can die before the grant
+	// arrives without ls.stop ever closing — the transport closing under
+	// it (a killed node's session) — and the caller would leak, parked.
 	select {
 	case <-w.granted:
 		return w.fence, nil
 	case <-ctx.Done():
-		// Leave the queue. The loop removes a waiter that is not yet at
-		// the head; a head whose grant raced the cancel is released.
-		creply := make(chan error, 1)
-		select {
-		case ls.calls <- lcall{op: opCancel, inst: id, w: w, reply: creply}:
-			select {
-			case <-creply:
-			case <-ls.done:
-			}
-		case <-ls.stop:
-		case <-ls.done:
+		// Leave the queue: a waiter not yet at the head is removed, a head
+		// whose grant raced the cancel is released.
+		if ls.begin() {
+			ls.cancel(id, st, w)
+			ls.settle(id, st)
+			ls.end()
 		}
 		return 0, ctx.Err()
 	case <-ls.stop:
@@ -368,29 +385,18 @@ func (ls *Lockspace) Lock(ctx context.Context, key string) (uint64, error) {
 }
 
 // Unlock releases this node's hold on key's lock and hands it to the
-// next local waiter, if any. fence names the hold being released —
-// the value the Lock returned; if the hold with that fence is gone (its
+// next local waiter, if any; a token on loan has left for its lender by
+// the time Unlock returns. fence names the hold being released — the
+// value the Lock returned; if the hold with that fence is gone (its
 // lease lapsed and the lock was reclaimed) Unlock reports
 // ErrLeaseExpired. A zero fence releases whatever hold is current (the
 // pre-fencing behavior).
 func (ls *Lockspace) Unlock(key string, fence uint64) error {
-	reply := make(chan error, 1)
-	select {
-	case ls.calls <- lcall{op: opRelease, inst: KeyInstance(key), fence: fence, reply: reply}:
-	case <-ls.stop:
-		return ErrClosed
-	case <-ls.done:
-		return ErrClosed
-	}
-	select {
-	case err := <-reply:
-		if err != nil {
-			return fmt.Errorf("lockspace: unlock %q: %w", key, err)
-		}
-		return nil
-	case <-ls.done:
-		return ErrClosed
-	}
+	return ls.onHold("unlock", key, fence, func(id uint64, st *instance) error {
+		err := ls.forceRelease(id, st)
+		ls.settle(id, st)
+		return err
+	})
 }
 
 // Keepalive renews the lease of the hold fence names (0 = the current
@@ -398,44 +404,57 @@ func (ls *Lockspace) Unlock(key string, fence uint64) error {
 // ErrLeaseExpired when that hold is gone. With no LeaseTTL configured it
 // only verifies the hold still stands.
 func (ls *Lockspace) Keepalive(key string, fence uint64) error {
-	reply := make(chan error, 1)
-	select {
-	case ls.calls <- lcall{op: opKeepalive, inst: KeyInstance(key), fence: fence, reply: reply}:
-	case <-ls.stop:
-		return ErrClosed
-	case <-ls.done:
-		return ErrClosed
-	}
-	select {
-	case err := <-reply:
-		if err != nil {
-			return fmt.Errorf("lockspace: keepalive %q: %w", key, err)
-		}
+	return ls.onHold("keepalive", key, fence, func(id uint64, st *instance) error {
+		ls.armLease(id, st)
 		return nil
-	case <-ls.done:
-		return ErrClosed
-	}
+	})
 }
 
-// Census snapshots every instantiated instance from inside the event
-// loop — a consistent point-in-time view used by the chaos harness's
-// end-of-run checks (at most one live token per instance across the
-// surviving nodes, quiescence at rest).
+// onHold runs do, as one step of the node, on the hold of key that fence
+// names (0 = any hold). A fence naming a hold that is gone — lapsed and
+// reclaimed, possibly re-granted — reports ErrLeaseExpired.
+func (ls *Lockspace) onHold(op, key string, fence uint64, do func(id uint64, st *instance) error) error {
+	id := KeyInstance(key)
+	if !ls.begin() {
+		return ErrClosed
+	}
+	var err error
+	switch st := ls.insts[id]; {
+	case st != nil && st.held && (fence == 0 || fence == st.fence):
+		err = do(id, st)
+	case fence != 0:
+		err = ErrLeaseExpired
+	default:
+		err = ErrNotLocked
+	}
+	ls.end()
+	if err != nil {
+		return fmt.Errorf("lockspace: %s %q: %w", op, key, err)
+	}
+	return nil
+}
+
+// Census snapshots every instantiated instance between two steps — a
+// consistent point-in-time view used by the chaos harness's end-of-run
+// checks (at most one live token per instance across the surviving
+// nodes, quiescence at rest).
 func (ls *Lockspace) Census() ([]CensusRow, error) {
-	rows := make(chan []CensusRow, 1)
-	select {
-	case ls.calls <- lcall{op: opCensus, rows: rows}:
-	case <-ls.stop:
-		return nil, ErrClosed
-	case <-ls.done:
+	if !ls.begin() {
 		return nil, ErrClosed
 	}
-	select {
-	case r := <-rows:
-		return r, nil
-	case <-ls.done:
-		return nil, ErrClosed
+	rows := make([]CensusRow, 0, len(ls.insts))
+	for id, st := range ls.insts {
+		rows = append(rows, CensusRow{
+			Instance: id, TokenHere: st.node.TokenHere(),
+			Held: st.held, Busy: st.node.Busy(), Epoch: st.node.Epoch(),
+		})
 	}
+	ls.mu.Unlock()
+	// Instance order, not map order: census consumers (the chaos token
+	// census, autopsy state lines) render rows, and replayed runs must
+	// render them identically.
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Instance < rows[j].Instance })
+	return rows, nil
 }
 
 // Close stops the node's loop and drops every pending deadline with it:
@@ -447,9 +466,10 @@ func (ls *Lockspace) Close() error {
 	}
 	close(ls.stop)
 	<-ls.done
-	// The loop has exited: ls.insts is no longer shared, so the autopsy
-	// scan below is race-free. The instantaneous gauges reset so a chaos
-	// member restarting this node in the same registry starts clean.
+	// The loop marked the node dead on its way out: nothing steps it any
+	// more, so the autopsy scan below shares ls.insts with nobody. The
+	// instantaneous gauges reset so a chaos member restarting this node
+	// in the same registry starts clean.
 	ls.obsHeld.Set(0)
 	ls.obsWaiters.Set(0)
 	ls.obsDeadlines.Set(0)
@@ -490,21 +510,28 @@ func (ls *Lockspace) autopsyStuck() {
 		ls.cfg.Flight, stuck, states)
 }
 
-// drainMax bounds how many inputs one loop iteration handles before it
-// flushes. It is a constant, not a knob: a burst's envelopes to one peer
-// share a frame up to this many inputs deep, and however long the burst,
-// what the first of them sent waits for at most this many handlers.
+// drainMax bounds how many received batches one step of the loop handles.
+// It is a constant, not a knob: a burst's envelopes to one peer share a
+// frame up to this many batches deep, and however long the burst, what
+// the first of them sent — and a client at the mutex — waits for at most
+// this many handlers.
 const drainMax = 64
 
-// loop is the node's single event loop and the only owner of what wakes
-// it: inbound envelope batches, the one deadline timer, client calls.
-// After the one blocking select it takes whatever further batches and
-// calls are already waiting, without blocking and up to drainMax inputs,
-// and only then flushes — one batch per destination for the whole burst,
-// and at once for a lone input.
+// loop has what arrives on its own, inbound envelope batches and the one
+// deadline timer, and steps the node under ls.mu like any caller. A
+// received batch is handled together with whatever further batches are
+// already waiting, up to drainMax, and only then flushed — one batch per
+// destination for the whole burst, and at once for a lone input. On its
+// way out — Close, or the transport closing under it — it marks the node
+// dead, under the mutex, and stops the timer.
 func (ls *Lockspace) loop() {
 	defer close(ls.done)
-	defer ls.timer.Stop()
+	defer func() {
+		ls.mu.Lock()
+		ls.dead = true
+		ls.timer.Stop()
+		ls.mu.Unlock()
+	}()
 	recv := ls.cfg.Transport.RecvBatch()
 	for {
 		select {
@@ -514,33 +541,41 @@ func (ls *Lockspace) loop() {
 			if !ok {
 				return
 			}
+			ls.mu.Lock()
 			ls.receive(batch)
+			open := ls.drain(recv)
+			ls.end()
+			if !open {
+				return
+			}
 		case <-ls.timer.C:
+			ls.mu.Lock()
 			ls.armed = false
 			ls.fireDue()
-		case c := <-ls.calls:
-			ls.call(c)
+			ls.end()
 		}
-	drain:
-		for n := 1; n < drainMax; n++ {
-			select {
-			case batch, ok := <-recv:
-				if !ok {
-					return
-				}
-				ls.receive(batch)
-			case c := <-ls.calls:
-				ls.call(c)
-			default:
-				break drain
-			}
-		}
-		ls.flush()
-		ls.rearm()
 	}
 }
 
-// receive handles one inbound envelope batch.
+// drain handles the batches already waiting behind the first of a burst,
+// up to drainMax in all; it reports false once recv is closed. The caller
+// holds ls.mu.
+func (ls *Lockspace) drain(recv <-chan []core.Envelope) bool {
+	for n := 1; n < drainMax; n++ {
+		select {
+		case batch, ok := <-recv:
+			if !ok {
+				return false
+			}
+			ls.receive(batch)
+		default:
+			return true
+		}
+	}
+	return true
+}
+
+// receive handles one inbound envelope batch. The caller holds ls.mu.
 func (ls *Lockspace) receive(batch []core.Envelope) {
 	for _, env := range batch {
 		if env.Instance == core.NoInstance {
@@ -548,48 +583,17 @@ func (ls *Lockspace) receive(batch []core.Envelope) {
 		}
 		st := ls.ensure(env.Instance)
 		ls.apply(env.Instance, st, st.node.HandleMessage(env.Msg))
-		ls.persist(env.Instance, st)
+		ls.settle(env.Instance, st)
 	}
 }
 
-// call serves one client call.
-func (ls *Lockspace) call(c lcall) {
-	switch c.op {
-	case opAcquire:
-		c.reply <- ls.acquire(c.inst, c.w)
-	case opRelease:
-		c.reply <- ls.release(c.inst, c.fence)
-	case opCancel:
-		c.reply <- ls.cancel(c.inst, c.w)
-	case opKeepalive:
-		c.reply <- ls.keepalive(c.inst, c.fence)
-	case opCensus:
-		rows := make([]CensusRow, 0, len(ls.insts))
-		for id, st := range ls.insts {
-			rows = append(rows, CensusRow{
-				Instance: id, TokenHere: st.node.TokenHere(),
-				Held: st.held, Busy: st.node.Busy(), Epoch: st.node.Epoch(),
-			})
-		}
-		// Instance order, not map order: census consumers (the
-		// chaos token census, autopsy state lines) render rows,
-		// and replayed runs must render them identically.
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Instance < rows[j].Instance })
-		c.rows <- rows
-		return
-	}
-	if st := ls.insts[c.inst]; st != nil {
-		ls.persist(c.inst, st)
-	}
-}
-
-// now is the loop's clock: the time since it started, which is what the
+// now is the node's clock: the time since it started, which is what the
 // wheel's deadlines are measured in.
 func (ls *Lockspace) now() time.Duration { return time.Since(ls.epoch) }
 
 // fireDue handles every deadline that has come due, in (deadline,
-// schedule-order) sequence: lease checks, and protocol timers whose
-// generation the instance has not superseded since they were armed.
+// schedule-order) sequence. All of them are live: settle reaps what a
+// step cancels or supersedes. The caller holds ls.mu.
 func (ls *Lockspace) fireDue() {
 	now := ls.now()
 	for {
@@ -597,23 +601,21 @@ func (ls *Lockspace) fireDue() {
 		if !ok {
 			return
 		}
-		if ent.kind == wheelLease {
-			ls.leaseCheck(ent.inst)
-			continue
-		}
 		st := ls.insts[ent.inst]
-		if st == nil || st.node.TimerGen(ent.kind) != ent.gen {
-			continue // dead: cancelled or superseded since it was scheduled
+		if ent.kind == wheelLease {
+			ls.leaseCheck(ent.inst, st)
+		} else {
+			ls.apply(ent.inst, st, st.node.HandleTimer(ent.kind, ent.gen))
 		}
-		ls.apply(ent.inst, st, st.node.HandleTimer(ent.kind, ent.gen))
-		ls.persist(ent.inst, st)
+		ls.settle(ent.inst, st)
 	}
 }
 
 // rearm keeps the one runtime timer aimed at the wheel's earliest
 // deadline. It only ever tightens: a fire that finds nothing due (the
-// deadline it was armed for was rescheduled later) costs one empty
-// fireDue, which is cheaper than resetting the timer on every input.
+// deadline it was armed for was rescheduled later, or reaped) costs one
+// empty fireDue, which is cheaper than resetting the timer on every
+// step. The caller holds ls.mu.
 func (ls *Lockspace) rearm() {
 	ls.obsDeadlines.Set(float64(len(ls.wheel.ents)))
 	at, ok := ls.wheel.earliest()
@@ -629,12 +631,12 @@ func (ls *Lockspace) rearm() {
 // restore and Section 5 recovery for a Rejoin node (a restarted node
 // cannot tell "this instance never existed" from "it lived while I was
 // down", and trusting NewNode's initial conditions in the second case
-// would fabricate a second token).
+// would fabricate a second token). The caller holds ls.mu.
 func (ls *Lockspace) ensure(id uint64) *instance {
 	st := ls.insts[id]
 	if st == nil {
 		node := ls.host.NewNode(id)
-		st = &instance{node: node}
+		st = &instance{node: node, ref: ls.wheel.mint()}
 		ls.insts[id] = st
 		ls.states.Add(1)
 		if ls.cfg.Stable != nil {
@@ -646,15 +648,17 @@ func (ls *Lockspace) ensure(id uint64) *instance {
 		}
 		if ls.cfg.Rejoin {
 			ls.apply(id, st, node.Recover())
-			ls.persist(id, st)
+			ls.settle(id, st)
 		}
 	}
 	return st
 }
 
-// persist writes the instance's stable storage through to Config.Stable
-// when it changed this event.
-func (ls *Lockspace) persist(id uint64, st *instance) {
+// settle closes one instance's part of a step: the protocol timers it
+// cancelled or superseded leave the wheel, and stable storage that
+// changed is written through to Config.Stable. The caller holds ls.mu.
+func (ls *Lockspace) settle(id uint64, st *instance) {
+	ls.wheel.reap(st.ref, st.node)
 	if ls.cfg.Stable == nil {
 		return
 	}
@@ -666,9 +670,8 @@ func (ls *Lockspace) persist(id uint64, st *instance) {
 }
 
 // acquire enqueues a waiter and issues the protocol request when it is
-// first in line.
-func (ls *Lockspace) acquire(id uint64, w *waiter) error {
-	st := ls.ensure(id)
+// first in line. The caller holds ls.mu.
+func (ls *Lockspace) acquire(id uint64, st *instance, w *waiter) error {
 	st.queue = append(st.queue, w)
 	if len(st.queue) > 1 || st.held {
 		ls.obsWaiters.Add(1)
@@ -684,26 +687,9 @@ func (ls *Lockspace) acquire(id uint64, w *waiter) error {
 	return nil
 }
 
-// release ends the current hold when fence names it (0 = any hold) and
-// starts the next waiter's request. A fence naming a hold that is gone —
-// lapsed and reclaimed, possibly re-granted — reports ErrLeaseExpired.
-func (ls *Lockspace) release(id uint64, fence uint64) error {
-	st := ls.insts[id]
-	if st == nil || !st.held || len(st.queue) == 0 {
-		if fence != 0 {
-			return ErrLeaseExpired
-		}
-		return ErrNotLocked
-	}
-	if fence != 0 && fence != st.fence {
-		return ErrLeaseExpired
-	}
-	return ls.forceRelease(id, st)
-}
-
-// forceRelease ends the head waiter's hold unconditionally, drops any
-// cancelled waiters that queued behind it, and starts the next live
-// waiter's request.
+// forceRelease ends the head waiter's hold unconditionally, drops its
+// lease check and any cancelled waiters that queued behind it, and
+// starts the next live waiter's request. The caller holds ls.mu.
 func (ls *Lockspace) forceRelease(id uint64, st *instance) error {
 	effs, err := st.node.ReleaseCS()
 	if err != nil {
@@ -711,12 +697,13 @@ func (ls *Lockspace) forceRelease(id uint64, st *instance) error {
 	}
 	st.held = false
 	st.fence = 0
-	st.queue = st.queue[1:]
+	st.pop()
+	ls.wheel.cancel(st.ref, wheelLease)
 	ls.obsHeld.Add(-1)
 	ls.obsWaiters.Add(-1)
 	ls.apply(id, st, effs)
 	for len(st.queue) > 0 && st.queue[0].abandoned {
-		st.queue = st.queue[1:]
+		st.pop()
 		ls.obsWaiters.Add(-1)
 	}
 	if len(st.queue) > 0 {
@@ -736,84 +723,50 @@ func (ls *Lockspace) forceRelease(id uint64, st *instance) error {
 // exactly this removal. At the head and granted (the grant raced the
 // cancel): the hold is released. At the head with its request in flight:
 // the protocol has no recall, so the waiter is marked abandoned and the
-// eventual grant is given straight back (apply's Grant case).
-func (ls *Lockspace) cancel(id uint64, w *waiter) error {
-	st := ls.insts[id]
-	if st == nil {
-		return nil
-	}
+// eventual grant is given straight back (apply's Grant case). The caller
+// holds ls.mu.
+func (ls *Lockspace) cancel(id uint64, st *instance, w *waiter) {
 	for i, q := range st.queue {
 		if q != w {
 			continue
 		}
-		if i > 0 {
+		switch {
+		case i > 0:
 			st.queue = append(st.queue[:i], st.queue[i+1:]...)
 			ls.obsWaiters.Add(-1)
-			return nil
+		case st.held:
+			_ = ls.forceRelease(id, st)
+		default:
+			w.abandoned = true
 		}
-		if st.held {
-			return ls.forceRelease(id, st)
-		}
-		w.abandoned = true
-		return nil
+		return
 	}
-	return nil // already granted and released, or never enqueued
+	// Not queued: already granted and released.
 }
 
-// keepalive renews the lease of the hold fence names (0 = the current
-// hold).
-func (ls *Lockspace) keepalive(id uint64, fence uint64) error {
-	st := ls.insts[id]
-	if st == nil || !st.held || len(st.queue) == 0 {
-		if fence != 0 {
-			return ErrLeaseExpired
-		}
-		return ErrNotLocked
-	}
-	if fence != 0 && fence != st.fence {
-		return ErrLeaseExpired
-	}
-	ls.armLease(id, st)
-	return nil
-}
-
-// armLease starts (or renews) the lease countdown of the current hold.
-// One expiry check is pending per instance at a time; a renewal just
-// moves the deadline the pending check compares against.
+// armLease starts the lease countdown of the current hold, or renews it.
+// One expiry check is pending per hold; a renewal just moves the
+// deadline the pending check compares against. The caller holds ls.mu.
 func (ls *Lockspace) armLease(id uint64, st *instance) {
 	if ls.cfg.LeaseTTL <= 0 {
 		return
 	}
-	st.leaseDeadline = time.Now().Add(ls.cfg.LeaseTTL)
-	if !st.leaseArmed {
-		st.leaseArmed = true
-		ls.leaseTimer(id, ls.cfg.LeaseTTL)
+	st.leaseDeadline = ls.now() + ls.cfg.LeaseTTL
+	if !ls.wheel.pending(st.ref, wheelLease) {
+		ls.wheel.schedule(st.ref, id, wheelLease, 0, st.leaseDeadline)
 	}
 }
 
-// leaseTimer schedules a lease-expiry check after d.
-func (ls *Lockspace) leaseTimer(id uint64, d time.Duration) {
-	ls.wheel.schedule(id, wheelLease, 0, ls.now()+d)
-}
-
-// leaseCheck handles a lease-expiry check: renewed holds re-arm for the
-// remainder, lapsed holds are reclaimed through the ordinary §3 exit
-// protocol — the token moves on, the next waiter is served, and the
-// expired client's later Unlock/Keepalive reports ErrLeaseExpired (its
-// fence no longer matches). The reclaiming grant outranks the zombie's
-// fence, so fence-checking resources are already refusing it.
-func (ls *Lockspace) leaseCheck(id uint64) {
-	st := ls.insts[id]
-	if st == nil {
-		return
-	}
-	st.leaseArmed = false
-	if !st.held || len(st.queue) == 0 {
-		return // released before the check fired
-	}
-	if rem := time.Until(st.leaseDeadline); rem > 0 {
-		st.leaseArmed = true
-		ls.leaseTimer(id, rem)
+// leaseCheck handles the lease-expiry check of a hold (a hold that ended
+// took its check with it): renewed holds re-arm for the remainder, lapsed
+// holds are reclaimed through the ordinary §3 exit protocol — the token
+// moves on, the next waiter is served, and the expired client's later
+// Unlock/Keepalive reports ErrLeaseExpired. The reclaiming grant outranks
+// the zombie's fence, so fence-checking resources are already refusing
+// it. The caller holds ls.mu.
+func (ls *Lockspace) leaseCheck(id uint64, st *instance) {
+	if st.leaseDeadline > ls.now() {
+		ls.wheel.schedule(st.ref, id, wheelLease, 0, st.leaseDeadline)
 		return
 	}
 	ls.obsReclaims.Inc()
@@ -825,12 +778,11 @@ func (ls *Lockspace) leaseCheck(id uint64) {
 		})
 	}
 	_ = ls.forceRelease(id, st)
-	ls.persist(id, st)
 }
 
 // apply executes one instance's effects: sends join the per-destination
-// outbox (flushed once per loop iteration), timers take their slot in the
-// wheel, grants wake the head waiter.
+// outbox (flushed once per step), timers take their slot in the wheel,
+// grants are handed to the head waiter. The caller holds ls.mu.
 func (ls *Lockspace) apply(id uint64, st *instance, effs []core.Effect) {
 	for _, e := range effs {
 		switch e := e.(type) {
@@ -843,7 +795,7 @@ func (ls *Lockspace) apply(id uint64, st *instance, effs []core.Effect) {
 		case *core.StartTimer:
 			// In place per (instance, kind): the arming this one replaces
 			// could only have fired dead.
-			ls.wheel.schedule(id, e.Kind, e.Gen, ls.now()+e.Delay)
+			ls.wheel.schedule(st.ref, id, e.Kind, e.Gen, ls.now()+e.Delay)
 		case *core.Grant:
 			if len(st.queue) == 0 {
 				// A grant with no local waiter (defensive: the queue
@@ -861,33 +813,31 @@ func (ls *Lockspace) apply(id uint64, st *instance, effs []core.Effect) {
 				ls.obsReclaimLat.Observe(time.Since(st.reclaimedAt).Seconds())
 				st.reclaimedAt = time.Time{}
 			}
-			if st.queue[0].abandoned {
+			w := st.queue[0]
+			if w.abandoned {
 				// The head cancelled while its request was in flight:
 				// give the grant straight back and serve the next waiter.
 				_ = ls.forceRelease(id, st)
 				continue
 			}
-			st.queue[0].fence = e.Fence
+			w.fence, w.served = e.Fence, true
 			ls.armLease(id, st)
-			close(st.queue[0].granted)
+			if w.granted != nil {
+				close(w.granted)
+			}
 		}
 	}
 }
 
-// flush sends what the iteration's inputs put in the outbox, one batch
-// per touched destination, in touch order. Transport errors are
-// equivalent to message loss, which the per-instance failure machinery
-// tolerates.
+// flush sends what the step put in the outbox, one batch per touched
+// destination, in touch order. Transport errors are equivalent to
+// message loss, which the per-instance failure machinery tolerates. The
+// caller holds ls.mu, also while SendBatch waits for room in a full
+// session window: that stalls this node and no other.
 func (ls *Lockspace) flush() {
-	if len(ls.dests) == 0 {
-		return
-	}
 	for _, to := range ls.dests {
-		batch := ls.outbox[to]
-		if len(batch) > 0 {
-			_ = ls.cfg.Transport.SendBatch(to, batch)
-			ls.outbox[to] = batch[:0] // transport copied it; reuse the buffer
-		}
+		_ = ls.cfg.Transport.SendBatch(to, ls.outbox[to])
+		ls.outbox[to] = ls.outbox[to][:0] // transport copied it; reuse the buffer
 	}
 	ls.dests = ls.dests[:0]
 }

@@ -2,17 +2,25 @@ package lockspace
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/transport"
 )
 
-// Node-loop tests: the loop owns its inputs — one flush per drained burst,
-// and no deadline that outlives it.
+// Node-stepping tests: whoever has the input steps the node to completion
+// — one flush per client call and per drained burst, only live deadlines
+// in the heap, none that outlives the loop.
 
 // stallTransport is a BatchTransport under the test's thumb: batches put
 // on in reach the loop, and every SendBatch announces the size of its
@@ -168,5 +176,341 @@ func TestCloseDropsPendingDeadlines(t *testing.T) {
 			seen++
 		case <-time.After(50 * time.Millisecond):
 		}
+	}
+}
+
+// newSessMeshSpace builds 2^p nodes the way `ocmxchaos node` and the
+// live benchmark do — fault tolerance on, each over its own session on an
+// in-memory SessMesh — with failure-detector bounds and a lease no test
+// here reaches. reg may be nil. stop closes nodes, sessions and mesh; the
+// test's cleanup calls it too.
+func newSessMeshSpace(t *testing.T, p int, reg *obs.Registry) (nodes []*Lockspace, stop func()) {
+	t.Helper()
+	mesh, err := transport.NewSessMesh(1<<p, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions []*transport.Session
+	stop = func() {
+		for _, ls := range nodes {
+			ls.Close()
+		}
+		for _, sess := range sessions {
+			sess.Close()
+		}
+		mesh.Close()
+	}
+	t.Cleanup(stop)
+	for i := 0; i < 1<<p; i++ {
+		self := ocube.Pos(i)
+		sess := transport.NewSession(self, mesh.Endpoint(self), transport.SessionConfig{})
+		sessions = append(sessions, sess)
+		ls, err := New(Config{
+			Node: core.Config{
+				Self: self, P: p, FT: true, EpochFence: true,
+				Delta: time.Minute, CSEstimate: time.Minute, SuspicionSlack: time.Minute,
+			},
+			Transport: sess,
+			LeaseTTL:  time.Hour,
+			Metrics:   reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, ls)
+	}
+	return nodes, stop
+}
+
+// TestWheelHoldsOnlyLiveDeadlines: a deadline leaves the heap with the
+// step that cancels it. Every node of an 8-node cluster locks and unlocks
+// 256 keys, all nodes at once; at rest nothing is pending anywhere — no
+// lease check of a released hold, no suspicion or transfer-ack timer the
+// protocol has since cancelled — and the gauge says so. With holds
+// outstanding the holder has exactly their lease checks pending, and
+// what is pending elsewhere (a lender's token-return timer) is live too.
+func TestWheelHoldsOnlyLiveDeadlines(t *testing.T) {
+	const keys, holds, holder = 256, 5, 5
+	reg := obs.NewRegistry()
+	nodes, _ := newSessMeshSpace(t, 3, reg)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i, ls := range nodes {
+		wg.Add(1)
+		go func(i int, ls *Lockspace) {
+			defer wg.Done()
+			for j := 0; j < keys; j++ {
+				key := "k" + strconv.Itoa((j+i*keys/len(nodes))%keys)
+				fence, err := ls.Lock(ctx, key)
+				if err == nil {
+					err = ls.Unlock(key, fence)
+				}
+				if err != nil {
+					t.Errorf("node %d key %s: %v", i, key, err)
+					return
+				}
+			}
+		}(i, ls)
+	}
+	wg.Wait()
+	// pending counts a node's heap entries between two steps, checking
+	// that each is live and that the gauge agrees with the heap.
+	pending := func(when string, ls *Lockspace) (leases, timers int) {
+		t.Helper()
+		ls.mu.Lock()
+		defer ls.mu.Unlock()
+		for _, ent := range ls.wheel.ents {
+			st := ls.insts[ent.inst]
+			switch {
+			case ent.kind == wheelLease && st.held:
+				leases++
+			case ent.kind != wheelLease && ent.gen == st.node.TimerGen(ent.kind):
+				timers++
+			default:
+				t.Errorf("%s: node %d holds a dead deadline %+v", when, ls.Self(), ent)
+			}
+		}
+		gauge := reg.Gauge("ocmx_lock_deadlines_pending", "", "node", strconv.Itoa(int(ls.Self()))).Value()
+		if gauge != float64(len(ls.wheel.ents)) {
+			t.Errorf("%s: node %d's gauge reads %g with %d deadlines in the heap", when, ls.Self(), gauge, len(ls.wheel.ents))
+		}
+		return leases, timers
+	}
+	// With fault tolerance on, whatever is still in flight — a request, a
+	// token, its ack — has a live watchdog somewhere, so the cluster is at
+	// rest once every heap is empty. A corpse would stay: nothing here
+	// fires within the test.
+	atRest := func(when string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			left := 0
+			for _, ls := range nodes {
+				leases, timers := pending(when, ls)
+				left += leases + timers
+			}
+			if left == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d deadlines still pending across the cluster, want none", when, left)
+			}
+		}
+	}
+	atRest("at rest")
+
+	fences := make([]uint64, holds)
+	for k := range fences {
+		var err error
+		if fences[k], err = nodes[holder].Lock(ctx, "k"+strconv.Itoa(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, ls := range nodes {
+		leases, _ := pending("with holds outstanding", ls)
+		if want := map[bool]int{true: holds}[i == holder]; leases != want {
+			t.Errorf("with %d holds at node %d: node %d has %d lease checks pending, want %d", holds, holder, i, leases, want)
+		}
+	}
+	for k, fence := range fences {
+		if err := nodes[holder].Unlock("k"+strconv.Itoa(k), fence); err != nil {
+			t.Fatal(err)
+		}
+	}
+	atRest("after the holds")
+}
+
+// stepTransport is a BatchTransport that hands every SendBatch to the
+// test's hook, on the sending goroutine, and delivers what the test puts
+// on in.
+type stepTransport struct {
+	in     chan []core.Envelope
+	onSend func(to ocube.Pos, batch []core.Envelope)
+}
+
+func (t *stepTransport) SendBatch(to ocube.Pos, batch []core.Envelope) error {
+	t.onSend(to, append([]core.Envelope(nil), batch...))
+	return nil
+}
+
+func (t *stepTransport) RecvBatch() <-chan []core.Envelope { return t.in }
+
+func (t *stepTransport) Close() error { return nil }
+
+// TestCallFlushesBeforeReturn: a client call is a whole step. Node 1's
+// loop gets no input until the test provides some, so whatever the node
+// sends before that, the calling goroutine sent — and it sent it inside
+// its step, ls.mu still held: a Lock whose token is remote has handed
+// its request to SendBatch before it parks, and an Unlock that returns a
+// loan has sent the token by the time it returns. Node 0 is a state
+// machine in the test's hands.
+func TestCallFlushesBeforeReturn(t *testing.T) {
+	const key = "remote"
+	id := KeyInstance(key)
+	// In a cube of four, node 1 is not node 0's last son: node 0 stays
+	// the root and lends.
+	peer, err := core.NewNode(core.Config{Self: 0, P: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ls *Lockspace
+	sent := make(chan core.Message, 4)
+	tr := &stepTransport{in: make(chan []core.Envelope, 1)}
+	tr.onSend = func(to ocube.Pos, batch []core.Envelope) {
+		if ls.mu.TryLock() {
+			ls.mu.Unlock()
+			t.Error("SendBatch ran outside the sender's step: ls.mu was free")
+		}
+		if to != 0 || len(batch) != 1 || batch[0].Instance != id {
+			t.Errorf("sent %+v to %v, want one envelope of instance %d to node 0", batch, to, id)
+		}
+		sent <- batch[0].Msg
+	}
+	if ls, err = New(Config{Node: core.Config{Self: 1, P: 2}, Transport: tr}); err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+
+	type grant struct {
+		fence uint64
+		err   error
+	}
+	got := make(chan grant, 1)
+	go func() {
+		fence, err := ls.Lock(context.Background(), key)
+		got <- grant{fence, err}
+	}()
+	var request core.Message
+	select {
+	case request = <-sent:
+	case g := <-got:
+		t.Fatalf("Lock returned (%d, %v) with the token at node 0", g.fence, g.err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("Lock sent no request")
+	}
+	// Node 0 answers with the token; the loop brings the grant.
+	for _, e := range peer.HandleMessage(request) {
+		if s, ok := e.(*core.Send); ok {
+			tr.in <- []core.Envelope{{Instance: id, Msg: s.Msg}}
+		}
+	}
+	var g grant
+	select {
+	case g = <-got:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the token arrived and Lock did not return")
+	}
+	if g.err != nil {
+		t.Fatal(g.err)
+	}
+	if err := ls.Unlock(key, g.fence); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-sent:
+		if m.Kind != core.KindToken {
+			t.Errorf("Unlock sent %v, want the token going back to its lender", m)
+		}
+	default:
+		t.Fatal("Unlock returned before the borrowed token was sent")
+	}
+}
+
+// TestCallsRaceIngressAndClose: client calls, received bursts and Close
+// all step the same node under one mutex, and none may strand another.
+// Sixteen clients hammer four keys on two nodes — Lock, Keepalive,
+// Unlock, and Locks whose context is already done or ends mid-wait —
+// while each node's loop takes the other's batches, and node 1 closes
+// mid-flight with calls inside it and holds outstanding. Every call
+// returns within the patience with nil, ErrClosed, ErrLeaseExpired or its
+// context's error; no two clients are ever inside one key, and fences
+// only rise, through the gate a FencedResource is made of; and once
+// everything is closed no goroutine is left behind.
+func TestCallsRaceIngressAndClose(t *testing.T) {
+	const clients, keys, patience = 16, 4, 5 * time.Second
+	baseline := runtime.NumGoroutine()
+	nodes, closeAll := newSessMeshSpace(t, 1, nil)
+
+	var gate metrics.FenceGate
+	var inside [keys]atomic.Int32
+	var stop atomic.Bool
+	var grants atomic.Int64
+	// timed runs one call and holds it to the patience and to the errors
+	// a call may return; ctxErr is the context's, nil when it has none.
+	timed := func(what string, ctxErr func() error, call func() error) error {
+		start := time.Now()
+		err := call()
+		if took := time.Since(start); took > patience {
+			t.Errorf("%s took %v", what, took)
+		}
+		switch {
+		case err == nil, errors.Is(err, ErrClosed), errors.Is(err, ErrLeaseExpired):
+		case ctxErr != nil && ctxErr() != nil && errors.Is(err, ctxErr()):
+		default:
+			t.Errorf("%s = %v", what, err)
+		}
+		return err
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			ls := nodes[c%2]
+			rng := rand.New(rand.NewSource(int64(c)))
+			for !stop.Load() {
+				k := rng.Intn(keys)
+				key := "k" + strconv.Itoa(k)
+				// One Lock in four gets a context that is done already or
+				// ends while it waits; the rest wait out a dead peer's
+				// token for at most 50ms.
+				wait := 50 * time.Millisecond
+				if rng.Intn(4) == 0 {
+					wait = time.Duration(rng.Intn(200)) * time.Microsecond
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), wait)
+				var fence uint64
+				err := timed("Lock", ctx.Err, func() (err error) { fence, err = ls.Lock(ctx, key); return })
+				cancel()
+				if err != nil {
+					continue
+				}
+				grants.Add(1)
+				if n := inside[k].Add(1); n != 1 {
+					t.Errorf("%d clients inside %s", n, key)
+				}
+				if !gate.Admit(key, fence) {
+					t.Errorf("fence %d of %s is below one already admitted", fence, key)
+				}
+				if rng.Intn(2) == 0 {
+					timed("Keepalive", nil, func() error { return ls.Keepalive(key, fence) })
+				}
+				inside[k].Add(-1)
+				timed("Unlock", nil, func() error { return ls.Unlock(key, fence) })
+			}
+		}(c)
+	}
+	time.Sleep(150 * time.Millisecond)
+	nodes[1].Close() // mid-flight: calls inside it, holds outstanding, batches arriving
+	time.Sleep(100 * time.Millisecond)
+	stop.Store(true)
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(2 * patience):
+		t.Fatal("clients still inside a call long after the patience")
+	}
+	if grants.Load() == 0 {
+		t.Error("no Lock was ever granted")
+	}
+	closeAll()
+	for tries := 0; runtime.NumGoroutine() > baseline; tries++ {
+		if tries == 100 {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the cluster existed:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -125,7 +125,7 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 				}
 				p := &muxPeer{sp: sp, self: ocube.Pos(i), host: host}
 				if cfg.Instances <= denseSlotCap && !cfg.forceSparse {
-					p.dense = make([]*core.Node, cfg.Instances)
+					p.dense = make([]int32, cfg.Instances)
 				} else {
 					p.index = make(map[uint64]int32)
 				}
@@ -257,7 +257,7 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 
 // noteGrant is the space-level counterpart of the Network's enterCS:
 // per-instance occupancy, violation accounting and release scheduling.
-func (sp *Space) noteGrant(p *muxPeer, inst uint64) {
+func (sp *Space) noteGrant(p *muxPeer, ref int32, inst uint64) {
 	sp.grants++
 	idx := int(inst) - 1
 	sp.occupancy[idx]++
@@ -271,7 +271,7 @@ func (sp *Space) noteGrant(p *muxPeer, inst uint64) {
 	if sp.cfg.CSTime != nil {
 		dur = sp.cfg.CSTime(sp.rng)
 	}
-	p.wheel.schedule(inst, wheelRelease, 0, sp.w.Eng.Now()+dur)
+	p.wheel.schedule(ref, inst, wheelRelease, 0, sp.w.Eng.Now()+dur)
 }
 
 // muxPeer multiplexes every instance hosted at one position behind the
@@ -280,19 +280,20 @@ func (sp *Space) noteGrant(p *muxPeer, inst uint64) {
 // and sends re-emitted as instance-tagged envelopes.
 //
 // Every state machine is minted by the position's core.Host and listed
-// in nodes in instantiation order. An instance id resolves to its
-// machine through exactly one of two representations chosen at
-// construction (see denseSlotCap): the dense pointer array indexed by
-// instance, or the sparse index into nodes. Everything order-sensitive
-// visits instances in ascending id order in both modes (byInstance), so
-// the two replay identically.
+// in nodes in instantiation order; its index there — its ref — is also
+// its row in the wheel's slot table, so a deadline finds its machine
+// without a lookup. An instance id resolves to its ref through one of two
+// representations chosen at construction (see denseSlotCap): the dense
+// array or the sparse index. Everything order-sensitive visits instances
+// in ascending id order in both modes (byInstance), so the two replay
+// identically.
 type muxPeer struct {
 	sp    *Space
 	self  ocube.Pos
 	host  *core.Host
 	nodes []*core.Node     // every instantiated machine, in instantiation order
-	dense []*core.Node     // by instance-1, nil until touched (nil slice when sparse)
-	index map[uint64]int32 // sparse: instance id → position in nodes (nil when dense)
+	dense []int32          // by instance-1: ref+1, zero until touched (nil slice when sparse)
+	index map[uint64]int32 // sparse: instance id → ref (nil when dense)
 	wheel timerWheel
 	em    core.Emitter
 
@@ -302,33 +303,34 @@ type muxPeer struct {
 	busyN   int // hosted machines reporting Busy
 }
 
-// lookup returns the instance's state machine, or nil when the instance
-// was never touched at this position.
-func (p *muxPeer) lookup(inst uint64) *core.Node {
+// lookup returns the ref of the instance's state machine, or -1 when the
+// instance was never touched at this position.
+func (p *muxPeer) lookup(inst uint64) int32 {
 	if p.dense != nil {
-		return p.dense[inst-1]
+		return p.dense[inst-1] - 1
 	}
-	if i, ok := p.index[inst]; ok {
-		return p.nodes[i]
+	if ref, ok := p.index[inst]; ok {
+		return ref
 	}
-	return nil
+	return -1
 }
 
-// ensure returns the instance's state machine, instantiating it
+// ensure returns the instance's ref and state machine, instantiating it
 // pristine on first touch.
-func (p *muxPeer) ensure(inst uint64) *core.Node {
-	if n := p.lookup(inst); n != nil {
-		return n
+func (p *muxPeer) ensure(inst uint64) (int32, *core.Node) {
+	if ref := p.lookup(inst); ref >= 0 {
+		return ref, p.nodes[ref]
 	}
 	n := p.host.NewNode(inst)
+	ref := p.wheel.mint()
 	if p.dense != nil {
-		p.dense[inst-1] = n
+		p.dense[inst-1] = ref + 1
 	} else {
-		p.index[inst] = int32(len(p.nodes))
+		p.index[inst] = ref
 	}
 	p.nodes = append(p.nodes, n)
 	p.sp.states++
-	return n
+	return ref, n
 }
 
 // byInstance returns the instantiated machines in ascending instance
@@ -339,11 +341,12 @@ func (p *muxPeer) byInstance() []*core.Node {
 	return out
 }
 
-// settle folds one machine's Busy transition across a call into the
-// peer's count: wasBusy is what the machine reported before the call.
-// The count needs no per-machine cache because every call into a
-// machine is bracketed this way, Failed zeroes it and Recover recounts.
-func (p *muxPeer) settle(n *core.Node, wasBusy bool) {
+// settle closes one call into machine ref. Its Busy transition across
+// the call is folded into the peer's count — wasBusy is what it reported
+// before; every call is bracketed this way, Failed zeroes the count and
+// Recover recounts, so it needs no per-machine cache. And the timers the
+// call cancelled leave the wheel: each was an idle engine event to come.
+func (p *muxPeer) settle(ref int32, n *core.Node, wasBusy bool) {
 	if b := n.Busy(); b != wasBusy {
 		if b {
 			p.busyN++
@@ -351,6 +354,7 @@ func (p *muxPeer) settle(n *core.Node, wasBusy bool) {
 			p.busyN--
 		}
 	}
+	p.wheel.reap(ref, n)
 }
 
 // translate re-emits an instance's effects in mux form: sends become
@@ -358,15 +362,15 @@ func (p *muxPeer) settle(n *core.Node, wasBusy bool) {
 // space, counters are folded. The inner effect slice expires at the next
 // call into any instance of this position (they share the host's
 // scratch), so translation copies everything it keeps.
-func (p *muxPeer) translate(inst uint64, effs []core.Effect) {
+func (p *muxPeer) translate(ref int32, inst uint64, effs []core.Effect) {
 	for _, e := range effs {
 		switch e := e.(type) {
 		case *core.Send:
 			p.em.SendEnvelope(core.Envelope{Instance: inst, Msg: e.Msg})
 		case *core.StartTimer:
-			p.wheel.schedule(inst, e.Kind, e.Gen, p.sp.w.Eng.Now()+e.Delay)
+			p.wheel.schedule(ref, inst, e.Kind, e.Gen, p.sp.w.Eng.Now()+e.Delay)
 		case *core.Grant:
-			p.sp.noteGrant(p, inst)
+			p.sp.noteGrant(p, ref, inst)
 		case *core.TokenRegenerated:
 			p.sp.regens++
 		case *core.StaleToken:
@@ -393,11 +397,8 @@ func (p *muxPeer) rearm() {
 
 // release ends an instance's simulated critical section (wheel-driven,
 // the analogue of the Network's evRelease).
-func (p *muxPeer) release(inst uint64) {
-	node := p.lookup(inst)
-	if node == nil {
-		return
-	}
+func (p *muxPeer) release(ref int32, inst uint64) {
+	node := p.nodes[ref]
 	was := node.Busy()
 	effs, err := node.ReleaseCS()
 	if err != nil {
@@ -410,8 +411,8 @@ func (p *muxPeer) release(inst uint64) {
 	if p.sp.occupancy[idx] > 0 {
 		p.sp.occupancy[idx]--
 	}
-	p.translate(inst, effs)
-	p.settle(node, was)
+	p.translate(ref, inst, effs)
+	p.settle(ref, node, was)
 }
 
 // --- sim.Peer ---
@@ -444,10 +445,10 @@ func (p *muxPeer) HandleEnvelope(env core.Envelope) []core.Effect {
 	if env.Instance == core.NoInstance || int(env.Instance) > p.sp.cfg.Instances {
 		panic(fmt.Sprintf("lockspace: envelope instance %d out of range at %v", env.Instance, p.self))
 	}
-	node := p.ensure(env.Instance)
+	ref, node := p.ensure(env.Instance)
 	was := node.Busy()
-	p.translate(env.Instance, node.HandleMessage(env.Msg))
-	p.settle(node, was)
+	p.translate(ref, env.Instance, node.HandleMessage(env.Msg))
+	p.settle(ref, node, was)
 	p.rearm()
 	return p.em.Take()
 }
@@ -458,7 +459,7 @@ func (p *muxPeer) RequestInstanceCS(inst uint64) ([]core.Effect, error) {
 	if inst == core.NoInstance || int(inst) > p.sp.cfg.Instances {
 		return nil, fmt.Errorf("lockspace: instance %d out of range at %v", inst, p.self)
 	}
-	node := p.ensure(inst)
+	ref, node := p.ensure(inst)
 	was := node.Busy()
 	effs, err := node.RequestCS()
 	if err != nil {
@@ -467,8 +468,8 @@ func (p *muxPeer) RequestInstanceCS(inst uint64) ([]core.Effect, error) {
 	if p.sp.onAccept != nil {
 		p.sp.onAccept(int(inst)-1, p.self)
 	}
-	p.translate(inst, effs)
-	p.settle(node, was)
+	p.translate(ref, inst, effs)
+	p.settle(ref, node, was)
 	p.rearm()
 	return p.em.Take(), nil
 }
@@ -491,16 +492,14 @@ func (p *muxPeer) HandleTimer(_ core.TimerKind, gen uint64) []core.Effect {
 			break
 		}
 		if ent.kind == wheelRelease {
-			p.release(ent.inst)
+			p.release(ent.ref, ent.inst)
 			continue
 		}
-		node := p.lookup(ent.inst)
-		if node == nil || node.TimerGen(ent.kind) != ent.gen {
-			continue // dead: cancelled or superseded since it was scheduled
-		}
+		// Live: settle reaps what a call cancels or supersedes.
+		node := p.nodes[ent.ref]
 		was := node.Busy()
-		p.translate(ent.inst, node.HandleTimer(ent.kind, ent.gen))
-		p.settle(node, was)
+		p.translate(ent.ref, ent.inst, node.HandleTimer(ent.kind, ent.gen))
+		p.settle(ent.ref, node, was)
 	}
 	p.rearm()
 	return p.em.Take()
@@ -534,8 +533,9 @@ func (p *muxPeer) Recover() []core.Effect {
 	p.em.Begin()
 	p.busyN = 0
 	for _, n := range p.byInstance() {
-		p.translate(n.Instance(), n.Recover())
-		p.settle(n, false)
+		ref := p.lookup(n.Instance())
+		p.translate(ref, n.Instance(), n.Recover())
+		p.settle(ref, n, false)
 	}
 	p.rearm()
 	return p.em.Take()

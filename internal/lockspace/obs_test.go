@@ -103,9 +103,10 @@ func TestLiveMetricsAndLineage(t *testing.T) {
 	}
 }
 
-// TestDeadlinesPendingGauge: the depth of the loop's deadline heap is a
-// series. The loop publishes it at the end of each iteration, so the test
-// reads it after a second call has gone through the loop.
+// TestDeadlinesPendingGauge: the number of live deadlines in the node's
+// heap is a series, published at the end of every step — so a call that
+// has returned has already been counted — and a deadline that is
+// cancelled leaves the count with the step that cancelled it.
 func TestDeadlinesPendingGauge(t *testing.T) {
 	reg := obs.NewRegistry()
 	mesh, err := transport.NewEnvMesh(1, 16)
@@ -124,27 +125,30 @@ func TestDeadlinesPendingGauge(t *testing.T) {
 	}
 	defer ls.Close()
 	pending := reg.Gauge("ocmx_lock_deadlines_pending", "", "node", "0")
-	if _, err := ls.Census(); err != nil {
-		t.Fatal(err)
+	want := func(when string, n float64) {
+		t.Helper()
+		if got := pending.Value(); got != n {
+			t.Errorf("ocmx_lock_deadlines_pending{node=0} %s = %g, want %g", when, got, n)
+		}
 	}
-	if got := pending.Value(); got != 0 {
-		t.Errorf("ocmx_lock_deadlines_pending{node=0} on an idle node = %g, want 0", got)
-	}
+	want("on an idle node", 0)
+	fences := map[string]uint64{}
 	for _, key := range []string{"a", "b"} {
-		if _, err := ls.Lock(context.Background(), key); err != nil {
+		if fences[key], err = ls.Lock(context.Background(), key); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := ls.Census(); err != nil {
+	want("with two leases running", 2)
+	if err := ls.Keepalive("a", fences["a"]); err != nil {
 		t.Fatal(err)
 	}
-	if got := pending.Value(); got != 2 {
-		t.Errorf("ocmx_lock_deadlines_pending{node=0} with two leases running = %g, want 2", got)
+	want("after a renewal", 2)
+	if err := ls.Unlock("a", fences["a"]); err != nil {
+		t.Fatal(err)
 	}
+	want("with one hold released", 1)
 	ls.Close()
-	if got := pending.Value(); got != 0 {
-		t.Errorf("ocmx_lock_deadlines_pending{node=0} after Close = %g, want 0", got)
-	}
+	want("after Close", 0)
 }
 
 // TestCloseStuckWaiterAutopsy closes a lockspace with a hold and a

@@ -21,9 +21,10 @@ type StableState struct {
 }
 
 // StableStore persists per-instance StableState across node restarts.
-// Save is called from the node's event loop on every change (seq bumps
-// on each request), so implementations should be cheap; Load is called
-// once per instance at first touch.
+// Save is called inside the step that changed the state, with the node's
+// mutex held (seq bumps on each request), so implementations should be
+// cheap and must not call back into the node; Load is called once per
+// instance at first touch, likewise.
 type StableStore interface {
 	Load(inst uint64) (StableState, bool)
 	Save(inst uint64, s StableState)

@@ -12,8 +12,11 @@ const (
 	// wheelRelease is the simulated driver's scheduled critical-section
 	// release.
 	wheelRelease core.TimerKind = 0
-	// wheelLease is the live loop's lease-expiry check.
+	// wheelLease is the live node's lease-expiry check.
 	wheelLease core.TimerKind = 0
+
+	// wheelKinds is the width of one machine's row in the slot table.
+	wheelKinds = core.NumTimerKinds + 1
 )
 
 // wheelEntry is one pending instance deadline.
@@ -21,51 +24,85 @@ type wheelEntry struct {
 	at   time.Duration
 	seq  uint64 // FIFO tie-break, so equal deadlines fire in schedule order
 	inst uint64 // envelope-tagged instance id (1-based)
-	kind core.TimerKind
 	gen  uint64 // arming generation of the instance's own timer (protocol kinds)
+	ref  int32  // the machine's row in the slot table (mint's return)
+	kind core.TimerKind
 }
 
 // timerWheel multiplexes the timers of every instance hosted at one
 // position onto a single timer: the simulator's per-(node, kind) slot
 // table cannot grow with thousands of instances, so the mux peer keeps
 // this private deadline heap and arms one engine timer for the earliest
-// entry; the live node loop (lockspace.go) keeps one too, under its one
-// time.Timer, with at measured from the loop's start. Like the engine's
-// own slot table, re-arming an (instance, kind) pair reschedules its
-// existing entry in place — FT runs re-arm suspicion timers on nearly
-// every message, and corpses would otherwise dominate the heap.
-// Everything is deterministic: binary-heap order on (at, seq), no map
-// iteration (the slot maps are only ever indexed, never ranged over).
+// entry; the live node (lockspace.go) keeps one too, under its one
+// time.Timer, with at measured from the node's start. Re-arming a
+// (machine, kind) pair reschedules its entry in place, and the drivers
+// reap what a machine cancels, so the heap holds live deadlines only.
+// Everything is deterministic: binary-heap order on (at, seq), and a
+// slot table addressed by the order the driver minted its machines in.
 type timerWheel struct {
 	ents []wheelEntry
-	// slot[kind] maps an instance id to its entry's heap index. One map
-	// per kind keys each on the whole 64-bit id: the live path's ids are
-	// FNV hashes (KeyInstance), and no packing of (id, kind) into one
-	// word keeps two ids that differ only in their top bits apart.
-	slot [core.NumTimerKinds + 1]map[uint64]int
+	// slot[ref*wheelKinds+kind] is one more than the heap index of the
+	// entry machine ref holds under kind; zero means it holds none.
+	slot []int32
 	seq  uint64
 }
 
-// schedule arms (or in-place reschedules) the entry for (inst, kind).
-func (w *timerWheel) schedule(inst uint64, kind core.TimerKind, gen uint64, at time.Duration) {
-	if w.slot[kind] == nil {
-		w.slot[kind] = make(map[uint64]int)
-	}
+// mint adds the slot row of a newly instantiated machine and returns its
+// ref.
+func (w *timerWheel) mint() int32 {
+	ref := int32(len(w.slot) / wheelKinds)
+	w.slot = append(w.slot, make([]int32, wheelKinds)...)
+	return ref
+}
+
+func slotOf(ref int32, kind core.TimerKind) int { return int(ref)*wheelKinds + int(kind) }
+
+// schedule arms (or in-place reschedules) the entry of machine ref —
+// instance inst — under kind.
+func (w *timerWheel) schedule(ref int32, inst uint64, kind core.TimerKind, gen uint64, at time.Duration) {
 	w.seq++
-	ent := wheelEntry{at: at, seq: w.seq, inst: inst, kind: kind, gen: gen}
-	if i, ok := w.slot[kind][inst]; ok {
-		old := w.ents[i]
-		w.ents[i] = ent
-		if ent.at < old.at || (ent.at == old.at && ent.seq < old.seq) {
-			w.siftUp(i)
-		} else {
-			w.siftDown(i)
-		}
+	ent := wheelEntry{at: at, seq: w.seq, inst: inst, gen: gen, ref: ref, kind: kind}
+	if i := int(w.slot[slotOf(ref, kind)]) - 1; i >= 0 {
+		w.replace(i, ent)
 		return
 	}
 	w.ents = append(w.ents, ent)
-	w.slot[kind][inst] = len(w.ents) - 1
 	w.siftUp(len(w.ents) - 1)
+}
+
+// replace puts ent where the heap holds another entry and restores heap
+// order.
+func (w *timerWheel) replace(i int, ent wheelEntry) {
+	old := w.ents[i]
+	w.ents[i] = ent
+	if w.less(&ent, &old) {
+		w.siftUp(i)
+	} else {
+		w.siftDown(i)
+	}
+}
+
+// pending reports whether machine ref has an entry under kind.
+func (w *timerWheel) pending(ref int32, kind core.TimerKind) bool {
+	return w.slot[slotOf(ref, kind)] != 0
+}
+
+// cancel removes machine ref's entry under kind, if it has one.
+func (w *timerWheel) cancel(ref int32, kind core.TimerKind) {
+	if i := int(w.slot[slotOf(ref, kind)]) - 1; i >= 0 {
+		w.remove(i)
+	}
+}
+
+// reap removes the protocol-timer entries of machine ref that node has
+// cancelled or superseded since they were scheduled: they could only
+// fire dead. The drivers run it after each call into the machine.
+func (w *timerWheel) reap(ref int32, node *core.Node) {
+	for kind := core.TimerKind(1); int(kind) < wheelKinds; kind++ {
+		if i := int(w.slot[slotOf(ref, kind)]) - 1; i >= 0 && w.ents[i].gen != node.TimerGen(kind) {
+			w.remove(i)
+		}
+	}
 }
 
 // earliest returns the next deadline.
@@ -82,24 +119,29 @@ func (w *timerWheel) popDue(now time.Duration) (wheelEntry, bool) {
 		return wheelEntry{}, false
 	}
 	ent := w.ents[0]
-	delete(w.slot[ent.kind], ent.inst)
-	last := len(w.ents) - 1
-	moved := w.ents[last]
-	w.ents = w.ents[:last]
-	if last > 0 {
-		w.ents[0] = moved
-		w.siftDown(0)
-	}
+	w.remove(0)
 	return ent, true
 }
 
-// clear drops every entry (node crash: all local deadlines are void),
-// keeping capacity.
-func (w *timerWheel) clear() {
-	w.ents = w.ents[:0]
-	for _, m := range w.slot {
-		clear(m)
+// remove takes the entry at heap index i out of the heap: the last entry
+// takes its place.
+func (w *timerWheel) remove(i int) {
+	w.slot[slotOf(w.ents[i].ref, w.ents[i].kind)] = 0
+	last := len(w.ents) - 1
+	moved := w.ents[last]
+	w.ents = w.ents[:last]
+	if i < last {
+		w.replace(i, moved)
 	}
+}
+
+// clear drops every entry (node crash: all local deadlines are void),
+// keeping capacity and every minted row.
+func (w *timerWheel) clear() {
+	for i := range w.ents {
+		w.slot[slotOf(w.ents[i].ref, w.ents[i].kind)] = 0
+	}
+	w.ents = w.ents[:0]
 }
 
 func (w *timerWheel) less(a, b *wheelEntry) bool {
@@ -111,7 +153,7 @@ func (w *timerWheel) less(a, b *wheelEntry) bool {
 
 func (w *timerWheel) place(i int, ent wheelEntry) {
 	w.ents[i] = ent
-	w.slot[ent.kind][ent.inst] = i
+	w.slot[slotOf(ent.ref, ent.kind)] = int32(i + 1)
 }
 
 func (w *timerWheel) siftUp(i int) {
