@@ -24,7 +24,6 @@ import (
 	"repro/internal/lockspace"
 	"repro/internal/ocube"
 	"repro/internal/sim"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -221,37 +220,18 @@ func BenchmarkLiveClusterContended(b *testing.B) {
 // own session on the in-memory SessMesh, configured like `ocmxchaos node`.
 // It returns the nodes and 64 key names.
 func liveMesh(tb testing.TB) ([]*lockspace.Lockspace, []string) {
-	const n, keys = 8, 64
-	mesh, err := transport.NewSessMesh(n, 4096)
+	c, err := NewLockspaceCluster(8,
+		WithFaultTolerance(200*time.Millisecond, 200*time.Millisecond, time.Second),
+		WithLeaseTTL(2*time.Second))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { mesh.Close() })
-	nodes := make([]*lockspace.Lockspace, n)
-	for i := range nodes {
-		self := ocube.Pos(i)
-		sess := transport.NewSession(self, mesh.Endpoint(self), transport.SessionConfig{})
-		tb.Cleanup(func() { sess.Close() })
-		ls, err := lockspace.New(lockspace.Config{
-			Node: core.Config{
-				Self: self, P: 3, FT: true, EpochFence: true,
-				Delta: 200 * time.Millisecond, CSEstimate: 200 * time.Millisecond,
-				SuspicionSlack: time.Second,
-			},
-			Transport: sess,
-			LeaseTTL:  2 * time.Second,
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { ls.Close() })
-		nodes[i] = ls
-	}
-	names := make([]string, keys)
+	tb.Cleanup(func() { c.Close() })
+	names := make([]string, 64)
 	for k := range names {
 		names[k] = "key-" + itoa(k)
 	}
-	return nodes, names
+	return c.nodes, names
 }
 
 // liveAcquire is acquire number i of one client going round the keys.

@@ -3,8 +3,8 @@
 // deterministic state machine: inputs are messages, local calls and timer
 // fires; outputs are Effects (sends, grants, timer arms). The package has
 // no goroutines and no wall clock, so the same node code runs under the
-// discrete-event simulator (internal/sim) and the live goroutine runtime
-// (internal/cluster).
+// discrete-event simulator (internal/sim) and the live runtime
+// (internal/lockspace).
 //
 // Sections 3.3 (the failure-free algorithm) and 5 (failure handling) of
 // the paper are implemented in node.go and failure.go respectively; the

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ocube"
-	"repro/internal/transport"
 )
 
 // Shutdown-path tests (the chaos-driver review fix): a Lock in flight
@@ -55,15 +54,12 @@ func TestCloseUnblocksInflightLock(t *testing.T) {
 // ls.stop never closes. Every blocked or later caller must still get
 // ErrClosed.
 func TestTransportClosureUnblocksLock(t *testing.T) {
-	mesh, err := transport.NewEnvMesh(2, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sessions, _ := newSessions(t, 2)
 	nodes := make([]*Lockspace, 2)
 	for i := range nodes {
 		ls, err := New(Config{
 			Node:      core.Config{Self: ocube.Pos(i), P: 1},
-			Transport: mesh.Endpoint(ocube.Pos(i)),
+			Transport: sessions[i],
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +74,7 @@ func TestTransportClosureUnblocksLock(t *testing.T) {
 	got := make(chan error, 1)
 	go func() { _, err := nodes[0].Lock(ctx, "k"); got <- err }()
 	time.Sleep(20 * time.Millisecond)
-	mesh.Close() // the loop's RecvBatch closes; the loop exits without stop
+	sessions[0].Close() // the loop's RecvBatch closes; the loop exits without stop
 	select {
 	case err := <-got:
 		if !errors.Is(err, ErrClosed) {
@@ -139,11 +135,9 @@ func TestCensusAtRest(t *testing.T) {
 // strictly higher fence — instead of fabricating a second token from
 // NewNode's initial conditions.
 func TestRejoinRestartReclaimsLock(t *testing.T) {
-	mesh, err := transport.NewEnvMesh(2, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mesh.Close() })
+	// Node 0's session outlives its first life: this test restarts the
+	// lockspace, not the wire under it.
+	sessions, _ := newSessions(t, 2)
 	stable0 := NewMemStable()
 	mk := func(self ocube.Pos, rejoin bool, st StableStore) *Lockspace {
 		ls, err := New(Config{
@@ -152,7 +146,7 @@ func TestRejoinRestartReclaimsLock(t *testing.T) {
 				Delta: 10 * time.Millisecond, CSEstimate: 10 * time.Millisecond,
 				SuspicionSlack: 5 * time.Millisecond,
 			},
-			Transport: mesh.Endpoint(self),
+			Transport: sessions[self],
 			Rejoin:    rejoin,
 			Stable:    st,
 		})

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ocube"
-	"repro/internal/transport"
 )
 
 // Fencing, lease-expiry, and cancellation tests (PR 6): the client-visible
@@ -18,32 +16,14 @@ import (
 // tolerance.
 func newLeasedSpace(t *testing.T, p int, ttl time.Duration, ft bool) []*Lockspace {
 	t.Helper()
-	n := 1 << p
-	mesh, err := transport.NewEnvMesh(n, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mesh.Close() })
-	nodes := make([]*Lockspace, n)
-	for i := range nodes {
-		node := core.Config{Self: ocube.Pos(i), P: p}
-		if ft {
-			node.FT = true
-			node.Delta = 10 * time.Millisecond
-			node.CSEstimate = 10 * time.Millisecond
-			node.SuspicionSlack = 5 * time.Millisecond
+	tmpl := Config{LeaseTTL: ttl}
+	if ft {
+		tmpl.Node = core.Config{
+			FT: true, Delta: 10 * time.Millisecond,
+			CSEstimate: 10 * time.Millisecond, SuspicionSlack: 5 * time.Millisecond,
 		}
-		ls, err := New(Config{
-			Node:      node,
-			Transport: mesh.Endpoint(ocube.Pos(i)),
-			LeaseTTL:  ttl,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ls.Close() })
-		nodes[i] = ls
 	}
+	nodes, _ := newSessMeshSpace(t, p, tmpl)
 	return nodes
 }
 

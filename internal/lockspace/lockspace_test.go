@@ -10,32 +10,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ocube"
-	"repro/internal/transport"
 )
 
-// newLiveSpace spins up a 2^p-node lockspace over an in-memory envelope
-// mesh (failure handling off: the mesh is reliable).
+// newLiveSpace spins up a 2^p-node lockspace with failure handling off:
+// the sessions under it are reliable.
 func newLiveSpace(t *testing.T, p int) []*Lockspace {
 	t.Helper()
-	n := 1 << p
-	mesh, err := transport.NewEnvMesh(n, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mesh.Close() })
-	nodes := make([]*Lockspace, n)
-	for i := range nodes {
-		ls, err := New(Config{
-			Node:      core.Config{Self: ocube.Pos(i), P: p},
-			Transport: mesh.Endpoint(ocube.Pos(i)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ls.Close() })
-		nodes[i] = ls
-	}
+	nodes, _ := newSessMeshSpace(t, p, Config{})
 	return nodes
 }
 

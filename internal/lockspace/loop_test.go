@@ -128,11 +128,7 @@ func TestLoopFlushesOncePerBurst(t *testing.T) {
 // runtime timer per deadline the closures held every closed node, and
 // every instance it hosted, until the last of them fired.
 func TestCloseDropsPendingDeadlines(t *testing.T) {
-	mesh, err := transport.NewEnvMesh(2, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
+	sessions, _ := newSessions(t, 2)
 	finalized := make(chan ocube.Pos, 2)
 	func() {
 		nodes := make([]*Lockspace, 2)
@@ -142,7 +138,7 @@ func TestCloseDropsPendingDeadlines(t *testing.T) {
 					Self: ocube.Pos(i), P: 1, FT: true,
 					Delta: time.Hour, CSEstimate: time.Hour, SuspicionSlack: time.Hour,
 				},
-				Transport: mesh.Endpoint(ocube.Pos(i)),
+				Transport: sessions[i],
 				LeaseTTL:  time.Hour,
 			})
 			if err != nil {
@@ -179,47 +175,65 @@ func TestCloseDropsPendingDeadlines(t *testing.T) {
 	}
 }
 
-// newSessMeshSpace builds 2^p nodes the way `ocmxchaos node` and the
-// live benchmark do — fault tolerance on, each over its own session on an
-// in-memory SessMesh — with failure-detector bounds and a lease no test
-// here reaches. reg may be nil. stop closes nodes, sessions and mesh; the
-// test's cleanup calls it too.
-func newSessMeshSpace(t *testing.T, p int, reg *obs.Registry) (nodes []*Lockspace, stop func()) {
+// newSessions builds the transports of n nodes the way `ocmxchaos node`,
+// the benchmark's live workloads and the public clusters do: each node
+// its own session on one in-memory SessMesh. stop closes them; it also
+// runs with the test's cleanup.
+func newSessions(t *testing.T, n int) (sessions []*transport.Session, stop func()) {
 	t.Helper()
-	mesh, err := transport.NewSessMesh(1<<p, 4096)
+	mesh, err := transport.NewSessMesh(n, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sessions []*transport.Session
+	for i := 0; i < n; i++ {
+		sessions = append(sessions, transport.NewSession(ocube.Pos(i), mesh.Endpoint(ocube.Pos(i)), transport.SessionConfig{}))
+	}
 	stop = func() {
-		for _, ls := range nodes {
-			ls.Close()
-		}
 		for _, sess := range sessions {
 			sess.Close()
 		}
 		mesh.Close()
 	}
 	t.Cleanup(stop)
-	for i := 0; i < 1<<p; i++ {
-		self := ocube.Pos(i)
-		sess := transport.NewSession(self, mesh.Endpoint(self), transport.SessionConfig{})
-		sessions = append(sessions, sess)
-		ls, err := New(Config{
-			Node: core.Config{
-				Self: self, P: p, FT: true, EpochFence: true,
-				Delta: time.Minute, CSEstimate: time.Minute, SuspicionSlack: time.Minute,
-			},
-			Transport: sess,
-			LeaseTTL:  time.Hour,
-			Metrics:   reg,
-		})
+	return sessions, stop
+}
+
+// newSessMeshSpace starts 2^p nodes over newSessions, each from tmpl with
+// its own position and session filled in. stop closes nodes and
+// sessions; it also runs with the test's cleanup.
+func newSessMeshSpace(t *testing.T, p int, tmpl Config) (nodes []*Lockspace, stop func()) {
+	t.Helper()
+	sessions, stopSessions := newSessions(t, 1<<p)
+	for i, sess := range sessions {
+		cfg := tmpl
+		cfg.Node.Self, cfg.Node.P, cfg.Transport = ocube.Pos(i), p, sess
+		ls, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, ls)
 	}
+	stop = func() {
+		for _, ls := range nodes {
+			ls.Close()
+		}
+		stopSessions()
+	}
+	t.Cleanup(stop)
 	return nodes, stop
+}
+
+// quietFT is the fault-tolerant template of a cluster no failure handling
+// should ever fire in: every timeout a minute, every lease an hour.
+func quietFT(reg *obs.Registry) Config {
+	return Config{
+		Node: core.Config{
+			FT: true, EpochFence: true,
+			Delta: time.Minute, CSEstimate: time.Minute, SuspicionSlack: time.Minute,
+		},
+		LeaseTTL: time.Hour,
+		Metrics:  reg,
+	}
 }
 
 // TestWheelHoldsOnlyLiveDeadlines: a deadline leaves the heap with the
@@ -232,7 +246,7 @@ func newSessMeshSpace(t *testing.T, p int, reg *obs.Registry) (nodes []*Lockspac
 func TestWheelHoldsOnlyLiveDeadlines(t *testing.T) {
 	const keys, holds, holder = 256, 5, 5
 	reg := obs.NewRegistry()
-	nodes, _ := newSessMeshSpace(t, 3, reg)
+	nodes, _ := newSessMeshSpace(t, 3, quietFT(reg))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -429,7 +443,7 @@ func TestCallFlushesBeforeReturn(t *testing.T) {
 func TestCallsRaceIngressAndClose(t *testing.T) {
 	const clients, keys, patience = 16, 4, 5 * time.Second
 	baseline := runtime.NumGoroutine()
-	nodes, closeAll := newSessMeshSpace(t, 1, nil)
+	nodes, closeAll := newSessMeshSpace(t, 1, quietFT(nil))
 
 	var gate metrics.FenceGate
 	var inside [keys]atomic.Int32

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/ocube"
-	"repro/internal/transport"
 )
 
 // Observability wiring tests: live metrics and token lineage, the
@@ -22,26 +20,7 @@ import (
 // recorder attached to every node.
 func newObsLiveSpace(t *testing.T, p int, reg *obs.Registry, fl *obs.Flight) []*Lockspace {
 	t.Helper()
-	n := 1 << p
-	mesh, err := transport.NewEnvMesh(n, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mesh.Close() })
-	nodes := make([]*Lockspace, n)
-	for i := range nodes {
-		ls, err := New(Config{
-			Node:      core.Config{Self: ocube.Pos(i), P: p},
-			Transport: mesh.Endpoint(ocube.Pos(i)),
-			Metrics:   reg,
-			Flight:    fl,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ls.Close() })
-		nodes[i] = ls
-	}
+	nodes, _ := newSessMeshSpace(t, p, Config{Metrics: reg, Flight: fl})
 	return nodes
 }
 
@@ -109,21 +88,9 @@ func TestLiveMetricsAndLineage(t *testing.T) {
 // cancelled leaves the count with the step that cancelled it.
 func TestDeadlinesPendingGauge(t *testing.T) {
 	reg := obs.NewRegistry()
-	mesh, err := transport.NewEnvMesh(1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mesh.Close()
-	ls, err := New(Config{
-		Node:      core.Config{Self: 0, P: 0},
-		Transport: mesh.Endpoint(0),
-		LeaseTTL:  time.Hour,
-		Metrics:   reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ls.Close()
+	nodes, _ := newSessMeshSpace(t, 0, Config{LeaseTTL: time.Hour, Metrics: reg})
+	ls := nodes[0]
+	var err error
 	pending := reg.Gauge("ocmx_lock_deadlines_pending", "", "node", "0")
 	want := func(when string, n float64) {
 		t.Helper()
@@ -156,16 +123,12 @@ func TestDeadlinesPendingGauge(t *testing.T) {
 // the key's instance, its lineage (through the attached flight
 // recorder), and the wedged state.
 func TestCloseStuckWaiterAutopsy(t *testing.T) {
-	mesh, err := transport.NewEnvMesh(2, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { mesh.Close() })
+	sessions, _ := newSessions(t, 2)
 	fl := obs.NewFlight(32)
 	var autopsy bytes.Buffer
 	ls, err := New(Config{
 		Node:      core.Config{Self: 0, P: 1},
-		Transport: mesh.Endpoint(0),
+		Transport: sessions[0],
 		Flight:    fl,
 		Autopsy:   &autopsy,
 	})

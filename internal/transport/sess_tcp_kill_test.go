@@ -6,25 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ocube"
 )
-
-// reserveLoopbackAddrs grabs n free loopback ports and returns them as
-// a transport address map (the same bootstrap TestSessTCPRoundTrip
-// uses: listen on :0, record the address, close).
-func reserveLoopbackAddrs(t *testing.T, n int) map[ocube.Pos]string {
-	t.Helper()
-	addrs := map[ocube.Pos]string{}
-	for i := ocube.Pos(0); i < ocube.Pos(n); i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	return addrs
-}
 
 // killLiveConns hard-closes every TCP connection of the link — outbound
 // cached conns and inbound accepted ones — without touching the
@@ -32,17 +14,17 @@ func reserveLoopbackAddrs(t *testing.T, n int) map[ocube.Pos]string {
 // mid-stream. The next send re-dials lazily; the session layer replays
 // whatever died on the wire.
 func killLiveConns(t *SessTCP) int {
-	t.link.mu.Lock()
+	t.mu.Lock()
 	var conns []net.Conn
-	for _, pc := range t.link.conns {
+	for _, pc := range t.conns {
 		if pc.conn != nil {
 			conns = append(conns, pc.conn)
 		}
 	}
-	for c := range t.link.accepted {
+	for c := range t.accepted {
 		conns = append(conns, c)
 	}
-	t.link.mu.Unlock()
+	t.mu.Unlock()
 	for _, c := range conns {
 		c.Close()
 	}

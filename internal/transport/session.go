@@ -21,8 +21,8 @@ import (
 // limit. The simulator hosts its own driver of the same discipline
 // (internal/sim, Config.Session) so LossyDelay/PartitionWindow validate
 // it deterministically; this one rides any FrameLink — the in-memory
-// SessMesh for tests and SessTCP for multi-process deployments, where a
-// dropped connection is repaired by tcpLink's lazy redial and the
+// SessMesh in one process and SessTCP for multi-process deployments, where a
+// dropped connection is repaired by the link's lazy redial and the
 // retransmit timers replay everything the drop swallowed.
 //
 // Acks ride, they are not sent: a received data frame makes its ack
@@ -79,9 +79,8 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	return c
 }
 
-// SessionStats are session-wide reliability counters, the retransmission
-// counterpart of MeshStats: how much work the session layer did to make
-// the channel look reliable.
+// SessionStats are session-wide reliability counters: how much work the
+// session layer did to make the channel look reliable.
 type SessionStats struct {
 	// Frames counts first transmissions of data frames.
 	Frames int64
@@ -750,9 +749,9 @@ func (s *Session) Close() error {
 
 var _ BatchTransport = (*Session)(nil)
 
-// SessMesh is the in-memory FrameLink switchboard: the frame counterpart
-// of EnvMesh, with an optional deterministic drop hook so session tests
-// inject loss without a real lossy network.
+// SessMesh is the in-memory FrameLink switchboard connecting the nodes
+// of a single-process cluster, with an optional deterministic drop hook
+// so session tests inject loss without a real lossy network.
 type SessMesh struct {
 	mu     sync.Mutex
 	boxes  []chan SessFrame
@@ -861,45 +860,4 @@ func (e *sessMeshEndpoint) pushTo(sink func(SessFrame)) (stop func()) {
 var (
 	_ FrameLink   = (*sessMeshEndpoint)(nil)
 	_ framePusher = (*sessMeshEndpoint)(nil)
-)
-
-// SessTCP is a FrameLink over TCP sockets with one binary-framed session
-// frame per wire frame (wire.go). Pair it with NewSession for a reliable
-// multi-process BatchTransport: a dropped connection is re-dialed lazily
-// by the link, and the session's retransmission replays whatever the
-// drop swallowed.
-type SessTCP struct {
-	link *tcpLink[SessFrame]
-}
-
-// NewSessTCP starts a session frame link for self, listening on
-// addrs[self].
-func NewSessTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*SessTCP, error) {
-	link, err := newTCPLink(self, addrs, sessCodec)
-	if err != nil {
-		return nil, err
-	}
-	return &SessTCP{link: link}, nil
-}
-
-// Addr returns the bound listen address (useful with ":0" ports).
-func (t *SessTCP) Addr() string { return t.link.Addr() }
-
-// SendFrame implements FrameLink.
-func (t *SessTCP) SendFrame(to ocube.Pos, f SessFrame) error { return t.link.send(to, f) }
-
-// RecvFrame implements FrameLink.
-func (t *SessTCP) RecvFrame() <-chan SessFrame { return t.link.inbox }
-
-// Close implements FrameLink.
-func (t *SessTCP) Close() error { return t.link.close() }
-
-func (t *SessTCP) pushTo(sink func(SessFrame)) (stop func()) {
-	t.link.sink.Store(&sink)
-	return func() { t.link.sink.CompareAndSwap(&sink, nil) }
-}
-
-var (
-	_ FrameLink   = (*SessTCP)(nil)
-	_ framePusher = (*SessTCP)(nil)
 )

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -269,16 +268,7 @@ func testSessionClosedSend(t *testing.T, wrap linkWrap) {
 func TestSessTCPRoundTrip(t *testing.T) { eachIngress(t, testSessTCPRoundTrip) }
 
 func testSessTCPRoundTrip(t *testing.T, wrap linkWrap) {
-	// Reserve two loopback ports (same bootstrap as tcpPair).
-	addrs := map[ocube.Pos]string{}
-	for i := ocube.Pos(0); i < 2; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
+	addrs := reserveLoopbackAddrs(t, 2)
 	l0, err := NewSessTCP(0, addrs)
 	if err != nil {
 		t.Fatal(err)
@@ -294,16 +284,28 @@ func testSessTCPRoundTrip(t *testing.T, wrap linkWrap) {
 	defer a.Close()
 	defer b.Close()
 
+	// The BatchTransport contract: the sender reuses one buffer, so the
+	// session must have copied each batch before SendBatch returned; an
+	// empty batch is no frame at all.
 	const n = 5
+	buf := payload(0)
 	for i := 0; i < n; i++ {
-		if err := a.SendBatch(1, payload(i)); err != nil {
+		buf[0] = payload(i)[0]
+		if err := a.SendBatch(1, buf); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
+	}
+	buf[0].Instance = 999
+	if err := a.SendBatch(1, nil); err != nil {
+		t.Errorf("empty batch = %v, want nil", err)
 	}
 	got := collect(t, b, n)
 	for i := 0; i < n; i++ {
 		if got[uint64(i+1)] != 1 {
 			t.Errorf("batch %d delivered %d times, want exactly once", i, got[uint64(i+1)])
 		}
+	}
+	if frames := a.Stats().Frames; frames != n {
+		t.Errorf("%d data frames sent, want %d (the empty batch is none)", frames, n)
 	}
 }

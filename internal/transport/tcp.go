@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ocube"
 )
 
@@ -16,25 +15,25 @@ import (
 // the frame counts as lost, which every caller already tolerates.
 const dialTimeout = 2 * time.Second
 
-// tcpLink is the generic TCP machinery shared by the single-message
-// transport (TCP), the envelope-batch transport (EnvTCP) and the session
-// frame link (SessTCP): each node listens on its own address and dials
-// peers lazily; outbound connections are cached and serialized per peer;
-// frames of type F travel in the fixed binary layout of wire.go. Suitable
-// for the multi-process examples; production hardening (TLS,
-// reconnection backoff) is out of scope for the reproduction.
-type tcpLink[F any] struct {
-	self  ocube.Pos
+// SessTCP is the FrameLink over TCP sockets: each node listens on its
+// own address and dials peers lazily; outbound connections are cached
+// and serialized per peer; one session frame travels per wire frame, in
+// the fixed binary layout of wire.go. Pair it with NewSession for a
+// reliable multi-process BatchTransport: a dropped connection is
+// re-dialed by the next send, and the session's retransmission replays
+// whatever the drop swallowed. Suitable for the multi-process examples;
+// production hardening (TLS, reconnection backoff) is out of scope for
+// the reproduction.
+type SessTCP struct {
 	addrs map[ocube.Pos]string
-	codec wireCodec[F]
 	// dial opens the connection to a peer address (a hook for tests).
 	dial func(addr string) (net.Conn, error)
 
 	listener net.Listener
-	inbox    chan F
+	inbox    chan SessFrame
 	// sink, when set, takes each inbound frame on the connection's reader
-	// in place of inbox (SessTCP.pushTo).
-	sink   atomic.Pointer[func(F)]
+	// in place of inbox (pushTo).
+	sink   atomic.Pointer[func(SessFrame)]
 	closed atomic.Bool // set under mu; readLoop reads it without
 
 	mu       sync.Mutex
@@ -53,8 +52,9 @@ type peerConn struct {
 	buf  []byte // encode buffer, reused across sends
 }
 
-// newTCPLink starts the listener and accept loop for self.
-func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string, codec wireCodec[F]) (*tcpLink[F], error) {
+// NewSessTCP starts a session frame link for self, listening on
+// addrs[self].
+func NewSessTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*SessTCP, error) {
 	addr, ok := addrs[self]
 	if !ok {
 		return nil, fmt.Errorf("transport: no address for self %v", self)
@@ -63,15 +63,13 @@ func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string, codec wireCod
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	t := &tcpLink[F]{
-		self:  self,
+	t := &SessTCP{
 		addrs: make(map[ocube.Pos]string, len(addrs)),
-		codec: codec,
 		dial: func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, dialTimeout)
 		},
 		listener: ln,
-		inbox:    make(chan F, 1024),
+		inbox:    make(chan SessFrame, 1024),
 		conns:    make(map[ocube.Pos]*peerConn),
 		accepted: make(map[net.Conn]bool),
 	}
@@ -84,9 +82,9 @@ func newTCPLink[F any](self ocube.Pos, addrs map[ocube.Pos]string, codec wireCod
 }
 
 // Addr returns the bound listen address (useful with ":0" ports).
-func (t *tcpLink[F]) Addr() string { return t.listener.Addr().String() }
+func (t *SessTCP) Addr() string { return t.listener.Addr().String() }
 
-func (t *tcpLink[F]) acceptLoop() {
+func (t *SessTCP) acceptLoop() {
 	defer t.wg.Done()
 	for {
 		conn, err := t.listener.Accept()
@@ -106,7 +104,7 @@ func (t *tcpLink[F]) acceptLoop() {
 	}
 }
 
-func (t *tcpLink[F]) readLoop(conn net.Conn) {
+func (t *SessTCP) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
 		conn.Close()
@@ -120,7 +118,7 @@ func (t *tcpLink[F]) readLoop(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		f, err := t.codec.get(body)
+		f, err := readSessFrame(body)
 		if err != nil || t.closed.Load() {
 			return
 		}
@@ -131,14 +129,15 @@ func (t *tcpLink[F]) readLoop(conn net.Conn) {
 		select {
 		case t.inbox <- f:
 		default:
-			// Inbox overflow: drop. The failure machinery treats a lost
-			// message like a transient fault and recovers.
+			// Inbox overflow: drop. The session retransmits what it does
+			// not see acknowledged.
 		}
 	}
 }
 
-// send encodes one frame and writes it to the peer, dialing lazily.
-func (t *tcpLink[F]) send(to ocube.Pos, frame F) error {
+// SendFrame implements FrameLink: it encodes the frame and writes it to
+// the peer, dialing lazily.
+func (t *SessTCP) SendFrame(to ocube.Pos, f SessFrame) error {
 	t.mu.Lock()
 	if t.closed.Load() {
 		t.mu.Unlock()
@@ -173,7 +172,7 @@ func (t *tcpLink[F]) send(to ocube.Pos, frame F) error {
 		pc.conn = conn
 		t.mu.Unlock()
 	}
-	buf, err := appendWireFrame(pc.buf[:0], t.codec, frame)
+	buf, err := appendWireFrame(pc.buf[:0], f)
 	if err != nil {
 		return err
 	}
@@ -189,8 +188,17 @@ func (t *tcpLink[F]) send(to ocube.Pos, frame F) error {
 	return nil
 }
 
-// close shuts the listener, every connection, and the inbox.
-func (t *tcpLink[F]) close() error {
+// RecvFrame implements FrameLink.
+func (t *SessTCP) RecvFrame() <-chan SessFrame { return t.inbox }
+
+func (t *SessTCP) pushTo(sink func(SessFrame)) (stop func()) {
+	t.sink.Store(&sink)
+	return func() { t.sink.CompareAndSwap(&sink, nil) }
+}
+
+// Close implements FrameLink: it shuts the listener, every connection,
+// and the inbox.
+func (t *SessTCP) Close() error {
 	t.mu.Lock()
 	if t.closed.Load() {
 		t.mu.Unlock()
@@ -217,70 +225,7 @@ func (t *tcpLink[F]) close() error {
 	return err
 }
 
-// TCP is a Transport over TCP sockets with one binary-framed message per
-// wire frame (examples/tcpcluster).
-type TCP struct {
-	link *tcpLink[core.Message]
-}
-
-// NewTCP starts a TCP transport for self, listening on addrs[self].
-func NewTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*TCP, error) {
-	link, err := newTCPLink(self, addrs, messageCodec)
-	if err != nil {
-		return nil, err
-	}
-	return &TCP{link: link}, nil
-}
-
-// Addr returns the bound listen address (useful with ":0" ports).
-func (t *TCP) Addr() string { return t.link.Addr() }
-
-// Send implements Transport.
-func (t *TCP) Send(m core.Message) error { return t.link.send(m.To, m) }
-
-// Recv implements Transport.
-func (t *TCP) Recv() <-chan core.Message { return t.link.inbox }
-
-// Close implements Transport.
-func (t *TCP) Close() error { return t.link.close() }
-
-var _ Transport = (*TCP)(nil)
-
-// EnvTCP is a BatchTransport over TCP sockets with one binary-framed
-// envelope batch per wire frame — the multi-process wire of a lockspace.
-// All instances share one connection mesh: the per-peer connection
-// carries every instance's traffic, batched per destination by the
-// sender.
-type EnvTCP struct {
-	link *tcpLink[[]core.Envelope]
-}
-
-// NewEnvTCP starts an envelope-batch transport for self, listening on
-// addrs[self].
-func NewEnvTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*EnvTCP, error) {
-	link, err := newTCPLink(self, addrs, batchCodec)
-	if err != nil {
-		return nil, err
-	}
-	return &EnvTCP{link: link}, nil
-}
-
-// Addr returns the bound listen address (useful with ":0" ports).
-func (t *EnvTCP) Addr() string { return t.link.Addr() }
-
-// SendBatch implements BatchTransport. The batch is encoded before
-// returning, so the caller may reuse its buffer.
-func (t *EnvTCP) SendBatch(to ocube.Pos, batch []core.Envelope) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	return t.link.send(to, batch)
-}
-
-// RecvBatch implements BatchTransport.
-func (t *EnvTCP) RecvBatch() <-chan []core.Envelope { return t.link.inbox }
-
-// Close implements BatchTransport.
-func (t *EnvTCP) Close() error { return t.link.close() }
-
-var _ BatchTransport = (*EnvTCP)(nil)
+var (
+	_ FrameLink   = (*SessTCP)(nil)
+	_ framePusher = (*SessTCP)(nil)
+)

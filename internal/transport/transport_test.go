@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,14 +11,28 @@ import (
 	"repro/internal/ocube"
 )
 
+// The tests in this file drive the two FrameLinks bare, with no Session
+// on top: what a link does with one frame.
+
+func envBatch(inst uint64, n int) []core.Envelope {
+	out := make([]core.Envelope, n)
+	for i := range out {
+		out[i] = core.Envelope{
+			Instance: inst + uint64(i),
+			Msg:      core.Message{Kind: core.KindRequest, From: 0, To: 1, Target: 1, Source: 0, Seq: uint64(7 + i)},
+		}
+	}
+	return out
+}
+
 func TestNewMeshValidation(t *testing.T) {
-	if _, err := NewMesh(0, 1); err == nil {
-		t.Error("NewMesh(0) succeeded")
+	if _, err := NewSessMesh(0, 1); err == nil {
+		t.Error("NewSessMesh(0) succeeded")
 	}
-	if _, err := NewMesh(-1, 1); err == nil {
-		t.Error("NewMesh(-1) succeeded")
+	if _, err := NewSessMesh(-1, 1); err == nil {
+		t.Error("NewSessMesh(-1) succeeded")
 	}
-	m, err := NewMesh(2, 0) // buffer clamped to default
+	m, err := NewSessMesh(2, 0) // buffer clamped to default
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,64 +40,58 @@ func TestNewMeshValidation(t *testing.T) {
 }
 
 func TestMeshRoundTrip(t *testing.T) {
-	m, err := NewMesh(3, 8)
+	m, err := NewSessMesh(3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	a, b := m.Endpoint(0), m.Endpoint(1)
-	want := core.Message{Kind: core.KindRequest, From: 0, To: 1, Target: 2, Source: 0, Seq: 7}
-	if err := a.Send(want); err != nil {
+	want := SessFrame{From: 0, Boot: 1, Seq: 7, Batch: envBatch(5, 3)}
+	if err := a.SendFrame(1, want); err != nil {
 		t.Fatal(err)
 	}
-	got := <-b.Recv()
-	if got != want {
+	if got := <-b.RecvFrame(); !reflect.DeepEqual(got, want) {
 		t.Errorf("got %v, want %v", got, want)
 	}
 }
 
 func TestMeshBadDestination(t *testing.T) {
-	m, err := NewMesh(2, 4)
+	m, err := NewSessMesh(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if err := m.Endpoint(0).Send(core.Message{To: 9}); err == nil {
+	if err := m.Endpoint(0).SendFrame(9, SessFrame{}); err == nil {
 		t.Error("send to out-of-range destination succeeded")
 	}
 }
 
+// TestMeshOverflow: a full inbox refuses the frame and says so — to a
+// session that is a lost frame, which it sends again — and takes frames
+// again once drained.
 func TestMeshOverflow(t *testing.T) {
-	m, err := NewMesh(2, 1)
+	m, err := NewSessMesh(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 	e := m.Endpoint(0)
-	if err := e.Send(core.Message{To: 1}); err != nil {
+	if err := e.SendFrame(1, SessFrame{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Send(core.Message{To: 1}); err == nil {
+	if err := e.SendFrame(1, SessFrame{Seq: 2}); err == nil {
 		t.Error("overflowing send succeeded")
 	}
-	// The overflow is not silent: callers that discard the error (the
-	// cluster runtime treats it as message loss) still leave a trace in
-	// the mesh-wide drop counter.
-	if got := m.Stats(); got.Sent != 1 || got.Dropped != 1 {
-		t.Errorf("Stats = %+v, want Sent=1 Dropped=1", got)
+	if got := <-m.Endpoint(1).RecvFrame(); got.Seq != 1 {
+		t.Errorf("got seq %d, want 1", got.Seq)
 	}
-	// A send to an out-of-range destination is an addressing error, not an
-	// overflow drop.
-	if err := e.Send(core.Message{To: 9}); err == nil {
-		t.Error("send to out-of-range destination succeeded")
-	}
-	if got := m.Stats(); got.Dropped != 1 {
-		t.Errorf("Dropped = %d after addressing error, want 1", got.Dropped)
+	if err := e.SendFrame(1, SessFrame{Seq: 2}); err != nil {
+		t.Errorf("send into the drained inbox: %v", err)
 	}
 }
 
 func TestMeshClosed(t *testing.T) {
-	m, err := NewMesh(2, 4)
+	m, err := NewSessMesh(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +102,10 @@ func TestMeshClosed(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if err := e.Send(core.Message{To: 1}); err != ErrClosed {
+	if err := e.SendFrame(1, SessFrame{}); err != ErrClosed {
 		t.Errorf("send after close = %v, want ErrClosed", err)
 	}
-	if _, ok := <-m.Endpoint(1).Recv(); ok {
+	if _, ok := <-m.Endpoint(1).RecvFrame(); ok {
 		t.Error("recv channel not closed")
 	}
 	if err := e.Close(); err != nil {
@@ -104,11 +113,12 @@ func TestMeshClosed(t *testing.T) {
 	}
 }
 
-func tcpPair(t *testing.T) (*TCP, *TCP) {
+// reserveLoopbackAddrs grabs n free loopback ports and returns them as a
+// transport address map (listen on :0, record the address, close).
+func reserveLoopbackAddrs(t *testing.T, n int) map[ocube.Pos]string {
 	t.Helper()
-	// Reserve two loopback ports.
 	addrs := map[ocube.Pos]string{}
-	for i := ocube.Pos(0); i < 2; i++ {
+	for i := ocube.Pos(0); i < ocube.Pos(n); i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -116,11 +126,17 @@ func tcpPair(t *testing.T) (*TCP, *TCP) {
 		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
-	a, err := NewTCP(0, addrs)
+	return addrs
+}
+
+func tcpPair(t *testing.T) (*SessTCP, *SessTCP) {
+	t.Helper()
+	addrs := reserveLoopbackAddrs(t, 2)
+	a, err := NewSessTCP(0, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTCP(1, addrs)
+	b, err := NewSessTCP(1, addrs)
 	if err != nil {
 		a.Close()
 		t.Fatal(err)
@@ -128,45 +144,50 @@ func tcpPair(t *testing.T) (*TCP, *TCP) {
 	return a, b
 }
 
+// recvFrame takes the link's next inbound frame.
+func recvFrame(t *testing.T, l *SessTCP) SessFrame {
+	t.Helper()
+	select {
+	case f := <-l.RecvFrame():
+		return f
+	case <-time.After(10 * time.Second):
+		t.Fatal("timeout")
+		return SessFrame{}
+	}
+}
+
 func TestTCPRoundTrip(t *testing.T) {
 	a, b := tcpPair(t)
 	defer a.Close()
 	defer b.Close()
-	want := core.Message{Kind: core.KindToken, From: 0, To: 1, Lender: ocube.None, Seq: 3}
-	if err := a.Send(want); err != nil {
+	want := SessFrame{From: 0, Boot: 1, Seq: 3, Batch: envBatch(42, 2)}
+	if err := a.SendFrame(1, want); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-b.Recv():
-		if got != want {
-			t.Errorf("got %v, want %v", got, want)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout")
+	if got := recvFrame(t, b); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
 	}
-	// And the reverse direction (b dials back).
-	back := core.Message{Kind: core.KindTokenAck, From: 1, To: 0, Seq: 3}
-	if err := b.Send(back); err != nil {
+	// And the reverse direction (b dials back), a pure ack.
+	back := SessFrame{From: 1, Boot: 1, ToBoot: 1, Ack: 3}
+	if err := b.SendFrame(0, back); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-a.Recv():
-		if got != back {
-			t.Errorf("got %v, want %v", got, back)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout")
+	if got := recvFrame(t, a); !reflect.DeepEqual(got, back) {
+		t.Errorf("got %v, want %v", got, back)
 	}
 }
 
 func TestTCPErrors(t *testing.T) {
-	if _, err := NewTCP(0, map[ocube.Pos]string{1: "127.0.0.1:0"}); err == nil {
-		t.Error("NewTCP without self address succeeded")
+	if _, err := NewSessTCP(0, map[ocube.Pos]string{1: "127.0.0.1:0"}); err == nil {
+		t.Error("NewSessTCP without self address succeeded")
 	}
 	a, b := tcpPair(t)
 	defer b.Close()
-	if err := a.Send(core.Message{To: 5}); err == nil {
+	if err := a.SendFrame(5, SessFrame{}); err == nil {
 		t.Error("send to unknown peer succeeded")
+	}
+	if err := a.SendFrame(1, SessFrame{Batch: make([]core.Envelope, MaxBatch+1)}); err == nil {
+		t.Error("a batch above MaxBatch was sent")
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -174,7 +195,7 @@ func TestTCPErrors(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
-	if err := a.Send(core.Message{To: 1}); err != ErrClosed {
+	if err := a.SendFrame(1, SessFrame{}); err != ErrClosed {
 		t.Errorf("send after close = %v, want ErrClosed", err)
 	}
 }
@@ -183,24 +204,24 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 	a, b := tcpPair(t)
 	defer a.Close()
 	addr := b.Addr()
-	if err := a.Send(core.Message{Kind: core.KindRequest, To: 1, Seq: 1}); err != nil {
+	if err := a.SendFrame(1, SessFrame{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
-	<-b.Recv()
+	recvFrame(t, b)
 	b.Close()
 	// Sends now fail (peer down) until it comes back; the first may hit
 	// the cached dead connection.
-	_ = a.Send(core.Message{Kind: core.KindRequest, To: 1, Seq: 2})
+	_ = a.SendFrame(1, SessFrame{Seq: 2})
 
 	table := map[ocube.Pos]string{0: a.Addr(), 1: addr}
-	b2, err := NewTCP(1, table)
+	b2, err := NewSessTCP(1, table)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b2.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if err := a.Send(core.Message{Kind: core.KindRequest, To: 1, Seq: 3}); err == nil {
+		if err := a.SendFrame(1, SessFrame{Seq: 3}); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -208,13 +229,8 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	select {
-	case got := <-b2.Recv():
-		if got.Seq != 3 {
-			t.Errorf("got seq %d, want 3", got.Seq)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout after redial")
+	if got := recvFrame(t, b2); got.Seq != 3 {
+		t.Errorf("got seq %d, want 3", got.Seq)
 	}
 }
 
@@ -224,12 +240,12 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 // lock the second send waits for the first to give up.
 func TestTCPDeadPeerDoesNotStallLink(t *testing.T) {
 	addrs := reserveLoopbackAddrs(t, 3)
-	a, err := NewTCP(0, addrs)
+	a, err := NewSessTCP(0, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	c, err := NewTCP(2, addrs)
+	c, err := NewSessTCP(2, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +253,7 @@ func TestTCPDeadPeerDoesNotStallLink(t *testing.T) {
 
 	dialing := make(chan struct{})
 	release := make(chan struct{})
-	a.link.dial = func(addr string) (net.Conn, error) {
+	a.dial = func(addr string) (net.Conn, error) {
 		if addr == addrs[1] {
 			close(dialing)
 			<-release
@@ -247,11 +263,11 @@ func TestTCPDeadPeerDoesNotStallLink(t *testing.T) {
 	}
 
 	dead := make(chan error, 1)
-	go func() { dead <- a.Send(core.Message{Kind: core.KindRequest, To: 1, Seq: 1}) }()
+	go func() { dead <- a.SendFrame(1, SessFrame{Seq: 1}) }()
 	<-dialing
 
 	live := make(chan error, 1)
-	go func() { live <- a.Send(core.Message{Kind: core.KindRequest, To: 2, Seq: 2}) }()
+	go func() { live <- a.SendFrame(2, SessFrame{Seq: 2}) }()
 	select {
 	case err := <-live:
 		if err != nil {
@@ -260,13 +276,8 @@ func TestTCPDeadPeerDoesNotStallLink(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("send to a live peer waited on the dial to a dead one")
 	}
-	select {
-	case got := <-c.Recv():
-		if got.Seq != 2 {
-			t.Errorf("got seq %d, want 2", got.Seq)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timeout")
+	if got := recvFrame(t, c); got.Seq != 2 {
+		t.Errorf("got seq %d, want 2", got.Seq)
 	}
 
 	close(release)

@@ -11,14 +11,24 @@ import (
 	"repro/internal/ocube"
 )
 
-// This file is the one codec for everything a tcpLink carries. A wire
-// frame is a little-endian uint32 body length followed by the body; the
-// three frame types (core.Message for TCP, []core.Envelope for EnvTCP,
-// SessFrame for SessTCP) share one fixed-size envelope record, so a
+// This file is the codec of the one frame a TCP socket carries. A wire
+// frame is a little-endian uint32 body length followed by the body, a
+// SessFrame: a fixed head, then one fixed-size record per envelope, so a
 // frame is encoded by appending into a buffer and decoded by indexing
 // into one — no reflection, no type descriptors on the stream, and a
 // body whose length does not match its declared count is rejected
 // before anything is allocated.
+//
+// Body (wireSessHead bytes, then count records):
+//
+//	off size field
+//	  0    4 From        (int32)
+//	  4    4 count       (envelopes in Batch)
+//	  8    8 Boot
+//	 16    8 Seq
+//	 24    8 Ack
+//	 32    8 ToBoot
+//	 40    4 AckRun
 //
 // Envelope record (wireRecordSize bytes; every field of core.Message
 // plus Envelope.Instance):
@@ -39,16 +49,8 @@ import (
 //	 53    1 Msg.Status
 //	 54    1 Msg.Reply
 //	 55    1 flags: bit 0 Msg.Regen, bit 1 Msg.FromSearcher
-//
-// Bodies:
-//
-//	core.Message    one record (Instance written as 0)
-//	[]core.Envelope count uint32 | count records
-//	SessFrame       From int32 | count uint32 | Boot | Seq | Ack |
-//	                ToBoot (uint64 each) | AckRun uint32 | count records
 const (
 	wireRecordSize = 56
-	wireBatchHead  = 4
 	wireSessHead   = 44
 
 	// MaxBatch caps the envelopes one wire frame may carry. A sender
@@ -67,42 +69,7 @@ const _ = uint(31 - ocube.MaxP)
 
 var errWireMalformed = errors.New("transport: malformed wire frame")
 
-// wireCodec is the encode/decode pair a tcpLink is built with.
-type wireCodec[F any] struct {
-	// put appends f's body to dst.
-	put func(dst []byte, f F) ([]byte, error)
-	// get parses one body; the result does not alias it.
-	get func(body []byte) (F, error)
-}
-
-var (
-	messageCodec = wireCodec[core.Message]{
-		put: func(dst []byte, m core.Message) ([]byte, error) {
-			return appendRecord(dst, core.Envelope{Msg: m}), nil
-		},
-		get: func(body []byte) (core.Message, error) {
-			if len(body) != wireRecordSize {
-				return core.Message{}, errWireMalformed
-			}
-			env, err := readRecord(body)
-			return env.Msg, err
-		},
-	}
-	batchCodec = wireCodec[[]core.Envelope]{
-		put: func(dst []byte, batch []core.Envelope) ([]byte, error) {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(batch)))
-			return appendRecords(dst, batch)
-		},
-		get: func(body []byte) ([]core.Envelope, error) {
-			if len(body) < wireBatchHead {
-				return nil, errWireMalformed
-			}
-			return readRecords(binary.LittleEndian.Uint32(body), body[wireBatchHead:])
-		},
-	}
-	sessCodec = wireCodec[SessFrame]{put: appendSessFrame, get: readSessFrame}
-)
-
+// appendSessFrame appends f's body to dst.
 func appendSessFrame(dst []byte, f SessFrame) ([]byte, error) {
 	le := binary.LittleEndian
 	dst = le.AppendUint32(dst, uint32(int32(f.From)))
@@ -115,6 +82,7 @@ func appendSessFrame(dst []byte, f SessFrame) ([]byte, error) {
 	return appendRecords(dst, f.Batch)
 }
 
+// readSessFrame parses one body; the result does not alias it.
 func readSessFrame(body []byte) (SessFrame, error) {
 	if len(body) < wireSessHead {
 		return SessFrame{}, errWireMalformed
@@ -223,9 +191,9 @@ func readRecord(b []byte) (core.Envelope, error) {
 
 // appendWireFrame appends the length prefix and f's body to dst; on
 // error dst is returned unchanged.
-func appendWireFrame[F any](dst []byte, c wireCodec[F], f F) ([]byte, error) {
+func appendWireFrame(dst []byte, f SessFrame) ([]byte, error) {
 	start := len(dst)
-	out, err := c.put(append(dst, 0, 0, 0, 0), f)
+	out, err := appendSessFrame(append(dst, 0, 0, 0, 0), f)
 	if err != nil {
 		return dst, err
 	}

@@ -39,22 +39,11 @@ func fillDistinct(t *testing.T, v reflect.Value, next *uint64) {
 	}
 }
 
-func filled[F any](t *testing.T) F {
-	t.Helper()
-	var f F
-	var next uint64
-	fillDistinct(t, reflect.ValueOf(&f).Elem(), &next)
-	if next > 255 {
-		t.Fatalf("%d leaf fields: the one-byte fields no longer get distinct values", next)
-	}
-	return f
-}
-
 // roundTrip frames f, reads the frame back through a wireReader and
 // decodes it.
-func roundTrip[F any](t *testing.T, c wireCodec[F], f F) F {
+func roundTrip(t *testing.T, f SessFrame) SessFrame {
 	t.Helper()
-	buf, err := appendWireFrame(nil, c, f)
+	buf, err := appendWireFrame(nil, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +52,7 @@ func roundTrip[F any](t *testing.T, c wireCodec[F], f F) F {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.get(body)
+	got, err := readSessFrame(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,23 +64,20 @@ func roundTrip[F any](t *testing.T, c wireCodec[F], f F) F {
 
 // TestWireRoundTripEveryField is the completeness check of the codec: a
 // frame with every field of SessFrame, core.Envelope and core.Message
-// set to a distinct non-zero value survives all three frame types.
+// set to a distinct non-zero value survives the wire.
 func TestWireRoundTripEveryField(t *testing.T) {
-	msg := filled[core.Message](t)
-	if got := roundTrip(t, messageCodec, msg); got != msg {
-		t.Errorf("core.Message:\n got %+v\nwant %+v", got, msg)
+	var frame SessFrame
+	var next uint64
+	fillDistinct(t, reflect.ValueOf(&frame).Elem(), &next)
+	if next > 255 {
+		t.Fatalf("%d leaf fields: the one-byte fields no longer get distinct values", next)
 	}
-	batch := filled[[]core.Envelope](t)
-	if got := roundTrip(t, batchCodec, batch); !reflect.DeepEqual(got, batch) {
-		t.Errorf("[]core.Envelope:\n got %+v\nwant %+v", got, batch)
-	}
-	frame := filled[SessFrame](t)
-	if got := roundTrip(t, sessCodec, frame); !reflect.DeepEqual(got, frame) {
+	if got := roundTrip(t, frame); !reflect.DeepEqual(got, frame) {
 		t.Errorf("SessFrame:\n got %+v\nwant %+v", got, frame)
 	}
 	// Negative positions (ocube.None) and an empty batch are legal too.
 	ack := SessFrame{From: -1, Boot: 1<<64 - 1, Ack: 9, ToBoot: 3, AckRun: 1<<32 - 1}
-	if got := roundTrip(t, sessCodec, ack); !reflect.DeepEqual(got, ack) {
+	if got := roundTrip(t, ack); !reflect.DeepEqual(got, ack) {
 		t.Errorf("pure ack:\n got %+v\nwant %+v", got, ack)
 	}
 }
@@ -110,26 +96,29 @@ func TestWireRejectsBeforeAllocating(t *testing.T) {
 		t.Errorf("reader grew its buffer to %d for an oversized length", cap(r.scratch))
 	}
 
-	body, err := batchCodec.put(nil, envBatch(1, 2))
+	body, err := appendSessFrame(nil, SessFrame{Seq: 1, Batch: envBatch(1, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, count := range []uint32{1, 3, MaxBatch + 1, 1<<32 - 1} {
-		binary.LittleEndian.PutUint32(body, count)
-		if got, err := batchCodec.get(body); err == nil {
-			t.Errorf("count %d over a 2-record body decoded to %d envelopes", count, len(got))
+		binary.LittleEndian.PutUint32(body[4:], count)
+		if got, err := readSessFrame(body); err == nil {
+			t.Errorf("count %d over a 2-record body decoded to %d envelopes", count, len(got.Batch))
 		}
 	}
-	if _, err := batchCodec.put(nil, make([]core.Envelope, MaxBatch+1)); err == nil {
+	if _, err := readSessFrame(body[:wireSessHead-1]); err == nil {
+		t.Error("a body shorter than the frame head decoded")
+	}
+	if _, err := appendSessFrame(nil, SessFrame{Batch: make([]core.Envelope, MaxBatch+1)}); err == nil {
 		t.Error("a batch above MaxBatch was encoded")
 	}
 }
 
 // FuzzWireDecode feeds arbitrary bytes to everything that reads a socket
-// in this package: the frame reader, then all three decoders on every
-// body it yields. Nothing may panic or hold more than a full frame, and
-// whatever decodes must survive re-encoding unchanged — the decoders
-// accept exactly what the encoders emit.
+// in this package: the frame reader, then the decoder on every body it
+// yields. Nothing may panic or hold more than a full frame, and
+// whatever decodes must survive re-encoding unchanged — the decoder
+// acceptss exactly what the encoder emits.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range wireSeeds(f) {
 		f.Add(seed)
@@ -144,24 +133,11 @@ func FuzzWireDecode(f *testing.F) {
 			if len(body) > wireMaxBody {
 				t.Fatalf("reader returned a %d-byte body", len(body))
 			}
-			if m, err := messageCodec.get(body); err == nil {
-				if again := roundTrip(t, messageCodec, m); again != m {
-					t.Fatalf("core.Message changed on re-encoding:\n%+v\n%+v", m, again)
-				}
-			}
-			if b, err := batchCodec.get(body); err == nil {
-				if len(b) > MaxBatch {
-					t.Fatalf("batch of %d decoded", len(b))
-				}
-				if again := roundTrip(t, batchCodec, b); !reflect.DeepEqual(again, b) {
-					t.Fatalf("batch changed on re-encoding:\n%+v\n%+v", b, again)
-				}
-			}
-			if sf, err := sessCodec.get(body); err == nil {
+			if sf, err := readSessFrame(body); err == nil {
 				if len(sf.Batch) > MaxBatch {
 					t.Fatalf("batch of %d decoded", len(sf.Batch))
 				}
-				if again := roundTrip(t, sessCodec, sf); !reflect.DeepEqual(again, sf) {
+				if again := roundTrip(t, sf); !reflect.DeepEqual(again, sf) {
 					t.Fatalf("SessFrame changed on re-encoding:\n%+v\n%+v", sf, again)
 				}
 			}
@@ -172,20 +148,23 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// wireSeeds are well-formed streams of each frame type (the corpus under
-// testdata/fuzz adds malformed ones: torn frames, lying counts, an
-// oversized length, unknown flag bits).
+// wireSeeds are well-formed streams — a data frame, a pure ack, a bare
+// hello, the three back to back — and one body in a layout the wire no
+// longer carries (a bare envelope record). The corpus under testdata/fuzz adds malformed ones: torn frames, lying
+// counts, an oversized length, unknown flag bits.
 func wireSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	must := func(b []byte, err error) []byte {
+	frame := func(f SessFrame) []byte {
+		b, err := appendWireFrame(nil, f)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		return b
 	}
-	msg := must(appendWireFrame(nil, messageCodec, core.Message{Kind: core.KindToken, From: 3, To: 1, Lender: -1, Seq: 7, Epoch: 2, Fence: 9}))
-	batch := must(appendWireFrame(nil, batchCodec, envBatch(5, 3)))
-	data := must(appendWireFrame(nil, sessCodec, SessFrame{From: 2, Boot: 4, Seq: 17, Ack: 12, ToBoot: 1, AckRun: 3, Batch: envBatch(9, 2)}))
-	ack := must(appendWireFrame(nil, sessCodec, SessFrame{From: 1, Boot: 1, Ack: 64, ToBoot: 1, AckRun: 15}))
-	return [][]byte{msg, batch, data, ack, append(append([]byte(nil), data...), ack...)}
+	data := frame(SessFrame{From: 2, Boot: 4, Seq: 17, Ack: 12, ToBoot: 1, AckRun: 3, Batch: envBatch(9, 2)})
+	ack := frame(SessFrame{From: 1, Boot: 1, Ack: 64, ToBoot: 1, AckRun: 15})
+	hello := frame(SessFrame{From: 3, Boot: 2, ToBoot: 1})
+	record := appendRecord([]byte{wireRecordSize, 0, 0, 0},
+		core.Envelope{Msg: core.Message{Kind: core.KindToken, From: 3, To: 1, Lender: -1, Seq: 7, Epoch: 2, Fence: 9}})
+	return [][]byte{data, ack, hello, record, bytes.Join([][]byte{data, ack, hello}, nil)}
 }

@@ -4,15 +4,19 @@
 //
 // The package offers three entry points:
 //
-//   - Cluster: an in-process live cluster (one goroutine per node) for
-//     applications that want a ready-to-use mutual exclusion service.
+//   - Cluster: an in-process live cluster for applications that want a
+//     ready-to-use mutual exclusion service, one Mutex handle per node.
 //     See examples/quickstart and examples/bankledger.
 //   - LockspaceCluster: an in-process keyed lock service — every
 //     distinct key is its own independent open-cube mutex, with
 //     instances lazily instantiated and multiplexed over one runtime
-//     (Lock(ctx, key) / Unlock(key)). See examples/lockspace.
+//     (Lock(ctx, key) / Unlock(key, fence)). See examples/lockspace.
 //   - NewTCPNode: a single node communicating over TCP for multi-process
 //     deployments. See examples/tcpcluster.
+//
+// All three are the same node: a keyed lockspace over a reliable session
+// (sequence numbers, acks, retransmission) over an in-memory or TCP
+// link. A Mutex is that node's lock on one fixed key.
 //
 // The algorithm guarantees mutual exclusion via a unique token routed on
 // a logical tree that always remains an open-cube (a binomial tree), so a
@@ -20,24 +24,6 @@
 // average. With fault tolerance enabled, node fail-stops are detected by
 // timeouts and repaired by a local search procedure costing O(log2 N)
 // messages on average, including safe token regeneration.
-//
-// Research artifacts — the deterministic simulator, the experiment
-// harness regenerating the paper's tables, and the Raymond/Naimi-Trehel
-// baselines — live under internal/ and are exercised by cmd/ocmxbench and
-// the repository's benchmarks.
-//
-// The simulator (internal/sim) runs on a typed-event engine: an inlined
-// 4-ary min-heap of tagged-union events (message delivery, timer fire,
-// scheduled operation) dispatched by a single switch, with per-(node,
-// timer kind) slots that reschedule re-armed timers in place rather than
-// accumulating dead heap entries. The hot loop allocates nothing per
-// event and replays bit-for-bit from a seed (see DESIGN.md §8). The
-// experiment harness distributes its independent (p, seed, probe) cells
-// over a worker pool — ocmxbench's -parallel flag, harness.SetParallelism
-// in code — with byte-identical tables at any worker count, and
-// ocmxbench -json <label> records engine performance (events/sec, ns/op,
-// allocs/op) as BENCH_<label>.json for PR-over-PR comparison (divide
-// like fields between two files; EXPERIMENTS.md keeps the history).
 package opencubemx
 
 import (
@@ -47,7 +33,6 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/lockspace"
 	"repro/internal/metrics"
@@ -55,7 +40,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Option customizes a Cluster.
+// Option customizes a cluster or a TCP node.
 type Option func(*options)
 
 type options struct {
@@ -63,14 +48,28 @@ type options struct {
 	lease time.Duration
 }
 
+// config resolves opts into the lockspace configuration of node self of
+// 2^p (everything but the transport).
+func config(self, p int, opts []Option) lockspace.Config {
+	var o options
+	for _, opt := range opts {
+		opt(&o)
+	}
+	o.node.Self = ocube.Pos(self)
+	o.node.P = p
+	return lockspace.Config{Node: o.node, LeaseTTL: o.lease}
+}
+
 // WithFaultTolerance enables the failure-handling layer (Section 5 of the
 // paper): delta is the assumed maximum message delay δ, csEstimate the
 // expected critical-section duration e, and slack the extra margin added
 // to every suspicion timeout (it should exceed the longest legitimate
-// queueing wait).
+// queueing wait). Tokens are epoch-fenced with it: a token from before a
+// regeneration is refused wherever the regenerated one has been seen.
 func WithFaultTolerance(delta, csEstimate, slack time.Duration) Option {
 	return func(o *options) {
 		o.node.FT = true
+		o.node.EpochFence = true
 		o.node.Delta = delta
 		o.node.CSEstimate = csEstimate
 		o.node.SuspicionSlack = slack
@@ -84,113 +83,137 @@ func WithPolicy(p core.Policy) Option {
 	return func(o *options) { o.node.Policy = p }
 }
 
-// WithLeaseTTL bounds how long a lockspace hold stays valid without
-// renewal (Lockspace clusters only; Cluster ignores it). A holder that
-// neither Unlocks nor Keepalives within ttl has its hold reclaimed and
-// the key re-granted to the next waiter; the expired holder's later
-// Unlock/Keepalive reports lockspace.ErrLeaseExpired, and its fence is
-// stale at every FencedResource a newer holder has touched. Combine with
-// WithFaultTolerance so a crashed *node* (not just a silent client) also
-// releases its keys.
+// WithLeaseTTL bounds how long a hold stays valid without renewal. A
+// holder that neither Unlocks nor Keepalives within ttl has its hold
+// reclaimed and the lock re-granted to the next waiter; the expired
+// holder's later Unlock/Keepalive reports lockspace.ErrLeaseExpired, and
+// its fence is stale at every FencedResource a newer holder has touched.
+// A Mutex has no Keepalive, so under a lease its critical sections must
+// be shorter than ttl. Combine with WithFaultTolerance so a crashed
+// *node* (not just a silent client) also releases its locks.
 func WithLeaseTTL(ttl time.Duration) Option {
 	return func(o *options) { o.lease = ttl }
 }
 
-// Cluster is an in-process group of 2^p nodes sharing one mutual
-// exclusion token.
-type Cluster struct {
-	mesh  *transport.Mesh
-	nodes []*cluster.Node
+// live is an in-process group of 2^p lockspace nodes, each over its own
+// session on one in-memory frame mesh: what Cluster and LockspaceCluster
+// both are.
+type live struct {
+	mesh  *transport.SessMesh
+	sess  []*transport.Session
+	nodes []*lockspace.Lockspace
 }
 
-// NewCluster starts an n-node cluster; n must be a power of two (the
-// open-cube structure requires it — run a non-power-of-two membership by
-// rounding up and leaving the spare positions unused with fault tolerance
-// enabled).
-func NewCluster(n int, opts ...Option) (*Cluster, error) {
+func newLive(n int, opts []Option) (*live, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("opencubemx: cluster size %d is not a power of two", n)
 	}
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	p := bits.TrailingZeros(uint(n))
-	mesh, err := transport.NewMesh(n, 4096)
+	mesh, err := transport.NewSessMesh(n, 4096)
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{mesh: mesh}
+	c := &live{mesh: mesh}
 	for i := 0; i < n; i++ {
-		cfg := o.node
-		cfg.Self = ocube.Pos(i)
-		cfg.P = p
-		node, err := cluster.New(cfg, mesh.Endpoint(ocube.Pos(i)))
+		cfg := config(i, bits.TrailingZeros(uint(n)), opts)
+		sess := transport.NewSession(cfg.Node.Self, mesh.Endpoint(cfg.Node.Self), transport.SessionConfig{})
+		cfg.Transport = sess
+		node, err := lockspace.New(cfg)
 		if err != nil {
+			sess.Close()
 			c.Close()
 			return nil, err
 		}
+		c.sess = append(c.sess, sess)
 		c.nodes = append(c.nodes, node)
 	}
 	return c, nil
 }
 
 // N returns the cluster size.
-func (c *Cluster) N() int { return len(c.nodes) }
+func (c *live) N() int { return len(c.nodes) }
 
-// Mutex returns node i's handle on the distributed mutex.
-func (c *Cluster) Mutex(i int) (*Mutex, error) {
+func (c *live) node(i int) (*lockspace.Lockspace, error) {
 	if i < 0 || i >= len(c.nodes) {
 		return nil, fmt.Errorf("opencubemx: node %d out of range [0,%d)", i, len(c.nodes))
 	}
-	return &Mutex{node: c.nodes[i]}, nil
+	return c.nodes[i], nil
 }
 
-// Kill simulates a fail-stop crash of node i: its event loop stops
-// immediately and every message sent to it from now on is lost, exactly
-// the failure model of the paper's Section 5. With fault tolerance
-// enabled the surviving nodes detect the crash by timeout and repair the
-// tree. Intended for failure drills and tests.
-func (c *Cluster) Kill(i int) error {
-	if i < 0 || i >= len(c.nodes) {
-		return fmt.Errorf("opencubemx: node %d out of range [0,%d)", i, len(c.nodes))
+// Kill simulates a fail-stop crash of node i: it stops at once, its
+// holds, its waiters and what it had in flight die with it, and every
+// message sent to it from now on is lost, exactly the failure model of
+// the paper's Section 5. With fault tolerance enabled the surviving nodes
+// detect the crash by timeout and repair the tree. Intended for failure
+// drills and tests.
+func (c *live) Kill(i int) error {
+	node, err := c.node(i)
+	if err != nil {
+		return err
 	}
-	return c.nodes[i].Close()
+	node.Close()
+	return c.sess[i].Close()
 }
 
 // Close stops every node and the transport fabric.
-func (c *Cluster) Close() error {
-	var firstErr error
-	for _, n := range c.nodes {
-		if err := n.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+func (c *live) Close() error {
+	for i := range c.nodes {
+		c.Kill(i)
 	}
-	if err := c.mesh.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return c.mesh.Close()
 }
 
+// Cluster is an in-process group of 2^p nodes sharing one mutual
+// exclusion token.
+type Cluster struct{ *live }
+
+// NewCluster starts an n-node cluster; n must be a power of two (the
+// open-cube structure requires it — run a non-power-of-two membership by
+// rounding up and leaving the spare positions unused with fault tolerance
+// enabled).
+func NewCluster(n int, opts ...Option) (*Cluster, error) {
+	c, err := newLive(n, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{c}, nil
+}
+
+// Mutex returns node i's handle on the distributed mutex.
+func (c *Cluster) Mutex(i int) (*Mutex, error) {
+	node, err := c.node(i)
+	if err != nil {
+		return nil, err
+	}
+	return &Mutex{node}, nil
+}
+
+// mutexKey is the lockspace key the single mutex lives under; every
+// member of a cluster must agree on it.
+const mutexKey = "opencubemx.Mutex"
+
 // Mutex is one node's handle on the cluster-wide mutual exclusion token.
-// It intentionally mirrors sync.Mutex's shape, with context support.
+// It intentionally mirrors sync.Mutex's shape, with context support:
+// callers sharing one node's Mutex queue FIFO behind each other.
 type Mutex struct {
-	node *cluster.Node
+	node *lockspace.Lockspace
 }
 
 // Lock blocks until this node holds the token (and thus the exclusive
 // right to the critical section) or ctx is done.
-func (m *Mutex) Lock(ctx context.Context) error { return m.node.Lock(ctx) }
+func (m *Mutex) Lock(ctx context.Context) error {
+	_, err := m.LockFenced(ctx)
+	return err
+}
 
 // LockFenced is Lock returning the grant's fencing token: strictly
 // increasing across the grants of one token lineage, with a regenerated
 // token outranking any copy it replaces, so fence-comparing resources
 // reject accesses from a holder whose grant is stale.
-func (m *Mutex) LockFenced(ctx context.Context) (uint64, error) { return m.node.LockFenced(ctx) }
+func (m *Mutex) LockFenced(ctx context.Context) (uint64, error) { return m.node.Lock(ctx, mutexKey) }
 
 // Unlock releases the critical section, returning the token to its
 // lender or keeping it if this node became the tree root.
-func (m *Mutex) Unlock() error { return m.node.Unlock() }
+func (m *Mutex) Unlock() error { return m.node.Unlock(mutexKey, 0) }
 
 // LockspaceCluster is an in-process group of 2^p nodes sharing a keyed
 // lock-space: every distinct key names an independent open-cube mutex,
@@ -198,68 +221,25 @@ func (m *Mutex) Unlock() error { return m.node.Unlock() }
 // key's instance over one shared runtime (one goroutine and one
 // transport endpoint per node, envelopes batched per destination). The
 // paper's per-critical-section message bound holds per key.
-type LockspaceCluster struct {
-	mesh  *transport.EnvMesh
-	nodes []*lockspace.Lockspace
-}
+type LockspaceCluster struct{ *live }
 
 // NewLockspaceCluster starts an n-node keyed lock service; n must be a
 // power of two. Position 0 holds every key's initial token.
 func NewLockspaceCluster(n int, opts ...Option) (*LockspaceCluster, error) {
-	if n <= 0 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("opencubemx: cluster size %d is not a power of two", n)
-	}
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	p := bits.TrailingZeros(uint(n))
-	mesh, err := transport.NewEnvMesh(n, 4096)
+	c, err := newLive(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	c := &LockspaceCluster{mesh: mesh}
-	for i := 0; i < n; i++ {
-		cfg := o.node
-		cfg.Self = ocube.Pos(i)
-		cfg.P = p
-		node, err := lockspace.New(lockspace.Config{
-			Node:      cfg,
-			Transport: mesh.Endpoint(ocube.Pos(i)),
-			LeaseTTL:  o.lease,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.nodes = append(c.nodes, node)
-	}
-	return c, nil
+	return &LockspaceCluster{c}, nil
 }
-
-// N returns the cluster size.
-func (c *LockspaceCluster) N() int { return len(c.nodes) }
 
 // Lockspace returns node i's handle on the keyed lock service.
 func (c *LockspaceCluster) Lockspace(i int) (*Lockspace, error) {
-	if i < 0 || i >= len(c.nodes) {
-		return nil, fmt.Errorf("opencubemx: node %d out of range [0,%d)", i, len(c.nodes))
+	node, err := c.node(i)
+	if err != nil {
+		return nil, err
 	}
-	return &Lockspace{node: c.nodes[i]}, nil
-}
-
-// Close stops every node and the transport fabric.
-func (c *LockspaceCluster) Close() error {
-	var firstErr error
-	for _, n := range c.nodes {
-		if err := n.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := c.mesh.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return &Lockspace{node}, nil
 }
 
 // Lockspace is one node's handle on the keyed lock service: a named
@@ -333,8 +313,9 @@ var ErrBadMembership = errors.New("opencubemx: membership size is not a power of
 
 // TCPNode is one cluster member communicating over TCP.
 type TCPNode struct {
-	node *cluster.Node
-	tr   *transport.TCP
+	node *lockspace.Lockspace
+	sess *transport.Session
+	link *transport.SessTCP
 }
 
 // NewTCPNode starts node self of a cluster whose members listen at the
@@ -348,40 +329,36 @@ func NewTCPNode(self int, addrs []string, opts ...Option) (*TCPNode, error) {
 	if self < 0 || self >= n {
 		return nil, fmt.Errorf("opencubemx: self %d out of range", self)
 	}
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
 	table := make(map[ocube.Pos]string, n)
 	for i, a := range addrs {
 		table[ocube.Pos(i)] = a
 	}
-	tr, err := transport.NewTCP(ocube.Pos(self), table)
+	cfg := config(self, bits.TrailingZeros(uint(n)), opts)
+	link, err := transport.NewSessTCP(cfg.Node.Self, table)
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.node
-	cfg.Self = ocube.Pos(self)
-	cfg.P = bits.TrailingZeros(uint(n))
-	node, err := cluster.New(cfg, tr)
+	// The start time is the incarnation: a restarted process comes back
+	// with a higher one, so its peers do not take its fresh frames for
+	// duplicates of its former life's.
+	sess := transport.NewSession(cfg.Node.Self, link, transport.SessionConfig{Boot: uint64(time.Now().UnixNano())})
+	cfg.Transport = sess
+	node, err := lockspace.New(cfg)
 	if err != nil {
-		tr.Close()
+		sess.Close()
 		return nil, err
 	}
-	return &TCPNode{node: node, tr: tr}, nil
+	return &TCPNode{node: node, sess: sess, link: link}, nil
 }
 
 // Mutex returns the node's mutex handle.
-func (t *TCPNode) Mutex() *Mutex { return &Mutex{node: t.node} }
+func (t *TCPNode) Mutex() *Mutex { return &Mutex{t.node} }
 
 // Addr returns the node's bound listen address.
-func (t *TCPNode) Addr() string { return t.tr.Addr() }
+func (t *TCPNode) Addr() string { return t.link.Addr() }
 
 // Close stops the node and its transport.
 func (t *TCPNode) Close() error {
-	err := t.node.Close()
-	if terr := t.tr.Close(); err == nil {
-		err = terr
-	}
-	return err
+	t.node.Close()
+	return t.sess.Close()
 }

@@ -2,6 +2,7 @@ package opencubemx
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lockspace"
 )
 
 func TestNewClusterValidation(t *testing.T) {
@@ -108,6 +110,184 @@ func TestClusterWithPolicy(t *testing.T) {
 	if err := m.Unlock(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFaultToleranceIsFenced: the failure handling the public options
+// turn on is the configuration every live rig validates — §5 recovery
+// with epoch-fenced tokens — and without the option neither is on.
+func TestFaultToleranceIsFenced(t *testing.T) {
+	ft := config(3, 2, []Option{WithFaultTolerance(5*time.Millisecond, time.Millisecond, 100*time.Millisecond), WithLeaseTTL(time.Second)})
+	if n := ft.Node; !n.FT || !n.EpochFence || n.Self != 3 || n.P != 2 || n.SuspicionSlack != 100*time.Millisecond {
+		t.Errorf("WithFaultTolerance resolved to %+v, want FT and EpochFence at position 3 of 2^2", n)
+	}
+	if ft.LeaseTTL != time.Second {
+		t.Errorf("LeaseTTL = %v, want 1s", ft.LeaseTTL)
+	}
+	if n := config(0, 1, nil).Node; n.FT || n.EpochFence {
+		t.Errorf("no options resolved to %+v, want FT and EpochFence off", n)
+	}
+}
+
+// TestMutexSecondLockQueues: callers sharing one node's Mutex queue
+// behind each other like sync.Mutex — the second Lock waits for the
+// first holder's Unlock, it is not refused — and an Unlock with nothing
+// held is an error.
+func TestMutexSecondLockQueues(t *testing.T) {
+	c, err := NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m, _ := c.Mutex(1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.Lock(ctx); err != nil {
+		t.Fatal(err)
+	}
+	second := make(chan error, 1)
+	go func() { second <- m.Lock(ctx) }()
+	select {
+	case err := <-second:
+		t.Fatalf("second Lock returned %v while the first was held", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := m.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-second; err != nil {
+		t.Fatalf("queued Lock: %v", err)
+	}
+	if err := m.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Unlock(); !errors.Is(err, lockspace.ErrNotLocked) {
+		t.Errorf("unlock with nothing held = %v, want ErrNotLocked", err)
+	}
+}
+
+// TestLeaseExpiryServesWaiter: under WithLeaseTTL a holder that goes
+// silent on one node loses the lock after one TTL and a waiter on
+// another node is served, with a higher fence — through a Lockspace
+// handle and through a Mutex alike.
+func TestLeaseExpiryServesWaiter(t *testing.T) {
+	const ttl = 50 * time.Millisecond
+	type handle struct {
+		lock   func(context.Context) (uint64, error)
+		unlock func(fence uint64) error
+	}
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) [2]handle
+		// stale is what the expired holder's own release reports.
+		stale error
+	}{
+		{"Lockspace", func(t *testing.T) (hs [2]handle) {
+			c, err := NewLockspaceCluster(2, WithLeaseTTL(ttl))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			for i := range hs {
+				ls, _ := c.Lockspace(i)
+				hs[i] = handle{
+					func(ctx context.Context) (uint64, error) { return ls.Lock(ctx, "k") },
+					func(fence uint64) error { return ls.Unlock("k", fence) },
+				}
+			}
+			return hs
+		}, lockspace.ErrLeaseExpired},
+		{"Mutex", func(t *testing.T) (hs [2]handle) {
+			c, err := NewCluster(2, WithLeaseTTL(ttl))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			for i := range hs {
+				m, _ := c.Mutex(i)
+				hs[i] = handle{m.LockFenced, func(uint64) error { return m.Unlock() }}
+			}
+			return hs
+		}, lockspace.ErrNotLocked},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hs := tc.open(t)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			f1, err := hs[0].lock(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The holder neither unlocks nor heartbeats.
+			start := time.Now()
+			f2, err := hs[1].lock(ctx)
+			if err != nil {
+				t.Fatalf("waiter after the lapsed lease: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed < ttl/2 {
+				t.Errorf("lock reclaimed after %v, before the lease could lapse", elapsed)
+			}
+			if f2 <= f1 {
+				t.Errorf("reclaiming grant's fence = %d, want > %d", f2, f1)
+			}
+			if err := hs[0].unlock(f1); !errors.Is(err, tc.stale) {
+				t.Errorf("expired holder's unlock = %v, want %v", err, tc.stale)
+			}
+			if err := hs[1].unlock(f2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestKilledNodeDoesNotWedgeSurvivors: a node killed for good costs the
+// others one §5 repair, not their liveness. A session blocks its sender
+// once a full window of frames to one peer is unacknowledged, and a node
+// flushes with its mutex held, so a survivor that kept sending to the
+// dead peer would stop for everyone: repair has to turn the traffic away
+// long before 64 frames are owed to it.
+func TestKilledNodeDoesNotWedgeSurvivors(t *testing.T) {
+	c, err := NewCluster(8, WithFaultTolerance(5*time.Millisecond, time.Millisecond, 100*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	cycle := func(i int) error {
+		m, err := c.Mutex(i)
+		if err != nil {
+			return err
+		}
+		if err := m.Lock(ctx); err != nil {
+			return err
+		}
+		return m.Unlock()
+	}
+	if err := cycle(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(8); err == nil {
+		t.Error("Kill(8) succeeded on an 8-node cluster")
+	}
+	if err := cycle(4); !errors.Is(err, lockspace.ErrClosed) {
+		t.Errorf("lock on the killed node = %v, want ErrClosed", err)
+	}
+	survivors := []int{7, 6, 1, 5, 3, 2, 0}
+	for k := 0; k < 3000; k++ {
+		i := survivors[k%len(survivors)]
+		if err := cycle(i); err != nil {
+			t.Fatalf("pair %d on node %d: %v", k, i, err)
+		}
+	}
+	var frames, retransmits int64
+	for _, sess := range c.sess {
+		st := sess.Stats()
+		frames, retransmits = frames+st.Frames, retransmits+st.Retransmits
+	}
+	t.Logf("%d frames, %d retransmits", frames, retransmits)
 }
 
 func TestMutexOutOfRange(t *testing.T) {
@@ -218,6 +398,44 @@ func TestTCPClusterLive(t *testing.T) {
 	wg.Wait()
 	if counter != 12 {
 		t.Errorf("counter = %d, want 12", counter)
+	}
+}
+
+// TestTCPNodeRestart: a member that has not yet taken part is closed and
+// started again on the same address — the listener is released, and its
+// peers take the new process's frames as a new incarnation's — and then
+// acquires the mutex.
+func TestTCPNodeRestart(t *testing.T) {
+	addrs := freeLoopbackAddrs(t, 2)
+	n0, err := NewTCPNode(0, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n0.Close()
+	first, err := NewTCPNode(1, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Addr() != addrs[1] {
+		t.Errorf("Addr = %s, want %s", first.Addr(), addrs[1])
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n1, err := NewTCPNode(1, addrs)
+	if err != nil {
+		t.Fatalf("restart on the same address: %v", err)
+	}
+	defer n1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, m := range []*Mutex{n1.Mutex(), n0.Mutex(), n1.Mutex()} {
+		if err := m.Lock(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Unlock(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
