@@ -21,10 +21,11 @@ const heldPhrase = "caller holds ls.mu"
 // ls.mu may therefore contain no channel send or receive outside a
 // select with a default, no select without one, no range over a channel,
 // no time.Sleep and no .mu.Lock(). Function literals are not followed:
-// what they do happens when they are called. The one wait a step does
-// make — the transport's SendBatch, in flush — is a method call on an
-// interface and outside what source can show; §16 says why it is
-// tolerated.
+// what they do happens when they are called. The one call a step makes
+// out of the package — the transport's SendBatch, in flush — is a method
+// call on an interface and outside what source can show; its contract
+// (BatchTransport: it does not wait for the peer) and the lockspace's
+// TestCutPeerDoesNotParkCallers keep waiting out of it.
 var HeldblockAnalyzer = &Analyzer{
 	Name: "heldblock",
 	Doc:  "a live lockspace function documented \"the caller holds ls.mu\" does not block: no channel wait, select without default, time.Sleep or .mu.Lock()",

@@ -24,6 +24,13 @@ func TestDeterminismConflictingPragmas(t *testing.T) {
 	linttest.Run(t, fixtures, "testdata/src/determinism/c", lint.DeterminismAnalyzer)
 }
 
+// TestDeterminismPragmaOptsOneFileIn: in a package outside the
+// deterministic set the pragma is what puts a file under the rule — how
+// internal/transport's machine.go is gated — and only that file.
+func TestDeterminismPragmaOptsOneFileIn(t *testing.T) {
+	linttest.Run(t, fixtures, "testdata/src/determinism/d", lint.DeterminismAnalyzer)
+}
+
 func TestMapiterFixture(t *testing.T) {
 	linttest.Run(t, fixtures, "testdata/src/mapiter/a", lint.MapiterAnalyzer)
 }

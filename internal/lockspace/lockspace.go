@@ -162,7 +162,8 @@ type Lockspace struct {
 	done chan struct{}
 
 	// mu guards everything down to armedAt. What runs with it held waits
-	// for nothing but the transport's SendBatch (flush).
+	// for nothing: the transport's SendBatch (flush) does not wait for the
+	// peer.
 	mu sync.Mutex
 	// dead is set by the loop as it exits, so later calls return ErrClosed.
 	dead bool
@@ -832,8 +833,8 @@ func (ls *Lockspace) apply(id uint64, st *instance, effs []core.Effect) {
 // flush sends what the step put in the outbox, one batch per touched
 // destination, in touch order. Transport errors are equivalent to
 // message loss, which the per-instance failure machinery tolerates. The
-// caller holds ls.mu, also while SendBatch waits for room in a full
-// session window: that stalls this node and no other.
+// caller holds ls.mu, and SendBatch does not wait for the peer: what a
+// full session window cannot take yet queues inside the session.
 func (ls *Lockspace) flush() {
 	for _, to := range ls.dests {
 		_ = ls.cfg.Transport.SendBatch(to, ls.outbox[to])

@@ -430,6 +430,72 @@ func TestCallFlushesBeforeReturn(t *testing.T) {
 	}
 }
 
+// TestCutPeerDoesNotParkCallers: a peer that is alive but cut off — every
+// data frame to it lost, so nothing is ever acknowledged and §5 repair
+// never writes it off as it would a dead one — must cost its neighbours
+// memory, not their callers. Node 1 asks node 0 for 200 different keys,
+// each Lock giving up after 2 ms; every request is one more frame owed to
+// node 0, and past the session's 64-frame window SendBatch used to wait
+// for a slot inside flush, with ls.mu held: the 65th call parked for
+// good, and so did every later caller of the node and its Close. Every
+// call must return with its context's error, none granted, and Close
+// must return.
+func TestCutPeerDoesNotParkCallers(t *testing.T) {
+	const calls = 200
+	mesh, err := transport.NewSessMesh(2, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	mesh.Drop = func(to ocube.Pos, f transport.SessFrame) bool { return to == 0 && f.Seq != 0 }
+	nodes := make([]*Lockspace, 2)
+	for i := range nodes {
+		self := ocube.Pos(i)
+		sess := transport.NewSession(self, mesh.Endpoint(self), transport.SessionConfig{})
+		defer sess.Close()
+		if nodes[i], err = New(Config{Node: core.Config{Self: self, P: 1}, Transport: sess}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type outcome struct {
+		call int
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		for i := 0; i < calls; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+			_, err := nodes[1].Lock(ctx, "cut-"+strconv.Itoa(i))
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				done <- outcome{i, err}
+				return
+			}
+		}
+		done <- outcome{calls, nil}
+	}()
+	select {
+	case o := <-done:
+		if o.call != calls {
+			t.Fatalf("call %d across the cut returned %v, want its deadline", o.call, o.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a Lock call is parked behind the cut peer's full window")
+	}
+	closed := make(chan struct{})
+	go func() {
+		nodes[1].Close()
+		nodes[0].Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close is parked behind the cut peer's full window")
+	}
+}
+
 // TestCallsRaceIngressAndClose: client calls, received bursts and Close
 // all step the same node under one mutex, and none may strand another.
 // Sixteen clients hammer four keys on two nodes — Lock, Keepalive,

@@ -35,6 +35,11 @@
 // arrival. Lane and heap are each ordered by (at, seq) and the engine
 // always takes the smaller head, which is the same total order one heap
 // would produce.
+//
+// With Config.Session the network is the second driver of
+// transport.Machine — transport.Session is the live one — stepping one
+// machine per node (session.go), so the lossy delay models exercise the
+// session code that ships.
 package sim
 
 import (
@@ -75,6 +80,9 @@ const (
 	evRecover
 	// evRelease ends node ref's simulated critical section.
 	evRelease
+	// evSessFrame lands one physical session frame at its destination;
+	// ref indexes the frame arena (Config.Session only).
+	evSessFrame
 )
 
 // heapEntry is one scheduled occurrence. seq breaks ties FIFO so
@@ -129,10 +137,11 @@ type Engine struct {
 	// instance-tagged envelopes keep separate arenas so the classic
 	// single-instance hot path pays nothing for the lockspace's wider
 	// payload.
-	msgs  arena[core.Message]
-	envs  arena[core.Envelope]
-	ireqs arena[instReq]
-	fns   arena[func()]
+	msgs   arena[core.Message]
+	envs   arena[core.Envelope]
+	ireqs  arena[instReq]
+	frames arena[sessArrival]
+	fns    arena[func()]
 }
 
 // arenaBase is the size of a payload arena's first block; block k holds

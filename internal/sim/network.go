@@ -92,12 +92,12 @@ type Config struct {
 	// release after this long. Nil means release immediately.
 	CSTime func(rng *rand.Rand) time.Duration
 	// Session, when set, interposes the reliable session layer on every
-	// inter-node send: sequenced frames, retransmission with exponential
-	// backoff and seeded jitter, sliding-window dedup and acks — the
-	// deterministic driver of the same discipline transport.Session runs
-	// live (see session.go). Zero fields take the live defaults; RTO
-	// should exceed the delay model's round trip or healthy traffic
-	// retransmits spuriously.
+	// inter-node send: each node runs a transport.Machine — the state
+	// machine transport.Session runs live — driven by the engine (see
+	// session.go). Zero fields take the machine's defaults, the same as
+	// live; RTO should exceed the delay model's round trip plus RTO/4 of
+	// ack delay or healthy traffic retransmits spuriously. Boot is every
+	// node's, and stays what it is across Fail and Recover.
 	Session *transport.SessionConfig
 	// Recorder, when set, tallies every sent message.
 	Recorder *trace.Recorder
@@ -134,10 +134,16 @@ type Network struct {
 	rng      *rand.Rand
 	logging  bool
 
-	// Session-layer state (nil/zero unless Config.Session is set).
-	sess        map[sessPairKey]*simSessPair
-	sessUnacked int // data frames accepted but not yet acked
-	sessStats   transport.SessionStats
+	// Session-layer state (nil/zero unless Config.Session is set): one
+	// machine per node, built on first use, and the instant its engine
+	// timer slot — sessSlot+node, after every node's protocol timers — is
+	// armed for (transport.Never when it is not).
+	sess        []*transport.Machine
+	sessArmed   []time.Duration
+	sessSlot    int32
+	sessUnacked int                  // envelopes accepted but not yet acked
+	sessOut     []transport.Outgoing // scratch: the frames of the machine call in progress
+	sessSlab    []core.Envelope      // one-envelope batches are cut from here
 
 	onGrant  func(ocube.Pos)
 	onAccept func(ocube.Pos)
@@ -236,22 +242,15 @@ func New(cfg Config) (*Network, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		logging:  cfg.Logf != nil,
 	}
+	timerSlots := n * core.NumTimerKinds
+	w.sessSlot = int32(timerSlots)
 	if cfg.Session != nil {
-		sc := *cfg.Session
-		if sc.Window <= 0 {
-			sc.Window = 64
+		w.sess = make([]*transport.Machine, n)
+		w.sessArmed = make([]time.Duration, n)
+		for i := range w.sessArmed {
+			w.sessArmed[i] = transport.Never
 		}
-		if sc.RTO <= 0 {
-			sc.RTO = 50 * time.Millisecond
-		}
-		if sc.MaxRTO <= 0 {
-			sc.MaxRTO = time.Second
-		}
-		if sc.Jitter <= 0 {
-			sc.Jitter = 0.2
-		}
-		w.cfg.Session = &sc
-		w.sess = make(map[sessPairKey]*simSessPair)
+		timerSlots += n
 	}
 	for i, p := range peers {
 		w.nodes[i], _ = p.(*core.Node)
@@ -275,7 +274,7 @@ func New(cfg Config) (*Network, error) {
 			w.fails[i] = fp
 		}
 	}
-	w.Eng.bind(w, n*core.NumTimerKinds)
+	w.Eng.bind(w, timerSlots)
 	wp = w
 	return w, nil
 }
@@ -431,8 +430,16 @@ func (w *Network) handle(ent heapEntry) {
 			panic(fmt.Sprintf("sim: envelope for non-instance peer %v: %v", x, env))
 		}
 		w.apply(x, w.insts[x].HandleEnvelope(env))
+	case evSessFrame:
+		a := w.Eng.frames.take(ent.ref)
+		w.sessArrive(a.to, a.f)
+		return
 	case evTimer:
 		key := ent.ref
+		if key >= w.sessSlot {
+			w.sessTick(ocube.Pos(key - w.sessSlot))
+			return
+		}
 		var kind core.TimerKind
 		x, kind = timerFromKey(key)
 		tp := w.timers[x]

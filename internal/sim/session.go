@@ -1,196 +1,165 @@
 package sim
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/ocube"
 	"repro/internal/transport"
 )
 
-// This file is the simulator's driver of the PR-6 session layer — the
-// same retransmit+dedup+ack discipline transport.Session runs live, here
-// driven by the deterministic engine so LossyDelay and PartitionWindow
-// validate it end-to-end with byte-identical replays. Every inter-node
-// send becomes a sequenced data frame whose physical transmissions (and
-// acks) go through the configured delay model: loss hits frames, a
-// retransmission timer with exponential backoff and seeded jitter
-// repairs them, and the receiver's sliding window drops the duplicates
-// retransmission necessarily creates. Session state is modeled below the
-// crash line (a network-layer agent): it survives a node's fail-stop, so
-// a frame in flight towards a crashed node is retransmitted until the
-// node recovers — the sim analogue of reconnect-and-replay.
+// This file is the simulator's driver of the session layer: with
+// Config.Session set every node gets a transport.Machine — the state
+// machine transport.Session runs live, coalesced acks, window and boot
+// scoping included — and this driver is its clock, link and timer, all
+// from the deterministic engine, so LossyDelay and PartitionWindow
+// validate the shipped discipline end-to-end with byte-identical replays.
+// Every inter-node send becomes a one-envelope batch; every frame a
+// machine emits, data or pure ack, is one draw from the delay model and
+// one typed arena event, or is lost; each node's deadline lives in one
+// in-place timer slot. All machines draw jitter from the network's
+// generator, in the order the engine steps them.
 //
-// Windowed backpressure is a live-path concern (state machines cannot
-// block); the sim driver validates the reliability half of the contract.
+// Session state is modeled below the crash line (a network-layer agent):
+// it survives a node's fail-stop with its boot unchanged, keeps its
+// timers and keeps retiring what arriving acks name; only the payload of
+// a frame that reaches a down node is lost, unacknowledged, so its sender
+// retransmits until the node recovers — the sim analogue of
+// reconnect-and-replay. The live crash takes the session with it (a new
+// boot per recovery); giving the sim that is a follow-up the boot rule
+// stands in the way of (TestMachineFirstFrameToRebornPeerIsRefused).
 
-// sessPairKey identifies a directed sender→receiver pair.
-type sessPairKey int64
-
-// simSessPair is the session state of one directed pair.
-type simSessPair struct {
-	nextSeq  uint64
-	unacked  map[uint64]core.Envelope
-	recvHigh uint64              // every seq ≤ recvHigh was delivered
-	recvSeen map[uint64]struct{} // delivered seqs above recvHigh
+// sessArrival is the payload of an evSessFrame event: one physical frame
+// on its way to node to.
+type sessArrival struct {
+	to ocube.Pos
+	f  transport.SessFrame
 }
 
-func (w *Network) sessPair(from, to ocube.Pos) *simSessPair {
-	key := sessPairKey(int64(from)*int64(w.n) + int64(to))
-	p := w.sess[key]
-	if p == nil {
-		p = &simSessPair{
-			unacked:  make(map[uint64]core.Envelope),
-			recvSeen: make(map[uint64]struct{}),
-		}
-		w.sess[key] = p
+// sessBatchSlab is how many one-envelope batches one slab allocation
+// serves; a slab is garbage once every batch cut from it is acknowledged.
+const sessBatchSlab = 256
+
+// sessMachine returns node x's session machine, built on first use.
+func (w *Network) sessMachine(x ocube.Pos) *transport.Machine {
+	m := w.sess[x]
+	if m == nil {
+		m = transport.NewMachine(x, *w.cfg.Session, w.rng)
+		w.sess[x] = m
 	}
-	return p
+	return m
 }
 
-// sessRTO returns the retransmission timeout for the given attempt:
-// configured RTO doubled per attempt, capped, plus seeded jitter.
-func (w *Network) sessRTO(attempts int) time.Duration {
-	cfg := w.cfg.Session
-	rto := cfg.RTO << uint(attempts)
-	if rto <= 0 || rto > cfg.MaxRTO {
-		rto = cfg.MaxRTO
-	}
-	if j := int64(float64(rto) * cfg.Jitter); j > 0 {
-		rto += time.Duration(w.rng.Int63n(j + 1))
-	}
-	return rto
-}
-
-// sessSend accepts one envelope into the directed pair's session: it is
-// counted busy until acknowledged, transmitted now and retransmitted
-// until the receiver's ack retires it.
+// sessSend accepts one envelope into its sender's session: it is counted
+// busy until acknowledged, transmitted now — or once the window has room
+// — and retransmitted until the receiver's ack retires it.
 func (w *Network) sessSend(env core.Envelope) {
-	from, to := env.Msg.From, env.Msg.To
-	p := w.sessPair(from, to)
-	p.nextSeq++
-	seq := p.nextSeq
-	p.unacked[seq] = env
+	if len(w.sessSlab) == 0 {
+		w.sessSlab = make([]core.Envelope, sessBatchSlab)
+	}
+	batch := w.sessSlab[:1:1]
+	w.sessSlab = w.sessSlab[1:]
+	batch[0] = env
+
+	from := env.Msg.From
 	w.sessUnacked++
-	w.sessStats.Frames++
 	if env.Msg.Kind == core.KindToken {
 		// The logical token is in flight from first transmission until
 		// the accepted delivery, however many frames that takes.
 		w.inflightTokens++
 	}
-	w.sessTransmit(from, to, seq, env, 0)
+	w.sessEmit(from, w.sessMachine(from).Send(w.Eng.Now(), env.Msg.To, batch, w.sessOut[:0]))
 }
 
-// sessTransmit performs one physical transmission of frame seq and arms
-// its retransmission timer.
-func (w *Network) sessTransmit(from, to ocube.Pos, seq uint64, env core.Envelope, attempts int) {
-	d := w.cfg.Delay(w.rng, w.Eng.Now(), from, to)
-	w.record(env.Msg)
-	if d == Lost {
-		w.lostInTransit++
-		if w.logging {
-			w.logf("LOST in transit (session frame %d): %v", seq, env.Msg)
+// sessEmit puts the frames node from's machine just emitted on the wire
+// — each draws its delay here, inside the step that emitted it, and each
+// data frame is recorded per physical transmission — and re-aims the
+// node's timer slot at the machine's deadline. Pure acks travel the same
+// lossy channel but are not protocol messages: they are neither recorded
+// nor counted in LostInTransit — a lost ack surfaces as a retransmission
+// and a duplicate drop instead.
+func (w *Network) sessEmit(from ocube.Pos, out []transport.Outgoing) {
+	now := w.Eng.Now()
+	for _, o := range out {
+		d := w.cfg.Delay(w.rng, now, from, o.To)
+		for _, env := range o.Frame.Batch {
+			w.record(env.Msg)
 		}
-	} else {
-		if w.logging {
-			w.logf("send frame %d %v (delay %v)", seq, env.Msg, d)
+		if d == Lost {
+			if o.Frame.Seq != 0 {
+				w.lostInTransit++
+			}
+			if w.logging {
+				w.logf("LOST in transit: frame to %v %+v", o.To, o.Frame)
+			}
+			continue
 		}
-		w.Eng.After(d, func() { w.sessDeliver(from, to, seq, env) })
+		if w.logging {
+			w.logf("send frame to %v %+v (delay %v)", o.To, o.Frame, d)
+		}
+		w.Eng.schedule(d, evSessFrame, w.Eng.frames.put(sessArrival{to: o.To, f: o.Frame}))
 	}
-	rto := w.sessRTO(attempts)
-	w.Eng.After(rto, func() { w.sessRetry(from, to, seq, attempts) })
+	w.sessOut = out[:0]
+	if at := w.sess[from].Deadline(); at < w.sessArmed[from] {
+		w.sessArmed[from] = at
+		w.Eng.scheduleTimer(w.sessSlot+int32(from), 0, at-now)
+	}
 }
 
-// sessRetry fires when frame seq's retransmission timeout expires; a
-// frame still unacked is sent again with doubled backoff.
-func (w *Network) sessRetry(from, to ocube.Pos, seq uint64, attempts int) {
-	p := w.sessPair(from, to)
-	env, ok := p.unacked[seq]
-	if !ok {
-		return // acked in the meantime
-	}
-	w.sessStats.AckTimeouts++
-	w.sessStats.Retransmits++
-	if w.logging {
-		w.logf("RETRANSMIT frame %d %v->%v (attempt %d)", seq, from, to, attempts+1)
-	}
-	w.sessTransmit(from, to, seq, env, attempts+1)
+// sessTick fires node x's session timer: overdue frames are sent again
+// with doubled backoff, owed acks that found no ride leave alone. Like
+// the rest of the session it runs whether or not the node is up.
+func (w *Network) sessTick(x ocube.Pos) {
+	w.sessArmed[x] = transport.Never
+	w.sessEmit(x, w.sess[x].Tick(w.Eng.Now(), w.sessOut[:0]))
 }
 
-// sessDeliver lands one physical data frame at the receiver: duplicates
-// are dropped (and re-acked — the first ack evidently went missing), new
-// frames are delivered to the node and acked. A frame reaching a down
-// node is neither delivered nor acked: the sender's timer keeps
-// retransmitting until the node is back — the paper's channels never
-// lose, so the session keeps its promise across the crash.
-func (w *Network) sessDeliver(from, to ocube.Pos, seq uint64, env core.Envelope) {
-	if w.down[to] {
+// sessArrive lands one physical frame at node to. Its session half always
+// takes effect; a data frame's payload is handed to the node exactly once
+// however many copies arrive — unless the node is down, when it is dropped
+// unseen and unacknowledged and its sender keeps retransmitting until the
+// node is back: the paper's channels never lose, so the session keeps its
+// promise across the crash.
+func (w *Network) sessArrive(to ocube.Pos, f transport.SessFrame) {
+	if f.Seq != 0 && w.down[to] {
 		w.lostToFailed++
 		if w.logging {
-			w.logf("frame %d LOST at failed node: %v", seq, env.Msg)
+			w.logf("LOST at failed node: frame %+v", f)
 		}
-		return
+		f.Seq, f.Batch = 0, nil
 	}
-	p := w.sessPair(from, to)
-	dup := seq <= p.recvHigh
-	if !dup {
-		_, dup = p.recvSeen[seq]
-	}
-	if dup {
-		w.sessStats.DupDrops++
-		if w.logging {
-			w.logf("DUP frame %d dropped at %v", seq, to)
+	m := w.sessMachine(to)
+	before := m.Unacked()
+	batch, out := m.Frame(w.Eng.Now(), f, w.sessOut[:0])
+	w.sessUnacked += m.Unacked() - before
+	w.sessEmit(to, out)
+	for _, env := range batch {
+		if env.Msg.Kind == core.KindToken {
+			w.inflightTokens--
 		}
-		w.sessAckSend(from, to, seq)
-		return
-	}
-	p.recvSeen[seq] = struct{}{}
-	for {
-		if _, ok := p.recvSeen[p.recvHigh+1]; !ok {
-			break
+		if env.Instance == core.NoInstance {
+			w.apply(to, w.peers[to].HandleMessage(env.Msg))
+		} else {
+			w.apply(to, w.insts[to].HandleEnvelope(env))
 		}
-		delete(p.recvSeen, p.recvHigh+1)
-		p.recvHigh++
-	}
-	w.sessAckSend(from, to, seq)
-	if env.Msg.Kind == core.KindToken {
-		w.inflightTokens--
-	}
-	if env.Instance == core.NoInstance {
-		w.apply(to, w.peers[to].HandleMessage(env.Msg))
-	} else {
-		w.apply(to, w.insts[to].HandleEnvelope(env))
 	}
 	w.refreshBusy(to)
 }
 
-// sessAckSend transmits the ack for frame seq back to the sender. Acks
-// travel the same lossy channel (reverse direction) but are not protocol
-// messages: they are neither recorded nor counted in LostInTransit — a
-// lost ack surfaces as a retransmission and a duplicate drop instead.
-func (w *Network) sessAckSend(from, to ocube.Pos, seq uint64) {
-	d := w.cfg.Delay(w.rng, w.Eng.Now(), to, from)
-	if d == Lost {
-		if w.logging {
-			w.logf("ACK for frame %d %v->%v LOST", seq, to, from)
+// SessionStats returns the session layer's reliability counters, summed
+// over every node's machine; zero when Config.Session is nil.
+func (w *Network) SessionStats() transport.SessionStats {
+	var sum transport.SessionStats
+	for _, m := range w.sess {
+		if m == nil {
+			continue
 		}
-		return
+		st := m.Stats()
+		sum.Frames += st.Frames
+		sum.Retransmits += st.Retransmits
+		sum.DupDrops += st.DupDrops
+		sum.AckTimeouts += st.AckTimeouts
+		sum.StaleBootDrops += st.StaleBootDrops
+		sum.AckFrames += st.AckFrames
+		sum.AcksPiggybacked += st.AcksPiggybacked
 	}
-	w.Eng.After(d, func() { w.sessAck(from, to, seq) })
+	return sum
 }
-
-// sessAck retires frame seq at the sender. Session state lives below the
-// crash line, so retirement proceeds even while the original sender node
-// is down.
-func (w *Network) sessAck(from, to ocube.Pos, seq uint64) {
-	p := w.sessPair(from, to)
-	if _, ok := p.unacked[seq]; !ok {
-		return // duplicate ack
-	}
-	delete(p.unacked, seq)
-	w.sessUnacked--
-}
-
-// SessionStats returns the session layer's reliability counters; zero
-// when Config.Session is nil.
-func (w *Network) SessionStats() transport.SessionStats { return w.sessStats }

@@ -1,13 +1,15 @@
 package transport
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
-// FuzzSessionDedup drives the receiver half of a Session with arbitrary
+// FuzzSessionDedup drives the receiver half of a Machine — no link, no
+// goroutine, its clock advanced by hand — with arbitrary
 // interleavings of hand-crafted frames — duplicates, stale boots, boot
 // bumps, out-of-order sequence jumps, garbage acks — and checks the
 // delivered stream against a reference model of the dedup contract:
@@ -54,16 +56,33 @@ func FuzzSessionDedup(f *testing.F) {
 		if len(data) > 600 {
 			data = data[:600]
 		}
-		mesh, err := NewSessMesh(2, 4096)
-		if err != nil {
-			t.Fatal(err)
+		b := NewMachine(1, SessionConfig{}, rand.New(rand.NewSource(1)))
+		var got []uint64
+		now := time.Duration(0)
+		// step hands b one frame, a millisecond after the last, and lets its
+		// timer run if it is due. b never sends, so all it may put on the
+		// link is pure acks and bare frames.
+		step := func(f SessFrame) {
+			now += time.Millisecond
+			batch, out := b.Frame(now, f, nil)
+			if b.Deadline() <= now {
+				out = b.Tick(now, out)
+			}
+			if batch != nil {
+				if len(batch) != 1 {
+					t.Fatalf("torn batch: %d envelopes", len(batch))
+				}
+				got = append(got, batch[0].Instance)
+			}
+			for _, o := range out {
+				if o.To != 0 || o.Frame.Seq != 0 || o.Frame.Batch != nil {
+					t.Fatalf("a machine that never sent put %+v on the link", o)
+				}
+			}
+			if b.Unacked() != 0 {
+				t.Fatalf("Unacked() = %d on a machine that never sent", b.Unacked())
+			}
 		}
-		b := NewSession(1, mesh.Endpoint(1), SessionConfig{})
-		defer func() {
-			b.Close()
-			mesh.Close()
-		}()
-		ep := mesh.Endpoint(0)
 
 		// Reference model: the delivery stream the dedup contract allows.
 		var want []uint64
@@ -88,7 +107,7 @@ func FuzzSessionDedup(f *testing.F) {
 		}
 		var ack SessFrame // ack fields of the next data frame
 		send := func(boot, seq uint64) {
-			ep.SendFrame(1, SessFrame{
+			step(SessFrame{
 				From: 0, Boot: boot, Seq: seq,
 				Ack: ack.Ack, ToBoot: ack.ToBoot, AckRun: ack.AckRun,
 				Batch: []core.Envelope{{Instance: boot<<32 | seq}},
@@ -108,7 +127,7 @@ func FuzzSessionDedup(f *testing.F) {
 				send(boot, seq)
 				send(boot, seq)
 			case 2:
-				ep.SendFrame(1, SessFrame{From: 0, Boot: boot, Ack: seq})
+				step(SessFrame{From: 0, Boot: boot, Ack: seq})
 				model(boot, 0, 0)
 			case 3:
 				send(boot, seq+64)
@@ -122,34 +141,6 @@ func FuzzSessionDedup(f *testing.F) {
 			}
 		}
 
-		// Sentinel on a boot above anything the ops can produce: when it
-		// comes out, everything before it is the complete delivery stream.
-		const sentinel = uint64(1) << 63
-		ep.SendFrame(1, SessFrame{
-			From: 0, Boot: 1 << 20, Seq: 1,
-			Batch: []core.Envelope{{Instance: sentinel}},
-		})
-
-		var got []uint64
-		deadline := time.After(10 * time.Second)
-	drain:
-		for {
-			select {
-			case batch, ok := <-b.RecvBatch():
-				if !ok {
-					t.Fatalf("receive channel closed after %d deliveries", len(got))
-				}
-				if len(batch) != 1 {
-					t.Fatalf("torn batch: %d envelopes", len(batch))
-				}
-				if batch[0].Instance == sentinel {
-					break drain
-				}
-				got = append(got, batch[0].Instance)
-			case <-deadline:
-				t.Fatalf("timed out: got %d deliveries, want %d", len(got), len(want))
-			}
-		}
 		if len(got) != len(want) {
 			t.Fatalf("delivered %d batches, model wants %d\n got %x\nwant %x", len(got), len(want), got, want)
 		}

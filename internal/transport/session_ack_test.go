@@ -67,9 +67,7 @@ func waitQuiet(t *testing.T, sessions ...*Session) {
 		inFlight := 0
 		for _, s := range sessions {
 			s.mu.Lock()
-			for _, p := range s.peers {
-				inFlight += len(p.unacked)
-			}
+			inFlight += s.m.Unacked()
 			s.mu.Unlock()
 		}
 		if inFlight == 0 {
@@ -129,6 +127,18 @@ func testSessionRequestReplySendsNoPureAcks(t *testing.T, wrap linkWrap) {
 // TestSessionOneWayBurstAckedByCount: with nothing to ride, acks leave
 // every Window/4 frames, so a one-way burst of ten windows never waits
 // for the ack delay (500 ms here) — the count keeps the window open.
+//
+// Restated when sends stopped pacing themselves (SendBatch no longer
+// waits for a window slot): all 640 batches are accepted at once, nine
+// windows of them into the backlog, and what an ack releases leaves with
+// whoever writes to the link next — the timer or a SendBatch caller — so
+// two writers can put one peer's frames on the link out of order, and a
+// frame that does not extend the owed run is acked at once. The test
+// therefore no longer wants exactly one pure ack per Window/4 frames. It
+// wants what the count trigger is for: the burst goes through without
+// the ack delay and without a retransmission, every batch once, on no
+// fewer than n/16 pure acks and — gap acks staying the exception — no
+// more than one per four frames.
 func TestSessionOneWayBurstAckedByCount(t *testing.T) {
 	eachIngress(t, testSessionOneWayBurstAckedByCount)
 }
@@ -150,19 +160,19 @@ func testSessionOneWayBurstAckedByCount(t *testing.T, wrap linkWrap) {
 			t.Fatal(err)
 		}
 	}
+	got := collect(t, b, n)
 	if took := time.Since(start); took > 400*time.Millisecond {
 		t.Errorf("burst of %d took %v: the window waited on the ack delay", n, took)
 	}
-	got := collect(t, b, n)
 	for i := 0; i < n; i++ {
 		if got[uint64(i+1)] != 1 {
 			t.Fatalf("batch %d delivered %d times", i, got[uint64(i+1)])
 		}
 	}
-	waitQuiet(t, a)
+	waitQuiet(t, a) // the last few acks do wait out the delay: nothing follows them
 	every := cfg.Window / 4
-	if acks := log.pureAcks(); acks != n/every {
-		t.Errorf("%d pure ack frames for %d one-way frames, want one per %d", acks, n, every)
+	if acks := log.pureAcks(); acks < n/every || acks > n/4 {
+		t.Errorf("%d pure ack frames for %d one-way frames, want %d (one per %d) to %d", acks, n, n/every, every, n/4)
 	}
 	if st := a.Stats(); st.Retransmits != 0 {
 		t.Errorf("retransmits without loss: %+v", st)

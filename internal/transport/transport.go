@@ -1,12 +1,14 @@
 // Package transport carries protocol traffic between live nodes — the
 // communication system the paper assumes reliable with a bounded
-// transmission delay δ (Section 2). One stack provides it: a Session
-// (session.go) makes an exactly-once BatchTransport out of any FrameLink
-// by sequence numbers, acks and retransmission, and two FrameLinks exist
-// — the in-memory SessMesh for single-process clusters (NewCluster,
-// tests, benchmarks) and SessTCP (tcp.go) for multi-process deployment
-// (NewTCPNode, examples/tcpcluster, ocmxchaos node), whose frames travel
-// in the one fixed binary layout of wire.go.
+// transmission delay δ (Section 2). One stack provides it. A Machine
+// (machine.go) is the session discipline — sequence numbers, acks,
+// retransmission — as a pure state machine with two drivers: a Session
+// (session.go) makes an exactly-once BatchTransport out of any FrameLink,
+// and internal/sim steps one Machine per node from its event heap. Two
+// FrameLinks exist — the in-memory SessMesh for single-process clusters
+// (NewCluster, tests, benchmarks) and SessTCP (tcp.go) for multi-process
+// deployment (NewTCPNode, examples/tcpcluster, ocmxchaos node), whose
+// frames travel in the one fixed binary layout of wire.go.
 package transport
 
 import (
@@ -28,7 +30,9 @@ var ErrClosed = errors.New("transport: closed")
 type BatchTransport interface {
 	// SendBatch transmits the batch to node to. The callee owns nothing:
 	// implementations copy the slice before returning, so callers may
-	// reuse their buffers. It must not block indefinitely.
+	// reuse their buffers. It does not wait for the peer — the lockspace
+	// calls it with its node's mutex held: what the peer is not ready for
+	// queues inside the transport, or is lost, which the protocol tolerates.
 	SendBatch(to ocube.Pos, batch []core.Envelope) error
 	// RecvBatch returns the channel of inbound batches. It is closed when
 	// the transport closes.
