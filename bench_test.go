@@ -277,8 +277,10 @@ func BenchmarkLockspaceLocalAcquire(b *testing.B) { benchLiveAcquire(b, false) }
 // TestLiveAcquireAllocs pins what one live Lock→Unlock may allocate,
 // everything the process allocates counted (the sessions' goroutines
 // included): at home the waiter and little else, roaming what the hops'
-// batches and frames add. They read 1 and 10.5 on go1.24; 15 roaming
-// before callers stepped the node themselves.
+// batches and frames add. They read 1 and 5.25 on go1.24; roaming read
+// 6.25 while every unlent token cost a token-ack envelope and its frame,
+// 10.5 before the session stopped allocating per frame, 15 before callers
+// stepped the node themselves.
 func TestLiveAcquireAllocs(t *testing.T) {
 	const acquires = 20000
 	nodes, names := liveMesh(t)

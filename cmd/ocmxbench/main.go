@@ -52,6 +52,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"time"
 
 	"repro/internal/harness"
@@ -298,6 +299,19 @@ func main() {
 			return err
 		}
 		fmt.Println(harness.FormatE11(rows))
+		if obsReg != nil {
+			// Where the token acknowledgments went: on the wire as
+			// token-ack messages without sessions, inside the sender's
+			// session as receipts with them.
+			for _, r := range rows {
+				labels := []string{"loss", strconv.FormatFloat(r.Loss, 'g', -1, 64),
+					"crash", strconv.FormatBool(r.Crash), "session", strconv.FormatBool(r.Session)}
+				obsReg.Counter("ocmx_e11_token_acks_total",
+					"Token-ack messages put on the simulated wire, per E11 cell.", labels...).Add(r.TokenAcks)
+				obsReg.Counter("ocmx_e11_session_receipts_total",
+					"Token acknowledgments the sessions gave their own nodes, per E11 cell.", labels...).Add(r.Receipts)
+			}
+		}
 		if *strict {
 			for _, r := range rows {
 				// The headline gate: sessions + fencing leave no

@@ -113,13 +113,14 @@ func runNode(args []string) error {
 	if err != nil {
 		return err
 	}
-	sess := transport.NewSession(ocube.Pos(*self), link, transport.SessionConfig{Boot: boot})
+	node := core.Config{
+		Self: ocube.Pos(*self), P: p, FT: true, EpochFence: true,
+		Delta: *delta, CSEstimate: *delta,
+		SuspicionSlack: 2 * *delta,
+	}
+	sess := transport.NewSession(ocube.Pos(*self), link, transport.SessionConfig{Boot: boot}.Fit(node))
 	space, err := lockspace.New(lockspace.Config{
-		Node: core.Config{
-			Self: ocube.Pos(*self), P: p, FT: true, EpochFence: true,
-			Delta: *delta, CSEstimate: *delta,
-			SuspicionSlack: 2 * *delta,
-		},
+		Node:      node,
 		Transport: sess,
 		LeaseTTL:  *ttl,
 		Rejoin:    rejoin,
@@ -143,6 +144,9 @@ func runNode(args []string) error {
 		reg.CounterFunc("ocmx_session_ack_frames_total",
 			"Pure ack frames sent: acknowledgements that found no data frame to ride.",
 			func() float64 { return float64(sess.Stats().AckFrames) }, "node", selfLabel)
+		reg.CounterFunc("ocmx_session_receipts_total",
+			"Token acknowledgments the session gave its own node in place of a token-ack envelope.",
+			func() float64 { return float64(sess.Stats().Receipts) }, "node", selfLabel)
 		for pos := range addrs {
 			if pos == ocube.Pos(*self) {
 				continue

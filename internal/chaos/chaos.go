@@ -271,6 +271,9 @@ func Run(cfg Config) (*Result, error) {
 			cfg.Metrics.CounterFunc("ocmx_session_ack_frames_total",
 				"Pure ack frames sent: acknowledgements that found no data frame to ride.",
 				func() float64 { return float64(m.sessionStats().AckFrames) }, "node", label)
+			cfg.Metrics.CounterFunc("ocmx_session_receipts_total",
+				"Token acknowledgments the session gave its own node in place of a token-ack envelope.",
+				func() float64 { return float64(m.sessionStats().Receipts) }, "node", label)
 		}
 	}
 	d.trafficCtx, d.trafficCancel = context.WithCancel(context.Background())

@@ -56,22 +56,23 @@ func (m *member) start(rejoin bool) {
 		return
 	}
 	m.boot++
+	cfg := m.d.cfg
+	node := core.Config{
+		Self:           m.pos,
+		P:              cfg.P,
+		FT:             true,
+		EpochFence:     true,
+		Delta:          40 * time.Millisecond,
+		CSEstimate:     40 * time.Millisecond,
+		SuspicionSlack: 100 * time.Millisecond,
+	}
 	sess := transport.NewSession(m.pos, m.d.mesh.Endpoint(m.pos), transport.SessionConfig{
 		Window: 64,
 		RTO:    30 * time.Millisecond,
 		Boot:   m.boot,
-	})
-	cfg := m.d.cfg
+	}.Fit(node))
 	space, err := lockspace.New(lockspace.Config{
-		Node: core.Config{
-			Self:           m.pos,
-			P:              cfg.P,
-			FT:             true,
-			EpochFence:     true,
-			Delta:          40 * time.Millisecond,
-			CSEstimate:     40 * time.Millisecond,
-			SuspicionSlack: 100 * time.Millisecond,
-		},
+		Node:      node,
 		Transport: sess,
 		LeaseTTL:  cfg.LeaseTTL,
 		Rejoin:    rejoin,
@@ -130,5 +131,6 @@ func addSessionStats(a, b transport.SessionStats) transport.SessionStats {
 	a.Retransmits += b.Retransmits
 	a.DupDrops += b.DupDrops
 	a.AckFrames += b.AckFrames
+	a.Receipts += b.Receipts
 	return a
 }

@@ -74,14 +74,12 @@ func searchPos(s []ocube.Pos, k ocube.Pos) int {
 	return -1
 }
 
-// slack returns the configured timeout slack, never less than δ/8 so that
-// an answer arriving at exactly 2δ is never tied with the round deadline.
-func (n *Node) slack() time.Duration {
-	if s := n.h.cfg.SuspicionSlack; s > n.h.cfg.Delta/8 {
-		return s
-	}
-	return n.h.cfg.Delta / 8
-}
+// Slack returns the slack every failure timeout carries: the configured
+// SuspicionSlack, never less than δ/8 so that an answer arriving at
+// exactly 2δ is never tied with the round deadline.
+func (c Config) Slack() time.Duration { return max(c.SuspicionSlack, c.Delta/8) }
+
+func (n *Node) slack() time.Duration { return n.h.cfg.Slack() }
 
 // suspicionDelay is the paper's "at least 2·pmax·δ" plus slack.
 func (n *Node) suspicionDelay() time.Duration {

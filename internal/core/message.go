@@ -47,7 +47,16 @@ const (
 	// guardianship until this acknowledgment arrives and regenerates the
 	// token if it never does (the recipient died). This is a protocol
 	// extension over the paper, which leaves outright transfers to dead
-	// nodes undetectable (see DESIGN.md).
+	// nodes undetectable (see DESIGN.md §4).
+	//
+	// Who produces it depends on the path. Over a bare channel the
+	// recipient's node sends it, one more message per unlent token. Over a
+	// reliable session the channel already acknowledges the frame that
+	// carried the token, so the session marks the token Receipted, the
+	// recipient's node stays silent, and the sender's own session turns
+	// the ack that retires the frame into this message, locally: it never
+	// crosses the wire, and it says "delivered to the recipient's
+	// session", not "adopted by the recipient's node".
 	KindTokenAck
 )
 
@@ -184,6 +193,13 @@ type Message struct {
 	// father cycles and double token regeneration (an amendment to the
 	// paper's concurrent-suspicion rules, see DESIGN.md).
 	FromSearcher bool
+	// Receipted marks an unlent KindToken whose delivery the carrying
+	// session acknowledges to the sender's node itself (see KindTokenAck):
+	// the recipient sends no KindTokenAck for it. Only a reliable session
+	// sets it, on the batch it owns, so on every session-less path it is
+	// false and the recipient acknowledges as before. (The last spare byte
+	// beside the one-byte fields, so Message stays 80 bytes.)
+	Receipted bool
 	// Epoch is the token-generation stamp carried by token messages: every
 	// regeneration increments the regenerator's epoch, so a token observed
 	// with an epoch below the observer's proves a regeneration raced a

@@ -34,6 +34,11 @@ type Config struct {
 	FT bool
 	// Delta is δ, the maximum message transmission delay the communication
 	// system guarantees between correct nodes (required when FT is on).
+	// Over a reliable session the acknowledgment of an unlent token is the
+	// session's own ack, which may wait out the session's ack delay
+	// (SessionConfig.RTO/4) before it leaves: the 2δ + Slack() watchdog
+	// that waits for it has room when that delay fits in Slack(), which
+	// is what transport.SessionConfig.Fit arranges.
 	Delta time.Duration
 	// CSEstimate is e, the estimated critical-section duration, used in
 	// the root's token-return timeouts.
@@ -65,8 +70,12 @@ type Config struct {
 	// This closes the §4 ack-watchdog window that message loss opens (the
 	// E8 lossy scenario's violations) at the price of deviating from
 	// pure observability: a fenced token is dropped, not forwarded, and
-	// its loss is left to the §4/§5 watchdogs to repair. Off by default
-	// so every recorded trace keeps its exact epoch-transparent behavior.
+	// its loss is left to the §4/§5 watchdogs to repair — over a bare
+	// channel the sender's ack watchdog re-mints an unlent survivor at a
+	// new epoch; over a session, whose ack has released the sender, the
+	// survivor is simply gone and the request it served is repaired by
+	// its asker's suspicion (DESIGN.md §4). Off by default so every
+	// recorded trace keeps its exact epoch-transparent behavior.
 	EpochFence bool
 	// Observe, when set, receives a TokenEvent for every protocol event
 	// this node takes part in (requests, token movement, grants,
@@ -789,18 +798,22 @@ func (n *Node) onToken(m Message) {
 		n.emitStaleToken(m)
 		if n.h.cfg.EpochFence {
 			// Epoch-fenced adoption: refuse to act on the surviving old
-			// token. No acknowledgment is sent either — the sender keeps
-			// guardianship of an unlent survivor and its watchdog (or a
-			// lender's, for a loan) repairs the loss, which is exactly
-			// the machinery that should absorb a duplicate.
+			// token, and send no acknowledgment. Over a bare channel the
+			// sender of an unlent survivor then keeps guardianship, its
+			// watchdog fires and it re-mints the survivor at a new epoch.
+			// A Receipted survivor dies here instead: the session has
+			// released (or will release) its sender, and whoever still
+			// waits for this token is repaired by its own suspicion. A
+			// lent one is the lender's return watchdog's to replace.
 			n.emitDropped(m, "stale epoch fenced")
 			return
 		}
 	} else {
 		n.epoch = m.Epoch
 	}
-	if m.Lender == ocube.None && n.h.cfg.FT {
-		// Unlent tokens are guarded by their sender until acknowledged.
+	if m.Lender == ocube.None && n.h.cfg.FT && !m.Receipted {
+		// Unlent tokens are guarded by their sender until acknowledged; a
+		// Receipted one is acknowledged by the session that carried it.
 		n.send(Message{Kind: KindTokenAck, To: m.From, Seq: m.Seq})
 	}
 	if n.mandator == ocube.None && !n.asking {

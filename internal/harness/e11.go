@@ -64,6 +64,12 @@ type E11Row struct {
 	// Session repair work (zero when Session is off).
 	Retransmits int64
 	DupDrops    int64
+	// Who acknowledged the unlent tokens (not in the table; ocmxbench -obs
+	// exports both): TokenAcks is the KindTokenAck messages put on the
+	// wire, Receipts the acknowledgments the sessions gave their own nodes
+	// instead. A session-on cell sends no token-ack at all.
+	TokenAcks int64
+	Receipts  int64
 	// Mutual-exclusion overlaps, classified by fence: Visible overlaps
 	// carried equal fences (application-level incident), Fenced carried
 	// distinct ones (a fence-checking resource rejects the stale holder).
@@ -93,7 +99,7 @@ func E11LossyRecovery(p int, seed int64) ([]E11Row, error) {
 	rows := make([]E11Row, len(cells))
 	err := forEach(len(cells), func(i int) error {
 		c := cells[i]
-		row, err := runE11(p, reqs, seed, c.loss, c.crash, c.session, nil)
+		row, err := runE11(p, reqs, seed, c.loss, c.crash, c.session, &trace.Recorder{})
 		if err != nil {
 			return fmt.Errorf("harness: e11 loss=%g crash=%v session=%v: %w", c.loss, c.crash, c.session, err)
 		}
@@ -146,6 +152,8 @@ func runE11(p int, reqs []workload.Request, seed int64, loss float64, crash, ses
 	st := w.SessionStats()
 	row.Retransmits = st.Retransmits
 	row.DupDrops = st.DupDrops
+	row.Receipts = st.Receipts
+	row.TokenAcks = rec.Kind(core.KindTokenAck.String())
 	row.Fenced = w.ViolationsFenced()
 	row.Visible = w.ViolationsVisible()
 	return row, nil

@@ -410,3 +410,22 @@ func TestE10SteadyChurnShape(t *testing.T) {
 		t.Error("FormatE10 missing header or stuck column")
 	}
 }
+
+// TestE11SessionsAcknowledgeTokensThemselves: with sessions on, no
+// token-ack message is sent in any cell — the session's ack is the unlent
+// token's receipt — every such cell completes with no visible violation,
+// and without sessions the acknowledgments are all on the wire.
+func TestE11SessionsAcknowledgeTokensThemselves(t *testing.T) {
+	rows, err := E11LossyRecovery(4, 1993)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		switch {
+		case r.Session && (r.TokenAcks != 0 || r.Receipts == 0 || !r.Completed || r.Visible != 0):
+			t.Errorf("session on: %+v, want receipts in place of every token-ack, completed, nothing visible", r)
+		case !r.Session && (r.TokenAcks == 0 || r.Receipts != 0):
+			t.Errorf("session off: %+v, want the acknowledgments on the wire and no receipt", r)
+		}
+	}
+}

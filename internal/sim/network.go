@@ -143,6 +143,7 @@ type Network struct {
 	sessSlot    int32
 	sessUnacked int                  // envelopes accepted but not yet acked
 	sessOut     []transport.Outgoing // scratch: the frames of the machine call in progress
+	sessRcpt    []core.Envelope      // scratch: the receipts of the frame being landed
 	sessSlab    []core.Envelope      // one-envelope batches are cut from here
 
 	onGrant  func(ocube.Pos)

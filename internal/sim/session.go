@@ -16,7 +16,10 @@ import (
 // machine emits, data or pure ack, is one draw from the delay model and
 // one typed arena event, or is lost; each node's deadline lives in one
 // in-place timer slot. All machines draw jitter from the network's
-// generator, in the order the engine steps them.
+// generator, in the order the engine steps them. The machine acknowledges
+// unlent tokens to their sender's node itself (a receipt, see
+// Machine.Frame), so with sessions on no KindTokenAck crosses the
+// simulated wire either.
 //
 // Session state is modeled below the crash line (a network-layer agent):
 // it survives a node's fail-stop with its boot unchanged, keeps its
@@ -117,7 +120,9 @@ func (w *Network) sessTick(x ocube.Pos) {
 // however many copies arrive — unless the node is down, when it is dropped
 // unseen and unacknowledged and its sender keeps retransmitting until the
 // node is back: the paper's channels never lose, so the session keeps its
-// promise across the crash.
+// promise across the crash. The receipts the frame's ack produced go to
+// the node first; at a down node they are dropped like any input — the
+// transfer guard they would have released died with the crash.
 func (w *Network) sessArrive(to ocube.Pos, f transport.SessFrame) {
 	if f.Seq != 0 && w.down[to] {
 		w.lostToFailed++
@@ -128,20 +133,31 @@ func (w *Network) sessArrive(to ocube.Pos, f transport.SessFrame) {
 	}
 	m := w.sessMachine(to)
 	before := m.Unacked()
-	batch, out := m.Frame(w.Eng.Now(), f, w.sessOut[:0])
+	batch, receipts, out := m.Frame(w.Eng.Now(), f, w.sessOut[:0], w.sessRcpt[:0])
 	w.sessUnacked += m.Unacked() - before
 	w.sessEmit(to, out)
+	if !w.down[to] {
+		for _, env := range receipts {
+			w.sessHand(to, env)
+		}
+	}
+	w.sessRcpt = receipts[:0]
 	for _, env := range batch {
 		if env.Msg.Kind == core.KindToken {
 			w.inflightTokens--
 		}
-		if env.Instance == core.NoInstance {
-			w.apply(to, w.peers[to].HandleMessage(env.Msg))
-		} else {
-			w.apply(to, w.insts[to].HandleEnvelope(env))
-		}
+		w.sessHand(to, env)
 	}
 	w.refreshBusy(to)
+}
+
+// sessHand gives node to one envelope its session yielded.
+func (w *Network) sessHand(to ocube.Pos, env core.Envelope) {
+	if env.Instance == core.NoInstance {
+		w.apply(to, w.peers[to].HandleMessage(env.Msg))
+	} else {
+		w.apply(to, w.insts[to].HandleEnvelope(env))
+	}
 }
 
 // SessionStats returns the session layer's reliability counters, summed
@@ -160,6 +176,7 @@ func (w *Network) SessionStats() transport.SessionStats {
 		sum.StaleBootDrops += st.StaleBootDrops
 		sum.AckFrames += st.AckFrames
 		sum.AcksPiggybacked += st.AcksPiggybacked
+		sum.Receipts += st.Receipts
 	}
 	return sum
 }

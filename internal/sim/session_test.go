@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ocube"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -191,4 +193,79 @@ func TestTotalLossOneDirectedLink(t *testing.T) {
 	if w.Violations() != 0 {
 		t.Errorf("violations = %d", w.Violations())
 	}
+}
+
+// TestSessionReceiptAtDownNode: a node hands the token over unlent and
+// crashes before the session's ack — its receipt — comes home. The session
+// state sits below the crash line, so the ack still retires the frame and
+// the machine still produces the receipt, but a down node takes no input:
+// the receipt is dropped, nothing is left counted as in flight, no
+// token-ack ever crosses the wire, and since the token did arrive nobody
+// regenerates it.
+func TestSessionReceiptAtDownNode(t *testing.T) {
+	rec := &trace.Recorder{}
+	w, err := New(Config{
+		P:        1,
+		Node:     core.Config{FT: true, Delta: d, CSEstimate: d, SuspicionSlack: 8 * d},
+		Delay:    FixedDelay(d),
+		CSTime:   func(*rand.Rand) time.Duration { return 2 * d },
+		Session:  &transport.SessionConfig{RTO: 8 * d, MaxRTO: 64 * d},
+		Seed:     1,
+		Recorder: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inputsWhileDown []core.Message
+	w.peers[0] = downSpy{Peer: w.peers[0], down: &w.down[0], got: &inputsWhileDown}
+	// Node 1 asks, node 0 gives the token up outright. Its ack leaves node
+	// 1 RTO/4 = 2d after the token got there and takes d to land; node 0
+	// goes down one d after the grant and comes back long after.
+	var downAtAck, receiptsAtAck = false, int64(-1)
+	w.OnGrant(func(x ocube.Pos) {
+		if w.Grants() != 1 {
+			return
+		}
+		w.Fail(0, d)
+		w.Eng.After(2*d+d+d/2, func() {
+			downAtAck, receiptsAtAck = w.Down(0), w.SessionStats().Receipts
+		})
+		w.Recover(0, 40*d)
+	})
+	w.RequestCS(1, 0)
+	w.RequestCS(0, 200*d)
+	if !w.RunUntilQuiescent(time.Hour) {
+		t.Fatal("did not quiesce")
+	}
+	if !downAtAck || receiptsAtAck != 1 {
+		t.Fatalf("when the ack had landed: node 0 down = %v, receipts = %d; want the one receipt produced at a down node", downAtAck, receiptsAtAck)
+	}
+	if len(inputsWhileDown) != 0 {
+		t.Errorf("node 0 was handed %v while down", inputsWhileDown)
+	}
+	if w.sessUnacked != 0 || w.inflightTokens != 0 {
+		t.Errorf("at rest: %d envelopes unacknowledged, %d tokens in flight", w.sessUnacked, w.inflightTokens)
+	}
+	if w.Grants() != 2 || w.Regenerations() != 0 || w.Violations() != 0 || w.LiveTokens() != 1 {
+		t.Errorf("grants %d regenerations %d violations %d live tokens %d: want 2, 0, 0, 1",
+			w.Grants(), w.Regenerations(), w.Violations(), w.LiveTokens())
+	}
+	if n := rec.Kind(core.KindTokenAck.String()); n != 0 {
+		t.Errorf("%d token-acks crossed the wire with sessions on", n)
+	}
+}
+
+// downSpy is a peer that notes every message it is handed while its node
+// is down.
+type downSpy struct {
+	Peer
+	down *bool
+	got  *[]core.Message
+}
+
+func (s downSpy) HandleMessage(m core.Message) []core.Effect {
+	if *s.down {
+		*s.got = append(*s.got, m)
+	}
+	return s.Peer.HandleMessage(m)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ocube"
 )
 
 // FuzzSessionDedup drives the receiver half of a Machine — no link, no
@@ -64,7 +65,10 @@ func FuzzSessionDedup(f *testing.F) {
 		// link is pure acks and bare frames.
 		step := func(f SessFrame) {
 			now += time.Millisecond
-			batch, out := b.Frame(now, f, nil)
+			batch, receipts, out := b.Frame(now, f, nil, nil)
+			if len(receipts) != 0 {
+				t.Fatalf("a machine that never sent was handed receipts %v", receipts)
+			}
 			if b.Deadline() <= now {
 				out = b.Tick(now, out)
 			}
@@ -147,6 +151,83 @@ func FuzzSessionDedup(f *testing.F) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("delivery %d = %x, model wants %x", i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// FuzzMachineReceipts drives both halves of two machines over the rig's
+// scripted link (machine_test.go) — every frame's fate, lost, prompt or
+// late enough to be overtaken and retransmitted over, comes from the
+// input — while both nodes send unlent tokens, loans and plain envelopes,
+// and checks the receipt contract against a count: a node is never
+// handed more receipts than it has sent unlent tokens, never two for one
+// token, and once the link stops losing frames and everything has come
+// to rest, exactly one for each.
+//
+// Input encoding: 2 bytes per op — the low two bits of the first pick
+// what node (bit 2) sends: an unlent token, a loan, a plain envelope, or
+// nothing; the second byte is how long the rig then runs (0..255 ms) and,
+// read again per frame with its index, that frame's fate.
+func FuzzMachineReceipts(f *testing.F) {
+	f.Add([]byte{0, 1, 4, 1, 0, 30, 4, 200})              // tokens both ways, acks riding and alone
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 3, 90})    // a burst: run acks, one loan, one plain
+	f.Add([]byte{0, 7, 0, 7, 4, 7, 0, 14, 4, 21, 3, 250}) // fates that lose and delay every few frames
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 400 {
+			data = data[:400]
+		}
+		r := newMachRig(t, SessionConfig{Window: 4})
+		salt := byte(0)
+		r.fate = func(n int, _ ocube.Pos, _ SessFrame) time.Duration {
+			switch x := (salt + byte(n)*37) % 8; x {
+			case 0, 1:
+				return -1
+			case 2:
+				return 3 * rigRTO // outlives a retransmission
+			default:
+				return rigTransit * time.Duration(x)
+			}
+		}
+		var stamped [2]int
+		tag := uint64(0)
+		check := func() {
+			for i := range r.m {
+				if len(r.rcpt[i]) > stamped[i] {
+					t.Fatalf("node %d sent %d unlent tokens and was handed %d receipts", i, stamped[i], len(r.rcpt[i]))
+				}
+				seen := make(map[uint64]bool)
+				for _, env := range r.rcpt[i] {
+					if seen[env.Instance] {
+						t.Fatalf("node %d was handed two receipts for token %d", i, env.Instance)
+					}
+					seen[env.Instance] = true
+				}
+			}
+		}
+		for i := 0; i+1 < len(data); i += 2 {
+			from := ocube.Pos(data[i] >> 2 & 1)
+			salt = data[i+1]
+			tag++
+			switch data[i] & 3 {
+			case 0:
+				stamped[from]++
+				r.sendEnvs(from, token(from, tag, ocube.None))
+			case 1:
+				r.sendEnvs(from, token(from, tag, from))
+			case 2:
+				r.send(from, tag)
+			}
+			r.run(r.now + time.Duration(data[i+1])*time.Millisecond)
+			check()
+		}
+		r.fate = nil // the loss-free tail
+		r.rest()
+		check()
+		for i := range r.m {
+			if len(r.rcpt[i]) != stamped[i] || r.m[i].Unacked() != 0 {
+				t.Fatalf("at rest node %d has %d receipts for %d unlent tokens, %d batches unacknowledged",
+					i, len(r.rcpt[i]), stamped[i], r.m[i].Unacked())
 			}
 		}
 	})

@@ -29,6 +29,17 @@ import (
 // once the oldest has waited RTO/4 or Window/4 of them are owed; a
 // duplicate (its sender is already retransmitting) and a gap in the
 // sequence (something was lost or reordered) are acked at once.
+//
+// An ack is also the receipt of what its frame carried. The protocol
+// wants one thing acknowledged end to end, the unlent token (core.
+// KindTokenAck), and a second acknowledgment on top of the session's
+// would be one more envelope for every such token: so Send marks each
+// unlent token Receipted, which keeps the recipient's node from
+// answering, and the ack that retires the token's frame makes Frame
+// hand the driver the KindTokenAck the sending node waits for. A frame
+// that is never acknowledged — lost with a dead peer, abandoned by
+// reborn — yields none, and the node's watchdog regenerates as it would
+// over a bare channel.
 
 // SessionConfig tunes a reliable session. The zero value takes the
 // defaults documented per field.
@@ -39,7 +50,9 @@ type SessionConfig struct {
 	Window int
 	// RTO is the initial retransmission timeout. Default 50ms, live and
 	// simulated alike; it should exceed the link's round trip plus RTO/4
-	// of ack delay, or healthy traffic retransmits spuriously.
+	// of ack delay, or healthy traffic retransmits spuriously. RTO/4 is
+	// also how long the receipt of an unlent token may trail its delivery,
+	// which a fault-tolerant node's ack watchdog has to allow for: see Fit.
 	RTO time.Duration
 	// MaxRTO caps the exponential backoff. Default 1s.
 	MaxRTO time.Duration
@@ -57,12 +70,14 @@ type SessionConfig struct {
 	Boot uint64
 }
 
+const defaultRTO = 50 * time.Millisecond
+
 func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Window <= 0 {
 		c.Window = 64
 	}
 	if c.RTO <= 0 {
-		c.RTO = 50 * time.Millisecond
+		c.RTO = defaultRTO
 	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = time.Second
@@ -73,6 +88,24 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Boot == 0 {
 		c.Boot = 1
 	}
+	return c
+}
+
+// Fit returns c with its RTO lowered, if need be, to what node's failure
+// timeouts leave room for. A fault-tolerant node gives the acknowledgment
+// of an unlent token 2δ plus its slack to come back (core: roundDelay),
+// and over a session that acknowledgment is the session's ack, which may
+// wait RTO/4 for a frame to ride: the wait has to fit in the slack, so
+// RTO ≤ 4·node.Slack(). Every place that builds a session and the node
+// above it passes its SessionConfig through here.
+func (c SessionConfig) Fit(node core.Config) SessionConfig {
+	if !node.FT {
+		return c
+	}
+	if c.RTO <= 0 {
+		c.RTO = defaultRTO
+	}
+	c.RTO = min(c.RTO, 4*node.Slack())
 	return c
 }
 
@@ -101,6 +134,10 @@ type SessionStats struct {
 	// AcksPiggybacked counts received data frames whose acknowledgement
 	// left on a data frame; with AckFrames it gives the coalescing ratio.
 	AcksPiggybacked int64
+	// Receipts counts the token acknowledgments handed to this node in
+	// place of a KindTokenAck envelope: one per unlent token sent whose
+	// frame an ack retired.
+	Receipts int64
 }
 
 // PeerStats is the per-peer slice of the session counters: which
@@ -169,6 +206,10 @@ const Never = time.Duration(math.MaxInt64)
 // since any fixed origin that never decreases from call to call. Send,
 // Frame and Tick append the frames they want transmitted to the out
 // slice they are handed and return it, so a driver reuses one buffer.
+//
+// What a machine gives its driver is four things: frames for the link,
+// the batch a frame delivered, the receipts an ack produced (see Frame),
+// and one deadline.
 type Machine struct {
 	self ocube.Pos
 	cfg  SessionConfig
@@ -294,8 +335,17 @@ func (m *Machine) wake(p *machPeer, at time.Duration) {
 // Send accepts batch for exactly-once delivery to node to and never
 // waits: with room in the window it is transmitted now, beyond it the
 // batch joins the peer's backlog. The machine keeps batch until it is
-// acknowledged, so the caller hands over a slice nobody else writes.
+// acknowledged, so the caller hands over a slice nobody else writes —
+// the machine does, once: every unlent token in it is marked Receipted,
+// and its receipt comes out of Frame when the batch's frame is retired.
+// Capacity the caller leaves past len(batch) is the machine's too (see
+// Frame).
 func (m *Machine) Send(now time.Duration, to ocube.Pos, batch []core.Envelope, out []Outgoing) []Outgoing {
+	for i := range batch {
+		if Receiptable(batch[i].Msg) {
+			batch[i].Msg.Receipted = true
+		}
+	}
 	p := m.peer(to)
 	m.unacked++
 	if len(p.inflight) >= m.cfg.Window {
@@ -328,9 +378,11 @@ func (m *Machine) release(now time.Duration, p *machPeer, out []Outgoing) []Outg
 }
 
 // dataFrame builds data frame seq for p; whatever acks p is owed ride on
-// it.
+// it. The frame's view of batch ends at its length: the capacity behind it
+// is for receipts (see Frame), and on the in-memory mesh the receiver
+// gets this very slice.
 func (m *Machine) dataFrame(p *machPeer, seq uint64, batch []core.Envelope) SessFrame {
-	f := SessFrame{From: m.self, Boot: m.cfg.Boot, ToBoot: p.recvBoot, Seq: seq, Batch: batch}
+	f := SessFrame{From: m.self, Boot: m.cfg.Boot, ToBoot: p.recvBoot, Seq: seq, Batch: batch[:len(batch):len(batch)]}
 	if p.ackN > 0 {
 		m.stats.AcksPiggybacked += int64(p.ackN)
 		f.Ack, f.AckRun = p.ackHi, p.ackN-1
@@ -408,7 +460,17 @@ func (m *Machine) Tick(now time.Duration, out []Outgoing) []Outgoing {
 // lets backlog into the room that made, and for a data frame runs the
 // dedup window and books the ack now owed. It returns the batch to hand
 // to the application, nil for a pure ack, a duplicate or a refused frame.
-func (m *Machine) Frame(now time.Duration, f SessFrame, out []Outgoing) ([]core.Envelope, []Outgoing) {
+//
+// It also returns, appended to rcpt, the receipts the frame's ack
+// produced: one KindTokenAck envelope, from the peer to this node, for
+// each Receipted token in the frames it retired. They are inbound
+// envelopes like the batch and go to the application ahead of it. A
+// driver that applies them before its next call here passes the same
+// buffer every time; one that queues them passes nil, and the receipts
+// are written into the spare capacity of the first retired batch that
+// has any to report — memory no reader of that batch looks at, which
+// the driver sized at Send — or, where that runs out, into a new slice.
+func (m *Machine) Frame(now time.Duration, f SessFrame, out []Outgoing, rcpt []core.Envelope) (batch, receipts []core.Envelope, _ []Outgoing) {
 	p := m.peer(f.From)
 	if f.Boot < p.recvBoot {
 		// A frame from a dead incarnation of the peer; its session is
@@ -416,16 +478,15 @@ func (m *Machine) Frame(now time.Duration, f SessFrame, out []Outgoing) ([]core.
 		if f.Seq != 0 {
 			m.stats.StaleBootDrops++
 		}
-		return nil, out
+		return nil, rcpt, out
 	}
 	if f.Boot > p.recvBoot {
 		m.reborn(p, f.Boot)
 	}
 	mine := f.ToBoot == m.cfg.Boot
 	if mine && f.Ack != 0 {
-		m.retire(p, f.Ack, f.AckRun)
+		rcpt = m.retire(p, f.Ack, f.AckRun, rcpt)
 	}
-	var batch []core.Envelope
 	switch {
 	case f.Seq == 0: // pure ack
 	case mine || f.ToBoot == 0:
@@ -438,7 +499,7 @@ func (m *Machine) Frame(now time.Duration, f SessFrame, out []Outgoing) ([]core.
 		m.stats.StaleBootDrops++
 		out = append(out, Outgoing{p.pos, SessFrame{From: m.self, Boot: m.cfg.Boot, ToBoot: p.recvBoot}})
 	}
-	return batch, m.release(now, p, out)
+	return batch, rcpt, m.release(now, p, out)
 }
 
 // accept runs data frame f through p's dedup window and books its ack.
@@ -505,18 +566,43 @@ func (m *Machine) reborn(p *machPeer, boot uint64) {
 }
 
 // retire drops the frames in flight numbered hi-run through hi, which an
-// ack for this incarnation named, and frees their window slots. A run
-// longer than what is in flight (a forged or garbled frame at worst)
-// costs no more than the walk over the window.
-func (m *Machine) retire(p *machPeer, hi uint64, run uint32) {
+// ack for this incarnation named, frees their window slots and appends
+// the receipts of the tokens they carried to rcpt. A run longer than what
+// is in flight (a forged or garbled frame at worst) costs no more than
+// the walk over the window. The retired batches are only read: on the
+// in-memory mesh the receiver holds the same array and may not have
+// looked at it yet.
+func (m *Machine) retire(p *machPeer, hi uint64, run uint32, rcpt []core.Envelope) []core.Envelope {
 	lo := hi - min(uint64(run), hi-1)
 	kept := p.inflight[:0]
 	for _, o := range p.inflight {
 		if o.seq < lo || o.seq > hi {
 			kept = append(kept, o)
+			continue
+		}
+		for i := range o.batch {
+			env := &o.batch[i]
+			if !env.Msg.Receipted {
+				continue
+			}
+			if rcpt == nil {
+				rcpt = o.batch[len(o.batch):]
+			}
+			rcpt = append(rcpt, core.Envelope{Instance: env.Instance, Msg: core.Message{
+				Kind: core.KindTokenAck, From: p.pos, To: m.self, Seq: env.Msg.Seq}})
+			m.stats.Receipts++
 		}
 	}
 	m.unacked -= len(p.inflight) - len(kept)
 	clear(p.inflight[len(kept):])
 	p.inflight = kept
+	return rcpt
+}
+
+// Receiptable reports whether Send will mark msg Receipted: it is an
+// unlent token, the one message whose delivery its sender's node waits
+// to hear of. A driver that queues receipts sizes a batch's spare
+// capacity by it.
+func Receiptable(msg core.Message) bool {
+	return msg.Kind == core.KindToken && msg.Lender == ocube.None
 }

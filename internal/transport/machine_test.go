@@ -52,7 +52,14 @@ type machRig struct {
 	fate func(n int, to ocube.Pos, f SessFrame) time.Duration
 	sent []sentFrame
 	got  [2][]uint64 // Instance tags delivered to each node, in order
+	// rcpt is every receipt handed to each node, in order; handed lists
+	// each node's deliveries and receipts together, a receipt as the
+	// Instance of the token it answers with receiptBit set.
+	rcpt   [2][]core.Envelope
+	handed [2][]uint64
 }
+
+const receiptBit = 1 << 63
 
 // newMachRig builds the pair. Jitter is set too small to draw, so every
 // timeout falls where the test can name it.
@@ -157,9 +164,17 @@ func (r *machRig) run(until time.Duration) {
 		}
 		fl := r.air[land]
 		r.air = slices.Delete(r.air, land, land+1)
-		batch, out := r.m[fl.to].Frame(r.now, fl.f, nil)
+		batch, receipts, out := r.m[fl.to].Frame(r.now, fl.f, nil, nil)
+		for _, env := range receipts {
+			if want := (core.Message{Kind: core.KindTokenAck, From: fl.f.From, To: fl.to, Seq: env.Msg.Seq}); env.Msg != want {
+				r.t.Fatalf("node %d was handed receipt %+v, want %+v", fl.to, env.Msg, want)
+			}
+			r.rcpt[fl.to] = append(r.rcpt[fl.to], env)
+			r.handed[fl.to] = append(r.handed[fl.to], env.Instance|receiptBit)
+		}
 		for _, env := range batch {
 			r.got[fl.to] = append(r.got[fl.to], env.Instance)
+			r.handed[fl.to] = append(r.handed[fl.to], env.Instance)
 		}
 		r.emit(out)
 	}
@@ -433,4 +448,248 @@ func TestMachineFirstFrameToRebornPeerIsRefused(t *testing.T) {
 	r.send(0, 8) // now addressed to boot 2
 	r.rest()
 	wantTags(t, "B's second life", r.got[1], 8)
+}
+
+// token returns one KindToken envelope of instance tag from node from to
+// the other node: unlent when lender is ocube.None, else a loan.
+func token(from ocube.Pos, tag uint64, lender ocube.Pos) core.Envelope {
+	return core.Envelope{Instance: tag, Msg: core.Message{
+		Kind: core.KindToken, From: from, To: 1 - from, Lender: lender, Source: 1 - from, Seq: tag << 20}}
+}
+
+// sendEnvs hands node from's machine one batch of envs for the other node.
+func (r *machRig) sendEnvs(from ocube.Pos, envs ...core.Envelope) {
+	r.emit(r.m[from].Send(r.now, 1-from, envs, nil))
+}
+
+// wantReceipts checks the receipts node i was handed so far: one for each
+// of the given token instances, in that order, each naming its token's Seq.
+func (r *machRig) wantReceipts(what string, i ocube.Pos, tags ...uint64) {
+	r.t.Helper()
+	var got []uint64
+	for _, env := range r.rcpt[i] {
+		got = append(got, env.Instance)
+		if env.Msg.Seq != env.Instance<<20 {
+			r.t.Errorf("%s: receipt for instance %d carries Seq %d, its token's was %d", what, env.Instance, env.Msg.Seq, env.Instance<<20)
+		}
+	}
+	if !slices.Equal(got, tags) {
+		r.t.Errorf("%s: node %d was handed receipts for %v, want %v", what, i, got, tags)
+	}
+	if n := r.m[i].Stats().Receipts; n != int64(len(got)) {
+		r.t.Errorf("%s: node %d counts %d receipts, handed %d", what, i, n, len(got))
+	}
+}
+
+// TestMachineReceipts pins the machine's fourth output: the ack that
+// retires a frame hands the sender one KindTokenAck per unlent token the
+// frame carried, once, whatever the link did to the frame and its ack —
+// and a frame no ack for this incarnation ever names yields none.
+func TestMachineReceipts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  SessionConfig
+		run  func(t *testing.T, r *machRig)
+	}{
+		{"a lost ack still yields one receipt", SessionConfig{}, func(t *testing.T, r *machRig) {
+			lost := false
+			r.fate = func(_ int, to ocube.Pos, f SessFrame) time.Duration {
+				if to == 0 && f.Ack != 0 && !lost {
+					lost = true
+					return -1
+				}
+				return rigTransit
+			}
+			r.sendEnvs(0, token(0, 5, ocube.None))
+			r.rest()
+			wantTags(t, "node 1", r.got[1], 5)
+			r.wantReceipts("after the re-ack", 0, 5)
+			if a, b := r.m[0].Stats(), r.m[1].Stats(); !lost || a.Retransmits != 1 || b.DupDrops != 1 {
+				t.Errorf("lost=%v sender %+v receiver %+v: want the ack lost, one retransmission, one duplicate", lost, a, b)
+			}
+			// The network repeats the ack that got through: the frame is gone.
+			acks := r.pureAcks(0)
+			r.inject(0, acks[len(acks)-1].SessFrame)
+			r.rest()
+			r.wantReceipts("after the repeated ack", 0, 5)
+		}},
+		{"reordered acks", SessionConfig{}, func(t *testing.T, r *machRig) {
+			first := true
+			r.fate = func(_ int, to ocube.Pos, f SessFrame) time.Duration {
+				if to == 0 && f.Ack != 0 && first {
+					first = false
+					return 20 * rigTransit // overtaken by the next ack
+				}
+				return rigTransit
+			}
+			r.sendEnvs(0, token(0, 1, ocube.None))
+			r.run(rigTransit + rigRTO/4 + rigTransit) // its ack has left, alone
+			r.sendEnvs(0, token(0, 2, ocube.None))
+			r.rest()
+			r.wantReceipts("at rest", 0, 2, 1)
+			if st := r.m[0].Stats(); st.Retransmits != 0 {
+				t.Errorf("sender %+v: the slow ack cost a retransmission", st)
+			}
+		}},
+		{"one run ack, several frames", SessionConfig{}, func(t *testing.T, r *machRig) {
+			r.sendEnvs(0, token(0, 1, ocube.None))
+			r.sendEnvs(0, tagged(2)...)
+			r.sendEnvs(0, token(0, 3, ocube.None))
+			r.rest()
+			acks := r.pureAcks(0)
+			if len(acks) != 1 || acks[0].Ack != 3 || acks[0].AckRun != 2 {
+				t.Fatalf("pure acks %+v, want one run 1-3", acks)
+			}
+			r.wantReceipts("at rest", 0, 1, 3)
+		}},
+		{"two tokens in one batch of four, written behind it", SessionConfig{}, func(t *testing.T, r *machRig) {
+			batch := make([]core.Envelope, 4, 6) // what Session.SendBatch leaves: room for two receipts
+			copy(batch, []core.Envelope{tagged(1)[0], token(0, 2, ocube.None), token(0, 3, 0), token(0, 4, ocube.None)})
+			sent := slices.Clone(batch)
+			r.sendEnvs(0, batch...)
+			if f := r.sent[0]; cap(f.Batch) != len(f.Batch) {
+				t.Errorf("the frame's batch has capacity %d past its %d envelopes: a receiver could reach the receipts' room", cap(f.Batch)-len(f.Batch), len(f.Batch))
+			}
+			r.rest()
+			r.wantReceipts("at rest", 0, 2, 4)
+			if !slices.Equal(batch[4:6], r.rcpt[0]) {
+				t.Errorf("behind the batch: %v, want the receipts %v written there", batch[4:6], r.rcpt[0])
+			}
+			for i := range sent {
+				sent[i].Msg.Receipted = Receiptable(sent[i].Msg)
+			}
+			if !slices.Equal(batch[:4], sent) {
+				t.Errorf("the retired batch was rewritten:\n got %v\nwant %v", batch, sent)
+			}
+			wantTags(t, "node 1", r.got[1], 1, 2, 3, 4)
+		}},
+		{"only unlent tokens are receipted", SessionConfig{}, func(t *testing.T, r *machRig) {
+			r.sendEnvs(0, token(0, 1, 0), token(0, 2, 1))
+			for k := core.KindRequest; k <= core.KindTokenAck; k++ {
+				if k != core.KindToken {
+					r.sendEnvs(0, core.Envelope{Instance: 10 + uint64(k), Msg: core.Message{Kind: k, From: 0, To: 1, Lender: ocube.None}})
+				}
+			}
+			r.rest()
+			r.wantReceipts("at rest", 0)
+			for _, s := range r.sent {
+				for _, env := range s.Batch {
+					if env.Msg.Receipted {
+						t.Errorf("%v travelled marked Receipted", env)
+					}
+				}
+			}
+			if r.m[0].Unacked() != 0 || len(r.got[1]) != 10 {
+				t.Errorf("%d unacknowledged, delivered %v", r.m[0].Unacked(), r.got[1])
+			}
+		}},
+		{"none once the peer is reborn", SessionConfig{}, func(t *testing.T, r *machRig) {
+			r.send(1, 1) // node 0 learns which incarnation of node 1 it addresses
+			r.rest()
+			cut := true
+			r.fate = func(_ int, to ocube.Pos, _ SessFrame) time.Duration {
+				if cut && to == 0 {
+					return -1
+				}
+				return rigTransit
+			}
+			r.sendEnvs(0, token(0, 7, ocube.None))
+			r.run(r.now + 2*rigTransit)
+			wantTags(t, "node 1, first life", r.got[1], 7)
+			r.reboot(1, 2) // dies with the token and the ack it owed
+			cut = false
+			r.rest()
+			r.wantReceipts("after the rebirth", 0)
+			if r.m[0].Unacked() != 0 {
+				t.Errorf("node 0 still holds %d batches for the dead incarnation", r.m[0].Unacked())
+			}
+			// An ack of the second life for the first life's sequence number
+			// finds nothing in flight.
+			r.inject(0, SessFrame{From: 1, Boot: 2, ToBoot: 1, Ack: 1})
+			r.rest()
+			r.wantReceipts("after a late ack", 0)
+		}},
+		{"none from an ack for another incarnation of this node", SessionConfig{}, func(t *testing.T, r *machRig) {
+			r.fate = func(_ int, to ocube.Pos, f SessFrame) time.Duration {
+				if to == 0 && r.now < rigRTO/2 {
+					return -1
+				}
+				return rigTransit
+			}
+			r.sendEnvs(0, token(0, 7, ocube.None))
+			r.run(2 * rigTransit)
+			r.inject(0, SessFrame{From: 1, Boot: 1, ToBoot: 9, Ack: 1})
+			r.run(4 * rigTransit)
+			r.wantReceipts("after the misaddressed ack", 0)
+			if r.m[0].Unacked() != 1 {
+				t.Fatalf("Unacked() = %d: the misaddressed ack retired the frame", r.m[0].Unacked())
+			}
+			r.rest() // the retransmission is acked at once, to boot 1
+			r.wantReceipts("at rest", 0, 7)
+		}},
+		{"none for a batch still in the backlog", SessionConfig{Window: 2}, func(t *testing.T, r *machRig) {
+			r.fate = func(_ int, _ ocube.Pos, f SessFrame) time.Duration {
+				if f.Seq != 0 && f.Seq <= 2 && r.now == 0 {
+					return -1 // the two first transmissions
+				}
+				return rigTransit
+			}
+			for tag := uint64(1); tag <= 3; tag++ {
+				r.sendEnvs(0, token(0, tag, ocube.None))
+			}
+			// An ack naming all three sequence numbers, the third not yet
+			// given to any frame.
+			r.inject(0, SessFrame{From: 1, Boot: 1, ToBoot: 1, Ack: 3, AckRun: 2})
+			r.run(rigTransit)
+			r.wantReceipts("after the wide ack", 0, 1, 2)
+			if r.m[0].Unacked() != 1 {
+				t.Fatalf("Unacked() = %d, want the backlogged batch alone", r.m[0].Unacked())
+			}
+			r.rest()
+			r.wantReceipts("at rest", 0, 1, 2, 3)
+			wantTags(t, "node 1", r.got[1], 3)
+		}},
+		{"receipts go ahead of the frame's own payload", SessionConfig{}, func(t *testing.T, r *machRig) {
+			r.sendEnvs(0, token(0, 5, ocube.None))
+			r.run(2 * rigTransit)
+			r.send(1, 9) // carries the token's ack
+			r.rest()
+			if want := []uint64{5 | receiptBit, 9}; !slices.Equal(r.handed[0], want) {
+				t.Errorf("node 0 was handed %x, want the receipt then the batch %x", r.handed[0], want)
+			}
+			if acks := r.pureAcks(0); len(acks) != 0 {
+				t.Errorf("the receipt cost %d pure acks with a data frame to ride", len(acks))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, newMachRig(t, tc.cfg)) })
+	}
+}
+
+// TestSessionConfigFit: the ack delay RTO/4 is fitted into a
+// fault-tolerant node's timeout slack, max(SuspicionSlack, δ/8), and
+// nothing else is touched.
+func TestSessionConfigFit(t *testing.T) {
+	const ms = time.Millisecond
+	ft := func(delta, slack time.Duration) core.Config {
+		return core.Config{FT: true, Delta: delta, SuspicionSlack: slack}
+	}
+	for _, tc := range []struct {
+		what string
+		in   SessionConfig
+		node core.Config
+		want time.Duration
+	}{
+		{"no fault tolerance", SessionConfig{}, core.Config{Delta: ms}, 0},
+		{"default RTO, room to spare", SessionConfig{}, ft(200*ms, 1000*ms), 50 * ms},
+		{"default RTO, small δ and no slack", SessionConfig{}, ft(5*ms, 0), 5 * ms / 2},
+		{"set RTO, slack below RTO/4", SessionConfig{RTO: 30 * ms}, ft(40*ms, 6*ms), 24 * ms},
+		{"set RTO, slack above RTO/4", SessionConfig{RTO: 30 * ms}, ft(40*ms, 100*ms), 30 * ms},
+	} {
+		tc.in.Boot, tc.in.Window = 7, 9
+		got := tc.in.Fit(tc.node)
+		if got.RTO != tc.want || got.Boot != 7 || got.Window != 9 || got.MaxRTO != 0 || got.Jitter != 0 {
+			t.Errorf("%s: Fit gave %+v, want RTO %v and the rest as it was", tc.what, got, tc.want)
+		}
+	}
 }

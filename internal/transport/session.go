@@ -135,7 +135,9 @@ func (s *Session) PeerStats() map[ocube.Pos]PeerStats {
 // exactly-once delivery and returns without waiting for the peer — a
 // batch beyond the peer's in-flight window waits inside the machine, not
 // in the caller. The batch is copied before returning, so the caller may
-// reuse its buffer.
+// reuse its buffer. The copy is made with room behind it for the receipts
+// the batch will earn (Machine.Frame), which onFrame queues for the app
+// long after this call: the one allocation serves both.
 func (s *Session) SendBatch(to ocube.Pos, batch []core.Envelope) error {
 	if len(batch) == 0 {
 		return nil
@@ -143,7 +145,13 @@ func (s *Session) SendBatch(to ocube.Pos, batch []core.Envelope) error {
 	if len(batch) > MaxBatch {
 		return fmt.Errorf("transport: batch of %d envelopes exceeds the frame cap %d", len(batch), MaxBatch)
 	}
-	owned := make([]core.Envelope, len(batch))
+	room := len(batch)
+	for _, env := range batch {
+		if Receiptable(env.Msg) {
+			room++
+		}
+	}
+	owned := make([]core.Envelope, len(batch), room)
 	copy(owned, batch)
 
 	var buf [4]Outgoing // the urgent frames, if any, and this one: no allocation in the common case
@@ -232,8 +240,10 @@ func (s *Session) recvLoop() {
 	}
 }
 
-// onFrame steps the machine with one inbound frame and hands the batch
-// it yields to the app. It reports false once the session is closed.
+// onFrame steps the machine with one inbound frame and hands what it
+// yields to the app: the receipts its ack produced, as a batch of their
+// own, then the batch it carried. It reports false once the session is
+// closed.
 //
 // It runs on whatever goroutine the link received the frame on, so it
 // holds s.mu briefly, never waits for the app and never writes to the
@@ -251,8 +261,11 @@ func (s *Session) onFrame(f SessFrame) bool {
 		return false
 	}
 	now := time.Since(s.start)
-	var batch []core.Envelope
-	batch, s.urgent = s.m.Frame(now, f, s.urgent)
+	var batch, receipts []core.Envelope
+	batch, receipts, s.urgent = s.m.Frame(now, f, s.urgent, nil)
+	if len(receipts) > 0 {
+		s.deliver(receipts)
+	}
 	if batch != nil {
 		s.deliver(batch)
 	}

@@ -48,7 +48,8 @@ import (
 //	 52    1 Msg.Kind
 //	 53    1 Msg.Status
 //	 54    1 Msg.Reply
-//	 55    1 flags: bit 0 Msg.Regen, bit 1 Msg.FromSearcher
+//	 55    1 flags: bit 0 Msg.Regen, bit 1 Msg.FromSearcher,
+//	         bit 2 Msg.Receipted; bits 3–7 must be zero
 const (
 	wireRecordSize = 56
 	wireSessHead   = 44
@@ -62,6 +63,7 @@ const (
 
 	wireFlagRegen        = 1 << 0
 	wireFlagFromSearcher = 1 << 1
+	wireFlagReceipted    = 1 << 2
 )
 
 // Positions travel as int32: a valid Pos is below 2^MaxP (None is -1).
@@ -155,6 +157,9 @@ func appendRecord(dst []byte, env core.Envelope) []byte {
 	if m.FromSearcher {
 		flags |= wireFlagFromSearcher
 	}
+	if m.Receipted {
+		flags |= wireFlagReceipted
+	}
 	return append(dst, byte(m.Kind), byte(m.Status), byte(m.Reply), flags)
 }
 
@@ -164,7 +169,7 @@ func readRecord(b []byte) (core.Envelope, error) {
 	le := binary.LittleEndian
 	b = b[:wireRecordSize]
 	flags := b[55]
-	if flags&^(wireFlagRegen|wireFlagFromSearcher) != 0 {
+	if flags&^(wireFlagRegen|wireFlagFromSearcher|wireFlagReceipted) != 0 {
 		return core.Envelope{}, errWireMalformed
 	}
 	return core.Envelope{
@@ -185,6 +190,7 @@ func readRecord(b []byte) (core.Envelope, error) {
 			Reply:        core.TestReply(b[54]),
 			Regen:        flags&wireFlagRegen != 0,
 			FromSearcher: flags&wireFlagFromSearcher != 0,
+			Receipted:    flags&wireFlagReceipted != 0,
 		},
 	}, nil
 }

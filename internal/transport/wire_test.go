@@ -148,10 +148,38 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
+// TestWireFlagBits pins the record's flags byte: bits 0–2 are Regen,
+// FromSearcher and Receipted, each accepted alone; any of bits 3–7 makes
+// the record malformed, so a flag a newer sender adds is refused, not
+// silently dropped.
+func TestWireFlagBits(t *testing.T) {
+	rec := appendRecord(nil, core.Envelope{Msg: core.Message{Kind: core.KindToken, Lender: -1}})
+	for flags, want := range map[byte]core.Message{
+		0x01: {Regen: true},
+		0x02: {FromSearcher: true},
+		0x04: {Receipted: true},
+	} {
+		rec[55] = flags
+		env, err := readRecord(rec)
+		want.Kind, want.Lender = core.KindToken, -1
+		if err != nil || env.Msg != want {
+			t.Errorf("flags %#02x: decoded %+v, err %v; want %+v", flags, env.Msg, err, want)
+		}
+	}
+	for _, flags := range []byte{0x08, 0x0c, 0x80, 0xfc} {
+		rec[55] = flags
+		if env, err := readRecord(rec); err != errWireMalformed {
+			t.Errorf("flags %#02x: decoded %+v, err %v; want errWireMalformed", flags, env.Msg, err)
+		}
+	}
+}
+
 // wireSeeds are well-formed streams — a data frame, a pure ack, a bare
-// hello, the three back to back — and one body in a layout the wire no
-// longer carries (a bare envelope record). The corpus under testdata/fuzz adds malformed ones: torn frames, lying
-// counts, an oversized length, unknown flag bits.
+// hello, the three back to back, a frame whose one record has only flag
+// bit 2 (Receipted) set — and one body in a layout the wire no longer
+// carries (a bare envelope record). The corpus under testdata/fuzz adds
+// malformed ones: torn frames, lying counts, an oversized length, unknown
+// flag bits (0xFC: bit 2 is known now, bits 3–7 still refuse the record).
 func wireSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	frame := func(f SessFrame) []byte {
@@ -166,5 +194,7 @@ func wireSeeds(tb testing.TB) [][]byte {
 	hello := frame(SessFrame{From: 3, Boot: 2, ToBoot: 1})
 	record := appendRecord([]byte{wireRecordSize, 0, 0, 0},
 		core.Envelope{Msg: core.Message{Kind: core.KindToken, From: 3, To: 1, Lender: -1, Seq: 7, Epoch: 2, Fence: 9}})
-	return [][]byte{data, ack, hello, record, bytes.Join([][]byte{data, ack, hello}, nil)}
+	receipted := frame(SessFrame{From: 3, Boot: 2, Seq: 5, ToBoot: 1, Batch: []core.Envelope{
+		{Instance: 7, Msg: core.Message{Kind: core.KindToken, From: 3, To: 1, Lender: -1, Seq: 7, Epoch: 2, Fence: 9, Receipted: true}}}})
+	return [][]byte{data, ack, hello, record, receipted, bytes.Join([][]byte{data, ack, hello}, nil)}
 }

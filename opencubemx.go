@@ -115,7 +115,7 @@ func newLive(n int, opts []Option) (*live, error) {
 	c := &live{mesh: mesh}
 	for i := 0; i < n; i++ {
 		cfg := config(i, bits.TrailingZeros(uint(n)), opts)
-		sess := transport.NewSession(cfg.Node.Self, mesh.Endpoint(cfg.Node.Self), transport.SessionConfig{})
+		sess := transport.NewSession(cfg.Node.Self, mesh.Endpoint(cfg.Node.Self), transport.SessionConfig{}.Fit(cfg.Node))
 		cfg.Transport = sess
 		node, err := lockspace.New(cfg)
 		if err != nil {
@@ -341,7 +341,7 @@ func NewTCPNode(self int, addrs []string, opts ...Option) (*TCPNode, error) {
 	// The start time is the incarnation: a restarted process comes back
 	// with a higher one, so its peers do not take its fresh frames for
 	// duplicates of its former life's.
-	sess := transport.NewSession(cfg.Node.Self, link, transport.SessionConfig{Boot: uint64(time.Now().UnixNano())})
+	sess := transport.NewSession(cfg.Node.Self, link, transport.SessionConfig{Boot: uint64(time.Now().UnixNano())}.Fit(cfg.Node))
 	cfg.Transport = sess
 	node, err := lockspace.New(cfg)
 	if err != nil {

@@ -491,3 +491,47 @@ func TestLockspaceClusterLive(t *testing.T) {
 		t.Errorf("total increments = %d, want 12", got)
 	}
 }
+
+// TestReceiptFitsASmallDelta: the receipt of an unlent token is the
+// session's ack, which waits RTO/4 for a frame to ride, and the sender's
+// watchdog gives it 2δ plus the slack. With δ = 5 ms and no slack asked
+// for, the default 50 ms RTO would have every lone ack arrive after the
+// watchdog; the constructors fit the RTO to the node's timeouts instead
+// (SessionConfig.Fit). Acquires roam over eight nodes with 30 ms pauses,
+// so every ack travels alone after its full delay — and no token is ever
+// regenerated: every fence stays in epoch 0.
+func TestReceiptFitsASmallDelta(t *testing.T) {
+	c, err := NewLockspaceCluster(8, WithFaultTolerance(5*time.Millisecond, 5*time.Millisecond, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 20; i++ {
+		ls, err := c.Lockspace(i * 3 % 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fence, err := ls.Lock(ctx, "roam")
+		if err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
+		}
+		if epoch := fence >> 32; epoch != 0 {
+			t.Fatalf("acquire %d at node %d was granted fence %#x: the token was regenerated %d times", i, i*3%8, fence, epoch)
+		}
+		if err := ls.Unlock("roam", fence); err != nil {
+			t.Fatalf("release %d: %v", i, err)
+		}
+		time.Sleep(30 * time.Millisecond)
+	}
+	var receipts, pure int64
+	for _, sess := range c.sess {
+		st := sess.Stats()
+		receipts += st.Receipts
+		pure += st.AckFrames
+	}
+	if receipts == 0 || pure == 0 {
+		t.Errorf("%d receipts, %d pure acks: the run acknowledged no token through a lone ack", receipts, pure)
+	}
+}
