@@ -50,6 +50,45 @@ func TestE6GoldenUnifiedEngine(t *testing.T) {
 	}
 }
 
+// TestE9GoldenOneLockspace pins the keyed simulator across the lockspace
+// unification: the E9 table `ocmxbench -exp e9` prints
+// (testdata/e9_seed1993.golden, captured at PR 22, while the simulated
+// multiplexer still stepped its instances itself) must come out of the
+// shared lockspace.Machine byte for byte — grants, msgs/CS, recovery work
+// and lazily instantiated states, per key count and skew.
+func TestE9GoldenOneLockspace(t *testing.T) {
+	want, err := os.ReadFile("testdata/e9_seed1993.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := E9Lockspace(4, E9KeyCounts(false), 1993)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := FormatE9(rows)
+	if strings.TrimRight(got, "\n") != strings.TrimRight(string(want), "\n") {
+		t.Errorf("E9 table diverged from the pre-refactor golden:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestE13GoldenOneLockspace pins the same property for the sharded
+// runtime's table (`ocmxbench -exp e13`), waiting-time quantiles
+// included: every slice is its own Space.
+func TestE13GoldenOneLockspace(t *testing.T) {
+	want, err := os.ReadFile("testdata/e13_seed1993.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := E13Sharded(E13Cells(false), 1993, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := FormatE13(rows)
+	if strings.TrimRight(got, "\n") != strings.TrimRight(string(want), "\n") {
+		t.Errorf("E13 table diverged from the pre-refactor golden:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestE2MatchesAlphaRecurrenceExactly(t *testing.T) {
 	// The headline analytical reproduction: the measured per-node average
 	// on pristine cubes equals αp/2^p exactly, for every cube order.

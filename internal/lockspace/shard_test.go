@@ -1,7 +1,12 @@
 package lockspace
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,8 +51,10 @@ func TestInstanceShard(t *testing.T) {
 }
 
 // sparseProbe runs one crash-bearing keyed schedule on a Space and
-// returns every observable the harness reads.
-func sparseProbe(t *testing.T, forceSparse bool) (grants, msgs, regens, violations int64, states int, completed bool) {
+// returns every observable the harness reads. Every sent envelope (time,
+// from, to, instance, kind) and every grant (time, instance, position) is
+// written to out, when it is set, in the order the run produced them.
+func sparseProbe(t *testing.T, forceSparse bool, out io.Writer) (grants, msgs, regens, violations int64, states int, completed bool) {
 	t.Helper()
 	const p, keys, count = 4, 64, 512
 	n := 1 << p
@@ -58,7 +65,7 @@ func sparseProbe(t *testing.T, forceSparse bool) (grants, msgs, regens, violatio
 		CSEstimate:     time.Millisecond,
 		SuspicionSlack: 56 * time.Millisecond,
 	}
-	sp, err := NewSpace(SpaceConfig{
+	cfg := SpaceConfig{
 		P:         p,
 		Instances: keys,
 		Node:      node,
@@ -69,12 +76,27 @@ func sparseProbe(t *testing.T, forceSparse bool) (grants, msgs, regens, violatio
 		},
 		Recorder:    rec,
 		forceSparse: forceSparse,
-	})
+	}
+	if out != nil {
+		// The Network logs "send <envelope> (delay d)" for every envelope
+		// it puts in flight, with the virtual time first.
+		cfg.Logf = func(format string, args ...any) {
+			if !strings.Contains(format, "] send ") {
+				return
+			}
+			env := args[1].(core.Envelope)
+			fmt.Fprintf(out, "s %d %d %d %d %d\n", args[0], env.Msg.From, env.Msg.To, env.Instance, env.Msg.Kind)
+		}
+	}
+	sp, err := NewSpace(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hot := 0
 	sp.OnGrant(func(inst int, x ocube.Pos) {
+		if out != nil {
+			fmt.Fprintf(out, "g %d %d %d\n", sp.Network().Eng.Now(), inst, x)
+		}
 		if inst == 0 {
 			hot++
 			if hot == 2 {
@@ -102,8 +124,8 @@ func sparseProbe(t *testing.T, forceSparse bool) (grants, msgs, regens, violatio
 // that exercises crash, Section 5 recovery (sorted-touched Recover
 // order) and the timer wheel.
 func TestSparseSlotsMatchDense(t *testing.T) {
-	dg, dm, dr, dv, ds, dc := sparseProbe(t, false)
-	sg, sm, sr, sv, ss, sc := sparseProbe(t, true)
+	dg, dm, dr, dv, ds, dc := sparseProbe(t, false, nil)
+	sg, sm, sr, sv, ss, sc := sparseProbe(t, true, nil)
 	if dg != sg || dm != sm || dr != sr || dv != sv || ds != ss || dc != sc {
 		t.Errorf("sparse diverges from dense:\ndense  grants=%d msgs=%d regens=%d violations=%d states=%d completed=%v\nsparse grants=%d msgs=%d regens=%d violations=%d states=%d completed=%v",
 			dg, dm, dr, dv, ds, dc, sg, sm, sr, sv, ss, sc)
@@ -113,6 +135,27 @@ func TestSparseSlotsMatchDense(t *testing.T) {
 	}
 	if !dc {
 		t.Error("probe run did not quiesce")
+	}
+}
+
+// TestSpaceTraceGolden pins the simulated lockspace's whole trace on the
+// probe's schedule — crash, Section 5 recovery in instance order, the
+// timer wheel — as a digest over every sent envelope and every grant
+// (testdata/space_trace_seed42.golden, captured at PR 22, before the
+// keyed node became one machine under two drivers): whatever steps the
+// instances has to send the same envelopes at the same virtual instants
+// in the same order.
+func TestSpaceTraceGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/space_trace_seed42.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	grants, msgs, regens, violations, states, completed := sparseProbe(t, false, h)
+	got := fmt.Sprintf("sha256=%x grants=%d msgs=%d regens=%d violations=%d states=%d completed=%v",
+		h.Sum(nil), grants, msgs, regens, violations, states, completed)
+	if got != strings.TrimSpace(string(want)) {
+		t.Errorf("the probe's trace diverged from the golden:\n got: %s\nwant: %s", got, want)
 	}
 }
 
