@@ -20,15 +20,18 @@ const heldPhrase = "caller holds ls.mu"
 // named lockspace, a function whose doc comment says the caller holds
 // ls.mu may therefore contain no channel send or receive outside a
 // select with a default, no select without one, no range over a channel,
-// no time.Sleep and no .mu.Lock(). Function literals are not followed:
-// what they do happens when they are called. The one call a step makes
-// out of the package — the transport's SendBatch, in flush — is a method
-// call on an interface and outside what source can show; its contract
-// (BatchTransport: it does not wait for the peer) and the lockspace's
+// no time.Sleep and no .mu.Lock(). The step bodies are the methods of the
+// keyed node, lockspace.Machine, which say nothing about a mutex they never
+// see: every method of Machine is held to the same rule, in whatever file,
+// whatever its doc comment says. Function literals are not followed: what
+// they do happens when they are called. The one call a step makes out of
+// the package — the transport's SendBatch, in end — is a method call on an
+// interface and outside what source can show; its contract (BatchTransport:
+// it does not wait for the peer) and the lockspace's
 // TestCutPeerDoesNotParkCallers keep waiting out of it.
 var HeldblockAnalyzer = &Analyzer{
 	Name: "heldblock",
-	Doc:  "a live lockspace function documented \"the caller holds ls.mu\" does not block: no channel wait, select without default, time.Sleep or .mu.Lock()",
+	Doc:  "a live lockspace function documented \"the caller holds ls.mu\", and every method of lockspace.Machine, does not block: no channel wait, select without default, time.Sleep or .mu.Lock()",
 	Run:  runHeldblock,
 }
 
@@ -37,15 +40,15 @@ func runHeldblock(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if live, _ := filePragmas(pass.Fset, pass.Files, f.Pos()); !live {
-			continue
-		}
+		live, _ := filePragmas(pass.Fset, pass.Files, f.Pos())
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || fn.Doc == nil {
+			if !ok || fn.Body == nil {
 				continue
 			}
-			if doc := strings.Join(strings.Fields(fn.Doc.Text()), " "); strings.Contains(doc, heldPhrase) {
+			held := live && fn.Doc != nil && strings.Contains(strings.Join(strings.Fields(fn.Doc.Text()), " "), heldPhrase)
+			machine := fn.Recv != nil && strings.TrimPrefix(exprString(fn.Recv.List[0].Type), "*") == "Machine"
+			if held || machine {
 				heldWalk(pass, fn.Name.Name, fn.Body)
 			}
 		}

@@ -28,7 +28,7 @@ func TestCloseUnblocksInflightLock(t *testing.T) {
 	_ = f1
 	got := make(chan error, 1)
 	go func() { _, err := nodes[0].Lock(ctx, "k"); got <- err }()
-	time.Sleep(20 * time.Millisecond) // let the waiter enqueue behind the holder
+	awaitQueued(t, nodes[0], "k", 2) // the waiter is behind the holder
 	if err := nodes[0].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTransportClosureUnblocksLock(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() { _, err := nodes[0].Lock(ctx, "k"); got <- err }()
-	time.Sleep(20 * time.Millisecond)
+	awaitQueued(t, nodes[0], "k", 2)
 	sessions[0].Close() // the loop's RecvBatch closes; the loop exits without stop
 	select {
 	case err := <-got:

@@ -42,7 +42,7 @@ func TestCancelledWaiterConsumesNoGrant(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	got := make(chan error, 1)
 	go func() { _, err := nodes[0].Lock(cctx, "k"); got <- err }()
-	time.Sleep(20 * time.Millisecond) // let the waiter enqueue behind the holder
+	awaitQueued(t, nodes[0], "k", 2) // the waiter is behind the holder
 	cancel()
 	if err := <-got; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled lock = %v, want context.Canceled", err)

@@ -125,7 +125,7 @@ func TestLockCancellation(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	got := make(chan error, 1)
 	go func() { _, err := nodes[1].Lock(cctx, "k"); got <- err }()
-	time.Sleep(20 * time.Millisecond)
+	awaitQueued(t, nodes[1], "k", 1) // its request is in flight
 	cancel()
 	if err := <-got; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled lock = %v, want context.Canceled", err)
@@ -217,8 +217,11 @@ func TestContendedMutualExclusionAcrossKeys(t *testing.T) {
 	}
 	// Lazy instantiation: no node needs more state machines than keys.
 	for _, ls := range nodes {
-		if ls.States() > keys {
-			t.Errorf("node %v instantiated %d states for %d keys", ls.Self(), ls.States(), keys)
+		ls.mu.Lock()
+		states := ls.m.Books().States
+		ls.mu.Unlock()
+		if states > keys {
+			t.Errorf("node %v instantiated %d states for %d keys", ls.Self(), states, keys)
 		}
 	}
 }

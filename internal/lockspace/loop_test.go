@@ -223,6 +223,25 @@ func newSessMeshSpace(t *testing.T, p int, tmpl Config) (nodes []*Lockspace, sto
 	return nodes, stop
 }
 
+// awaitQueued returns once key has n local waiters at ls, its holder
+// included: the instant a test that wants a waiter queued is waiting
+// for. What happens to a queued waiter is pinned step by step in
+// machine_test.go; the live tests keep one smoke per behaviour.
+func awaitQueued(t *testing.T, ls *Lockspace, key string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		ls.mu.Lock()
+		got := ls.m.Queued(KeyInstance(key))
+		ls.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters queued for %q at node %d, want %d", got, key, ls.Self(), n)
+		}
+	}
+}
+
 // quietFT is the fault-tolerant template of a cluster no failure handling
 // should ever fire in: every timeout a minute, every lease an hour.
 func quietFT(reg *obs.Registry) Config {
@@ -274,20 +293,20 @@ func TestWheelHoldsOnlyLiveDeadlines(t *testing.T) {
 		t.Helper()
 		ls.mu.Lock()
 		defer ls.mu.Unlock()
-		for _, ent := range ls.wheel.ents {
-			st := ls.insts[ent.inst]
+		for _, ent := range ls.m.wheel.ents {
+			st := ls.m.insts[ent.ref]
 			switch {
-			case ent.kind == wheelLease && st.held:
+			case ent.kind == wheelHold && st.held:
 				leases++
-			case ent.kind != wheelLease && ent.gen == st.node.TimerGen(ent.kind):
+			case ent.kind != wheelHold && ent.gen == st.node.TimerGen(ent.kind):
 				timers++
 			default:
 				t.Errorf("%s: node %d holds a dead deadline %+v", when, ls.Self(), ent)
 			}
 		}
 		gauge := reg.Gauge("ocmx_lock_deadlines_pending", "", "node", strconv.Itoa(int(ls.Self()))).Value()
-		if gauge != float64(len(ls.wheel.ents)) {
-			t.Errorf("%s: node %d's gauge reads %g with %d deadlines in the heap", when, ls.Self(), gauge, len(ls.wheel.ents))
+		if gauge != float64(ls.m.Books().Pending) {
+			t.Errorf("%s: node %d's gauge reads %g with %d deadlines in the heap", when, ls.Self(), gauge, ls.m.Books().Pending)
 		}
 		return leases, timers
 	}

@@ -1,7 +1,6 @@
 package lockspace
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
@@ -15,32 +14,20 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the simulated half of the lockspace: a Space runs K
+// This file is the simulated driver of the lockspace: a Space runs K
 // independent open-cube mutex instances over ONE typed-event engine by
-// installing a multiplexing peer (muxPeer) at every position. Instance
-// state machines are lazily instantiated on first touch — an untouched
-// (position, instance) pair is exactly a pristine core.Node, because a
-// node's view of instance k only ever changes by processing instance-k
-// traffic — and all their timers share the node's single engine timer
-// slot through the private timerWheel. Grants never reach the Network:
-// the mux settles critical-section occupancy per instance (the Network's
-// per-node accounting would miscount two different locks held at one
-// position as a violation) and schedules releases on its own wheel.
+// installing a multiplexing peer (muxPeer) at every position, each
+// stepping the position's keyed Machine (machine.go) — the one the live
+// node steps — under virtual time, all its deadlines on the node's single
+// engine timer slot. Grants never reach the Network: the mux settles
+// critical-section occupancy per instance (the Network's per-node
+// accounting would miscount two locks held at one position as a
+// violation), and a simulated critical section is a hold whose length is
+// drawn at the grant and which the machine ends itself.
 
-// muxTimerKind is the engine-facing timer slot the wheel multiplexes
-// every instance deadline onto; the specific kind value is arbitrary
-// because the mux peer owns the whole per-node slot space.
+// muxTimerKind is the engine-facing timer slot every instance deadline is
+// multiplexed onto; the kind is arbitrary, the mux peer owns them all.
 const muxTimerKind = core.TimerSuspicion
-
-// denseSlotCap bounds the dense per-position slot array: up to this many
-// instances every position pre-allocates K node pointers. Above it the
-// space switches to sparse slots keyed by instance id: at the sharded
-// runtime's scale (E13: millions of keys split into per-shard spaces of
-// tens of thousands) a dense array would cost 2^P·K slots per shard
-// while the lazily touched population is a few states per key, so the
-// sparse index tracks only what actually exists. Both representations
-// are behaviorally identical — TestSparseSlotsMatchDense pins it.
-const denseSlotCap = 4096
 
 // SpaceConfig describes a simulated lockspace.
 type SpaceConfig struct {
@@ -67,10 +54,6 @@ type SpaceConfig struct {
 	// stall autopsies the sharded runtime writes. Purely observational:
 	// the run is byte-identical with or without it.
 	Flight *obs.Flight
-
-	// forceSparse drops the dense-slot fast path regardless of Instances
-	// (test hook: the representations must be behaviorally identical).
-	forceSparse bool
 }
 
 // Space is a simulated keyed lock-space: K instances multiplexed over a
@@ -82,12 +65,9 @@ type Space struct {
 	peers []*muxPeer
 	rng   *rand.Rand // CS-duration stream, separate from the delay stream
 
-	occupancy   []int32 // live CS holders per instance (violation accounting)
-	grants      int64
-	violations  int64
-	regens      int64
-	staleTokens int64
-	states      int // (position, instance) machines actually instantiated
+	occupancy  []int32 // live CS holders per instance (violation accounting)
+	grants     int64
+	violations int64
 
 	onGrant  func(inst int, x ocube.Pos)
 	onAccept func(inst int, x ocube.Pos)
@@ -116,18 +96,13 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 			sp.peers = make([]*muxPeer, n)
 			out := make([]sim.Peer, n)
 			for i := range out {
-				// One host per position: the template is validated here,
+				// One machine per position: the template is validated here,
 				// once, so lazy instantiation cannot fail mid-run.
 				tmpl.Self = ocube.Pos(i)
-				host, err := core.NewHost(tmpl)
-				if err != nil {
-					return nil, fmt.Errorf("lockspace: node template: %w", err)
-				}
-				p := &muxPeer{sp: sp, self: ocube.Pos(i), host: host}
-				if cfg.Instances <= denseSlotCap && !cfg.forceSparse {
-					p.dense = make([]int32, cfg.Instances)
-				} else {
-					p.index = make(map[uint64]int32)
+				p := &muxPeer{sp: sp, self: ocube.Pos(i)}
+				var err error
+				if p.m, err = NewMachine(tmpl, false, nil, p); err != nil {
+					return nil, err
 				}
 				sp.peers[i] = p
 				out[i] = p
@@ -151,10 +126,9 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 }
 
 // flightObserver returns the core.Config.Observe hook both keyed drivers
-// install on their hosts when a flight recorder is attached: every
-// instance's protocol events go into fl under the instance the reporting
-// node was minted for, stamped by now (virtual time here, wall time
-// live).
+// install when a flight recorder is attached: every instance's protocol
+// events go into fl under the instance the reporting node was minted for,
+// stamped by now (virtual time here, wall time live).
 func flightObserver(fl *obs.Flight, now func() int64) func(core.TokenEvent) {
 	return func(ev core.TokenEvent) {
 		fl.Record(obs.Event{
@@ -204,15 +178,26 @@ func (sp *Space) Grants() int64 { return sp.grants }
 func (sp *Space) Violations() int64 { return sp.violations }
 
 // Regenerations returns the token regenerations across all instances.
-func (sp *Space) Regenerations() int64 { return sp.regens }
+func (sp *Space) Regenerations() int64 { return sp.books().Regenerations }
 
 // StaleTokens returns the stale-epoch token sightings across instances.
-func (sp *Space) StaleTokens() int64 { return sp.staleTokens }
+func (sp *Space) StaleTokens() int64 { return sp.books().StaleTokens }
 
 // States returns how many (position, instance) state machines were
 // actually instantiated — the lazy-instantiation footprint, versus the
 // 2^P × K worst case.
-func (sp *Space) States() int { return sp.states }
+func (sp *Space) States() int { return sp.books().States }
+
+// books adds up what the positions' machines counted.
+func (sp *Space) books() (sum Books) {
+	for _, p := range sp.peers {
+		b := p.m.Books()
+		sum.States += b.States
+		sum.Regenerations += b.Regenerations
+		sum.StaleTokens += b.StaleTokens
+	}
+	return sum
+}
 
 // Autopsy writes a JSONL autopsy of the space's current protocol state:
 // per-node state for every instance that is still busy or holds a
@@ -221,10 +206,10 @@ func (sp *Space) States() int { return sp.states }
 // slice's settle window expires before quiescence (Run returned false).
 func (sp *Space) Autopsy(w io.Writer, reason string) error {
 	var states []obs.NodeState
-	seen := make(map[uint64]bool)
 	var insts []uint64
 	for _, p := range sp.peers {
-		for _, n := range p.byInstance() {
+		for _, st := range p.m.byInstance() {
+			n := st.node
 			if !n.Busy() && !n.TokenHere() {
 				continue
 			}
@@ -234,14 +219,13 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 				TokenHere: n.TokenHere(), Asking: n.Asking(), InCS: n.InCS(),
 				Searching: n.Searching(), QueueLen: n.QueueLen(), Epoch: n.Epoch(),
 			})
-			if n.Busy() && !seen[inst] {
-				seen[inst] = true
+			if n.Busy() {
 				insts = append(insts, inst)
 			}
 		}
 	}
 	slices.Sort(insts)
-	if insts == nil {
+	if insts = slices.Compact(insts); insts == nil {
 		// No busy instance: scope the lineage to nothing rather than
 		// letting WriteAutopsy default to every instance ever recorded.
 		insts = []uint64{}
@@ -250,14 +234,28 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 		"virtual_now_ns": int64(sp.w.Eng.Now()),
 		"grants":         sp.grants,
 		"violations":     sp.violations,
-		"regenerations":  sp.regens,
+		"regenerations":  sp.Regenerations(),
 	}
 	return obs.WriteAutopsy(w, reason, details, sp.cfg.Flight, insts, states)
 }
 
-// noteGrant is the space-level counterpart of the Network's enterCS:
-// per-instance occupancy, violation accounting and release scheduling.
-func (sp *Space) noteGrant(p *muxPeer, ref int32, inst uint64) {
+// muxPeer drives the keyed Machine of one position behind the sim.Peer
+// seam, as an InstancePeer, TimerPeer, FailingPeer and RecoveringPeer;
+// grants are swallowed (see granted) and what the machine sends is
+// re-emitted as instance-tagged envelopes.
+type muxPeer struct {
+	sp   *Space
+	self ocube.Pos
+	m    *Machine
+	em   core.Emitter
+	gen  uint64 // engine-facing timer generation
+}
+
+// granted is the space-level counterpart of the Network's enterCS
+// (driver): per-instance occupancy and violation accounting, and the draw
+// of the critical section's length — the analogue of its evRelease.
+func (p *muxPeer) granted(inst, _ uint64, _ any) time.Duration {
+	sp := p.sp
 	sp.grants++
 	idx := int(inst) - 1
 	sp.occupancy[idx]++
@@ -267,152 +265,38 @@ func (sp *Space) noteGrant(p *muxPeer, ref int32, inst uint64) {
 	if sp.onGrant != nil {
 		sp.onGrant(idx, p.self)
 	}
-	var dur time.Duration
-	if sp.cfg.CSTime != nil {
-		dur = sp.cfg.CSTime(sp.rng)
+	if sp.cfg.CSTime == nil {
+		return 0
 	}
-	p.wheel.schedule(ref, inst, wheelRelease, 0, sp.w.Eng.Now()+dur)
+	return sp.cfg.CSTime(sp.rng)
 }
 
-// muxPeer multiplexes every instance hosted at one position behind the
-// sim.Peer seam. It implements the InstancePeer, TimerPeer, FailingPeer
-// and RecoveringPeer capabilities; grants are swallowed (see noteGrant)
-// and sends re-emitted as instance-tagged envelopes.
-//
-// Every state machine is minted by the position's core.Host and listed
-// in nodes in instantiation order; its index there — its ref — is also
-// its row in the wheel's slot table, so a deadline finds its machine
-// without a lookup. An instance id resolves to its ref through one of two
-// representations chosen at construction (see denseSlotCap): the dense
-// array or the sparse index. Everything order-sensitive visits instances
-// in ascending id order in both modes (byInstance), so the two replay
-// identically.
-type muxPeer struct {
-	sp    *Space
-	self  ocube.Pos
-	host  *core.Host
-	nodes []*core.Node     // every instantiated machine, in instantiation order
-	dense []int32          // by instance-1: ref+1, zero until touched (nil slice when sparse)
-	index map[uint64]int32 // sparse: instance id → ref (nil when dense)
-	wheel timerWheel
-	em    core.Emitter
-
-	gen     uint64 // engine-facing timer generation
-	armed   bool
-	armedAt time.Duration
-	busyN   int // hosted machines reporting Busy
-}
-
-// lookup returns the ref of the instance's state machine, or -1 when the
-// instance was never touched at this position.
-func (p *muxPeer) lookup(inst uint64) int32 {
-	if p.dense != nil {
-		return p.dense[inst-1] - 1
-	}
-	if ref, ok := p.index[inst]; ok {
-		return ref
-	}
-	return -1
-}
-
-// ensure returns the instance's ref and state machine, instantiating it
-// pristine on first touch.
-func (p *muxPeer) ensure(inst uint64) (int32, *core.Node) {
-	if ref := p.lookup(inst); ref >= 0 {
-		return ref, p.nodes[ref]
-	}
-	n := p.host.NewNode(inst)
-	ref := p.wheel.mint()
-	if p.dense != nil {
-		p.dense[inst-1] = ref + 1
-	} else {
-		p.index[inst] = ref
-	}
-	p.nodes = append(p.nodes, n)
-	p.sp.states++
-	return ref, n
-}
-
-// byInstance returns the instantiated machines in ascending instance
-// order — the fixed iteration order deterministic replay requires.
-func (p *muxPeer) byInstance() []*core.Node {
-	out := append([]*core.Node(nil), p.nodes...)
-	slices.SortFunc(out, func(a, b *core.Node) int { return cmp.Compare(a.Instance(), b.Instance()) })
-	return out
-}
-
-// settle closes one call into machine ref. Its Busy transition across
-// the call is folded into the peer's count — wasBusy is what it reported
-// before; every call is bracketed this way, Failed zeroes the count and
-// Recover recounts, so it needs no per-machine cache. And the timers the
-// call cancelled leave the wheel: each was an idle engine event to come.
-func (p *muxPeer) settle(ref int32, n *core.Node, wasBusy bool) {
-	if b := n.Busy(); b != wasBusy {
-		if b {
-			p.busyN++
-		} else {
-			p.busyN--
-		}
-	}
-	p.wheel.reap(ref, n)
-}
-
-// translate re-emits an instance's effects in mux form: sends become
-// tagged envelopes, timers go to the wheel, grants are settled at the
-// space, counters are folded. The inner effect slice expires at the next
-// call into any instance of this position (they share the host's
-// scratch), so translation copies everything it keeps.
-func (p *muxPeer) translate(ref int32, inst uint64, effs []core.Effect) {
-	for _, e := range effs {
-		switch e := e.(type) {
-		case *core.Send:
-			p.em.SendEnvelope(core.Envelope{Instance: inst, Msg: e.Msg})
-		case *core.StartTimer:
-			p.wheel.schedule(ref, inst, e.Kind, e.Gen, p.sp.w.Eng.Now()+e.Delay)
-		case *core.Grant:
-			p.sp.noteGrant(p, ref, inst)
-		case *core.TokenRegenerated:
-			p.sp.regens++
-		case *core.StaleToken:
-			p.sp.staleTokens++
-		}
-	}
-}
-
-// rearm keeps the single engine timer aimed at the wheel's earliest
-// deadline. A stale engine fire (wheel emptied or deadline moved later)
-// is a cheap no-op at dispatch, so rearm only ever tightens.
-func (p *muxPeer) rearm() {
-	at, ok := p.wheel.earliest()
-	if !ok {
-		return
-	}
-	if p.armed && p.armedAt <= at {
-		return
-	}
-	p.gen++
-	p.armed, p.armedAt = true, at
-	p.em.StartTimer(muxTimerKind, p.gen, at-p.sp.w.Eng.Now())
-}
-
-// release ends an instance's simulated critical section (wheel-driven,
-// the analogue of the Network's evRelease).
-func (p *muxPeer) release(ref int32, inst uint64) {
-	node := p.nodes[ref]
-	was := node.Busy()
-	effs, err := node.ReleaseCS()
-	if err != nil {
-		// The instance is no longer in the CS this release was scheduled
-		// for; nothing to settle (crash settlement ran in Failed, which
-		// also cleared the wheel — reaching this is defensive).
-		return
-	}
-	idx := int(inst) - 1
-	if p.sp.occupancy[idx] > 0 {
+// ended settles the occupancy of a critical section that ended or died
+// with the node (driver): a crashed holder is not counted against a later
+// grant elsewhere.
+func (p *muxPeer) ended(inst, _ uint64, _ bool) {
+	if idx := int(inst) - 1; p.sp.occupancy[idx] > 0 {
 		p.sp.occupancy[idx]--
 	}
-	p.translate(ref, inst, effs)
-	p.settle(ref, node, was)
+}
+
+// now is the virtual time.
+func (p *muxPeer) now() time.Duration { return p.sp.w.Eng.Now() }
+
+// end closes a call into the peer: what the machine sent is re-emitted, in
+// the order it was sent (the Network draws a delay per envelope), and the
+// single engine timer is kept aimed at the machine's earliest deadline.
+func (p *muxPeer) end() []core.Effect {
+	p.em.Begin()
+	out, _ := p.m.Drain()
+	for i := range out {
+		p.em.SendEnvelope(out[i])
+	}
+	if at, ok := p.m.Aim(); ok {
+		p.gen++
+		p.em.StartTimer(muxTimerKind, p.gen, at-p.now())
+	}
+	return p.em.Take()
 }
 
 // --- sim.Peer ---
@@ -423,7 +307,7 @@ func (p *muxPeer) RequestCS() ([]core.Effect, error) {
 	return nil, fmt.Errorf("lockspace: untagged RequestCS on mux peer %v", p.self)
 }
 
-// ReleaseCS rejects untagged releases; the wheel drives releases.
+// ReleaseCS rejects untagged releases; the machine ends its holds.
 func (p *muxPeer) ReleaseCS() ([]core.Effect, error) {
 	return nil, fmt.Errorf("lockspace: untagged ReleaseCS on mux peer %v", p.self)
 }
@@ -435,74 +319,43 @@ func (p *muxPeer) HandleMessage(m core.Message) []core.Effect {
 }
 
 // Busy reports whether any hosted instance has protocol activity.
-func (p *muxPeer) Busy() bool { return p.busyN > 0 }
+func (p *muxPeer) Busy() bool { return p.m.books.Busy > 0 }
 
 // --- sim.InstancePeer ---
 
 // HandleEnvelope delivers one instance's protocol message.
 func (p *muxPeer) HandleEnvelope(env core.Envelope) []core.Effect {
-	p.em.Begin()
 	if env.Instance == core.NoInstance || int(env.Instance) > p.sp.cfg.Instances {
 		panic(fmt.Sprintf("lockspace: envelope instance %d out of range at %v", env.Instance, p.self))
 	}
-	ref, node := p.ensure(env.Instance)
-	was := node.Busy()
-	p.translate(ref, env.Instance, node.HandleMessage(env.Msg))
-	p.settle(ref, node, was)
-	p.rearm()
-	return p.em.Take()
+	p.m.Envelope(p.now(), env)
+	return p.end()
 }
 
-// RequestInstanceCS registers the local wish to lock an instance.
+// RequestInstanceCS registers the local wish to lock an instance. A
+// position has one simulated client per instance: a wish while one is
+// queued or holds is refused, like an overlapping Peer.RequestCS.
 func (p *muxPeer) RequestInstanceCS(inst uint64) ([]core.Effect, error) {
-	p.em.Begin()
 	if inst == core.NoInstance || int(inst) > p.sp.cfg.Instances {
 		return nil, fmt.Errorf("lockspace: instance %d out of range at %v", inst, p.self)
 	}
-	ref, node := p.ensure(inst)
-	was := node.Busy()
-	effs, err := node.RequestCS()
-	if err != nil {
-		return nil, err
+	if p.m.Queued(inst) > 0 {
+		return nil, core.ErrBusy
 	}
 	if p.sp.onAccept != nil {
 		p.sp.onAccept(int(inst)-1, p.self)
 	}
-	p.translate(ref, inst, effs)
-	p.settle(ref, node, was)
-	p.rearm()
-	return p.em.Take(), nil
+	err := p.m.Lock(p.now(), inst, nil)
+	return p.end(), err
 }
 
 // --- sim.TimerPeer ---
 
-// HandleTimer services the wheel: every due instance deadline fires, in
-// (deadline, schedule-order) sequence, then the engine timer is re-aimed
-// at the next one.
-func (p *muxPeer) HandleTimer(_ core.TimerKind, gen uint64) []core.Effect {
-	p.em.Begin()
-	p.armed = false
-	if gen != p.gen {
-		return nil
-	}
-	now := p.sp.w.Eng.Now()
-	for {
-		ent, ok := p.wheel.popDue(now)
-		if !ok {
-			break
-		}
-		if ent.kind == wheelRelease {
-			p.release(ent.ref, ent.inst)
-			continue
-		}
-		// Live: settle reaps what a call cancels or supersedes.
-		node := p.nodes[ent.ref]
-		was := node.Busy()
-		p.translate(ent.ref, ent.inst, node.HandleTimer(ent.kind, ent.gen))
-		p.settle(ent.ref, node, was)
-	}
-	p.rearm()
-	return p.em.Take()
+// HandleTimer lets every due deadline of the machine fire (the Network
+// delivers the live generation only).
+func (p *muxPeer) HandleTimer(core.TimerKind, uint64) []core.Effect {
+	p.m.Tick(p.now())
+	return p.end()
 }
 
 // TimerGen returns the engine-facing timer generation.
@@ -510,35 +363,14 @@ func (p *muxPeer) TimerGen(core.TimerKind) uint64 { return p.gen }
 
 // --- sim.FailingPeer / sim.RecoveringPeer ---
 
-// Failed settles the crash instant: instances in their critical section
-// release their occupancy (their grant died with the node), every local
-// deadline is void, and the busy count is zeroed (a down node never
-// reports busy). Per-instance settlement is independent, so the visit
-// order is immaterial.
-func (p *muxPeer) Failed() {
-	for _, n := range p.nodes {
-		if idx := int(n.Instance()) - 1; n.InCS() && p.sp.occupancy[idx] > 0 {
-			p.sp.occupancy[idx]--
-		}
-	}
-	p.busyN = 0
-	p.wheel.clear()
-	p.armed = false
-}
+// Failed is the crash instant: every hold ends (ended), every local
+// deadline is void.
+func (p *muxPeer) Failed() { p.m.Crash() }
 
-// Recover restarts every instantiated instance through its Section 5
-// rejoin, in instance order, and recounts the busy machines from zero —
-// where Failed left the count.
+// Recover restarts every instantiated instance through Section 5 rejoin.
 func (p *muxPeer) Recover() []core.Effect {
-	p.em.Begin()
-	p.busyN = 0
-	for _, n := range p.byInstance() {
-		ref := p.lookup(n.Instance())
-		p.translate(ref, n.Instance(), n.Recover())
-		p.settle(ref, n, false)
-	}
-	p.rearm()
-	return p.em.Take()
+	p.m.Recover(p.now())
+	return p.end()
 }
 
 // Interface compliance.

@@ -141,7 +141,7 @@ func TestCloseStuckWaiterAutopsy(t *testing.T) {
 	}
 	got := make(chan error, 1)
 	go func() { _, err := ls.Lock(ctx, "stuck-key"); got <- err }()
-	time.Sleep(20 * time.Millisecond) // let the waiter enqueue behind the holder
+	awaitQueued(t, ls, "stuck-key", 2) // the waiter is behind the holder
 	if err := ls.Close(); err != nil {
 		t.Fatal(err)
 	}

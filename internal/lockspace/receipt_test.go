@@ -103,7 +103,7 @@ func TestLiveTokenAcksLeaveTheWire(t *testing.T) {
 	guarded := func() (n int) {
 		for _, ls := range nodes {
 			ls.mu.Lock()
-			n += len(ls.wheel.ents)
+			n += ls.m.Books().Pending
 			ls.mu.Unlock()
 		}
 		return n

@@ -54,7 +54,7 @@ func TestInstanceShard(t *testing.T) {
 // returns every observable the harness reads. Every sent envelope (time,
 // from, to, instance, kind) and every grant (time, instance, position) is
 // written to out, when it is set, in the order the run produced them.
-func sparseProbe(t *testing.T, forceSparse bool, out io.Writer) (grants, msgs, regens, violations int64, states int, completed bool) {
+func sparseProbe(t *testing.T, out io.Writer) (grants, msgs, regens, violations int64, states int, completed bool) {
 	t.Helper()
 	const p, keys, count = 4, 64, 512
 	n := 1 << p
@@ -74,8 +74,7 @@ func sparseProbe(t *testing.T, forceSparse bool, out io.Writer) (grants, msgs, r
 		CSTime: func(rng *rand.Rand) time.Duration {
 			return time.Duration(rng.Int63n(int64(time.Millisecond)))
 		},
-		Recorder:    rec,
-		forceSparse: forceSparse,
+		Recorder: rec,
 	}
 	if out != nil {
 		// The Network logs "send <envelope> (delay d)" for every envelope
@@ -118,26 +117,6 @@ func sparseProbe(t *testing.T, forceSparse bool, out io.Writer) (grants, msgs, r
 	return sp.Grants(), rec.Total(), sp.Regenerations(), sp.Violations(), sp.States(), completed
 }
 
-// TestSparseSlotsMatchDense pins that the sparse slot representation
-// replays the dense one exactly — same grants, same delivered messages,
-// same recovery work, same lazily instantiated states — on a schedule
-// that exercises crash, Section 5 recovery (sorted-touched Recover
-// order) and the timer wheel.
-func TestSparseSlotsMatchDense(t *testing.T) {
-	dg, dm, dr, dv, ds, dc := sparseProbe(t, false, nil)
-	sg, sm, sr, sv, ss, sc := sparseProbe(t, true, nil)
-	if dg != sg || dm != sm || dr != sr || dv != sv || ds != ss || dc != sc {
-		t.Errorf("sparse diverges from dense:\ndense  grants=%d msgs=%d regens=%d violations=%d states=%d completed=%v\nsparse grants=%d msgs=%d regens=%d violations=%d states=%d completed=%v",
-			dg, dm, dr, dv, ds, dc, sg, sm, sr, sv, ss, sc)
-	}
-	if dv != 0 {
-		t.Errorf("probe run had %d violations", dv)
-	}
-	if !dc {
-		t.Error("probe run did not quiesce")
-	}
-}
-
 // TestSpaceTraceGolden pins the simulated lockspace's whole trace on the
 // probe's schedule — crash, Section 5 recovery in instance order, the
 // timer wheel — as a digest over every sent envelope and every grant
@@ -151,7 +130,7 @@ func TestSpaceTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	grants, msgs, regens, violations, states, completed := sparseProbe(t, false, h)
+	grants, msgs, regens, violations, states, completed := sparseProbe(t, h)
 	got := fmt.Sprintf("sha256=%x grants=%d msgs=%d regens=%d violations=%d states=%d completed=%v",
 		h.Sum(nil), grants, msgs, regens, violations, states, completed)
 	if got != strings.TrimSpace(string(want)) {

@@ -7,14 +7,11 @@ import (
 )
 
 // Protocol timers use the core.TimerKind values 1..5; kind 0 is free for
-// the one deadline a driver schedules for itself.
+// the one deadline the keyed node schedules for itself.
 const (
-	// wheelRelease is the simulated driver's scheduled critical-section
-	// release.
-	wheelRelease core.TimerKind = 0
-	// wheelLease is the live node's lease-expiry check.
-	wheelLease core.TimerKind = 0
-
+	// wheelHold is the end of a hold: the live node's lease, the
+	// simulated critical section's scheduled release.
+	wheelHold core.TimerKind = 0
 	// wheelKinds is the width of one machine's row in the slot table.
 	wheelKinds = core.NumTimerKinds + 1
 )
@@ -31,14 +28,14 @@ type wheelEntry struct {
 
 // timerWheel multiplexes the timers of every instance hosted at one
 // position onto a single timer: the simulator's per-(node, kind) slot
-// table cannot grow with thousands of instances, so the mux peer keeps
-// this private deadline heap and arms one engine timer for the earliest
-// entry; the live node (lockspace.go) keeps one too, under its one
-// time.Timer, with at measured from the node's start. Re-arming a
-// (machine, kind) pair reschedules its entry in place, and the drivers
-// reap what a machine cancels, so the heap holds live deadlines only.
-// Everything is deterministic: binary-heap order on (at, seq), and a
-// slot table addressed by the order the driver minted its machines in.
+// table cannot grow with thousands of instances, so the keyed node
+// (machine.go) keeps this private deadline heap and its driver arms one
+// timer for the earliest entry — an engine timer under the mux peer, the
+// one time.Timer of the live node, at measured from the node's start.
+// Re-arming a (machine, kind) pair reschedules its entry in place, and the
+// node reaps what a state machine cancels, so the heap holds live
+// deadlines only. Everything is deterministic: binary-heap order on (at,
+// seq), and a slot table addressed in the state machines' minting order.
 type timerWheel struct {
 	ents []wheelEntry
 	// slot[ref*wheelKinds+kind] is one more than the heap index of the
@@ -96,7 +93,7 @@ func (w *timerWheel) cancel(ref int32, kind core.TimerKind) {
 
 // reap removes the protocol-timer entries of machine ref that node has
 // cancelled or superseded since they were scheduled: they could only
-// fire dead. The drivers run it after each call into the machine.
+// fire dead. The keyed node runs it after each call into the machine.
 func (w *timerWheel) reap(ref int32, node *core.Node) {
 	for kind := core.TimerKind(1); int(kind) < wheelKinds; kind++ {
 		if i := int(w.slot[slotOf(ref, kind)]) - 1; i >= 0 && w.ents[i].gen != node.TimerGen(kind) {

@@ -43,10 +43,10 @@ func TestWheelSameInstantPopOrder(t *testing.T) {
 		kind core.TimerKind
 	}{
 		{3, core.TimerSuspicion},
-		{1, wheelRelease},
+		{1, wheelHold},
 		{7, core.TimerSearchRound},
 		{2, core.TimerSuspicion},
-		{5, wheelRelease},
+		{5, wheelHold},
 	}
 	for i, o := range order {
 		w.arm(o.inst, o.kind, uint64(i), at)
@@ -91,7 +91,7 @@ func TestWheelSameInstantRescheduleKeepsOrder(t *testing.T) {
 		t.Errorf("pops = %+v then %+v (ok=%v), want inst 2 then inst 1 at gen 2", first, second, ok)
 	}
 	// Not due yet: nothing pops before the deadline.
-	w.arm(4, wheelRelease, 0, at+time.Millisecond)
+	w.arm(4, wheelHold, 0, at+time.Millisecond)
 	if _, ok := w.popDue(at); ok {
 		t.Error("popped an entry before its deadline")
 	}
@@ -126,7 +126,7 @@ func TestWheelKeepsHashedIdsApart(t *testing.T) {
 			first, ok1, second, ok2, hi, lo)
 	}
 	// The same id under two kinds is two entries too.
-	w.arm(hi, wheelLease, 0, time.Millisecond)
+	w.arm(hi, wheelHold, 0, time.Millisecond)
 	w.arm(hi, core.TimerTransferAck, 1, time.Millisecond)
 	if len(w.ents) != 2 {
 		t.Errorf("%d entries for one instance under two kinds, want 2", len(w.ents))
@@ -135,7 +135,7 @@ func TestWheelKeepsHashedIdsApart(t *testing.T) {
 	if _, ok := w.earliest(); ok {
 		t.Error("wheel not empty after clear")
 	}
-	w.arm(hi, wheelLease, 0, time.Millisecond)
+	w.arm(hi, wheelHold, 0, time.Millisecond)
 	if len(w.ents) != 1 {
 		t.Errorf("%d entries after clear and one schedule, want 1", len(w.ents))
 	}
@@ -238,11 +238,11 @@ func TestWheelReapRemovesDeadGenerations(t *testing.T) {
 	live := node.TimerGen(core.TimerSuspicion)
 	w.schedule(ref, 1, core.TimerSuspicion, live, time.Second)
 	w.schedule(ref, 1, core.TimerEnquiry, node.TimerGen(core.TimerEnquiry)+1, time.Millisecond)
-	w.schedule(ref, 1, wheelLease, 99, 2*time.Second)
+	w.schedule(ref, 1, wheelHold, 99, 2*time.Second)
 	w.reap(ref, node)
-	if len(w.ents) != 2 || !w.pending(ref, core.TimerSuspicion) || !w.pending(ref, wheelLease) || w.pending(ref, core.TimerEnquiry) {
+	if len(w.ents) != 2 || !w.pending(ref, core.TimerSuspicion) || !w.pending(ref, wheelHold) || w.pending(ref, core.TimerEnquiry) {
 		t.Fatalf("after reap: %d entries (suspicion %v, lease %v, enquiry %v), want the live suspicion timer and the lease check",
-			len(w.ents), w.pending(ref, core.TimerSuspicion), w.pending(ref, wheelLease), w.pending(ref, core.TimerEnquiry))
+			len(w.ents), w.pending(ref, core.TimerSuspicion), w.pending(ref, wheelHold), w.pending(ref, core.TimerEnquiry))
 	}
 	if at, _ := w.earliest(); at != time.Second {
 		t.Errorf("earliest = %v after reaping the 1ms corpse, want 1s", at)
