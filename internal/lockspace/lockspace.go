@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -268,24 +267,27 @@ func (ls *Lockspace) begin() bool {
 
 // end completes a step and releases ls.mu. Stable storage the step
 // changed is written through first, and only then does what it sent leave
-// — one batch per destination — so a node never sends what it would not
-// remember having sent. Transport errors are equivalent to message loss,
-// which the failure machinery tolerates, and SendBatch does not wait for
-// the peer: what a full session window cannot take yet queues inside the
-// session. Last the gauges are published and the timer is aimed at what
-// the step scheduled. The caller holds ls.mu.
+// — one batch per destination, in the order they were first touched — so
+// a node never sends what it would not remember having sent. Transport
+// errors are message loss, which the failure machinery tolerates, and
+// SendBatch does not wait for the peer: what a full session window cannot
+// take yet queues inside the session. Last the gauges are published and
+// the timer is aimed at what the step scheduled. The caller holds ls.mu.
 func (ls *Lockspace) end() {
 	out, saves := ls.m.Drain()
 	for _, w := range saves {
 		ls.cfg.Stable.Save(w.Instance, w.State)
 	}
-	slices.SortStableFunc(out, func(a, b core.Envelope) int { return cmp.Compare(a.Msg.To, b.Msg.To) })
 	for len(out) > 0 {
-		n := 1
-		for n < len(out) && out[n].Msg.To == out[0].Msg.To {
-			n++
+		to, n := out[0].Msg.To, 0
+		for i, env := range out { // the envelopes for to move to the front, in order
+			if env.Msg.To == to {
+				copy(out[n+1:i+1], out[n:i])
+				out[n] = env
+				n++
+			}
 		}
-		_ = ls.cfg.Transport.SendBatch(out[0].Msg.To, out[:n]) // the transport copies it
+		_ = ls.cfg.Transport.SendBatch(to, out[:n]) // the transport copies it
 		out = out[n:]
 	}
 	books := ls.m.Books()
@@ -310,8 +312,7 @@ func (ls *Lockspace) Lock(ctx context.Context, key string) (uint64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	id := KeyInstance(key)
-	w := &parked{}
+	id, w := KeyInstance(key), &parked{}
 	if !ls.begin() {
 		return 0, ErrClosed
 	}

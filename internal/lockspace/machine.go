@@ -191,7 +191,7 @@ func (m *Machine) Tick(now time.Duration) {
 		case st.holdEnd > now:
 			m.wheel.schedule(st.ref, ent.inst, wheelHold, 0, st.holdEnd)
 		default:
-			_ = m.release(now, st, true)
+			_ = m.release(now, st, true) // a hold is a node in its critical section
 		}
 		m.settle(st)
 	}
@@ -276,7 +276,7 @@ func (m *Machine) Cancel(now time.Duration, id uint64, who any) {
 		m.pop(st, i)
 	case i < 0:
 	case st.held:
-		_ = m.release(now, st, false)
+		_ = m.release(now, st, false) // likewise
 		m.settle(st)
 	default:
 		st.queue[0].abandoned = true
@@ -389,7 +389,7 @@ func (m *Machine) apply(now time.Duration, st *instance, effs []core.Effect) {
 		// The head cancelled while its request was in flight (or, which the
 		// queue discipline should make unreachable, nobody waits): the
 		// grant is given straight back and the next waiter served.
-		_ = m.release(now, st, false)
+		_ = m.release(now, st, false) // the node has just entered its critical section
 	default:
 		st.held, st.fence = true, grant.Fence
 		m.books.Held++

@@ -255,9 +255,8 @@ type muxPeer struct {
 // (driver): per-instance occupancy and violation accounting, and the draw
 // of the critical section's length — the analogue of its evRelease.
 func (p *muxPeer) granted(inst, _ uint64, _ any) time.Duration {
-	sp := p.sp
+	sp, idx := p.sp, int(inst)-1
 	sp.grants++
-	idx := int(inst) - 1
 	sp.occupancy[idx]++
 	if sp.occupancy[idx] > 1 {
 		sp.violations++
