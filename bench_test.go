@@ -1,11 +1,13 @@
 package opencubemx
 
-// One benchmark per experiment of the paper's evaluation (see DESIGN.md
-// for the experiment index and EXPERIMENTS.md for recorded results).
-// Custom metrics carry the paper-relevant quantities: msgs/request,
-// msgs/failure, tested nodes per search. Run with
+// BenchmarkGate walks harness.Gates, one small deterministic cell per
+// table of the paper's evaluation (see DESIGN.md for the experiment index
+// and EXPERIMENTS.md for recorded results); the custom metric carries the
+// paper-relevant quantity — msgs/request, msgs/failure, tested nodes per
+// search — that TestGateMetrics pins exactly. The other benchmarks time
+// the live runtime and the keyed simulator. Run with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem -count 10 .
 //
 // cmd/ocmxbench prints the same data as full tables.
 
@@ -27,126 +29,26 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkE1WorstCaseMessages regenerates E1: worst-case messages per
-// request versus the paper's log2(N)+1 claim (strictly log2(N)+2, see
-// EXPERIMENTS.md).
-func BenchmarkE1WorstCaseMessages(b *testing.B) {
-	for _, p := range []int{3, 5, 7} {
-		b.Run("N="+itoa(1<<p), func(b *testing.B) {
+// BenchmarkGate times every gate cell: ns/op and allocs/op through the
+// stock tooling (repeat with -count, compare with benchstat), the cell's
+// protocol metric under its own unit, and — where the cell counts the
+// messages it delivers — events/sec. The logical work per op is
+// deterministic, so wall-clock across builds isolates engine overhead.
+func BenchmarkGate(b *testing.B) {
+	for _, g := range harness.Gates() {
+		b.Run(g.Name, func(b *testing.B) {
 			b.ReportAllocs()
-			var max int64
+			var events int64
+			var metric float64
 			for i := 0; i < b.N; i++ {
-				rows, err := harness.E1WorstCase([]int{p}, 10, int64(i))
-				if err != nil {
+				var err error
+				if events, metric, err = g.Run(harness.Options{Seed: 1993}); err != nil {
 					b.Fatal(err)
 				}
-				max = rows[0].MaxMeasured
 			}
-			b.ReportMetric(float64(max), "worst-msgs/request")
-			b.ReportMetric(float64(ocube.WorstCaseMessages(1<<p)), "paper-bound")
-		})
-	}
-}
-
-// BenchmarkE2AverageMessages regenerates E2: measured average messages
-// per request versus the exact αp/2^p and the ¾·log2(N)+5/4 closed form.
-func BenchmarkE2AverageMessages(b *testing.B) {
-	for _, p := range []int{3, 5, 7} {
-		b.Run("N="+itoa(1<<p), func(b *testing.B) {
-			b.ReportAllocs()
-			var measured, exact float64
-			for i := 0; i < b.N; i++ {
-				rows, err := harness.E2Average([]int{p}, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				measured, exact = rows[0].Measured, rows[0].AlphaExact
-			}
-			b.ReportMetric(measured, "avg-msgs/request")
-			b.ReportMetric(exact, "alpha-exact")
-		})
-	}
-}
-
-// BenchmarkE3FailureOverhead regenerates E3: overhead messages per
-// failure at the paper's N=32 and N=64 settings (scaled-down failure
-// counts per iteration; cmd/ocmxbench runs the full 300/200).
-func BenchmarkE3FailureOverhead(b *testing.B) {
-	for _, p := range []int{5, 6} {
-		b.Run("N="+itoa(1<<p), func(b *testing.B) {
-			b.ReportAllocs()
-			var repair, rejoin float64
-			for i := 0; i < b.N; i++ {
-				row, err := harness.E3FailureOverhead(p, 25, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				repair, rejoin = row.RepairPerFail, row.RejoinPerFail
-			}
-			b.ReportMetric(repair, "repair-msgs/failure")
-			b.ReportMetric(rejoin, "rejoin-msgs/failure")
-		})
-	}
-}
-
-// BenchmarkE3PaperMode is ablation A5: the paper's single-sweep
-// regeneration (cheaper, racy).
-func BenchmarkE3PaperMode(b *testing.B) {
-	for _, p := range []int{5, 6} {
-		b.Run("N="+itoa(1<<p), func(b *testing.B) {
-			b.ReportAllocs()
-			var repair float64
-			for i := 0; i < b.N; i++ {
-				row, err := harness.E3FailureOverheadPaperMode(p, 25, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				repair = row.RepairPerFail
-			}
-			b.ReportMetric(repair, "repair-msgs/failure")
-		})
-	}
-}
-
-// BenchmarkE4SearchFather regenerates E4: nodes tested per search_father
-// reconnection (paper: O(log2 N) average).
-func BenchmarkE4SearchFather(b *testing.B) {
-	for _, p := range []int{3, 4, 5, 6} {
-		b.Run("N="+itoa(1<<p), func(b *testing.B) {
-			b.ReportAllocs()
-			var mean float64
-			for i := 0; i < b.N; i++ {
-				rows, err := harness.E4SearchCost([]int{p}, 15, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				mean = rows[0].MeanReconnect
-			}
-			b.ReportMetric(mean, "tested-nodes/search")
-			b.ReportMetric(float64(p), "log2N")
-		})
-	}
-}
-
-// BenchmarkE5Comparison regenerates E5: messages per critical section for
-// the open-cube algorithm against the scheme instances and the classic
-// Raymond / Naimi-Trehel baselines, per workload shape.
-func BenchmarkE5Comparison(b *testing.B) {
-	for _, load := range []string{harness.LoadSpread, harness.LoadBurst, harness.LoadHotspot} {
-		b.Run(load, func(b *testing.B) {
-			b.ReportAllocs()
-			metric := map[string]float64{}
-			for i := 0; i < b.N; i++ {
-				rows, err := harness.E5Comparison([]int{4}, []string{load}, int64(i+1))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range rows {
-					metric[r.Algorithm] = r.MsgsPerCS
-				}
-			}
-			for algo, v := range metric {
-				b.ReportMetric(v, algo+"-msgs/CS")
+			b.ReportMetric(metric, g.Unit)
+			if events > 0 {
+				b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 			}
 		})
 	}
@@ -325,105 +227,9 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkE6Adaptivity regenerates E6: total messages per critical
-// section under the adversarial hotspot, open-cube versus static
-// Raymond (the paper's adaptivity claim).
-func BenchmarkE6Adaptivity(b *testing.B) {
-	b.ReportAllocs()
-	metric := map[string]float64{}
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.E6Adaptivity([]int{5}, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			metric[r.Algorithm] = r.MsgsPerCS
-		}
-	}
-	for algo, v := range metric {
-		b.ReportMetric(v, algo+"-msgs/CS")
-	}
-}
-
-// BenchmarkE7LargeP runs the smallest large-P scaling cell (N=256,
-// failure-free and fault-tolerant): messages per critical section
-// against Lavault's average-case prediction and the paper's O(log²N)
-// envelope. The full P=8..12 sweep is `ocmxbench -exp e7 -full`.
-func BenchmarkE7LargeP(b *testing.B) {
-	b.ReportAllocs()
-	var row harness.E7Row
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.E7LargeP([]int{8}, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		row = rows[0]
-	}
-	b.ReportMetric(row.FFMsgsPerCS, "ff-msgs/CS")
-	b.ReportMetric(row.Lavault, "lavault")
-	b.ReportMetric(row.FTMsgsPerCS, "ft-msgs/CS")
-	b.ReportMetric(row.Log2Sq, "log2sqN")
-}
-
-// BenchmarkEngineThroughput saturates the discrete-event engine with a
-// seeded 64-node workload (16·N staggered requests to quiescence) and
-// reports delivered protocol messages per wall-clock second. The ft=on
-// variant re-arms suspicion/loan/transfer timers on nearly every
-// message — the workload that exposes dead-timer accumulation in the
-// event heap. The logical work per op is deterministic, so events/sec
-// across builds isolates engine overhead; BENCH_*.json records the same
-// scenario PR-over-PR.
-func BenchmarkEngineThroughput(b *testing.B) {
-	for _, ft := range []bool{false, true} {
-		name := "ft=off"
-		if ft {
-			name = "ft=on"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var msgs, grants int64
-			for i := 0; i < b.N; i++ {
-				m, g, err := harness.EngineThroughput(6, ft, 1993)
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs, grants = m, g
-			}
-			b.ReportMetric(float64(msgs)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
-			b.ReportMetric(float64(msgs)/float64(grants), "msgs/grant")
-		})
-	}
-}
-
-// BenchmarkE13Sharded runs a small sharded-lockspace cell (the E13
-// machinery end to end: 64-slice grid, seed-folded per-slice streams,
-// hot-shard crash, slice-order merge) at two shard-worker counts. The
-// msgs/grant metric is identical for both by the determinism contract;
-// the wall-clock difference is the shard runtime's parallel overhead or
-// speedup on this machine. The BENCH_*.json suite measures the same
-// contract at one million keys (e13_k1m_shard1/8).
-func BenchmarkE13Sharded(b *testing.B) {
-	cell := harness.E13Cell{P: 4, Keys: 256, Skew: "zipf"}
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			var msgs, grants int64
-			for i := 0; i < b.N; i++ {
-				m, g, err := harness.E13Throughput(cell, shards, 1993)
-				if err != nil {
-					b.Fatal(err)
-				}
-				msgs, grants = m, g
-			}
-			b.ReportMetric(float64(msgs)/float64(grants), "msgs/grant")
-		})
-	}
-}
-
 // spaceKeyedRep runs one failure-free keyed repetition — the shape of
 // bench/ocmxload's sim-keyed at a CI-sized scale: 2^6 positions, 8192
-// Zipf(1.1) keys (above the dense-slot cap, so the mux runs its sparse
-// slots), two requests per key over E9's horizon — from set-up to
+// Zipf(1.1) keys, two requests per key over E9's horizon — from set-up to
 // quiescence, and returns the engine events dispatched and the grants
 // served.
 func spaceKeyedRep(seed int64) (events uint64, grants int64, err error) {

@@ -71,6 +71,15 @@ type E10Row struct {
 	Stuck       int           // runs whose settle phase failed to drain (§7 regression)
 }
 
+// strict is what -strict fails an E10 row on: a settle phase that did not
+// drain, or a violation.
+func (r E10Row) strict() error {
+	if r.Stuck != 0 || r.Violations != 0 {
+		return fmt.Errorf("strict: e10 N=%d stuck=%d violations=%d", r.N, r.Stuck, r.Violations)
+	}
+	return nil
+}
+
 // e10Cell is one run's raw measurement, mergeable into its order's row.
 type e10Cell struct {
 	requests     int
@@ -90,68 +99,53 @@ type e10Cell struct {
 // run) cells are independent seeded runs spread over the sweep pool and
 // merged into rows in fixed order, so tables are byte-identical at any
 // -parallel count.
-func E10SteadyChurn(ps []int, seed int64) ([]E10Row, error) {
-	cells := make([]e10Cell, len(ps)*e10Runs)
-	err := forEach(len(cells), func(i int) error {
+func E10SteadyChurn(o Options, ps []int) ([]E10Row, error) {
+	cells, err := forEach(o.Workers, len(ps)*e10Runs, func(i int) (e10Cell, error) {
 		p, run := ps[i/e10Runs], i%e10Runs
-		cell, err := runE10(p, run, seed)
+		cell, err := runE10(p, run, o.Seed)
 		if err != nil {
-			return fmt.Errorf("harness: e10 p=%d run=%d: %w", p, run, err)
+			err = fmt.Errorf("harness: e10 p=%d run=%d: %w", p, run, err)
 		}
-		cells[i] = cell
-		return nil
+		return cell, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]E10Row, len(ps))
 	for i, p := range ps {
-		row := E10Row{N: 1 << p, Runs: e10Runs,
-			Lavault: ocube.AverageApprox(1 << p), Log2Sq: float64(p * p)}
-		waits := &metrics.Summary{}
-		var steadyMsgs, steadyGrants, totalMsgs int64
-		for r := 0; r < e10Runs; r++ {
-			c := cells[i*e10Runs+r]
-			row.Requests += c.requests
-			row.Grants += c.grants
-			row.Failures += c.failures
-			row.Regens += c.regens
-			row.Stale += c.stale
-			row.Violations += c.violations
-			row.Stuck += c.stuck
-			steadyMsgs += c.steadyMsgs
-			steadyGrants += c.steadyGrants
-			totalMsgs += c.totalMsgs
-			waits.Merge(c.waits)
-		}
-		if steadyGrants > 0 {
-			row.SteadyMsgs = float64(steadyMsgs) / float64(steadyGrants)
-		}
-		if row.Grants > 0 {
-			row.OverallMsgs = float64(totalMsgs) / float64(row.Grants)
-		}
-		row.WaitP50 = time.Duration(waits.Quantile(0.5))
-		row.WaitP99 = time.Duration(waits.Quantile(0.99))
-		rows[i] = row
+		rows[i] = e10Merge(p, cells[i*e10Runs:(i+1)*e10Runs])
 	}
 	return rows, nil
 }
 
-// E10Throughput runs the N=2^p churn cell (first run seed) and reports
-// delivered messages and grants — the BENCH_*.json gate behind the e10_*
-// entries. A stuck settle phase or a violation is a failed gate.
-func E10Throughput(p int, seed int64) (msgs, grants int64, err error) {
-	cell, err := runE10(p, 0, seed)
-	if err != nil {
-		return 0, 0, err
+// e10Merge folds one order's runs into its row, in run order.
+func e10Merge(p int, cells []e10Cell) E10Row {
+	row := E10Row{N: 1 << p, Runs: len(cells),
+		Lavault: ocube.AverageApprox(1 << p), Log2Sq: float64(p * p)}
+	waits := &metrics.Summary{}
+	var steadyMsgs, steadyGrants, totalMsgs int64
+	for _, c := range cells {
+		row.Requests += c.requests
+		row.Grants += c.grants
+		row.Failures += c.failures
+		row.Regens += c.regens
+		row.Stale += c.stale
+		row.Violations += c.violations
+		row.Stuck += c.stuck
+		steadyMsgs += c.steadyMsgs
+		steadyGrants += c.steadyGrants
+		totalMsgs += c.totalMsgs
+		waits.Merge(c.waits)
 	}
-	if cell.stuck != 0 {
-		return 0, 0, fmt.Errorf("harness: e10 p=%d settle phase stuck", p)
+	if steadyGrants > 0 {
+		row.SteadyMsgs = float64(steadyMsgs) / float64(steadyGrants)
 	}
-	if cell.violations != 0 {
-		return 0, 0, fmt.Errorf("harness: e10 p=%d had %d violations", p, cell.violations)
+	if row.Grants > 0 {
+		row.OverallMsgs = float64(totalMsgs) / float64(row.Grants)
 	}
-	return cell.totalMsgs, cell.grants, nil
+	row.WaitP50 = time.Duration(waits.Quantile(0.5))
+	row.WaitP99 = time.Duration(waits.Quantile(0.99))
+	return row
 }
 
 // runE10 is one churn cell: continuous load and continuous fail/recover
@@ -249,8 +243,8 @@ func runE10(p, run int, seed int64) (e10Cell, error) {
 	return cell, nil
 }
 
-// FormatE10 renders the steady-state churn table.
-func FormatE10(rows []E10Row) string {
+// formatE10 renders the steady-state churn table.
+func formatE10(rows []E10Row) string {
 	header := []string{"N", "runs", "requests", "grants", "failures", "steady msgs/CS",
 		"overall msgs/CS", "Lavault", "log2²N", "regens", "stale", "violations",
 		"wait p50", "wait p99", "stuck"}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -78,12 +79,41 @@ type E11Row struct {
 	Completed bool
 }
 
+// strict is the headline gate: with sessions on, fencing leaves no
+// application-visible violation and every run completes.
+func (r E11Row) strict() error {
+	if r.Session && (!r.Completed || r.Visible != 0) {
+		return fmt.Errorf("strict: e11 loss=%g crash=%v session=on completed=%v visible=%d",
+			r.Loss, r.Crash, r.Completed, r.Visible)
+	}
+	return nil
+}
+
+// e11Export records where the token acknowledgments went: on the wire as
+// token-ack messages without sessions, inside the sender's session as
+// receipts with them.
+func e11Export(reg *obs.Registry, rows []E11Row) {
+	for _, r := range rows {
+		labels := []string{"loss", strconv.FormatFloat(r.Loss, 'g', -1, 64),
+			"crash", strconv.FormatBool(r.Crash), "session", strconv.FormatBool(r.Session)}
+		reg.Counter("ocmx_e11_token_acks_total",
+			"Token-ack messages put on the simulated wire, per E11 cell.", labels...).Add(r.TokenAcks)
+		reg.Counter("ocmx_e11_session_receipts_total",
+			"Token acknowledgments the sessions gave their own nodes, per E11 cell.", labels...).Add(r.Receipts)
+	}
+}
+
+// e11Requests is the one seeded schedule every E11 cell replays.
+func e11Requests(o Options, p int) []workload.Request {
+	n := 1 << p
+	return workload.Uniform(newRng(o.Seed), n, 6*n, e8Horizon(n))
+}
+
 // E11LossyRecovery sweeps loss × crash × session over the fault-tolerant
 // open cube on 2^p nodes. All cells share one seeded schedule and run
 // concurrently on the sweep pool.
-func E11LossyRecovery(p int, seed int64) ([]E11Row, error) {
-	n := 1 << p
-	reqs := workload.Uniform(newRng(seed), n, 6*n, e8Horizon(n))
+func E11LossyRecovery(o Options, p int) ([]E11Row, error) {
+	reqs := e11Requests(o, p)
 	type cell struct {
 		loss           float64
 		crash, session bool
@@ -96,32 +126,26 @@ func E11LossyRecovery(p int, seed int64) ([]E11Row, error) {
 			}
 		}
 	}
-	rows := make([]E11Row, len(cells))
-	err := forEach(len(cells), func(i int) error {
+	return forEach(o.Workers, len(cells), func(i int) (E11Row, error) {
 		c := cells[i]
-		row, err := runE11(p, reqs, seed, c.loss, c.crash, c.session, &trace.Recorder{})
+		row, err := runE11(o, p, reqs, c.loss, c.crash, c.session, &trace.Recorder{})
 		if err != nil {
-			return fmt.Errorf("harness: e11 loss=%g crash=%v session=%v: %w", c.loss, c.crash, c.session, err)
+			err = fmt.Errorf("harness: e11 loss=%g crash=%v session=%v: %w", c.loss, c.crash, c.session, err)
 		}
-		rows[i] = row
-		return nil
+		return row, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
-func runE11(p int, reqs []workload.Request, seed int64, loss float64, crash, session bool, rec *trace.Recorder) (E11Row, error) {
+func runE11(o Options, p int, reqs []workload.Request, loss float64, crash, session bool, rec *trace.Recorder) (E11Row, error) {
 	row := E11Row{Loss: loss, Crash: crash, Session: session, Requests: len(reqs)}
 	cfg := sim.Config{
 		P:        p,
 		Node:     ftNodeConfig(),
-		Seed:     seed,
+		Seed:     o.Seed,
 		Delay:    sim.LossyDelay(loss, sim.UniformDelay(delta/2, delta)),
 		CSTime:   csTime(delta),
 		Recorder: rec,
-		Flight:   obsFlight(),
+		Flight:   o.flight(),
 	}
 	if session {
 		cfg.Session = e11Session()
@@ -159,8 +183,8 @@ func runE11(p int, reqs []workload.Request, seed int64, loss float64, crash, ses
 	return row, nil
 }
 
-// FormatE11 renders the recovery sweep grouped by loss rate.
-func FormatE11(rows []E11Row) string {
+// formatE11 renders the recovery sweep grouped by loss rate.
+func formatE11(rows []E11Row) string {
 	header := []string{"loss", "crash", "session", "requests", "grants", "regens", "lost", "retrans", "dups", "fenced", "visible", "outcome"}
 	body := make([][]string, len(rows))
 	onOff := func(b bool) string {
@@ -192,7 +216,7 @@ func FormatE11(rows []E11Row) string {
 	return "E11: lossy-channel recovery — sessions × fencing × crash (FT open cube)\n" + table(header, body)
 }
 
-// E11LeaseReclaim measures the live lease-reclaim path on loopback
+// e11LeaseReclaim measures the live lease-reclaim path on loopback
 // wall-clock time: four lockspace nodes over a lossy in-memory frame
 // link wrapped in reliable sessions, a holder that goes silent (no
 // unlock, no heartbeat), and a waiter on another node timed from request
@@ -203,7 +227,7 @@ func FormatE11(rows []E11Row) string {
 // Being wall-clock, the latency is environment-dependent (roughly the
 // TTL plus scheduling and exit-protocol time) and is reported on stderr
 // by ocmxbench, keeping stdout byte-identical across runs.
-func E11LeaseReclaim(ttl time.Duration) (time.Duration, error) {
+func e11LeaseReclaim(ttl time.Duration) (time.Duration, error) {
 	const p = 2
 	n := 1 << p
 	mesh, err := transport.NewSessMesh(n, 4096)
@@ -263,43 +287,11 @@ func E11LeaseReclaim(ttl time.Duration) (time.Duration, error) {
 	if f2 <= f1 {
 		return 0, fmt.Errorf("reclaiming fence %d does not outrank lapsed fence %d", f2, f1)
 	}
-	if err := nodes[3].Unlock(key, f1); err != lockspace.ErrLeaseExpired && !isLeaseExpired(err) {
+	if err := nodes[3].Unlock(key, f1); !errors.Is(err, lockspace.ErrLeaseExpired) {
 		return 0, fmt.Errorf("lapsed holder's unlock = %v, want ErrLeaseExpired", err)
 	}
 	if err := nodes[1].Unlock(key, f2); err != nil {
 		return 0, fmt.Errorf("reclaimer unlock: %w", err)
 	}
 	return latency, nil
-}
-
-func isLeaseExpired(err error) bool {
-	for err != nil {
-		if err == lockspace.ErrLeaseExpired {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-// E11Throughput runs the hardest session-on cell — 1% loss with a
-// crash-in-CS — as a perf-suite gate: it errors unless the run completed
-// with zero application-visible violations, and reports physical
-// transmissions (first sends plus session retransmits) per grant.
-func E11Throughput(p int, seed int64) (msgs, grants int64, err error) {
-	n := 1 << p
-	reqs := workload.Uniform(newRng(seed), n, 6*n, e8Horizon(n))
-	rec := &trace.Recorder{}
-	row, err := runE11(p, reqs, seed, 0.01, true, true, rec)
-	if err != nil {
-		return 0, 0, err
-	}
-	if !row.Completed || row.Visible != 0 {
-		return 0, 0, fmt.Errorf("e11 gate: completed=%v visible=%d", row.Completed, row.Visible)
-	}
-	return rec.Total(), row.Grants, nil
 }

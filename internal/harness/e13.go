@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"time"
 
@@ -41,9 +40,9 @@ type E13Cell struct {
 	Skew string
 }
 
-// E13Cells returns the sweep: smoke keeps N=64 and K ≤ 4096; full goes
+// e13Cells returns the sweep: smoke keeps N=64 and K ≤ 4096; full goes
 // to the acceptance scale — K = 1M at N = 256 and N = 1024.
-func E13Cells(full bool) []E13Cell {
+func e13Cells(full bool) []E13Cell {
 	cells := []E13Cell{
 		{P: 6, Keys: 256, Skew: "uniform"},
 		{P: 6, Keys: 256, Skew: "zipf"},
@@ -77,14 +76,25 @@ type E13Row struct {
 	Stalled    int           // slices not quiescent inside the settle window
 }
 
-// e13Config builds the shard.Config for one cell. The knobs are E9's,
-// applied per slice: the same per-cell seed mix, the same (4p+8)δ
-// saturation spacing, the same rescaled suspicion slack and settle
-// window, the same crash-at-second-hot-grant scenario (here confined to
-// the hot shard). Requests per key drop from 6 to 3 above 64k keys —
-// at K = 1M the sample is still three million requests.
-func e13Config(c E13Cell, seed int64) shard.Config {
-	cellSeed := seed + int64(c.Keys)*7919 + int64(c.P)*104729
+// strict is what -strict fails an E13 row on: a stalled slice or a
+// violation.
+func (r E13Row) strict() error {
+	if r.Stalled != 0 || r.Violations != 0 {
+		return fmt.Errorf("strict: e13 N=%d k=%d/%s stalled=%d violations=%d",
+			r.N, r.Keys, r.Skew, r.Stalled, r.Violations)
+	}
+	return nil
+}
+
+// runE13 is one sharded cell. The knobs are E9's, applied per slice: the
+// same per-cell seed mix, the same (4p+8)δ saturation spacing, the same
+// rescaled suspicion slack and settle window, the same
+// crash-at-second-hot-grant scenario (here confined to the hot shard).
+// Requests per key drop from 6 to 3 above 64k keys — at K = 1M the sample
+// is still three million requests. Beside the row it returns the messages
+// delivered.
+func runE13(o Options, c E13Cell) (E13Row, int64, error) {
+	cellSeed := o.Seed + int64(c.Keys)*7919 + int64(c.P)*104729
 	if c.Skew == "zipf" {
 		cellSeed++
 	}
@@ -94,10 +104,11 @@ func e13Config(c E13Cell, seed int64) shard.Config {
 	}
 	node := ftNodeConfig()
 	node.SuspicionSlack += time.Duration(8*c.P) * delta
-	flightDepth, autopsy := obsOptions()
-	return shard.Config{
-		FlightDepth:  flightDepth,
-		Autopsy:      autopsy,
+	res, err := shard.Run(shard.Config{
+		FlightDepth:  o.FlightDepth,
+		Autopsy:      o.Autopsy,
+		Shards:       o.Shards,
+		Progress:     o.Progress,
 		P:            c.P,
 		Keys:         c.Keys,
 		Skew:         c.Skew,
@@ -111,76 +122,45 @@ func e13Config(c E13Cell, seed int64) shard.Config {
 		Seed:         cellSeed,
 		CrashHot:     true,
 		CrashRecover: 400 * delta,
-	}
-}
-
-// E13Sharded runs the sweep with the given shard-worker count per cell.
-// Cells are distributed over the harness worker pool like every other
-// sweep; each cell's slices are additionally spread over its own shard
-// workers. Neither level of parallelism affects the rows. progress, when
-// non-nil, receives wall-clock shard reporting (the CLI passes stderr;
-// stdout stays byte-identical).
-func E13Sharded(cells []E13Cell, seed int64, shards int, progress io.Writer) ([]E13Row, error) {
-	rows := make([]E13Row, len(cells))
-	err := forEach(len(cells), func(i int) error {
-		c := cells[i]
-		cfg := e13Config(c, seed)
-		cfg.Shards = shards
-		cfg.Progress = progress
-		res, err := shard.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("harness: e13 p=%d k=%d/%s: %w", c.P, c.Keys, c.Skew, err)
-		}
-		row := E13Row{
-			N:          1 << c.P,
-			Keys:       c.Keys,
-			Skew:       c.Skew,
-			Requests:   res.Requests,
-			Grants:     res.Grants,
-			Regens:     res.Regens,
-			Stale:      res.Stale,
-			Violations: res.Violations,
-			States:     res.States,
-			WaitP50:    time.Duration(res.Waits.Quantile(0.5)),
-			WaitP99:    time.Duration(res.Waits.Quantile(0.99)),
-			Stalled:    res.Stalled,
-		}
-		if res.Grants > 0 {
-			row.MsgsPerCS = float64(res.Msgs) / float64(res.Grants)
-		}
-		rows[i] = row
-		return nil
 	})
 	if err != nil {
-		return nil, err
+		return E13Row{}, 0, fmt.Errorf("harness: e13 p=%d k=%d/%s: %w", c.P, c.Keys, c.Skew, err)
 	}
-	return rows, nil
+	row := E13Row{
+		N:          1 << c.P,
+		Keys:       c.Keys,
+		Skew:       c.Skew,
+		Requests:   res.Requests,
+		Grants:     res.Grants,
+		Regens:     res.Regens,
+		Stale:      res.Stale,
+		Violations: res.Violations,
+		States:     res.States,
+		WaitP50:    time.Duration(res.Waits.Quantile(0.5)),
+		WaitP99:    time.Duration(res.Waits.Quantile(0.99)),
+		Stalled:    res.Stalled,
+	}
+	if res.Grants > 0 {
+		row.MsgsPerCS = float64(res.Msgs) / float64(res.Grants)
+	}
+	return row, res.Msgs, nil
 }
 
-// E13Throughput runs one sharded cell and reports delivered messages and
-// grants — the BENCH_*.json gate behind the e13_* entries. It hard-fails
-// on any stalled slice or violation, so the perf number can never come
-// from a broken run.
-func E13Throughput(c E13Cell, shards int, seed int64) (msgs, grants int64, err error) {
-	cfg := e13Config(c, seed)
-	cfg.Shards = shards
-	res, err := shard.Run(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	if res.Stalled != 0 {
-		return 0, 0, fmt.Errorf("harness: e13 p=%d k=%d/%s: %d slices stalled", c.P, c.Keys, c.Skew, res.Stalled)
-	}
-	if res.Violations != 0 {
-		return 0, 0, fmt.Errorf("harness: e13 p=%d k=%d/%s: %d violations", c.P, c.Keys, c.Skew, res.Violations)
-	}
-	return res.Msgs, res.Grants, nil
+// E13Sharded runs the sweep. Cells are distributed over the harness
+// worker pool like every other sweep; each cell's slices are additionally
+// spread over its own o.Shards shard workers. Neither level of
+// parallelism affects the rows.
+func E13Sharded(o Options, cells []E13Cell) ([]E13Row, error) {
+	return forEach(o.Workers, len(cells), func(i int) (E13Row, error) {
+		row, _, err := runE13(o, cells[i])
+		return row, err
+	})
 }
 
-// FormatE13 renders the sharded sweep. Deliberately absent: the shard
+// formatE13 renders the sharded sweep. Deliberately absent: the shard
 // count — it cannot influence any cell, and keeping it out of stdout is
 // what lets CI diff the table across -shards settings.
-func FormatE13(rows []E13Row) string {
+func formatE13(rows []E13Row) string {
 	header := []string{"N", "keys", "skew", "requests", "grants", "msgs/CS", "regens", "stale", "violations", "states", "wait p50", "wait p99", "outcome"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {

@@ -5,20 +5,20 @@ import (
 	"testing"
 )
 
-// e13Render runs a shrunken E13 sweep at the given shard count and
-// returns the formatted table — the exact stdout artifact.
-func e13Render(t *testing.T, shards int) string {
+// e13Render runs a shrunken E13 sweep at the given worker and shard
+// counts and returns the formatted table — the exact stdout artifact.
+func e13Render(t *testing.T, workers, shards int) string {
 	t.Helper()
 	cells := []E13Cell{
 		{P: 3, Keys: 24, Skew: "uniform"},
 		{P: 3, Keys: 24, Skew: "zipf"},
 		{P: 4, Keys: 96, Skew: "zipf"},
 	}
-	rows, err := E13Sharded(cells, 42, shards, nil)
+	rows, err := E13Sharded(Options{Seed: 42, Workers: workers, Shards: shards}, cells)
 	if err != nil {
-		t.Fatalf("E13 shards=%d: %v", shards, err)
+		t.Fatalf("E13 workers=%d shards=%d: %v", workers, shards, err)
 	}
-	return FormatE13(rows)
+	return formatE13(rows)
 }
 
 // TestE13DeterministicAcrossShardsAndWorkers pins the PR's headline
@@ -27,8 +27,7 @@ func e13Render(t *testing.T, shards int) string {
 // worker pool only decide scheduling; every cell's slices are seeded
 // from coordinates and merged in slice order.
 func TestE13DeterministicAcrossShardsAndWorkers(t *testing.T) {
-	SetParallelism(1)
-	base := e13Render(t, 1)
+	base := e13Render(t, 1, 1)
 	if !strings.Contains(base, "E13 —") || !strings.Contains(base, "completed") {
 		t.Fatalf("E13 table looks truncated:\n%s", base)
 	}
@@ -36,13 +35,11 @@ func TestE13DeterministicAcrossShardsAndWorkers(t *testing.T) {
 		t.Fatalf("E13 smoke sweep stalled:\n%s", base)
 	}
 	for _, shards := range []int{8, 64} {
-		if got := e13Render(t, shards); got != base {
+		if got := e13Render(t, 1, shards); got != base {
 			t.Errorf("shards=%d table diverges:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s", shards, base, shards, got)
 		}
 	}
-	SetParallelism(4)
-	defer SetParallelism(1)
-	if got := e13Render(t, 8); got != base {
+	if got := e13Render(t, 4, 8); got != base {
 		t.Errorf("parallel=4/shards=8 table diverges:\n--- base ---\n%s\n--- got ---\n%s", base, got)
 	}
 }
@@ -51,7 +48,7 @@ func TestE13DeterministicAcrossShardsAndWorkers(t *testing.T) {
 // regenerates tokens (the hot-shard crash is live), never violates
 // safety, and reports the E9-flat msgs/CS on the larger cell.
 func TestE13CrashRecoversEverywhere(t *testing.T) {
-	rows, err := E13Sharded([]E13Cell{{P: 4, Keys: 96, Skew: "zipf"}}, 42, 4, nil)
+	rows, err := E13Sharded(Options{Seed: 42, Shards: 4}, []E13Cell{{P: 4, Keys: 96, Skew: "zipf"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,22 +64,21 @@ func TestE13CrashRecoversEverywhere(t *testing.T) {
 	}
 }
 
-// TestE13ThroughputGate pins the BENCH entry behavior: a completed run
-// reports msgs and grants, and replays identically.
+// TestE13ThroughputGate pins the sharded gate cells: a completed run
+// reports msgs and msgs/grant, and the shard-worker count changes neither.
 func TestE13ThroughputGate(t *testing.T) {
-	cell := E13Cell{P: 3, Keys: 48, Skew: "zipf"}
-	m1, g1, err := E13Throughput(cell, 2, 7)
+	e1, m1, err := gateNamed(t, "e13_n16_k256_shard1").Run(Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, g2, err := E13Throughput(cell, 5, 7)
+	e8, m8, err := gateNamed(t, "e13_n16_k256_shard8").Run(Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1 != m2 || g1 != g2 {
-		t.Errorf("shard-count replay diverged: (%d,%d) vs (%d,%d)", m1, g1, m2, g2)
+	if e1 != e8 || m1 != m8 {
+		t.Errorf("shard-count replay diverged: (%d,%v) vs (%d,%v)", e1, m1, e8, m8)
 	}
-	if g1 == 0 || m1 == 0 {
-		t.Errorf("empty run: msgs=%d grants=%d", m1, g1)
+	if e1 == 0 || m1 == 0 {
+		t.Errorf("empty run: msgs=%d msgs/grant=%v", e1, m1)
 	}
 }

@@ -27,21 +27,16 @@ type E1Row struct {
 // are independent (p, requester) cells and run on the sweep worker pool;
 // the evolving-tree probes of one order share a network and stay
 // sequential, but distinct orders sweep concurrently.
-func E1WorstCase(ps []int, probesPerP int, seed int64) ([]E1Row, error) {
-	rows := make([]E1Row, len(ps))
-	err := forEach(len(ps), func(pi int) error {
+func E1WorstCase(o Options, ps []int, probesPerP int) ([]E1Row, error) {
+	return forEach(o.Workers, len(ps), func(pi int) (E1Row, error) {
 		p := ps[pi]
 		n := 1 << p
 		row := E1Row{N: n, PaperBound: ocube.WorstCaseMessages(n),
 			StrictBound: ocube.WorstCaseMessages(n) + 1}
 		// Every requester from the pristine configuration.
-		costs := make([]int64, n)
-		if err := forEach(n, func(i int) error {
-			c, err := singleRequestCost(p, ocube.Pos(i))
-			costs[i] = c
-			return err
-		}); err != nil {
-			return err
+		costs, err := pristineCosts(o, p)
+		if err != nil {
+			return row, err
 		}
 		for _, c := range costs {
 			row.ProbedConfig++
@@ -50,34 +45,37 @@ func E1WorstCase(ps []int, probesPerP int, seed int64) ([]E1Row, error) {
 			}
 		}
 		// Sequential probes on evolving trees.
-		rng := rand.New(rand.NewSource(seed + int64(p)))
+		rng := rand.New(rand.NewSource(o.Seed + int64(p)))
 		rec := &trace.Recorder{}
-		w, err := newNetwork(p, seed, rec, nil)
+		w, err := newNetwork(o, p, o.Seed, rec)
 		if err != nil {
-			return err
+			return row, err
 		}
 		for i := 0; i < probesPerP; i++ {
 			before := rec.Total()
 			w.RequestCS(ocube.Pos(rng.Intn(n)), 0)
 			if !w.RunUntilQuiescent(time.Hour) {
-				return fmt.Errorf("harness: e1 probe did not quiesce")
+				return row, fmt.Errorf("harness: e1 probe did not quiesce")
 			}
 			row.ProbedConfig++
 			if c := rec.Total() - before; c > row.MaxMeasured {
 				row.MaxMeasured = c
 			}
 		}
-		rows[pi] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
-// FormatE1 renders the E1 table.
-func FormatE1(rows []E1Row) string {
+// pristineCosts measures c(i) for every requester i of the pristine
+// 2^p-open-cube, each an independent cell on the sweep pool.
+func pristineCosts(o Options, p int) ([]int64, error) {
+	return forEach(o.Workers, 1<<p, func(i int) (int64, error) {
+		return singleRequestCost(o, p, ocube.Pos(i))
+	})
+}
+
+// formatE1 renders the E1 table.
+func formatE1(rows []E1Row) string {
 	header := []string{"N", "max msgs/request", "paper log2N+1", "strict log2N+2", "probes"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {
@@ -108,18 +106,13 @@ type E2Row struct {
 // steady-state run is an independent seeded cell on the sweep pool; the
 // per-order totals are summed in requester order, so the averages are
 // bit-identical to the sequential sweep.
-func E2Average(ps []int, seed int64) ([]E2Row, error) {
-	rows := make([]E2Row, len(ps))
-	err := forEach(len(ps), func(pi int) error {
+func E2Average(o Options, ps []int) ([]E2Row, error) {
+	return forEach(o.Workers, len(ps), func(pi int) (E2Row, error) {
 		p := ps[pi]
 		n := 1 << p
-		costs := make([]int64, n)
-		if err := forEach(n, func(i int) error {
-			c, err := singleRequestCost(p, ocube.Pos(i))
-			costs[i] = c
-			return err
-		}); err != nil {
-			return err
+		costs, err := pristineCosts(o, p)
+		if err != nil {
+			return E2Row{}, err
 		}
 		var total int64
 		for _, c := range costs {
@@ -131,18 +124,9 @@ func E2Average(ps []int, seed int64) ([]E2Row, error) {
 			AlphaExact: ocube.AverageMessages(p),
 			Approx:     ocube.AverageApprox(n),
 		}
-		steady, err := steadyStateAverage(p, seed)
-		if err != nil {
-			return err
-		}
-		row.SteadyState = steady
-		rows[pi] = row
-		return nil
+		row.SteadyState, err = steadyStateAverage(p, o.Seed)
+		return row, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // steadyStateAverage runs a concurrent random workload and returns mean
@@ -175,8 +159,8 @@ func steadyStateAverage(p int, seed int64) (float64, error) {
 	return float64(rec.Total()) / float64(w.Grants()), nil
 }
 
-// FormatE2 renders the E2 table.
-func FormatE2(rows []E2Row) string {
+// formatE2 renders the E2 table.
+func formatE2(rows []E2Row) string {
 	header := []string{"N", "measured avg", "exact αp/2^p", "approx ¾log2N+5/4", "steady-state avg"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {

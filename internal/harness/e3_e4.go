@@ -28,6 +28,30 @@ type E3Row struct {
 	Violations    int64
 }
 
+// strict is what -strict fails an E3 row on: any stuck episode, and any
+// violation outside paper mode — the single-sweep ablation is known racy.
+func (r E3Row) strict() error {
+	if r.Stuck != 0 {
+		return fmt.Errorf("strict: e3 N=%d reported %d stuck episodes", r.N, r.Stuck)
+	}
+	if !r.PaperMode && r.Violations != 0 {
+		return fmt.Errorf("strict: e3 N=%d reported %d violations", r.N, r.Violations)
+	}
+	return nil
+}
+
+// E3Size is one (cube order, failure count) coordinate of the E3 sweep.
+type E3Size struct{ P, Failures int }
+
+// E3Overheads runs every size twice — the safe row, then the paper-mode
+// row under it, as the table has always been laid out. Each cell is one
+// fully sequential fail/recover episode run with its own seeded network.
+func E3Overheads(o Options, sizes []E3Size) ([]E3Row, error) {
+	return forEach(o.Workers, 2*len(sizes), func(i int) (E3Row, error) {
+		return E3FailureOverhead(o, sizes[i/2].P, sizes[i/2].Failures, i%2 == 1)
+	})
+}
+
 // E3FailureOverhead replays the paper's protocol: repeated fail/recover
 // episodes under light request load, counting the overhead messages
 // (test, test-reply, enquiry, enquiry-reply, anomaly, obsolete and
@@ -37,32 +61,23 @@ type E3Row struct {
 // phase (the recovered node's own reconnection search). Token
 // acknowledgments — this implementation's transfer-guardian extension,
 // absent from the paper — are reported separately because they scale
-// with normal load, not with failures.
-func E3FailureOverhead(p, failures int, seed int64) (E3Row, error) {
-	return e3Run(p, failures, seed, false)
-}
-
-// E3FailureOverheadPaperMode is ablation A5: single-sweep regeneration as
-// the paper specifies. Cheaper on root failures, but exposed to the
-// moving-token regeneration race.
-func E3FailureOverheadPaperMode(p, failures int, seed int64) (E3Row, error) {
-	return e3Run(p, failures, seed, true)
-}
-
-func e3Run(p, failures int, seed int64, paperMode bool) (E3Row, error) {
+// with normal load, not with failures. paperMode is ablation A5:
+// single-sweep regeneration as the paper specifies, cheaper on root
+// failures but exposed to the moving-token regeneration race.
+func E3FailureOverhead(o Options, p, failures int, paperMode bool) (E3Row, error) {
 	n := 1 << p
 	rec := &trace.Recorder{}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(o.Seed))
 	nodeCfg := ftNodeConfig()
 	nodeCfg.DisableConfirmSweep = paperMode
 	w, err := sim.New(sim.Config{
 		P:        p,
-		Seed:     seed,
+		Seed:     o.Seed,
 		Delay:    sim.UniformDelay(delta/2, delta),
 		Node:     nodeCfg,
 		Recorder: rec,
 		CSTime:   csTime(delta),
-		Flight:   obsFlight(),
+		Flight:   o.flight(),
 	})
 	if err != nil {
 		return E3Row{}, err
@@ -133,8 +148,8 @@ func sonsOf(w *sim.Network, x ocube.Pos) []ocube.Pos {
 	return out
 }
 
-// FormatE3 renders the E3 table with the paper's reference points.
-func FormatE3(rows []E3Row) string {
+// formatE3 renders the E3 table with the paper's reference points.
+func formatE3(rows []E3Row) string {
 	header := []string{"N", "failures", "mode", "repair msgs/failure", "rejoin msgs/failure", "acks/failure", "regens", "grants", "violations", "paper repair"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {
@@ -194,27 +209,25 @@ type searchOutcome struct {
 // order — exactly the draws the sequential loop makes — then the trials,
 // each an independently seeded network, run as cells on the sweep pool
 // and their observations are folded in trial order.
-func E4SearchCost(ps []int, trials int, seed int64) ([]E4Row, error) {
-	rows := make([]E4Row, len(ps))
-	err := forEach(len(ps), func(pi int) error {
+func E4SearchCost(o Options, ps []int, trials int) ([]E4Row, error) {
+	return forEach(o.Workers, len(ps), func(pi int) (E4Row, error) {
 		p := ps[pi]
 		n := 1 << p
-		rng := rand.New(rand.NewSource(seed + int64(p)))
+		rng := rand.New(rand.NewSource(o.Seed + int64(p)))
 		requesters := make([]ocube.Pos, trials)
 		for trial := range requesters {
 			requesters[trial] = ocube.Pos(1 + rng.Intn(n-1)) // any non-root
 		}
-		perTrial := make([][]searchOutcome, trials)
-		if err := forEach(trials, func(trial int) error {
+		perTrial, err := forEach(o.Workers, trials, func(trial int) ([]searchOutcome, error) {
 			requester := requesters[trial]
 			victim := ocube.InitialFather(requester)
 			var got []searchOutcome
 			w, err := sim.New(sim.Config{
 				P:      p,
-				Seed:   seed ^ int64(trial),
+				Seed:   o.Seed ^ int64(trial),
 				Delay:  sim.FixedDelay(delta),
 				Node:   ftNodeConfig(),
-				Flight: obsFlight(),
+				Flight: o.flight(),
 				OnEffect: func(node ocube.Pos, e core.Effect) {
 					if se, ok := e.(*core.SearchEnded); ok && node == requester {
 						got = append(got, searchOutcome{father: se.Father, tested: se.Tested})
@@ -222,17 +235,17 @@ func E4SearchCost(ps []int, trials int, seed int64) ([]E4Row, error) {
 				},
 			})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			w.Fail(victim, 0)
 			w.RequestCS(requester, delta)
 			if !w.RunUntilQuiescent(24 * time.Hour) {
-				return fmt.Errorf("harness: e4 trial did not quiesce")
+				return nil, fmt.Errorf("harness: e4 trial did not quiesce")
 			}
-			perTrial[trial] = got
-			return nil
-		}); err != nil {
-			return err
+			return got, nil
+		})
+		if err != nil {
+			return E4Row{}, err
 		}
 		reconnect := &metrics.Summary{}
 		exhaust := &metrics.Summary{}
@@ -245,24 +258,19 @@ func E4SearchCost(ps []int, trials int, seed int64) ([]E4Row, error) {
 				}
 			}
 		}
-		rows[pi] = E4Row{
+		return E4Row{
 			N:              n,
 			Trials:         trials,
 			MeanReconnect:  reconnect.Mean(),
 			MaxReconnect:   reconnect.Max(),
 			MeanExhaustion: exhaust.Mean(),
 			Log2N:          p,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
-// FormatE4 renders the E4 table.
-func FormatE4(rows []E4Row) string {
+// formatE4 renders the E4 table.
+func formatE4(rows []E4Row) string {
 	header := []string{"N", "trials", "mean tested (reconnect)", "max (reconnect)", "mean tested (exhaustion)", "log2 N", "N-1"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {

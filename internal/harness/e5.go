@@ -53,7 +53,7 @@ type E5Row struct {
 // are drawn up front per (order, load) — every algorithm replays the
 // identical read-only schedule — and the (order, load, algorithm) cells
 // run concurrently on the sweep pool, assembled in sequential order.
-func E5Comparison(ps []int, loads []string, seed int64) ([]E5Row, error) {
+func E5Comparison(o Options, ps []int, loads []string) ([]E5Row, error) {
 	type cell struct {
 		p    int
 		load string
@@ -64,26 +64,20 @@ func E5Comparison(ps []int, loads []string, seed int64) ([]E5Row, error) {
 	for _, p := range ps {
 		n := 1 << p
 		for _, load := range loads {
-			reqs := scheduleFor(load, n, seed)
+			reqs := scheduleFor(load, n, o.Seed)
 			for _, algo := range E5Algorithms {
 				cells = append(cells, cell{p: p, load: load, algo: algo, reqs: reqs})
 			}
 		}
 	}
-	rows := make([]E5Row, len(cells))
-	err := forEach(len(cells), func(i int) error {
+	return forEach(o.Workers, len(cells), func(i int) (E5Row, error) {
 		c := cells[i]
-		row, err := runE5(c.algo, c.p, c.load, c.reqs, seed)
+		row, err := runE5(c.algo, c.p, c.load, c.reqs, o.Seed)
 		if err != nil {
-			return fmt.Errorf("harness: e5 %s N=%d %s: %w", c.algo, 1<<c.p, c.load, err)
+			err = fmt.Errorf("harness: e5 %s N=%d %s: %w", c.algo, 1<<c.p, c.load, err)
 		}
-		rows[i] = row
-		return nil
+		return row, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 func scheduleFor(load string, n int, seed int64) []workload.Request {
@@ -148,21 +142,8 @@ func runE5(algo string, p int, load string, reqs []workload.Request, seed int64)
 	return row, nil
 }
 
-// BaselineThroughput drives the saturated throughput workload of
-// EngineThroughput (the shared throughputRun) through any E5 algorithm
-// on the unified engine — the baseline-throughput gates recorded in
-// BENCH_*.json, measurable only since the baselines run on the shared
-// typed-event core.
-func BaselineThroughput(algo string, p int, seed int64) (msgs, grants int64, err error) {
-	cfg, err := algorithmConfig(algo, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	return throughputRun(cfg, algo, p, seed)
-}
-
-// FormatE5 renders the comparison grouped by workload and N.
-func FormatE5(rows []E5Row) string {
+// formatE5 renders the comparison grouped by workload and N.
+func formatE5(rows []E5Row) string {
 	header := []string{"load", "N", "algorithm", "grants", "msgs/CS", "violations"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {

@@ -43,7 +43,7 @@ func hotSet(p int) []int {
 // Raymond on the identical schedule. The per-order schedules are drawn
 // up front; the (order, algorithm) cells run concurrently on the sweep
 // pool and assemble in sequential order.
-func E6Adaptivity(ps []int, seed int64) ([]E6Row, error) {
+func E6Adaptivity(o Options, ps []int) ([]E6Row, error) {
 	type cell struct {
 		p       int
 		raymond bool
@@ -54,35 +54,20 @@ func E6Adaptivity(ps []int, seed int64) ([]E6Row, error) {
 	for _, p := range ps {
 		n := 1 << p
 		hot := hotSet(p)
-		rng := newRng(seed)
+		rng := newRng(o.Seed)
 		count := 20 * n
 		reqs := workload.HotspotSet(rng, n, count, time.Duration(2*count)*delta, hot, 0.8)
 		cells = append(cells,
 			cell{p: p, hot: hot, reqs: reqs},
 			cell{p: p, raymond: true, reqs: reqs})
 	}
-	rows := make([]E6Row, len(cells))
-	err := forEach(len(cells), func(i int) error {
+	return forEach(o.Workers, len(cells), func(i int) (E6Row, error) {
 		c := cells[i]
-		var (
-			row E6Row
-			err error
-		)
 		if c.raymond {
-			row, err = e6Raymond(c.p, c.reqs, seed)
-		} else {
-			row, err = e6OpenCube(c.p, c.hot, c.reqs, seed)
+			return e6Raymond(c.p, c.reqs, o.Seed)
 		}
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
+		return e6OpenCube(c.p, c.hot, c.reqs, o.Seed)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 func e6OpenCube(p int, hot []int, reqs []workload.Request, seed int64) (E6Row, error) {
@@ -153,8 +138,8 @@ func e6Raymond(p int, reqs []workload.Request, seed int64) (E6Row, error) {
 	return row, nil
 }
 
-// FormatE6 renders the adaptivity comparison.
-func FormatE6(rows []E6Row) string {
+// formatE6 renders the adaptivity comparison.
+func formatE6(rows []E6Row) string {
 	header := []string{"algorithm", "N", "msgs/CS", "hot msgs/CS", "cold msgs/CS"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {

@@ -32,27 +32,21 @@ type E7Row struct {
 	Violations  int64   // must be zero in both runs
 }
 
+// strict is what -strict fails an E7 row on: a stuck episode or a
+// violation in either run.
+func (r E7Row) strict() error {
+	if r.Stuck != 0 || r.Violations != 0 {
+		return fmt.Errorf("strict: e7 N=%d stuck=%d violations=%d", r.N, r.Stuck, r.Violations)
+	}
+	return nil
+}
+
 // E7LargeP runs the sweep for the given cube orders. The (order, mode)
 // cells are independent seeded runs and spread over the sweep worker
 // pool; rows assemble in input order.
-func E7LargeP(ps []int, seed int64) ([]E7Row, error) {
-	type cell struct {
-		p  int
-		ft bool
-	}
-	cells := make([]cell, 0, 2*len(ps))
-	for _, p := range ps {
-		cells = append(cells, cell{p, false}, cell{p, true})
-	}
-	results := make([]e7Result, len(cells))
-	err := forEach(len(cells), func(i int) error {
-		c := cells[i]
-		r, err := e7Run(c.p, c.ft, seed)
-		if err != nil {
-			return err
-		}
-		results[i] = r
-		return nil
+func E7LargeP(o Options, ps []int) ([]E7Row, error) {
+	results, err := forEach(o.Workers, 2*len(ps), func(i int) (e7Result, error) {
+		return e7Run(ps[i/2], i%2 == 1, o.Seed)
 	})
 	if err != nil {
 		return nil, err
@@ -184,8 +178,8 @@ func e7Run(p int, ft bool, seed int64) (e7Result, error) {
 	}, nil
 }
 
-// FormatE7 renders the large-P sweep table.
-func FormatE7(rows []E7Row) string {
+// formatE7 renders the large-P sweep table.
+func formatE7(rows []E7Row) string {
 	header := []string{"N", "ff requests", "ff msgs/CS", "Lavault ¾log2N+5/4",
 		"ft msgs/CS", "log2²N", "failures", "stuck", "regens", "violations"}
 	body := make([][]string, len(rows))

@@ -91,9 +91,9 @@ type E8Row struct {
 // E8FaultComparison runs every scenario through every algorithm on the
 // unified engine and reports what each run salvaged. All cells share one
 // seeded schedule per cube order and run concurrently on the sweep pool.
-func E8FaultComparison(p int, seed int64) ([]E8Row, error) {
+func E8FaultComparison(o Options, p int) ([]E8Row, error) {
 	n := 1 << p
-	reqs := workload.Uniform(newRng(seed), n, 6*n, e8Horizon(n))
+	reqs := workload.Uniform(newRng(o.Seed), n, 6*n, e8Horizon(n))
 	type cell struct {
 		algo, scenario string
 	}
@@ -103,20 +103,14 @@ func E8FaultComparison(p int, seed int64) ([]E8Row, error) {
 			cells = append(cells, cell{algo: a, scenario: s})
 		}
 	}
-	rows := make([]E8Row, len(cells))
-	err := forEach(len(cells), func(i int) error {
+	return forEach(o.Workers, len(cells), func(i int) (E8Row, error) {
 		c := cells[i]
-		row, err := runE8(c.algo, c.scenario, p, reqs, seed)
+		row, err := runE8(c.algo, c.scenario, p, reqs, o.Seed)
 		if err != nil {
-			return fmt.Errorf("harness: e8 %s/%s: %w", c.algo, c.scenario, err)
+			err = fmt.Errorf("harness: e8 %s/%s: %w", c.algo, c.scenario, err)
 		}
-		rows[i] = row
-		return nil
+		return row, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 func runE8(algo, scenario string, p int, reqs []workload.Request, seed int64) (E8Row, error) {
@@ -179,8 +173,8 @@ func runE8(algo, scenario string, p int, reqs []workload.Request, seed int64) (E
 	return row, nil
 }
 
-// FormatE8 renders the fault-injection comparison grouped by scenario.
-func FormatE8(rows []E8Row) string {
+// formatE8 renders the fault-injection comparison grouped by scenario.
+func formatE8(rows []E8Row) string {
 	header := []string{"scenario", "N", "algorithm", "requests", "grants", "regens", "stale", "lost", "violations", "outcome"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {

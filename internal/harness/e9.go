@@ -36,14 +36,6 @@ var E9Skews = []string{"uniform", "zipf"}
 // popularity).
 const e9ZipfS = 1.1
 
-// E9KeyCounts returns the instance-count sweep: 1 → 4096.
-func E9KeyCounts(full bool) []int {
-	if full {
-		return []int{1, 16, 256, 4096}
-	}
-	return []int{1, 16, 256}
-}
-
 // E9Row is one (K, skew) measurement.
 type E9Row struct {
 	N          int
@@ -59,10 +51,19 @@ type E9Row struct {
 	Completed  bool
 }
 
+// strict is what -strict fails an E9 row on: a STALLED cell or a
+// per-instance violation.
+func (r E9Row) strict() error {
+	if !r.Completed || r.Violations != 0 {
+		return fmt.Errorf("strict: e9 k=%d/%s completed=%v violations=%d", r.Keys, r.Skew, r.Completed, r.Violations)
+	}
+	return nil
+}
+
 // E9Lockspace sweeps instance counts × skews at cube order p. Cells are
 // independent and seeded from their coordinates, so the sweep is
 // byte-identical at any parallelism.
-func E9Lockspace(p int, keyCounts []int, seed int64) ([]E9Row, error) {
+func E9Lockspace(o Options, p int, keyCounts []int) ([]E9Row, error) {
 	type cell struct {
 		keys int
 		skew string
@@ -73,46 +74,25 @@ func E9Lockspace(p int, keyCounts []int, seed int64) ([]E9Row, error) {
 			cells = append(cells, cell{keys: k, skew: s})
 		}
 	}
-	rows := make([]E9Row, len(cells))
-	err := forEach(len(cells), func(i int) error {
+	return forEach(o.Workers, len(cells), func(i int) (E9Row, error) {
 		c := cells[i]
-		row, _, err := runE9(p, c.keys, c.skew, seed)
+		row, _, err := runE9(o, p, c.keys, c.skew)
 		if err != nil {
-			return fmt.Errorf("harness: e9 k=%d/%s: %w", c.keys, c.skew, err)
+			err = fmt.Errorf("harness: e9 k=%d/%s: %w", c.keys, c.skew, err)
 		}
-		rows[i] = row
-		return nil
+		return row, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// E9Throughput runs one lockspace cell and reports the delivered
-// messages and grants — the BENCH_*.json gate behind the e9_* entries.
-func E9Throughput(p, keys int, skew string, seed int64) (msgs, grants int64, err error) {
-	row, msgs, err := runE9(p, keys, skew, seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	if !row.Completed {
-		return 0, 0, fmt.Errorf("harness: e9 k=%d/%s did not quiesce", keys, skew)
-	}
-	if row.Violations != 0 {
-		return 0, 0, fmt.Errorf("harness: e9 k=%d/%s had %d violations", keys, skew, row.Violations)
-	}
-	return msgs, row.Grants, nil
 }
 
 // runE9 is one lockspace cell: a keyed schedule over K instances with
-// the crash injected into the hottest key's second grant.
-func runE9(p, keys int, skew string, seed int64) (E9Row, int64, error) {
+// the crash injected into the hottest key's second grant. Beside the row
+// it returns the messages delivered.
+func runE9(o Options, p, keys int, skew string) (E9Row, int64, error) {
 	n := 1 << p
 	row := E9Row{N: n, Keys: keys, Skew: skew}
 	// Per-cell seed: a fixed mix of the coordinates, so adding or
 	// reordering cells never changes another cell's draw stream.
-	cellSeed := seed + int64(keys)*7919
+	cellSeed := o.Seed + int64(keys)*7919
 	if skew == "zipf" {
 		cellSeed++
 	}
@@ -158,7 +138,7 @@ func runE9(p, keys int, skew string, seed int64) (E9Row, int64, error) {
 		Delay:     sim.UniformDelay(delta/2, delta),
 		CSTime:    csTime(delta),
 		Recorder:  rec,
-		Flight:    obsFlight(),
+		Flight:    o.flight(),
 	})
 	if err != nil {
 		return row, 0, err
@@ -201,8 +181,8 @@ func runE9(p, keys int, skew string, seed int64) (E9Row, int64, error) {
 	return row, rec.Total(), nil
 }
 
-// FormatE9 renders the lockspace sweep.
-func FormatE9(rows []E9Row) string {
+// formatE9 renders the lockspace sweep.
+func formatE9(rows []E9Row) string {
 	header := []string{"N", "keys", "skew", "requests", "grants", "msgs/CS", "regens", "stale", "violations", "states", "max states", "outcome"}
 	body := make([][]string, len(rows))
 	for i, r := range rows {

@@ -1,20 +1,27 @@
 // Package harness regenerates every quantitative claim of the paper's
 // evaluation and the repository's extensions (DESIGN.md experiments
-// E1-E9) and formats the results as the tables printed by cmd/ocmxbench
-// and recorded in EXPERIMENTS.md.
+// E1-E11 and E13; E12 is the live chaos rig, cmd/ocmxchaos) and formats
+// the results as the tables printed by cmd/ocmxbench and recorded in
+// EXPERIMENTS.md. Experiments lists them — name, parameters at the default
+// and the -full scale, sweep, table and -strict predicate — and Gates the
+// small deterministic cells `go test -bench Gate` times and
+// TestGateMetrics pins; the CLI, CI, the benchmarks and the goldens all
+// walk those two lists.
 //
 // Every experiment is deterministic given its seed, and stays so when the
-// independent (p, seed, probe) cells are spread over a worker pool with
-// SetParallelism: tables are byte-identical for any worker count.
+// independent (p, seed, probe) cells are spread over Options.Workers
+// workers: tables are byte-identical for any worker count.
 package harness
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -23,6 +30,45 @@ import (
 
 // delta is the simulated maximum message delay used across experiments.
 const delta = time.Millisecond
+
+// Options is what a sweep is handed besides its own parameters. Seed and
+// Full decide what is computed; every other field is an execution knob
+// that never changes a table byte (CI cmp-gates that).
+type Options struct {
+	// Seed seeds every cell, mixed with the cell's coordinates.
+	Seed int64
+	// Full selects the paper-scale parameters of Experiments.
+	Full bool
+	// Workers is the number of goroutines independent cells are spread
+	// over; <= 1 is the sequential sweep.
+	Workers int
+	// Shards is the shard-worker count of each E13 cell; <= 0 is one.
+	Shards int
+	// Progress, when non-nil, receives E13's per-shard wall-clock
+	// progress lines.
+	Progress io.Writer
+	// FlightDepth > 0 attaches a token-lineage flight recorder
+	// (internal/obs) of that depth to every simulated network and space.
+	FlightDepth int
+	// Autopsy, when non-nil, receives a JSONL autopsy for every E13 slice
+	// that stalls.
+	Autopsy io.Writer
+	// Metrics, when non-nil, receives what a run exports beside its
+	// table: experiments run and their wall-clock, E11's acknowledgment
+	// counters.
+	Metrics *obs.Registry
+}
+
+// flight returns a fresh flight recorder for one simulated network or
+// space, or nil when recording is off. Each network gets its own: sweeps
+// run cells in parallel and lineage is only read for autopsies, never
+// merged.
+func (o Options) flight() *obs.Flight {
+	if o.FlightDepth <= 0 {
+		return nil
+	}
+	return obs.NewFlight(o.FlightDepth)
+}
 
 // ftNodeConfig is the node configuration used by the failure experiments.
 // The suspicion slack must exceed the longest legitimate wait (queueing
@@ -40,23 +86,22 @@ func ftNodeConfig() core.Config {
 }
 
 // newNetwork builds a failure-free open-cube network recording into rec.
-func newNetwork(p int, seed int64, rec *trace.Recorder, pol core.Policy) (*sim.Network, error) {
+func newNetwork(o Options, p int, seed int64, rec *trace.Recorder) (*sim.Network, error) {
 	return sim.New(sim.Config{
 		P:        p,
 		Seed:     seed,
 		Delay:    sim.FixedDelay(delta),
 		Recorder: rec,
-		Node:     core.Config{Policy: pol},
-		Flight:   obsFlight(),
+		Flight:   o.flight(),
 	})
 }
 
 // singleRequestCost measures c(i): the number of messages to fully serve
 // one request from node i on a pristine 2^p-open-cube with the token at
 // the root, including the final token return.
-func singleRequestCost(p int, i ocube.Pos) (int64, error) {
+func singleRequestCost(o Options, p int, i ocube.Pos) (int64, error) {
 	rec := &trace.Recorder{}
-	w, err := newNetwork(p, 1, rec, nil)
+	w, err := newNetwork(o, p, 1, rec)
 	if err != nil {
 		return 0, err
 	}

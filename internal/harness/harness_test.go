@@ -2,7 +2,6 @@ package harness
 
 import (
 	"math"
-	"os"
 	"strings"
 	"testing"
 
@@ -10,89 +9,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestE5GoldenUnifiedEngine pins the engine-unification refactor: the E5
-// comparison table produced on the unified typed-event engine must be
-// value-identical to the table the deleted mutexsim driver produced
-// (testdata/e5_seed1993.golden, captured immediately before the
-// refactor) — same grants, same msgs/CS, per algorithm and seed. The
-// baselines consume random delay and CS-duration draws in the same order
-// on both engines, so this holds exactly, not just statistically.
-func TestE5GoldenUnifiedEngine(t *testing.T) {
-	want, err := os.ReadFile("testdata/e5_seed1993.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := E5Comparison([]int{3, 4, 5},
-		[]string{LoadSpread, LoadBurst, LoadHotspot}, 1993)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := FormatE5(rows)
-	if strings.TrimRight(got, "\n") != strings.TrimRight(string(want), "\n") {
-		t.Errorf("E5 table diverged from the pre-refactor golden:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestE6GoldenUnifiedEngine pins the same property for the E6 adaptivity
-// table, whose classic-raymond rows also moved engines.
-func TestE6GoldenUnifiedEngine(t *testing.T) {
-	want, err := os.ReadFile("testdata/e6_seed1993.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := E6Adaptivity([]int{4, 5, 6}, 1993)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := FormatE6(rows)
-	if strings.TrimRight(got, "\n") != strings.TrimRight(string(want), "\n") {
-		t.Errorf("E6 table diverged from the pre-refactor golden:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestE9GoldenOneLockspace pins the keyed simulator across the lockspace
-// unification: the E9 table `ocmxbench -exp e9` prints
-// (testdata/e9_seed1993.golden, captured at PR 22, while the simulated
-// multiplexer still stepped its instances itself) must come out of the
-// shared lockspace.Machine byte for byte — grants, msgs/CS, recovery work
-// and lazily instantiated states, per key count and skew.
-func TestE9GoldenOneLockspace(t *testing.T) {
-	want, err := os.ReadFile("testdata/e9_seed1993.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := E9Lockspace(4, E9KeyCounts(false), 1993)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := FormatE9(rows)
-	if strings.TrimRight(got, "\n") != strings.TrimRight(string(want), "\n") {
-		t.Errorf("E9 table diverged from the pre-refactor golden:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestE13GoldenOneLockspace pins the same property for the sharded
-// runtime's table (`ocmxbench -exp e13`), waiting-time quantiles
-// included: every slice is its own Space.
-func TestE13GoldenOneLockspace(t *testing.T) {
-	want, err := os.ReadFile("testdata/e13_seed1993.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := E13Sharded(E13Cells(false), 1993, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := FormatE13(rows)
-	if strings.TrimRight(got, "\n") != strings.TrimRight(string(want), "\n") {
-		t.Errorf("E13 table diverged from the pre-refactor golden:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
 func TestE2MatchesAlphaRecurrenceExactly(t *testing.T) {
 	// The headline analytical reproduction: the measured per-node average
 	// on pristine cubes equals αp/2^p exactly, for every cube order.
-	rows, err := E2Average([]int{1, 2, 3, 4, 5, 6}, 7)
+	rows, err := E2Average(Options{Seed: 7}, []int{1, 2, 3, 4, 5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +28,13 @@ func TestE2MatchesAlphaRecurrenceExactly(t *testing.T) {
 			t.Errorf("N=%d: approx %.4f below exact %.4f", r.N, r.Approx, r.AlphaExact)
 		}
 	}
-	if s := FormatE2(rows); !strings.Contains(s, "E2") {
-		t.Error("FormatE2 missing header")
+	if s := formatE2(rows); !strings.Contains(s, "E2") {
+		t.Error("formatE2 missing header")
 	}
 }
 
 func TestE1WithinStrictBound(t *testing.T) {
-	rows, err := E1WorstCase([]int{1, 2, 3, 4, 5}, 30, 3)
+	rows, err := E1WorstCase(Options{Seed: 3}, []int{1, 2, 3, 4, 5}, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +50,13 @@ func TestE1WithinStrictBound(t *testing.T) {
 				r.N, r.MaxMeasured, r.PaperBound)
 		}
 	}
-	if s := FormatE1(rows); !strings.Contains(s, "E1") {
-		t.Error("FormatE1 missing header")
+	if s := formatE1(rows); !strings.Contains(s, "E1") {
+		t.Error("formatE1 missing header")
 	}
 }
 
 func TestE3SafeAndOrdered(t *testing.T) {
-	row, err := E3FailureOverhead(3, 40, 17)
+	row, err := E3FailureOverhead(Options{Seed: 17}, 3, 40, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +69,7 @@ func TestE3SafeAndOrdered(t *testing.T) {
 	if row.Grants == 0 {
 		t.Error("no grants at all")
 	}
-	paper, err := E3FailureOverheadPaperMode(3, 40, 17)
+	paper, err := E3FailureOverhead(Options{Seed: 17}, 3, 40, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +77,13 @@ func TestE3SafeAndOrdered(t *testing.T) {
 		t.Errorf("paper mode (%.2f) costlier than safe mode (%.2f)",
 			paper.RepairPerFail, row.RepairPerFail)
 	}
-	if s := FormatE3([]E3Row{row, paper}); !strings.Contains(s, "single sweep") {
-		t.Error("FormatE3 missing mode column")
+	if s := formatE3([]E3Row{row, paper}); !strings.Contains(s, "single sweep") {
+		t.Error("formatE3 missing mode column")
 	}
 }
 
 func TestE4LogarithmicGrowth(t *testing.T) {
-	rows, err := E4SearchCost([]int{3, 4, 5}, 25, 5)
+	rows, err := E4SearchCost(Options{Seed: 5}, []int{3, 4, 5}, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +101,13 @@ func TestE4LogarithmicGrowth(t *testing.T) {
 				r.N, r.MeanReconnect, rows[i-1].N, rows[i-1].MeanReconnect)
 		}
 	}
-	if s := FormatE4(rows); !strings.Contains(s, "E4") {
-		t.Error("FormatE4 missing header")
+	if s := formatE4(rows); !strings.Contains(s, "E4") {
+		t.Error("formatE4 missing header")
 	}
 }
 
 func TestE5AllAlgorithmsSafeAndLive(t *testing.T) {
-	rows, err := E5Comparison([]int{3, 4}, []string{LoadSpread, LoadBurst, LoadHotspot}, 23)
+	rows, err := E5Comparison(Options{Seed: 23}, []int{3, 4}, []string{LoadSpread, LoadBurst, LoadHotspot})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +129,8 @@ func TestE5AllAlgorithmsSafeAndLive(t *testing.T) {
 			t.Errorf("algorithm %s measured %d times, want 6", algo, byAlgo[algo])
 		}
 	}
-	if s := FormatE5(rows); !strings.Contains(s, "E5") {
-		t.Error("FormatE5 missing header")
+	if s := formatE5(rows); !strings.Contains(s, "E5") {
+		t.Error("formatE5 missing header")
 	}
 }
 
@@ -218,7 +138,7 @@ func TestE8FaultComparisonShape(t *testing.T) {
 	// The experiment's reason to exist: under identical fault injection on
 	// the unified engine, the fault-tolerant open cube completes every
 	// scenario while the baselines stall after a crash.
-	rows, err := E8FaultComparison(4, 1993)
+	rows, err := E8FaultComparison(Options{Seed: 1993}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +175,8 @@ func TestE8FaultComparisonShape(t *testing.T) {
 			}
 		}
 	}
-	if s := FormatE8(rows); !strings.Contains(s, "E8") || !strings.Contains(s, "STALLED") {
-		t.Error("FormatE8 missing header or stall marker")
+	if s := formatE8(rows); !strings.Contains(s, "E8") || !strings.Contains(s, "STALLED") {
+		t.Error("formatE8 missing header or stall marker")
 	}
 }
 
@@ -265,7 +185,7 @@ func TestE9LockspaceShape(t *testing.T) {
 	// tree, never of how many other instances share the runtime — and
 	// per-instance mutual exclusion holds across the whole space even
 	// with the hot instance's holder crashed mid-CS.
-	rows, err := E9Lockspace(4, []int{1, 64}, 1993)
+	rows, err := E9Lockspace(Options{Seed: 1993}, 4, []int{1, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +221,8 @@ func TestE9LockspaceShape(t *testing.T) {
 			t.Errorf("k=64/%s: msgs/CS %.2f vs single-instance %.2f — cost grew with K", r.Skew, r.MsgsPerCS, anchor)
 		}
 	}
-	if s := FormatE9(rows); !strings.Contains(s, "E9") || !strings.Contains(s, "zipf") {
-		t.Error("FormatE9 missing header or skew rows")
+	if s := formatE9(rows); !strings.Contains(s, "E9") || !strings.Contains(s, "zipf") {
+		t.Error("formatE9 missing header or skew rows")
 	}
 }
 
@@ -351,7 +271,7 @@ func TestSingleRequestCostMatchesHandTrace(t *testing.T) {
 	}{
 		{1, 0}, {2, 3}, {3, 3}, {4, 4}, {5, 2}, {6, 5}, {7, 3}, {8, 4},
 	} {
-		got, err := singleRequestCost(3, ocube.FromLabel(tc.label))
+		got, err := singleRequestCost(Options{}, 3, ocube.FromLabel(tc.label))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +286,7 @@ func TestE6AdaptivityShape(t *testing.T) {
 	// placed adversarially for a static tree, the open-cube must (a) be
 	// cheaper overall than static Raymond, and (b) serve its hot nodes
 	// more cheaply than its cold ones — evidence the tree restructured.
-	rows, err := E6Adaptivity([]int{4, 5}, 3)
+	rows, err := E6Adaptivity(Options{Seed: 3}, []int{4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +308,8 @@ func TestE6AdaptivityShape(t *testing.T) {
 				n, oc.HotMsgsPer, oc.ColdMsgsPer)
 		}
 	}
-	if s := FormatE6(rows); !strings.Contains(s, "E6") {
-		t.Error("FormatE6 missing header")
+	if s := formatE6(rows); !strings.Contains(s, "E6") {
+		t.Error("formatE6 missing header")
 	}
 }
 
@@ -398,7 +318,7 @@ func TestE9NoStalledCells(t *testing.T) {
 	// was the DESIGN.md §7 storm residual, which is fixed. Every cell —
 	// single-mutex included — now carries the hot-instance crash and must
 	// complete with zero violations.
-	rows, err := E9Lockspace(4, []int{1, 16}, 1993)
+	rows, err := E9Lockspace(Options{Seed: 1993}, 4, []int{1, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +341,7 @@ func TestE10SteadyChurnShape(t *testing.T) {
 	// (stuck = 0 — the §7 regression signal), stay violation-free, and
 	// keep the sustained per-CS cost inside the paper's log²N fault
 	// envelope.
-	rows, err := E10SteadyChurn([]int{5, 6}, 1993)
+	rows, err := E10SteadyChurn(Options{Seed: 1993}, []int{5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +365,8 @@ func TestE10SteadyChurnShape(t *testing.T) {
 			t.Errorf("N=%d: wait p99 %v below p50 %v", r.N, r.WaitP99, r.WaitP50)
 		}
 	}
-	if s := FormatE10(rows); !strings.Contains(s, "E10") || !strings.Contains(s, "stuck") {
-		t.Error("FormatE10 missing header or stuck column")
+	if s := formatE10(rows); !strings.Contains(s, "E10") || !strings.Contains(s, "stuck") {
+		t.Error("formatE10 missing header or stuck column")
 	}
 }
 
@@ -455,7 +375,7 @@ func TestE10SteadyChurnShape(t *testing.T) {
 // token's receipt — every such cell completes with no visible violation,
 // and without sessions the acknowledgments are all on the wire.
 func TestE11SessionsAcknowledgeTokensThemselves(t *testing.T) {
-	rows, err := E11LossyRecovery(4, 1993)
+	rows, err := E11LossyRecovery(Options{Seed: 1993}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -14,45 +13,27 @@ import (
 // rows — so sequential and parallel sweeps are byte-identical
 // (TestParallelMatchesSequential pins this).
 
-var parallelism atomic.Int32
-
-// SetParallelism sets the number of worker goroutines experiment sweeps
-// may use; n <= 0 selects GOMAXPROCS. The package default is 1
-// (sequential).
-func SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	parallelism.Store(int32(n))
-}
-
-// Parallelism returns the current sweep worker count.
-func Parallelism() int {
-	if p := parallelism.Load(); p > 0 {
-		return int(p)
-	}
-	return 1
-}
-
-// forEach runs fn(0) … fn(n-1), distributing cells over Parallelism()
-// workers. Every fn(i) must be independent of the others and deposit its
-// result into its own slot. On failure the lowest-indexed error is
-// returned, matching what the sequential loop would have reported first.
-// Sweeps may nest forEach (a per-order sweep over per-requester cells);
-// the pool is per call, so nesting briefly overcommits workers rather
-// than deadlocking.
-func forEach(n int, fn func(i int) error) error {
-	workers := Parallelism()
+// forEach runs cell(0) … cell(n-1) over the given number of workers (<= 1
+// is the sequential loop) and returns the results in index order. Every
+// cell must be independent of the others. On failure the lowest-indexed
+// error is returned, matching what the sequential loop would have
+// reported first. Sweeps may nest forEach (a per-order sweep over
+// per-requester cells); the pool is per call, so nesting briefly
+// overcommits workers rather than deadlocking.
+func forEach[T any](workers, n int, cell func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+		for i := range out {
+			v, err := cell(i)
+			if err != nil {
+				return nil, err
 			}
+			out[i] = v
 		}
-		return nil
+		return out, nil
 	}
 	var (
 		next     atomic.Int64
@@ -70,7 +51,8 @@ func forEach(n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				if err := fn(i); err != nil {
+				v, err := cell(i)
+				if err != nil {
 					mu.Lock()
 					if errIdx == -1 || i < errIdx {
 						errIdx, firstErr = i, err
@@ -78,36 +60,13 @@ func forEach(n int, fn func(i int) error) error {
 					mu.Unlock()
 					return
 				}
+				out[i] = v
 			}
 		}()
 	}
 	wg.Wait()
-	return firstErr
-}
-
-// E3Config names one failure-overhead cell for E3Sweep.
-type E3Config struct {
-	P         int
-	Failures  int
-	PaperMode bool
-}
-
-// E3Sweep runs the E3 cells concurrently — each cell is one fully
-// sequential fail/recover episode run with its own seeded network — and
-// returns rows in input order.
-func E3Sweep(cfgs []E3Config, seed int64) ([]E3Row, error) {
-	rows := make([]E3Row, len(cfgs))
-	err := forEach(len(cfgs), func(i int) error {
-		c := cfgs[i]
-		row, rerr := e3Run(c.P, c.Failures, seed, c.PaperMode)
-		if rerr != nil {
-			return rerr
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	if firstErr != nil {
+		return nil, firstErr
 	}
-	return rows, nil
+	return out, nil
 }

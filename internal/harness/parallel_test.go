@@ -7,55 +7,55 @@ import (
 
 // renderAll runs a small instance of every experiment and concatenates
 // the formatted tables — the exact artifact cmd/ocmxbench prints.
-func renderAll(t *testing.T) string {
+func renderAll(t *testing.T, workers int) string {
 	t.Helper()
-	const seed = 42
+	o := Options{Seed: 42, Workers: workers}
 	var b strings.Builder
-	e1, err := E1WorstCase([]int{2, 3}, 6, seed)
+	e1, err := E1WorstCase(o, []int{2, 3}, 6)
 	if err != nil {
 		t.Fatalf("E1: %v", err)
 	}
-	b.WriteString(FormatE1(e1))
-	e2, err := E2Average([]int{2, 3}, seed)
+	b.WriteString(formatE1(e1))
+	e2, err := E2Average(o, []int{2, 3})
 	if err != nil {
 		t.Fatalf("E2: %v", err)
 	}
-	b.WriteString(FormatE2(e2))
-	e3, err := E3Sweep([]E3Config{{P: 3, Failures: 5}, {P: 3, Failures: 5, PaperMode: true}}, seed)
+	b.WriteString(formatE2(e2))
+	e3, err := E3Overheads(o, []E3Size{{P: 3, Failures: 5}})
 	if err != nil {
 		t.Fatalf("E3: %v", err)
 	}
-	b.WriteString(FormatE3(e3))
-	e4, err := E4SearchCost([]int{3}, 6, seed)
+	b.WriteString(formatE3(e3))
+	e4, err := E4SearchCost(o, []int{3}, 6)
 	if err != nil {
 		t.Fatalf("E4: %v", err)
 	}
-	b.WriteString(FormatE4(e4))
-	e5, err := E5Comparison([]int{3}, []string{LoadSpread, LoadBurst}, seed)
+	b.WriteString(formatE4(e4))
+	e5, err := E5Comparison(o, []int{3}, []string{LoadSpread, LoadBurst})
 	if err != nil {
 		t.Fatalf("E5: %v", err)
 	}
-	b.WriteString(FormatE5(e5))
-	e6, err := E6Adaptivity([]int{3}, seed)
+	b.WriteString(formatE5(e5))
+	e6, err := E6Adaptivity(o, []int{3})
 	if err != nil {
 		t.Fatalf("E6: %v", err)
 	}
-	b.WriteString(FormatE6(e6))
-	e7, err := E7LargeP([]int{4, 5}, seed)
+	b.WriteString(formatE6(e6))
+	e7, err := E7LargeP(o, []int{4, 5})
 	if err != nil {
 		t.Fatalf("E7: %v", err)
 	}
-	b.WriteString(FormatE7(e7))
-	e9, err := E9Lockspace(3, []int{1, 16}, seed)
+	b.WriteString(formatE7(e7))
+	e9, err := E9Lockspace(o, 3, []int{1, 16})
 	if err != nil {
 		t.Fatalf("E9: %v", err)
 	}
-	b.WriteString(FormatE9(e9))
-	e10, err := E10SteadyChurn([]int{4, 5}, seed)
+	b.WriteString(formatE9(e9))
+	e10, err := E10SteadyChurn(o, []int{4, 5})
 	if err != nil {
 		t.Fatalf("E10: %v", err)
 	}
-	b.WriteString(FormatE10(e10))
+	b.WriteString(formatE10(e10))
 	return b.String()
 }
 
@@ -64,11 +64,7 @@ func renderAll(t *testing.T) string {
 // run on one worker or many, because cell seeding and result assembly
 // are independent of scheduling.
 func TestParallelMatchesSequential(t *testing.T) {
-	SetParallelism(1)
-	seq := renderAll(t)
-	SetParallelism(8)
-	defer SetParallelism(1)
-	par := renderAll(t)
+	seq, par := renderAll(t, 1), renderAll(t, 8)
 	if seq != par {
 		t.Errorf("parallel sweep diverged from sequential:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
 	}
@@ -78,23 +74,36 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEngineThroughputDeterministic pins the BENCH scenario: identical
-// seeds must process identical logical work in both sweep modes.
+// gateNamed returns the gate cell of that name.
+func gateNamed(t *testing.T, name string) Gate {
+	t.Helper()
+	for _, g := range Gates() {
+		if g.Name == name {
+			return g
+		}
+	}
+	t.Fatalf("no gate %q", name)
+	return Gate{}
+}
+
+// TestEngineThroughputDeterministic pins the engine gates: identical
+// seeds must process identical logical work, and some.
 func TestEngineThroughputDeterministic(t *testing.T) {
-	for _, ft := range []bool{false, true} {
-		m1, g1, err := EngineThroughput(4, ft, 7)
+	for _, name := range []string{"engine_throughput", "engine_throughput_ft"} {
+		g := gateNamed(t, name)
+		e1, m1, err := g.Run(Options{Seed: 7})
 		if err != nil {
-			t.Fatalf("ft=%v: %v", ft, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		m2, g2, err := EngineThroughput(4, ft, 7)
+		e2, m2, err := g.Run(Options{Seed: 7})
 		if err != nil {
-			t.Fatalf("ft=%v: %v", ft, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if m1 != m2 || g1 != g2 {
-			t.Errorf("ft=%v: replay diverged: (%d,%d) vs (%d,%d)", ft, m1, g1, m2, g2)
+		if e1 != e2 || m1 != m2 {
+			t.Errorf("%s: replay diverged: (%d,%v) vs (%d,%v)", name, e1, m1, e2, m2)
 		}
-		if g1 == 0 || m1 == 0 {
-			t.Errorf("ft=%v: empty run: msgs=%d grants=%d", ft, m1, g1)
+		if e1 == 0 || m1 == 0 {
+			t.Errorf("%s: empty run: msgs=%d msgs/grant=%v", name, e1, m1)
 		}
 	}
 }

@@ -25,8 +25,8 @@
 // join, the merged Result — and every table derived from it — is
 // byte-identical for ANY shard count and any harness worker count; the
 // shard count only decides how many cores the wall-clock spreads over.
-// This is the same determinism discipline harness.SetParallelism
-// enforces for sweep cells, applied inside a single experiment cell.
+// This is the same determinism discipline the harness's worker pool
+// keeps for sweep cells, applied inside a single experiment cell.
 //
 // Wall-clock imbalance (hash skew gives some shards more keys, the
 // crash slice extra recovery work) is real and worth seeing, so Run
