@@ -103,17 +103,11 @@ func e11Export(reg *obs.Registry, rows []E11Row) {
 	}
 }
 
-// e11Requests is the one seeded schedule every E11 cell replays.
-func e11Requests(o Options, p int) []workload.Request {
-	n := 1 << p
-	return workload.Uniform(newRng(o.Seed), n, 6*n, e8Horizon(n))
-}
-
 // E11LossyRecovery sweeps loss × crash × session over the fault-tolerant
 // open cube on 2^p nodes. All cells share one seeded schedule and run
 // concurrently on the sweep pool.
 func E11LossyRecovery(o Options, p int) ([]E11Row, error) {
-	reqs := e11Requests(o, p)
+	reqs := faultSchedule(o, p)
 	type cell struct {
 		loss           float64
 		crash, session bool

@@ -68,6 +68,13 @@ const e8LossProb = 0.01
 // cannot desync.
 func e8Horizon(n int) time.Duration { return time.Duration(8*n) * delta }
 
+// faultSchedule is the one seeded schedule every cell of E8 and of E11
+// replays on 2^p nodes.
+func faultSchedule(o Options, p int) []workload.Request {
+	n := 1 << p
+	return workload.Uniform(newRng(o.Seed), n, 6*n, e8Horizon(n))
+}
+
 // E8Row is one (algorithm, scenario) measurement.
 type E8Row struct {
 	Algorithm string
@@ -92,8 +99,7 @@ type E8Row struct {
 // unified engine and reports what each run salvaged. All cells share one
 // seeded schedule per cube order and run concurrently on the sweep pool.
 func E8FaultComparison(o Options, p int) ([]E8Row, error) {
-	n := 1 << p
-	reqs := workload.Uniform(newRng(o.Seed), n, 6*n, e8Horizon(n))
+	reqs := faultSchedule(o, p)
 	type cell struct {
 		algo, scenario string
 	}

@@ -94,7 +94,7 @@ func Gates() []Gate {
 		// physical transmissions (retransmits included) per grant.
 		{"e11_n16", "msgs/grant", func(o Options) (int64, float64, error) {
 			rec := &trace.Recorder{}
-			row, err := runE11(o, 4, e11Requests(o, 4), 0.01, true, true, rec)
+			row, err := runE11(o, 4, faultSchedule(o, 4), 0.01, true, true, rec)
 			return perGrant(rec.Total(), row.Grants, row.strict(), err)
 		}},
 		// Grants recovered after the CS holder fail-stops.

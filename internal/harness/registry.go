@@ -48,10 +48,8 @@ func report[R any](rows []R, err error, format func([]R) string, strict func(R) 
 		return Report{}, err
 	}
 	rep := Report{Table: format(rows)}
-	for _, r := range rows {
-		if strict != nil && rep.Strict == nil {
-			rep.Strict = strict(r)
-		}
+	for i := 0; strict != nil && rep.Strict == nil && i < len(rows); i++ {
+		rep.Strict = strict(rows[i])
 	}
 	return rep, nil
 }
@@ -148,10 +146,12 @@ func Experiments() []Experiment {
 			start := obs.StartStopwatch()
 			rows, err := E13Sharded(o, e13Cells(o.Full))
 			rep, err := report(rows, err, formatE13, E13Row.strict)
-			// The shard count is wall-clock's business, like the time: the
-			// table is the same for every one.
-			rep.Note = fmt.Sprintf("e13: swept %d cells with %d shard workers in %v\n",
-				len(rows), max(o.Shards, 1), start.Elapsed().Round(time.Millisecond))
+			if err == nil {
+				// The shard count is wall-clock's business, like the time:
+				// the table is the same for every one.
+				rep.Note = fmt.Sprintf("e13: swept %d cells with %d shard workers in %v\n",
+					len(rows), max(o.Shards, 1), start.Elapsed().Round(time.Millisecond))
+			}
 			return rep, err
 		}},
 	}
