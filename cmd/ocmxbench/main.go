@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	ocmxbench [-exp all|NAME] [-seed N] [-full] [-parallel N] [-shards N] [-strict] [-progress] [-obs FILE]
+//	ocmxbench [-exp all|NAME] [-seed N] [-full] [-parallel N] [-strict] [-obs FILE]
 //
 // NAME is one of the list's names (ocmxbench -h prints them); any other
 // value is an error. -full runs every sweep at its paper or acceptance
@@ -21,18 +21,16 @@
 // under in-model scenarios, or session-on E11 row that is incomplete or
 // application-visibly violated exits non-zero. CI runs the sweeps with it.
 //
-// -parallel N distributes independent experiment cells over N workers and
-// -shards N spreads each E13 cell's fixed 64-slice grid over N shard
-// workers (0, the default of both, uses GOMAXPROCS; 1 is sequential).
-// Both are purely execution knobs: cells are seeded from their
-// coordinates and assembled in sweep order, so stdout is byte-identical
-// for every N — only wall-clock changes, reported on stderr.
+// -parallel N distributes independent experiment cells — and each E13
+// cell's 64 key slices — over N workers (0, the default, uses GOMAXPROCS;
+// 1 is sequential). It is purely an execution knob: cells are seeded from
+// their coordinates and assembled in sweep order, so stdout is
+// byte-identical for every N — only wall-clock changes, reported on stderr.
 //
-// -progress reports per-shard wall-clock progress (E13) on stderr. -obs
-// FILE attaches flight recorders to every simulated network, routes E13
-// stall autopsies to stderr, and writes a Prometheus-text metrics snapshot
-// of the run to FILE at exit. Stdout is byte-identical with them on or
-// off (CI cmp-gates this). See DESIGN.md §14.
+// -obs FILE attaches flight recorders to every simulated network, routes
+// E13 stall autopsies to stderr, and writes a Prometheus-text metrics
+// snapshot of the run to FILE at exit. Stdout is byte-identical with it on
+// or off (CI cmp-gates this). See DESIGN.md §14.
 package main
 
 import (
@@ -55,10 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	exp := fs.String("exp", "all", "experiment to run: "+harness.Names())
 	seed := fs.Int64("seed", 1993, "random seed")
 	full := fs.Bool("full", false, "paper-scale parameters (slower)")
-	par := fs.Int("parallel", 0, "experiment-cell workers (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "shard workers per e13 cell (0 = GOMAXPROCS); never affects results")
+	par := fs.Int("parallel", 0, "workers for experiment cells and e13 key slices (0 = GOMAXPROCS, 1 = sequential)")
 	strict := fs.Bool("strict", false, "fail on any stuck episode, stalled cell or in-model violation")
-	progress := fs.Bool("progress", false, "report per-shard wall-clock progress on stderr (e13)")
 	obsPath := fs.String("obs", "", "attach flight recorders and write a Prometheus metrics snapshot to this file at exit")
 	if fs.Parse(args) != nil {
 		return 2
@@ -71,22 +67,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("-exp", err)
 	}
-	procs := func(n int) int {
-		if n <= 0 {
-			return runtime.GOMAXPROCS(0)
-		}
-		return n
+	if *par <= 0 {
+		*par = runtime.GOMAXPROCS(0)
 	}
-	o := harness.Options{Seed: *seed, Full: *full, Workers: procs(*par), Shards: procs(*shards)}
+	o := harness.Options{Seed: *seed, Full: *full, Workers: *par}
 	// -obs: flight recorders on every simulated network, E13 stall
 	// autopsies to stderr, and a run-scoped metrics snapshot at exit.
 	// Nothing it does may reach stdout.
 	if *obsPath != "" {
 		o.Metrics, o.FlightDepth, o.Autopsy = obs.NewRegistry(), obs.DefaultFlightDepth, stderr
-	}
-	if *progress {
-		// With -obs the line/byte volume of the reporting is itself metered.
-		o.Progress = obs.NewProgress(stderr, o.Metrics)
 	}
 	for _, e := range exps {
 		rep, err := e.Run(o)

@@ -14,7 +14,7 @@
 //
 // Packages default to ./... . A genuine exception is silenced in place:
 //
-//	//ocmxvet:allow determinism -- wall-clock progress metering, stderr only
+//	//ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
 //
 // The reason after “--” is mandatory; a missing reason or an unknown
 // analyzer name is itself a finding. See DESIGN.md §15 for the analyzer

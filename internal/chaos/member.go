@@ -106,7 +106,7 @@ func (m *member) kill() {
 	}
 	m.alive = false
 	space, sess := m.space, m.sess
-	m.prev = addSessionStats(m.prev, sess.Stats())
+	m.prev = m.prev.Add(sess.Stats())
 	m.mu.Unlock()
 	space.Close()
 	sess.Close()
@@ -120,17 +120,7 @@ func (m *member) sessionStats() transport.SessionStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.alive {
-		return addSessionStats(m.prev, m.sess.Stats())
+		return m.prev.Add(m.sess.Stats())
 	}
 	return m.prev
-}
-
-// addSessionStats sums the counters the /metrics scrape exports.
-func addSessionStats(a, b transport.SessionStats) transport.SessionStats {
-	a.Frames += b.Frames
-	a.Retransmits += b.Retransmits
-	a.DupDrops += b.DupDrops
-	a.AckFrames += b.AckFrames
-	a.Receipts += b.Receipts
-	return a
 }

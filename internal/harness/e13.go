@@ -1,34 +1,48 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"time"
 
-	"repro/internal/shard"
+	"repro/internal/lockspace"
+	"repro/internal/metrics"
+	"repro/internal/ocube"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// E13 — sharded lockspace scaling: millions of keys across parallel
-// engine shards, deterministically merged. E9 proved that multiplexing
-// K instances over ONE engine keeps msgs/CS flat; its ceiling is the
-// single engine heap. E13 removes that ceiling with internal/shard: the
-// key space is statically cut into shard.Slices slices by the FNV shard
-// router, each slice runs its own complete engine + lockspace + seeded
-// workload stream, and per-slice metrics merge in slice order. The
-// shard-worker count is an execution knob only — tables are
-// byte-identical for any -shards and any -parallel value — which is why
-// no shard count appears in the stdout table.
+// E13 — sliced lockspace scaling: millions of keys, deterministically
+// merged. E9 proved that multiplexing K instances over ONE engine keeps
+// msgs/CS flat; its ceiling is the single engine heap. E13 removes that
+// ceiling: each cell's key space is statically cut into e13Slices slices
+// by the FNV shard router (lockspace.InstanceShard), and each slice runs
+// its own complete engine + lockspace + workload stream seeded by folding
+// the cell seed with the slice id (workload.ShardSeed). Lockspace
+// instances never exchange a message, so cutting BY KEY loses nothing.
+//
+// Slices are cells of the one worker pool: the sweep hands every
+// (cell, slice) pair to forEach and merges each cell's slices in slice
+// order, so the table is byte-identical for any -parallel value — which
+// is why no worker count appears in it.
 //
 // The quantities to watch are E9's, at three orders of magnitude more
 // keys: msgs/grant must stay at the E9/E7 constant (the per-CS cost
 // depends on N and tree shape, never on key count), violations pin
 // per-instance safety across a million keys, and the crash scenario —
-// injected only into the hot shard, the slice owning global key 0 —
-// must regenerate and settle without stalling any slice. New here are
-// the accept→grant waiting-time quantiles, pooled across shards through
-// metrics.Summary.Merge (the empty-shard-safe merge is load-bearing:
+// injected only into the hot slice, the one owning global key 0 — must
+// regenerate and settle without stalling any slice. New here are the
+// accept→grant waiting-time quantiles, pooled across slices through
+// metrics.Summary.Merge (the empty-slice-safe merge is load-bearing:
 // small-K cells leave most of the 64 slices empty).
+
+// e13Slices is the fixed partition grid: every cell cuts its key space
+// into this many slices, so no row depends on how many workers run them.
+// 64 keeps a million-key cell's per-slice spaces small enough to hold a
+// few in memory at once.
+const e13Slices = 64
 
 // E13Cell is one sweep coordinate.
 type E13Cell struct {
@@ -67,13 +81,14 @@ type E13Row struct {
 	Requests   int
 	Grants     int64
 	MsgsPerCS  float64       // delivered protocol messages per critical section
-	Regens     int64         // token regenerations (hot-shard crash recovery)
+	Regens     int64         // token regenerations (hot-slice crash recovery)
 	Stale      int64         // stale-epoch token sightings
 	Violations int64         // per-instance overlaps — zero in every safe run
 	States     int           // lazily instantiated (position, instance) machines
 	WaitP50    time.Duration // median accept→grant wait (virtual time)
 	WaitP99    time.Duration // tail accept→grant wait (virtual time)
 	Stalled    int           // slices not quiescent inside the settle window
+	msgs       int64         // delivered protocol messages, the gate's events
 }
 
 // strict is what -strict fails an E13 row on: a stalled slice or a
@@ -86,14 +101,105 @@ func (r E13Row) strict() error {
 	return nil
 }
 
-// runE13 is one sharded cell. The knobs are E9's, applied per slice: the
-// same per-cell seed mix, the same (4p+8)δ saturation spacing, the same
-// rescaled suspicion slack and settle window, the same
-// crash-at-second-hot-grant scenario (here confined to the hot shard).
-// Requests per key drop from 6 to 3 above 64k keys — at K = 1M the sample
-// is still three million requests. Beside the row it returns the messages
-// delivered.
-func runE13(o Options, c E13Cell) (E13Row, int64, error) {
+// e13Slice is one slice's raw measurement.
+type e13Slice struct {
+	requests, states, stalled               int
+	grants, msgs, regens, stale, violations int64
+	waits                                   *metrics.Summary
+	// autopsy is the stalled slice's JSONL dump, written after the sweep.
+	autopsy []byte
+}
+
+// E13Sharded runs the sweep: every (cell, slice) pair is one item of the
+// worker pool, and each cell's slices merge in slice order. On failure
+// the lowest-numbered failing slice of the first failing cell reports,
+// whatever order the workers finished in. Autopsies of stalled slices go
+// to o.Autopsy after the sweep, in (cell, slice) order.
+func E13Sharded(o Options, cells []E13Cell) ([]E13Row, error) {
+	members := make([][][]int32, len(cells))
+	for i, c := range cells {
+		if c.Keys < 1 || c.Skew != "uniform" && c.Skew != "zipf" {
+			return nil, fmt.Errorf("harness: e13 p=%d k=%d/%s: no such cell", c.P, c.Keys, c.Skew)
+		}
+		members[i] = e13Members(c.Keys)
+	}
+	slices, err := forEach(o.Workers, len(cells)*e13Slices, func(i int) (e13Slice, error) {
+		c, t := cells[i/e13Slices], i%e13Slices
+		s, err := runE13Slice(o, c, t, members[i/e13Slices][t])
+		if err != nil {
+			err = fmt.Errorf("harness: e13 p=%d k=%d/%s: slice %d: %w", c.P, c.Keys, c.Skew, t, err)
+		}
+		return s, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]E13Row, len(cells))
+	for i, c := range cells {
+		rows[i], _ = mergeE13(c, slices[i*e13Slices:(i+1)*e13Slices])
+	}
+	if o.Autopsy != nil {
+		for _, s := range slices {
+			if len(s.autopsy) > 0 {
+				// A diagnostic: failing to write it must not fail the sweep.
+				_, _ = o.Autopsy.Write(s.autopsy)
+			}
+		}
+	}
+	return rows, nil
+}
+
+// e13Members is the static partition of keys 0..keys-1 over the slice
+// grid: the slice of a key is a pure function of the key. Member lists
+// are ascending by construction, so a slice's local rank r is its r-th
+// smallest global key — and global key 0 is always local key 0 of its
+// slice (the crash hook relies on this).
+func e13Members(keys int) [][]int32 {
+	members := make([][]int32, e13Slices)
+	for g := 0; g < keys; g++ {
+		t := lockspace.InstanceShard(uint64(g), e13Slices)
+		members[t] = append(members[t], int32(g))
+	}
+	return members
+}
+
+// mergeE13 folds one cell's slices, in slice order, into its row and its
+// pooled accept→grant waits.
+func mergeE13(c E13Cell, slices []e13Slice) (E13Row, *metrics.Summary) {
+	row := E13Row{N: 1 << c.P, Keys: c.Keys, Skew: c.Skew}
+	waits := &metrics.Summary{}
+	for _, s := range slices {
+		row.Requests += s.requests
+		row.Grants += s.grants
+		row.msgs += s.msgs
+		row.Regens += s.regens
+		row.Stale += s.stale
+		row.Violations += s.violations
+		row.States += s.states
+		row.Stalled += s.stalled
+		waits.Merge(s.waits)
+	}
+	row.WaitP50 = time.Duration(waits.Quantile(0.5))
+	row.WaitP99 = time.Duration(waits.Quantile(0.99))
+	if row.Grants > 0 {
+		row.MsgsPerCS = float64(row.msgs) / float64(row.Grants)
+	}
+	return row, waits
+}
+
+// runE13Slice is one slice's complete simulation, a pure function of
+// (o.Seed, cell, slice, members). The knobs are E9's, applied per slice:
+// the same per-cell seed mix, the same (4p+8)δ saturation spacing, the
+// same rescaled suspicion slack and settle window, and the same
+// crash-at-second-hot-grant scenario, here confined to the hot slice.
+// Requests per key drop from 6 to 3 above 64k keys — at K = 1M the
+// sample is still three million requests.
+func runE13Slice(o Options, c E13Cell, slice int, members []int32) (e13Slice, error) {
+	res := e13Slice{waits: &metrics.Summary{}}
+	keys := len(members)
+	if keys == 0 {
+		return res, nil
+	}
 	cellSeed := o.Seed + int64(c.Keys)*7919 + int64(c.P)*104729
 	if c.Skew == "zipf" {
 		cellSeed++
@@ -102,64 +208,93 @@ func runE13(o Options, c E13Cell) (E13Row, int64, error) {
 	if c.Keys > 65536 {
 		reqsPerKey = 3
 	}
+	n := 1 << c.P
+	sliceSeed := workload.ShardSeed(cellSeed, slice)
+	rng := newRng(sliceSeed)
+	count := reqsPerKey * keys
+	horizon := time.Duration(count) * (time.Duration(4*c.P+8) * delta)
+
+	var reqs []workload.KeyedRequest
+	if c.Skew == "uniform" {
+		reqs = workload.KeyedUniform(rng, n, keys, count, horizon)
+	} else {
+		// Each slice draws its own Zipf over its local keys, hottest local
+		// key first — the slice-local analogue of E9's skew.
+		var err error
+		if reqs, err = workload.KeyedZipf(rng, n, keys, count, horizon, e9ZipfS); err != nil {
+			return res, err
+		}
+	}
+
 	node := ftNodeConfig()
 	node.SuspicionSlack += time.Duration(8*c.P) * delta
-	res, err := shard.Run(shard.Config{
-		FlightDepth:  o.FlightDepth,
-		Autopsy:      o.Autopsy,
-		Shards:       o.Shards,
-		Progress:     o.Progress,
-		P:            c.P,
-		Keys:         c.Keys,
-		Skew:         c.Skew,
-		ZipfS:        e9ZipfS,
-		ReqsPerKey:   reqsPerKey,
-		Spacing:      time.Duration(4*c.P+8) * delta,
-		Settle:       32000 * delta,
-		Node:         node,
-		Delay:        sim.UniformDelay(delta/2, delta),
-		CSTime:       csTime(delta),
-		Seed:         cellSeed,
-		CrashHot:     true,
-		CrashRecover: 400 * delta,
+	rec := &trace.Recorder{}
+	sp, err := lockspace.NewSpace(lockspace.SpaceConfig{
+		P:         c.P,
+		Instances: keys,
+		Node:      node,
+		Seed:      sliceSeed,
+		Delay:     sim.UniformDelay(delta/2, delta),
+		CSTime:    csTime(delta),
+		Recorder:  rec,
+		Flight:    o.flight(),
 	})
 	if err != nil {
-		return E13Row{}, 0, fmt.Errorf("harness: e13 p=%d k=%d/%s: %w", c.P, c.Keys, c.Skew, err)
+		return res, err
 	}
-	row := E13Row{
-		N:          1 << c.P,
-		Keys:       c.Keys,
-		Skew:       c.Skew,
-		Requests:   res.Requests,
-		Grants:     res.Grants,
-		Regens:     res.Regens,
-		Stale:      res.Stale,
-		Violations: res.Violations,
-		States:     res.States,
-		WaitP50:    time.Duration(res.Waits.Quantile(0.5)),
-		WaitP99:    time.Duration(res.Waits.Quantile(0.99)),
-		Stalled:    res.Stalled,
-	}
-	if res.Grants > 0 {
-		row.MsgsPerCS = float64(res.Msgs) / float64(res.Grants)
-	}
-	return row, res.Msgs, nil
-}
 
-// E13Sharded runs the sweep. Cells are distributed over the harness
-// worker pool like every other sweep; each cell's slices are additionally
-// spread over its own o.Shards shard workers. Neither level of
-// parallelism affects the rows.
-func E13Sharded(o Options, cells []E13Cell) ([]E13Row, error) {
-	return forEach(o.Workers, len(cells), func(i int) (E13Row, error) {
-		row, _, err := runE13(o, cells[i])
-		return row, err
+	// Waiting time at the driver: accept→grant per (instance, node); a
+	// node has at most one outstanding wish per instance.
+	pending := make(map[int64]time.Duration)
+	sp.OnRequest(func(inst int, x ocube.Pos) {
+		res.requests++
+		pending[int64(inst)*int64(n)+int64(x)] = sp.Network().Eng.Now()
 	})
+	hot := slice == lockspace.InstanceShard(0, e13Slices)
+	hotGrants := 0
+	sp.OnGrant(func(inst int, x ocube.Pos) {
+		key := int64(inst)*int64(n) + int64(x)
+		if at, ok := pending[key]; ok {
+			res.waits.Observe(float64(sp.Network().Eng.Now() - at))
+			delete(pending, key)
+		}
+		// The E9 crash scenario, scoped to the hot slice: the node serving
+		// the globally hottest key's second grant fail-stops inside that
+		// critical section and recovers much later, dragging every
+		// instance it hosts in this slice through Section 5 recovery.
+		if hot && inst == 0 {
+			hotGrants++
+			if hotGrants == 2 {
+				sp.Network().Fail(x, 0)
+				sp.Network().Recover(x, 400*delta)
+			}
+		}
+	})
+
+	for _, r := range reqs {
+		sp.Request(r.Key, ocube.Pos(r.Node), r.At)
+	}
+	if !sp.Run(horizon + 32000*delta) {
+		res.stalled = 1
+		if o.Autopsy != nil {
+			var buf bytes.Buffer
+			if sp.Autopsy(&buf, fmt.Sprintf("shard-slice-%d-stalled", slice)) == nil {
+				res.autopsy = buf.Bytes()
+			}
+		}
+	}
+	res.grants = sp.Grants()
+	res.msgs = rec.Total()
+	res.regens = sp.Regenerations()
+	res.stale = sp.StaleTokens()
+	res.violations = sp.Violations()
+	res.states = sp.States()
+	return res, nil
 }
 
-// formatE13 renders the sharded sweep. Deliberately absent: the shard
+// formatE13 renders the sliced sweep. Deliberately absent: the worker
 // count — it cannot influence any cell, and keeping it out of stdout is
-// what lets CI diff the table across -shards settings.
+// what lets CI diff the table across -parallel settings.
 func formatE13(rows []E13Row) string {
 	header := []string{"N", "keys", "skew", "requests", "grants", "msgs/CS", "regens", "stale", "violations", "states", "wait p50", "wait p99", "outcome"}
 	body := make([][]string, len(rows))

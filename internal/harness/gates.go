@@ -38,17 +38,6 @@ func Gates() []Gate {
 			return perGrant(msgs, row.Grants, row.strict(), err)
 		}}
 	}
-	// The same sharded cell on 1 and on 8 shard workers: the logical work
-	// and the metric are identical by the determinism contract, the
-	// wall-clock between them is the shard runtime's overhead or speedup
-	// on this machine. The million-key cells are `-exp e13 -full`.
-	e13 := func(name string, shards int) Gate {
-		return Gate{name, "msgs/grant", func(o Options) (int64, float64, error) {
-			o.Shards = shards
-			row, msgs, err := runE13(o, E13Cell{P: 4, Keys: 256, Skew: "zipf"})
-			return perGrant(msgs, row.Grants, row.strict(), err)
-		}}
-	}
 	return []Gate{
 		throughput("engine_throughput", "open-cube", false),
 		throughput("engine_throughput_ft", "open-cube", true),
@@ -101,8 +90,15 @@ func Gates() []Gate {
 		rowGate("e8_n16", "grants-after-crash", nil,
 			func(o Options) ([]E8Row, error) { return E8FaultComparison(o, 4) },
 			func(r E8Row) float64 { return float64(r.Grants) }),
-		e13("e13_n16_k256_shard1", 1),
-		e13("e13_n16_k256_shard8", 8),
+		// One sliced cell, its 64 slices over o.Workers; the million-key
+		// cells are `-exp e13 -full`.
+		{"e13_n16_k256", "msgs/grant", func(o Options) (int64, float64, error) {
+			rows, err := E13Sharded(o, []E13Cell{{P: 4, Keys: 256, Skew: "zipf"}})
+			if err != nil {
+				return 0, 0, err
+			}
+			return perGrant(rows[0].msgs, rows[0].Grants, rows[0].strict(), nil)
+		}},
 	}
 }
 

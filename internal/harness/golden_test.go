@@ -43,7 +43,7 @@ func checkGolden(t *testing.T, name, got string) {
 func TestGoldenTables(t *testing.T) {
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
-			rep, err := e.Run(Options{Seed: 1993, Workers: 2, Shards: 2})
+			rep, err := e.Run(Options{Seed: 1993, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,19 +39,14 @@ type Options struct {
 	Seed int64
 	// Full selects the paper-scale parameters of Experiments.
 	Full bool
-	// Workers is the number of goroutines independent cells are spread
-	// over; <= 1 is the sequential sweep.
+	// Workers is the number of goroutines independent cells (and E13's
+	// slices) are spread over; <= 1 is the sequential sweep.
 	Workers int
-	// Shards is the shard-worker count of each E13 cell; <= 0 is one.
-	Shards int
-	// Progress, when non-nil, receives E13's per-shard wall-clock
-	// progress lines.
-	Progress io.Writer
 	// FlightDepth > 0 attaches a token-lineage flight recorder
 	// (internal/obs) of that depth to every simulated network and space.
 	FlightDepth int
 	// Autopsy, when non-nil, receives a JSONL autopsy for every E13 slice
-	// that stalls.
+	// that stalls, after the sweep and in (cell, slice) order.
 	Autopsy io.Writer
 	// Metrics, when non-nil, receives what a run exports beside its
 	// table: experiments run and their wall-clock, E11's acknowledgment

@@ -147,10 +147,8 @@ func Experiments() []Experiment {
 			rows, err := E13Sharded(o, e13Cells(o.Full))
 			rep, err := report(rows, err, formatE13, E13Row.strict)
 			if err == nil {
-				// The shard count is wall-clock's business, like the time:
-				// the table is the same for every one.
-				rep.Note = fmt.Sprintf("e13: swept %d cells with %d shard workers in %v\n",
-					len(rows), max(o.Shards, 1), start.Elapsed().Round(time.Millisecond))
+				rep.Note = fmt.Sprintf("e13: swept %d cells in %v\n",
+					len(rows), start.Elapsed().Round(time.Millisecond))
 			}
 			return rep, err
 		}},

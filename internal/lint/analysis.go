@@ -1,6 +1,6 @@
 // Package lint is ocmxvet: a suite of source-level invariant checkers
 // that make the repository's strongest runtime guarantees structural.
-// The byte-identical experiment tables (any -shards / -parallel count),
+// The byte-identical experiment tables (any -parallel count),
 // the 80-byte core.Message wire pin, the valid-until-next-call arena
 // discipline and the zero-cost-when-off observability contract are all
 // enforced by runtime tests and CI cmp gates — which catch a violation
@@ -23,7 +23,7 @@
 //     state machine's host.
 //   - nilsafe: obs.Counter/Gauge/Histogram methods must tolerate nil
 //     receivers, and core.Config.Observe / chaos.Config.Autopsy /
-//     shard.Config.Autopsy uses must be nil-guarded, keeping the
+//     harness.Options.Autopsy uses must be nil-guarded, keeping the
 //     zero-cost-when-off contract honest.
 //   - looptimer: the live lockspace node loop owns one time.Timer under
 //     one deadline heap; time.AfterFunc and time.After are forbidden in
@@ -36,7 +36,7 @@
 // A genuine exception is silenced with an annotation carrying a
 // mandatory reason:
 //
-//	//ocmxvet:allow determinism -- wall-clock progress metering, stderr only
+//	//ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shapes (Analyzer, Pass, Diagnostic) on the standard library's

@@ -8,7 +8,7 @@ import (
 // deterministicPackages is the replay domain: every package whose
 // execution must be a pure function of seeds and schedules, because the
 // experiment tables it produces are CI-gated byte-identical at any
-// -shards / -parallel count (DESIGN.md §13) and the paper-facing
+// -parallel count (DESIGN.md §13) and the paper-facing
 // analyses (Lavault's averages, the E-series sweeps) assume replayable
 // executions. internal/lockspace is listed even though it also hosts
 // the live goroutine runtime: its wall-clock files carry the
@@ -17,7 +17,6 @@ import (
 var deterministicPackages = map[string]bool{
 	"repro/internal/core":        true,
 	"repro/internal/sim":         true,
-	"repro/internal/shard":       true,
 	"repro/internal/harness":     true,
 	"repro/internal/workload":    true,
 	"repro/internal/metrics":     true,

@@ -13,7 +13,7 @@ import (
 //     touches its receiver must open with a nil-receiver guard, so call
 //     sites never need an "is obs enabled" branch of their own;
 //   - every call of the core.Config.Observe function field, and every
-//     read of the chaos.Config.Autopsy / shard.Config.Autopsy writers,
+//     read of the chaos.Config.Autopsy / harness.Options.Autopsy writers,
 //     must be dominated by a nil check of that same expression in the
 //     enclosing function (an enclosing `if x != nil` block or an early
 //     `if x == nil { return }`).
@@ -35,7 +35,7 @@ var guardedHooks = []struct {
 }{
 	{"repro/internal/core", "Config", "Observe", true},
 	{"repro/internal/chaos", "Config", "Autopsy", false},
-	{"repro/internal/shard", "Config", "Autopsy", false},
+	{"repro/internal/harness", "Options", "Autopsy", false},
 }
 
 func runNilsafe(pass *Pass) error {

@@ -71,7 +71,7 @@ func KeyInstance(key string) uint64 {
 }
 
 // InstanceShard routes an instance id to one of shards disjoint groups —
-// the shard router of the partitioned runtime (internal/shard, E13). It
+// the router that cuts E13's key space into slices (internal/harness). It
 // re-hashes the id with the same FNV-1a discipline as KeyInstance (over
 // the id's little-endian bytes) instead of taking id % shards directly:
 // the simulated path uses DENSE instance ids, and a plain modulus would

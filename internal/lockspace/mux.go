@@ -51,7 +51,7 @@ type SpaceConfig struct {
 	Logf func(format string, args ...any)
 	// Flight, when set, records every instance's token lineage (via
 	// core.Config.Observe) stamped with virtual time — the feed of the
-	// stall autopsies the sharded runtime writes. Purely observational:
+	// stall autopsies E13's slices write. Purely observational:
 	// the run is byte-identical with or without it.
 	Flight *obs.Flight
 }
@@ -202,8 +202,8 @@ func (sp *Space) books() (sum Books) {
 // Autopsy writes a JSONL autopsy of the space's current protocol state:
 // per-node state for every instance that is still busy or holds a
 // token, plus — when a Flight recorder is attached — the busy
-// instances' recent token lineage. Called by the sharded runtime when a
-// slice's settle window expires before quiescence (Run returned false).
+// instances' recent token lineage. Called by E13 when a slice's settle
+// window expires before quiescence (Run returned false).
 func (sp *Space) Autopsy(w io.Writer, reason string) error {
 	var states []obs.NodeState
 	var insts []uint64

@@ -415,9 +415,8 @@ func (e *Engine) Step() bool {
 }
 
 // Steps reports how many events the engine has dispatched — the
-// engine-level work figure behind the sharded runtime's per-shard
-// events-per-second reporting (protocol messages undercount: timers and
-// local requests are engine work too).
+// engine-level work figure behind events-per-second readings (protocol
+// messages undercount: timers and local requests are engine work too).
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // dispatch executes one event.

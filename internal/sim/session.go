@@ -168,15 +168,7 @@ func (w *Network) SessionStats() transport.SessionStats {
 		if m == nil {
 			continue
 		}
-		st := m.Stats()
-		sum.Frames += st.Frames
-		sum.Retransmits += st.Retransmits
-		sum.DupDrops += st.DupDrops
-		sum.AckTimeouts += st.AckTimeouts
-		sum.StaleBootDrops += st.StaleBootDrops
-		sum.AckFrames += st.AckFrames
-		sum.AcksPiggybacked += st.AcksPiggybacked
-		sum.Receipts += st.Receipts
+		sum = sum.Add(m.Stats())
 	}
 	return sum
 }

@@ -140,6 +140,20 @@ type SessionStats struct {
 	Receipts int64
 }
 
+// Add returns the field-wise sum of s and b: the counters of several
+// machines, or of one member's successive incarnations.
+func (s SessionStats) Add(b SessionStats) SessionStats {
+	s.Frames += b.Frames
+	s.Retransmits += b.Retransmits
+	s.DupDrops += b.DupDrops
+	s.AckTimeouts += b.AckTimeouts
+	s.StaleBootDrops += b.StaleBootDrops
+	s.AckFrames += b.AckFrames
+	s.AcksPiggybacked += b.AcksPiggybacked
+	s.Receipts += b.Receipts
+	return s
+}
+
 // PeerStats is the per-peer slice of the session counters: which
 // neighbor the retransmits went to and whose frames were dup-dropped.
 // It is a separate type (not a map inside SessionStats) so SessionStats

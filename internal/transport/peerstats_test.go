@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -106,5 +107,22 @@ func TestSessionPeerStatsConcurrent(t *testing.T) {
 	}
 	if bsum != bst.DupDrops {
 		t.Errorf("per-peer dup drops sum to %d, aggregate says %d", bsum, bst.DupDrops)
+	}
+}
+
+// TestSessionStatsAddSumsEveryField fills two SessionStats with distinct
+// values in every counter and checks Add sums each one: a counter added
+// to the struct but not to Add comes back unsummed and fails here.
+func TestSessionStatsAddSumsEveryField(t *testing.T) {
+	var a, b SessionStats
+	var next uint64
+	fillDistinct(t, reflect.ValueOf(&a).Elem(), &next)
+	fillDistinct(t, reflect.ValueOf(&b).Elem(), &next)
+	sum := reflect.ValueOf(a.Add(b))
+	av, bv := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := 0; i < sum.NumField(); i++ {
+		if got, want := sum.Field(i).Int(), av.Field(i).Int()+bv.Field(i).Int(); got != want {
+			t.Errorf("Add: %s = %d, want %d", sum.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package workload
 
-// Splittable seeded streams for the sharded runtime (internal/shard,
-// experiment E13): every shard of one logical run draws its workload
+// Splittable seeded streams for E13's key slices (internal/harness):
+// every shard of one logical run draws its workload
 // from its own RNG, derived from the run's root seed by SplitMix64
 // folding. Deriving — rather than sharing or offsetting — matters on
 // both axes the sharded experiments measure:
