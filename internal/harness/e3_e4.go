@@ -84,7 +84,7 @@ func E3FailureOverhead(o Options, p, failures int, paperMode bool) (E3Row, error
 	}
 
 	overhead := func() int64 {
-		return rec.ClassCount(trace.ClassControl) - rec.Kind("token-ack")
+		return rec.Overhead() - rec.Kind("token-ack")
 	}
 
 	row := E3Row{N: n, Failures: failures, PaperMode: paperMode}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/sim"
@@ -22,10 +23,10 @@ import (
 // engine timer slot. What a machine sends travels as instance-tagged
 // envelopes on the Network's one delivery path, the one the untagged
 // single-mutex traffic takes too. Grants never reach the Network: the mux
-// settles critical-section occupancy per instance (the Network's per-node
-// accounting would miscount two locks held at one position as a
-// violation), and a simulated critical section is a hold whose length is
-// drawn at the grant and which the machine ends itself.
+// hands each instance's holds to its own accountant under the instance's
+// id (the Network's would count two locks held at one position as one
+// lock's violation), and a simulated critical section is a hold whose
+// length is drawn at the grant and which the machine ends itself.
 
 // muxTimerKind is the engine-facing timer slot every instance deadline is
 // multiplexed onto; the kind is arbitrary, the mux peer owns them all.
@@ -63,11 +64,8 @@ type Space struct {
 	cfg   SpaceConfig
 	w     *sim.Network
 	peers []*muxPeer
-	rng   *rand.Rand // CS-duration stream, separate from the delay stream
-
-	occupancy  []int32 // live CS holders per instance (violation accounting)
-	grants     int64
-	violations int64
+	rng   *rand.Rand    // CS-duration stream, separate from the delay stream
+	holds metrics.Holds // instance inst's holds under id inst-1
 
 	onGrant  func(inst int, x ocube.Pos)
 	onAccept func(inst int, x ocube.Pos)
@@ -84,9 +82,8 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 		return nil, fmt.Errorf("lockspace: Instances=%d out of range", cfg.Instances)
 	}
 	sp := &Space{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
-		occupancy: make([]int32, cfg.Instances),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D)),
 	}
 	tmpl := cfg.Node
 	tmpl.P = cfg.P
@@ -172,12 +169,12 @@ func (sp *Space) OnGrant(fn func(inst int, x ocube.Pos)) { sp.onGrant = fn }
 func (sp *Space) OnRequest(fn func(inst int, x ocube.Pos)) { sp.onAccept = fn }
 
 // Grants returns the critical sections served across all instances.
-func (sp *Space) Grants() int64 { return sp.grants }
+func (sp *Space) Grants() int64 { return sp.holds.Grants() }
 
 // Violations returns how many grants overlapped another critical section
 // OF THE SAME instance — distinct instances are independent locks and
 // may overlap freely.
-func (sp *Space) Violations() int64 { return sp.violations }
+func (sp *Space) Violations() int64 { return sp.holds.Overlaps() }
 
 // Regenerations returns the token regenerations across all instances.
 func (sp *Space) Regenerations() int64 { return sp.books().Regenerations }
@@ -234,8 +231,8 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 	}
 	details := map[string]any{
 		"virtual_now_ns": int64(sp.w.Eng.Now()),
-		"grants":         sp.grants,
-		"violations":     sp.violations,
+		"grants":         sp.Grants(),
+		"violations":     sp.Violations(),
 		"regenerations":  sp.Regenerations(),
 	}
 	return obs.WriteAutopsy(w, reason, details, sp.cfg.Flight, insts, states)
@@ -254,15 +251,11 @@ type muxPeer struct {
 }
 
 // granted is the space-level counterpart of the Network's enterCS
-// (driver): per-instance occupancy and violation accounting, and the draw
-// of the critical section's length — the analogue of its evRelease.
-func (p *muxPeer) granted(inst, _ uint64, _ any) time.Duration {
+// (driver): the hold enters the accountant under its instance, and the
+// critical section's length is drawn — the analogue of its evRelease.
+func (p *muxPeer) granted(inst, fence uint64, _ any) time.Duration {
 	sp, idx := p.sp, int(inst)-1
-	sp.grants++
-	sp.occupancy[idx]++
-	if sp.occupancy[idx] > 1 {
-		sp.violations++
-	}
+	sp.holds.Enter(idx, fence)
 	if sp.onGrant != nil {
 		sp.onGrant(idx, p.self)
 	}
@@ -272,14 +265,10 @@ func (p *muxPeer) granted(inst, _ uint64, _ any) time.Duration {
 	return sp.cfg.CSTime(sp.rng)
 }
 
-// ended settles the occupancy of a critical section that ended or died
-// with the node (driver): a crashed holder is not counted against a later
-// grant elsewhere.
-func (p *muxPeer) ended(inst, _ uint64, _ bool) {
-	if idx := int(inst) - 1; p.sp.occupancy[idx] > 0 {
-		p.sp.occupancy[idx]--
-	}
-}
+// ended exits a critical section that ended or died with the node
+// (driver): a crashed holder is not counted against a later grant
+// elsewhere.
+func (p *muxPeer) ended(inst, fence uint64, _ bool) { p.sp.holds.Exit(int(inst)-1, fence) }
 
 // now is the virtual time.
 func (p *muxPeer) now() time.Duration { return p.sp.w.Eng.Now() }

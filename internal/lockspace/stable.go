@@ -98,11 +98,15 @@ func OpenFileStable(path string) (*FileStable, error) {
 		return nil, fmt.Errorf("lockspace: stable log replay: %w", err)
 	}
 	// A torn tail has no newline; terminate it so the next append starts
-	// a fresh line instead of gluing onto the garbage.
+	// a fresh line instead of gluing onto the garbage — and fail the open
+	// if that cannot be done, or the next record would be lost with it.
 	if info, err := f.Stat(); err == nil && info.Size() > 0 {
 		tail := make([]byte, 1)
 		if _, err := f.ReadAt(tail, info.Size()-1); err == nil && tail[0] != '\n' {
-			f.Write([]byte("\n"))
+			if _, err := f.Write([]byte("\n")); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("lockspace: stable log: terminating torn tail: %w", err)
+			}
 		}
 	}
 	return s, nil

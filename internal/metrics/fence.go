@@ -17,7 +17,6 @@ import "sync"
 type FenceGate struct {
 	mu    sync.Mutex
 	high  map[string]uint64
-	admit int64
 	stale int64
 }
 
@@ -35,15 +34,7 @@ func (g *FenceGate) Admit(key string, fence uint64) bool {
 		g.high = make(map[string]uint64)
 	}
 	g.high[key] = fence
-	g.admit++
 	return true
-}
-
-// Admitted returns how many accesses passed the gate.
-func (g *FenceGate) Admitted() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.admit
 }
 
 // Rejected returns how many accesses the gate refused as stale.

@@ -1,11 +1,15 @@
-// Package metrics provides two small tools. Summary holds the exact
+// Package metrics provides three small tools. Summary holds the exact
 // statistics of the experiment harness (internal/harness): streaming
 // mean/max and exact quantiles for the modest sample sizes of the paper's
 // evaluation — per-search tested-node counts (E4), per-source message
 // averages (E6), request waiting times (E10) — and Merge, which folds
 // E13's per-slice summaries into one cell exactly. FenceGate is the
 // acceptance rule of a fence-checking resource, behind the props ledger
-// (internal/props) and opencubemx.FencedResource.
+// (internal/props) and opencubemx.FencedResource. Holds is the one
+// mutual-exclusion accountant: sim.Network, lockspace.Space and
+// props.LockProps enter every grant into it and exit every hold, and it
+// alone decides whether an entry overlapped and whether fences tell the
+// overlap apart.
 package metrics
 
 import (

@@ -78,11 +78,10 @@ type hold struct {
 }
 
 type keyState struct {
+	// id is the key's dense id in the suite's Holds, where each client is
+	// in its critical section from the grant to its outcome call.
+	id        int
 	lastFence uint64
-	// active counts in-CS clients per fence: the window from grant to
-	// the client's outcome call. Two clients under one fence is the
-	// application-visible overlap PropMutualExclusion forbids.
-	active map[uint64]int
 	// holder is the latest unreleased hold (nil once released); lapsedAt
 	// and lapsedKind record when and why it stopped being live.
 	holder     *hold
@@ -102,13 +101,15 @@ type Totals struct {
 
 // LockProps evaluates the lock property suite against a stream of
 // client-side events (request, grant, release, lapse, kill) from any
-// number of goroutines. The mutual-exclusion ledger is FenceGate-backed:
-// the same acceptance rule a fenced storage system applies, so
+// number of goroutines. Mutual exclusion is judged by metrics.Holds, the
+// accountant the simulators use, and admission by the FenceGate ledger —
+// the same acceptance rule a fenced storage system applies — so
 // "violation" here means exactly what PR 6's client contract promises
 // never happens application-visibly.
 type LockProps struct {
-	c    *Collector
-	gate *metrics.FenceGate
+	c     *Collector
+	gate  *metrics.FenceGate
+	holds metrics.Holds // one id per key, in order of first sight
 
 	ttl          time.Duration
 	reclaimBound time.Duration
@@ -166,7 +167,7 @@ func (p *LockProps) Totals() Totals {
 func (p *LockProps) key(key string) *keyState {
 	ks := p.keys[key]
 	if ks == nil {
-		ks = &keyState{active: make(map[uint64]int)}
+		ks = &keyState{id: len(p.keys)}
 		p.keys[key] = ks
 	}
 	return ks
@@ -190,8 +191,11 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) {
 	p.totals.Grants++
 	ks := p.key(key)
 
-	p.c.Always(PropMutualExclusion, ks.active[fence] == 0,
-		Details{"key": key, "fence": fence, "holders": ks.active[fence] + 1, "node": node})
+	details := func() Details { return Details{"key": key, "fence": fence, "hwm": ks.lastFence, "node": node} }
+	// Refused grants enter too: their holder is in its critical section
+	// until its outcome call all the same.
+	_, visible := p.holds.Enter(ks.id, fence)
+	p.always(PropMutualExclusion, !visible, details)
 
 	if !p.gate.Admit(key, fence) {
 		// The live form of §5's duplicate-token residue: a superseded
@@ -200,20 +204,17 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) {
 		// resource ever honors it. PR 6's client contract calls this
 		// fenced-out: counted and observably rejected, never an
 		// application-visible violation. The ledger property still binds:
-		// a refused fence must be strictly stale.
+		// a refused fence must be strictly stale. Holder bookkeeping stays
+		// with the admitted hold.
 		p.totals.FencedOut++
-		p.c.Always(PropLedgerAdmit, fence < ks.lastFence,
-			Details{"key": key, "fence": fence, "hwm": ks.lastFence, "node": node, "refused": true})
+		p.always(PropLedgerAdmit, fence < ks.lastFence, details)
 		p.c.Reachable(PropFencedOutOverlap, Details{"key": key, "fence": fence, "hwm": ks.lastFence})
 		p.c.Reachable(PropStaleFenceRejected, Details{"key": key, "fence": fence, "current": ks.lastFence})
-		ks.active[fence]++ // in CS until its outcome call; holder bookkeeping stays with the admitted hold
 		return
 	}
 
-	p.c.Always(PropFenceMonotonic, fence > ks.lastFence,
-		Details{"key": key, "fence": fence, "prev": ks.lastFence, "node": node})
-	p.c.Always(PropLedgerAdmit, fence >= ks.lastFence,
-		Details{"key": key, "fence": fence, "hwm": ks.lastFence, "node": node})
+	p.always(PropFenceMonotonic, fence > ks.lastFence, details)
+	p.always(PropLedgerAdmit, fence >= ks.lastFence, details)
 	if fence > ks.lastFence {
 		ks.lastFence = fence
 	}
@@ -234,8 +235,9 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) {
 			} else {
 				p.c.Sometimes(PropReclaimAfterLease, true, nil)
 			}
-			p.c.Always(PropReclaimBounded, lat <= p.reclaimBound,
-				Details{"key": key, "latency": lat, "bound": p.reclaimBound})
+			p.always(PropReclaimBounded, lat <= p.reclaimBound, func() Details {
+				return Details{"key": key, "latency": lat, "bound": p.reclaimBound}
+			})
 		default:
 			// A fresh grant while the previous holder is neither released
 			// nor lapsed: an overlap with distinct fences — the fenced-out
@@ -251,13 +253,16 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) {
 	ks.holder = &hold{node: node, fence: fence, at: now}
 	ks.lapsedAt = time.Time{}
 	ks.lapsedKind = lapsedNone
-	ks.active[fence]++
 }
 
-func (p *LockProps) endCS(ks *keyState, fence uint64) {
-	if ks.active[fence] > 0 {
-		ks.active[fence]--
+// always evaluates an Always assertion, building its details only when it
+// fails.
+func (p *LockProps) always(id string, ok bool, details func() Details) {
+	if ok {
+		p.c.Always(id, true, nil)
+		return
 	}
+	p.c.Always(id, false, details())
 }
 
 // OnRelease records a clean Unlock of the given hold.
@@ -266,7 +271,7 @@ func (p *LockProps) OnRelease(node int, key string, fence uint64) {
 	defer p.mu.Unlock()
 	p.totals.Releases++
 	ks := p.key(key)
-	p.endCS(ks, fence)
+	p.holds.Exit(ks.id, fence)
 	if ks.holder != nil && ks.holder.fence == fence {
 		ks.holder = nil
 		ks.lapsedKind = lapsedNone
@@ -282,7 +287,7 @@ func (p *LockProps) OnExpired(node int, key string, fence uint64) {
 	defer p.mu.Unlock()
 	p.totals.Expired++
 	ks := p.key(key)
-	p.endCS(ks, fence)
+	p.holds.Exit(ks.id, fence)
 	p.c.Reachable(PropLeaseExpiredSurfaced, Details{"key": key, "fence": fence})
 	if fence < ks.lastFence && !p.gate.Admit(key, fence) {
 		p.c.Reachable(PropStaleFenceRejected, Details{"key": key, "fence": fence, "current": ks.lastFence})
@@ -296,7 +301,7 @@ func (p *LockProps) OnHoldLost(node int, key string, fence uint64) {
 	defer p.mu.Unlock()
 	p.totals.Lost++
 	ks := p.key(key)
-	p.endCS(ks, fence)
+	p.holds.Exit(ks.id, fence)
 	if fence < ks.lastFence && !p.gate.Admit(key, fence) {
 		p.c.Reachable(PropStaleFenceRejected, Details{"key": key, "fence": fence, "current": ks.lastFence})
 	}
@@ -310,7 +315,7 @@ func (p *LockProps) OnZombie(node int, key string, fence uint64) {
 	defer p.mu.Unlock()
 	p.totals.Zombies++
 	ks := p.key(key)
-	p.endCS(ks, fence)
+	p.holds.Exit(ks.id, fence)
 	if ks.holder != nil && ks.holder.fence == fence && p.ttl > 0 {
 		ks.lapsedAt = time.Now().Add(p.ttl)
 		ks.lapsedKind = lapsedLease

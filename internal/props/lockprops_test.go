@@ -1,7 +1,9 @@
 package props
 
 import (
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -212,6 +214,60 @@ func TestLockPropsFinishCatchesImbalanceAndTokens(t *testing.T) {
 	}
 	if err := c.Err(false); err == nil || !strings.Contains(err.Error(), PropSingleToken) {
 		t.Fatalf("Err must surface the census failure, got %v", err)
+	}
+}
+
+// TestLockPropsConcurrentClients drives one suite from many goroutines,
+// as the chaos rig's clients do: each owns a key, and one pair shares a
+// key under distinct fences. Under -race it guards the suite's mutex
+// around the accountant.
+func TestLockPropsConcurrentClients(t *testing.T) {
+	var c Collector
+	p := NewLockProps(&c, 0, 0)
+	const clients, rounds = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := "k" + strconv.Itoa(g/2) // clients 2i and 2i+1 share a key
+			for i := 0; i < rounds; i++ {
+				fence := uint64(i*clients + g + 1)
+				p.OnRequest(g, key)
+				p.OnGrant(g, key, fence)
+				p.OnRelease(g, key, fence)
+			}
+		}()
+	}
+	wg.Wait()
+	p.Finish(true, nil)
+	if rep := report(p); rep[PropMutualExclusion].Failed() || rep[PropAccounted].Failed() {
+		t.Fatalf("distinct fences never overlap visibly:\n%s", Format(p.Collector().Report()))
+	}
+	if tot := p.Totals(); tot.Grants != clients*rounds || tot.Releases != clients*rounds {
+		t.Fatalf("totals wrong: %+v", tot)
+	}
+}
+
+// TestLockPropsPassingGrantBuildsNoDetails pins that a grant whose
+// checks all pass allocates only its hold record: the details of an
+// Always assertion are built when it fails.
+func TestLockPropsPassingGrantBuildsNoDetails(t *testing.T) {
+	var c Collector
+	p := NewLockProps(&c, 0, 0)
+	fence := uint64(1)
+	p.OnGrant(0, "k", fence)
+	p.OnRelease(0, "k", fence)
+	allocs := testing.AllocsPerRun(100, func() {
+		fence++
+		p.OnGrant(0, "k", fence)
+		p.OnRelease(0, "k", fence)
+	})
+	if allocs > 1 {
+		t.Fatalf("%v allocs per passing grant and release, want at most 1", allocs)
+	}
+	if err := c.Err(false); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package props is the standing property suite of the live lock
 // service: Antithesis-style always/sometimes assertions expressed
 // against a local collector, plus the lock-specific property set
-// (per-key mutual exclusion through a fence-checked ledger, at most one
-// live token at rest, request/grant accounting, bounded reclaim
-// latency) that the chaos harness, the live-path tests and CI all
-// evaluate through the same code.
+// (per-key mutual exclusion, fence admission through a fence-checked
+// ledger, at most one live token at rest, request/grant accounting,
+// bounded reclaim latency) that the chaos harness, the live-path tests
+// and CI all evaluate through the same code. Mutual exclusion is decided
+// by metrics.Holds, the accountant sim.Network and lockspace.Space count
+// through too: LockProps enters every grant and exits every outcome.
 //
 // The assertion vocabulary follows the SDK the Filecoin-Antithesis rig
 // uses — Always must hold at every evaluation, Sometimes must hold at

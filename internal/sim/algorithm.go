@@ -78,9 +78,9 @@ type InstancePeer interface {
 }
 
 // FailingPeer is implemented by peers that must observe the instant of
-// their own crash — the lockspace mux settles its per-instance
-// critical-section occupancy there, so an instance whose holder died is
-// not double-counted against a later grant elsewhere. Failed is
+// their own crash — the lockspace mux ends its instances' holds there,
+// so an instance whose holder died is not counted against a later grant
+// elsewhere. Failed is
 // notification only: the peer is dead afterwards and emits no effects.
 type FailingPeer interface {
 	Peer

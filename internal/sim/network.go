@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/trace"
@@ -128,7 +129,7 @@ type Network struct {
 	fails    []FailingPeer  // peers[i] when it observes its own crash, else nil
 	recovers []RecoveringPeer
 	down     []bool
-	csAt     []csHold // driver-side critical-section occupancy per node
+	csAt     []csHold // per node: in its critical section, under which fence
 	rng      *rand.Rand
 
 	// Session-layer state (nil/zero unless Config.Session is set): one
@@ -155,25 +156,19 @@ type Network struct {
 	inflight       int // undelivered messages
 	inflightTokens int // undelivered token messages
 	pendingOps     int // scheduled RequestCS / auto-release events
-	grants         int64
-	violations     int64 // simultaneous critical sections observed
-	// Violations split by what a fence-checking application would see:
-	// overlapping holders with distinct fences are mutually orderable — a
-	// FencedResource rejects the stale side, so the overlap is fenced
-	// out; equal fences (always 0 = unfenced, for the baselines) are
-	// indistinguishable and the violation reaches the application.
-	violationsFenced  int64
-	violationsVisible int64
-	regenerations     int64
-	staleTokens       int64 // stale-epoch token sightings (raced regenerations)
-	lostToFailed      int64 // messages dropped at failed destinations
-	lostInTransit     int64 // messages dropped by the delay model (Lost)
-	inCS              int
+	regenerations  int64
+	staleTokens    int64 // stale-epoch token sightings (raced regenerations)
+	lostToFailed   int64 // messages dropped at failed destinations
+	lostInTransit  int64 // messages dropped by the delay model (Lost)
+
+	// holds counts the grants and judges every overlap; the single mutex
+	// is its id 0.
+	holds metrics.Holds
 }
 
-// csHold is one node's driver-side critical-section occupancy plus the
-// fence of the grant it entered under (for overlap classification),
-// kept together so world construction pays one slice allocation.
+// csHold is whether one node is in its critical section and the fence of
+// the grant it entered under: what it hands back to the accountant when it
+// leaves, kept together so world construction pays one slice allocation.
 type csHold struct {
 	in    bool
 	fence uint64
@@ -290,21 +285,21 @@ func (w *Network) Peer(x ocube.Pos) Peer { return w.peers[x] }
 func (w *Network) Down(x ocube.Pos) bool { return w.down[x] }
 
 // Grants returns the number of critical-section entries so far.
-func (w *Network) Grants() int64 { return w.grants }
+func (w *Network) Grants() int64 { return w.holds.Grants() }
 
 // Violations returns how many grants overlapped another critical section —
 // zero in every safe run; the tie-break ablation makes this observable.
-func (w *Network) Violations() int64 { return w.violations }
+func (w *Network) Violations() int64 { return w.holds.Overlaps() }
 
 // ViolationsFenced returns the overlapping grants whose fences differed
 // from every concurrent holder's: a fence-checking application rejects
 // the stale side, so these never corrupt fenced state.
-func (w *Network) ViolationsFenced() int64 { return w.violationsFenced }
+func (w *Network) ViolationsFenced() int64 { return w.holds.Fenced() }
 
 // ViolationsVisible returns the overlapping grants indistinguishable by
 // fence (equal values — always 0 for the unfenced baselines): the
 // violations that reach even a fence-checking application.
-func (w *Network) ViolationsVisible() int64 { return w.violationsVisible }
+func (w *Network) ViolationsVisible() int64 { return w.holds.Visible() }
 
 // Regenerations returns the number of token regenerations.
 func (w *Network) Regenerations() int64 { return w.regenerations }
@@ -455,15 +450,11 @@ func (w *Network) handle(ent heapEntry) {
 		if w.down[x] {
 			return
 		}
-		if w.csAt[x].in {
-			w.inCS--
-			w.csAt[x].in = false
-		}
+		w.exitCS(x)
 		w.down[x] = true
 		if w.fails != nil && w.fails[x] != nil {
-			// Let multiplexing peers settle their instance-level
-			// critical-section occupancy (the analogue of the csAt
-			// settlement above, per hosted instance).
+			// Let multiplexing peers end their hosted instances' holds
+			// (the analogue of exitCS above, per instance).
 			w.fails[x].Failed()
 		}
 	case evRecover:
@@ -486,17 +477,13 @@ func (w *Network) handle(ent heapEntry) {
 		if err != nil {
 			// The node is no longer in the CS this release was scheduled
 			// for (it failed there and recovered): the failure already
-			// settled the inCS account, so decrementing here would drive
-			// it negative and mask later violations.
+			// settled its hold.
 			return
 		}
-		if w.csAt[x].in {
-			// Guarded like evFail: a baseline peer that failed in its CS
-			// and recovered with stale state lets ReleaseCS succeed even
-			// though the failure already settled the inCS account.
-			w.inCS--
-			w.csAt[x].in = false
-		}
+		// A baseline peer that failed in its CS and recovered with stale
+		// state lets ReleaseCS succeed, though the failure already settled
+		// its hold: exitCS is guarded for that.
+		w.exitCS(x)
 		w.apply(x, effs)
 	}
 	w.refreshBusy(x)
@@ -608,32 +595,14 @@ func (w *Network) OnGrant(fn func(ocube.Pos)) { w.onGrant = fn }
 // accepts and grants at one node pair up FIFO. Set it before running.
 func (w *Network) OnRequest(fn func(ocube.Pos)) { w.onAccept = fn }
 
-// enterCS accounts a grant and schedules the release. fence is the
-// grant's fencing token (core.Grant.Fence); an overlap is classified by
-// comparing it against the concurrent holders' fences — distinct values
-// are mutually orderable (a fence check rejects the stale side), equal
-// values reach the application.
+// enterCS accounts a grant under its fencing token (core.Grant.Fence)
+// with the accountant and schedules the release. The grant is counted
+// before onGrant fires, so the callback reads Grants() with it included.
 func (w *Network) enterCS(x ocube.Pos, fence uint64) {
-	w.grants++
+	w.holds.Enter(0, fence)
+	w.csAt[x] = csHold{in: true, fence: fence}
 	if w.onGrant != nil {
 		w.onGrant(x)
-	}
-	w.inCS++
-	w.csAt[x] = csHold{in: true, fence: fence}
-	if w.inCS > 1 {
-		w.violations++
-		visible := false
-		for y, h := range w.csAt {
-			if h.in && ocube.Pos(y) != x && h.fence == fence {
-				visible = true
-				break
-			}
-		}
-		if visible {
-			w.violationsVisible++
-		} else {
-			w.violationsFenced++
-		}
 	}
 	var dur time.Duration
 	if w.cfg.CSTime != nil {
@@ -643,35 +612,19 @@ func (w *Network) enterCS(x ocube.Pos, fence uint64) {
 	w.Eng.schedule(dur, evRelease, int32(x))
 }
 
+// exitCS ends node x's critical section, if it is in one.
+func (w *Network) exitCS(x ocube.Pos) {
+	if w.csAt[x].in {
+		w.csAt[x].in = false
+		w.holds.Exit(0, w.csAt[x].fence)
+	}
+}
+
 // record tallies a sent message with the run's recorder.
 func (w *Network) record(m core.Message) {
-	if w.cfg.Recorder == nil {
-		return
+	if w.cfg.Recorder != nil {
+		w.cfg.Recorder.Count(m)
 	}
-	var class trace.Class
-	switch m.Kind {
-	case core.KindRequest:
-		class = trace.ClassRequest
-		if m.Regen {
-			class = trace.ClassControl
-		}
-	case core.KindToken:
-		class = trace.ClassToken
-	default:
-		class = trace.ClassControl
-	}
-	src := -1
-	if m.Kind == core.KindRequest || m.Kind == core.KindToken {
-		src = int(m.Source)
-	}
-	w.cfg.Recorder.Record(trace.Event{
-		Kind:   m.Kind.String(),
-		Class:  class,
-		From:   int(m.From),
-		To:     int(m.To),
-		Source: src,
-		Regen:  m.Regen,
-	})
 }
 
 // Busy reports whether any protocol activity is outstanding: in-flight

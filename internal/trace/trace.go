@@ -1,147 +1,87 @@
-// Package trace records message traffic for the experiment harness.
+// Package trace tallies message traffic for the experiment harness.
 //
 // The recorder is algorithm-agnostic (the open-cube algorithm and the
-// Raymond / Naimi-Trehel baselines all report through it) and classifies
-// every message as request, token, or control traffic. Control traffic is
-// the paper's "overhead" class: failure-handling messages (test, answer,
-// enquiry, anomaly) plus regenerated requests, the quantity reported per
-// failure in Section 6.
+// Raymond / Naimi-Trehel baselines all report through it): it counts
+// every sent message by kind and by the requester it serves. Overhead is
+// the paper's control traffic: failure-handling messages (test, answer,
+// enquiry, anomaly, acknowledgments) plus re-issued requests, the quantity
+// reported per failure in Section 6.
 package trace
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
+
+	"repro/internal/core"
 )
 
-// Class partitions messages for accounting.
-type Class uint8
-
-const (
-	// ClassRequest is normal request routing traffic.
-	ClassRequest Class = iota + 1
-	// ClassToken is token movement (grants, lends, forwards, returns).
-	ClassToken
-	// ClassControl is failure-handling overhead (test/answer/enquiry/
-	// anomaly and regenerated requests).
-	ClassControl
-)
-
-// String returns the class name.
-func (c Class) String() string {
-	switch c {
-	case ClassRequest:
-		return "request"
-	case ClassToken:
-		return "token"
-	case ClassControl:
-		return "control"
-	default:
-		return fmt.Sprintf("class(%d)", uint8(c))
-	}
-}
-
-// Event describes one sent message.
-type Event struct {
-	Kind   string // protocol-specific message name, e.g. "request", "test"
-	Class  Class
-	From   int
-	To     int
-	Source int  // requester the message serves, or -1 if not applicable
-	Regen  bool // message re-issued by failure recovery
-}
-
-// Recorder tallies events. It is safe for concurrent use and the zero
-// value is ready to use.
+// Recorder tallies sent messages. The zero value is ready to use. It is
+// not safe for concurrent use: each recorder belongs to one simulated
+// network, which runs on one goroutine.
 type Recorder struct {
-	mu       sync.Mutex
 	total    int64
-	byKind   map[string]int64
-	byClass  map[Class]int64
-	bySource map[int]int64
-	regen    int64
+	byKind   [256]int64 // indexed by core.Kind
+	reissued int64      // requests re-issued by failure recovery
+	bySource []int64    // request and token messages per requester
 }
 
-// Record tallies one event.
-func (r *Recorder) Record(ev Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byKind == nil {
-		r.byKind = make(map[string]int64)
-		r.byClass = make(map[Class]int64)
-		r.bySource = make(map[int]int64)
-	}
+// Count tallies one sent message.
+func (r *Recorder) Count(m core.Message) {
 	r.total++
-	r.byKind[ev.Kind]++
-	r.byClass[ev.Class]++
-	if ev.Source >= 0 {
-		r.bySource[ev.Source]++
+	r.byKind[m.Kind]++
+	if m.Kind != core.KindRequest && m.Kind != core.KindToken {
+		return
 	}
-	if ev.Regen {
-		r.regen++
+	if m.Kind == core.KindRequest && m.Regen {
+		r.reissued++
+	}
+	if s := int(m.Source); s >= 0 {
+		if s >= len(r.bySource) {
+			r.bySource = append(r.bySource, make([]int64, s+1-len(r.bySource))...)
+		}
+		r.bySource[s]++
 	}
 }
 
 // Total returns the number of recorded messages.
-func (r *Recorder) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
+func (r *Recorder) Total() int64 { return r.total }
+
+// Kind returns the count for one message kind, by its core.Kind name.
+func (r *Recorder) Kind(name string) int64 {
+	for k, n := range r.byKind {
+		if n != 0 && core.Kind(k).String() == name {
+			return n
+		}
+	}
+	return 0
 }
 
-// Kind returns the count for one message kind.
-func (r *Recorder) Kind(kind string) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byKind[kind]
-}
-
-// ClassCount returns the count for one class.
-func (r *Recorder) ClassCount(c Class) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.byClass[c]
-}
-
-// Source returns the number of messages attributed to one requester.
+// Source returns the number of request and token messages serving one
+// requester.
 func (r *Recorder) Source(s int) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	if s < 0 || s >= len(r.bySource) {
+		return 0
+	}
 	return r.bySource[s]
 }
 
-// Regenerated returns the number of messages flagged as failure re-issues.
-func (r *Recorder) Regenerated() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.regen
-}
-
-// Overhead returns the paper's per-failure overhead numerator: all control
-// messages. Regenerated requests are already recorded as control class by
-// the drivers, so this is simply the control tally.
+// Overhead returns the paper's per-failure overhead numerator: every
+// message that is neither a request nor a token, plus the re-issued
+// requests.
 func (r *Recorder) Overhead() int64 {
-	return r.ClassCount(ClassControl)
-}
-
-// Reset clears all tallies.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total, r.regen = 0, 0
-	r.byKind, r.byClass, r.bySource = nil, nil, nil
+	return r.total - r.byKind[core.KindRequest] - r.byKind[core.KindToken] + r.reissued
 }
 
 // String summarizes the tallies, kinds sorted alphabetically.
 func (r *Recorder) String() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	kinds := make([]string, 0, len(r.byKind))
-	for k := range r.byKind {
-		kinds = append(kinds, k)
+	var kinds []core.Kind
+	for k, n := range r.byKind {
+		if n != 0 {
+			kinds = append(kinds, core.Kind(k))
+		}
 	}
-	sort.Strings(kinds)
+	slices.SortFunc(kinds, func(a, b core.Kind) int { return strings.Compare(a.String(), b.String()) })
 	var b strings.Builder
 	fmt.Fprintf(&b, "total=%d", r.total)
 	for _, k := range kinds {
