@@ -105,12 +105,6 @@ func (a *effectArena) len() int {
 // Send transmits a message. Msg.From and Msg.To are always set.
 type Send struct{ Msg Message }
 
-// SendEnvelope transmits an instance-tagged envelope — the wire unit of
-// multi-instance lockspace traffic (internal/lockspace). Node state
-// machines themselves only emit Send; the multiplexing layer re-emits
-// their sends as envelopes stamped with the owning instance.
-type SendEnvelope struct{ Env Envelope }
-
 // Grant tells the application layer it now holds the token and may enter
 // the critical section. The application must eventually call ReleaseCS.
 type Grant struct {
@@ -183,7 +177,6 @@ type SearchEnded struct {
 // *Grant, … pointing into their scratch arenas, and drivers type-switch
 // on the pointer types.
 func (*Send) effect()             {}
-func (*SendEnvelope) effect()     {}
 func (*Grant) effect()            {}
 func (*StartTimer) effect()       {}
 func (*TokenRegenerated) effect() {}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/ocube"
-)
+import "repro/internal/ocube"
 
 // Emitter accumulates effects for algorithm state machines implemented
 // outside this package (the Raymond and Naimi-Trehel baselines), following
@@ -19,10 +15,8 @@ import (
 type Emitter struct {
 	effects []Effect
 	sends   []Send
-	envs    []SendEnvelope
 	grants  []Grant
 	drops   []Dropped
-	timers  []StartTimer
 }
 
 // Begin starts a new driver call: effects handed out by the previous call
@@ -30,33 +24,14 @@ type Emitter struct {
 func (e *Emitter) Begin() {
 	e.effects = e.effects[:0]
 	e.sends = e.sends[:0]
-	e.envs = e.envs[:0]
 	e.grants = e.grants[:0]
 	e.drops = e.drops[:0]
-	e.timers = e.timers[:0]
 }
 
 // Send appends a Send effect for m.
 func (e *Emitter) Send(m Message) {
 	e.sends = append(e.sends, Send{Msg: m})
 	e.effects = append(e.effects, &e.sends[len(e.sends)-1])
-}
-
-// SendEnvelope appends a SendEnvelope effect for env — how a
-// multiplexing layer (internal/lockspace) re-emits an instance's sends
-// stamped with the owning instance.
-func (e *Emitter) SendEnvelope(env Envelope) {
-	e.envs = append(e.envs, SendEnvelope{Env: env})
-	e.effects = append(e.effects, &e.envs[len(e.envs)-1])
-}
-
-// StartTimer appends a StartTimer effect. Multiplexing peers use it to
-// arm their single engine-facing timer slot; gen must come from the
-// emitting state machine's own generation counter so stale fires are
-// recognizable.
-func (e *Emitter) StartTimer(kind TimerKind, gen uint64, delay time.Duration) {
-	e.timers = append(e.timers, StartTimer{Kind: kind, Gen: gen, Delay: delay})
-	e.effects = append(e.effects, &e.timers[len(e.timers)-1])
 }
 
 // Grant appends a Grant effect with the given lender.

@@ -15,7 +15,7 @@ const corePath = "repro/internal/core"
 // node of that host (DESIGN.md §9). Holding one past the driver call
 // aliases a slot that the next emission will scribble over.
 var effectStructs = map[string]bool{
-	"Send": true, "SendEnvelope": true, "Grant": true, "StartTimer": true,
+	"Send": true, "Grant": true, "StartTimer": true,
 	"TokenRegenerated": true, "StaleToken": true, "BecameRoot": true,
 	"Dropped": true, "SearchStarted": true, "SearchEnded": true,
 }

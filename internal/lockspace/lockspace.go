@@ -144,12 +144,16 @@ type Config struct {
 type Lockspace struct {
 	cfg Config
 
+	// stop is closed once (halt): by Close, or by a stable write that
+	// failed. done is closed by the loop as it exits.
 	stop, done chan struct{}
+	halted     sync.Once
 
 	// mu guards everything down to timer. What runs with it held waits for
 	// nothing: the transport's SendBatch (end) does not wait for the peer.
 	mu sync.Mutex
-	// dead is set by the loop as it exits, so later calls return ErrClosed.
+	// dead is set by the loop as it exits, or by a stable write that failed
+	// (end), so later calls return ErrClosed.
 	dead   bool
 	m      *Machine
 	leases *leases
@@ -261,15 +265,23 @@ func (ls *Lockspace) begin() bool {
 // end completes a step and releases ls.mu. Stable storage the step
 // changed is written through first, and only then does what it sent leave
 // — one batch per destination, in the order they were first touched — so
-// a node never sends what it would not remember having sent. Transport
-// errors are message loss, which the failure machinery tolerates, and
-// SendBatch does not wait for the peer: what a full session window cannot
-// take yet queues inside the session. Last the gauges are published and
-// the timer is aimed at what the step scheduled. The caller holds ls.mu.
-func (ls *Lockspace) end() {
+// a node never sends what it would not remember having sent. A write that
+// fails sends none of the step and fail-stops the node, as its transport
+// closing does: parked and later calls return ErrClosed, and end reports
+// false. Transport errors are message loss, which the failure machinery
+// tolerates, and SendBatch does not wait for the peer: what a full session
+// window cannot take yet queues inside the session. Last the gauges are
+// published and the timer is aimed at what the step scheduled. The caller
+// holds ls.mu.
+func (ls *Lockspace) end() bool {
 	out, saves := ls.m.Drain()
 	for _, w := range saves {
-		ls.cfg.Stable.Save(w.Instance, w.State)
+		if ls.cfg.Stable.Save(w.Instance, w.State) != nil {
+			ls.dead = true
+			ls.halt()
+			ls.mu.Unlock()
+			return false
+		}
 	}
 	for len(out) > 0 {
 		to, n := out[0].Msg.To, 0
@@ -291,7 +303,11 @@ func (ls *Lockspace) end() {
 		ls.timer.Reset(at - ls.now())
 	}
 	ls.mu.Unlock()
+	return true
 }
+
+// halt stops the loop and wakes every parked Lock.
+func (ls *Lockspace) halt() { ls.halted.Do(func() { close(ls.stop) }) }
 
 // Lock blocks until this node holds key's lock, or ctx is done, and
 // returns the grant's fencing token: strictly increasing per key across
@@ -313,7 +329,9 @@ func (ls *Lockspace) Lock(ctx context.Context, key string) (uint64, error) {
 	if err == nil && w.fence == 0 {
 		w.granted = make(chan struct{})
 	}
-	ls.end()
+	if !ls.end() {
+		return 0, ErrClosed
+	}
 	if err != nil {
 		return 0, fmt.Errorf("lockspace: lock %q: %w", key, err)
 	}
@@ -365,7 +383,9 @@ func (ls *Lockspace) step(op, key string, do func(now time.Duration, id uint64) 
 		return ErrClosed
 	}
 	err := do(ls.now(), KeyInstance(key))
-	ls.end()
+	if !ls.end() {
+		return ErrClosed
+	}
 	if err != nil {
 		return fmt.Errorf("lockspace: %s %q: %w", op, key, err)
 	}
@@ -431,7 +451,7 @@ func (ls *Lockspace) Close() error {
 	if ls.closed.Swap(true) {
 		return nil
 	}
-	close(ls.stop)
+	ls.halt()
 	<-ls.done
 	// The loop marked the node dead on its way out: the autopsy scan below
 	// shares the machine with nobody. The instantaneous gauges reset so a
@@ -484,7 +504,8 @@ const drainMax = 64
 // received batch is handled together with whatever further batches are
 // already waiting, up to drainMax, and only then flushed: one batch per
 // destination for the whole burst, at once for a lone input. On its way
-// out — Close, or the transport closing under it — it marks the node dead.
+// out — Close, a failed stable write, or the transport closing under it —
+// it marks the node dead.
 func (ls *Lockspace) loop() {
 	defer close(ls.done)
 	defer func() {
@@ -499,10 +520,9 @@ func (ls *Lockspace) loop() {
 		case <-ls.stop:
 			return
 		case batch, ok := <-recv:
-			if !ok {
+			if !ok || !ls.begin() {
 				return
 			}
-			ls.mu.Lock()
 			ls.receive(batch)
 			open := ls.drain(recv)
 			ls.end()
@@ -510,7 +530,9 @@ func (ls *Lockspace) loop() {
 				return
 			}
 		case <-ls.timer.C:
-			ls.mu.Lock()
+			if !ls.begin() {
+				return
+			}
 			ls.m.Tick(ls.now())
 			ls.end()
 		}

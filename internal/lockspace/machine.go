@@ -20,7 +20,8 @@ import (
 // that changed, one deadline (Aim) and — inside the step, through driver —
 // the holds that begin and end. Two drivers exist: Lockspace (lockspace.go)
 // on the wall clock, over a session, and Space's muxPeer (mux.go) under
-// the deterministic engine, so the simulator runs the lockspace that ships.
+// the deterministic engine, which steps it in place, so the simulator runs
+// the lockspace that ships.
 
 // driver is the driver's side of a hold. Both calls come inside a step and
 // must not call back into the machine.
@@ -201,7 +202,11 @@ func (m *Machine) Tick(now time.Duration) {
 // is first in line (later waiters ride on the head's); a token found at
 // home is granted before Lock returns.
 func (m *Machine) Lock(now time.Duration, id uint64, who any) error {
-	st := m.ensure(now, id)
+	return m.enqueue(now, m.ensure(now, id), who)
+}
+
+// enqueue is Lock on an instance already looked up.
+func (m *Machine) enqueue(now time.Duration, st *instance, who any) error {
 	if cap(st.queue) == 0 {
 		if len(m.spare) == 0 {
 			m.spare = make([]waiter, 64)

@@ -3,6 +3,7 @@ package lockspace
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -587,4 +588,88 @@ func TestMachineRandomSchedule(t *testing.T) {
 		t.Error("no lease ever lapsed")
 	}
 	t.Logf("%d holds, %d of them lapsed, %d envelopes still in flight", len(r.holds), lapsed, len(r.link))
+}
+
+// benchDriver is a benchmark machine's driver: every hold lasts hold, and
+// the machine ends it itself at that deadline, as a Space's position does.
+type benchDriver struct{ hold time.Duration }
+
+func (d benchDriver) granted(uint64, uint64, any) time.Duration { return d.hold }
+func (benchDriver) ended(uint64, uint64, bool)                  {}
+
+// BenchmarkMachineStep prices the keyed node alone, with no driver, engine
+// or wire: two positions of a fault-tolerant cube, 64 keys, and a scripted
+// link that delivers in send order at once. One op is one roaming grant —
+// the Lock, every envelope it causes, and the Tick that ends the hold a
+// virtual millisecond later — and ns/input and allocs/input divide by the
+// machine inputs it took (Lock, Envelope, Tick). Each key's requester
+// alternates between the positions pass by pass, so the token always has
+// to travel; the first pass, which mints the instances, is not timed.
+// BenchmarkSpaceKeyed's ns/event minus this reading is roughly what the
+// simulated driver costs.
+func BenchmarkMachineStep(b *testing.B) {
+	const keys = 64
+	var ms [2]*Machine
+	for i := range ms {
+		cfg := core.Config{Self: ocube.Pos(i), P: 1, FT: true,
+			Delta: time.Millisecond, CSEstimate: time.Millisecond, SuspicionSlack: 32 * time.Millisecond}
+		m, err := NewMachine(cfg, false, nil, benchDriver{hold: time.Millisecond / 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ms[i] = m
+	}
+	var now time.Duration
+	var link []core.Envelope
+	inputs := 0
+	// closed ends an input to m as a driver does: its outbox goes in
+	// flight, its timer is aimed.
+	closed := func(m *Machine) {
+		out, _ := m.Drain()
+		link = append(link, out...)
+		m.Aim()
+		inputs++
+	}
+	settle := func() {
+		for i := 0; i < len(link); i++ {
+			m := ms[link[i].Msg.To]
+			m.Envelope(now, link[i])
+			closed(m)
+		}
+		link = link[:0]
+	}
+	op := func(i int) {
+		m := ms[i/keys%2]
+		if err := m.Lock(now, uint64(1+i%keys), nil); err != nil {
+			b.Fatal(err)
+		}
+		closed(m)
+		settle()
+		now += time.Millisecond
+		for _, m := range ms {
+			if m.aimed && m.aimedAt <= now {
+				m.Tick(now)
+				closed(m)
+			}
+		}
+		settle()
+	}
+	for i := 0; i < keys; i++ {
+		op(i)
+	}
+	inputs = 0
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(keys + i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	if books := ms[0].Books().Held + ms[1].Books().Held; books != 0 {
+		b.Fatalf("%d holds outlived their op", books)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(inputs), "ns/input")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(inputs), "allocs/input")
+	b.ReportMetric(float64(inputs)/float64(b.N), "inputs/op")
 }

@@ -16,21 +16,19 @@ import (
 )
 
 // This file is the simulated driver of the lockspace: a Space runs K
-// independent open-cube mutex instances over ONE typed-event engine by
-// installing a multiplexing peer (muxPeer) at every position, each
-// stepping the position's keyed Machine (machine.go) — the one the live
-// node steps — under virtual time, all its deadlines on the node's single
-// engine timer slot. What a machine sends travels as instance-tagged
-// envelopes on the Network's one delivery path, the one the untagged
-// single-mutex traffic takes too. Grants never reach the Network: the mux
-// hands each instance's holds to its own accountant under the instance's
-// id (the Network's would count two locks held at one position as one
-// lock's violation), and a simulated critical section is a hold whose
-// length is drawn at the grant and which the machine ends itself.
-
-// muxTimerKind is the engine-facing timer slot every instance deadline is
-// multiplexed onto; the kind is arbitrary, the mux peer owns them all.
-const muxTimerKind = core.TimerSuspicion
+// independent open-cube mutex instances over ONE typed-event engine, a
+// keyed sim.Network whose every position is the keyed Machine (machine.go)
+// the live node steps. The Network steps it in place under virtual time
+// (sim.Keyed): it hands the machine its inputs, puts the outbox on the
+// wire as it stands and aims the position's one engine timer slot at the
+// machine's earliest deadline. What a machine sends travels as
+// instance-tagged envelopes on the Network's one delivery path, the one
+// the untagged single-mutex traffic takes too. Grants never reach the
+// Network: the position hands each instance's holds to the Space's
+// accountant under the instance's id (the Network's would count two locks
+// held at one position as one lock's violation), and a simulated critical
+// section is a hold whose length is drawn at the grant and which the
+// machine ends itself.
 
 // SpaceConfig describes a simulated lockspace.
 type SpaceConfig struct {
@@ -90,32 +88,22 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 	if cfg.Flight != nil {
 		tmpl.Observe = flightObserver(cfg.Flight, func() int64 { return int64(sp.w.Eng.Now()) })
 	}
-	algo := sim.Algorithm{
-		Name: "lockspace",
-		New: func(n int) ([]sim.Peer, error) {
-			sp.peers = make([]*muxPeer, n)
-			out := make([]sim.Peer, n)
-			for i := range out {
-				// One machine per position: the template is validated here,
-				// once, so lazy instantiation cannot fail mid-run.
-				tmpl.Self = ocube.Pos(i)
-				p := &muxPeer{sp: sp, self: ocube.Pos(i)}
-				var err error
-				if p.m, err = NewMachine(tmpl, false, nil, p); err != nil {
-					return nil, err
-				}
-				sp.peers[i] = p
-				out[i] = p
-			}
-			return out, nil
-		},
-	}
-	w, err := sim.New(sim.Config{
-		P:         cfg.P,
-		Algorithm: algo,
-		Delay:     cfg.Delay,
-		Seed:      cfg.Seed,
-		Recorder:  cfg.Recorder,
+	w, err := sim.NewKeyed(sim.Config{
+		P:        cfg.P,
+		Delay:    cfg.Delay,
+		Seed:     cfg.Seed,
+		Recorder: cfg.Recorder,
+	}, func(x ocube.Pos) (sim.Keyed, error) {
+		// One machine per position: the template is validated here, once,
+		// so lazy instantiation cannot fail mid-run.
+		tmpl.Self = x
+		p := &muxPeer{sp: sp, self: x}
+		var err error
+		if p.Machine, err = NewMachine(tmpl, false, nil, p); err != nil {
+			return nil, err
+		}
+		sp.peers = append(sp.peers, p) // positions are built in order
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
@@ -190,7 +178,7 @@ func (sp *Space) States() int { return sp.books().States }
 // books adds up what the positions' machines counted.
 func (sp *Space) books() (sum Books) {
 	for _, p := range sp.peers {
-		b := p.m.Books()
+		b := p.Books()
 		sum.States += b.States
 		sum.Regenerations += b.Regenerations
 		sum.StaleTokens += b.StaleTokens
@@ -207,7 +195,7 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 	var states []obs.NodeState
 	var insts []uint64
 	for _, p := range sp.peers {
-		for _, st := range p.m.byInstance() {
+		for _, st := range p.byInstance() {
 			n := st.node
 			if !n.Busy() && !n.TokenHere() {
 				continue
@@ -238,16 +226,13 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 	return obs.WriteAutopsy(w, reason, details, sp.cfg.Flight, insts, states)
 }
 
-// muxPeer drives the keyed Machine of one position behind the sim.Peer
-// seam, as an InstancePeer, TimerPeer, FailingPeer and RecoveringPeer;
-// grants are swallowed (see granted) and what the machine sends is
-// re-emitted as instance-tagged envelopes.
+// muxPeer is one position of the Space: the keyed Machine the Network
+// steps in place (sim.Keyed), the driver of its holds (see granted) and
+// the simulated client of every instance at the position.
 type muxPeer struct {
+	*Machine
 	sp   *Space
 	self ocube.Pos
-	m    *Machine
-	em   core.Emitter
-	gen  uint64 // engine-facing timer generation
 }
 
 // granted is the space-level counterpart of the Network's enterCS
@@ -270,106 +255,38 @@ func (p *muxPeer) granted(inst, fence uint64, _ any) time.Duration {
 // elsewhere.
 func (p *muxPeer) ended(inst, fence uint64, _ bool) { p.sp.holds.Exit(int(inst)-1, fence) }
 
-// now is the virtual time.
-func (p *muxPeer) now() time.Duration { return p.sp.w.Eng.Now() }
-
-// end closes a call into the peer: what the machine sent is re-emitted, in
-// the order it was sent (the Network draws a delay per envelope), and the
-// single engine timer is kept aimed at the machine's earliest deadline.
-func (p *muxPeer) end() []core.Effect {
-	p.em.Begin()
-	out, _ := p.m.Drain()
-	for i := range out {
-		if p.sp.sent != nil {
-			p.sp.sent(p.now(), out[i])
-		}
-		p.em.SendEnvelope(out[i])
-	}
-	if at, ok := p.m.Aim(); ok {
-		p.gen++
-		p.em.StartTimer(muxTimerKind, p.gen, at-p.now())
-	}
-	return p.em.Take()
-}
-
-// --- sim.Peer ---
-
-// RequestCS rejects untagged requests: every lockspace wish names an
-// instance.
-func (p *muxPeer) RequestCS() ([]core.Effect, error) {
-	return nil, fmt.Errorf("lockspace: untagged RequestCS on mux peer %v", p.self)
-}
-
-// ReleaseCS rejects untagged releases; the machine ends its holds.
-func (p *muxPeer) ReleaseCS() ([]core.Effect, error) {
-	return nil, fmt.Errorf("lockspace: untagged ReleaseCS on mux peer %v", p.self)
-}
-
-// HandleMessage rejects untagged traffic (the Network routes tagged
-// envelopes to HandleEnvelope).
-func (p *muxPeer) HandleMessage(m core.Message) []core.Effect {
-	panic(fmt.Sprintf("lockspace: untagged message at mux peer %v: %v", p.self, m))
-}
-
-// Busy reports whether any hosted instance has protocol activity.
-func (p *muxPeer) Busy() bool { return p.m.books.Busy > 0 }
-
-// --- sim.InstancePeer ---
-
-// HandleEnvelope delivers one instance's protocol message.
-func (p *muxPeer) HandleEnvelope(env core.Envelope) []core.Effect {
-	if env.Instance == core.NoInstance || int(env.Instance) > p.sp.cfg.Instances {
-		panic(fmt.Sprintf("lockspace: envelope instance %d out of range at %v", env.Instance, p.self))
-	}
-	p.m.Envelope(p.now(), env)
-	return p.end()
-}
-
-// RequestInstanceCS registers the local wish to lock an instance. A
-// position has one simulated client per instance: a wish while one is
-// queued or holds is refused, like an overlapping Peer.RequestCS.
-func (p *muxPeer) RequestInstanceCS(inst uint64) ([]core.Effect, error) {
+// Wish registers the local wish to lock an instance. A position has one
+// simulated client per instance: a wish while one is queued or holds is
+// refused with core.ErrBusy, like an overlapping Peer.RequestCS. The
+// instance is looked up once, for the refusal and the Lock both.
+func (p *muxPeer) Wish(now time.Duration, inst uint64) error {
 	if inst == core.NoInstance || int(inst) > p.sp.cfg.Instances {
-		return nil, fmt.Errorf("lockspace: instance %d out of range at %v", inst, p.self)
+		return fmt.Errorf("lockspace: instance %d out of range at %v", inst, p.self)
 	}
-	if p.m.Queued(inst) > 0 {
-		return nil, core.ErrBusy
+	st := p.ensure(now, inst)
+	if len(st.queue) > 0 {
+		return core.ErrBusy
 	}
 	if p.sp.onAccept != nil {
 		p.sp.onAccept(int(inst)-1, p.self)
 	}
-	err := p.m.Lock(p.now(), inst, nil)
-	return p.end(), err
+	return p.enqueue(now, st, nil)
 }
 
-// --- sim.TimerPeer ---
-
-// HandleTimer lets every due deadline of the machine fire (the Network
-// delivers the live generation only).
-func (p *muxPeer) HandleTimer(core.TimerKind, uint64) []core.Effect {
-	p.m.Tick(p.now())
-	return p.end()
+// Outbox hands the Network what the last input sent; a Space keeps no
+// stable storage, so there is nothing to save first.
+func (p *muxPeer) Outbox() []core.Envelope {
+	out, _ := p.Drain()
+	if p.sp.sent != nil {
+		now := p.sp.w.Eng.Now()
+		for _, env := range out {
+			p.sp.sent(now, env)
+		}
+	}
+	return out
 }
 
-// TimerGen returns the engine-facing timer generation.
-func (p *muxPeer) TimerGen(core.TimerKind) uint64 { return p.gen }
+// Busy reports whether any hosted instance has protocol activity.
+func (p *muxPeer) Busy() bool { return p.books.Busy > 0 }
 
-// --- sim.FailingPeer / sim.RecoveringPeer ---
-
-// Failed is the crash instant: every hold ends (ended), every local
-// deadline is void.
-func (p *muxPeer) Failed() { p.m.Crash() }
-
-// Recover restarts every instantiated instance through Section 5 rejoin.
-func (p *muxPeer) Recover() []core.Effect {
-	p.m.Recover(p.now())
-	return p.end()
-}
-
-// Interface compliance.
-var (
-	_ sim.InstancePeer   = (*muxPeer)(nil)
-	_ sim.TimerPeer      = (*muxPeer)(nil)
-	_ sim.FailingPeer    = (*muxPeer)(nil)
-	_ sim.RecoveringPeer = (*muxPeer)(nil)
-)
+var _ sim.Keyed = (*muxPeer)(nil)

@@ -24,10 +24,12 @@ type StableState struct {
 // Save is called inside the step that changed the state, with the node's
 // mutex held (seq bumps on each request), so implementations should be
 // cheap and must not call back into the node; Load is called once per
-// instance at first touch, likewise.
+// instance at first touch, likewise. A Save that fails fail-stops the
+// node before the step sends anything: it would otherwise promise what
+// its next life cannot remember.
 type StableStore interface {
 	Load(inst uint64) (StableState, bool)
-	Save(inst uint64, s StableState)
+	Save(inst uint64, s StableState) error
 }
 
 // MemStable is an in-memory StableStore: it survives a Lockspace being
@@ -52,11 +54,12 @@ func (s *MemStable) Load(inst uint64) (StableState, bool) {
 	return st, ok
 }
 
-// Save implements StableStore.
-func (s *MemStable) Save(inst uint64, st StableState) {
+// Save implements StableStore; it cannot fail.
+func (s *MemStable) Save(inst uint64, st StableState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[inst] = st
+	return nil
 }
 
 // FileStable is a StableStore on an append-only JSONL log, for node
@@ -120,16 +123,19 @@ func (s *FileStable) Load(inst uint64) (StableState, bool) {
 	return st, ok
 }
 
-// Save implements StableStore.
-func (s *FileStable) Save(inst uint64, st StableState) {
+// Save implements StableStore: it reports the append's write error.
+func (s *FileStable) Save(inst uint64, st StableState) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[inst] = st
 	b, err := json.Marshal(fileStableRec{Inst: inst, StableState: st})
-	if err != nil {
-		return
+	if err == nil {
+		_, err = s.f.Write(append(b, '\n'))
 	}
-	s.f.Write(append(b, '\n'))
+	if err != nil {
+		return fmt.Errorf("lockspace: stable log: %w", err)
+	}
+	return nil
 }
 
 // Close closes the log file.

@@ -2,11 +2,18 @@ package lockspace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"maps"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/ocube"
 )
 
 // FuzzStableDecode holds the stable log's replay to its contract over
@@ -139,5 +146,64 @@ func TestFileStableTornTail(t *testing.T) {
 	defer s3.Close()
 	if got, ok := s3.Load(3); !ok || got.Seq != 7 {
 		t.Fatalf("post-tear append lost: %+v %v", got, ok)
+	}
+}
+
+// TestFailedSaveFailStopsNode: a rejoining node whose stable log can no
+// longer be written sends nothing of the step that needed the write — it
+// would promise what its next life cannot remember — and fail-stops: that
+// Lock and every later call return ErrClosed. While the log is writable
+// the same first touch does send, so the silence is the failed write's.
+func TestFailedSaveFailStopsNode(t *testing.T) {
+	fs, err := OpenFileStable(filepath.Join(t.TempDir(), "stable.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sends atomic.Int64
+	tr := &stepTransport{
+		in:     make(chan []core.Envelope),
+		onSend: func(ocube.Pos, []core.Envelope) { sends.Add(1) },
+	}
+	ls, err := New(Config{
+		// Protocol deadlines far out: only the test's calls step the node.
+		Node: core.Config{
+			Self: 1, P: 1, FT: true,
+			Delta: 10 * time.Second, CSEstimate: 10 * time.Second,
+		},
+		Transport: tr,
+		Rejoin:    true,
+		Stable:    fs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := ls.Lock(ctx, "written"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Lock with the token at node 0 and no answer = %v, want the deadline", err)
+	}
+	if sends.Load() == 0 {
+		t.Fatal("a first touch with a writable log sent nothing")
+	}
+
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := sends.Load()
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := ls.Lock(ctx, "unwritten"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Lock whose stable write failed = %v, want ErrClosed", err)
+	}
+	if n := sends.Load() - before; n != 0 {
+		t.Fatalf("%d SendBatch calls followed a failed stable write, want none", n)
+	}
+	if _, err := ls.Lock(ctx, "written"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Lock after the node fail-stopped = %v, want ErrClosed", err)
+	}
+	if err := ls.Unlock("written", 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Unlock after the node fail-stopped = %v, want ErrClosed", err)
 	}
 }

@@ -30,8 +30,9 @@ type wheelEntry struct {
 // position onto a single timer: the simulator's per-(node, kind) slot
 // table cannot grow with thousands of instances, so the keyed node
 // (machine.go) keeps this private deadline heap and its driver arms one
-// timer for the earliest entry — an engine timer under the mux peer, the
-// one time.Timer of the live node, at measured from the node's start.
+// timer for the earliest entry — the position's one engine timer slot in
+// the keyed sim.Network, the one time.Timer of the live node, at measured
+// from the node's start.
 // Re-arming a (machine, kind) pair reschedules its entry in place, and the
 // node reaps what a state machine cancels, so the heap holds live
 // deadlines only. Everything is deterministic: binary-heap order on (at,

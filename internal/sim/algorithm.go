@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ocube"
@@ -63,29 +64,34 @@ type TokenPeer interface {
 	TokenHere() bool
 }
 
-// InstancePeer is implemented by multiplexing peers that host many
-// protocol instances behind one position (the lockspace mux). Tagged
-// envelopes are routed to HandleEnvelope instead of HandleMessage, and
-// keyed critical-section wishes arrive through RequestInstanceCS.
-type InstancePeer interface {
-	Peer
-	// HandleEnvelope delivers one instance-tagged protocol message
-	// (env.Instance != core.NoInstance).
-	HandleEnvelope(env core.Envelope) []core.Effect
-	// RequestInstanceCS registers the local wish to enter instance inst's
-	// critical section (same overlap semantics as Peer.RequestCS).
-	RequestInstanceCS(inst uint64) ([]core.Effect, error)
-}
-
-// FailingPeer is implemented by peers that must observe the instant of
-// their own crash — the lockspace mux ends its instances' holds there,
-// so an instance whose holder died is not counted against a later grant
-// elsewhere. Failed is
-// notification only: the peer is dead afterwards and emits no effects.
-type FailingPeer interface {
-	Peer
-	// Failed tells the peer its node just fail-stopped.
-	Failed()
+// Keyed is one position of a keyed network: every lock instance hosted
+// there behind one state machine (the lockspace's keyed node), which the
+// Network steps in place under NewKeyed. Each input is followed by Outbox,
+// whose envelopes go on the wire in send order, and by Aim, which re-aims
+// the position's one timer slot. Nothing the Network calls may call back
+// into it.
+type Keyed interface {
+	// Envelope delivers one instance's protocol message.
+	Envelope(now time.Duration, env core.Envelope)
+	// Wish registers the local wish to lock instance inst; an error
+	// refuses it.
+	Wish(now time.Duration, inst uint64) error
+	// Tick fires every deadline due by now; the Network calls it when the
+	// timer Aim set goes off.
+	Tick(now time.Duration)
+	// Crash is the instant the position fail-stops: every hold ends and
+	// every deadline is void.
+	Crash()
+	// Recover restarts the position after a crash.
+	Recover(now time.Duration)
+	// Outbox returns what the last input sent, in send order; it expires
+	// at the next input.
+	Outbox() []core.Envelope
+	// Aim reports the deadline the timer has to be set for, when it must
+	// be moved; a fire that finds nothing due costs one empty Tick.
+	Aim() (time.Duration, bool)
+	// Busy reports outstanding protocol activity (quiescence detection).
+	Busy() bool
 }
 
 // Algorithm names a mutual-exclusion algorithm and constructs its peers.

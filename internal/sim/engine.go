@@ -23,7 +23,7 @@
 // Every message on the simulated wire is a core.Envelope, with one arena
 // and one delivery path for all of them: the single-mutex algorithms'
 // traffic is untagged (core.NoInstance) and reaches Peer.HandleMessage, a
-// multiplexer's is tagged and reaches InstancePeer.HandleEnvelope.
+// keyed network's is tagged and reaches its position's Keyed.Envelope.
 //
 // Same-virtual-instant event runs are drained out of the heap as a
 // single batch and dispatched from a FIFO: events spawned with zero

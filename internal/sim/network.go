@@ -122,12 +122,11 @@ type Network struct {
 	cfg      Config
 	n        int
 	peers    []Peer
-	nodes    []*core.Node   // peers[i] when it is an open-cube node, else nil
-	timers   []TimerPeer    // peers[i] when it arms timers, else nil
-	tokens   []TokenPeer    // peers[i] when it reports token possession, else nil
-	insts    []InstancePeer // peers[i] when it multiplexes instances, else nil
-	fails    []FailingPeer  // peers[i] when it observes its own crash, else nil
+	nodes    []*core.Node // peers[i] when it is an open-cube node, else nil
+	timers   []TimerPeer  // peers[i] when it arms timers, else nil
+	tokens   []TokenPeer  // peers[i] when it reports token possession, else nil
 	recovers []RecoveringPeer
+	keyed    []Keyed // a keyed network's positions (NewKeyed); peers is nil then
 	down     []bool
 	csAt     []csHold // per node: in its critical section, under which fence
 	rng      *rand.Rand
@@ -177,28 +176,15 @@ type csHold struct {
 // New builds the network with every peer in its algorithm's pristine
 // initial state (token at position 0).
 func New(cfg Config) (*Network, error) {
-	if cfg.P < 0 || cfg.P > 20 {
-		return nil, fmt.Errorf("sim: P=%d out of range", cfg.P)
+	w, err := newNetwork(cfg, core.NumTimerKinds)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Delay == nil {
-		cfg.Delay = FixedDelay(time.Millisecond)
-	}
-	n := cfg.N
-	if n == 0 {
-		n = 1 << cfg.P
-	}
-	if n < 1 || n > 1<<20 {
-		return nil, fmt.Errorf("sim: N=%d out of range", n)
-	}
-	// The flight closure needs the engine's virtual clock, but the nodes
-	// are built before the network exists — capture a deferred pointer;
-	// events only ever fire inside Run, long after it is assigned.
-	var wp *Network
 	if cfg.Flight != nil && cfg.Algorithm.New == nil {
 		fl := cfg.Flight
 		cfg.Node.Observe = func(ev core.TokenEvent) {
 			fl.Record(obs.Event{
-				At:    int64(wp.Eng.Now()),
+				At:    int64(w.Eng.Now()),
 				Node:  int(ev.Self),
 				Kind:  ev.Kind.String(),
 				Peer:  int(ev.Peer),
@@ -213,18 +199,64 @@ func New(cfg Config) (*Network, error) {
 	if algo.New == nil {
 		algo = openCube(cfg.P, cfg.Node)
 	}
-	peers, err := algo.New(n)
+	peers, err := algo.New(w.n)
 	if err != nil {
 		return nil, err
 	}
-	if len(peers) != n {
-		return nil, fmt.Errorf("sim: algorithm %s built %d peers, want %d", algo.Name, len(peers), n)
+	if len(peers) != w.n {
+		return nil, fmt.Errorf("sim: algorithm %s built %d peers, want %d", algo.Name, len(peers), w.n)
+	}
+	w.peers = peers
+	for i, p := range peers {
+		w.nodes[i], _ = p.(*core.Node)
+		w.timers[i], _ = p.(TimerPeer)
+		w.tokens[i], _ = p.(TokenPeer)
+		w.recovers[i], _ = p.(RecoveringPeer)
+	}
+	return w, nil
+}
+
+// NewKeyed builds a keyed network: position builds the Keyed state
+// machine of each node, which the Network steps in place — wishes arrive
+// through RequestInstanceCS, and every envelope on the wire names its
+// instance. The positions account for their own critical sections, so
+// Grants and the violation counts stay zero; Config.Node, Algorithm,
+// CSTime, OnEffect and Flight belong to single-mutex networks and are
+// ignored.
+func NewKeyed(cfg Config, position func(x ocube.Pos) (Keyed, error)) (*Network, error) {
+	w, err := newNetwork(cfg, 1) // a position's deadlines share one timer slot
+	if err != nil {
+		return nil, err
+	}
+	w.keyed = make([]Keyed, w.n)
+	for i := range w.keyed {
+		if w.keyed[i], err = position(ocube.Pos(i)); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
+}
+
+// newNetwork builds the network's tables and engine for cfg, with slots
+// timer slots per node, and no peers yet.
+func newNetwork(cfg Config, slots int) (*Network, error) {
+	if cfg.P < 0 || cfg.P > 20 {
+		return nil, fmt.Errorf("sim: P=%d out of range", cfg.P)
+	}
+	if cfg.Delay == nil {
+		cfg.Delay = FixedDelay(time.Millisecond)
+	}
+	n := cfg.N
+	if n == 0 {
+		n = 1 << cfg.P
+	}
+	if n < 1 || n > 1<<20 {
+		return nil, fmt.Errorf("sim: N=%d out of range", n)
 	}
 	w := &Network{
 		Eng:      &Engine{},
 		cfg:      cfg,
 		n:        n,
-		peers:    peers,
 		nodes:    make([]*core.Node, n),
 		timers:   make([]TimerPeer, n),
 		tokens:   make([]TokenPeer, n),
@@ -234,7 +266,7 @@ func New(cfg Config) (*Network, error) {
 		busy:     make([]bool, n),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	timerSlots := n * core.NumTimerKinds
+	timerSlots := n * slots
 	w.sessSlot = int32(timerSlots)
 	if cfg.Session != nil {
 		w.sess = make([]*transport.Machine, n)
@@ -244,30 +276,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		timerSlots += n
 	}
-	for i, p := range peers {
-		w.nodes[i], _ = p.(*core.Node)
-		w.timers[i], _ = p.(TimerPeer)
-		w.tokens[i], _ = p.(TokenPeer)
-		w.recovers[i], _ = p.(RecoveringPeer)
-		// The multiplexing capabilities are rare (only the lockspace mux
-		// implements them); their tables are allocated on first sighting
-		// so the thousands of single-mutex networks the experiment
-		// sweeps build per run pay nothing.
-		if ip, ok := p.(InstancePeer); ok {
-			if w.insts == nil {
-				w.insts = make([]InstancePeer, n)
-			}
-			w.insts[i] = ip
-		}
-		if fp, ok := p.(FailingPeer); ok {
-			if w.fails == nil {
-				w.fails = make([]FailingPeer, n)
-			}
-			w.fails[i] = fp
-		}
-	}
 	w.Eng.bind(w, timerSlots)
-	wp = w
 	return w, nil
 }
 
@@ -278,8 +287,14 @@ func (w *Network) N() int { return w.n }
 // returns nil when the network runs a different algorithm.
 func (w *Network) Node(x ocube.Pos) *core.Node { return w.nodes[x] }
 
-// Peer exposes a peer for algorithm-specific inspection.
-func (w *Network) Peer(x ocube.Pos) Peer { return w.peers[x] }
+// Peer exposes a peer for algorithm-specific inspection; nil on a keyed
+// network.
+func (w *Network) Peer(x ocube.Pos) Peer {
+	if w.peers == nil {
+		return nil
+	}
+	return w.peers[x]
+}
 
 // Down reports whether x is currently failed.
 func (w *Network) Down(x ocube.Pos) bool { return w.down[x] }
@@ -342,15 +357,20 @@ func (w *Network) checkPos(x ocube.Pos) {
 // delay d of virtual time.
 func (w *Network) RequestCS(x ocube.Pos, d time.Duration) {
 	w.checkPos(x)
+	if w.keyed != nil {
+		panic("sim: untagged RequestCS on a keyed network")
+	}
 	w.pendingOps++
 	w.Eng.schedule(d, evRequest, int32(x))
 }
 
 // RequestInstanceCS schedules node x's wish to enter instance inst's
-// critical section after delay d — the keyed entry point of multiplexing
-// algorithms (the peer at x must implement InstancePeer).
+// critical section after delay d, on a keyed network (NewKeyed).
 func (w *Network) RequestInstanceCS(x ocube.Pos, inst uint64, d time.Duration) {
 	w.checkPos(x)
+	if w.keyed == nil {
+		panic(fmt.Sprintf("sim: instance request on a network that is not keyed, at %v", x))
+	}
 	w.pendingOps++
 	w.Eng.scheduleInstReq(d, x, inst)
 }
@@ -402,6 +422,15 @@ func (w *Network) handle(ent heapEntry) {
 			w.sessTick(ocube.Pos(key - w.sessSlot))
 			return
 		}
+		if w.keyed != nil {
+			x = ocube.Pos(key)
+			if w.down[x] {
+				return
+			}
+			w.keyed[x].Tick(w.Eng.Now())
+			w.emit(x)
+			break
+		}
 		var kind core.TimerKind
 		x, kind = timerFromKey(key)
 		tp := w.timers[x]
@@ -433,17 +462,10 @@ func (w *Network) handle(ent heapEntry) {
 		w.pendingOps--
 		r := w.Eng.ireqs.take(ent.ref)
 		x = r.node
-		if w.down[x] {
+		if w.down[x] || w.keyed[x].Wish(w.Eng.Now(), r.inst) != nil {
 			return
 		}
-		if w.insts == nil || w.insts[x] == nil {
-			panic(fmt.Sprintf("sim: instance request for non-instance peer %v", x))
-		}
-		effs, err := w.insts[x].RequestInstanceCS(r.inst)
-		if err != nil {
-			return
-		}
-		w.apply(x, effs)
+		w.emit(x)
 	case evFail:
 		w.pendingOps--
 		x = ocube.Pos(ent.ref)
@@ -452,10 +474,10 @@ func (w *Network) handle(ent heapEntry) {
 		}
 		w.exitCS(x)
 		w.down[x] = true
-		if w.fails != nil && w.fails[x] != nil {
-			// Let multiplexing peers end their hosted instances' holds
-			// (the analogue of exitCS above, per instance).
-			w.fails[x].Failed()
+		if w.keyed != nil {
+			// A keyed position ends its instances' holds (the analogue of
+			// exitCS above, per instance).
+			w.keyed[x].Crash()
 		}
 	case evRecover:
 		w.pendingOps--
@@ -464,7 +486,10 @@ func (w *Network) handle(ent heapEntry) {
 			return
 		}
 		w.down[x] = false
-		if rp := w.recovers[x]; rp != nil {
+		if w.keyed != nil {
+			w.keyed[x].Recover(w.Eng.Now())
+			w.emit(x)
+		} else if rp := w.recovers[x]; rp != nil {
 			w.apply(x, rp.Recover())
 		}
 	case evRelease:
@@ -490,23 +515,45 @@ func (w *Network) handle(ent heapEntry) {
 }
 
 // hand gives node to one envelope the wire or its session delivered: an
-// untagged one to the peer, a tagged one to its multiplexer.
+// untagged one to the peer, a tagged one to its keyed position.
 func (w *Network) hand(to ocube.Pos, env core.Envelope) {
 	if env.Instance == core.NoInstance {
 		w.apply(to, w.peers[to].HandleMessage(env.Msg))
 		return
 	}
-	if w.insts == nil || w.insts[to] == nil {
+	if w.keyed == nil {
 		// An instance-tagged envelope reached a single-instance peer: a
-		// multiplexer bug, not a runtime condition.
-		panic(fmt.Sprintf("sim: envelope for non-instance peer %v: %v", to, env))
+		// keyed position's bug, not a runtime condition.
+		panic(fmt.Sprintf("sim: envelope for non-keyed peer %v: %v", to, env))
 	}
-	w.apply(to, w.insts[to].HandleEnvelope(env))
+	w.keyed[to].Envelope(w.Eng.Now(), env)
+	w.emit(to)
+}
+
+// emit closes an input to keyed position x: the envelopes it sent go on
+// the wire straight from its outbox, in the order they were sent (each
+// draws its delay), and its one timer slot is aimed at its earliest
+// deadline when that moved.
+func (w *Network) emit(x ocube.Pos) {
+	k := w.keyed[x]
+	for _, env := range k.Outbox() {
+		w.deliver(env)
+	}
+	if at, ok := k.Aim(); ok {
+		w.Eng.scheduleTimer(int32(x), 0, at-w.Eng.Now())
+	}
 }
 
 // refreshBusy recomputes node x's contribution to the busy count.
 func (w *Network) refreshBusy(x ocube.Pos) {
-	b := !w.down[x] && w.peers[x].Busy()
+	var b bool
+	switch {
+	case w.down[x]:
+	case w.keyed != nil:
+		b = w.keyed[x].Busy()
+	default:
+		b = w.peers[x].Busy()
+	}
 	if b != w.busy[x] {
 		w.busy[x] = b
 		if b {
@@ -528,8 +575,6 @@ func (w *Network) apply(x ocube.Pos, effs []core.Effect) {
 		switch e := e.(type) {
 		case *core.Send:
 			w.deliver(core.Envelope{Instance: core.NoInstance, Msg: e.Msg})
-		case *core.SendEnvelope:
-			w.deliver(e.Env)
 		case *core.StartTimer:
 			w.Eng.scheduleTimer(timerKey(x, e.Kind), e.Gen, e.Delay)
 		case *core.Grant:
