@@ -1,11 +1,13 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/props"
 )
 
@@ -36,15 +38,19 @@ func stormConfig(seed int64) Config {
 
 // runStorm executes one scripted scenario and fails the test on any
 // always-assertion failure, returning the result for shape-specific
-// coverage checks.
+// coverage checks. A flight recorder rides along, so a failed verdict
+// prints the autopsy Run writes: the failing assertions, the recorded
+// token lineage and the census of every busy or token-holding instance.
 func runStorm(t *testing.T, cfg Config) *Result {
 	t.Helper()
+	var autopsy bytes.Buffer
+	cfg.Flight, cfg.Autopsy = obs.NewFlight(0), &autopsy
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("chaos run setup: %v", err)
 	}
 	if res.Err != nil {
-		t.Fatalf("property failure: %v\n%s", res.Err, props.Format(res.Report))
+		t.Fatalf("property failure: %v\n%s\nautopsy:\n%s", res.Err, props.Format(res.Report), autopsy.String())
 	}
 	if !res.Drained {
 		t.Fatalf("cluster failed to quiesce after the storm\n%s", props.Format(res.Report))

@@ -18,6 +18,45 @@ func newTestNode(t *testing.T, self ocube.Pos, p int) *Node {
 	return n
 }
 
+// reports collects what a node reports through Config.Observe.
+type reports []TokenEvent
+
+// watch makes n report into a fresh reports from now on.
+func watch(n *Node) *reports {
+	r := new(reports)
+	n.h.cfg.Observe = func(ev TokenEvent) { *r = append(*r, ev) }
+	return r
+}
+
+// take returns what was reported since the last take and forgets it.
+func (r *reports) take() reports {
+	out := *r
+	*r = nil
+	return out
+}
+
+// of returns the reports of one kind.
+func (r reports) of(kind TokenEventKind) reports {
+	var out reports
+	for _, ev := range r {
+		if ev.Kind == kind {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// dropped reports whether a drop was reported whose reason contains
+// reason.
+func (r reports) dropped(reason string) bool {
+	for _, ev := range r.of(TokenEvDropped) {
+		if strings.Contains(ev.Reason, reason) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestNewNodeValidation(t *testing.T) {
 	tests := []struct {
 		name string
@@ -186,19 +225,14 @@ func TestStaleTimerIgnored(t *testing.T) {
 	if effs := n.HandleTimer(TimerSuspicion, st.Gen-1); effs != nil {
 		t.Errorf("stale timer produced effects: %v", effs)
 	}
-	// The live generation must start a search.
-	effs = n.HandleTimer(TimerSuspicion, st.Gen)
+	// The live generation must start a search, at phase power+1 = 1.
+	rep := watch(n)
+	n.HandleTimer(TimerSuspicion, st.Gen)
 	if !n.Searching() {
 		t.Error("live suspicion fire did not start search_father")
 	}
-	var started bool
-	for _, e := range effs {
-		if _, ok := e.(*SearchStarted); ok {
-			started = true
-		}
-	}
-	if !started {
-		t.Error("no SearchStarted effect")
+	if got := rep.take().of(TokenEvSearchStarted); len(got) != 1 || got[0].Seq != 1 || got[0].Self != 5 {
+		t.Errorf("search-started reports = %+v, want one from node 5 at phase 1", got)
 	}
 }
 
@@ -206,14 +240,9 @@ func TestUnexpectedLentTokenDropped(t *testing.T) {
 	// A lent token has a guardian (the lender's watchdog), so a non-asking
 	// recipient discards it.
 	n := newTestNode(t, 3, 2)
-	effs := n.HandleMessage(Message{Kind: KindToken, From: 0, To: 3, Lender: 0})
-	var dropped bool
-	for _, e := range effs {
-		if _, ok := e.(*Dropped); ok {
-			dropped = true
-		}
-	}
-	if !dropped || n.TokenHere() {
+	rep := watch(n)
+	n.HandleMessage(Message{Kind: KindToken, From: 0, To: 3, Lender: 0})
+	if !rep.dropped("unexpected lent token") || n.TokenHere() {
 		t.Error("unexpected lent token must be dropped without adoption")
 	}
 }
@@ -222,32 +251,25 @@ func TestUnexpectedUnlentTokenAdopted(t *testing.T) {
 	// An unlent token is an ownership transfer with no guardian: the
 	// recipient adopts it and becomes the root.
 	n := newTestNode(t, 3, 2)
-	effs := n.HandleMessage(Message{Kind: KindToken, From: 0, To: 3, Lender: ocube.None})
-	var becameRoot bool
-	for _, e := range effs {
-		if _, ok := e.(*BecameRoot); ok {
-			becameRoot = true
-		}
-	}
-	if !becameRoot || !n.TokenHere() || n.Father() != ocube.None {
+	rep := watch(n)
+	n.HandleMessage(Message{Kind: KindToken, From: 0, To: 3, Lender: ocube.None})
+	if !n.TokenHere() || n.Father() != ocube.None {
 		t.Error("stray unlent token must be adopted (token held, root)")
 	}
 	if n.InCS() || n.Asking() {
 		t.Error("adoption must not enter the critical section")
 	}
+	if got := rep.take().of(TokenEvDropped); len(got) != 0 {
+		t.Errorf("adopted token reported dropped: %+v", got)
+	}
 }
 
 func TestRequestTargetingSelfDropped(t *testing.T) {
 	n := newTestNode(t, 3, 2)
+	rep := watch(n)
 	effs := n.HandleMessage(Message{Kind: KindRequest, From: 1, To: 3, Target: 3, Source: 3, Seq: seqStride})
-	var dropped bool
-	for _, e := range effs {
-		if d, ok := e.(*Dropped); ok && strings.Contains(d.Reason, "self") {
-			dropped = true
-		}
-	}
-	if !dropped {
-		t.Errorf("self-targeted request not dropped: %v", effs)
+	if got := rep.take(); !got.dropped("self") || got[0].Peer != 1 || got[0].Seq != seqStride {
+		t.Errorf("self-targeted request not reported dropped from 1 at its sequence: %+v (effects %v)", got, effs)
 	}
 }
 
@@ -257,15 +279,10 @@ func TestStaleSequenceDropped(t *testing.T) {
 	n.HandleMessage(fresh)
 	stale := fresh
 	stale.Seq = seqStride
+	rep := watch(n)
 	effs := n.HandleMessage(stale)
-	var dropped bool
-	for _, e := range effs {
-		if d, ok := e.(*Dropped); ok && strings.Contains(d.Reason, "stale") {
-			dropped = true
-		}
-	}
-	if !dropped {
-		t.Errorf("stale request not dropped: %v", effs)
+	if got := rep.take(); !got.dropped("stale") {
+		t.Errorf("stale request not reported dropped: %+v (effects %v)", got, effs)
 	}
 }
 
@@ -324,12 +341,12 @@ func TestStringers(t *testing.T) {
 
 func TestUnknownMessageKindDropped(t *testing.T) {
 	n := newTestNode(t, 0, 1)
-	effs := n.HandleMessage(Message{Kind: Kind(77), From: 1, To: 0})
-	if len(effs) != 1 {
-		t.Fatalf("effects = %v, want single drop", effs)
+	rep := watch(n)
+	if effs := n.HandleMessage(Message{Kind: Kind(77), From: 1, To: 0}); len(effs) != 0 {
+		t.Errorf("effects = %v, want none", effs)
 	}
-	if _, ok := effs[0].(*Dropped); !ok {
-		t.Errorf("effect = %T, want Dropped", effs[0])
+	if got := rep.take(); len(got) != 1 || !got.dropped("unknown kind") {
+		t.Errorf("reports = %+v, want a single unknown-kind drop", got)
 	}
 }
 
@@ -338,19 +355,14 @@ func TestOutOfRangeSourceDropped(t *testing.T) {
 	// outside the position range must be dropped before it reaches the
 	// tracking table, whose empty-slot sentinel is ocube.None (-1).
 	n := newTestNode(t, 0, 2)
+	rep := watch(n)
 	for _, m := range []Message{
 		{Kind: KindRequest, From: 1, To: 0, Target: 2, Source: ocube.None, Seq: seqStride},
 		{Kind: KindRequest, From: 1, To: 0, Target: 2, Source: 99, Seq: seqStride},
 		{Kind: KindRequest, From: 1, To: 0, Target: ocube.None, Source: 2, Seq: seqStride},
 	} {
-		effs := n.HandleMessage(m)
-		var dropped bool
-		for _, e := range effs {
-			if d, ok := e.(*Dropped); ok && strings.Contains(d.Reason, "out of range") {
-				dropped = true
-			}
-		}
-		if !dropped || n.QueueLen() != 0 || !n.TokenHere() {
+		n.HandleMessage(m)
+		if !rep.take().dropped("out of range") || n.QueueLen() != 0 || !n.TokenHere() {
 			t.Errorf("malformed request %v was not dropped cleanly", m)
 		}
 		if err := n.CheckPools(); err != nil {

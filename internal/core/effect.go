@@ -57,9 +57,11 @@ func (k TimerKind) String() string {
 	}
 }
 
-// Effect is an action requested by the state machine; drivers (the
-// discrete-event simulator or the live goroutine runtime) execute effects
-// in order.
+// Effect is an action a driver must execute: a *Send, *StartTimer or
+// *Grant. Drivers (the discrete-event simulator or the live runtime)
+// execute effects in order. Everything a node merely reports — drops,
+// regenerations, stale sightings, search spans — goes through
+// Config.Observe instead, so no driver walks past what it does not do.
 //
 // Effects are handed out as pointers into per-node scratch arenas that
 // are recycled at the next call into the node: a driver must execute (or
@@ -77,11 +79,6 @@ type effectArena struct {
 	sends  []Send
 	timers []StartTimer
 	grants []Grant
-	drops  []Dropped
-	regens []TokenRegenerated
-	roots  []BecameRoot
-	starts []SearchStarted
-	ends   []SearchEnded
 }
 
 // reset recycles every arena for the next accumulation cycle.
@@ -89,18 +86,10 @@ func (a *effectArena) reset() {
 	a.sends = a.sends[:0]
 	a.timers = a.timers[:0]
 	a.grants = a.grants[:0]
-	a.drops = a.drops[:0]
-	a.regens = a.regens[:0]
-	a.roots = a.roots[:0]
-	a.starts = a.starts[:0]
-	a.ends = a.ends[:0]
 }
 
 // len counts the live arena entries (pool-invariant checks only).
-func (a *effectArena) len() int {
-	return len(a.sends) + len(a.timers) + len(a.grants) + len(a.drops) +
-		len(a.regens) + len(a.roots) + len(a.starts) + len(a.ends)
-}
+func (a *effectArena) len() int { return len(a.sends) + len(a.timers) + len(a.grants) }
 
 // Send transmits a message. Msg.From and Msg.To are always set.
 type Send struct{ Msg Message }
@@ -128,60 +117,9 @@ type StartTimer struct {
 	Delay time.Duration
 }
 
-// TokenRegenerated reports that the node created a replacement token
-// (observability; safety analysis relies on these being genuine losses).
-// Epoch is the generation stamped onto the replacement: every token the
-// node sends from now on carries it, which is what makes a surviving
-// older token detectable (see StaleToken).
-type TokenRegenerated struct {
-	Reason string
-	Epoch  uint32
-}
-
-// StaleToken reports the sighting of a token whose epoch predates a
-// regeneration this node knows of: the regeneration did not replace a
-// lost token — it raced one that was still alive. The counter separates
-// "regeneration raced a live token" from true loss in the E8 fault
-// reports. Detection is a lower bound: only nodes that already learned
-// the newer epoch can recognize the survivor.
-type StaleToken struct {
-	Msg   Message
-	Epoch uint32 // epoch carried by the sighted token
-	Known uint32 // newer epoch the observer had already seen
-}
-
-// BecameRoot reports that the node concluded it is the new tree root
-// (observability).
-type BecameRoot struct{ Reason string }
-
-// Dropped reports a message discarded by a defensive guard
-// (observability).
-type Dropped struct {
-	Msg    Message
-	Reason string
-}
-
-// SearchStarted reports that search_father began at the given phase
-// (observability; the harness uses it to count per-search tested nodes).
-type SearchStarted struct{ Phase int }
-
-// SearchEnded reports search_father completion. Father is the adopted
-// father, or None if the node became the root. Tested is the number of
-// test messages sent during the whole search.
-type SearchEnded struct {
-	Father ocube.Pos
-	Tested int
-}
-
 // The effect marker is on the pointer receiver: nodes emit *Send,
-// *Grant, … pointing into their scratch arenas, and drivers type-switch
-// on the pointer types.
-func (*Send) effect()             {}
-func (*Grant) effect()            {}
-func (*StartTimer) effect()       {}
-func (*TokenRegenerated) effect() {}
-func (*BecameRoot) effect()       {}
-func (*Dropped) effect()          {}
-func (*SearchStarted) effect()    {}
-func (*SearchEnded) effect()      {}
-func (*StaleToken) effect()       {}
+// *Grant and *StartTimer pointing into their scratch arenas, and drivers
+// type-switch on the pointer types.
+func (*Send) effect()       {}
+func (*Grant) effect()      {}
+func (*StartTimer) effect() {}

@@ -16,7 +16,6 @@ type Emitter struct {
 	effects []Effect
 	sends   []Send
 	grants  []Grant
-	drops   []Dropped
 }
 
 // Begin starts a new driver call: effects handed out by the previous call
@@ -25,7 +24,6 @@ func (e *Emitter) Begin() {
 	e.effects = e.effects[:0]
 	e.sends = e.sends[:0]
 	e.grants = e.grants[:0]
-	e.drops = e.drops[:0]
 }
 
 // Send appends a Send effect for m.
@@ -38,12 +36,6 @@ func (e *Emitter) Send(m Message) {
 func (e *Emitter) Grant(lender ocube.Pos) {
 	e.grants = append(e.grants, Grant{Lender: lender})
 	e.effects = append(e.effects, &e.grants[len(e.grants)-1])
-}
-
-// Dropped appends a Dropped observability effect for m.
-func (e *Emitter) Dropped(m Message, reason string) {
-	e.drops = append(e.drops, Dropped{Msg: m, Reason: reason})
-	e.effects = append(e.effects, &e.drops[len(e.drops)-1])
 }
 
 // Take hands the accumulated effects to the driver (nil when none).

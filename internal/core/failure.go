@@ -214,7 +214,7 @@ func (n *Node) regenerateToken(reason string) {
 	n.returnGrace = false
 	n.tokenHere = true
 	n.bumpEpoch()
-	n.emitRegenerated(reason)
+	n.regenerated(reason)
 	n.asking = false
 	n.drain()
 }
@@ -289,10 +289,9 @@ func (n *Node) onTransferTimeout() {
 // mandate, or the queue.
 func (n *Node) becomeRootWithToken(reason string) {
 	n.father = ocube.None
-	n.emitBecameRoot(reason)
 	n.tokenHere = true
 	n.bumpEpoch()
-	n.emitRegenerated(reason)
+	n.regenerated(reason)
 	switch {
 	case n.mandator == n.h.cfg.Self:
 		// Our own claim: enter the critical section as the new root.
@@ -361,7 +360,7 @@ func (n *Node) startSearch(phase int, recovery bool) {
 	s.clear()
 	n.repairGen++
 	s.active, s.phase, s.startPhase, s.recovery = true, phase, phase, recovery
-	n.emitSearchStarted(phase)
+	n.searchStarted(phase)
 	if phase > n.h.cfg.P {
 		n.searchExhausted()
 		return
@@ -608,7 +607,7 @@ func (n *Node) concludeSearch(father ocube.Pos) {
 	tested := n.search.tested
 	n.endSearch()
 	n.father = father
-	n.emitSearchEnded(father, tested)
+	n.searchEnded(father, tested)
 	n.reissueRequest()
 }
 
@@ -643,14 +642,25 @@ func (n *Node) searchExhausted() {
 		s := &n.search
 		s.active, s.phase, s.startPhase = true, 1, 1
 		s.sweeps, s.recovery, s.tested = sweeps, recovery, tested
-		n.emitSearchStarted(1)
+		n.searchStarted(1)
 		n.probeRound(true)
 		return
 	}
 	tested := n.search.tested
 	n.endSearch()
-	n.emitSearchEnded(ocube.None, tested)
+	n.searchEnded(ocube.None, tested)
 	n.becomeRootWithToken("search_father exhausted")
+}
+
+// searchStarted reports the start of a search_father attempt at phase.
+func (n *Node) searchStarted(phase int) {
+	n.observe(TokenEvent{Kind: TokenEvSearchStarted, Peer: ocube.None, Epoch: n.epoch, Seq: uint64(phase)})
+}
+
+// searchEnded reports a search_father conclusion: the adopted father, or
+// None when the search made this node the root, after tested probes.
+func (n *Node) searchEnded(father ocube.Pos, tested int) {
+	n.observe(TokenEvent{Kind: TokenEvSearchEnded, Peer: father, Epoch: n.epoch, Seq: uint64(tested)})
 }
 
 // endSearch clears search state (keeping its pooled candidate slices)

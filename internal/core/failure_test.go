@@ -175,15 +175,14 @@ func TestDoubleSweepBeforeRegeneration(t *testing.T) {
 	if !n.Searching() {
 		t.Fatal("first failed sweep must restart, not regenerate")
 	}
-	var regenerated bool
-	effs = n.HandleTimer(TimerSearchRound, timers(effs)[0].Gen)
-	for _, e := range effs {
-		if _, ok := e.(*TokenRegenerated); ok {
-			regenerated = true
-		}
+	rep := watch(n)
+	n.HandleTimer(TimerSearchRound, timers(effs)[0].Gen)
+	got := rep.take()
+	if len(got.of(TokenEvRegenerated)) != 1 {
+		t.Fatalf("second failed sweep did not regenerate: %+v", got)
 	}
-	if !regenerated {
-		t.Fatal("second failed sweep did not regenerate")
+	if ended := got.of(TokenEvSearchEnded); len(ended) != 1 || ended[0].Peer != ocube.None || ended[0].Seq != 2 {
+		t.Errorf("search-ended reports = %+v, want one electing this node root after 2 probes", ended)
 	}
 	if !n.InCS() {
 		t.Error("regenerating searcher with its own claim must enter the CS")
@@ -198,14 +197,9 @@ func TestSingleSweepAblation(t *testing.T) {
 	}
 	effs, _ := n.RequestCS()
 	effs = n.HandleTimer(TimerSuspicion, timers(effs)[0].Gen)
-	effs = n.HandleTimer(TimerSearchRound, timers(effs)[0].Gen)
-	var regenerated bool
-	for _, e := range effs {
-		if _, ok := e.(*TokenRegenerated); ok {
-			regenerated = true
-		}
-	}
-	if !regenerated {
+	rep := watch(n)
+	n.HandleTimer(TimerSearchRound, timers(effs)[0].Gen)
+	if len(rep.take().of(TokenEvRegenerated)) != 1 {
 		t.Error("paper mode must regenerate on the first exhausted sweep")
 	}
 }
@@ -308,14 +302,9 @@ func TestTransferTimeoutRegeneratesAndRollsBackGrant(t *testing.T) {
 	if ackTimer == nil {
 		t.Fatal("no transfer-ack timer armed")
 	}
-	effs = n.HandleTimer(TimerTransferAck, ackTimer.Gen)
-	var regenerated bool
-	for _, e := range effs {
-		if _, ok := e.(*TokenRegenerated); ok {
-			regenerated = true
-		}
-	}
-	if !regenerated || !n.TokenHere() || n.Father() != ocube.None {
+	rep := watch(n)
+	n.HandleTimer(TimerTransferAck, ackTimer.Gen)
+	if len(rep.take().of(TokenEvRegenerated)) != 1 || !n.TokenHere() || n.Father() != ocube.None {
 		t.Fatal("unacked transfer must regenerate at the guardian as root")
 	}
 	// The source was never served: its re-issue must NOT be dropped as
@@ -491,14 +480,10 @@ func TestReturnGraceRegeneratesAfterClaimedReturn(t *testing.T) {
 	if grace == nil {
 		t.Fatal("no grace timer after token-returned")
 	}
-	effs = n.HandleTimer(TimerTokenReturn, grace.Gen)
-	var regenerated bool
-	for _, e := range effs {
-		if _, ok := e.(*TokenRegenerated); ok {
-			regenerated = true
-		}
-	}
-	if !regenerated || !n.TokenHere() {
+	rep := watch(n)
+	n.HandleTimer(TimerTokenReturn, grace.Gen)
+	if got := rep.take().of(TokenEvRegenerated); len(got) != 1 ||
+		got[0].Reason != "confirmed-returned token never arrived" || !n.TokenHere() {
 		t.Error("claimed-returned token that never arrived must be regenerated")
 	}
 }
@@ -783,22 +768,18 @@ func TestDuplicateTokenWhileInCSAbsorbed(t *testing.T) {
 	if n.QueueLen() != 1 {
 		t.Fatal("request not queued behind the CS")
 	}
+	rep := watch(n)
 	effs := n.HandleMessage(Message{Kind: KindToken, From: 5, To: 0, Lender: ocube.None,
 		Source: 3, Seq: 7 * seqStride})
 	if !n.InCS() || !n.Asking() || n.QueueLen() != 1 {
 		t.Errorf("duplicate token disturbed the CS: inCS=%v asking=%v qlen=%d",
 			n.InCS(), n.Asking(), n.QueueLen())
 	}
-	var acked, dropped bool
-	for _, e := range effs {
-		if s, ok := e.(*Send); ok && s.Msg.Kind == KindTokenAck {
-			acked = true
-		}
-		if _, ok := e.(*Dropped); ok {
-			dropped = true
-		}
+	var acked bool
+	for _, m := range sends(effs) {
+		acked = acked || m.Kind == KindTokenAck
 	}
-	if !acked || !dropped {
+	if dropped := rep.take().dropped("duplicate token"); !acked || !dropped {
 		t.Errorf("duplicate token handling: acked=%v dropped=%v, want both", acked, dropped)
 	}
 }
@@ -847,19 +828,16 @@ func TestEpochFenceRefusesStaleToken(t *testing.T) {
 	// Fenced: a stale-epoch token must not serve the node's claim.
 	n := fence(true)
 	n.HandleMessage(Message{Kind: KindRequest, From: 12, To: 9, Target: 12, Source: 12, Seq: seqStride})
-	effs := n.HandleMessage(Message{Kind: KindToken, From: 3, To: 9, Lender: ocube.None,
+	rep := watch(n)
+	n.HandleMessage(Message{Kind: KindToken, From: 3, To: 9, Lender: ocube.None,
 		Source: 12, Seq: seqStride, Epoch: 3})
 	if n.TokenHere() {
 		t.Error("fenced node adopted a stale-epoch token")
 	}
-	var sighted, dropped bool
-	for _, e := range effs {
-		switch e.(type) {
-		case *StaleToken:
-			sighted = true
-		case *Dropped:
-			dropped = true
-		}
+	got := rep.take()
+	sighted, dropped := len(got.of(TokenEvStale)) == 1, got.dropped("stale epoch fenced")
+	if n.Host().StaleTokens() != 1 {
+		t.Errorf("host counted %d stale sightings, want 1", n.Host().StaleTokens())
 	}
 	if !sighted || !dropped {
 		t.Errorf("fence effects: sighted=%v dropped=%v, want both", sighted, dropped)

@@ -3,9 +3,10 @@ package core
 // Host is what the nodes of one position share when a driver runs many
 // protocol instances there (internal/lockspace, live and simulated): the
 // validated Config — held once instead of copied into every Node, its
-// Policy resolved — and ONE effect scratch. It is built once from a
-// template and mints nodes that cannot fail, carved from chunked slabs so
-// an instance costs a slab slot rather than an allocation of its own.
+// Policy resolved — ONE effect scratch, and the counts of what its nodes
+// reported. It is built once from a template and mints nodes that cannot
+// fail, carved from chunked slabs so an instance costs a slab slot rather
+// than an allocation of its own.
 //
 // Sharing the scratch widens the effect-lifetime rule from the node to
 // the host: the slice a node returns, and the arena values it points
@@ -21,6 +22,10 @@ type Host struct {
 	// begins (effect.go).
 	effects []Effect
 	arena   effectArena
+
+	// regens and stale count the token regenerations and stale-token
+	// sightings of every node the host minted, where they are reported.
+	regens, stale int64
 
 	// slab is the unminted remainder of the current chunk; nodes keeps
 	// count so chunks grow with the population.
@@ -67,3 +72,13 @@ func (h *Host) NewNode(inst uint64) *Node {
 	n.init(h, inst)
 	return n
 }
+
+// Regenerations returns how many times the host's nodes regenerated a
+// presumed-lost token (TokenEvRegenerated).
+func (h *Host) Regenerations() int64 { return h.regens }
+
+// StaleTokens returns how many stale-epoch tokens the host's nodes
+// sighted (TokenEvStale): tokens proving that a regeneration raced a live
+// token rather than replacing a lost one. It is a lower bound, since only
+// a node that already learned the newer epoch can recognize a survivor.
+func (h *Host) StaleTokens() int64 { return h.stale }

@@ -204,8 +204,9 @@ type Message struct {
 	// regeneration increments the regenerator's epoch, so a token observed
 	// with an epoch below the observer's proves a regeneration raced a
 	// still-live token (the replaced token survived) rather than replacing
-	// a genuinely lost one. Pure observability — reception never behaves
-	// differently on a stale epoch, it only emits a StaleToken effect.
+	// a genuinely lost one. Unless Config.EpochFence is set, reception never
+	// behaves differently on a stale epoch: the node only reports the
+	// sighting (TokenEvStale).
 	// (Declared after the one-byte fields so it packs into their word.)
 	Epoch uint32
 	// Fence is the grant counter of the token carried by KindToken

@@ -79,10 +79,12 @@ type Config struct {
 	EpochFence bool
 	// Observe, when set, receives a TokenEvent for every protocol event
 	// this node takes part in (requests, token movement, grants,
-	// regenerations, stale sightings) — the feed of the internal/obs
-	// flight recorder. Purely observational and nil-checked at every
-	// emission site: a nil Observe costs one predictable branch and
-	// changes no behavior, allocation, or message.
+	// regenerations, stale sightings, search_father spans, dropped
+	// messages) — everything the node reports, as opposed to the Effects
+	// its driver executes, and the feed of the internal/obs flight
+	// recorder. Purely observational and nil-checked at every emission
+	// site: a nil Observe costs one predictable branch and changes no
+	// behavior, allocation, or message.
 	Observe func(TokenEvent)
 }
 
@@ -140,11 +142,11 @@ type Node struct {
 
 	// epoch is the highest token generation this node has observed (see
 	// Message.Epoch). Regeneration increments it; receiving a token with a
-	// lower epoch proves the regeneration raced a live token and emits a
-	// StaleToken sighting. tokenEpoch is the generation of the token
-	// currently (or last) held — outgoing tokens are stamped with it, so a
-	// surviving stale token keeps its old stamp instead of being laundered
-	// by a better-informed forwarder. Like seq, epoch survives recovery
+	// lower epoch proves the regeneration raced a live token and is
+	// reported as a stale sighting (TokenEvStale). tokenEpoch is the
+	// generation of the token currently (or last) held — outgoing tokens
+	// are stamped with it, so a surviving stale token keeps its old stamp
+	// instead of being laundered by a better-informed forwarder. Like seq, epoch survives recovery
 	// (stable storage), so the node that regenerated keeps recognizing
 	// survivors.
 	epoch      uint32
@@ -237,6 +239,10 @@ func (n *Node) Self() ocube.Pos { return n.h.cfg.Self }
 // Instance returns the instance the node was minted for (Host.NewNode);
 // NoInstance for a NewNode host of one.
 func (n *Node) Instance() uint64 { return n.inst }
+
+// Host returns the host the node was minted by, whose counts cover every
+// node it minted (one, for a NewNode host of one).
+func (n *Node) Host() *Host { return n.h }
 
 // Father returns the current father pointer (None for a root).
 func (n *Node) Father() ocube.Pos { return n.father }
@@ -354,58 +360,41 @@ func (n *Node) emitGrant(lender ocube.Pos) {
 	n.fenceCtr++
 	fence := uint64(n.tokenEpoch)<<32 | uint64(n.fenceCtr)
 	if n.h.cfg.Observe != nil {
-		n.h.cfg.Observe(TokenEvent{
-			Kind: TokenEvGrant, Self: n.h.cfg.Self, Instance: n.inst, Peer: lender,
-			Epoch: n.tokenEpoch, Fence: fence,
-		})
+		n.observe(TokenEvent{Kind: TokenEvGrant, Peer: lender, Epoch: n.tokenEpoch, Fence: fence})
 	}
 	n.h.arena.grants = append(n.h.arena.grants, Grant{Lender: lender, Fence: fence})
 	n.h.effects = append(n.h.effects, &n.h.arena.grants[len(n.h.arena.grants)-1])
 }
 
-func (n *Node) emitDropped(m Message, reason string) {
-	n.h.arena.drops = append(n.h.arena.drops, Dropped{Msg: m, Reason: reason})
-	n.h.effects = append(n.h.effects, &n.h.arena.drops[len(n.h.arena.drops)-1])
-}
-
-func (n *Node) emitRegenerated(reason string) {
-	if n.h.cfg.Observe != nil {
-		n.h.cfg.Observe(TokenEvent{
-			Kind: TokenEvRegenerated, Self: n.h.cfg.Self, Instance: n.inst, Peer: ocube.None,
-			Epoch: n.epoch, Reason: reason,
-		})
+// observe reports ev, stamped with this node's position and instance,
+// through Config.Observe: the one channel for what a node reports rather
+// than asks its driver to do.
+func (n *Node) observe(ev TokenEvent) {
+	if n.h.cfg.Observe == nil {
+		return
 	}
-	n.h.arena.regens = append(n.h.arena.regens, TokenRegenerated{Reason: reason, Epoch: n.epoch})
-	n.h.effects = append(n.h.effects, &n.h.arena.regens[len(n.h.arena.regens)-1])
+	ev.Self, ev.Instance = n.h.cfg.Self, n.inst
+	n.h.cfg.Observe(ev)
 }
 
-func (n *Node) emitStaleToken(m Message) {
-	if n.h.cfg.Observe != nil {
-		n.h.cfg.Observe(TokenEvent{
-			Kind: TokenEvStale, Self: n.h.cfg.Self, Instance: n.inst, Peer: m.From,
-			Epoch: m.Epoch, Fence: composeFence(m.Epoch, m.Fence),
-			Reason: "stale-epoch token discarded",
-		})
-	}
-	// No arena: sightings require a raced regeneration first, so they are
-	// rare by construction, and a heap allocation here is cheaper than a
-	// permanent arena header on every node of every network.
-	n.h.effects = append(n.h.effects, &StaleToken{Msg: m, Epoch: m.Epoch, Known: n.epoch})
+// dropped reports a message discarded by a defensive guard.
+func (n *Node) dropped(m Message, reason string) {
+	n.observe(TokenEvent{Kind: TokenEvDropped, Peer: m.From, Epoch: m.Epoch, Seq: m.Seq, Reason: reason})
 }
 
-func (n *Node) emitBecameRoot(reason string) {
-	n.h.arena.roots = append(n.h.arena.roots, BecameRoot{Reason: reason})
-	n.h.effects = append(n.h.effects, &n.h.arena.roots[len(n.h.arena.roots)-1])
+// regenerated counts and reports a regeneration, whose epoch bumpEpoch
+// has just minted.
+func (n *Node) regenerated(reason string) {
+	n.h.regens++
+	n.observe(TokenEvent{Kind: TokenEvRegenerated, Peer: ocube.None, Epoch: n.epoch, Reason: reason})
 }
 
-func (n *Node) emitSearchStarted(phase int) {
-	n.h.arena.starts = append(n.h.arena.starts, SearchStarted{Phase: phase})
-	n.h.effects = append(n.h.effects, &n.h.arena.starts[len(n.h.arena.starts)-1])
-}
-
-func (n *Node) emitSearchEnded(father ocube.Pos, tested int) {
-	n.h.arena.ends = append(n.h.arena.ends, SearchEnded{Father: father, Tested: tested})
-	n.h.effects = append(n.h.effects, &n.h.arena.ends[len(n.h.arena.ends)-1])
+// staleToken counts and reports the sighting of a token stamped below
+// this node's epoch high-water mark.
+func (n *Node) staleToken(m Message) {
+	n.h.stale++
+	n.observe(TokenEvent{Kind: TokenEvStale, Peer: m.From, Epoch: m.Epoch,
+		Fence: composeFence(m.Epoch, m.Fence), Reason: "stale-epoch token discarded"})
 }
 
 // armTimer bumps the generation for kind and schedules a fire.
@@ -535,14 +524,14 @@ func (n *Node) processRequest(m Message) {
 	if m.Target == n.h.cfg.Self {
 		// Cannot happen in correct runs (a request never revisits its own
 		// target); guard against pathological reconfigurations.
-		n.emitDropped(m, "request targets self")
+		n.dropped(m, "request targets self")
 		return
 	}
 	tr := n.track.lookup(m.Source)
 	if tr != nil && tr.hasSeen && m.Seq < tr.seenSeq {
 		// A newer re-issue of this request arrived while this copy sat in
 		// the queue; serving both would hand out the token twice.
-		n.emitDropped(m, "stale sequence at dequeue")
+		n.dropped(m, "stale sequence at dequeue")
 		n.obsoleteSuperseded(m, tr.seenSeq)
 		return
 	}
@@ -551,7 +540,7 @@ func (n *Node) processRequest(m Message) {
 		// completed; this copy is a failure-recovery duplicate whose
 		// service would send the token to a node that no longer asks.
 		// Tell the target so a zombie mandate stops re-issuing it.
-		n.emitDropped(m, "request already granted")
+		n.dropped(m, "request already granted")
 		n.send(Message{Kind: KindObsolete, To: m.Target, Source: m.Source, Seq: m.Seq})
 		return
 	}
@@ -628,7 +617,7 @@ func (n *Node) HandleMessage(m Message) []Effect {
 	case KindObsolete:
 		n.onObsolete(m)
 	default:
-		n.emitDropped(m, "unknown kind")
+		n.dropped(m, "unknown kind")
 	}
 	return n.take()
 }
@@ -640,7 +629,7 @@ func (n *Node) onRequest(m Message) {
 		// bytes): the tracking table's key domain is the position range,
 		// with None as its empty-slot sentinel, so out-of-range sources
 		// must never reach it.
-		n.emitDropped(m, "source or target out of range")
+		n.dropped(m, "source or target out of range")
 		return
 	}
 	if m.Source == n.h.cfg.Self && m.Target != n.h.cfg.Self {
@@ -654,7 +643,7 @@ func (n *Node) onRequest(m Message) {
 		// holder is released, and if the request is still live we
 		// re-issue it ourselves under a sequence that supersedes every
 		// copy in flight.
-		n.emitDropped(m, "own request returned")
+		n.dropped(m, "own request returned")
 		n.send(Message{Kind: KindObsolete, To: m.Target, Source: m.Source, Seq: m.Seq})
 		if n.wantCS && n.mandator == n.h.cfg.Self && sameRequest(m.Seq, n.curSeq) {
 			if m.Seq > n.curSeq {
@@ -668,7 +657,7 @@ func (n *Node) onRequest(m Message) {
 	}
 	tr := n.track.ensure(m.Source)
 	if tr.hasSeen && m.Seq < tr.seenSeq {
-		n.emitDropped(m, "stale sequence")
+		n.dropped(m, "stale sequence")
 		n.obsoleteSuperseded(m, tr.seenSeq)
 		return
 	}
@@ -795,7 +784,7 @@ func (n *Node) onToken(m Message) {
 	// we know of — report the sighting (observability only, unless the
 	// fence is on). Otherwise adopt the newer knowledge.
 	if m.Epoch < n.epoch {
-		n.emitStaleToken(m)
+		n.staleToken(m)
 		if n.h.cfg.EpochFence {
 			// Epoch-fenced adoption: refuse to act on the surviving old
 			// token, and send no acknowledgment. Over a bare channel the
@@ -805,7 +794,7 @@ func (n *Node) onToken(m Message) {
 			// released (or will release) its sender, and whoever still
 			// waits for this token is repaired by its own suspicion. A
 			// lent one is the lender's return watchdog's to replace.
-			n.emitDropped(m, "stale epoch fenced")
+			n.dropped(m, "stale epoch fenced")
 			return
 		}
 	} else {
@@ -825,7 +814,7 @@ func (n *Node) onToken(m Message) {
 		// become the root (the sender has already pointed its father at
 		// us), keeping the token unique and the system live.
 		if m.Lender != ocube.None {
-			n.emitDropped(m, "unexpected lent token")
+			n.dropped(m, "unexpected lent token")
 			if m.Source == n.h.cfg.Self && m.Lender != n.h.cfg.Self {
 				// The loan served a dead request of OURS (we are not
 				// asking — the request's copies outlived a crash and
@@ -856,7 +845,6 @@ func (n *Node) onToken(m Message) {
 		n.tokenEpoch = m.Epoch
 		n.fenceCtr = m.Fence
 		n.father = ocube.None
-		n.emitBecameRoot("adopted stray unlent token")
 		n.drain()
 		return
 	}
@@ -873,7 +861,7 @@ func (n *Node) onToken(m Message) {
 		// retires the duplicate for good, while letting it fall through
 		// to the loan-return case below would clear `asking` mid-CS and
 		// drain the queue under the running critical section.
-		n.emitDropped(m, "duplicate token while holding one")
+		n.dropped(m, "duplicate token while holding one")
 		return
 	}
 	n.tokenHere = true
@@ -908,7 +896,6 @@ func (n *Node) onToken(m Message) {
 		if m.Lender == ocube.None {
 			n.lender = n.h.cfg.Self
 			n.father = ocube.None
-			n.emitBecameRoot("received unlent token")
 		} else {
 			n.lender = m.Lender
 			n.father = m.From
@@ -925,7 +912,6 @@ func (n *Node) onToken(m Message) {
 		if m.Lender == ocube.None {
 			// The token has no lender: become the root and lend it.
 			n.father = ocube.None
-			n.emitBecameRoot("received unlent token as proxy")
 			n.send(Message{Kind: KindToken, To: n.mandator, Lender: n.h.cfg.Self,
 				Source: n.curSource, Seq: n.curSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
 			n.tokenHere = false

@@ -7,9 +7,10 @@ import "repro/internal/ocube"
 type TokenEventKind uint8
 
 // The observable protocol events: the token's journey (lend, outright
-// transfer, forward of a loan), the requests that steer it, grants, and
-// the recovery events (regeneration, stale-token sighting) that explain
-// epoch bumps in a lineage dump.
+// transfer, forward of a loan), the requests that steer it, grants, the
+// recovery events (regeneration, stale-token sighting) that explain epoch
+// bumps in a lineage dump, the search_father spans of Section 5 that
+// bracket a recovery, and the messages a guard discarded.
 const (
 	// TokenEvRequest: this node sent or forwarded a request toward its
 	// father (Peer is the hop target, Seq the request sequence).
@@ -30,6 +31,17 @@ const (
 	// TokenEvStale: this node sighted and discarded a stale-epoch token
 	// from Peer.
 	TokenEvStale
+	// TokenEvSearchStarted: this node began a search_father attempt (a
+	// suspicion, an anomaly, a recovery, or a confirmation sweep's
+	// restart); Seq is the starting phase.
+	TokenEvSearchStarted
+	// TokenEvSearchEnded: this node's search_father concluded; Peer is the
+	// adopted father, or ocube.None when the search made this node the
+	// root, and Seq is the number of nodes tested.
+	TokenEvSearchEnded
+	// TokenEvDropped: a defensive guard discarded a message from Peer
+	// (Seq and Epoch are the message's); Reason names the guard.
+	TokenEvDropped
 )
 
 // String returns the kind's lineage-dump label.
@@ -49,6 +61,12 @@ func (k TokenEventKind) String() string {
 		return "regenerated"
 	case TokenEvStale:
 		return "stale-token"
+	case TokenEvSearchStarted:
+		return "search-started"
+	case TokenEvSearchEnded:
+		return "search-ended"
+	case TokenEvDropped:
+		return "dropped"
 	}
 	return "unknown"
 }
@@ -65,26 +83,19 @@ type TokenEvent struct {
 	Peer     ocube.Pos // the other endpoint (ocube.None when not applicable)
 	Epoch    uint32    // token epoch carried by or known at the event
 	Fence    uint64    // composed fencing token where one applies, else 0
-	Seq      uint64    // request sequence number where one applies, else 0
-	// Reason is the recovery path label for regeneration/stale events.
+	Seq      uint64    // request sequence, search phase or tested count (see the kinds), else 0
+	// Reason is the recovery path label of a regeneration or stale
+	// sighting, or the guard that dropped a message.
 	Reason string
 }
 
 // observeSend classifies an outgoing message for the Observe hook. Kept
 // out of send itself so a non-observed run pays only the nil check
-// there; the guard here is re-checked so the classification below is
-// nil-safe on its own terms (and visibly so to the nilsafe analyzer),
-// not only through its single caller.
+// there.
 func (n *Node) observeSend(m Message) {
-	if n.h.cfg.Observe == nil {
-		return
-	}
 	switch m.Kind {
 	case KindRequest:
-		n.h.cfg.Observe(TokenEvent{
-			Kind: TokenEvRequest, Self: n.h.cfg.Self, Instance: n.inst, Peer: m.To,
-			Epoch: m.Epoch, Seq: m.Seq,
-		})
+		n.observe(TokenEvent{Kind: TokenEvRequest, Peer: m.To, Epoch: m.Epoch, Seq: m.Seq})
 	case KindToken:
 		kind := TokenEvForward
 		switch m.Lender {
@@ -93,10 +104,7 @@ func (n *Node) observeSend(m Message) {
 		case ocube.None:
 			kind = TokenEvTransfer
 		}
-		n.h.cfg.Observe(TokenEvent{
-			Kind: kind, Self: n.h.cfg.Self, Instance: n.inst, Peer: m.To,
-			Epoch: m.Epoch, Fence: composeFence(m.Epoch, m.Fence),
-		})
+		n.observe(TokenEvent{Kind: kind, Peer: m.To, Epoch: m.Epoch, Fence: composeFence(m.Epoch, m.Fence)})
 	}
 }
 

@@ -196,7 +196,8 @@ type E4Row struct {
 	Log2N          int
 }
 
-// searchOutcome is one SearchEnded observation of an E4 trial.
+// searchOutcome is one search_father conclusion (core.TokenEvSearchEnded)
+// of an E4 trial.
 type searchOutcome struct {
 	father ocube.Pos
 	tested int
@@ -204,8 +205,8 @@ type searchOutcome struct {
 
 // E4SearchCost isolates one search_father per trial: a random node's
 // father fails and the node requests, forcing the reconnection search;
-// the tested-node count comes from the SearchEnded effect. The
-// requesters are drawn up front from the per-order generator in trial
+// the tested-node count comes from the node's TokenEvSearchEnded report.
+// The requesters are drawn up front from the per-order generator in trial
 // order — exactly the draws the sequential loop makes — then the trials,
 // each an independently seeded network, run as cells on the sweep pool
 // and their observations are folded in trial order.
@@ -222,17 +223,18 @@ func E4SearchCost(o Options, ps []int, trials int) ([]E4Row, error) {
 			requester := requesters[trial]
 			victim := ocube.InitialFather(requester)
 			var got []searchOutcome
+			node := ftNodeConfig()
+			node.Observe = func(ev core.TokenEvent) {
+				if ev.Kind == core.TokenEvSearchEnded && ev.Self == requester {
+					got = append(got, searchOutcome{father: ev.Peer, tested: int(ev.Seq)})
+				}
+			}
 			w, err := sim.New(sim.Config{
 				P:      p,
 				Seed:   o.Seed ^ int64(trial),
 				Delay:  sim.FixedDelay(delta),
-				Node:   ftNodeConfig(),
+				Node:   node,
 				Flight: o.flight(),
-				OnEffect: func(node ocube.Pos, e core.Effect) {
-					if se, ok := e.(*core.SearchEnded); ok && node == requester {
-						got = append(got, searchOutcome{father: se.Father, tested: se.Tested})
-					}
-				},
 			})
 			if err != nil {
 				return nil, err

@@ -88,7 +88,7 @@ type E8Row struct {
 	// conclusion was premature) rather than replacing a true loss. Only
 	// meaningful beyond the paper's reliable-channel model — the lossy
 	// and partition scenarios — and a lower bound by construction (see
-	// core.StaleToken).
+	// core.Host.StaleTokens).
 	Stale      int64
 	Lost       int64 // messages lost in transit or at failed nodes
 	Violations int64

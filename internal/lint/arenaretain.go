@@ -14,11 +14,7 @@ const corePath = "repro/internal/core"
 // the emitting node's host, recycled wholesale at the next call into any
 // node of that host (DESIGN.md §9). Holding one past the driver call
 // aliases a slot that the next emission will scribble over.
-var effectStructs = map[string]bool{
-	"Send": true, "Grant": true, "StartTimer": true,
-	"TokenRegenerated": true, "StaleToken": true, "BecameRoot": true,
-	"Dropped": true, "SearchStarted": true, "SearchEnded": true,
-}
+var effectStructs = map[string]bool{"Send": true, "Grant": true, "StartTimer": true}
 
 // ArenaRetainAnalyzer forbids retaining pooled arena values — the
 // core.Effect interface, slices of it, and pointers to the effect

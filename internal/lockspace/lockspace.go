@@ -127,7 +127,8 @@ type Config struct {
 	Metrics *obs.Registry
 	// Flight, when set, records every instance's token lineage (via
 	// core.Config.Observe) plus lockspace-level events (lease reclaims)
-	// into the shared flight recorder, stamped with wall time.
+	// into the shared flight recorder, stamped with wall time; Node.Observe,
+	// when set too, still sees every event.
 	Flight *obs.Flight
 	// Autopsy, when set, receives a JSONL autopsy from Close when any
 	// instance still has queued waiters — the "stuck at shutdown" dump,
@@ -220,9 +221,7 @@ func New(cfg Config) (*Lockspace, error) {
 	}
 	ls.leases.ttl = cmp.Or(max(cfg.LeaseTTL, 0), -1) // no TTL: a hold has no deadline
 	tmpl := cfg.Node
-	if cfg.Flight != nil {
-		tmpl.Observe = flightObserver(cfg.Flight, func() int64 { return time.Now().UnixNano() })
-	}
+	tmpl.Observe = obs.Observer(cfg.Flight, func() int64 { return time.Now().UnixNano() }, tmpl.Observe)
 	var err error
 	if ls.m, err = NewMachine(tmpl, cfg.Rejoin, cfg.Stable, ls.leases); err != nil {
 		return nil, err

@@ -48,7 +48,8 @@ type StableWrite struct {
 // instantiated (the lazy footprint, versus one per key ever seen anywhere),
 // instances with protocol activity outstanding, holds, local waiters
 // (holders included), pending deadlines — protocol timers and hold ends,
-// all live — and what the instances' effects counted.
+// all live — and the regenerations and stale sightings the instances'
+// host counted.
 type Books struct {
 	States, Busy, Held, Waiting, Pending int
 	Regenerations, StaleTokens           int64
@@ -81,7 +82,7 @@ type Machine struct {
 	aimedAt time.Duration
 	out     []core.Envelope
 	saves   []StableWrite
-	books   Books // States and Pending are filled in by Books
+	books   Books // States, Pending and the host's counts are filled in by Books
 }
 
 // instance is one lazily instantiated lock at this position, with its
@@ -125,6 +126,7 @@ func NewMachine(node core.Config, rejoin bool, stable StableStore, drv driver) (
 func (m *Machine) Books() Books {
 	b := m.books
 	b.States, b.Pending = len(m.insts), len(m.wheel.ents)
+	b.Regenerations, b.StaleTokens = m.host.Regenerations(), m.host.StaleTokens()
 	return b
 }
 
@@ -382,10 +384,6 @@ func (m *Machine) apply(now time.Duration, st *instance, effs []core.Effect) {
 			m.wheel.schedule(st.ref, id, e.Kind, e.Gen, now+e.Delay)
 		case *core.Grant:
 			grant = e
-		case *core.TokenRegenerated:
-			m.books.Regenerations++
-		case *core.StaleToken:
-			m.books.StaleTokens++
 		}
 	}
 	switch {

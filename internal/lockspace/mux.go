@@ -50,8 +50,9 @@ type SpaceConfig struct {
 	Recorder *trace.Recorder
 	// Flight, when set, records every instance's token lineage (via
 	// core.Config.Observe) stamped with virtual time — the feed of the
-	// stall autopsies E13's slices write. Purely observational:
-	// the run is byte-identical with or without it.
+	// stall autopsies E13's slices write; Node.Observe, when set too, still
+	// sees every event. Purely observational: the run is byte-identical
+	// with or without it.
 	Flight *obs.Flight
 }
 
@@ -85,9 +86,7 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 	}
 	tmpl := cfg.Node
 	tmpl.P = cfg.P
-	if cfg.Flight != nil {
-		tmpl.Observe = flightObserver(cfg.Flight, func() int64 { return int64(sp.w.Eng.Now()) })
-	}
+	tmpl.Observe = obs.Observer(cfg.Flight, func() int64 { return int64(sp.w.Eng.Now()) }, tmpl.Observe)
 	w, err := sim.NewKeyed(sim.Config{
 		P:        cfg.P,
 		Delay:    cfg.Delay,
@@ -110,20 +109,6 @@ func NewSpace(cfg SpaceConfig) (*Space, error) {
 	}
 	sp.w = w
 	return sp, nil
-}
-
-// flightObserver returns the core.Config.Observe hook both keyed drivers
-// install when a flight recorder is attached: every instance's protocol
-// events go into fl under the instance the reporting node was minted for,
-// stamped by now (virtual time here, wall time live).
-func flightObserver(fl *obs.Flight, now func() int64) func(core.TokenEvent) {
-	return func(ev core.TokenEvent) {
-		fl.Record(obs.Event{
-			At: now(), Node: int(ev.Self), Instance: ev.Instance,
-			Kind: ev.Kind.String(), Peer: int(ev.Peer), Epoch: ev.Epoch,
-			Fence: ev.Fence, Seq: ev.Seq, Note: ev.Reason,
-		})
-	}
 }
 
 // Network exposes the underlying simulated network (failure injection,

@@ -3,12 +3,15 @@ package lockspace
 import (
 	"bytes"
 	"context"
+	"maps"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Observability wiring tests: live metrics and token lineage, the
@@ -211,5 +214,83 @@ func TestSpaceStallAutopsy(t *testing.T) {
 	}
 	if !strings.Contains(out, `"rec":"state"`) || !strings.Contains(out, `"asking":true`) {
 		t.Errorf("autopsy missing the wedged requester's state:\n%s", out)
+	}
+}
+
+// TestFlightKeepsCallersObserve attaches a flight recorder and a caller's
+// own Observe hook together to each of the three constructors that take
+// both — sim.New, NewSpace and New — and checks both see every event: the
+// recorder must not take the hook's place.
+func TestFlightKeepsCallersObserve(t *testing.T) {
+	ft := core.Config{FT: true, Delta: time.Millisecond, CSEstimate: time.Millisecond}
+	for _, tc := range []struct {
+		name string
+		want []string // kinds the run must report
+		run  func(t *testing.T, node core.Config, fl *obs.Flight)
+	}{
+		{"sim.New", []string{"request", "grant", "search-started", "search-ended", "regenerated"}, func(t *testing.T, node core.Config, fl *obs.Flight) {
+			node.FT, node.Delta, node.CSEstimate = ft.FT, ft.Delta, ft.CSEstimate
+			w, err := sim.New(sim.Config{P: 2, Node: node, Seed: 1, Flight: fl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Fail(0, 0) // the root dies with the token: searches and a regeneration
+			w.RequestCS(1, time.Millisecond)
+			w.RequestCS(3, time.Millisecond)
+			if !w.RunUntilQuiescent(time.Minute) {
+				t.Fatal("network did not quiesce")
+			}
+		}},
+		{"NewSpace", []string{"request", "grant", "transfer"}, func(t *testing.T, node core.Config, fl *obs.Flight) {
+			sp, err := NewSpace(SpaceConfig{P: 1, Instances: 2, Node: node, Seed: 1, Flight: fl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.Request(0, 1, 0)
+			sp.Request(1, 1, 0)
+			sp.Request(1, 0, time.Millisecond)
+			if !sp.Run(time.Minute) {
+				t.Fatal("space did not quiesce")
+			}
+		}},
+		{"New", []string{"request", "grant"}, func(t *testing.T, node core.Config, fl *obs.Flight) {
+			nodes, stop := newSessMeshSpace(t, 1, Config{Node: node, Flight: fl})
+			f, err := nodes[1].Lock(context.Background(), "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nodes[1].Unlock("k", f); err != nil {
+				t.Fatal(err)
+			}
+			stop() // every loop has exited: nothing reports any more
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex // the live nodes report from their own loops
+			hook := map[string]int{}
+			node := core.Config{Observe: func(ev core.TokenEvent) {
+				mu.Lock()
+				hook[ev.Kind.String()]++
+				mu.Unlock()
+			}}
+			fl := obs.NewFlight(1 << 12)
+			tc.run(t, node, fl)
+			recorded := map[string]int{}
+			for _, inst := range fl.Instances() {
+				for _, ev := range fl.Dump(inst) {
+					recorded[ev.Kind]++
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, kind := range tc.want {
+				if hook[kind] == 0 {
+					t.Fatalf("the caller's Observe saw %v, want %q among them", hook, kind)
+				}
+			}
+			if !maps.Equal(hook, recorded) {
+				t.Errorf("the caller's Observe saw %v, the flight recorder %v", hook, recorded)
+			}
+		})
 	}
 }

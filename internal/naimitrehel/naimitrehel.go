@@ -133,7 +133,8 @@ func (n *Node) ReleaseCS() ([]core.Effect, error) {
 	return n.em.Take(), nil
 }
 
-// HandleMessage implements sim.Peer.
+// HandleMessage implements sim.Peer. A kind outside the protocol is
+// discarded silently.
 func (n *Node) HandleMessage(m core.Message) []core.Effect {
 	n.em.Begin()
 	switch m.Kind {
@@ -161,8 +162,6 @@ func (n *Node) HandleMessage(m core.Message) []core.Effect {
 			n.inCS = true
 			n.em.Grant(n.self)
 		}
-	default:
-		n.em.Dropped(m, "kind not in Naimi-Trehel's protocol")
 	}
 	return n.em.Take()
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"sort"
 	"sync"
+
+	"repro/internal/core"
 )
 
 // Event is one flight-recorder entry: a protocol event (request, grant,
@@ -106,4 +108,25 @@ func (f *Flight) Instances() []uint64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// Observer returns the core.Config.Observe hook of a driver that records
+// into fl: each event goes into fl under the instance the reporting node
+// was minted for, stamped by now (virtual time in the simulator, wall time
+// live), and then to next — the caller's own hook, which a flight recorder
+// never replaces. With fl nil the hook is next itself.
+func Observer(fl *Flight, now func() int64, next func(core.TokenEvent)) func(core.TokenEvent) {
+	if fl == nil {
+		return next
+	}
+	return func(ev core.TokenEvent) {
+		fl.Record(Event{
+			At: now(), Node: int(ev.Self), Instance: ev.Instance,
+			Kind: ev.Kind.String(), Peer: int(ev.Peer), Epoch: ev.Epoch,
+			Fence: ev.Fence, Seq: ev.Seq, Note: ev.Reason,
+		})
+		if next != nil {
+			next(ev)
+		}
+	}
 }

@@ -158,7 +158,8 @@ func (n *Node) ReleaseCS() ([]core.Effect, error) {
 	return n.em.Take(), nil
 }
 
-// HandleMessage implements sim.Peer.
+// HandleMessage implements sim.Peer. A kind outside the protocol is
+// discarded silently.
 func (n *Node) HandleMessage(m core.Message) []core.Effect {
 	n.em.Begin()
 	switch m.Kind {
@@ -166,8 +167,6 @@ func (n *Node) HandleMessage(m core.Message) []core.Effect {
 		n.requestQ = append(n.requestQ, m.From)
 	case core.KindToken:
 		n.holder = n.self
-	default:
-		n.em.Dropped(m, "kind not in Raymond's protocol")
 	}
 	n.assignPrivilege()
 	n.makeRequest()

@@ -163,11 +163,13 @@ func TestEnquiryTokenLostInFlight(t *testing.T) {
 // as a leaf under 10, and node 13's request raises an anomaly that
 // reattaches 13 to 10.
 func TestPaperSection5Scenario(t *testing.T) {
-	searches := map[ocube.Pos][]core.SearchEnded{}
+	// searches holds each node's search_father conclusions: Peer is the
+	// adopted father, Seq the nodes tested.
+	searches := map[ocube.Pos][]core.TokenEvent{}
 	cfg := ftConfig(4)
-	cfg.OnEffect = func(node ocube.Pos, e core.Effect) {
-		if se, ok := e.(*core.SearchEnded); ok {
-			searches[node] = append(searches[node], *se)
+	cfg.Node.Observe = func(ev core.TokenEvent) {
+		if ev.Kind == core.TokenEvSearchEnded {
+			searches[ev.Self] = append(searches[ev.Self], ev)
 		}
 	}
 	rec := &trace.Recorder{}
@@ -201,13 +203,13 @@ func TestPaperSection5Scenario(t *testing.T) {
 
 	// 12's search concluded with father 10 (early adoption); 10's search
 	// concluded with father 1 after testing phases 1..4.
-	if got := searches[lbl(12)]; len(got) != 1 || got[0].Father != lbl(10) {
+	if got := searches[lbl(12)]; len(got) != 1 || got[0].Peer != lbl(10) {
 		t.Errorf("node 12 searches = %+v, want one ending at father 10", got)
 	}
-	if got := searches[lbl(10)]; len(got) != 1 || got[0].Father != lbl(1) {
+	if got := searches[lbl(10)]; len(got) != 1 || got[0].Peer != lbl(1) {
 		t.Errorf("node 10 searches = %+v, want one ending at father 1", got)
-	} else if got[0].Tested != 1+2+4+8 {
-		t.Errorf("node 10 tested %d nodes, want 15 (phases 1-4)", got[0].Tested)
+	} else if got[0].Seq != 1+2+4+8 {
+		t.Errorf("node 10 tested %d nodes, want 15 (phases 1-4)", got[0].Seq)
 	}
 
 	// After being served, 10 is the root (power(1)=4 = dist(1,10), so node
@@ -241,10 +243,10 @@ func TestPaperSection5Scenario(t *testing.T) {
 	if rec.Kind("anomaly") == 0 {
 		t.Error("no anomaly message was sent")
 	}
-	if got := searches[lbl(13)]; len(got) != 1 || got[0].Father != lbl(10) {
+	if got := searches[lbl(13)]; len(got) != 1 || got[0].Peer != lbl(10) {
 		t.Errorf("node 13 searches = %+v, want one ending at father 10", got)
-	} else if got[0].Tested != 4 {
-		t.Errorf("node 13 tested %d nodes, want 4 (single phase 3)", got[0].Tested)
+	} else if got[0].Seq != 4 {
+		t.Errorf("node 13 tested %d nodes, want 4 (single phase 3)", got[0].Seq)
 	}
 	if w.Grants() != 3 {
 		t.Errorf("grants = %d, want 3", w.Grants())
@@ -312,9 +314,9 @@ func TestEarlyAdoptAblation(t *testing.T) {
 	run := func(disable bool) (grants int64, tested int) {
 		cfg := ftConfig(4)
 		cfg.Node.DisableEarlyAdopt = disable
-		cfg.OnEffect = func(_ ocube.Pos, e core.Effect) {
-			if se, ok := e.(*core.SearchEnded); ok {
-				tested += se.Tested
+		cfg.Node.Observe = func(ev core.TokenEvent) {
+			if ev.Kind == core.TokenEvSearchEnded {
+				tested += int(ev.Seq)
 			}
 		}
 		w, err := New(cfg)

@@ -106,9 +106,10 @@ type Config struct {
 	OnEffect func(node ocube.Pos, e core.Effect)
 	// Flight, when set, records every open-cube node's token lineage
 	// (core.Config.Observe) into the recorder, stamped with virtual time
-	// under instance 0. Purely observational — runs are byte-identical
-	// with or without it. Ignored when Algorithm is set (the baselines
-	// have no observe hook).
+	// under instance 0; Node.Observe, when set too, still sees every
+	// event. Purely observational — runs are byte-identical with or
+	// without it. Ignored when Algorithm is set (the baselines have no
+	// observe hook).
 	Flight *obs.Flight
 }
 
@@ -152,11 +153,9 @@ type Network struct {
 	busy  []bool
 	busyN int
 
-	inflight       int // undelivered messages
-	inflightTokens int // undelivered token messages
-	pendingOps     int // scheduled RequestCS / auto-release events
-	regenerations  int64
-	staleTokens    int64 // stale-epoch token sightings (raced regenerations)
+	inflight       int   // undelivered messages
+	inflightTokens int   // undelivered token messages
+	pendingOps     int   // scheduled RequestCS / auto-release events
 	lostToFailed   int64 // messages dropped at failed destinations
 	lostInTransit  int64 // messages dropped by the delay model (Lost)
 
@@ -180,24 +179,11 @@ func New(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Flight != nil && cfg.Algorithm.New == nil {
-		fl := cfg.Flight
-		cfg.Node.Observe = func(ev core.TokenEvent) {
-			fl.Record(obs.Event{
-				At:    int64(w.Eng.Now()),
-				Node:  int(ev.Self),
-				Kind:  ev.Kind.String(),
-				Peer:  int(ev.Peer),
-				Epoch: ev.Epoch,
-				Fence: ev.Fence,
-				Seq:   ev.Seq,
-				Note:  ev.Reason,
-			})
-		}
-	}
 	algo := cfg.Algorithm
 	if algo.New == nil {
-		algo = openCube(cfg.P, cfg.Node)
+		node := cfg.Node
+		node.Observe = obs.Observer(cfg.Flight, func() int64 { return int64(w.Eng.Now()) }, node.Observe)
+		algo = openCube(cfg.P, node)
 	}
 	peers, err := algo.New(w.n)
 	if err != nil {
@@ -316,14 +302,31 @@ func (w *Network) ViolationsFenced() int64 { return w.holds.Fenced() }
 // violations that reach even a fence-checking application.
 func (w *Network) ViolationsVisible() int64 { return w.holds.Visible() }
 
-// Regenerations returns the number of token regenerations.
-func (w *Network) Regenerations() int64 { return w.regenerations }
+// Regenerations returns the number of token regenerations the network's
+// open-cube nodes counted (core.Host.Regenerations); a peer that wraps a
+// node counts none.
+func (w *Network) Regenerations() (sum int64) {
+	for _, n := range w.nodes {
+		if n != nil {
+			sum += n.Host().Regenerations()
+		}
+	}
+	return sum
+}
 
-// StaleTokens returns the number of stale-epoch token sightings: tokens
-// observed carrying an epoch below the observer's, proving the
-// corresponding regeneration raced a token that was still alive rather
-// than replacing a lost one (a lower bound — see core.StaleToken).
-func (w *Network) StaleTokens() int64 { return w.staleTokens }
+// StaleTokens returns the number of stale-epoch token sightings the
+// network's open-cube nodes counted: tokens observed carrying an epoch
+// below the observer's, proving the corresponding regeneration raced a
+// token that was still alive rather than replacing a lost one (a lower
+// bound — see core.Host.StaleTokens).
+func (w *Network) StaleTokens() (sum int64) {
+	for _, n := range w.nodes {
+		if n != nil {
+			sum += n.Host().StaleTokens()
+		}
+	}
+	return sum
+}
 
 // LostInTransit returns the number of messages the delay model dropped.
 func (w *Network) LostInTransit() int64 { return w.lostInTransit }
@@ -579,10 +582,6 @@ func (w *Network) apply(x ocube.Pos, effs []core.Effect) {
 			w.Eng.scheduleTimer(timerKey(x, e.Kind), e.Gen, e.Delay)
 		case *core.Grant:
 			w.enterCS(x, e.Fence)
-		case *core.TokenRegenerated:
-			w.regenerations++
-		case *core.StaleToken:
-			w.staleTokens++
 		}
 	}
 }

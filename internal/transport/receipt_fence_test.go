@@ -18,7 +18,7 @@ type nodeRig struct {
 	m        [2]*Machine // nil: bare channel
 	events   []nodeEvent
 	seq      int
-	regens   [2][]string        // reasons of the TokenRegenerated effects
+	regens   [2][]string        // reasons of the regenerations each node reported
 	grants   [2][]time.Duration // when each node was granted
 	tokenAck int                // KindTokenAck messages put on the wire
 }
@@ -59,8 +59,6 @@ func (r *nodeRig) apply(i ocube.Pos, effs []core.Effect) {
 			r.after(e.Delay, nodeEvent{to: i, timer: &timer})
 		case *core.Grant:
 			r.grants[i] = append(r.grants[i], r.now)
-		case *core.TokenRegenerated:
-			r.regens[i] = append(r.regens[i], e.Reason)
 		}
 	}
 }
@@ -133,6 +131,11 @@ func TestFencedReceiptedTokenIsNotReminted(t *testing.T) {
 			node, err := core.NewNode(core.Config{
 				Self: ocube.Pos(i), P: 1, FT: true, EpochFence: true,
 				Delta: delta, CSEstimate: delta, SuspicionSlack: delta,
+				Observe: func(ev core.TokenEvent) {
+					if ev.Kind == core.TokenEvRegenerated {
+						r.regens[i] = append(r.regens[i], ev.Reason)
+					}
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
