@@ -8,7 +8,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ocube"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -102,7 +101,7 @@ type e10Cell struct {
 func E10SteadyChurn(o Options, ps []int) ([]E10Row, error) {
 	cells, err := forEach(o.Workers, len(ps)*e10Runs, func(i int) (e10Cell, error) {
 		p, run := ps[i/e10Runs], i%e10Runs
-		cell, err := runE10(p, run, o.Seed)
+		cell, err := runE10(o, p, run)
 		if err != nil {
 			err = fmt.Errorf("harness: e10 p=%d run=%d: %w", p, run, err)
 		}
@@ -153,25 +152,18 @@ func e10Merge(p int, cells []e10Cell) E10Row {
 // settle phase that must reach quiescence. The cell seed mixes (p, run)
 // with fixed strides so adding runs or orders never changes another
 // cell's draw streams.
-func runE10(p, run int, seed int64) (e10Cell, error) {
+func runE10(o Options, p, run int) (e10Cell, error) {
 	n := 1 << p
-	cellSeed := seed + int64(p)*104729 + int64(run)*7919
+	cellSeed := o.Seed + int64(p)*104729 + int64(run)*7919
 	cell := e10Cell{waits: &metrics.Summary{}}
-	rec := &trace.Recorder{}
 	// The suspicion slack scales with the cube order exactly as in E9:
 	// queueing behind churn-lengthened waits grows with the (3/2·p)·δ
 	// round trip, and a small-cube slack would let healthy large-P waits
 	// masquerade as failures.
 	node := ftNodeConfig()
 	node.SuspicionSlack += time.Duration(8*p) * delta
-	w, err := sim.New(sim.Config{
-		P:        p,
-		Seed:     cellSeed,
-		Delay:    sim.UniformDelay(delta/2, delta),
-		Node:     node,
-		Recorder: rec,
-		CSTime:   csTime(delta),
-	})
+	w, rec, err := simulate(o, sim.Config{P: p, Seed: cellSeed,
+		Delay: sim.UniformDelay(delta/2, delta), Node: node, CSTime: csTime(delta)})
 	if err != nil {
 		return cell, err
 	}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -77,6 +76,7 @@ type E11Row struct {
 	Fenced    int64
 	Visible   int64
 	Completed bool
+	msgs      int64 // physical transmissions (retransmits included), the gate's events
 }
 
 // strict is the headline gate: with sessions on, fencing leaves no
@@ -122,7 +122,7 @@ func E11LossyRecovery(o Options, p int) ([]E11Row, error) {
 	}
 	return forEach(o.Workers, len(cells), func(i int) (E11Row, error) {
 		c := cells[i]
-		row, err := runE11(o, p, reqs, c.loss, c.crash, c.session, &trace.Recorder{})
+		row, err := runE11(o, p, reqs, c.loss, c.crash, c.session)
 		if err != nil {
 			err = fmt.Errorf("harness: e11 loss=%g crash=%v session=%v: %w", c.loss, c.crash, c.session, err)
 		}
@@ -130,35 +130,24 @@ func E11LossyRecovery(o Options, p int) ([]E11Row, error) {
 	})
 }
 
-func runE11(o Options, p int, reqs []workload.Request, loss float64, crash, session bool, rec *trace.Recorder) (E11Row, error) {
+func runE11(o Options, p int, reqs []workload.Request, loss float64, crash, session bool) (E11Row, error) {
 	row := E11Row{Loss: loss, Crash: crash, Session: session, Requests: len(reqs)}
 	cfg := sim.Config{
-		P:        p,
-		Node:     ftNodeConfig(),
-		Seed:     o.Seed,
-		Delay:    sim.LossyDelay(loss, sim.UniformDelay(delta/2, delta)),
-		CSTime:   csTime(delta),
-		Recorder: rec,
-		Flight:   o.flight(),
+		P:      p,
+		Node:   ftNodeConfig(),
+		Seed:   o.Seed,
+		Delay:  sim.LossyDelay(loss, sim.UniformDelay(delta/2, delta)),
+		CSTime: csTime(delta),
 	}
 	if session {
 		cfg.Session = e11Session()
 	}
-	w, err := sim.New(cfg)
+	w, rec, err := simulate(o, cfg)
 	if err != nil {
 		return row, err
 	}
 	if crash {
-		// Fail the holder of the second grant inside its critical section;
-		// recover it after the failure machinery has long concluded.
-		grants := 0
-		w.OnGrant(func(x ocube.Pos) {
-			grants++
-			if grants == 2 {
-				w.Fail(x, 0)
-				w.Recover(x, 400*delta)
-			}
-		})
+		w.OnGrant(crashAt(w, 2))
 	}
 	for _, r := range reqs {
 		w.RequestCS(ocube.Pos(r.Node), r.At)
@@ -172,6 +161,7 @@ func runE11(o Options, p int, reqs []workload.Request, loss float64, crash, sess
 	row.DupDrops = st.DupDrops
 	row.Receipts = st.Receipts
 	row.TokenAcks = rec.Kind(core.KindTokenAck.String())
+	row.msgs = rec.Total()
 	row.Fenced = w.ViolationsFenced()
 	row.Visible = w.ViolationsVisible()
 	return row, nil

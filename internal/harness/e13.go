@@ -1,16 +1,12 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 	"time"
 
 	"repro/internal/lockspace"
 	"repro/internal/metrics"
-	"repro/internal/ocube"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -101,15 +97,6 @@ func (r E13Row) strict() error {
 	return nil
 }
 
-// e13Slice is one slice's raw measurement.
-type e13Slice struct {
-	requests, states, stalled               int
-	grants, msgs, regens, stale, violations int64
-	waits                                   *metrics.Summary
-	// autopsy is the stalled slice's JSONL dump, written after the sweep.
-	autopsy []byte
-}
-
 // E13Sharded runs the sweep: every (cell, slice) pair is one item of the
 // worker pool, and each cell's slices merge in slice order. On failure
 // the lowest-numbered failing slice of the first failing cell reports,
@@ -123,7 +110,7 @@ func E13Sharded(o Options, cells []E13Cell) ([]E13Row, error) {
 		}
 		members[i] = e13Members(c.Keys)
 	}
-	slices, err := forEach(o.Workers, len(cells)*e13Slices, func(i int) (e13Slice, error) {
+	slices, err := forEach(o.Workers, len(cells)*e13Slices, func(i int) (keyedRun, error) {
 		c, t := cells[i/e13Slices], i%e13Slices
 		s, err := runE13Slice(o, c, t, members[i/e13Slices][t])
 		if err != nil {
@@ -165,7 +152,7 @@ func e13Members(keys int) [][]int32 {
 
 // mergeE13 folds one cell's slices, in slice order, into its row and its
 // pooled accept→grant waits.
-func mergeE13(c E13Cell, slices []e13Slice) (E13Row, *metrics.Summary) {
+func mergeE13(c E13Cell, slices []keyedRun) (E13Row, *metrics.Summary) {
 	row := E13Row{N: 1 << c.P, Keys: c.Keys, Skew: c.Skew}
 	waits := &metrics.Summary{}
 	for _, s := range slices {
@@ -188,108 +175,23 @@ func mergeE13(c E13Cell, slices []e13Slice) (E13Row, *metrics.Summary) {
 }
 
 // runE13Slice is one slice's complete simulation, a pure function of
-// (o.Seed, cell, slice, members). The knobs are E9's, applied per slice:
-// the same per-cell seed mix, the same (4p+8)δ saturation spacing, the
-// same rescaled suspicion slack and settle window, and the same
-// crash-at-second-hot-grant scenario, here confined to the hot slice.
-// Requests per key drop from 6 to 3 above 64k keys — at K = 1M the
-// sample is still three million requests.
-func runE13Slice(o Options, c E13Cell, slice int, members []int32) (e13Slice, error) {
-	res := e13Slice{waits: &metrics.Summary{}}
-	keys := len(members)
-	if keys == 0 {
-		return res, nil
-	}
-	cellSeed := o.Seed + int64(c.Keys)*7919 + int64(c.P)*104729
+// (o.Seed, cell, slice, members): E9's keyed run over the slice's keys,
+// seeded by folding the cell seed with the slice id, the crash confined to
+// the hot slice (the one owning global key 0, always its local key 0).
+// Requests per key drop from 6 to 3 above 64k keys — at K = 1M the sample
+// is still three million requests.
+func runE13Slice(o Options, c E13Cell, slice int, members []int32) (keyedRun, error) {
+	seed := o.Seed + int64(c.Keys)*7919 + int64(c.P)*104729
 	if c.Skew == "zipf" {
-		cellSeed++
+		seed++
 	}
-	reqsPerKey := 6
+	perKey := 6
 	if c.Keys > 65536 {
-		reqsPerKey = 3
+		perKey = 3
 	}
-	n := 1 << c.P
-	sliceSeed := workload.ShardSeed(cellSeed, slice)
-	rng := newRng(sliceSeed)
-	count := reqsPerKey * keys
-	horizon := time.Duration(count) * (time.Duration(4*c.P+8) * delta)
-
-	var reqs []workload.KeyedRequest
-	if c.Skew == "uniform" {
-		reqs = workload.KeyedUniform(rng, n, keys, count, horizon)
-	} else {
-		// Each slice draws its own Zipf over its local keys, hottest local
-		// key first — the slice-local analogue of E9's skew.
-		var err error
-		if reqs, err = workload.KeyedZipf(rng, n, keys, count, horizon, e9ZipfS); err != nil {
-			return res, err
-		}
-	}
-
-	node := ftNodeConfig()
-	node.SuspicionSlack += time.Duration(8*c.P) * delta
-	rec := &trace.Recorder{}
-	sp, err := lockspace.NewSpace(lockspace.SpaceConfig{
-		P:         c.P,
-		Instances: keys,
-		Node:      node,
-		Seed:      sliceSeed,
-		Delay:     sim.UniformDelay(delta/2, delta),
-		CSTime:    csTime(delta),
-		Recorder:  rec,
-		Flight:    o.flight(),
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Waiting time at the driver: accept→grant per (instance, node); a
-	// node has at most one outstanding wish per instance.
-	pending := make(map[int64]time.Duration)
-	sp.OnRequest(func(inst int, x ocube.Pos) {
-		res.requests++
-		pending[int64(inst)*int64(n)+int64(x)] = sp.Network().Eng.Now()
-	})
-	hot := slice == lockspace.InstanceShard(0, e13Slices)
-	hotGrants := 0
-	sp.OnGrant(func(inst int, x ocube.Pos) {
-		key := int64(inst)*int64(n) + int64(x)
-		if at, ok := pending[key]; ok {
-			res.waits.Observe(float64(sp.Network().Eng.Now() - at))
-			delete(pending, key)
-		}
-		// The E9 crash scenario, scoped to the hot slice: the node serving
-		// the globally hottest key's second grant fail-stops inside that
-		// critical section and recovers much later, dragging every
-		// instance it hosts in this slice through Section 5 recovery.
-		if hot && inst == 0 {
-			hotGrants++
-			if hotGrants == 2 {
-				sp.Network().Fail(x, 0)
-				sp.Network().Recover(x, 400*delta)
-			}
-		}
-	})
-
-	for _, r := range reqs {
-		sp.Request(r.Key, ocube.Pos(r.Node), r.At)
-	}
-	if !sp.Run(horizon + 32000*delta) {
-		res.stalled = 1
-		if o.Autopsy != nil {
-			var buf bytes.Buffer
-			if sp.Autopsy(&buf, fmt.Sprintf("shard-slice-%d-stalled", slice)) == nil {
-				res.autopsy = buf.Bytes()
-			}
-		}
-	}
-	res.grants = sp.Grants()
-	res.msgs = rec.Total()
-	res.regens = sp.Regenerations()
-	res.stale = sp.StaleTokens()
-	res.violations = sp.Violations()
-	res.states = sp.States()
-	return res, nil
+	return runKeyed(o, keyedCell{p: c.P, keys: len(members), skew: c.Skew,
+		seed: workload.ShardSeed(seed, slice), count: perKey * len(members),
+		crash: slice == lockspace.InstanceShard(0, e13Slices), slice: slice})
 }
 
 // formatE13 renders the sliced sweep. Deliberately absent: the worker

@@ -65,14 +65,14 @@ func TestE13MergeIndependentOfSliceSchedule(t *testing.T) {
 	o := Options{Seed: 99}
 	members := e13Members(c.Keys)
 
-	reversed := make([]e13Slice, e13Slices)
+	reversed := make([]keyedRun, e13Slices)
 	for i := e13Slices - 1; i >= 0; i-- {
 		var err error
 		if reversed[i], err = runE13Slice(o, c, i, members[i]); err != nil {
 			t.Fatalf("slice %d: %v", i, err)
 		}
 	}
-	pooled, err := forEach(e13Slices+7, e13Slices, func(i int) (e13Slice, error) {
+	pooled, err := forEach(e13Slices+7, e13Slices, func(i int) (keyedRun, error) {
 		return runE13Slice(o, c, i, members[i])
 	})
 	if err != nil {
@@ -129,7 +129,7 @@ func TestE13CrashConfinedToHotSlice(t *testing.T) {
 func TestE13EmptySlicesMergeAsZeros(t *testing.T) {
 	c := E13Cell{P: 3, Keys: 5, Skew: "zipf"}
 	members := e13Members(c.Keys)
-	slices := make([]e13Slice, e13Slices)
+	slices := make([]keyedRun, e13Slices)
 	for i := range slices {
 		var err error
 		if slices[i], err = runE13Slice(Options{Seed: 99}, c, i, members[i]); err != nil {

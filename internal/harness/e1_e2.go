@@ -2,13 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"time"
 
 	"repro/internal/ocube"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // E1Row is one line of the worst-case experiment (paper Section 4: worst
@@ -45,9 +43,8 @@ func E1WorstCase(o Options, ps []int, probesPerP int) ([]E1Row, error) {
 			}
 		}
 		// Sequential probes on evolving trees.
-		rng := rand.New(rand.NewSource(o.Seed + int64(p)))
-		rec := &trace.Recorder{}
-		w, err := newNetwork(o, p, o.Seed, rec)
+		rng := newRng(o.Seed + int64(p))
+		w, rec, err := simulate(o, sim.Config{P: p, Seed: o.Seed, Delay: sim.FixedDelay(delta)})
 		if err != nil {
 			return row, err
 		}
@@ -124,32 +121,21 @@ func E2Average(o Options, ps []int) ([]E2Row, error) {
 			AlphaExact: ocube.AverageMessages(p),
 			Approx:     ocube.AverageApprox(n),
 		}
-		row.SteadyState, err = steadyStateAverage(p, o.Seed)
+		row.SteadyState, err = steadyStateAverage(o, p)
 		return row, err
 	})
 }
 
 // steadyStateAverage runs a concurrent random workload and returns mean
 // messages per grant.
-func steadyStateAverage(p int, seed int64) (float64, error) {
-	n := 1 << p
-	rec := &trace.Recorder{}
-	rng := rand.New(rand.NewSource(seed))
-	w, err := sim.New(sim.Config{
-		P:        p,
-		Seed:     seed,
-		Delay:    sim.UniformDelay(delta/2, delta),
-		Recorder: rec,
-		CSTime:   csTime(2 * delta),
-	})
+func steadyStateAverage(o Options, p int) (float64, error) {
+	w, rec, err := simulate(o, sim.Config{P: p, Seed: o.Seed,
+		Delay: sim.UniformDelay(delta/2, delta), CSTime: csTime(2 * delta)})
 	if err != nil {
 		return 0, err
 	}
-	count := 8 * n
-	for i := 0; i < count; i++ {
-		w.RequestCS(ocube.Pos(rng.Intn(n)),
-			time.Duration(rng.Int63n(int64(time.Duration(count)*delta))))
-	}
+	count := 8 << p
+	scatter(w, newRng(o.Seed), count, time.Duration(count)*delta)
 	if !w.RunUntilQuiescent(24 * time.Hour) {
 		return 0, fmt.Errorf("harness: steady-state workload did not quiesce")
 	}

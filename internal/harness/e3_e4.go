@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"time"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/ocube"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // E3Row is one line of the failure-overhead experiment (paper Section 6:
@@ -65,20 +63,11 @@ func E3Overheads(o Options, sizes []E3Size) ([]E3Row, error) {
 // single-sweep regeneration as the paper specifies, cheaper on root
 // failures but exposed to the moving-token regeneration race.
 func E3FailureOverhead(o Options, p, failures int, paperMode bool) (E3Row, error) {
-	n := 1 << p
-	rec := &trace.Recorder{}
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := newRng(o.Seed)
 	nodeCfg := ftNodeConfig()
 	nodeCfg.DisableConfirmSweep = paperMode
-	w, err := sim.New(sim.Config{
-		P:        p,
-		Seed:     o.Seed,
-		Delay:    sim.UniformDelay(delta/2, delta),
-		Node:     nodeCfg,
-		Recorder: rec,
-		CSTime:   csTime(delta),
-		Flight:   o.flight(),
-	})
+	w, rec, err := simulate(o, sim.Config{P: p, Seed: o.Seed,
+		Delay: sim.UniformDelay(delta/2, delta), Node: nodeCfg, CSTime: csTime(delta)})
 	if err != nil {
 		return E3Row{}, err
 	}
@@ -87,25 +76,16 @@ func E3FailureOverhead(o Options, p, failures int, paperMode bool) (E3Row, error
 		return rec.Overhead() - rec.Kind("token-ack")
 	}
 
-	row := E3Row{N: n, Failures: failures, PaperMode: paperMode}
+	row := E3Row{N: 1 << p, Failures: failures, PaperMode: paperMode}
 	var repair, rejoin int64
 	done := 0
 	const episodeCap = 100 * time.Second // virtual; repairs finish in <1s
 	for k := 0; k < failures; k++ {
-		victim := ocube.Pos(rng.Intn(n))
-		// A small burst of load so the failure is exercised: requests from
-		// random nodes, biased to include a son of the victim when one
-		// exists (its requests route through the victim).
+		// A small burst of load so the failure is exercised: a son's
+		// request through the victim plus one background request.
 		before := overhead()
-		w.Fail(victim, 0)
-		// One request from a son of the victim (routes through the dead
-		// node, forcing detection) plus one background request.
-		sons := sonsOf(w, victim)
-		if len(sons) > 0 {
-			w.RequestCS(sons[rng.Intn(len(sons))], time.Duration(rng.Int63n(int64(4*delta))))
-		}
-		w.RequestCS(ocube.Pos(rng.Intn(n)), time.Duration(rng.Int63n(int64(8*delta))))
-		if !w.RunUntilQuiescent(episodeCap) {
+		victim, quiesced := strike(w, rng, 1, 8*delta, episodeCap)
+		if !quiesced {
 			// A rare (<1%) stale-duplicate circulation can stall an
 			// episode (DESIGN.md §7, residual); abandon the network and
 			// report the episode as stuck rather than bias the averages.
@@ -134,18 +114,6 @@ func E3FailureOverhead(o Options, p, failures int, paperMode bool) (E3Row, error
 	row.Grants = w.Grants()
 	row.Violations = w.Violations()
 	return row, nil
-}
-
-// sonsOf lists the live nodes whose father pointer is x.
-func sonsOf(w *sim.Network, x ocube.Pos) []ocube.Pos {
-	var out []ocube.Pos
-	for i := 0; i < w.N(); i++ {
-		pos := ocube.Pos(i)
-		if !w.Down(pos) && w.Node(pos).Father() == x {
-			out = append(out, pos)
-		}
-	}
-	return out
 }
 
 // formatE3 renders the E3 table with the paper's reference points.
@@ -214,7 +182,7 @@ func E4SearchCost(o Options, ps []int, trials int) ([]E4Row, error) {
 	return forEach(o.Workers, len(ps), func(pi int) (E4Row, error) {
 		p := ps[pi]
 		n := 1 << p
-		rng := rand.New(rand.NewSource(o.Seed + int64(p)))
+		rng := newRng(o.Seed + int64(p))
 		requesters := make([]ocube.Pos, trials)
 		for trial := range requesters {
 			requesters[trial] = ocube.Pos(1 + rng.Intn(n-1)) // any non-root
@@ -229,13 +197,7 @@ func E4SearchCost(o Options, ps []int, trials int) ([]E4Row, error) {
 					got = append(got, searchOutcome{father: ev.Peer, tested: int(ev.Seq)})
 				}
 			}
-			w, err := sim.New(sim.Config{
-				P:      p,
-				Seed:   o.Seed ^ int64(trial),
-				Delay:  sim.FixedDelay(delta),
-				Node:   node,
-				Flight: o.flight(),
-			})
+			w, _, err := simulate(o, sim.Config{P: p, Seed: o.Seed ^ int64(trial), Delay: sim.FixedDelay(delta), Node: node})
 			if err != nil {
 				return nil, err
 			}

@@ -72,7 +72,7 @@ func E5Comparison(o Options, ps []int, loads []string) ([]E5Row, error) {
 	}
 	return forEach(o.Workers, len(cells), func(i int) (E5Row, error) {
 		c := cells[i]
-		row, err := runE5(c.algo, c.p, c.load, c.reqs, o.Seed)
+		row, err := runE5(o, c.algo, c.p, c.load, c.reqs)
 		if err != nil {
 			err = fmt.Errorf("harness: e5 %s N=%d %s: %w", c.algo, 1<<c.p, c.load, err)
 		}
@@ -93,12 +93,15 @@ func scheduleFor(load string, n int, seed int64) []workload.Request {
 	}
 }
 
-// algorithmConfig resolves an E5/E8 algorithm name to its unified-engine
-// configuration: the scheme instances are open-cube nodes with a swapped
-// Policy, the classic baselines plug in through sim.Algorithm. Every
-// algorithm runs on the identical engine, delay model and seeds.
-func algorithmConfig(algo string, p int) (sim.Config, error) {
-	cfg := sim.Config{P: p}
+// simulateAlgorithm builds a network running an E5/E8 algorithm at o.Seed
+// under delay, with CS durations uniform in [0, δ): the scheme instances
+// are open-cube nodes with a swapped Policy, the classic baselines plug in
+// through sim.Algorithm, so every algorithm runs on the identical engine,
+// delay model and seeds. ft turns on the Section 5 failure handling of
+// the open-cube nodes, scheme instances included ("open-cube-fenced" adds
+// the epoch fence); the classic baselines have no equivalent and ignore it.
+func simulateAlgorithm(o Options, algo string, p int, delay sim.DelayFn, ft bool) (*sim.Network, *trace.Recorder, error) {
+	cfg := sim.Config{P: p, Seed: o.Seed, Delay: delay, CSTime: csTime(delta)}
 	switch algo {
 	case "open-cube", "open-cube-fenced":
 	case "scheme-raymond":
@@ -110,24 +113,19 @@ func algorithmConfig(algo string, p int) (sim.Config, error) {
 	case "classic-naimi-trehel":
 		cfg.Algorithm = naimitrehel.Algorithm()
 	default:
-		return cfg, fmt.Errorf("unknown algorithm %q", algo)
+		return nil, nil, fmt.Errorf("unknown algorithm %q", algo)
 	}
-	return cfg, nil
+	if ft {
+		node := ftNodeConfig()
+		node.Policy, node.EpochFence = cfg.Node.Policy, algo == "open-cube-fenced"
+		cfg.Node = node
+	}
+	return simulate(o, cfg)
 }
 
-func runE5(algo string, p int, load string, reqs []workload.Request, seed int64) (E5Row, error) {
-	n := 1 << p
-	row := E5Row{Algorithm: algo, N: n, Load: load}
-	rec := &trace.Recorder{}
-	cfg, err := algorithmConfig(algo, p)
-	if err != nil {
-		return row, err
-	}
-	cfg.Seed = seed
-	cfg.Delay = sim.UniformDelay(delta/2, delta)
-	cfg.Recorder = rec
-	cfg.CSTime = csTime(delta)
-	w, err := sim.New(cfg)
+func runE5(o Options, algo string, p int, load string, reqs []workload.Request) (E5Row, error) {
+	row := E5Row{Algorithm: algo, N: 1 << p, Load: load}
+	w, rec, err := simulateAlgorithm(o, algo, p, sim.UniformDelay(delta/2, delta), false)
 	if err != nil {
 		return row, err
 	}

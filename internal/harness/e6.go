@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/ocube"
-	"repro/internal/raymond"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -45,10 +43,10 @@ func hotSet(p int) []int {
 // pool and assemble in sequential order.
 func E6Adaptivity(o Options, ps []int) ([]E6Row, error) {
 	type cell struct {
-		p       int
-		raymond bool
-		hot     []int
-		reqs    []workload.Request
+		algo string
+		p    int
+		hot  []int // the open-cube row's hot set
+		reqs []workload.Request
 	}
 	var cells []cell
 	for _, p := range ps {
@@ -58,28 +56,20 @@ func E6Adaptivity(o Options, ps []int) ([]E6Row, error) {
 		count := 20 * n
 		reqs := workload.HotspotSet(rng, n, count, time.Duration(2*count)*delta, hot, 0.8)
 		cells = append(cells,
-			cell{p: p, hot: hot, reqs: reqs},
-			cell{p: p, raymond: true, reqs: reqs})
+			cell{algo: "open-cube", p: p, hot: hot, reqs: reqs},
+			cell{algo: "classic-raymond", p: p, reqs: reqs})
 	}
 	return forEach(o.Workers, len(cells), func(i int) (E6Row, error) {
-		c := cells[i]
-		if c.raymond {
-			return e6Raymond(c.p, c.reqs, o.Seed)
-		}
-		return e6OpenCube(c.p, c.hot, c.reqs, o.Seed)
+		return runE6(o, cells[i].algo, cells[i].p, cells[i].hot, cells[i].reqs)
 	})
 }
 
-func e6OpenCube(p int, hot []int, reqs []workload.Request, seed int64) (E6Row, error) {
+// runE6 is one (order, algorithm) cell. The open-cube row also splits its
+// per-source cost between the hot set and the rest.
+func runE6(o Options, algo string, p int, hot []int, reqs []workload.Request) (E6Row, error) {
 	n := 1 << p
-	row := E6Row{Algorithm: "open-cube", N: n}
-	rec := &trace.Recorder{}
-	w, err := sim.New(sim.Config{
-		P: p, Seed: seed,
-		Delay:    sim.UniformDelay(delta/2, delta),
-		Recorder: rec,
-		CSTime:   csTime(delta),
-	})
+	row := E6Row{Algorithm: algo, N: n}
+	w, rec, err := simulateAlgorithm(o, algo, p, sim.UniformDelay(delta/2, delta), false)
 	if err != nil {
 		return row, err
 	}
@@ -89,10 +79,12 @@ func e6OpenCube(p int, hot []int, reqs []workload.Request, seed int64) (E6Row, e
 		return row, err
 	}
 	if w.Grants() == 0 {
-		return row, fmt.Errorf("harness: e6 open-cube had no grants")
+		return row, fmt.Errorf("harness: e6 %s had no grants", algo)
 	}
 	row.MsgsPerCS = float64(rec.Total()) / float64(w.Grants())
-
+	if hot == nil {
+		return row, nil
+	}
 	isHot := map[int]bool{}
 	for _, h := range hot {
 		isHot[h] = true
@@ -110,31 +102,6 @@ func e6OpenCube(p int, hot []int, reqs []workload.Request, seed int64) (E6Row, e
 		}
 	}
 	row.HotMsgsPer, row.ColdMsgsPer = hotStat.Mean(), coldStat.Mean()
-	return row, nil
-}
-
-func e6Raymond(p int, reqs []workload.Request, seed int64) (E6Row, error) {
-	n := 1 << p
-	row := E6Row{Algorithm: "classic-raymond", N: n}
-	rec := &trace.Recorder{}
-	w, err := sim.New(sim.Config{
-		P:         p,
-		Seed:      seed,
-		Algorithm: raymond.Algorithm(),
-		Delay:     sim.UniformDelay(delta/2, delta),
-		Recorder:  rec,
-		CSTime:    csTime(delta),
-	})
-	if err != nil {
-		return row, err
-	}
-	if err := runSchedule(w, reqs); err != nil {
-		return row, err
-	}
-	if w.Grants() == 0 {
-		return row, fmt.Errorf("harness: e6 raymond had no grants")
-	}
-	row.MsgsPerCS = float64(rec.Total()) / float64(w.Grants())
 	return row, nil
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ocube"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // E7 is the large-P scaling sweep added once the PR 1/PR 2 engine work
@@ -46,7 +45,7 @@ func (r E7Row) strict() error {
 // pool; rows assemble in input order.
 func E7LargeP(o Options, ps []int) ([]E7Row, error) {
 	results, err := forEach(o.Workers, 2*len(ps), func(i int) (e7Result, error) {
-		return e7Run(ps[i/2], i%2 == 1, o.Seed)
+		return e7Run(o, ps[i/2], i%2 == 1)
 	})
 	if err != nil {
 		return nil, err
@@ -89,30 +88,16 @@ type e7Result struct {
 // suspect at once when a token holder dies, and the resulting concurrent
 // search storm measures the overload pathology rather than the per-CS
 // fault-tolerance cost the O(log²n) bound is about.
-func e7Run(p int, ft bool, seed int64) (e7Result, error) {
+func e7Run(o Options, p int, ft bool) (e7Result, error) {
 	n := 1 << p
-	rec := &trace.Recorder{}
-	cfg := sim.Config{
-		P:        p,
-		Seed:     seed,
-		Delay:    sim.UniformDelay(delta/2, delta),
-		Recorder: rec,
-		CSTime:   csTime(delta),
-	}
-	if ft {
-		cfg.Node = ftNodeConfig()
-	}
-	w, err := sim.New(cfg)
+	w, rec, err := simulateAlgorithm(o, "open-cube", p, sim.UniformDelay(delta/2, delta), ft)
 	if err != nil {
 		return e7Result{}, err
 	}
-	rng := newRng(seed + int64(p))
+	rng := newRng(o.Seed + int64(p))
 	if !ft {
 		count := 6 * n
-		horizon := time.Duration(4*count) * delta
-		for i := 0; i < count; i++ {
-			w.RequestCS(ocube.Pos(rng.Intn(n)), time.Duration(rng.Int63n(int64(horizon))))
-		}
+		scatter(w, rng, count, time.Duration(4*count)*delta)
 		if !w.RunUntilQuiescent(240 * time.Hour) {
 			return e7Result{}, fmt.Errorf("harness: e7 run (p=%d) did not quiesce", p)
 		}
@@ -127,31 +112,16 @@ func e7Run(p int, ft bool, seed int64) (e7Result, error) {
 		}, nil
 	}
 
-	episodes := n / 16
-	if episodes < 8 {
-		episodes = 8
-	}
-	if episodes > 48 {
-		episodes = 48
-	}
+	episodes := min(max(n/16, 8), 48)
 	const episodeCap = 1000 * time.Second // virtual time; repairs finish in <1s
 	var (
 		done, stuck          int
 		msgsGood, grantsGood int64
 	)
 	for k := 0; k < episodes; k++ {
-		victim := ocube.Pos(rng.Intn(n))
-		w.Fail(victim, 0)
-		// One request from a son of the victim routes through the dead
-		// node and forces detection; a handful of background requests
-		// keeps the token moving so victims regularly hold or borrow it.
-		if sons := sonsOf(w, victim); len(sons) > 0 {
-			w.RequestCS(sons[rng.Intn(len(sons))], time.Duration(rng.Int63n(int64(4*delta))))
-		}
-		for i := 0; i < 6; i++ {
-			w.RequestCS(ocube.Pos(rng.Intn(n)), time.Duration(rng.Int63n(int64(16*delta))))
-		}
-		quiesced := w.RunUntilQuiescent(episodeCap)
+		// A handful of background requests beside the son's keeps the
+		// token moving so victims regularly hold or borrow it.
+		victim, quiesced := strike(w, rng, 6, 16*delta, episodeCap)
 		if quiesced {
 			w.Recover(victim, 0)
 			quiesced = w.RunUntilQuiescent(episodeCap)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ocube"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -111,7 +110,7 @@ func E8FaultComparison(o Options, p int) ([]E8Row, error) {
 	}
 	return forEach(o.Workers, len(cells), func(i int) (E8Row, error) {
 		c := cells[i]
-		row, err := runE8(c.algo, c.scenario, p, reqs, o.Seed)
+		row, err := runE8(o, c.algo, c.scenario, p, reqs)
 		if err != nil {
 			err = fmt.Errorf("harness: e8 %s/%s: %w", c.algo, c.scenario, err)
 		}
@@ -119,53 +118,30 @@ func E8FaultComparison(o Options, p int) ([]E8Row, error) {
 	})
 }
 
-func runE8(algo, scenario string, p int, reqs []workload.Request, seed int64) (E8Row, error) {
+// runE8 is one (algorithm, scenario) cell. The comparison point is the
+// paper's algorithm with its Section 5 failure handling on.
+func runE8(o Options, algo, scenario string, p int, reqs []workload.Request) (E8Row, error) {
 	n := 1 << p
 	row := E8Row{Algorithm: algo, N: n, Scenario: scenario, Requests: len(reqs)}
-	rec := &trace.Recorder{}
-	cfg, err := algorithmConfig(algo, p)
-	if err != nil {
-		return row, err
-	}
-	if algo == "open-cube" || algo == "open-cube-fenced" {
-		// The comparison point is the paper's algorithm with its Section 5
-		// failure handling on; the baselines have no equivalent to enable.
-		cfg.Node = ftNodeConfig()
-		cfg.Node.EpochFence = algo == "open-cube-fenced"
-	}
 	horizon := e8Horizon(n)
-	base := sim.UniformDelay(delta/2, delta)
+	delay := sim.UniformDelay(delta/2, delta)
 	switch scenario {
 	case ScenarioCrashInCS:
-		cfg.Delay = base
 	case ScenarioLossy:
-		cfg.Delay = sim.LossyDelay(e8LossProb, base)
+		delay = sim.LossyDelay(e8LossProb, delay)
 	case ScenarioPartition:
 		half := ocube.Pos(n / 2)
 		side := func(x ocube.Pos) bool { return x >= half }
-		cfg.Delay = sim.PartitionWindow(horizon/4, horizon/2, side, base)
+		delay = sim.PartitionWindow(horizon/4, horizon/2, side, delay)
 	default:
 		return row, fmt.Errorf("unknown scenario %q", scenario)
 	}
-	cfg.Seed = seed
-	cfg.Recorder = rec
-	cfg.CSTime = csTime(delta)
-	w, err := sim.New(cfg)
+	w, _, err := simulateAlgorithm(o, algo, p, delay, true)
 	if err != nil {
 		return row, err
 	}
 	if scenario == ScenarioCrashInCS {
-		// Fail the holder of the second grant the moment it enters its
-		// critical section; recover it well after the open cube's
-		// suspicion and enquiry machinery has had time to conclude.
-		grants := 0
-		w.OnGrant(func(x ocube.Pos) {
-			grants++
-			if grants == 2 {
-				w.Fail(x, 0)
-				w.Recover(x, 400*delta)
-			}
-		})
+		w.OnGrant(crashAt(w, 2))
 	}
 	for _, r := range reqs {
 		w.RequestCS(ocube.Pos(r.Node), r.At)

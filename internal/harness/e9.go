@@ -3,13 +3,6 @@ package harness
 import (
 	"fmt"
 	"strconv"
-	"time"
-
-	"repro/internal/lockspace"
-	"repro/internal/ocube"
-	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // E9 — lockspace scaling: resources as the unit of scale. Every earlier
@@ -84,101 +77,25 @@ func E9Lockspace(o Options, p int, keyCounts []int) ([]E9Row, error) {
 	})
 }
 
-// runE9 is one lockspace cell: a keyed schedule over K instances with
-// the crash injected into the hottest key's second grant. Beside the row
-// it returns the messages delivered.
+// runE9 is one lockspace cell: a keyed schedule of max(6K, 4N) requests
+// over K instances, carrying the crash. Beside the row it returns the
+// messages delivered. The K=1 cell carries the crash too: its historical
+// exemption existed only because a single-mutex crash at N=256 under load
+// used to land in the DESIGN.md §7 storm residual, which the §7 fix removed.
 func runE9(o Options, p, keys int, skew string) (E9Row, int64, error) {
-	n := 1 << p
-	row := E9Row{N: n, Keys: keys, Skew: skew}
 	// Per-cell seed: a fixed mix of the coordinates, so adding or
 	// reordering cells never changes another cell's draw stream.
-	cellSeed := o.Seed + int64(keys)*7919
+	seed := o.Seed + int64(keys)*7919
 	if skew == "zipf" {
-		cellSeed++
+		seed++
 	}
-	count := 6 * keys
-	if count < 4*n {
-		count = 4 * n
-	}
-	// The horizon keeps even the Zipf rank-0 key (and the K=1 single
-	// mutex) below saturation: requests must arrive slower than one per
-	// critical section plus round trip — about (3/2·p + CS)·δ, scaled
-	// here to ~(4p+8)δ spacing for headroom — or queueing delays exceed
-	// the suspicion bound and healthy waits masquerade as failures (the
-	// DESIGN.md §7 storm regime, which is not what E9 measures).
-	horizon := time.Duration(count*(4*p+8)) * delta
-	rng := newRng(cellSeed)
-	var reqs []workload.KeyedRequest
-	switch skew {
-	case "uniform":
-		reqs = workload.KeyedUniform(rng, n, keys, count, horizon)
-	case "zipf":
-		var err error
-		reqs, err = workload.KeyedZipf(rng, n, keys, count, horizon, e9ZipfS)
-		if err != nil {
-			return row, 0, err
-		}
-	default:
-		return row, 0, fmt.Errorf("unknown skew %q", skew)
-	}
-	row.Requests = len(reqs)
-
-	// The suspicion slack grows with the cube order: queueing behind a
-	// busy key scales with the (3/2·p)·δ round trip, and a slack tuned
-	// for small cubes lets healthy large-P waits masquerade as failures
-	// (the same reasoning as ftNodeConfig, rescaled).
-	node := ftNodeConfig()
-	node.SuspicionSlack += time.Duration(8*p) * delta
-	rec := &trace.Recorder{}
-	sp, err := lockspace.NewSpace(lockspace.SpaceConfig{
-		P:         p,
-		Instances: keys,
-		Node:      node,
-		Seed:      cellSeed,
-		Delay:     sim.UniformDelay(delta/2, delta),
-		CSTime:    csTime(delta),
-		Recorder:  rec,
-		Flight:    o.flight(),
-	})
-	if err != nil {
-		return row, 0, err
-	}
-	// Crash the node serving the hot instance's second grant while it is
-	// inside that critical section; recover it well after the suspicion
-	// and enquiry machinery of every affected instance has concluded.
-	// Key 0 is the Zipf rank-0 key, i.e. the hottest by construction.
-	// The K=1 cell gets the same treatment: its historical exemption
-	// existed only because a single-mutex crash at N=256 under load used
-	// to land in the DESIGN.md §7 storm residual, which PR 5 fixed —
-	// every cell now carries the crash and must still complete.
-	hotGrants := 0
-	sp.OnGrant(func(inst int, x ocube.Pos) {
-		if inst == 0 {
-			hotGrants++
-			if hotGrants == 2 {
-				sp.Network().Fail(x, 0)
-				sp.Network().Recover(x, 400*delta)
-			}
-		}
-	})
-	for _, r := range reqs {
-		sp.Request(r.Key, ocube.Pos(r.Node), r.At)
-	}
-	// The settle window after the horizon covers the crash outage plus a
-	// few full search generations at the rescaled round delay; a space
-	// still churning past it is reported STALLED. Since the §7 fix this
-	// must never happen — TestE9NoStalledCells and the -strict CLI gate
-	// pin it at zero.
-	row.Completed = sp.Run(horizon + 32000*delta)
-	row.Grants = sp.Grants()
-	row.Regens = sp.Regenerations()
-	row.Stale = sp.StaleTokens()
-	row.Violations = sp.Violations()
-	row.States = sp.States()
+	r, err := runKeyed(o, keyedCell{p: p, keys: keys, skew: skew, seed: seed, count: max(6*keys, 4<<p), crash: true})
+	row := E9Row{N: 1 << p, Keys: keys, Skew: skew, Requests: r.scheduled, Grants: r.grants,
+		Regens: r.regens, Stale: r.stale, Violations: r.violations, States: r.states, Completed: r.stalled == 0}
 	if row.Grants > 0 {
-		row.MsgsPerCS = float64(rec.Total()) / float64(row.Grants)
+		row.MsgsPerCS = float64(r.msgs) / float64(row.Grants)
 	}
-	return row, rec.Total(), nil
+	return row, r.msgs, err
 }
 
 // formatE9 renders the lockspace sweep.

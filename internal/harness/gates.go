@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ocube"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Gate is one small deterministic cell of the evaluation: the unit
@@ -75,16 +73,15 @@ func Gates() []Gate {
 		e9("e9_n16_k4096", 4096),
 		// The smallest steady-state churn cell, first run seed.
 		{"e10_n256", "msgs/grant", func(o Options) (int64, float64, error) {
-			cell, err := runE10(8, 0, o.Seed)
+			cell, err := runE10(o, 8, 0)
 			return perGrant(cell.totalMsgs, cell.grants, e10Merge(8, []e10Cell{cell}).strict(), err)
 		}},
 		// The hardest session-on recovery cell — 1% loss plus a crash-in-CS
 		// with the reliable session layer interposed; the metric counts
 		// physical transmissions (retransmits included) per grant.
 		{"e11_n16", "msgs/grant", func(o Options) (int64, float64, error) {
-			rec := &trace.Recorder{}
-			row, err := runE11(o, 4, faultSchedule(o, 4), 0.01, true, true, rec)
-			return perGrant(rec.Total(), row.Grants, row.strict(), err)
+			row, err := runE11(o, 4, faultSchedule(o, 4), 0.01, true, true)
+			return perGrant(row.msgs, row.Grants, row.strict(), err)
 		}},
 		// Grants recovered after the CS holder fail-stops.
 		rowGate("e8_n16", "grants-after-crash", nil,
@@ -144,29 +141,12 @@ func perGrant(msgs, grants int64, strict, err error) (int64, float64, error) {
 // timers on nearly every message, which is exactly the workload where
 // dead scheduled timers used to pile up in the event heap.
 func throughputRun(o Options, algo string, ft bool, p int) (msgs, grants int64, err error) {
-	cfg, err := algorithmConfig(algo, p)
+	w, rec, err := simulateAlgorithm(o, algo, p, sim.UniformDelay(delta/2, delta), ft)
 	if err != nil {
 		return 0, 0, err
 	}
-	if ft {
-		cfg.Node = ftNodeConfig()
-	}
-	n := 1 << p
-	rec := &trace.Recorder{}
-	cfg.Seed = o.Seed
-	cfg.Delay = sim.UniformDelay(delta/2, delta)
-	cfg.Recorder = rec
-	cfg.CSTime = csTime(delta)
-	w, err := sim.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	rng := newRng(o.Seed)
-	count := 16 * n
-	horizon := time.Duration(2*count) * delta
-	for i := 0; i < count; i++ {
-		w.RequestCS(ocube.Pos(rng.Intn(n)), time.Duration(rng.Int63n(int64(horizon))))
-	}
+	count := 16 << p
+	scatter(w, newRng(o.Seed), count, time.Duration(2*count)*delta)
 	if !w.RunUntilQuiescent(240 * time.Hour) {
 		return 0, 0, fmt.Errorf("harness: %s throughput run (p=%d ft=%v seed=%d) did not quiesce", algo, p, ft, o.Seed)
 	}

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from the current harness")
@@ -39,18 +41,22 @@ func checkGolden(t *testing.T, name, got string) {
 // files were recorded before the refactors they have outlived — E5 and E6
 // on the deleted mutexsim driver's engine, E9 and E13 while the simulated
 // multiplexer still stepped its instances itself, the rest before the
-// registry existed.
+// registry existed. Every table is also run with a flight recorder on
+// every network, as under `ocmxbench -obs`, against the same file: the
+// recorder observes and never changes a byte.
 func TestGoldenTables(t *testing.T) {
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
-			rep, err := e.Run(Options{Seed: 1993, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
+			for _, depth := range []int{0, obs.DefaultFlightDepth} {
+				rep, err := e.Run(Options{Seed: 1993, Workers: 2, FlightDepth: depth})
+				if err != nil {
+					t.Fatalf("flight depth %d: %v", depth, err)
+				}
+				if rep.Strict != nil {
+					t.Errorf("flight depth %d: -strict would fail: %v", depth, rep.Strict)
+				}
+				checkGolden(t, e.Name+"_seed1993", rep.Table+"\n")
 			}
-			if rep.Strict != nil {
-				t.Errorf("-strict would fail: %v", rep.Strict)
-			}
-			checkGolden(t, e.Name+"_seed1993", rep.Table+"\n")
 		})
 	}
 }

@@ -8,6 +8,11 @@
 // TestGateMetrics pins; the CLI, CI, the benchmarks and the goldens all
 // walk those two lists.
 //
+// Every simulated cell is built by one of two functions: simulate for a
+// single-mutex sim.Network, runKeyed for a lockspace.Space (E9, and each
+// slice of E13). Both attach the cell's message recorder and the
+// Options.FlightDepth flight recorder, so -obs records every network.
+//
 // Every experiment is deterministic given its seed, and stays so when the
 // independent (p, seed, probe) cells are spread over Options.Workers
 // workers: tables are byte-identical for any worker count.
@@ -43,7 +48,8 @@ type Options struct {
 	// slices) are spread over; <= 1 is the sequential sweep.
 	Workers int
 	// FlightDepth > 0 attaches a token-lineage flight recorder
-	// (internal/obs) of that depth to every simulated network and space.
+	// (internal/obs) of that depth to every simulated network and space:
+	// simulate and runKeyed, which build every cell, attach it.
 	FlightDepth int
 	// Autopsy, when non-nil, receives a JSONL autopsy for every E13 slice
 	// that stalls, after the sweep and in (cell, slice) order.
@@ -80,23 +86,21 @@ func ftNodeConfig() core.Config {
 	}
 }
 
-// newNetwork builds a failure-free open-cube network recording into rec.
-func newNetwork(o Options, p int, seed int64, rec *trace.Recorder) (*sim.Network, error) {
-	return sim.New(sim.Config{
-		P:        p,
-		Seed:     seed,
-		Delay:    sim.FixedDelay(delta),
-		Recorder: rec,
-		Flight:   o.flight(),
-	})
+// simulate builds one single-mutex network of a cell, the one place the
+// harness does: cfg as the cell sets it, plus a fresh message recorder,
+// returned beside the network, and the flight recorder of o.
+func simulate(o Options, cfg sim.Config) (*sim.Network, *trace.Recorder, error) {
+	rec := &trace.Recorder{}
+	cfg.Recorder, cfg.Flight = rec, o.flight()
+	w, err := sim.New(cfg)
+	return w, rec, err
 }
 
 // singleRequestCost measures c(i): the number of messages to fully serve
 // one request from node i on a pristine 2^p-open-cube with the token at
 // the root, including the final token return.
 func singleRequestCost(o Options, p int, i ocube.Pos) (int64, error) {
-	rec := &trace.Recorder{}
-	w, err := newNetwork(o, p, 1, rec)
+	w, rec, err := simulate(o, sim.Config{P: p, Seed: 1, Delay: sim.FixedDelay(delta)})
 	if err != nil {
 		return 0, err
 	}
@@ -105,6 +109,50 @@ func singleRequestCost(o Options, p int, i ocube.Pos) (int64, error) {
 		return 0, fmt.Errorf("harness: no quiescence for request from %v", i)
 	}
 	return rec.Total(), nil
+}
+
+// crashAt returns a grant hook that fail-stops the holder of the nth grant
+// it sees inside that critical section and recovers it 400δ later, well
+// after the suspicion and enquiry machinery has concluded.
+func crashAt(w *sim.Network, nth int) func(ocube.Pos) {
+	grants := 0
+	return func(x ocube.Pos) {
+		if grants++; grants == nth {
+			w.Fail(x, 0)
+			w.Recover(x, 400*delta)
+		}
+	}
+}
+
+// scatter schedules count requests, each from a uniformly random node at
+// a uniformly random instant of [0, horizon).
+func scatter(w *sim.Network, rng *rand.Rand, count int, horizon time.Duration) {
+	for i := 0; i < count; i++ {
+		w.RequestCS(ocube.Pos(rng.Intn(w.N())), time.Duration(rng.Int63n(int64(horizon))))
+	}
+}
+
+// strike opens one fail/recover episode: it fails a random victim, sends
+// one request from a son of the victim within 4δ (it routes through the
+// dead node and forces detection) and background random requests within
+// spread, and runs the network to quiescence or limit. Recovering the
+// victim is the caller's.
+func strike(w *sim.Network, rng *rand.Rand, background int, spread, limit time.Duration) (ocube.Pos, bool) {
+	victim := ocube.Pos(rng.Intn(w.N()))
+	w.Fail(victim, 0)
+	var sons []ocube.Pos
+	for i := 0; i < w.N(); i++ {
+		if x := ocube.Pos(i); !w.Down(x) && w.Node(x).Father() == victim {
+			sons = append(sons, x)
+		}
+	}
+	if len(sons) > 0 {
+		w.RequestCS(sons[rng.Intn(len(sons))], time.Duration(rng.Int63n(int64(4*delta))))
+	}
+	for i := 0; i < background; i++ {
+		w.RequestCS(ocube.Pos(rng.Intn(w.N())), time.Duration(rng.Int63n(int64(spread))))
+	}
+	return victim, w.RunUntilQuiescent(limit)
 }
 
 // runSchedule replays a request schedule on a network and returns after

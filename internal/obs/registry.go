@@ -171,34 +171,34 @@ func NewRegistry() *Registry {
 // name with a different metric type panics: that is a programming
 // error, not a runtime condition.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.get(name, help, "counter", labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.get(name, help, "counter", labels, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the gauge named name with the given label pairs,
 // creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.get(name, help, "gauge", labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.get(name, help, "gauge", labels, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // Histogram returns the histogram named name with the given bucket
 // upper bounds and label pairs, creating it on first use. The bounds
 // must be ascending; the +Inf bucket is implicit.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	s := r.get(name, help, "histogram", labels)
-	if s.h == nil {
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.counts = make([]atomic.Int64, len(h.bounds)+1)
-		s.h = h
-	}
-	return s.h
+	return r.get(name, help, "histogram", labels, func(s *series) {
+		if s.h == nil {
+			h := &Histogram{bounds: append([]float64(nil), bounds...)}
+			h.counts = make([]atomic.Int64, len(h.bounds)+1)
+			s.h = h
+		}
+	}).h
 }
 
 // CounterFunc registers a counter whose value is collected by calling
@@ -206,17 +206,19 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // counts (e.g. transport session stats). Re-registering the same
 // name+labels replaces fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.get(name, help, "counter", labels)
-	s.fn = fn
+	r.get(name, help, "counter", labels, func(s *series) { s.fn = fn })
 }
 
 // GaugeFunc registers a gauge collected by calling fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.get(name, help, "gauge", labels)
-	s.fn = fn
+	r.get(name, help, "gauge", labels, func(s *series) { s.fn = fn })
 }
 
-func (r *Registry) get(name, help, typ string, labels []string) *series {
+// get finds or creates the series and runs set on it while r.mu is still
+// held, so two first callers cannot each mint a handle: the second sees
+// the first's. A handle, once set, never changes, so callers may read it
+// after get returns.
+func (r *Registry) get(name, help, typ string, labels []string, set func(*series)) *series {
 	if len(labels)%2 != 0 {
 		panic("obs: odd label list for " + name)
 	}
@@ -235,6 +237,7 @@ func (r *Registry) get(name, help, typ string, labels []string) *series {
 		s = &series{sig: sig}
 		f.series[sig] = s
 	}
+	set(s)
 	return s
 }
 
@@ -297,10 +300,21 @@ func escapeHelp(v string) string {
 // label signature, so successive scrapes of an unchanged registry are
 // byte-identical.
 func (r *Registry) WriteProm(w io.Writer) error {
+	// Copy every family's series under the lock: a registration may add
+	// a series or replace a fn while this scrape renders.
+	type snapshot struct {
+		*family
+		sers []*series
+	}
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
+	fams := make([]snapshot, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		sn := snapshot{family: f}
+		for _, s := range f.series {
+			c := *s
+			sn.sers = append(sn.sers, &c)
+		}
+		fams = append(fams, sn)
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
@@ -309,10 +323,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	for _, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		sers := make([]*series, 0, len(f.series))
-		for _, s := range f.series {
-			sers = append(sers, s)
-		}
+		sers := f.sers
 		sort.Slice(sers, func(i, j int) bool { return sers[i].sig < sers[j].sig })
 		for _, s := range sers {
 			switch {

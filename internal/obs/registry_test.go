@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +99,13 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Counter("con_total", "help").Inc()
 				r.Gauge("con_gauge", "help").Add(1)
 				r.Histogram("con_seconds", "help", []float64{1}).Observe(0.5)
+				if j%100 == 0 {
+					// Scrapes race new series and a replaced fn.
+					r.GaugeFunc("con_fn", "help", func() float64 { return 1 }, "j", strconv.Itoa(j))
+					if err := r.WriteProm(io.Discard); err != nil {
+						t.Error(err)
+					}
+				}
 			}
 		}()
 	}
