@@ -63,33 +63,14 @@ func (k TimerKind) String() string {
 // regenerations, stale sightings, search spans — goes through
 // Config.Observe instead, so no driver walks past what it does not do.
 //
-// Effects are handed out as pointers into per-node scratch arenas that
-// are recycled at the next call into the node: a driver must execute (or
-// copy) every effect of a returned slice before delivering further
-// inputs to that node, the same lifetime rule the effect slice itself
-// has always had. Boxing pointers instead of values keeps the hot path
-// allocation-free — emitting an effect never touches the heap once the
-// arenas are warm.
+// Effects are handed out as pointers into an Emitter's scratch arenas
+// that are recycled at the next call into the state machine: a driver
+// must execute (or copy) every effect of a returned slice before
+// delivering further inputs to it, the same lifetime rule the effect
+// slice itself has always had. Boxing pointers instead of values keeps
+// the hot path allocation-free — emitting an effect never touches the
+// heap once the arenas are warm.
 type Effect interface{ effect() }
-
-// effectArena holds the per-node scratch storage behind the Effect
-// pointers handed to drivers. Each slice is truncated (capacity kept)
-// when the next driver call begins.
-type effectArena struct {
-	sends  []Send
-	timers []StartTimer
-	grants []Grant
-}
-
-// reset recycles every arena for the next accumulation cycle.
-func (a *effectArena) reset() {
-	a.sends = a.sends[:0]
-	a.timers = a.timers[:0]
-	a.grants = a.grants[:0]
-}
-
-// len counts the live arena entries (pool-invariant checks only).
-func (a *effectArena) len() int { return len(a.sends) + len(a.timers) + len(a.grants) }
 
 // Send transmits a message. Msg.From and Msg.To are always set.
 type Send struct{ Msg Message }
@@ -117,9 +98,9 @@ type StartTimer struct {
 	Delay time.Duration
 }
 
-// The effect marker is on the pointer receiver: nodes emit *Send,
-// *Grant and *StartTimer pointing into their scratch arenas, and drivers
-// type-switch on the pointer types.
+// The effect marker is on the pointer receiver: an Emitter hands out
+// *Send, *Grant and *StartTimer pointing into its scratch arenas, and
+// drivers type-switch on the pointer types.
 func (*Send) effect()       {}
 func (*Grant) effect()      {}
 func (*StartTimer) effect() {}

@@ -717,7 +717,7 @@ func (n *Node) onAnomaly(m Message) {
 // node reconnects by running search_father from phase 1, i.e. as if it
 // were a leaf.
 func (n *Node) Recover() []Effect {
-	n.begin()
+	n.h.em.Begin()
 	n.father = ocube.None
 	n.tokenHere = false
 	n.fenceCtr = 0 // the counter travels with the token; ours died with it
@@ -736,5 +736,5 @@ func (n *Node) Recover() []Effect {
 		n.gens[k]++ // invalidate every pre-crash timer
 	}
 	n.startSearch(1, true)
-	return n.take()
+	return n.h.em.Take()
 }

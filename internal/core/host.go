@@ -3,25 +3,21 @@ package core
 // Host is what the nodes of one position share when a driver runs many
 // protocol instances there (internal/lockspace, live and simulated): the
 // validated Config — held once instead of copied into every Node, its
-// Policy resolved — ONE effect scratch, and the counts of what its nodes
+// Policy resolved — ONE Emitter, and the counts of what its nodes
 // reported. It is built once from a template and mints nodes that cannot
 // fail, carved from chunked slabs so an instance costs a slab slot rather
 // than an allocation of its own.
 //
-// Sharing the scratch widens the effect-lifetime rule from the node to
+// Sharing the emitter widens the effect-lifetime rule from the node to
 // the host: the slice a node returns, and the arena values it points
-// into, are valid until the next call into ANY node of the same host.
-// Drivers already execute or translate a call's effects before they
-// deliver the next input, which is all the rule asks. Like a Node, a
-// Host belongs to one goroutine.
+// into, are valid until the next call into ANY node of the same host,
+// whose every public entry point begins by recycling it. Drivers already
+// execute or translate a call's effects before they deliver the next
+// input, which is all the rule asks. Like a Node, a Host belongs to one
+// goroutine.
 type Host struct {
 	cfg Config // Policy is never nil: init resolves the default
-
-	// Effect accumulation: effects holds pointers into arena, both
-	// recycled when the next driver call into any of the host's nodes
-	// begins (effect.go).
-	effects []Effect
-	arena   effectArena
+	em  Emitter
 
 	// regens and stale count the token regenerations and stale-token
 	// sightings of every node the host minted, where they are reported.

@@ -1,10 +1,12 @@
 // Package core implements the open-cube distributed mutual exclusion
 // algorithm of Hélary & Mostefaoui (INRIA RR-2041, 1993) as a pure,
 // deterministic state machine: inputs are messages, local calls and timer
-// fires; outputs are Effects (sends, grants, timer arms). The package has
-// no goroutines and no wall clock, so the same node code runs under the
-// discrete-event simulator (internal/sim) and the live runtime
-// (internal/lockspace).
+// fires; outputs are Effects (sends, grants, timer arms), accumulated by
+// an Emitter — the one effect accumulator of every algorithm in the tree:
+// a node's lives in its Host, and the Raymond and Naimi-Trehel baselines
+// hold their own. The package has no goroutines and no wall clock, so the
+// same node code runs under the discrete-event simulator (internal/sim)
+// and the live runtime (internal/lockspace).
 //
 // Sections 3.3 (the failure-free algorithm) and 5 (failure handling) of
 // the paper are implemented in node.go and failure.go respectively; the
@@ -125,7 +127,7 @@ func (n *Node) markGranted(source ocube.Pos, seq uint64) {
 // execute, in order.
 type Node struct {
 	// h owns what the node shares with its siblings: the validated
-	// Config and the effect scratch (host.go). inst is the instance the
+	// Config and the Emitter (host.go). inst is the instance the
 	// node was minted for, stamped on every TokenEvent.
 	h    *Host
 	inst uint64
@@ -320,40 +322,17 @@ func (n *Node) view() View {
 }
 
 // --- effect plumbing ---
-
-// begin starts a new driver call: the effects handed out by the previous
-// call into any node of this host expire now, so the host's effect slice
-// and its backing arenas are recycled in place. Every public entry point
-// calls it first.
-func (n *Node) begin() {
-	n.h.effects = n.h.effects[:0]
-	n.h.arena.reset()
-}
-
-// take hands the accumulated effects to the driver: the returned slice
-// and the arena-pooled values it points into are valid only until the
-// next call into any node of the same host, which every driver satisfies
-// by executing (or copying) the effects before delivering further inputs.
-func (n *Node) take() []Effect {
-	if len(n.h.effects) == 0 {
-		return nil
-	}
-	return n.h.effects
-}
-
-// The emit helpers append the concrete value to its scratch arena and
-// box a pointer to it, so emission allocates nothing once the arenas are
-// warm. An arena append that grows the backing array leaves earlier
-// pointers aimed at the old array, whose entries are complete and
-// immutable for the rest of the call — still safe to read.
+//
+// Every public entry point begins with n.h.em.Begin(), expiring the
+// effects of the previous call into any node of the host, and ends with
+// n.h.em.Take(); the emit helpers below append through the host's Emitter.
 
 func (n *Node) send(m Message) {
 	m.From = n.h.cfg.Self
 	if n.h.cfg.Observe != nil {
 		n.observeSend(m)
 	}
-	n.h.arena.sends = append(n.h.arena.sends, Send{Msg: m})
-	n.h.effects = append(n.h.effects, &n.h.arena.sends[len(n.h.arena.sends)-1])
+	n.h.em.Send(m)
 }
 
 func (n *Node) emitGrant(lender ocube.Pos) {
@@ -362,8 +341,7 @@ func (n *Node) emitGrant(lender ocube.Pos) {
 	if n.h.cfg.Observe != nil {
 		n.observe(TokenEvent{Kind: TokenEvGrant, Peer: lender, Epoch: n.tokenEpoch, Fence: fence})
 	}
-	n.h.arena.grants = append(n.h.arena.grants, Grant{Lender: lender, Fence: fence})
-	n.h.effects = append(n.h.effects, &n.h.arena.grants[len(n.h.arena.grants)-1])
+	n.h.em.Grant(lender, fence)
 }
 
 // observe reports ev, stamped with this node's position and instance,
@@ -400,8 +378,7 @@ func (n *Node) staleToken(m Message) {
 // armTimer bumps the generation for kind and schedules a fire.
 func (n *Node) armTimer(kind TimerKind, delay time.Duration) {
 	n.gens[kind]++
-	n.h.arena.timers = append(n.h.arena.timers, StartTimer{Kind: kind, Gen: n.gens[kind], Delay: delay})
-	n.h.effects = append(n.h.effects, &n.h.arena.timers[len(n.h.arena.timers)-1])
+	n.h.em.StartTimer(kind, n.gens[kind], delay)
 }
 
 // cancelTimer invalidates any outstanding fire of kind.
@@ -414,7 +391,7 @@ func (n *Node) TimerGen(kind TimerKind) uint64 { return n.gens[kind] }
 
 // HandleTimer delivers a timer fire. Stale generations are ignored.
 func (n *Node) HandleTimer(kind TimerKind, gen uint64) []Effect {
-	n.begin()
+	n.h.em.Begin()
 	if gen != n.gens[kind] {
 		return nil
 	}
@@ -430,7 +407,7 @@ func (n *Node) HandleTimer(kind TimerKind, gen uint64) []Effect {
 	case TimerTransferAck:
 		n.onTransferTimeout()
 	}
-	return n.take()
+	return n.h.em.Take()
 }
 
 // --- local events (Section 3.3: enter_cs / exit_cs) ---
@@ -443,14 +420,14 @@ var ErrBusy = errors.New("core: critical-section request already pending")
 // grant is signalled by a Grant effect (possibly within the returned
 // slice, if the node already holds the idle token).
 func (n *Node) RequestCS() ([]Effect, error) {
-	n.begin()
+	n.h.em.Begin()
 	if n.wantCS {
 		return nil, ErrBusy
 	}
 	n.wantCS = true
 	n.q.push(queued{local: true})
 	n.drain()
-	return n.take(), nil
+	return n.h.em.Take(), nil
 }
 
 // ErrNotInCS is returned by ReleaseCS when the node is not in its critical
@@ -460,7 +437,7 @@ var ErrNotInCS = errors.New("core: not in critical section")
 // ReleaseCS ends the critical section: the token is given back to the
 // lender, or kept if this node is the lender (the root).
 func (n *Node) ReleaseCS() ([]Effect, error) {
-	n.begin()
+	n.h.em.Begin()
 	if !n.inCS {
 		return nil, ErrNotInCS
 	}
@@ -475,7 +452,7 @@ func (n *Node) ReleaseCS() ([]Effect, error) {
 	n.lender = ocube.None
 	n.asking = false
 	n.drain()
-	return n.take(), nil
+	return n.h.em.Take(), nil
 }
 
 // --- queue service ---
@@ -596,7 +573,7 @@ func (n *Node) processRequest(m Message) {
 
 // HandleMessage delivers one protocol message.
 func (n *Node) HandleMessage(m Message) []Effect {
-	n.begin()
+	n.h.em.Begin()
 	switch m.Kind {
 	case KindRequest:
 		n.onRequest(m)
@@ -619,7 +596,7 @@ func (n *Node) HandleMessage(m Message) []Effect {
 	default:
 		n.dropped(m, "unknown kind")
 	}
-	return n.take()
+	return n.h.em.Take()
 }
 
 // onRequest queues or processes a request, discarding stale re-issues.

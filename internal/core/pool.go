@@ -13,7 +13,7 @@ import (
 // Both recycle their storage in place — after warm-up a node processes
 // requests without touching the heap — following the same
 // valid-until-next-call discipline as the effect scratch arenas
-// (effect.go). CheckPools exposes the structural invariants to tests.
+// (emitter.go). CheckPools exposes the structural invariants to tests.
 
 // queued is a deferred work item: either a local wish to enter the
 // critical section or a received request message, waiting for the node to
@@ -243,8 +243,8 @@ func (t *trackTable) check() error {
 
 // CheckPools validates the node's internal pool invariants — the waiting
 // queue's free list partitions its arena with no slot aliasing, the
-// request-tracking table is consistent, and the effect arenas account
-// for exactly the effects handed out by the last call. It is a testing
+// request-tracking table is consistent, and the host's Emitter arenas
+// account for exactly the effects handed out by the last call. It is a testing
 // hook: the simulator's pool tests call it on every node at quiescence.
 func (n *Node) CheckPools() error {
 	if err := n.q.check(); err != nil {
@@ -253,8 +253,8 @@ func (n *Node) CheckPools() error {
 	if err := n.track.check(); err != nil {
 		return fmt.Errorf("core: node %v track table: %w", n.h.cfg.Self, err)
 	}
-	if got, want := len(n.h.effects), n.h.arena.len(); got != want {
-		return fmt.Errorf("core: node %v effect arenas hold %d values for %d effects", n.h.cfg.Self, want, got)
+	if err := n.h.em.check(); err != nil {
+		return fmt.Errorf("core: node %v emitter: %w", n.h.cfg.Self, err)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package lockspace
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -34,7 +35,8 @@ import (
 type SpaceConfig struct {
 	// P is the cube order; each instance runs on 2^P positions.
 	P int
-	// Instances is the number of lock instances K (dense ids 0..K-1).
+	// Instances is the number of lock instances K (dense ids 0..K-1),
+	// at most math.MaxInt32.
 	Instances int
 	// Node is the per-instance node template (Self and P are filled in
 	// per position); leave Policy nil for the open-cube policy.
@@ -77,7 +79,9 @@ type Space struct {
 // state (token of every instance at position 0) and no state machines
 // instantiated yet.
 func NewSpace(cfg SpaceConfig) (*Space, error) {
-	if cfg.Instances < 1 {
+	if cfg.Instances < 1 || cfg.Instances > math.MaxInt32 {
+		// Instance inst wishes as inst+1, which a sim wish event carries
+		// up to math.MaxInt32.
 		return nil, fmt.Errorf("lockspace: Instances=%d out of range", cfg.Instances)
 	}
 	sp := &Space{

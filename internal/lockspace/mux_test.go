@@ -1,6 +1,7 @@
 package lockspace
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -61,6 +62,21 @@ func TestSingleInstanceMatchesPlainNetwork(t *testing.T) {
 	}
 	if sp.Violations() != 0 || w.Violations() != 0 {
 		t.Errorf("violations: lockspace %d, plain %d", sp.Violations(), w.Violations())
+	}
+}
+
+// TestNewSpaceInstanceBound: instance inst wishes as inst+1, which a sim
+// wish event carries up to math.MaxInt32, so that is as many instances as
+// a space may have; one more is refused when the space is built, not when
+// the wish is scheduled.
+func TestNewSpaceInstanceBound(t *testing.T) {
+	for _, k := range []int{0, math.MaxInt32 + 1} {
+		if _, err := NewSpace(SpaceConfig{P: 1, Instances: k}); err == nil {
+			t.Errorf("NewSpace accepted Instances=%d", k)
+		}
+	}
+	if _, err := NewSpace(SpaceConfig{P: 1, Instances: math.MaxInt32}); err != nil {
+		t.Errorf("NewSpace refused Instances=math.MaxInt32: %v", err)
 	}
 }
 

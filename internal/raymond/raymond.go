@@ -87,9 +87,6 @@ func Algorithm() sim.Algorithm {
 // Holder exposes the holder pointer for tests.
 func (n *Node) Holder() ocube.Pos { return n.holder }
 
-// Using reports whether the node is inside its critical section.
-func (n *Node) Using() bool { return n.using }
-
 // QueueLen returns the number of queued requests.
 func (n *Node) QueueLen() int { return len(n.requestQ) }
 
@@ -112,7 +109,7 @@ func (n *Node) assignPrivilege() {
 	n.asked = false
 	if head == n.self {
 		n.using = true
-		n.em.Grant(n.self)
+		n.em.Grant(n.self, 0)
 		return
 	}
 	n.holder = head

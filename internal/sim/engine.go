@@ -9,11 +9,13 @@
 // and interleavings, which the simulator reproduces under the paper's
 // assumption of a bounded transmission delay δ.
 //
-// The event queue is an inlined 4-ary min-heap of 24-byte typed entries:
-// envelope deliveries, timer fires and scheduled operations are tagged
-// variants whose payloads live out-of-line in free-listed arenas, so the
-// hot loop allocates nothing per event and heap sifts move four words (no
-// closures, no container/heap interface boxing, no large-struct copies).
+// The event queue is an inlined 4-ary min-heap of 24-byte typed entries
+// of seven kinds: envelope deliveries and session frames keep their
+// payloads out of line in two free-listed arenas, while timer fires and
+// scheduled operations carry everything in the entry itself — a wish its
+// node and instance alike — so the hot loop allocates nothing per event
+// and heap sifts move three words (no closures, no container/heap
+// interface boxing, no large-struct copies).
 // Timer events additionally keep a slot index per (node, kind): re-arming
 // a timer reschedules its existing heap entry in place instead of
 // abandoning a dead entry until its fire time, which keeps fault-tolerant
@@ -65,17 +67,11 @@ const (
 	// evTimer fires a node timer; ref is the timer slot key encoding
 	// (node, kind), and the armed generation lives in slotGen[ref].
 	evTimer
-	// evRequest executes a scheduled Network.RequestCS; ref is the node.
-	// It stays apart from evRequestInst, whose payload sits in an arena:
-	// an untagged request carries nothing beyond its node, and a
-	// single-mutex run schedules its whole request stream (a hundred
-	// thousand requests on the sim-faulty workload) before the first
-	// event, so folding the two would fill arena blocks with payloads that
-	// say nothing ref does not.
+	// evRequest executes a scheduled wish — Network.RequestCS, or
+	// RequestInstanceCS on a keyed network — with no payload arena: the
+	// wishing node rides in the entry's spare bytes (pos) and the instance
+	// in ref, core.NoInstance for an untagged wish.
 	evRequest
-	// evRequestInst executes a scheduled Network.RequestInstanceCS; ref
-	// indexes the instance-request arena.
-	evRequestInst
 	// evFail crashes node ref.
 	evFail
 	// evRecover restarts node ref.
@@ -89,13 +85,21 @@ const (
 
 // heapEntry is one scheduled occurrence. seq breaks ties FIFO so
 // same-instant events run in schedule order, which keeps runs
-// deterministic. Entries are deliberately four words: heap sifts copy
-// them wholesale.
+// deterministic. Entries are deliberately three words: heap sifts copy
+// them wholesale. pos fills the bytes after kind that alignment would
+// pad anyway: 24 bits hold any position of a network of at most 2^20
+// nodes (newNetwork's bound).
 type heapEntry struct {
 	at   time.Duration
 	seq  uint64
 	ref  int32
 	kind eventKind
+	pos  [3]byte // evRequest: the wishing node, little-endian
+}
+
+// node returns the position an evRequest entry carries.
+func (ent *heapEntry) node() ocube.Pos {
+	return ocube.Pos(ent.pos[0]) | ocube.Pos(ent.pos[1])<<8 | ocube.Pos(ent.pos[2])<<16
 }
 
 // entryLess orders entries by (at, seq).
@@ -137,7 +141,6 @@ type Engine struct {
 
 	// Payload arenas; entry ref indexes them.
 	envs   arena[core.Envelope]
-	ireqs  arena[instReq]
 	frames arena[sessArrival]
 }
 
@@ -191,13 +194,6 @@ func (a *arena[T]) take(ref int32) T {
 	return v
 }
 
-// instReq is the payload of a scheduled instance-tagged critical-section
-// request (Network.RequestInstanceCS).
-type instReq struct {
-	node ocube.Pos
-	inst uint64
-}
-
 // bind installs the typed-event dispatcher and allocates the timer slot
 // table.
 func (e *Engine) bind(h handler, timerSlots int) {
@@ -221,24 +217,30 @@ func (e *Engine) scheduleEnv(d time.Duration, env core.Envelope) {
 	e.schedule(d, evDeliver, e.envs.put(env))
 }
 
-// scheduleInstReq schedules an instance-tagged RequestCS after d.
-func (e *Engine) scheduleInstReq(d time.Duration, node ocube.Pos, inst uint64) {
-	e.schedule(d, evRequestInst, e.ireqs.put(instReq{node: node, inst: inst}))
+// scheduleWish schedules node x's wish for instance inst (core.NoInstance:
+// untagged) after d; the caller has checked that both fit the entry.
+func (e *Engine) scheduleWish(d time.Duration, x ocube.Pos, inst int32) {
+	e.enqueue(d, heapEntry{kind: evRequest, ref: inst, pos: [3]byte{byte(x), byte(x >> 8), byte(x >> 16)}})
 }
 
-// schedule stamps a new entry and queues it. A zero-delay event joins
-// the current instant's batch directly — in FIFO position, since its seq
-// is the largest yet — unless a same-instant entry is still queued (a
-// timer rescheduled to now, and whatever the batch drain left behind it)
-// that must dispatch first. Otherwise an entry at or after the lane's
-// tail appends to the lane, and only one that would break the lane's
-// order pays for a heap push.
+// schedule stamps a new entry of kind for ref and queues it.
 func (e *Engine) schedule(d time.Duration, kind eventKind, ref int32) {
+	e.enqueue(d, heapEntry{kind: kind, ref: ref})
+}
+
+// enqueue stamps ent's instant and seq and queues it. A zero-delay event
+// joins the current instant's batch directly — in FIFO position, since
+// its seq is the largest yet — unless a same-instant entry is still
+// queued (a timer rescheduled to now, and whatever the batch drain left
+// behind it) that must dispatch first. Otherwise an entry at or after the
+// lane's tail appends to the lane, and only one that would break the
+// lane's order pays for a heap push.
+func (e *Engine) enqueue(d time.Duration, ent heapEntry) {
 	if d < 0 {
 		d = 0
 	}
 	e.next++
-	ent := heapEntry{at: e.now + d, seq: e.next, kind: kind, ref: ref}
+	ent.at, ent.seq = e.now+d, e.next
 	if d == 0 {
 		if f, _ := e.front(); f == nil || f.at != e.now {
 			e.batch = append(e.batch, ent)

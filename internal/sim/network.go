@@ -364,18 +364,23 @@ func (w *Network) RequestCS(x ocube.Pos, d time.Duration) {
 		panic("sim: untagged RequestCS on a keyed network")
 	}
 	w.pendingOps++
-	w.Eng.schedule(d, evRequest, int32(x))
+	w.Eng.scheduleWish(d, x, int32(core.NoInstance))
 }
 
 // RequestInstanceCS schedules node x's wish to enter instance inst's
-// critical section after delay d, on a keyed network (NewKeyed).
+// critical section after delay d, on a keyed network (NewKeyed). Like a
+// position, an instance the wish event cannot carry — NoInstance, or
+// above math.MaxInt32 — panics here, at the caller.
 func (w *Network) RequestInstanceCS(x ocube.Pos, inst uint64, d time.Duration) {
 	w.checkPos(x)
 	if w.keyed == nil {
 		panic(fmt.Sprintf("sim: instance request on a network that is not keyed, at %v", x))
 	}
+	if inst == core.NoInstance || inst > math.MaxInt32 {
+		panic(fmt.Sprintf("sim: instance %d out of range for a wish at %v", inst, x))
+	}
 	w.pendingOps++
-	w.Eng.scheduleInstReq(d, x, inst)
+	w.Eng.scheduleWish(d, x, int32(inst))
 }
 
 // Fail crashes node x after delay d: it stops processing and every
@@ -449,9 +454,16 @@ func (w *Network) handle(ent heapEntry) {
 		w.apply(x, tp.HandleTimer(kind, gen))
 	case evRequest:
 		w.pendingOps--
-		x = ocube.Pos(ent.ref)
+		x = ent.node()
 		if w.down[x] {
 			return
+		}
+		if inst := uint64(ent.ref); inst != core.NoInstance {
+			if w.keyed[x].Wish(w.Eng.Now(), inst) != nil {
+				return
+			}
+			w.emit(x)
+			break
 		}
 		effs, err := w.peers[x].RequestCS()
 		if err != nil {
@@ -461,14 +473,6 @@ func (w *Network) handle(ent heapEntry) {
 			w.onAccept(x)
 		}
 		w.apply(x, effs)
-	case evRequestInst:
-		w.pendingOps--
-		r := w.Eng.ireqs.take(ent.ref)
-		x = r.node
-		if w.down[x] || w.keyed[x].Wish(w.Eng.Now(), r.inst) != nil {
-			return
-		}
-		w.emit(x)
 	case evFail:
 		w.pendingOps--
 		x = ocube.Pos(ent.ref)
