@@ -5,7 +5,7 @@
 //
 //	ocmxchaos local [-p 3] [-duration 60s] [-seed 1] [-keys 64] [-zipf 1.1]
 //	                [-clients 2] [-ttl 250ms] [-kills 3] [-partitions 2]
-//	                [-patience 15s] [-strict] [-v] [-json]
+//	                [-patience 15s] [-strict] [-v]
 //	                [-metrics host:port] [-autopsy FILE]
 //
 // runs the whole cluster in-process: goroutine nodes over an in-memory
@@ -21,17 +21,18 @@
 //
 // runs ONE cluster member as a real OS process over TCP: a lockspace
 // node plus its own Zipf client loop, emitting one JSON event per line
-// on stdout. The -dir directory persists the node's §5 stable storage
-// (stable.jsonl, append-only, torn-tail tolerant) and its session boot
-// counter (boot.txt), so the process is SIGKILL-able: a restart with
-// the same -dir comes back with a higher boot (peers reset their dedup
-// windows) and rejoins through Section 5 recovery instead of trusting
-// cluster-birth initial conditions. docker-compose.yml wires 1<<P such
-// nodes with restart: always — kill containers at will.
+// on stdout. The -dir directory holds stable.jsonl (append-only,
+// torn-tail tolerant): the node's §5 stable storage and, beside it, its
+// session boot (lockspace.Start's life record), so the process is
+// SIGKILL-able: a restart with the same -dir comes back with a higher
+// boot (peers reset their dedup windows) and rejoins through Section 5
+// recovery instead of trusting cluster-birth initial conditions. A -dir
+// written before the boot moved into stable.jsonl must start empty.
+// docker-compose.yml wires 1<<P such nodes with restart: always — kill
+// containers at will.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -74,24 +75,6 @@ Run "ocmxchaos <mode> -h" for mode flags.
 `)
 }
 
-// localSummary is the JSON artifact of a local run (-json), consumed by
-// the chaos_smoke BENCH entry.
-type localSummary struct {
-	Seed       int64   `json:"seed"`
-	Nodes      int     `json:"nodes"`
-	DurationMS int64   `json:"duration_ms"`
-	WallMS     int64   `json:"wall_ms"`
-	Grants     int64   `json:"grants"`
-	Requests   int64   `json:"requests"`
-	Reclaims   int64   `json:"reclaims"`
-	MaxReclaim int64   `json:"max_reclaim_ms"`
-	FencedOut  int64   `json:"fenced_out"`
-	Kills      int     `json:"kills"`
-	Partitions int     `json:"partitions"`
-	Coverage   float64 `json:"coverage"`
-	Failed     bool    `json:"failed"`
-}
-
 func runLocal(args []string) error {
 	fs := newFlagSet("local")
 	p := fs.Int("p", 3, "cube order: the cluster runs 1<<p nodes")
@@ -106,7 +89,6 @@ func runLocal(args []string) error {
 	patience := fs.Duration("patience", 15*time.Second, "per-lock stuck threshold")
 	strict := fs.Bool("strict", false, "unreached coverage fails the run (CI gate)")
 	verbose := fs.Bool("v", false, "log fault injections as they happen")
-	asJSON := fs.Bool("json", false, "print a JSON summary line after the report")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address during the run")
 	autopsyPath := fs.String("autopsy", "", "write a JSONL autopsy here when the verdict fails")
 	if err := fs.Parse(args); err != nil {
@@ -160,17 +142,5 @@ func runLocal(args []string) error {
 		1<<*p, *seed, res.Wall.Round(time.Millisecond), res.Totals.Grants,
 		res.Totals.Reclaims, res.Totals.MaxReclaim.Round(time.Millisecond),
 		res.Totals.FencedOut, res.Kills, res.Partitions, 100*res.Coverage)
-	if *asJSON {
-		b, _ := json.Marshal(localSummary{
-			Seed: *seed, Nodes: 1 << *p,
-			DurationMS: duration.Milliseconds(), WallMS: res.Wall.Milliseconds(),
-			Grants: res.Totals.Grants, Requests: res.Totals.Requests,
-			Reclaims: res.Totals.Reclaims, MaxReclaim: res.Totals.MaxReclaim.Milliseconds(),
-			FencedOut: res.Totals.FencedOut,
-			Kills:     res.Kills, Partitions: res.Partitions,
-			Coverage: res.Coverage, Failed: res.Err != nil,
-		})
-		fmt.Println(string(b))
-	}
 	return res.Err
 }

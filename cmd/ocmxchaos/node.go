@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -56,7 +55,7 @@ func runNode(args []string) error {
 	fs := newFlagSet("node")
 	self := fs.Int("self", 0, "this node's cube position")
 	addrsFlag := fs.String("addrs", "", "comma-separated host:port for every node, position order (required, length 1<<p)")
-	dir := fs.String("dir", "", "state directory: stable.jsonl + boot.txt survive SIGKILL (required)")
+	dir := fs.String("dir", "", "state directory: stable.jsonl, the node's boot and stable storage, survives SIGKILL (required)")
 	ttl := fs.Duration("ttl", 250*time.Millisecond, "lease TTL")
 	keys := fs.Int("keys", 64, "key-space size")
 	zipfS := fs.Float64("zipf", 1.1, "Zipf skew of key popularity")
@@ -88,14 +87,6 @@ func runNode(args []string) error {
 		return err
 	}
 
-	// Boot counter: a restart MUST come back with a strictly higher boot
-	// or peers discard the new incarnation's frames as duplicates. The
-	// counter is bumped before any traffic; a kill between bump and write
-	// costs nothing (the next life bumps again).
-	boot, rejoin, err := nextBoot(filepath.Join(*dir, "boot.txt"))
-	if err != nil {
-		return err
-	}
 	stable, err := lockspace.OpenFileStable(filepath.Join(*dir, "stable.jsonl"))
 	if err != nil {
 		return err
@@ -113,55 +104,27 @@ func runNode(args []string) error {
 	if err != nil {
 		return err
 	}
-	node := core.Config{
-		Self: ocube.Pos(*self), P: p, FT: true, EpochFence: true,
-		Delta: *delta, CSEstimate: *delta,
-		SuspicionSlack: 2 * *delta,
-	}
-	sess := transport.NewSession(ocube.Pos(*self), link, transport.SessionConfig{Boot: boot}.Fit(node))
-	space, err := lockspace.New(lockspace.Config{
-		Node:      node,
-		Transport: sess,
-		LeaseTTL:  *ttl,
-		Rejoin:    rejoin,
-		Stable:    stable,
-		Metrics:   reg,
-		Flight:    fl,
+	// The boot lives in stable.jsonl: Start bumps it before any traffic, so
+	// a restart comes back with a strictly higher one — or peers would
+	// discard the new incarnation's frames as duplicates — and rejoins.
+	space, err := lockspace.Start(link, transport.SessionConfig{}, lockspace.Config{
+		Node: core.Config{
+			Self: ocube.Pos(*self), P: p, FT: true, EpochFence: true,
+			Delta: *delta, CSEstimate: *delta,
+			SuspicionSlack: 2 * *delta,
+		},
+		LeaseTTL: *ttl,
+		Stable:   stable,
+		Metrics:  reg,
+		Flight:   fl,
 	})
 	if err != nil {
-		sess.Close()
 		return err
 	}
-	defer func() { space.Close(); sess.Close() }()
+	defer space.Close()
+	boot := space.Boot()
 
 	if reg != nil {
-		// Per-peer session health, read from the live session at scrape
-		// time (PeerStats returns zero values for quiet peers).
-		selfLabel := strconv.Itoa(*self)
-		reg.CounterFunc("ocmx_session_frames_total",
-			"Reliable-session data frames sent for the first time.",
-			func() float64 { return float64(sess.Stats().Frames) }, "node", selfLabel)
-		reg.CounterFunc("ocmx_session_ack_frames_total",
-			"Pure ack frames sent: acknowledgements that found no data frame to ride.",
-			func() float64 { return float64(sess.Stats().AckFrames) }, "node", selfLabel)
-		reg.CounterFunc("ocmx_session_receipts_total",
-			"Token acknowledgments the session gave its own node in place of a token-ack envelope.",
-			func() float64 { return float64(sess.Stats().Receipts) }, "node", selfLabel)
-		for pos := range addrs {
-			if pos == ocube.Pos(*self) {
-				continue
-			}
-			pos := pos
-			peerLabel := strconv.Itoa(int(pos))
-			reg.CounterFunc("ocmx_session_retransmits_total",
-				"Reliable-session data frames sent again after a timeout.",
-				func() float64 { return float64(sess.PeerStats()[pos].Retransmits) },
-				"node", selfLabel, "peer", peerLabel)
-			reg.CounterFunc("ocmx_session_dup_drops_total",
-				"Received session data frames discarded as duplicates.",
-				func() float64 { return float64(sess.PeerStats()[pos].DupDrops) },
-				"node", selfLabel, "peer", peerLabel)
-		}
 		srv, maddr, err := obs.Serve(*metricsAddr, reg)
 		if err != nil {
 			return err
@@ -210,22 +173,4 @@ func runNode(args []string) error {
 	}
 	emit(nodeEvent{Node: *self, Boot: boot, Event: "stop"})
 	return nil
-}
-
-// nextBoot bumps and persists the boot counter at path, returning the
-// new boot and whether an earlier life existed (→ rejoin).
-func nextBoot(path string) (uint64, bool, error) {
-	prev := uint64(0)
-	existed := false
-	if b, err := os.ReadFile(path); err == nil {
-		existed = true
-		if v, perr := strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64); perr == nil {
-			prev = v
-		}
-	}
-	boot := prev + 1
-	if err := os.WriteFile(path, []byte(strconv.FormatUint(boot, 10)+"\n"), 0o644); err != nil {
-		return 0, false, err
-	}
-	return boot, existed, nil
 }

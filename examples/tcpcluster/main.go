@@ -2,6 +2,11 @@
 // (binary-framed), taking turns on the distributed mutex. The same code
 // works across machines by listing real peer addresses.
 //
+// A TCPNode keeps no stable storage: a member closed and started again
+// comes back with cluster-birth state, which is safe only for a member
+// that never took part. A member that must survive a crash mid-protocol
+// needs its life record on disk, as `ocmxchaos node -dir` keeps it.
+//
 //	go run ./examples/tcpcluster
 package main
 

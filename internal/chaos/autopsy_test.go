@@ -40,7 +40,7 @@ func TestForcedViolationAutopsy(t *testing.T) {
 	d.members = make([]*member, d.n)
 	for i := range d.members {
 		d.members[i] = newMember(d, i)
-		d.members[i].start(false)
+		d.members[i].start()
 	}
 	t.Cleanup(func() {
 		for _, m := range d.members {

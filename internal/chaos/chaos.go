@@ -17,7 +17,6 @@ import (
 	"io"
 	"math/rand"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -33,7 +32,7 @@ type FaultKind uint8
 
 const (
 	// FaultKill closes the victim's lockspace and session mid-flight (the
-	// in-process SIGKILL) and restarts it with Rejoin+Stable after Down.
+	// in-process SIGKILL) and restarts it on its stable store after Down.
 	FaultKill FaultKind = iota + 1
 	// FaultKillHolder first grabs Key (or the hottest key) through the
 	// victim and kills it while holding — the guaranteed
@@ -119,9 +118,9 @@ type Config struct {
 	Strict bool
 	// Metrics, when set, receives every member lockspace's live series
 	// (grants, locks held, waiter depth, lease reclaims and their
-	// latency, labeled by node) plus per-node session retransmit and
-	// dup-drop counters sampled at scrape time. cmd/ocmxchaos serves it
-	// over HTTP with -metrics.
+	// latency, labeled by node) plus its session's counters, sampled at
+	// scrape time (lockspace.Start). cmd/ocmxchaos serves it over HTTP
+	// with -metrics.
 	Metrics *obs.Registry
 	// Flight, when set, records every member's token lineage stamped
 	// with wall-clock time; it is what gives an Autopsy its lineage.
@@ -251,30 +250,7 @@ func Run(cfg Config) (*Result, error) {
 	d.members = make([]*member, n)
 	for i := range d.members {
 		d.members[i] = newMember(d, i)
-		d.members[i].start(false)
-	}
-	if cfg.Metrics != nil {
-		// Session counters are read at scrape time through the member, so
-		// they stay monotone across kills and restarts (see sessionStats).
-		for i, m := range d.members {
-			m := m
-			label := strconv.Itoa(i)
-			cfg.Metrics.CounterFunc("ocmx_session_retransmits_total",
-				"Reliable-session data frames sent again after a timeout.",
-				func() float64 { return float64(m.sessionStats().Retransmits) }, "node", label)
-			cfg.Metrics.CounterFunc("ocmx_session_dup_drops_total",
-				"Received session data frames discarded as duplicates.",
-				func() float64 { return float64(m.sessionStats().DupDrops) }, "node", label)
-			cfg.Metrics.CounterFunc("ocmx_session_frames_total",
-				"Reliable-session data frames sent for the first time.",
-				func() float64 { return float64(m.sessionStats().Frames) }, "node", label)
-			cfg.Metrics.CounterFunc("ocmx_session_ack_frames_total",
-				"Pure ack frames sent: acknowledgements that found no data frame to ride.",
-				func() float64 { return float64(m.sessionStats().AckFrames) }, "node", label)
-			cfg.Metrics.CounterFunc("ocmx_session_receipts_total",
-				"Token acknowledgments the session gave its own node in place of a token-ack envelope.",
-				func() float64 { return float64(m.sessionStats().Receipts) }, "node", label)
-		}
+		d.members[i].start()
 	}
 	d.trafficCtx, d.trafficCancel = context.WithCancel(context.Background())
 
@@ -318,7 +294,7 @@ func Run(cfg Config) (*Result, error) {
 	// Drain: heal everything, resurrect the dead, wait for quiescence.
 	d.plane.clear()
 	for _, m := range d.members {
-		m.restart()
+		m.start()
 	}
 	drained := d.quiesce(30 * time.Second)
 	census := d.census()
@@ -563,7 +539,7 @@ func (d *driver) runFaults(plan []Fault, res *Result) {
 			go func(m *member, down time.Duration) {
 				defer restarts.Done()
 				time.Sleep(down)
-				m.restart()
+				m.start()
 			}(m, f.Down)
 		case FaultPartition:
 			d.cfg.Log("chaos: %v partition %d<->%d for %v", f.At.Round(time.Millisecond), f.Node, f.Peer, f.Down)

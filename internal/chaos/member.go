@@ -1,36 +1,33 @@
 package chaos
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/lockspace"
 	"repro/internal/ocube"
 	"repro/internal/transport"
-	"sync"
 )
 
-// member is one cluster node's lifecycle: a reliable session over the
-// shared mesh plus a lockspace on top, killable and restartable. The
-// kill is the in-process SIGKILL — the lockspace and session are torn
-// down with no goodbye traffic; only the MemStable survives, which is
-// precisely the Section 5 stable-storage contract. Every restart bumps
-// the session boot (so peers reset their dedup windows instead of
-// discarding the reincarnation's frames) and rejoins via recovery (so
-// the reincarnation never trusts cluster-birth initial conditions).
+// member is one cluster node's lifecycle: a lockspace started over the
+// shared mesh, killable and restartable. The kill is the in-process
+// SIGKILL — the lockspace and its session are torn down with no goodbye
+// traffic; only the MemStable survives, which is precisely the Section 5
+// stable-storage contract. lockspace.Start reads the node's life record
+// from it, so every restart comes back with a higher session boot (peers
+// reset their dedup windows instead of discarding the reincarnation's
+// frames) and rejoins via recovery (the reincarnation never trusts
+// cluster-birth initial conditions). Its session counters restart with
+// it, as a process's do.
 type member struct {
 	d      *driver
 	pos    ocube.Pos
 	stable *lockspace.MemStable
 
 	mu    sync.Mutex
-	boot  uint64
-	sess  *transport.Session
 	space *lockspace.Lockspace
 	alive bool
-	// prev accumulates the session counters of dead incarnations, so the
-	// scrape-time metric funcs stay monotone across kills and restarts.
-	prev transport.SessionStats
 }
 
 func newMember(d *driver, pos int) *member {
@@ -47,52 +44,36 @@ func (m *member) get() (*lockspace.Lockspace, bool) {
 	return m.space, m.alive
 }
 
-// start brings the member up. rejoin must be false only at cluster
-// birth; every later incarnation recovers.
-func (m *member) start(rejoin bool) {
+// start brings the member up, at cluster birth or after a kill (no-op if
+// alive).
+func (m *member) start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.alive {
 		return
 	}
-	m.boot++
 	cfg := m.d.cfg
-	node := core.Config{
-		Self:           m.pos,
-		P:              cfg.P,
-		FT:             true,
-		EpochFence:     true,
-		Delta:          40 * time.Millisecond,
-		CSEstimate:     40 * time.Millisecond,
-		SuspicionSlack: 100 * time.Millisecond,
-	}
-	sess := transport.NewSession(m.pos, m.d.mesh.Endpoint(m.pos), transport.SessionConfig{
+	space, err := lockspace.Start(m.d.mesh.Endpoint(m.pos), transport.SessionConfig{
 		Window: 64,
 		RTO:    30 * time.Millisecond,
-		Boot:   m.boot,
-	}.Fit(node))
-	space, err := lockspace.New(lockspace.Config{
-		Node:      node,
-		Transport: sess,
-		LeaseTTL:  cfg.LeaseTTL,
-		Rejoin:    rejoin,
-		Stable:    m.stable,
-		Metrics:   cfg.Metrics,
-		Flight:    cfg.Flight,
+	}, lockspace.Config{
+		Node: core.Config{
+			Self: m.pos, P: cfg.P, FT: true, EpochFence: true,
+			Delta: 40 * time.Millisecond, CSEstimate: 40 * time.Millisecond,
+			SuspicionSlack: 100 * time.Millisecond,
+		},
+		LeaseTTL: cfg.LeaseTTL,
+		Stable:   m.stable,
+		Metrics:  cfg.Metrics,
+		Flight:   cfg.Flight,
 	})
 	if err != nil {
 		// The template is static and validated by every test; a failure
 		// here is a programming error, not a chaos outcome.
 		panic("chaos: member start: " + err.Error())
 	}
-	m.sess = sess
 	m.space = space
 	m.alive = true
-}
-
-// restart resurrects a killed member (no-op if alive).
-func (m *member) restart() {
-	m.start(true)
 }
 
 // kill tears the member down with no goodbye: in-flight holds, waiters,
@@ -105,22 +86,7 @@ func (m *member) kill() {
 		return
 	}
 	m.alive = false
-	space, sess := m.space, m.sess
-	m.prev = m.prev.Add(sess.Stats())
+	space := m.space
 	m.mu.Unlock()
 	space.Close()
-	sess.Close()
-}
-
-// sessionStats returns the member's cumulative session counters across
-// every incarnation: dead boots' totals plus the live session's. The
-// result only ever grows, which is what lets the /metrics scrape expose
-// it as counters.
-func (m *member) sessionStats() transport.SessionStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.alive {
-		return m.prev.Add(m.sess.Stats())
-	}
-	return m.prev
 }

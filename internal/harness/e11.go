@@ -235,18 +235,12 @@ func e11LeaseReclaim(ttl time.Duration) (time.Duration, error) {
 
 	nodes := make([]*lockspace.Lockspace, n)
 	for i := range nodes {
-		sess := transport.NewSession(ocube.Pos(i), mesh.Endpoint(ocube.Pos(i)),
-			transport.SessionConfig{RTO: 20 * time.Millisecond})
-		ls, err := lockspace.New(lockspace.Config{
-			Node:      core.Config{Self: ocube.Pos(i), P: p},
-			Transport: sess,
-			LeaseTTL:  ttl,
-		})
+		ls, err := lockspace.Start(mesh.Endpoint(ocube.Pos(i)), transport.SessionConfig{RTO: 20 * time.Millisecond},
+			lockspace.Config{Node: core.Config{Self: ocube.Pos(i), P: p}, LeaseTTL: ttl})
 		if err != nil {
 			return 0, err
 		}
 		defer ls.Close()
-		defer sess.Close()
 		nodes[i] = ls
 	}
 

@@ -130,7 +130,7 @@ func TestCensusAtRest(t *testing.T) {
 }
 
 // TestRejoinRestartReclaimsLock kills the node that owns both the hold
-// and the token, restarts it with Rejoin+Stable, and checks the
+// and the token, restarts it over the same stable store, and checks the
 // reincarnation reclaims the lock through Section 5 recovery — with a
 // strictly higher fence — instead of fabricating a second token from
 // NewNode's initial conditions.
@@ -139,7 +139,7 @@ func TestRejoinRestartReclaimsLock(t *testing.T) {
 	// lockspace, not the wire under it.
 	sessions, _ := newSessions(t, 2)
 	stable0 := NewMemStable()
-	mk := func(self ocube.Pos, rejoin bool, st StableStore) *Lockspace {
+	mk := func(self ocube.Pos, st StableStore) *Lockspace {
 		ls, err := New(Config{
 			Node: core.Config{
 				Self: self, P: 1, FT: true,
@@ -147,7 +147,6 @@ func TestRejoinRestartReclaimsLock(t *testing.T) {
 				SuspicionSlack: 5 * time.Millisecond,
 			},
 			Transport: sessions[self],
-			Rejoin:    rejoin,
 			Stable:    st,
 		})
 		if err != nil {
@@ -155,8 +154,8 @@ func TestRejoinRestartReclaimsLock(t *testing.T) {
 		}
 		return ls
 	}
-	n0 := mk(0, false, stable0)
-	n1 := mk(1, false, nil)
+	n0 := mk(0, stable0)
+	n1 := mk(1, nil)
 	t.Cleanup(func() { n1.Close() })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -174,7 +173,7 @@ func TestRejoinRestartReclaimsLock(t *testing.T) {
 		t.Fatal("stable store recorded nothing for the touched instance")
 	}
 
-	n0b := mk(0, true, stable0)
+	n0b := mk(0, stable0) // the life record makes it rejoin
 	t.Cleanup(func() { n0b.Close() })
 	f2, err := n0b.Lock(ctx, "k")
 	if err != nil {

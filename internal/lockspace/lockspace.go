@@ -97,8 +97,9 @@ type Config struct {
 	// this node's position and the cube order; FT/Delta/... configure the
 	// Section 5 failure handling of every instance.
 	Node core.Config
-	// Transport carries envelope batches between the lockspace nodes. The
-	// caller owns its lifetime.
+	// Transport carries envelope batches between the lockspace nodes of a
+	// node New builds; the caller owns its lifetime. Start sets it to the
+	// session it builds.
 	Transport transport.BatchTransport
 	// LeaseTTL, when positive, bounds how long a grant stays valid without
 	// renewal: a holder that neither Unlocks nor Keepalives within the TTL
@@ -107,17 +108,14 @@ type Config struct {
 	// Keepalive reports ErrLeaseExpired. The reclaiming grant carries a
 	// higher fence, so fence-checking resources refuse the expired holder.
 	LeaseTTL time.Duration
-	// Rejoin marks this node as restarting into a cluster that may hold
-	// state about its previous life. Every instance is then instantiated
-	// through Section 5 recovery — it rejoins as a leaf and searches for
-	// the living structure — instead of pristinely: NewNode's initial
-	// conditions (node 0 holds the token, fathers along the initial cube)
-	// are only true at cluster birth.
-	Rejoin bool
 	// Stable, when set, persists each instance's Section 5 stable storage
-	// (StableState) write-through at the end of each step, and seeds
-	// restored instances from it before recovery. Pair it with Rejoin:
-	// Stable carries the values across the restart, Rejoin replays them.
+	// (StableState) write-through at the end of each step, and the node's
+	// life record, its last boot, under core.NoInstance. A node that finds
+	// a record rejoins a cluster that may remember its previous life: each
+	// instance is restored and instantiated through Section 5 recovery, as
+	// a leaf searching for the living structure, for NewNode's initial
+	// conditions (node 0 holds the token, fathers along the initial cube)
+	// hold only at cluster birth, which is what a start without a store is.
 	Stable StableStore
 	// Metrics, when set, registers this node's live series (grants,
 	// locks held, waiter depth, pending deadlines, lease reclaims and
@@ -165,6 +163,10 @@ type Lockspace struct {
 	timer *time.Timer
 
 	closed atomic.Bool
+	// sess is the session Start built, owned by the node, and boot its
+	// boot; nil and 0 under New.
+	sess *transport.Session
+	boot uint64
 
 	// Metric handles (nil when Config.Metrics is nil; every mutation
 	// below tolerates that — the zero-cost-when-off contract).
@@ -205,12 +207,58 @@ type CensusRow struct {
 	Epoch                 uint32
 }
 
-// New builds and starts a lockspace node. The caller owns the
-// transport's lifetime.
+// Start starts a live node over link, in a reliable session it owns:
+// Close, or a failed Start, closes the session and the link. The node's
+// last boot (Config.Stable) plus one is written back before the node runs
+// and becomes the session's, and a node that had a last life rejoins; with
+// no store the boot is the wall clock and the node does not rejoin. sess
+// is fitted to the node's failure timeouts (SessionConfig.Fit). With
+// cfg.Metrics set the node exports its session's counters, the
+// ocmx_session_* series; a node started again in the same registry takes
+// them over, and they restart with it, as a process's do.
+func Start(link transport.FrameLink, sess transport.SessionConfig, cfg Config) (*Lockspace, error) {
+	boot, rejoin, err := nextLife(cfg.Stable)
+	if err != nil {
+		link.Close()
+		return nil, err
+	}
+	sess.Boot = boot
+	s := transport.NewSession(cfg.Node.Self, link, sess.Fit(cfg.Node))
+	cfg.Transport = s
+	return start(cfg, rejoin, s, boot)
+}
+
+// New builds and starts a lockspace node over a transport the caller
+// brings and owns. Like Start it writes the next life record to
+// cfg.Stable and rejoins if there was one.
 func New(cfg Config) (*Lockspace, error) {
 	if cfg.Transport == nil {
 		return nil, errors.New("lockspace: nil transport")
 	}
+	_, rejoin, err := nextLife(cfg.Stable)
+	if err != nil {
+		return nil, err
+	}
+	return start(cfg, rejoin, nil, 0)
+}
+
+// nextLife writes the node's next life record to stable and returns its
+// boot and whether there was a last life. With no store the boot is the
+// wall clock, which grows across a process's restarts.
+func nextLife(stable StableStore) (boot uint64, rejoin bool, err error) {
+	if stable == nil {
+		return uint64(time.Now().UnixNano()), false, nil
+	}
+	last, rejoin := stable.Load(core.NoInstance)
+	boot = last.Seq + 1
+	if err := stable.Save(core.NoInstance, StableState{Seq: boot}); err != nil {
+		return 0, false, err
+	}
+	return boot, rejoin, nil
+}
+
+// start builds and starts the node, over sess when Start built one.
+func start(cfg Config, rejoin bool, sess *transport.Session, boot uint64) (*Lockspace, error) {
 	ls := &Lockspace{
 		cfg:    cfg,
 		stop:   make(chan struct{}),
@@ -218,12 +266,17 @@ func New(cfg Config) (*Lockspace, error) {
 		epoch:  time.Now(),
 		timer:  time.NewTimer(time.Hour),
 		leases: &leases{self: cfg.Node.Self, flight: cfg.Flight, reclaimed: map[uint64]time.Time{}},
+		sess:   sess,
+		boot:   boot,
 	}
 	ls.leases.ttl = cmp.Or(max(cfg.LeaseTTL, 0), -1) // no TTL: a hold has no deadline
 	tmpl := cfg.Node
 	tmpl.Observe = obs.Observer(cfg.Flight, func() int64 { return time.Now().UnixNano() }, tmpl.Observe)
 	var err error
-	if ls.m, err = NewMachine(tmpl, cfg.Rejoin, cfg.Stable, ls.leases); err != nil {
+	if ls.m, err = NewMachine(tmpl, rejoin, cfg.Stable, ls.leases); err != nil {
+		if sess != nil {
+			sess.Close()
+		}
 		return nil, err
 	}
 	ls.timer.Stop() // nothing is pending yet; end aims it
@@ -242,13 +295,50 @@ func New(cfg Config) (*Lockspace, error) {
 		ls.leases.obsReclaimLat = cfg.Metrics.Histogram("ocmx_lease_reclaim_seconds",
 			"Lapse-to-next-local-grant latency of lease reclaims.",
 			obs.LatencyBuckets(), "node", node)
+		if sess != nil {
+			ls.sessionSeries(cfg.Metrics, node)
+		}
 	}
 	go ls.loop()
 	return ls, nil
 }
 
+// sessionSeries registers the session's counters, read at scrape time,
+// per node and, for retransmits and duplicate drops, per peer.
+func (ls *Lockspace) sessionSeries(reg *obs.Registry, node string) {
+	sess := ls.sess
+	reg.CounterFunc("ocmx_session_frames_total", "Reliable-session data frames sent for the first time.",
+		func() float64 { return float64(sess.Stats().Frames) }, "node", node)
+	reg.CounterFunc("ocmx_session_ack_frames_total", "Pure ack frames sent: acknowledgements that found no data frame to ride.",
+		func() float64 { return float64(sess.Stats().AckFrames) }, "node", node)
+	reg.CounterFunc("ocmx_session_receipts_total", "Token acknowledgments the session gave its own node in place of a token-ack envelope.",
+		func() float64 { return float64(sess.Stats().Receipts) }, "node", node)
+	for p := range ocube.Pos(1 << ls.cfg.Node.P) {
+		if p == ls.cfg.Node.Self {
+			continue
+		}
+		peer := strconv.Itoa(int(p))
+		reg.CounterFunc("ocmx_session_retransmits_total", "Reliable-session data frames sent again after a timeout.",
+			func() float64 { return float64(sess.PeerStats()[p].Retransmits) }, "node", node, "peer", peer)
+		reg.CounterFunc("ocmx_session_dup_drops_total", "Received session data frames discarded as duplicates.",
+			func() float64 { return float64(sess.PeerStats()[p].DupDrops) }, "node", node, "peer", peer)
+	}
+}
+
 // Self returns this node's position.
 func (ls *Lockspace) Self() ocube.Pos { return ls.cfg.Node.Self }
+
+// Boot returns the incarnation Start gave the node's session; 0 under New.
+func (ls *Lockspace) Boot() uint64 { return ls.boot }
+
+// SessionStats returns the counters of the session Start built; zero
+// under New.
+func (ls *Lockspace) SessionStats() transport.SessionStats {
+	if ls.sess == nil {
+		return transport.SessionStats{}
+	}
+	return ls.sess.Stats()
+}
 
 // begin takes ls.mu for one client step; it reports false, with the
 // mutex released, on a node whose loop has exited.
@@ -444,8 +534,9 @@ func (ls *Lockspace) Census() ([]CensusRow, error) {
 }
 
 // Close stops the node's loop and drops every pending deadline with it:
-// nothing the runtime still holds refers to a closed node. It does not
-// close the transport.
+// nothing the runtime still holds refers to a closed node. It closes the
+// session Start built, and with it the link; a transport given to New is
+// the caller's to close.
 func (ls *Lockspace) Close() error {
 	if ls.closed.Swap(true) {
 		return nil
@@ -460,6 +551,9 @@ func (ls *Lockspace) Close() error {
 	ls.obsDeadlines.Set(0)
 	if ls.cfg.Autopsy != nil {
 		ls.autopsyStuck()
+	}
+	if ls.sess != nil {
+		return ls.sess.Close()
 	}
 	return nil
 }

@@ -175,9 +175,9 @@ func TestCloseDropsPendingDeadlines(t *testing.T) {
 	}
 }
 
-// newSessions builds the transports of n nodes the way `ocmxchaos node`,
-// the benchmark's live workloads and the public clusters do: each node
-// its own session on one in-memory SessMesh. stop closes them; it also
+// newSessions builds the transports of n nodes the way the benchmark's
+// live workloads do, for tests that bring their own to New: each node its
+// own session on one in-memory SessMesh. stop closes them; it also
 // runs with the test's cleanup.
 func newSessions(t *testing.T, n int) (sessions []*transport.Session, stop func()) {
 	t.Helper()
@@ -198,16 +198,19 @@ func newSessions(t *testing.T, n int) (sessions []*transport.Session, stop func(
 	return sessions, stop
 }
 
-// newSessMeshSpace starts 2^p nodes over newSessions, each from tmpl with
-// its own position and session filled in. stop closes nodes and
-// sessions; it also runs with the test's cleanup.
+// newSessMeshSpace starts 2^p nodes with Start on one in-memory SessMesh,
+// each from tmpl with its own position filled in. stop closes the nodes,
+// their sessions and the mesh; it also runs with the test's cleanup.
 func newSessMeshSpace(t *testing.T, p int, tmpl Config) (nodes []*Lockspace, stop func()) {
 	t.Helper()
-	sessions, stopSessions := newSessions(t, 1<<p)
-	for i, sess := range sessions {
+	mesh, err := transport.NewSessMesh(1<<p, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1<<p; i++ {
 		cfg := tmpl
-		cfg.Node.Self, cfg.Node.P, cfg.Transport = ocube.Pos(i), p, sess
-		ls, err := New(cfg)
+		cfg.Node.Self, cfg.Node.P = ocube.Pos(i), p
+		ls, err := Start(mesh.Endpoint(cfg.Node.Self), transport.SessionConfig{}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +220,7 @@ func newSessMeshSpace(t *testing.T, p int, tmpl Config) (nodes []*Lockspace, sto
 		for _, ls := range nodes {
 			ls.Close()
 		}
-		stopSessions()
+		mesh.Close()
 	}
 	t.Cleanup(stop)
 	return nodes, stop

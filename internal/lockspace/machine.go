@@ -112,7 +112,8 @@ type waiter struct {
 // NewMachine returns the keyed node of position node.Self with nothing
 // instantiated. node is the template of every instance, validated here,
 // once, so minting cannot fail; rejoin instantiates each through Section 5
-// recovery (Config.Rejoin); stable, when set, seeds each at first touch
+// recovery (a node with a life record, Config.Stable); stable, when set,
+// seeds each at first touch
 // and makes Drain report what a step changed — saving is the driver's.
 func NewMachine(node core.Config, rejoin bool, stable StableStore, drv driver) (*Machine, error) {
 	host, err := core.NewHost(node)

@@ -28,6 +28,7 @@ func FuzzStableDecode(f *testing.F) {
 	f.Add([]byte(`{"inst":1,"seq":10}` + "\n" + `{"inst":2,"seq":99`))
 	f.Add([]byte(`{"inst":3,"seq":2}`)) // intact, but no newline
 	f.Add([]byte(`{"inst":3,"seq":2}` + "\r\n" + `{"inst":4,"seq":"x"}` + "\n\n" + `garbage`))
+	f.Add([]byte(`{"inst":0,"seq":1}` + "\n" + `{"inst":5,"seq":3}` + "\n" + `{"inst":0,"seq":2}` + "\n" + `{"inst":0,"se`)) // life records, one torn
 	f.Fuzz(func(t *testing.T, log []byte) {
 		lines := bytes.Split(log, []byte("\n"))
 		want := make(map[uint64]StableState)
@@ -73,13 +74,16 @@ func FuzzStableDecode(f *testing.F) {
 }
 
 // TestFileStableRoundTrip checks the append-only stable log survives a
-// close-and-reopen with last-record-wins semantics.
+// close-and-reopen with last-record-wins semantics, the node's life
+// record included.
 func TestFileStableRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stable.jsonl")
 	s, err := OpenFileStable(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantLife(t, s, 1, false)
+	wantLife(t, s, 2, true)
 	s.Save(7, StableState{Seq: 1, Epoch: 0, RepairGen: 1})
 	s.Save(9, StableState{Seq: 5, Epoch: 2, RepairGen: 3})
 	s.Save(7, StableState{Seq: 4, Epoch: 1, RepairGen: 2}) // supersedes
@@ -102,16 +106,29 @@ func TestFileStableRoundTrip(t *testing.T) {
 	if _, ok := s2.Load(8); ok {
 		t.Fatal("Load(8) found a record never saved")
 	}
+	wantLife(t, s2, 3, true)
+}
+
+// wantLife starts one more life on s and checks its boot and whether it
+// rejoins.
+func wantLife(t *testing.T, s StableStore, boot uint64, rejoin bool) {
+	t.Helper()
+	b, r, err := nextLife(s)
+	if err != nil || b != boot || r != rejoin {
+		t.Fatalf("next life = boot %d rejoin %v (%v), want boot %d rejoin %v", b, r, err, boot, rejoin)
+	}
 }
 
 // TestFileStableTornTail checks a SIGKILL mid-append (a torn final
-// line) costs only that record: replay keeps everything before it.
+// line) costs only that record: replay keeps everything before it, the
+// node's life record included.
 func TestFileStableTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stable.jsonl")
 	s, err := OpenFileStable(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantLife(t, s, 1, false)
 	s.Save(1, StableState{Seq: 10})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -136,6 +153,7 @@ func TestFileStableTornTail(t *testing.T) {
 	if _, ok := s2.Load(2); ok {
 		t.Fatal("torn record must not replay")
 	}
+	wantLife(t, s2, 2, true)
 	// And the store still appends cleanly after the torn tail.
 	s2.Save(3, StableState{Seq: 7})
 	s2.Close()
@@ -147,18 +165,21 @@ func TestFileStableTornTail(t *testing.T) {
 	if got, ok := s3.Load(3); !ok || got.Seq != 7 {
 		t.Fatalf("post-tear append lost: %+v %v", got, ok)
 	}
+	wantLife(t, s3, 3, true)
 }
 
-// TestFailedSaveFailStopsNode: a rejoining node whose stable log can no
-// longer be written sends nothing of the step that needed the write — it
-// would promise what its next life cannot remember — and fail-stops: that
-// Lock and every later call return ErrClosed. While the log is writable
-// the same first touch does send, so the silence is the failed write's.
+// TestFailedSaveFailStopsNode: a rejoining node (its log holds an earlier
+// life) whose stable log can no longer be written sends nothing of the
+// step that needed the write — it would promise what its next life
+// cannot remember — and fail-stops: that Lock and every later call
+// return ErrClosed. While the log is writable the same first touch does
+// send, so the silence is the failed write's.
 func TestFailedSaveFailStopsNode(t *testing.T) {
 	fs, err := OpenFileStable(filepath.Join(t.TempDir(), "stable.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantLife(t, fs, 1, false)
 	var sends atomic.Int64
 	tr := &stepTransport{
 		in:     make(chan []core.Envelope),
@@ -171,7 +192,6 @@ func TestFailedSaveFailStopsNode(t *testing.T) {
 			Delta: 10 * time.Second, CSEstimate: 10 * time.Second,
 		},
 		Transport: tr,
-		Rejoin:    true,
 		Stable:    fs,
 	})
 	if err != nil {

@@ -61,12 +61,12 @@ type SessionConfig struct {
 	// Default 0.2.
 	Jitter float64
 	// Boot is this session's incarnation number. A restarted node must
-	// come back with a Boot strictly above any it used before (a
-	// persisted counter, or coarse wall-clock at startup): receivers key
-	// their dedup window on the sender's boot, so a higher boot resets
-	// the window — without it every frame of the fresh incarnation,
-	// restarting at Seq 1, would be discarded as a duplicate — and
-	// frames from an older boot are dropped outright. Default 1.
+	// come back with a Boot strictly above any it used before (a persisted
+	// counter, or the wall clock at startup: lockspace.Start picks one):
+	// receivers key their dedup window on the sender's boot, so a higher
+	// boot resets the window — without it every frame of the fresh
+	// incarnation, restarting at Seq 1, would be discarded as a duplicate —
+	// and frames from an older boot are dropped outright. Default 1.
 	Boot uint64
 }
 
@@ -96,8 +96,8 @@ func (c SessionConfig) withDefaults() SessionConfig {
 // of an unlent token 2δ plus its slack to come back (core: roundDelay),
 // and over a session that acknowledgment is the session's ack, which may
 // wait RTO/4 for a frame to ride: the wait has to fit in the slack, so
-// RTO ≤ 4·node.Slack(). Every place that builds a session and the node
-// above it passes its SessionConfig through here.
+// RTO ≤ 4·node.Slack(). lockspace.Start, which builds every live node's
+// session, passes its SessionConfig through here.
 func (c SessionConfig) Fit(node core.Config) SessionConfig {
 	if !node.FT {
 		return c

@@ -22,7 +22,8 @@ import (
 // a Session builds its reliable channel on.
 type FrameLink interface {
 	// SendFrame transmits f to node to. An error means the frame may be
-	// lost — the session retries; it must not block indefinitely.
+	// lost — the session retries. It does not wait for the peer: a session
+	// calls it from its node's step (SessTCP dials in the background).
 	SendFrame(to ocube.Pos, f SessFrame) error
 	// RecvFrame returns the channel of inbound frames, closed when the
 	// link closes.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -10,24 +11,28 @@ import (
 	"repro/internal/ocube"
 )
 
-// dialTimeout bounds one lazy dial. A send to a black-holed address
-// fails after this long instead of waiting out the kernel's SYN retries;
-// the frame counts as lost, which every caller already tolerates.
+// dialTimeout bounds one lazy dial. A dial to a black-holed address gives
+// up after this long instead of waiting out the kernel's SYN retries; the
+// frames queued behind it count as lost, which every caller already
+// tolerates.
 const dialTimeout = 2 * time.Second
 
 // SessTCP is the FrameLink over TCP sockets: each node listens on its
-// own address and dials peers lazily; outbound connections are cached
-// and serialized per peer; one session frame travels per wire frame, in
-// the fixed binary layout of wire.go. Pair it with NewSession for a
-// reliable multi-process BatchTransport: a dropped connection is
-// re-dialed by the next send, and the session's retransmission replays
-// whatever the drop swallowed. Suitable for the multi-process examples;
-// production hardening (TLS, reconnection backoff) is out of scope for
-// the reproduction.
+// own address and dials peers lazily, in the background; outbound
+// connections are cached and serialized per peer; one session frame
+// travels per wire frame, in the fixed binary layout of wire.go. Under a
+// session it is a reliable multi-process BatchTransport: a dropped
+// connection is re-dialed by the next send, and the session's
+// retransmission replays whatever the drop swallowed. Suitable for the
+// multi-process examples; production hardening (TLS, reconnection
+// backoff) is out of scope for the reproduction.
 type SessTCP struct {
 	addrs map[ocube.Pos]string
-	// dial opens the connection to a peer address (a hook for tests).
-	dial func(addr string) (net.Conn, error)
+	// dial opens the connection to a peer address (a hook for tests) under
+	// ctx, which Close cancels.
+	dial   func(ctx context.Context, addr string) (net.Conn, error)
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	listener net.Listener
 	inbox    chan SessFrame
@@ -42,14 +47,17 @@ type SessTCP struct {
 	wg       sync.WaitGroup
 }
 
-// peerConn is the outbound state of one peer. Its mu serializes dialing
-// and writing to that peer only, so a peer that hangs in dial or write
-// delays nobody else. conn is written with both mu and the link's mu
-// held and may be read under either.
+// peerConn is the outbound state of one peer. Its mu serializes writing
+// to that peer only, so a peer that hangs in a write delays nobody else.
+// conn is written with both mu and the link's mu held and may be read
+// under either. While dialing, the frames sent meanwhile wait encoded in
+// queue, in order.
 type peerConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	buf  []byte // encode buffer, reused across sends
+	mu      sync.Mutex
+	conn    net.Conn
+	buf     []byte // encode buffer, reused across sends
+	dialing bool
+	queue   [][]byte
 }
 
 // NewSessTCP starts a session frame link for self, listening on
@@ -65,8 +73,8 @@ func NewSessTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*SessTCP, error) {
 	}
 	t := &SessTCP{
 		addrs: make(map[ocube.Pos]string, len(addrs)),
-		dial: func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, dialTimeout)
+		dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", addr)
 		},
 		listener: ln,
 		inbox:    make(chan SessFrame, 1024),
@@ -76,6 +84,7 @@ func NewSessTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*SessTCP, error) {
 	for k, v := range addrs {
 		t.addrs[k] = v
 	}
+	t.ctx, t.cancel = context.WithCancel(context.Background())
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -136,7 +145,9 @@ func (t *SessTCP) readLoop(conn net.Conn) {
 }
 
 // SendFrame implements FrameLink: it encodes the frame and writes it to
-// the peer, dialing lazily.
+// the peer. It does not wait for a dial: with no connection to the peer
+// the frame queues behind one dialed in the background, which writes the
+// queue in order once it connects and drops it if it fails.
 func (t *SessTCP) SendFrame(to ocube.Pos, f SessFrame) error {
 	t.mu.Lock()
 	if t.closed.Load() {
@@ -156,29 +167,59 @@ func (t *SessTCP) SendFrame(to ocube.Pos, f SessFrame) error {
 
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.conn == nil {
-		// Dial holding only this peer's lock: a black-holed address
-		// stalls sends to that peer, not the link.
-		conn, err := t.dial(t.addrs[to])
-		if err != nil {
-			return fmt.Errorf("transport: dial %v: %w", to, err)
-		}
-		t.mu.Lock()
-		if t.closed.Load() {
-			t.mu.Unlock()
-			conn.Close()
-			return ErrClosed
-		}
-		pc.conn = conn
-		t.mu.Unlock()
-	}
 	buf, err := appendWireFrame(pc.buf[:0], f)
 	if err != nil {
 		return err
 	}
 	pc.buf = buf
-	if _, err := pc.conn.Write(buf); err != nil {
-		// Drop the broken connection; the next send re-dials.
+	if pc.conn == nil {
+		if !pc.dialing {
+			t.mu.Lock()
+			if t.closed.Load() {
+				t.mu.Unlock()
+				return ErrClosed
+			}
+			t.wg.Add(1)
+			t.mu.Unlock()
+			pc.dialing = true
+			go t.connect(to, pc)
+		}
+		pc.queue = append(pc.queue, append([]byte(nil), buf...))
+		return nil
+	}
+	return t.write(to, pc, buf)
+}
+
+// connect dials the peer and writes what queued meanwhile.
+func (t *SessTCP) connect(to ocube.Pos, pc *peerConn) {
+	defer t.wg.Done()
+	conn, err := t.dial(t.ctx, t.addrs[to])
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	queue := pc.queue
+	pc.queue, pc.dialing = nil, false
+	if err != nil {
+		return
+	}
+	t.mu.Lock()
+	if t.closed.Load() {
+		t.mu.Unlock()
+		conn.Close()
+		return
+	}
+	pc.conn = conn
+	t.mu.Unlock()
+	for _, b := range queue {
+		if t.write(to, pc, b) != nil {
+			return
+		}
+	}
+}
+
+// write puts one encoded frame on pc's connection, dropping the
+// connection if that fails; the next send re-dials. The caller holds pc.mu.
+func (t *SessTCP) write(to ocube.Pos, pc *peerConn, b []byte) error {
+	if _, err := pc.conn.Write(b); err != nil {
 		pc.conn.Close()
 		t.mu.Lock()
 		pc.conn = nil
@@ -216,6 +257,7 @@ func (t *SessTCP) Close() error {
 	}
 	t.mu.Unlock()
 
+	t.cancel() // a dial in flight gives up
 	err := t.listener.Close()
 	for _, c := range conns {
 		c.Close()

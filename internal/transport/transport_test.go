@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"net"
 	"reflect"
@@ -235,9 +236,10 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 }
 
 // TestTCPDeadPeerDoesNotStallLink pins the dial discipline: a dial that
-// hangs (a black-holed address) holds only that peer's lock, so a send to
-// another peer completes meanwhile. With the dial under the link-wide
-// lock the second send waits for the first to give up.
+// hangs (a black-holed address) holds up neither its sender nor a send to
+// another peer, and when it fails the frames queued behind it are lost —
+// what the session's retransmission repairs — while the next send dials
+// again.
 func TestTCPDeadPeerDoesNotStallLink(t *testing.T) {
 	addrs := reserveLoopbackAddrs(t, 3)
 	a, err := NewSessTCP(0, addrs)
@@ -251,37 +253,70 @@ func TestTCPDeadPeerDoesNotStallLink(t *testing.T) {
 	}
 	defer c.Close()
 
-	dialing := make(chan struct{})
+	dialing := make(chan struct{}, 1)
 	release := make(chan struct{})
-	a.dial = func(addr string) (net.Conn, error) {
+	a.dial = func(ctx context.Context, addr string) (net.Conn, error) {
 		if addr == addrs[1] {
-			close(dialing)
+			select {
+			case dialing <- struct{}{}:
+			default:
+			}
 			<-release
 			return nil, errors.New("black hole")
 		}
 		return net.DialTimeout("tcp", addr, dialTimeout)
 	}
 
-	dead := make(chan error, 1)
-	go func() { dead <- a.SendFrame(1, SessFrame{Seq: 1}) }()
+	if err := a.SendFrame(1, SessFrame{Seq: 1}); err != nil {
+		t.Fatalf("send to the dead peer: %v", err)
+	}
 	<-dialing
-
-	live := make(chan error, 1)
-	go func() { live <- a.SendFrame(2, SessFrame{Seq: 2}) }()
-	select {
-	case err := <-live:
-		if err != nil {
-			t.Fatalf("send to the live peer: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("send to a live peer waited on the dial to a dead one")
+	if err := a.SendFrame(2, SessFrame{Seq: 2}); err != nil {
+		t.Fatalf("send to the live peer: %v", err)
 	}
 	if got := recvFrame(t, c); got.Seq != 2 {
 		t.Errorf("got seq %d, want 2", got.Seq)
 	}
-
 	close(release)
-	if err := <-dead; err == nil {
-		t.Error("send to the dead peer reported success")
+	// Once the failed dial has dropped its queue, a send dials anew.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if err := a.SendFrame(1, SessFrame{Seq: 3}); err != nil {
+			t.Fatalf("send after the failed dial: %v", err)
+		}
+		select {
+		case <-dialing:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no send after a failed dial dialed again")
+		}
+	}
+}
+
+// TestTCPSendDoesNotWaitForDial: a send with no connection returns at
+// once, its frame queued behind the dial, and the frames sent while the
+// dial is in flight arrive in order once it connects.
+func TestTCPSendDoesNotWaitForDial(t *testing.T) {
+	a, b := tcpPair(t)
+	defer a.Close()
+	defer b.Close()
+	a.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		time.Sleep(300 * time.Millisecond)
+		return net.DialTimeout("tcp", addr, dialTimeout)
+	}
+	start := time.Now()
+	for seq := uint64(1); seq <= 5; seq++ {
+		if err := a.SendFrame(1, SessFrame{Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("five sends behind a 300 ms dial took %v", took)
+	}
+	for seq := uint64(1); seq <= 5; seq++ {
+		if got := recvFrame(t, b); got.Seq != seq {
+			t.Fatalf("got seq %d, want %d", got.Seq, seq)
+		}
 	}
 }

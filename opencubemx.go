@@ -100,7 +100,6 @@ func WithLeaseTTL(ttl time.Duration) Option {
 // both are.
 type live struct {
 	mesh  *transport.SessMesh
-	sess  []*transport.Session
 	nodes []*lockspace.Lockspace
 }
 
@@ -115,15 +114,11 @@ func newLive(n int, opts []Option) (*live, error) {
 	c := &live{mesh: mesh}
 	for i := 0; i < n; i++ {
 		cfg := config(i, bits.TrailingZeros(uint(n)), opts)
-		sess := transport.NewSession(cfg.Node.Self, mesh.Endpoint(cfg.Node.Self), transport.SessionConfig{}.Fit(cfg.Node))
-		cfg.Transport = sess
-		node, err := lockspace.New(cfg)
+		node, err := lockspace.Start(mesh.Endpoint(cfg.Node.Self), transport.SessionConfig{}, cfg)
 		if err != nil {
-			sess.Close()
 			c.Close()
 			return nil, err
 		}
-		c.sess = append(c.sess, sess)
 		c.nodes = append(c.nodes, node)
 	}
 	return c, nil
@@ -150,8 +145,7 @@ func (c *live) Kill(i int) error {
 	if err != nil {
 		return err
 	}
-	node.Close()
-	return c.sess[i].Close()
+	return node.Close()
 }
 
 // Close stops every node and the transport fabric.
@@ -314,13 +308,20 @@ var ErrBadMembership = errors.New("opencubemx: membership size is not a power of
 // TCPNode is one cluster member communicating over TCP.
 type TCPNode struct {
 	node *lockspace.Lockspace
-	sess *transport.Session
 	link *transport.SessTCP
 }
 
 // NewTCPNode starts node self of a cluster whose members listen at the
 // given addresses (index = node position; the length must be a power of
 // two). Position 0 holds the initial token.
+//
+// A TCPNode keeps no stable storage, so a member closed and started again
+// comes back with cluster-birth state: its peers take its frames for a new
+// incarnation's (the boot is the start time), but it rejoins nothing. That
+// is safe only for a member that never took part — held, lent or asked for
+// no token — which is what TestTCPNodeRestart restarts. A member that must
+// survive a restart mid-protocol needs a life record: lockspace.Start with
+// a FileStable, as `ocmxchaos node` runs.
 func NewTCPNode(self int, addrs []string, opts ...Option) (*TCPNode, error) {
 	n := len(addrs)
 	if n <= 0 || n&(n-1) != 0 {
@@ -338,17 +339,11 @@ func NewTCPNode(self int, addrs []string, opts ...Option) (*TCPNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The start time is the incarnation: a restarted process comes back
-	// with a higher one, so its peers do not take its fresh frames for
-	// duplicates of its former life's.
-	sess := transport.NewSession(cfg.Node.Self, link, transport.SessionConfig{Boot: uint64(time.Now().UnixNano())}.Fit(cfg.Node))
-	cfg.Transport = sess
-	node, err := lockspace.New(cfg)
+	node, err := lockspace.Start(link, transport.SessionConfig{}, cfg)
 	if err != nil {
-		sess.Close()
 		return nil, err
 	}
-	return &TCPNode{node: node, sess: sess, link: link}, nil
+	return &TCPNode{node: node, link: link}, nil
 }
 
 // Mutex returns the node's mutex handle.
@@ -358,7 +353,4 @@ func (t *TCPNode) Mutex() *Mutex { return &Mutex{t.node} }
 func (t *TCPNode) Addr() string { return t.link.Addr() }
 
 // Close stops the node and its transport.
-func (t *TCPNode) Close() error {
-	t.node.Close()
-	return t.sess.Close()
-}
+func (t *TCPNode) Close() error { return t.node.Close() }

@@ -283,8 +283,8 @@ func TestKilledNodeDoesNotWedgeSurvivors(t *testing.T) {
 		}
 	}
 	var frames, retransmits int64
-	for _, sess := range c.sess {
-		st := sess.Stats()
+	for _, node := range c.nodes {
+		st := node.SessionStats()
 		frames, retransmits = frames+st.Frames, retransmits+st.Retransmits
 	}
 	t.Logf("%d frames, %d retransmits", frames, retransmits)
@@ -496,7 +496,7 @@ func TestLockspaceClusterLive(t *testing.T) {
 // session's ack, which waits RTO/4 for a frame to ride, and the sender's
 // watchdog gives it 2δ plus the slack. With δ = 5 ms and no slack asked
 // for, the default 50 ms RTO would have every lone ack arrive after the
-// watchdog; the constructors fit the RTO to the node's timeouts instead
+// watchdog; lockspace.Start fits the RTO to the node's timeouts instead
 // (SessionConfig.Fit). Acquires roam over eight nodes with 30 ms pauses,
 // so every ack travels alone after its full delay — and no token is ever
 // regenerated: every fence stays in epoch 0.
@@ -526,8 +526,8 @@ func TestReceiptFitsASmallDelta(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 	}
 	var receipts, pure int64
-	for _, sess := range c.sess {
-		st := sess.Stats()
+	for _, node := range c.nodes {
+		st := node.SessionStats()
 		receipts += st.Receipts
 		pure += st.AckFrames
 	}
