@@ -45,7 +45,7 @@ func (d *driver) writeAutopsy(w io.Writer, res *Result) error {
 	for i, m := range d.members {
 		sp, alive := m.get()
 		if !alive {
-			states = append(states, obs.NodeState{Node: i, Note: "dead"})
+			states = append(states, obs.NodeState{Node: i, Father: -1, Note: "dead"})
 			continue
 		}
 		rows, err := sp.Census()
@@ -59,14 +59,7 @@ func (d *driver) writeAutopsy(w io.Writer, res *Result) error {
 			if len(instSet) == 0 && !r.TokenHere && !r.Busy && !r.Held {
 				continue
 			}
-			states = append(states, obs.NodeState{
-				Node:      i,
-				Instance:  r.Instance,
-				TokenHere: r.TokenHere,
-				InCS:      r.Held,
-				Asking:    r.Busy,
-				Epoch:     r.Epoch,
-			})
+			states = append(states, r)
 		}
 	}
 

@@ -93,7 +93,9 @@ func TestTransportClosureUnblocksLock(t *testing.T) {
 
 // TestCensusAtRest checks the census sees exactly one token per
 // instance once traffic quiesces — the ≤1-live-token-at-rest invariant
-// the chaos harness sums across nodes.
+// the chaos harness sums across nodes — and that its rows carry each
+// node's real father: -1 at the instance's root, which holds the token,
+// and the root at the other node.
 func TestCensusAtRest(t *testing.T) {
 	nodes := newLiveSpace(t, 1)
 	ctx := context.Background()
@@ -107,6 +109,7 @@ func TestCensusAtRest(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // let the release traffic drain
 	id := KeyInstance("k")
 	tokens := 0
+	fathers := map[int]int{}
 	for _, ls := range nodes {
 		rows, err := ls.Census()
 		if err != nil {
@@ -116,16 +119,28 @@ func TestCensusAtRest(t *testing.T) {
 			if r.Instance != id {
 				continue
 			}
+			if r.Node != int(ls.Self()) {
+				t.Errorf("node %d's row names node %d", ls.Self(), r.Node)
+			}
 			if r.TokenHere {
 				tokens++
 			}
-			if r.Held || r.Busy {
+			if r.TokenHere != (r.Father == int(ocube.None)) {
+				t.Errorf("node %d at rest: token %v with father %d, want the token at the root alone", r.Node, r.TokenHere, r.Father)
+			}
+			if r.Held || r.Busy || r.Asking || r.Searching || r.QueueLen != 0 || r.Waiters != 0 {
 				t.Fatalf("node %d not at rest: %+v", ls.Self(), r)
 			}
+			fathers[r.Node] = r.Father
 		}
 	}
 	if tokens != 1 {
 		t.Fatalf("tokens at rest = %d, want 1", tokens)
+	}
+	// Node 1 fetched the token from the root, node 0, which gave it up as
+	// a transit node: node 1 is the new root and node 0 points at it.
+	if fathers[1] != int(ocube.None) || fathers[0] != 1 {
+		t.Errorf("fathers at rest = %v, want node 0 → 1 and node 1 a root (-1)", fathers)
 	}
 }
 

@@ -198,14 +198,10 @@ type parked struct {
 	fence   uint64
 }
 
-// CensusRow is one instance's snapshot in a Census: the fields the
-// chaos harness's end-of-run checks need (at most one token per
-// instance across surviving nodes; quiescence).
-type CensusRow struct {
-	Instance              uint64
-	TokenHere, Held, Busy bool
-	Epoch                 uint32
-}
+// CensusRow is one instance's snapshot in a Census (Machine.States): what
+// the chaos harness's end-of-run checks read (at most one token per
+// instance across surviving nodes; quiescence) and its autopsy writes.
+type CensusRow = obs.NodeState
 
 // Start starts a live node over link, in a reliable session it owns:
 // Close, or a failed Start, closes the session and the link. The node's
@@ -512,25 +508,16 @@ func (l *leases) ended(id, fence uint64, lapsed bool) {
 	}
 }
 
-// Census snapshots every instantiated instance between two steps — a
-// consistent view for the chaos harness's end-of-run checks (at most one
-// live token per instance across the surviving nodes, quiescence at rest).
+// Census snapshots every instantiated instance between two steps, in
+// instance order (Machine.States) — a consistent view for the chaos
+// harness's end-of-run checks (at most one live token per instance across
+// the surviving nodes, quiescence at rest) and its autopsy's state lines.
 func (ls *Lockspace) Census() ([]CensusRow, error) {
 	if !ls.begin() {
 		return nil, ErrClosed
 	}
 	defer ls.mu.Unlock()
-	// Instance order, not map order: census consumers (the chaos token
-	// census, autopsy state lines) render rows, replayed runs identically.
-	sts := ls.m.byInstance()
-	rows := make([]CensusRow, len(sts))
-	for i, st := range sts {
-		rows[i] = CensusRow{
-			Instance: st.node.Instance(), TokenHere: st.node.TokenHere(),
-			Held: st.held, Busy: st.node.Busy(), Epoch: st.node.Epoch(),
-		}
-	}
-	return rows, nil
+	return ls.m.States(nil), nil
 }
 
 // Close stops the node's loop and drops every pending deadline with it:
@@ -563,23 +550,13 @@ func (ls *Lockspace) Close() error {
 // the keys' recent token lineage (with a flight recorder attached) plus
 // each wedged instance's protocol state.
 func (ls *Lockspace) autopsyStuck() {
-	var stuck []uint64
-	var states []obs.NodeState
-	for _, st := range ls.m.byInstance() {
-		if len(st.queue) == 0 {
-			continue
-		}
-		n := st.node
-		stuck = append(stuck, n.Instance())
-		states = append(states, obs.NodeState{
-			Node: int(ls.cfg.Node.Self), Instance: n.Instance(), Father: int(n.Father()),
-			TokenHere: n.TokenHere(), Asking: n.Asking(), InCS: n.InCS(),
-			Searching: n.Searching(), QueueLen: len(st.queue), Epoch: n.Epoch(),
-			Note: fmt.Sprintf("held=%v fence=%d", st.held, st.fence),
-		})
-	}
-	if len(stuck) == 0 {
+	states := ls.m.States(func(r obs.NodeState) bool { return r.Waiters > 0 })
+	if len(states) == 0 {
 		return
+	}
+	stuck := make([]uint64, len(states))
+	for i, r := range states {
+		stuck[i] = r.Instance
 	}
 	_ = obs.WriteAutopsy(ls.cfg.Autopsy, "lockspace-close-stuck-waiters",
 		map[string]any{"node": int(ls.cfg.Node.Self), "stuck": len(stuck)},

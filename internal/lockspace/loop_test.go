@@ -234,7 +234,7 @@ func awaitQueued(t *testing.T, ls *Lockspace, key string, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
 		ls.mu.Lock()
-		got := ls.m.Queued(KeyInstance(key))
+		got := queued(ls.m, KeyInstance(key))
 		ls.mu.Unlock()
 		if got == n {
 			return

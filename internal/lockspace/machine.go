@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // This file is the keyed node itself, with no I/O in it: every instance
@@ -145,12 +146,25 @@ func (m *Machine) Aim() (time.Duration, bool) {
 	return at, true
 }
 
-// Queued returns how many local waiters instance id has, holder included.
-func (m *Machine) Queued(id uint64) int {
-	if ref, ok := m.index[id]; ok {
-		return len(m.insts[ref].queue)
+// States reads every instantiated instance's state out as the rows a
+// census or an autopsy reports, in instance order: its core.Node's
+// protocol state and the local side in front of it — the hold and the
+// FIFO of waiters. keep, when set, picks the rows returned.
+func (m *Machine) States(keep func(obs.NodeState) bool) []obs.NodeState {
+	var rows []obs.NodeState
+	for _, st := range m.byInstance() {
+		n := st.node
+		r := obs.NodeState{
+			Node: int(n.Self()), Instance: n.Instance(), Father: int(n.Father()),
+			TokenHere: n.TokenHere(), Asking: n.Asking(), InCS: n.InCS(),
+			Searching: n.Searching(), QueueLen: n.QueueLen(), Epoch: n.Epoch(),
+			Busy: n.Busy(), Held: st.held, Waiters: len(st.queue),
+		}
+		if keep == nil || keep(r) {
+			rows = append(rows, r)
+		}
 	}
-	return 0
+	return rows
 }
 
 // byInstance lists the instances in ascending id order — the fixed order

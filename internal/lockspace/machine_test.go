@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/ocube"
 )
 
@@ -215,6 +216,15 @@ func (r *rig) audit() {
 	}
 }
 
+// queued returns how many local waiters instance id has at m, holder
+// included, as its state row reports them.
+func queued(m *Machine, id uint64) int {
+	for _, row := range m.States(func(row obs.NodeState) bool { return row.Instance == id }) {
+		return row.Waiters
+	}
+	return 0
+}
+
 // lastHold returns the most recent hold, which must be who's.
 func (r *rig) lastHold(who any) *rigHold {
 	r.t.Helper()
@@ -315,7 +325,7 @@ func TestMachineLocalFIFO(t *testing.T) {
 		r.lock(1, id, who)
 	}
 	r.settle()
-	if got := r.ms[1].Queued(id); got != 3 {
+	if got := queued(r.ms[1], id); got != 3 {
 		t.Fatalf("Queued = %d with a holder and two waiters, want 3", got)
 	}
 	for i, who := range []string{"a", "b", "c"} {
@@ -345,8 +355,8 @@ func TestMachineCancelMidQueue(t *testing.T) {
 	}
 	sent := len(r.link)
 	r.cancel(0, id, "b")
-	if len(r.link) != sent || r.ms[0].Queued(id) != 2 {
-		t.Fatalf("cancelling a queued waiter sent %d envelopes and left %d queued, want none and 2", len(r.link)-sent, r.ms[0].Queued(id))
+	if len(r.link) != sent || queued(r.ms[0], id) != 2 {
+		t.Fatalf("cancelling a queued waiter sent %d envelopes and left %d queued, want none and 2", len(r.link)-sent, queued(r.ms[0], id))
 	}
 	r.cancel(0, id, "b") // not queued any more: a no-op
 	if err := r.unlock(0, id, r.lastHold("a").fence); err != nil {
@@ -525,6 +535,80 @@ func TestMachineCrashVoidsAndRecoverRejoins(t *testing.T) {
 		r.advance(delta)
 	}
 	r.lastHold("again")
+}
+
+// TestMachineStatesMatchNode: a census row is what its instance's
+// core.Node and the lockspace in front of it say, field by field — for a
+// waiter whose RequestCS is in flight, a holder with a waiter behind it
+// and a node searching for a father after its recovery.
+func TestMachineStatesMatchNode(t *testing.T) {
+	r := newRig(t, 2, ftTemplate(), -1, false)
+	r.lock(1, 1, "waiter") // its request stays in flight: nothing is delivered
+	r.lock(0, 2, "holder") // node 0 holds every token at birth
+	r.lock(0, 2, "behind")
+	r.lock(2, 3, "lost")
+	r.ms[2].Crash()
+	r.down[2] = true
+	r.ms[2].Recover(r.now)
+	r.down[2] = false
+	r.step(2)
+
+	var waiting, holding, searching int
+	for x, m := range r.ms {
+		rows := m.States(nil)
+		if len(rows) != len(m.insts) {
+			t.Fatalf("node %d: %d rows for %d instances", x, len(rows), len(m.insts))
+		}
+		for i, row := range rows {
+			if i > 0 && rows[i-1].Instance >= row.Instance {
+				t.Errorf("node %d: rows out of instance order: %d before %d", x, rows[i-1].Instance, row.Instance)
+			}
+			st := m.insts[m.index[row.Instance]]
+			n := st.node
+			for _, f := range []struct {
+				name      string
+				got, want any
+			}{
+				{"node", row.Node, x},
+				{"instance", row.Instance, n.Instance()},
+				{"father", row.Father, int(n.Father())},
+				{"token_here", row.TokenHere, n.TokenHere()},
+				{"asking", row.Asking, n.Asking()},
+				{"in_cs", row.InCS, n.InCS()},
+				{"searching", row.Searching, n.Searching()},
+				{"queue_len", row.QueueLen, n.QueueLen()},
+				{"epoch", row.Epoch, n.Epoch()},
+				{"busy", row.Busy, n.Busy()},
+				{"held", row.Held, st.held},
+				{"waiters", row.Waiters, len(st.queue)},
+				{"note", row.Note, ""},
+			} {
+				if f.got != f.want {
+					t.Errorf("node %d instance %d: %s = %v, want %v", x, row.Instance, f.name, f.got, f.want)
+				}
+			}
+			switch {
+			case x == 1 && row.Instance == 1:
+				if row.Asking && row.Busy && !row.Held && row.Waiters == 1 && row.Father == 0 {
+					waiting++
+				}
+			case x == 0 && row.Instance == 2:
+				if row.Held && row.InCS && row.TokenHere && row.Waiters == 2 && row.Father == int(ocube.None) {
+					holding++
+				}
+			case x == 2 && row.Instance == 3:
+				if row.Searching && row.Busy && row.Waiters == 0 {
+					searching++
+				}
+			}
+		}
+	}
+	if waiting != 1 || holding != 1 || searching != 1 {
+		t.Errorf("rows show %d in-flight waiters, %d holders, %d searching nodes; want one of each", waiting, holding, searching)
+	}
+	if rows := r.ms[0].States(func(row obs.NodeState) bool { return row.Held }); len(rows) != 1 || rows[0].Instance != 2 {
+		t.Errorf("node 0's held rows = %+v, want instance 2's alone", rows)
+	}
 }
 
 // TestMachineRandomSchedule drives four fault-tolerant machines through a

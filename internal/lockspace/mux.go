@@ -184,20 +184,11 @@ func (sp *Space) Autopsy(w io.Writer, reason string) error {
 	var states []obs.NodeState
 	var insts []uint64
 	for _, p := range sp.peers {
-		for _, st := range p.byInstance() {
-			n := st.node
-			if !n.Busy() && !n.TokenHere() {
-				continue
-			}
-			inst := n.Instance()
-			states = append(states, obs.NodeState{
-				Node: int(p.self), Instance: inst, Father: int(n.Father()),
-				TokenHere: n.TokenHere(), Asking: n.Asking(), InCS: n.InCS(),
-				Searching: n.Searching(), QueueLen: n.QueueLen(), Epoch: n.Epoch(),
-			})
-			if n.Busy() {
-				insts = append(insts, inst)
-			}
+		states = append(states, p.States(func(r obs.NodeState) bool { return r.Busy || r.TokenHere })...)
+	}
+	for _, r := range states {
+		if r.Busy {
+			insts = append(insts, r.Instance)
 		}
 	}
 	slices.Sort(insts)

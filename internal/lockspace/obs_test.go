@@ -3,6 +3,7 @@ package lockspace
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"maps"
 	"strings"
 	"sync"
@@ -164,9 +165,35 @@ func TestCloseStuckWaiterAutopsy(t *testing.T) {
 	if !strings.Contains(out, `"kind":"grant"`) {
 		t.Errorf("autopsy lineage missing the hold's grant:\n%s", out)
 	}
-	if !strings.Contains(out, `"rec":"state"`) {
-		t.Errorf("autopsy missing the node-state line:\n%s", out)
+	// The state line is the machine's row: the protocol queue under
+	// queue_len, the local FIFO — holder and waiter — under waiters.
+	st := ls.m.insts[ls.m.index[id]]
+	rows := stateLines(t, out)
+	if len(rows) != 1 {
+		t.Fatalf("autopsy has %d state lines, want the stuck instance's:\n%s", len(rows), out)
 	}
+	if r := rows[0]; r.Instance != id || r.QueueLen != st.node.QueueLen() || r.Waiters != 2 || !r.Held || !r.InCS {
+		t.Errorf("state line %+v, want instance %d held with queue_len %d and 2 waiters", r, id, st.node.QueueLen())
+	}
+}
+
+// stateLines decodes an autopsy's node-state lines.
+func stateLines(t *testing.T, out string) []obs.NodeState {
+	t.Helper()
+	var rows []obs.NodeState
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		var rec struct {
+			Rec string `json:"rec"`
+			obs.NodeState
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("autopsy line %q: %v", line, err)
+		}
+		if rec.Rec == "state" {
+			rows = append(rows, rec.NodeState)
+		}
+	}
+	return rows
 }
 
 // itoa renders a uint64 without pulling strconv into every assertion.
@@ -214,6 +241,22 @@ func TestSpaceStallAutopsy(t *testing.T) {
 	}
 	if !strings.Contains(out, `"rec":"state"`) || !strings.Contains(out, `"asking":true`) {
 		t.Errorf("autopsy missing the wedged requester's state:\n%s", out)
+	}
+	// Each state line is its position's machine row: queue_len is the
+	// protocol queue, waiters the local FIFO.
+	var requester int
+	for _, r := range stateLines(t, out) {
+		m := sp.peers[r.Node].Machine
+		st := m.insts[m.index[r.Instance]]
+		if n := st.node; r.QueueLen != n.QueueLen() || r.Waiters != len(st.queue) || r.Father != int(n.Father()) {
+			t.Errorf("state line %+v, node %d says queue_len %d, father %d and %d waiters", r, r.Node, n.QueueLen(), n.Father(), len(st.queue))
+		}
+		if r.Node == 1 && r.Asking && r.Busy && r.Waiters == 1 {
+			requester++
+		}
+	}
+	if requester != 1 {
+		t.Errorf("no state line shows node 1 asking with its one waiter:\n%s", out)
 	}
 }
 

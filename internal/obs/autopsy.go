@@ -5,21 +5,25 @@ import (
 	"io"
 )
 
-// NodeState is one node's per-instance protocol state captured for an
-// autopsy dump: enough of the open-cube bookkeeping (father pointer,
-// token presence, pending request, search in flight, queue depth,
-// epoch) to reconstruct why a key is wedged without attaching a
-// debugger.
+// NodeState is one node's per-instance state, the row of a census and the
+// state line of an autopsy dump: enough of the open-cube bookkeeping
+// (father pointer, token presence, pending request, search in flight,
+// protocol queue, epoch) and of the lock service in front of it (a hold,
+// the local waiters) to reconstruct why a key is wedged without attaching
+// a debugger. lockspace.Machine.States is what fills one in.
 type NodeState struct {
 	Node      int    `json:"node"`
 	Instance  uint64 `json:"instance,omitempty"`
-	Father    int    `json:"father"`
+	Father    int    `json:"father"` // -1: a root
 	TokenHere bool   `json:"token_here"`
 	Asking    bool   `json:"asking"`
 	InCS      bool   `json:"in_cs"`
 	Searching bool   `json:"searching"`
-	QueueLen  int    `json:"queue_len"`
+	QueueLen  int    `json:"queue_len"` // the protocol's deferred work
 	Epoch     uint32 `json:"epoch"`
+	Busy      bool   `json:"busy,omitempty"`    // protocol activity outstanding
+	Held      bool   `json:"held,omitempty"`    // a local client holds the lock
+	Waiters   int    `json:"waiters,omitempty"` // local clients queued, holder included
 	Note      string `json:"note,omitempty"`
 }
 

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ocube"
+	"repro/internal/trace"
+	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -173,5 +175,87 @@ func TestQuiescenceFuzzOverlappingChurn(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestRootHolderStormPinned pins the repair storm a root's crash inside
+// its own critical section sets off — no lender watches that token, so
+// the cluster finds its loss only by suspicion and search_father — beside
+// a borrower's crash, whose lender's enquiry repairs it cheaply. P=4 under
+// sessions over 1% loss, 20 000 uniform requests, one seed: run A crashes
+// the first grant holder after grant 500 whose father is None, run B the
+// first borrower after grant 500; each recovers 400δ later. Both must
+// quiesce with at most one live token and no visible violation, and each
+// run's repair-message count and outage (crash → next grant anywhere)
+// repeat exactly: a protocol change that moves them updates the pins and
+// says why.
+func TestRootHolderStormPinned(t *testing.T) {
+	const (
+		p        = 4
+		requests = 20000
+		after    = 500
+		seed     = 1
+	)
+	for _, tc := range []struct {
+		name   string
+		root   bool  // crash a root in its own critical section, else a borrower
+		repair int64 // failure-handling messages in the whole run
+		outage time.Duration
+	}{
+		{name: "root-holder", root: true, repair: 746, outage: 1070697139 * time.Nanosecond},
+		{name: "borrower", root: false, repair: 44, outage: 117866043 * time.Nanosecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := 1 << p
+			horizon := time.Duration(requests*(4*p+8)) * stormDelta
+			rec := &trace.Recorder{}
+			w, err := New(Config{
+				P:        p,
+				Seed:     seed,
+				Node:     stormNodeConfig(p),
+				Delay:    LossyDelay(0.01, UniformDelay(stormDelta/2, stormDelta)),
+				Session:  &transport.SessionConfig{RTO: 4 * stormDelta, MaxRTO: 64 * stormDelta},
+				Recorder: rec,
+				CSTime: func(rng *rand.Rand) time.Duration {
+					return time.Duration(rng.Int63n(int64(stormDelta)))
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashedAt, outage := time.Duration(-1), time.Duration(-1)
+			w.OnGrant(func(x ocube.Pos) {
+				now := w.Eng.Now()
+				switch {
+				case crashedAt >= 0:
+					if outage < 0 {
+						outage = now - crashedAt
+					}
+				case w.Grants() > after && (w.Node(x).Father() == ocube.None) == tc.root:
+					crashedAt = now
+					w.Fail(x, 0)
+					w.Recover(x, 400*stormDelta)
+				}
+			})
+			for _, q := range workload.Uniform(rand.New(rand.NewSource(seed)), n, requests, horizon) {
+				w.RequestCS(ocube.Pos(q.Node), q.At)
+			}
+			if !w.RunUntilQuiescent(horizon + 24*time.Hour) {
+				t.Fatal("the network did not quiesce")
+			}
+			if crashedAt < 0 || outage < 0 {
+				t.Fatalf("crashed at %v, outage %v: the crash or the grant after it never came", crashedAt, outage)
+			}
+			if v := w.ViolationsVisible(); v != 0 {
+				t.Errorf("%d application-visible mutual-exclusion violations", v)
+			}
+			if lt := w.LiveTokens(); lt > 1 {
+				t.Errorf("%d live tokens at rest, want at most 1", lt)
+			}
+			repair := rec.Overhead() - rec.Kind(core.KindTokenAck.String())
+			if repair != tc.repair || outage != tc.outage {
+				t.Errorf("repair %d msgs, outage %v; pinned %d and %v", repair, outage, tc.repair, tc.outage)
+			}
+		})
 	}
 }

@@ -17,6 +17,15 @@ import (
 // tolerates.
 const dialTimeout = 2 * time.Second
 
+// writeTimeout bounds one write to a connected peer. A peer that accepts
+// but stops reading fills the socket buffer, and a write that then waits
+// on it holds up the step that makes it, with its node's mutex held. A
+// write that misses the deadline drops the connection as a failed write
+// does: the session retransmits, the next send re-dials. The deadline is
+// re-armed only when less than half of it is left, so a write has between
+// half of it and all of it, and most writes set nothing.
+const writeTimeout = 100 * time.Millisecond
+
 // SessTCP is the FrameLink over TCP sockets: each node listens on its
 // own address and dials peers lazily, in the background; outbound
 // connections are cached and serialized per peer; one session frame
@@ -53,11 +62,12 @@ type SessTCP struct {
 // under either. While dialing, the frames sent meanwhile wait encoded in
 // queue, in order.
 type peerConn struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	buf     []byte // encode buffer, reused across sends
-	dialing bool
-	queue   [][]byte
+	mu       sync.Mutex
+	conn     net.Conn
+	deadline time.Time // conn's write deadline (writeTimeout)
+	buf      []byte    // encode buffer, reused across sends
+	dialing  bool
+	queue    [][]byte
 }
 
 // NewSessTCP starts a session frame link for self, listening on
@@ -207,7 +217,7 @@ func (t *SessTCP) connect(to ocube.Pos, pc *peerConn) {
 		conn.Close()
 		return
 	}
-	pc.conn = conn
+	pc.conn, pc.deadline = conn, time.Time{}
 	t.mu.Unlock()
 	for _, b := range queue {
 		if t.write(to, pc, b) != nil {
@@ -217,8 +227,13 @@ func (t *SessTCP) connect(to ocube.Pos, pc *peerConn) {
 }
 
 // write puts one encoded frame on pc's connection, dropping the
-// connection if that fails; the next send re-dials. The caller holds pc.mu.
+// connection if that fails or misses its deadline; the next send re-dials.
+// The caller holds pc.mu.
 func (t *SessTCP) write(to ocube.Pos, pc *peerConn, b []byte) error {
+	if now := time.Now(); pc.deadline.Sub(now) < writeTimeout/2 {
+		pc.deadline = now.Add(writeTimeout)
+		_ = pc.conn.SetWriteDeadline(pc.deadline) // an error here resurfaces as the Write's
+	}
 	if _, err := pc.conn.Write(b); err != nil {
 		pc.conn.Close()
 		t.mu.Lock()

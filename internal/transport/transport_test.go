@@ -320,3 +320,62 @@ func TestTCPSendDoesNotWaitForDial(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPStalledReaderBoundsSend: a peer that accepts but never reads
+// fills the socket buffer, and every send to it still returns within a
+// second — a write that misses its deadline drops the connection, and the
+// next send re-dials — where an unbounded write would wait until the
+// kernel gave up on the connection.
+func TestTCPStalledReaderBoundsSend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []net.Conn // held open, never read
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted = append(accepted, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		for _, c := range accepted {
+			c.Close()
+		}
+	})
+	addrs := reserveLoopbackAddrs(t, 1)
+	addrs[1] = ln.Addr().String()
+	a, err := NewSessTCP(0, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	f := SessFrame{Seq: 1, Batch: envBatch(1, 1024)} // ≈ 56 KiB on the wire
+	var slowest time.Duration
+	for i, dropped := 0, 0; dropped < 2; i++ {
+		if i == 100000 {
+			t.Fatal("100000 frames to a never-reading peer and no write missed its deadline")
+		}
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() { done <- a.SendFrame(1, f) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				dropped++
+			}
+			slowest = max(slowest, time.Since(start))
+		case <-time.After(time.Second):
+			t.Fatalf("send %d to a never-reading peer still blocked after 1s", i)
+		}
+	}
+	t.Logf("slowest send: %v", slowest)
+}
