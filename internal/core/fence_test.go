@@ -16,7 +16,7 @@ import (
 // TestMessageStays80Bytes pins the wire-struct layout: Fence filled the
 // word freed by narrowing Phase to int32, so adding client-visible fencing
 // must not have grown the per-message footprint the sim's event arenas and
-// the gob wire format are sized around.
+// the transport's fixed-size wire record are sized around.
 func TestMessageStays80Bytes(t *testing.T) {
 	if got := unsafe.Sizeof(Message{}); got != 80 {
 		t.Fatalf("sizeof(Message) = %d, want 80", got)

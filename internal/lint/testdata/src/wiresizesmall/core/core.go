@@ -1,6 +1,6 @@
 // Package core shrinks Message below the pin: the contract is exact —
-// gob compatibility and the cache-line-pair layout break in either
-// direction — so shrinking is a finding too, with no field named since
+// the cache-line-pair layout and the wire record that encodes every
+// field break in either direction — so shrinking is a finding too, with no field named since
 // none crossed the limit. Node's pin is an upper bound: a smaller Node
 // is a cheaper instance and stays silent.
 package core

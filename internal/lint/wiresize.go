@@ -8,7 +8,7 @@ import (
 )
 
 // wirePins are the layout contracts: the 80-byte core.Message (one
-// cache-line-pair wire struct, gob-compatible across PRs, runtime-pinned
+// cache-line-pair struct each wire record encodes field by field, runtime-pinned
 // by TestMessageStays80Bytes since PR 6), the 24-byte sim heap entry
 // (four-word heap sifts, and the unit the arrivals lane stores —
 // DESIGN.md §8) and the 424-byte core.Node (what a keyed instance costs

@@ -27,21 +27,14 @@
 // traffic is untagged (core.NoInstance) and reaches Peer.HandleMessage, a
 // keyed network's is tagged and reaches its position's Keyed.Envelope.
 //
-// Same-virtual-instant event runs are drained out of the heap as a
-// single batch and dispatched from a FIFO: events spawned with zero
-// delay while the run executes join the batch in O(1) instead of paying
-// a heap push and pop each, so zero-delay cascades (fixed-delay
-// experiments, the same-instant FIFO golden scenario) touch the heap
-// once per instant. Dispatch order stays bit-for-bit identical to
-// per-event popping (see Engine.Step).
-//
 // Beside the heap runs the arrivals lane (lane): a chunked FIFO that
 // takes every non-timer entry scheduled at or after its own tail — a
 // request schedule pushed in time order above all — in O(1) with no
 // copying, so the heap holds the in-flight set instead of every pending
 // arrival. Lane and heap are each ordered by (at, seq) and the engine
 // always takes the smaller head, which is the same total order one heap
-// would produce.
+// would produce: same-instant events, zero-delay ones included, run in
+// schedule order.
 //
 // With Config.Session the network is the second driver of
 // transport.Machine — transport.Session is the live one — stepping one
@@ -122,16 +115,6 @@ type Engine struct {
 	ev    []heapEntry // 4-ary min-heap by (at, seq)
 	lane  lane        // FIFO by (at, seq) of non-timer entries that arrived in order
 
-	// batch is the FIFO of the current instant's remaining events: when
-	// the clock advances, the whole same-instant run is drained out of
-	// the heap at once, and events spawned with zero delay while the run
-	// executes append here in O(1) instead of a heap push + pop pair.
-	// Timer entries never enter the batch — they stay heap-resident so
-	// the slot table's at-most-one-entry-per-key invariant (and the
-	// slotGen read at dispatch) keeps its exact meaning.
-	batch     []heapEntry
-	batchHead int
-
 	// slots maps timer keys to their heap index (-1 when absent) and
 	// slotGen to the generation the key was last armed with; sized by
 	// bind to nodes × timer kinds. At most one entry per key exists.
@@ -208,9 +191,9 @@ func (e *Engine) bind(h handler, timerSlots int) {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of scheduled events (heap, arrivals lane
-// and the current instant's batched run).
-func (e *Engine) Pending() int { return len(e.ev) + e.lane.n + len(e.batch) - e.batchHead }
+// Pending returns the number of scheduled events (heap and arrivals
+// lane).
+func (e *Engine) Pending() int { return len(e.ev) + e.lane.n }
 
 // scheduleEnv schedules the delivery of env after d.
 func (e *Engine) scheduleEnv(d time.Duration, env core.Envelope) {
@@ -228,25 +211,15 @@ func (e *Engine) schedule(d time.Duration, kind eventKind, ref int32) {
 	e.enqueue(d, heapEntry{kind: kind, ref: ref})
 }
 
-// enqueue stamps ent's instant and seq and queues it. A zero-delay event
-// joins the current instant's batch directly — in FIFO position, since
-// its seq is the largest yet — unless a same-instant entry is still
-// queued (a timer rescheduled to now, and whatever the batch drain left
-// behind it) that must dispatch first. Otherwise an entry at or after the
-// lane's tail appends to the lane, and only one that would break the
-// lane's order pays for a heap push.
+// enqueue stamps ent's instant and seq and queues it: an entry at or
+// after the lane's tail appends to the lane, and only one that would
+// break the lane's order pays for a heap push.
 func (e *Engine) enqueue(d time.Duration, ent heapEntry) {
 	if d < 0 {
 		d = 0
 	}
 	e.next++
 	ent.at, ent.seq = e.now+d, e.next
-	if d == 0 {
-		if f, _ := e.front(); f == nil || f.at != e.now {
-			e.batch = append(e.batch, ent)
-			return
-		}
-	}
 	if e.lane.n == 0 || ent.at >= e.lane.tailAt {
 		e.lane.push(ent)
 		return
@@ -344,9 +317,9 @@ func (e *Engine) pop() heapEntry {
 	return ent
 }
 
-// front returns the earliest entry queued outside the batch — the lane's
-// head or the heap's top, whichever (at, seq) puts first — and whether it
-// is the lane's; nil when both are empty.
+// front returns the earliest queued entry — the lane's head or the
+// heap's top, whichever (at, seq) puts first — and whether it is the
+// lane's; nil when both are empty.
 func (e *Engine) front() (ent *heapEntry, inLane bool) {
 	switch {
 	case e.lane.n == 0 && len(e.ev) == 0:
@@ -368,36 +341,13 @@ func (e *Engine) popFront(inLane bool) heapEntry {
 }
 
 // Step runs the next event; it reports false when none remain.
-//
-// Batched delivery: when the clock reaches a new instant, the entire
-// same-instant run at the front of lane and heap is drained into the
-// batch FIFO in one merged pass, and subsequent Steps dispatch from the
-// batch without touching either. Because seq numbers are monotonic,
-// events the run spawns at the same instant append behind it in exactly
-// the (at, seq) order one heap would have produced — dispatch order is
-// bit-for-bit identical to per-event popping, as the golden-trace
-// fixtures pin. The drain pauses at timer entries (see Engine.batch) and
-// resumes once they dispatch.
 func (e *Engine) Step() bool {
-	if e.batchHead < len(e.batch) {
-		ent := e.batch[e.batchHead]
-		e.batchHead++
-		if e.batchHead == len(e.batch) {
-			e.batch = e.batch[:0]
-			e.batchHead = 0
-		}
-		e.dispatch(ent)
-		return true
-	}
 	f, inLane := e.front()
 	if f == nil {
 		return false
 	}
 	ent := e.popFront(inLane)
 	e.now = ent.at
-	for f, inLane = e.front(); f != nil && f.at == e.now && f.kind != evTimer; f, inLane = e.front() {
-		e.batch = append(e.batch, e.popFront(inLane))
-	}
 	e.dispatch(ent)
 	return true
 }
@@ -413,39 +363,23 @@ func (e *Engine) dispatch(ent heapEntry) {
 	e.h.handle(ent)
 }
 
-// peekAt returns the fire time of the earliest event.
-func (e *Engine) peekAt() (time.Duration, bool) {
-	if e.batchHead < len(e.batch) {
-		return e.batch[e.batchHead].at, true
-	}
-	if f, _ := e.front(); f != nil {
-		return f.at, true
-	}
-	return 0, false
-}
-
 // RunUntil executes events with timestamps ≤ deadline and advances the
 // clock to the deadline.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for {
-		at, ok := e.peekAt()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
+	e.RunWhile(always, deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
 }
 
-// RunWhile steps until cond returns false before some event, the event
-// heap drains, or the clock passes maxTime. It returns true if it stopped
-// because cond became false.
+func always() bool { return true }
+
+// RunWhile steps until cond returns false before some event, the queues
+// drain, or the next event is due after maxTime. It returns true if it
+// stopped because cond became false.
 func (e *Engine) RunWhile(cond func() bool, maxTime time.Duration) bool {
 	for cond() {
-		at, ok := e.peekAt()
-		if !ok || at > maxTime {
+		if f, _ := e.front(); f == nil || f.at > maxTime {
 			return false
 		}
 		e.Step()

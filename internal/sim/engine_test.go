@@ -44,17 +44,6 @@ func after(e *Engine, d time.Duration, fn func()) {
 	e.schedule(d, evCallback, int32(len(c.fns)-1))
 }
 
-// drain runs every remaining event of e up to maxTime.
-func drain(e *Engine, maxTime time.Duration) {
-	for {
-		at, ok := e.peekAt()
-		if !ok || at > maxTime {
-			return
-		}
-		e.Step()
-	}
-}
-
 func TestEngineOrdering(t *testing.T) {
 	var e Engine
 	var got []int
@@ -101,7 +90,7 @@ func TestEngineRunUntilAdvancesClock(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Errorf("pending = %d", e.Pending())
 	}
-	drain(&e, time.Second)
+	e.RunWhile(always, time.Second)
 	if count != 2 {
 		t.Errorf("count = %d after drain", count)
 	}
@@ -300,8 +289,8 @@ func TestEngineTimerOrderingAcrossKeys(t *testing.T) {
 }
 
 // TestHeapStaysBoundedUnderFT: the dead-timer elimination must keep the
-// engine's queues — heap, arrivals lane and batch together, which is
-// what Pending counts — bounded by live work (one slot per node and
+// engine's queues — heap and arrivals lane together, which is what
+// Pending counts — bounded by live work (one slot per node and
 // timer kind plus in-flight traffic) even though fault-tolerant runs
 // re-arm suspicion timers on nearly every message. The heap alone is
 // held to the tighter bound the lane exists for: the scheduled requests
@@ -347,11 +336,10 @@ func TestHeapStaysBoundedUnderFT(t *testing.T) {
 	}
 }
 
-// TestEngineSameInstantBatchOrdering: a zero-delay cascade joins the
-// current instant's batch and still runs in exact (time, schedule) order
-// after the already-scheduled same-instant events — the batched-delivery
-// equivalent of TestEngineOrdering.
-func TestEngineSameInstantBatchOrdering(t *testing.T) {
+// TestEngineZeroDelayOrdering: a zero-delay cascade runs in exact (time,
+// schedule) order after the already-scheduled same-instant events — the
+// zero-delay case of TestEngineOrdering.
+func TestEngineZeroDelayOrdering(t *testing.T) {
 	var e Engine
 	var got []string
 	after(&e, time.Millisecond, func() {
@@ -385,7 +373,7 @@ func TestEngineSameInstantBatchOrdering(t *testing.T) {
 	}
 }
 
-// orderHandler records typed dispatches into a shared log (batch tests).
+// orderHandler records timer dispatches into a shared log.
 type orderHandler struct{ log *[]string }
 
 func (h *orderHandler) handle(ent heapEntry) {
@@ -394,11 +382,10 @@ func (h *orderHandler) handle(ent heapEntry) {
 	}
 }
 
-// TestEngineBatchPausesAtTimers: a timer entry scheduled between two
-// same-instant callbacks dispatches in its seq position, and zero-delay
-// events spawned before it route through the heap so they cannot
-// overtake it.
-func TestEngineBatchPausesAtTimers(t *testing.T) {
+// TestEngineZeroDelayWaitsForTimers: a timer entry scheduled between two
+// same-instant callbacks dispatches in its seq position, and a zero-delay
+// event spawned before the timer fires still runs after it.
+func TestEngineZeroDelayWaitsForTimers(t *testing.T) {
 	var e Engine
 	var log []string
 	e.bind(&orderHandler{log: &log}, 2*core.NumTimerKinds)

@@ -17,7 +17,7 @@ func TestFailRecoverIdempotent(t *testing.T) {
 	w.Fail(1, 0)
 	w.Fail(1, 0)    // double fail: no-op
 	w.Recover(2, 0) // recover a node that never failed: no-op
-	drain(w.Eng, time.Second)
+	w.Eng.RunWhile(always, time.Second)
 	if !w.Down(1) || w.Down(2) {
 		t.Error("down flags wrong after idempotent ops")
 	}
@@ -56,12 +56,12 @@ func TestFailureDuringCSReleasesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.RequestCS(0, 0) // root grants itself immediately
-	drain(w.Eng, 0)
+	w.Eng.RunWhile(always, 0)
 	if !w.Node(0).InCS() {
 		t.Fatal("root not in CS")
 	}
 	w.Fail(0, 0)
-	drain(w.Eng, time.Millisecond)
+	w.Eng.RunWhile(always, time.Millisecond)
 	// Another node must still be able to proceed after regeneration.
 	w.RequestCS(3, time.Millisecond)
 	if !w.RunUntilQuiescent(10 * time.Minute) {

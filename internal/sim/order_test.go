@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// orderModel is the reference the engine's three queues (heap, arrivals
-// lane, same-instant batch) are checked against: one flat list of
-// pending entries, dispatched by scanning for the smallest (at, seq). It
-// mirrors the engine's contract and nothing of its structure: a delay is
-// clamped at zero, every schedule call stamps the next seq, and arming a
-// timer whose entry is still pending replaces that entry.
+// orderModel is the reference the engine's two queues (heap and arrivals
+// lane) are checked against: one flat list of pending entries,
+// dispatched by scanning for the smallest (at, seq). It mirrors the
+// engine's contract and nothing of its structure: a delay is clamped at
+// zero, every schedule call stamps the next seq, and arming a timer
+// whose entry is still pending replaces that entry.
 type orderModel struct {
 	t       *testing.T
 	e       *Engine
@@ -20,6 +20,10 @@ type orderModel struct {
 	pending []heapEntry
 	ops     []byte // the script; exhausted means "do nothing more"
 	ran     int
+
+	// What the script provoked: events scheduled at the current instant,
+	// and timers whose pending entry was re-armed to it.
+	zeroDelay, rearmNow int
 }
 
 func (m *orderModel) op() byte {
@@ -71,9 +75,14 @@ func (m *orderModel) schedule() {
 		}
 		if !replaced {
 			m.pending = append(m.pending, ent)
+		} else if d <= 0 {
+			m.rearmNow++
 		}
 		m.e.scheduleTimer(key, m.next, d)
 		return
+	}
+	if d <= 0 {
+		m.zeroDelay++
 	}
 	kind := orderKinds[int(b)%len(orderKinds)]
 	m.pending = append(m.pending, heapEntry{at: at, seq: m.next, kind: kind, ref: int32(b)})
@@ -120,27 +129,28 @@ func (m *orderModel) check() {
 	if got := m.e.Pending(); got != len(m.pending) {
 		m.t.Fatalf("after %d events: Pending() = %d, the reference holds %d", m.ran, got, len(m.pending))
 	}
-	at, ok := m.e.peekAt()
-	if ok != (len(m.pending) > 0) {
-		m.t.Fatalf("after %d events: peekAt ok=%v with %d pending", m.ran, ok, len(m.pending))
+	f, _ := m.e.front()
+	if (f != nil) != (len(m.pending) > 0) {
+		m.t.Fatalf("after %d events: front is %v with %d pending", m.ran, f, len(m.pending))
 	}
-	if ok {
+	if f != nil {
 		min := m.pending[0]
 		for i := range m.pending {
 			if entryLess(&m.pending[i], &min) {
 				min = m.pending[i]
 			}
 		}
-		if at != min.at {
-			m.t.Fatalf("after %d events: peekAt = %v, the reference's next is due %v", m.ran, at, min.at)
+		if *f != min {
+			m.t.Fatalf("after %d events: front is %+v, the reference's next %+v", m.ran, *f, min)
 		}
 	}
 }
 
 // runOrderModel plays one script: top-level bytes choose between
 // scheduling, stepping, and jumping the clock with RunUntil; bytes
-// consumed inside handle make dispatched events schedule more.
-func runOrderModel(t *testing.T, script []byte) {
+// consumed inside handle make dispatched events schedule more. It
+// returns the model for its counts.
+func runOrderModel(t *testing.T, script []byte) *orderModel {
 	var e Engine
 	m := &orderModel{t: t, e: &e, ops: script}
 	e.bind(m, orderTimerKeys)
@@ -174,17 +184,28 @@ func runOrderModel(t *testing.T, script []byte) {
 	if len(m.pending) != 0 {
 		t.Fatalf("engine drained with %d entries still pending in the reference", len(m.pending))
 	}
+	return m
 }
 
 // TestEngineOrderMatchesReference: whatever mix of lane appends, heap
-// pushes, batch joins and in-place timer reschedules a script provokes,
-// the dispatched (at, seq, kind, ref) sequence is the reference's.
+// pushes, zero-delay schedules and in-place timer reschedules a script
+// provokes, the dispatched (at, seq, kind, ref) sequence is the
+// reference's. The scripts must schedule at the current instant and
+// re-arm a pending timer to it, or the same-instant order goes untested.
 func TestEngineOrderMatchesReference(t *testing.T) {
+	zeroDelay, rearmNow := 0, 0
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		script := make([]byte, 200+rng.Intn(1800))
 		rng.Read(script)
-		runOrderModel(t, script)
+		m := runOrderModel(t, script)
+		zeroDelay += m.zeroDelay
+		rearmNow += m.rearmNow
+	}
+	t.Logf("%d zero-delay schedules, %d timers re-armed to the current instant", zeroDelay, rearmNow)
+	if zeroDelay == 0 || rearmNow == 0 {
+		t.Fatalf("scripts provoked %d zero-delay schedules and %d timer re-arms to the current instant; want both > 0",
+			zeroDelay, rearmNow)
 	}
 }
 
