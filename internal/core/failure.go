@@ -29,12 +29,13 @@ import (
 // (or already be) the root — blocks regeneration exactly as a frozen
 // phase did.
 //
-// The candidate sets are pooled slices whose capacity survives across
-// searches (clearSearch truncates, never frees): outstanding is kept
-// sorted ascending so membership is a binary search, and deferred
-// accumulates in answer-arrival order and is re-sorted before each
-// probe round, preserving the position-ordered probe sequence that
-// seeded replay depends on.
+// The candidate sets are plain slices, like the node's queue and track
+// table (pool.go), whose capacity survives across searches (clearSearch
+// truncates, never frees): outstanding is kept sorted ascending so
+// membership is a binary search, and deferred accumulates in
+// answer-arrival order and is re-sorted before each probe round,
+// preserving the position-ordered probe sequence that seeded replay
+// depends on.
 type searchState struct {
 	active      bool
 	phase       int         // highest distance whose candidates were injected
@@ -593,8 +594,8 @@ func (n *Node) onTestReply(m Message) {
 // own repair, so a wait declared on k cannot resolve before this search
 // concludes.
 func (n *Node) queuedTarget(k ocube.Pos) bool {
-	for i := n.q.head; i >= 0; i = n.q.arena[i].next {
-		if e := &n.q.arena[i]; !e.local && (e.msg.Target == k || e.msg.Source == k) {
+	for i := range n.q.n {
+		if e := n.q.at(i); !e.local && (e.msg.Target == k || e.msg.Source == k) {
 			return true
 		}
 	}

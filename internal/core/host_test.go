@@ -11,7 +11,7 @@ import (
 // RequestCS, the lent token, ReleaseCS, the ack of the returned token —
 // without touching the heap, every effect (the sends, the suspicion and
 // transfer-ack timers, the grant) emitted into the Emitter's recycled
-// arenas, which CheckPools finds consistent after each warm-up input.
+// arenas, which CheckPools finds consistent after each input.
 func TestNewNodeAllocs(t *testing.T) {
 	cfg := Config{Self: 1, P: 1, FT: true, Delta: time.Millisecond, CSEstimate: time.Millisecond}
 	if got := testing.AllocsPerRun(100, func() {
@@ -27,7 +27,6 @@ func TestNewNodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := h.NewNode(7)
-	audit := true // CheckPools allocates its scratch: warm-up cycles only
 	// step checks one input's effects and returns the message it sent.
 	step := func(input string, effs []Effect, err error, want int) (sent Message) {
 		if err != nil {
@@ -41,10 +40,8 @@ func TestNewNodeAllocs(t *testing.T) {
 				sent = s.Msg
 			}
 		}
-		if audit {
-			if err := n.CheckPools(); err != nil {
-				t.Fatalf("%s: %v", input, err)
-			}
+		if err := n.CheckPools(); err != nil {
+			t.Fatalf("%s: %v", input, err)
 		}
 		return sent
 	}
@@ -63,7 +60,6 @@ func TestNewNodeAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		cycle()
 	}
-	audit = false
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Errorf("warm host: %v allocations per RequestCS → HandleMessage → ReleaseCS cycle, want 0", got)
 	}

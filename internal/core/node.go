@@ -139,7 +139,7 @@ type Node struct {
 	inCS      bool
 	mandator  ocube.Pos // None when no mandate is pending
 	lender    ocube.Pos // meaningful only while in the critical section
-	q         waitQueue // the paper's per-node waiting queue (pool.go)
+	q         waitQueue // the paper's per-node waiting queue, a FIFO ring (pool.go)
 	wantCS    bool      // a local enter_cs is queued, pending, or executing
 
 	// epoch is the highest token generation this node has observed (see
@@ -162,8 +162,8 @@ type Node struct {
 	// the copies they replace.
 	fenceCtr uint32
 
-	// Request bookkeeping (Section 5 extensions). track pools the
-	// per-source duplicate-discard state (pool.go).
+	// Request bookkeeping (Section 5 extensions). track holds the
+	// per-source duplicate-discard state, sorted by source (pool.go).
 	seq       uint64    // own request sequence (survives recovery: stable storage)
 	curSource ocube.Pos // source of the request currently mandated
 	curSeq    uint64    // sequence of the request currently mandated
@@ -215,9 +215,9 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // init puts the node in the pristine configuration of position
-// h.cfg.Self. The queue arena and track table are lazily grown on first
-// use: a large simulated network builds 2^P nodes per run and most never
-// proxy a request.
+// h.cfg.Self. The queue's ring and the track table stay unallocated
+// until first use: a large simulated network builds 2^P nodes per run and
+// most never proxy a request.
 func (n *Node) init(h *Host, inst uint64) {
 	*n = Node{
 		h:          h,
@@ -230,7 +230,6 @@ func (n *Node) init(h *Host, inst uint64) {
 		loanSource: ocube.None,
 		loanTarget: ocube.None,
 	}
-	n.q.reset()
 }
 
 // --- introspection (used by drivers, invariant checkers and tests) ---
@@ -656,8 +655,8 @@ func (n *Node) onRequest(m Message) {
 	}
 	// A re-issue of a request already queued here supersedes the queued
 	// copy in place, so recovery storms cannot bloat the queue.
-	for i := n.q.head; i >= 0; i = n.q.arena[i].next {
-		if e := &n.q.arena[i]; !e.local && e.msg.Source == m.Source {
+	for i := range n.q.n {
+		if e := n.q.at(i); !e.local && e.msg.Source == m.Source {
 			e.msg = m
 			n.drain()
 			return

@@ -7,87 +7,117 @@ import (
 	"repro/internal/ocube"
 )
 
-// TestWaitQueueAgainstModel drives the free-listed intrusive queue with
-// a long randomized push/pop/supersede sequence and compares it after
-// every operation against a plain-slice reference model, validating the
-// pool invariants (free list partitions the arena, counters consistent)
-// and that recycled slots never alias live or previously popped items.
+// TestWaitQueueAgainstModel drives the FIFO ring against a plain-slice
+// reference model, checking the ring's bounds and its contents after
+// every operation. A deterministic prefix first wraps the ring, grows it
+// while wrapped and supersedes an item stored across the wrap point; a
+// long randomized push/pop/supersede walk follows. Popped items are
+// copies: no later push may alias them.
 func TestWaitQueueAgainstModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
 	var q waitQueue
-	q.reset()
 	var model []queued
 
-	snapshot := func() []queued {
-		var out []queued
-		for i := q.head; i >= 0; i = q.arena[i].next {
-			out = append(out, q.arena[i])
-		}
-		return out
-	}
 	verify := func(step int) {
 		t.Helper()
 		if err := q.check(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
-		got := snapshot()
-		if len(got) != len(model) || q.n != len(model) {
-			t.Fatalf("step %d: queue has %d items (counter %d), model %d", step, len(got), q.n, len(model))
+		if q.n != len(model) {
+			t.Fatalf("step %d: queue has %d items, model %d", step, q.n, len(model))
 		}
-		for i := range got {
-			if got[i].local != model[i].local || got[i].msg.Source != model[i].msg.Source ||
-				got[i].msg.Seq != model[i].msg.Seq {
-				t.Fatalf("step %d: item %d = %+v, model %+v", step, i, got[i], model[i])
+		for i := range model {
+			if got := *q.at(i); got != model[i] {
+				t.Fatalf("step %d: item %d = %+v, model %+v", step, i, got, model[i])
 			}
 		}
 	}
-
 	var popped []queued // every item ever handed out, with its expected content
-	for step := 0; step < 5000; step++ {
+	push := func(it queued) {
+		q.push(it)
+		model = append(model, it)
+	}
+	pop := func(step int) {
+		got := q.pop()
+		if got != model[0] {
+			t.Fatalf("step %d: popped %+v, model %+v", step, got, model[0])
+		}
+		model = model[1:]
+		popped = append(popped, got)
+	}
+	// supersede replaces the first request from src in place, as
+	// onRequest does for re-issues.
+	supersede := func(src ocube.Pos, seq uint64) {
+		re := Message{Source: src, Seq: seq}
+		for i := range q.n {
+			if e := q.at(i); !e.local && e.msg.Source == src {
+				e.msg = re
+				break
+			}
+		}
+		for i := range model {
+			if !model[i].local && model[i].msg.Source == src {
+				model[i].msg = re
+				break
+			}
+		}
+	}
+	req := func(src ocube.Pos, seq uint64) queued { return queued{msg: Message{Source: src, Seq: seq}} }
+
+	// Prefix: fill a ring of four, pop two and push two more, so the
+	// tail wraps to slots 0 and 1 behind a head at slot 2.
+	step := 0
+	for src := range ocube.Pos(4) {
+		push(req(src, uint64(step)))
+		verify(step)
+		step++
+	}
+	for range 2 {
+		pop(step)
+		verify(step)
+		step++
+	}
+	push(req(10, uint64(step)))
+	push(req(11, uint64(step+1)))
+	step += 2
+	verify(step)
+	if len(q.ring) != 4 || q.head != 2 {
+		t.Fatalf("prefix: ring of %d with head %d, want 4 and 2", len(q.ring), q.head)
+	}
+	supersede(10, 500_000) // stored in slot 0, past the wrap point
+	verify(step)
+	if q.ring[0].msg.Seq != 500_000 {
+		t.Fatalf("prefix: slot 0 holds %+v, want the superseded request", q.ring[0])
+	}
+	push(queued{local: true}) // full and wrapped: grows
+	step++
+	verify(step)
+	if len(q.ring) != 8 || q.head != 0 {
+		t.Fatalf("prefix: grown ring of %d with head %d, want 8 and 0", len(q.ring), q.head)
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	for ; step < 5000; step++ {
 		switch op := rng.Intn(10); {
-		case op < 5: // push
-			it := queued{msg: Message{Source: ocube.Pos(rng.Intn(64)), Seq: uint64(step)}}
+		case op < 5:
+			it := req(ocube.Pos(rng.Intn(64)), uint64(step))
 			if rng.Intn(8) == 0 {
 				it = queued{local: true}
 			}
-			q.push(it)
-			model = append(model, it)
-		case op < 9: // pop
+			push(it)
+		case op < 9:
 			if q.n == 0 {
 				continue
 			}
-			got := q.pop()
-			want := model[0]
-			model = model[1:]
-			if got.local != want.local || got.msg.Source != want.msg.Source || got.msg.Seq != want.msg.Seq {
-				t.Fatalf("step %d: popped %+v, model %+v", step, got, want)
-			}
-			popped = append(popped, got)
-		default: // supersede in place, as onRequest does for re-issues
-			if q.n == 0 {
-				continue
-			}
-			src := ocube.Pos(rng.Intn(64))
-			re := Message{Source: src, Seq: 1_000_000 + uint64(step)} // seq range disjoint from pushes
-			for i := q.head; i >= 0; i = q.arena[i].next {
-				if e := &q.arena[i]; !e.local && e.msg.Source == src {
-					e.msg = re
-					break
-				}
-			}
-			for i := range model {
-				if !model[i].local && model[i].msg.Source == src {
-					model[i].msg = re
-					break
-				}
-			}
+			pop(step)
+		default: // seq range disjoint from pushes
+			supersede(ocube.Pos(rng.Intn(64)), 1_000_000+uint64(step))
 		}
 		verify(step)
 	}
 
-	// Popped items are copies: no later push may have mutated them. Seq
-	// doubles as a uniqueness stamp, so any aliasing through a recycled
-	// slot would show as a content mismatch above or a duplicate here.
+	// Seq doubles as a uniqueness stamp, so any aliasing between popped
+	// items and ring slots would show as a content mismatch above or a
+	// duplicate here.
 	seen := map[uint64]int{}
 	for _, it := range popped {
 		if it.local {
@@ -95,7 +125,7 @@ func TestWaitQueueAgainstModel(t *testing.T) {
 		}
 		seen[it.msg.Seq]++
 		if seen[it.msg.Seq] > 1 {
-			t.Fatalf("request seq %d handed out twice: recycled slot aliased a live item", it.msg.Seq)
+			t.Fatalf("request seq %d handed out twice: a ring slot aliased a live item", it.msg.Seq)
 		}
 	}
 
@@ -105,13 +135,16 @@ func TestWaitQueueAgainstModel(t *testing.T) {
 	if err := q.check(); err != nil {
 		t.Fatalf("after draining: %v", err)
 	}
-	if len(q.arena) > 0 && q.free < 0 {
-		t.Fatal("drained queue leaked arena slots: free list empty with a non-empty arena")
+	capacity := len(q.ring)
+	q.reset()
+	if err := q.check(); err != nil || q.n != 0 || len(q.ring) != capacity {
+		t.Fatalf("after reset: %v, %d items, ring %d (was %d)", err, q.n, len(q.ring), capacity)
 	}
 }
 
-// TestTrackTableAgainstModel drives the open-addressed tracking table
-// against a map reference model.
+// TestTrackTableAgainstModel drives the source-sorted tracking table
+// against a map reference model, checking after every step that it
+// stays strictly ascending by source.
 func TestTrackTableAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var tab trackTable
@@ -154,14 +187,14 @@ func TestTrackTableAgainstModel(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	if tab.n != len(model) {
-		t.Fatalf("table has %d entries, model %d", tab.n, len(model))
+	if len(tab) != len(model) {
+		t.Fatalf("table has %d entries, model %d", len(tab), len(model))
 	}
 	tab.reset()
 	if err := tab.check(); err != nil {
 		t.Fatalf("after reset: %v", err)
 	}
-	if tab.lookup(3) != nil || tab.n != 0 {
+	if tab.lookup(3) != nil || len(tab) != 0 {
 		t.Fatal("reset table still answers lookups")
 	}
 }

@@ -27,7 +27,8 @@ var effectStructs = map[string]bool{"Send": true, "Grant": true, "StartTimer": t
 // host (translate, then call); keeping the pointer instead is a
 // use-after-recycle waiting for a warm arena. The owning package
 // (internal/core) is exempt: filling its own arenas is the mechanism,
-// and its internal discipline is pinned by the CheckPools model tests.
+// and its internal discipline is pinned by CheckPools's emitter check
+// and TestNewNodeAllocs.
 var ArenaRetainAnalyzer = &Analyzer{
 	Name: "arenaretain",
 	Doc:  "forbid retaining arena-backed effect values past the driver call",

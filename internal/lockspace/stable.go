@@ -62,12 +62,16 @@ func (s *MemStable) Save(inst uint64, st StableState) error {
 	return nil
 }
 
-// FileStable is a StableStore on an append-only JSONL log, for node
-// processes that die by SIGKILL: each Save appends one record (a single
-// write syscall), OpenFileStable replays the log with last-record-wins
-// and silently discards a torn final line — the worst a kill mid-append
-// costs is that one update, which the protocol absorbs like a crash
-// that happened a moment earlier.
+// FileStable is a StableStore on an append-only JSONL log, written for
+// node processes that die by SIGKILL. Each Save appends one record with a
+// single write(2) and no fsync; OpenFileStable replays the log with
+// last-record-wins and silently discards a torn final line. A live node
+// saves a step's changes before it sends anything of the step (DESIGN.md
+// §16), so a record torn by a kill belongs to a step whose sends never
+// left: the reborn node resumes as if it had crashed a moment earlier.
+// A record the write returned from is in the kernel's page cache, not on
+// disk: a kernel crash or power loss can drop a tail of records whose
+// sends already left, which is outside the fail-stop model.
 type FileStable struct {
 	mu sync.Mutex
 	m  map[uint64]StableState
