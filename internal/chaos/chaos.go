@@ -105,9 +105,6 @@ type Config struct {
 	// Patience is how long a client waits for one Lock before declaring
 	// it stuck (a PropNoStuck failure). Default 15s.
 	Patience time.Duration
-	// ReclaimBound overrides the reclaim-latency envelope (0 = the
-	// props default, 10·TTL+15s).
-	ReclaimBound time.Duration
 	// Faults is the scripted fault plan; nil generates one from Seed
 	// with at least Kills kills and Partitions partitions.
 	Faults []Fault
@@ -238,7 +235,7 @@ func Run(cfg Config) (*Result, error) {
 		n:            n,
 		mesh:         mesh,
 		plane:        newPlane(),
-		props:        props.NewLockProps(&col, cfg.LeaseTTL, cfg.ReclaimBound),
+		props:        props.NewLockProps(&col, cfg.LeaseTTL, 0),
 		keys:         make([]string, cfg.Keys),
 		zipf:         zipf,
 		grabbedHolds: make(map[int]grabbed),

@@ -54,8 +54,7 @@ func (m *member) start() {
 	}
 	cfg := m.d.cfg
 	space, err := lockspace.Start(m.d.mesh.Endpoint(m.pos), transport.SessionConfig{
-		Window: 64,
-		RTO:    30 * time.Millisecond,
+		RTO: 30 * time.Millisecond,
 	}, lockspace.Config{
 		Node: core.Config{
 			Self: m.pos, P: cfg.P, FT: true, EpochFence: true,

@@ -12,13 +12,15 @@ import (
 
 // BenchmarkSessionStep prices the session machine alone, with no driver,
 // socket or engine: two Machines and a scripted link that hands every
-// frame to its destination's Frame in send order at once. One op is one
-// batch of one envelope, sent by the two ends in turn as a roaming token's
-// traffic is; virtual time then advances a millisecond and every machine
-// whose deadline came due is ticked. Acks ride the other end's next data
-// frame, and every other batch is an unlent token, so half the retired
-// frames hand back a receipt. ns/input and allocs/input divide by the
-// machine inputs the op took (Send, Frame, Tick), like core's
+// frame to its destination's Frame at once. One op is two batches of one
+// envelope, a request and an unlent token, sent by the two ends in turn
+// as a roaming token's traffic is; virtual time then advances a
+// millisecond and every machine whose deadline came due is ticked. The
+// link lets the token's frame overtake the request's, so every op has
+// one out-of-order arrival: the receiver parks it in its mask until the
+// request fills the gap, and acks both at once (a gap). Each token's
+// retired frame hands back a receipt. ns/input and allocs/input divide
+// by the machine inputs the op took (Send, Frame, Tick), like core's
 // BenchmarkNodeStep and lockspace's BenchmarkMachineStep.
 func BenchmarkSessionStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -49,13 +51,14 @@ func BenchmarkSessionStep(b *testing.B) {
 	}
 	op := func(k int) {
 		from, to := ocube.Pos(k%2), ocube.Pos(1-k%2)
-		batch := batches[from][k/2%ring][:]
-		batch[0] = core.Envelope{Msg: core.Message{Kind: core.KindRequest, From: from, To: to, Seq: uint64(k)}}
-		if k/2%2 == 1 {
-			batch[0].Msg.Kind, batch[0].Msg.Lender = core.KindToken, ocube.None
-		}
-		link = ms[from].Send(now, to, batch, link[:0])
-		inputs++
+		i := k % ring &^ 1 // two slots per op
+		req, tok := batches[from][i][:], batches[from][i+1][:]
+		req[0] = core.Envelope{Msg: core.Message{Kind: core.KindRequest, From: from, To: to, Seq: uint64(k)}}
+		tok[0] = core.Envelope{Msg: core.Message{Kind: core.KindToken, From: from, To: to, Lender: ocube.None, Seq: uint64(k)}}
+		link = ms[from].Send(now, to, req, link[:0])
+		link = ms[from].Send(now, to, tok, link)
+		link[0], link[1] = link[1], link[0]
+		inputs += 2
 		settle()
 		now += time.Millisecond
 		for _, m := range ms {
@@ -71,6 +74,7 @@ func BenchmarkSessionStep(b *testing.B) {
 		op(k)
 	}
 	inputs, delivered, rcpts = 0, 0, 0
+	acks := ms[0].Stats().AckFrames + ms[1].Stats().AckFrames
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
@@ -79,11 +83,15 @@ func BenchmarkSessionStep(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
-	if delivered != b.N || rcpts < (b.N-2)/2 {
+	if delivered != 2*b.N || rcpts < b.N-2 {
 		b.Fatalf("%d envelopes delivered and %d receipts for %d ops", delivered, rcpts, b.N)
 	}
-	if st := ms[0].Stats().Add(ms[1].Stats()); st.Retransmits != 0 || st.DupDrops != 0 {
+	st := ms[0].Stats().Add(ms[1].Stats())
+	if st.Retransmits != 0 || st.DupDrops != 0 {
 		b.Fatalf("a lossless link cost retransmits or duplicates: %+v", st)
+	}
+	if acks = st.AckFrames - acks; acks < int64(b.N) {
+		b.Fatalf("%d pure acks for %d ops: not every op's gap was acked at once", acks, b.N)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(inputs), "ns/input")
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(inputs), "allocs/input")

@@ -16,10 +16,13 @@ import (
 // delivered stream against a reference model of the dedup contract:
 // within one sender incarnation every sequence number is delivered at
 // most once, a higher boot — on a data frame or a pure ack — restarts the
-// sequence space, a lower boot delivers nothing, and neither does a
-// frame addressed to another incarnation of the receiver. The seed corpus (f.Add plus testdata/fuzz) encodes
-// the E11 duplicate-token shapes: the same transfer frame re-sent after
-// an ack loss, and a reborn node replaying its old sequence numbers.
+// sequence space, a lower boot delivers nothing, neither does a frame
+// addressed to another incarnation of the receiver, and neither does one
+// numbered more than the window (64) above the highest sequence number
+// below which everything was delivered. The seed corpus (f.Add plus
+// testdata/fuzz) encodes the E11 duplicate-token shapes: the same
+// transfer frame re-sent after an ack loss, and a reborn node replaying
+// its old sequence numbers.
 //
 // Input encoding: 3 bytes per op — opcode (mod 6), boot (1..4 before
 // bumps), seq (0..15; 0 is a pure ack wire-wise).
@@ -28,7 +31,8 @@ import (
 //	op 1: send it twice (the retransmit-duplicate shape)
 //	op 2: send a pure ack frame (acks against no sender state; its boot
 //	      still announces the sender's incarnation)
-//	op 3: send (boot, seq+64) — a far-future seq that parks in recvSeen
+//	op 3: send (boot, seq+64) — a far-future seq: delivered and parked in
+//	      the mask while the window reaches it, refused beyond
 //	op 4: send (boot+4, seq) — a rebirth bump
 //	op 5: send (boot, seq) carrying ack fields and a ToBoot taken from the
 //	      raw bytes — a piggybacked ack must not disturb the data half of
@@ -42,9 +46,12 @@ func FuzzSessionDedup(f *testing.F) {
 	// Rebirth replay: boot 1 delivers, boot 5 resets the window and
 	// reuses seq 1, then a boot-1 straggler must be refused.
 	f.Add([]byte{0, 1, 1, 4, 1, 1, 0, 1, 1})
-	// Out-of-order window: far-future seq parks above recvHigh, the gap
-	// fills, the future seq replays as a duplicate.
+	// Out-of-order window: a far-future seq beyond the window is refused,
+	// and again after two deliveries that do not bring the window to it.
 	f.Add([]byte{3, 1, 5, 0, 1, 1, 0, 1, 2, 3, 1, 5})
+	// The window's edge: seq 64 parks in the mask's last bit with nothing
+	// delivered, 65 is refused until seq 1 arrives, then it is delivered.
+	f.Add([]byte{3, 1, 0, 3, 1, 1, 0, 1, 1, 3, 1, 1})
 	// Ack-only noise around a delivery.
 	f.Add([]byte{2, 1, 1, 0, 1, 1, 2, 1, 1, 2, 3, 0})
 	// Garbage piggybacked acks on a delivery, its duplicate and a rebirth.
@@ -92,21 +99,25 @@ func FuzzSessionDedup(f *testing.F) {
 		var want []uint64
 		cur := uint64(0)
 		seen := make(map[uint64]struct{})
+		high := uint64(0) // every seq ≤ high of boot cur was delivered
 		model := func(boot, seq, toBoot uint64) {
 			if boot < cur {
 				return
 			}
 			if boot > cur {
-				cur = boot
+				cur, high = boot, 0
 				seen = make(map[uint64]struct{})
 			}
-			if seq == 0 || toBoot > 1 {
+			if seq == 0 || toBoot > 1 || seq > high+window {
 				return
 			}
 			if _, dup := seen[seq]; dup {
 				return
 			}
 			seen[seq] = struct{}{}
+			for _, ok := seen[high+1]; ok; _, ok = seen[high+1] {
+				high++
+			}
 			want = append(want, boot<<32|seq)
 		}
 		var ack SessFrame // ack fields of the next data frame
@@ -177,7 +188,7 @@ func FuzzMachineReceipts(f *testing.F) {
 		if len(data) > 400 {
 			data = data[:400]
 		}
-		r := newMachRig(t, SessionConfig{Window: 4})
+		r := newMachRig(t, 4)
 		salt := byte(0)
 		r.fate = func(n int, _ ocube.Pos, _ SessFrame) time.Duration {
 			switch x := (salt + byte(n)*37) % 8; x {

@@ -4,6 +4,7 @@ package transport
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -14,19 +15,20 @@ import (
 // This file is the session discipline itself, with no I/O in it: the
 // paper assumes every link reliable with a bounded delay (Section 2), and
 // a Machine manufactures such a link out of a lossy one — per-peer
-// monotonic sequence numbers, a sliding-window receiver that drops
-// duplicates, acks that name runs of frames, and exponential-backoff
-// retransmission with jitter. It is a pure state machine in the shape of
-// core.Node: the driver tells it the time and what happened (Send, Frame,
-// Tick), and it answers with the frames to put on the link, the batch to
-// deliver and one deadline. Two drivers exist — Session (session.go) on
-// the wall clock and sim.Network under the deterministic engine — so the
-// simulator validates the code that ships.
+// sequence numbers in a window that is a wire constant, a receiver that
+// drops duplicates with one 64-bit mask, acks that name runs of frames,
+// and exponential-backoff retransmission with jitter. It is a pure state
+// machine in the shape of core.Node: the driver tells it the time and
+// what happened (Send, Frame, Tick), and it answers with the frames to
+// put on the link, the batch to deliver and one deadline. Two drivers
+// exist — Session (session.go) on the wall clock and sim.Network under
+// the deterministic engine — so the simulator validates the code that
+// ships.
 //
 // Acks ride, they are not sent: a received data frame makes its ack
 // owed, and owed acks leave on the next data frame to that peer. Only
 // when no data frame comes do they travel alone, as one pure ack frame
-// once the oldest has waited RTO/4 or Window/4 of them are owed; a
+// once the oldest has waited RTO/4 or ackEvery of them are owed; a
 // duplicate (its sender is already retransmitting) and a gap in the
 // sequence (something was lost or reordered) are acked at once.
 //
@@ -44,10 +46,6 @@ import (
 // SessionConfig tunes a reliable session. The zero value takes the
 // defaults documented per field.
 type SessionConfig struct {
-	// Window bounds the unacknowledged frames in flight to one peer;
-	// further batches queue inside the session until an ack frees a slot.
-	// Default 64.
-	Window int
 	// RTO is the initial retransmission timeout. Default 50ms, live and
 	// simulated alike; it should exceed the link's round trip plus RTO/4
 	// of ack delay, or healthy traffic retransmits spuriously. RTO/4 is
@@ -56,10 +54,6 @@ type SessionConfig struct {
 	RTO time.Duration
 	// MaxRTO caps the exponential backoff. Default 1s.
 	MaxRTO time.Duration
-	// Jitter is the fraction of the current timeout added as a random
-	// extra on every retransmission (decorrelates retransmit storms).
-	// Default 0.2.
-	Jitter float64
 	// Boot is this session's incarnation number. A restarted node must
 	// come back with a Boot strictly above any it used before (a persisted
 	// counter, or the wall clock at startup: lockspace.Start picks one):
@@ -70,20 +64,24 @@ type SessionConfig struct {
 	Boot uint64
 }
 
-const defaultRTO = 50 * time.Millisecond
+const (
+	defaultRTO = 50 * time.Millisecond
+	// window is how far a sender may number a frame ahead of its oldest
+	// unacknowledged one, and the width of the receiver's dedup mask.
+	window = 64
+	// ackEvery owed acks leave at once, without waiting for a ride.
+	ackEvery = window / 4
+	// jitter is the fraction of the current timeout added as a random
+	// extra on every retransmission (decorrelates retransmit storms).
+	jitter = 0.2
+)
 
 func (c SessionConfig) withDefaults() SessionConfig {
-	if c.Window <= 0 {
-		c.Window = 64
-	}
 	if c.RTO <= 0 {
 		c.RTO = defaultRTO
 	}
 	if c.MaxRTO <= 0 {
 		c.MaxRTO = time.Second
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.2
 	}
 	if c.Boot == 0 {
 		c.Boot = 1
@@ -123,10 +121,10 @@ type SessionStats struct {
 	// AckTimeouts counts retransmission timeouts that expired with the
 	// frame still unacknowledged.
 	AckTimeouts int64
-	// StaleBootDrops counts data frames discarded because they came from a
-	// dead incarnation of the sender (a boot below its current one) or
-	// addressed a dead incarnation of this node — traffic still in flight
-	// after a restart.
+	// StaleBootDrops counts data frames that belong to no live sequence
+	// space: from a dead incarnation of the sender (a boot below its
+	// current one) or to a dead one of this node — traffic in flight
+	// across a restart — or numbered beyond the window.
 	StaleBootDrops int64
 	// AckFrames counts pure ack frames sent: acknowledgements that found
 	// no data frame to ride.
@@ -225,13 +223,10 @@ const Never = time.Duration(math.MaxInt64)
 // the batch a frame delivered, the receipts an ack produced (see Frame),
 // and one deadline.
 type Machine struct {
-	self ocube.Pos
-	cfg  SessionConfig
-	// Derived from cfg: owed acks leave alone once ackEvery are owed or
-	// the oldest has waited ackDelay.
-	ackEvery uint32
-	ackDelay time.Duration
+	self     ocube.Pos
+	cfg      SessionConfig
 	rng      *rand.Rand
+	sendSpan uint64 // window; lowered only by tests, to reach the backlog
 
 	peers map[ocube.Pos]*machPeer
 	// active lists the peers Tick has to look at: those with a frame in
@@ -252,18 +247,19 @@ type machPeer struct {
 	pos ocube.Pos
 
 	// Sender side: frames to this peer. inflight holds the transmitted,
-	// unacknowledged ones in Seq order, at most Window of them; backlog
-	// holds, first in first out, the batches accepted while the window was
-	// full — each takes its sequence number when an ack frees a slot, so
-	// the link never sees more than Window frames ahead of the peer's acks.
+	// unacknowledged ones in Seq order, within a window of the oldest;
+	// backlog holds, first in first out, the batches accepted while the
+	// window was full — each takes its sequence number (after nextSeq, the
+	// last given) once the oldest is acked, so no frame on the link is a
+	// window ahead of what the peer delivered in order.
 	nextSeq  uint64
 	inflight []machOut
 	backlog  [][]core.Envelope
 
 	// Receiver side: frames from this peer.
-	recvBoot uint64              // the peer incarnation the window below belongs to
-	recvHigh uint64              // every seq ≤ recvHigh was delivered
-	recvSeen map[uint64]struct{} // delivered seqs above recvHigh; nil until one arrives out of order
+	recvBoot uint64 // the peer incarnation the window below belongs to
+	recvHigh uint64 // every seq ≤ recvHigh was delivered
+	recvMask uint64 // bit i: seq recvHigh+1+i was delivered
 
 	// Owed acks: the run of recvBoot's frames (ackHi-ackN, ackHi] was
 	// received and not yet acknowledged; ackN == 0 means nothing is owed.
@@ -296,9 +292,8 @@ func NewMachine(self ocube.Pos, cfg SessionConfig, rng *rand.Rand) *Machine {
 	return &Machine{
 		self:     self,
 		cfg:      cfg,
-		ackEvery: uint32(max(1, cfg.Window/4)),
-		ackDelay: cfg.RTO / 4,
 		rng:      rng,
+		sendSpan: window,
 		peers:    make(map[ocube.Pos]*machPeer),
 		deadline: Never,
 	}
@@ -362,15 +357,21 @@ func (m *Machine) Send(now time.Duration, to ocube.Pos, batch []core.Envelope, o
 	}
 	p := m.peer(to)
 	m.unacked++
-	if len(p.inflight) >= m.cfg.Window {
+	if !m.room(p) {
 		p.backlog = append(p.backlog, batch)
 		return out
 	}
 	return m.transmit(now, p, batch, out)
 }
 
+// room reports whether the next sequence number stays within the window
+// of the oldest frame in flight, all below which p has delivered.
+func (m *Machine) room(p *machPeer) bool {
+	return len(p.inflight) == 0 || p.nextSeq+1-p.inflight[0].seq < m.sendSpan
+}
+
 // transmit gives batch the next sequence number and its first
-// transmission. Window room is the caller's business.
+// transmission. Room in the window is the caller's business (room).
 func (m *Machine) transmit(now time.Duration, p *machPeer, batch []core.Envelope, out []Outgoing) []Outgoing {
 	p.nextSeq++
 	due := now + m.backoff(0)
@@ -382,7 +383,7 @@ func (m *Machine) transmit(now time.Duration, p *machPeer, batch []core.Envelope
 
 // release moves backlog into whatever room the window has, oldest first.
 func (m *Machine) release(now time.Duration, p *machPeer, out []Outgoing) []Outgoing {
-	for len(p.backlog) > 0 && len(p.inflight) < m.cfg.Window {
+	for len(p.backlog) > 0 && m.room(p) {
 		batch := p.backlog[0]
 		p.backlog[0] = nil
 		p.backlog = p.backlog[1:]
@@ -426,7 +427,7 @@ func (m *Machine) backoff(attempts int) time.Duration {
 	if rto <= 0 || rto > m.cfg.MaxRTO {
 		rto = m.cfg.MaxRTO
 	}
-	if j := int64(float64(rto) * m.cfg.Jitter); j > 0 {
+	if j := int64(float64(rto) * jitter); j > 0 {
 		rto += time.Duration(m.rng.Int63n(j + 1))
 	}
 	return rto
@@ -518,29 +519,24 @@ func (m *Machine) Frame(now time.Duration, f SessFrame, out []Outgoing, rcpt []c
 
 // accept runs data frame f through p's dedup window and books its ack.
 func (m *Machine) accept(now time.Duration, p *machPeer, f SessFrame, out []Outgoing) ([]core.Envelope, []Outgoing) {
-	_, seen := p.recvSeen[f.Seq]
+	bit := uint64(1) << (f.Seq - p.recvHigh - 1) // f's bit in the mask, if f is in the window
 	switch {
-	case f.Seq <= p.recvHigh || seen:
+	case f.Seq > p.recvHigh+window:
+		// No sender keeping the window numbers a frame this far ahead: it
+		// belongs to no sequence space this node shares. Dropped, unacked.
+		m.stats.StaleBootDrops++
+		return nil, out
+	case f.Seq <= p.recvHigh || p.recvMask&bit != 0:
 		// The original ack was lost (or is still owed) and the sender is
 		// retransmitting: answer at once.
 		m.stats.DupDrops++
 		p.dupDrops++
 		return nil, append(out, m.ackFrame(p, f.Seq, 1))
-	case f.Seq == p.recvHigh+1:
-		p.recvHigh++
-		for len(p.recvSeen) > 0 {
-			if _, ok := p.recvSeen[p.recvHigh+1]; !ok {
-				break
-			}
-			delete(p.recvSeen, p.recvHigh+1)
-			p.recvHigh++
-		}
-	default:
-		if p.recvSeen == nil {
-			p.recvSeen = make(map[uint64]struct{})
-		}
-		p.recvSeen[f.Seq] = struct{}{}
 	}
+	p.recvMask |= bit
+	n := bits.TrailingZeros64(^p.recvMask) // the run delivered in order from recvHigh+1
+	p.recvHigh += uint64(n)
+	p.recvMask >>= n
 
 	// Book the ack. A frame that does not extend the owed run marks a
 	// loss or a reordering: the run and the frame are acked at once.
@@ -549,12 +545,12 @@ func (m *Machine) accept(now time.Duration, p *machPeer, f SessFrame, out []Outg
 		out = append(out, m.owedFrame(p))
 	}
 	if p.ackN == 0 {
-		p.ackAt = now + m.ackDelay
+		p.ackAt = now + m.cfg.RTO/4 // the ack delay
 		m.wake(p, p.ackAt)
 	}
 	p.ackHi = f.Seq
 	p.ackN++
-	if gap || p.ackN >= m.ackEvery {
+	if gap || p.ackN >= ackEvery {
 		out = append(out, m.owedFrame(p))
 	}
 	return f.Batch, out
@@ -564,28 +560,29 @@ func (m *Machine) accept(now time.Duration, p *machPeer, f SessFrame, out []Outg
 // restarted, so the dedup window restarts too; the acks owed to the
 // previous incarnation have no one to receive them; and the frames it
 // never acknowledged were addressed to it and died with it — it may have
-// consumed them, so they must not reach its successor. Batches still in
-// the backlog were never transmitted and stay. A first contact (no
-// incarnation known before) abandons nothing.
+// consumed them, so they must not reach its successor, whose window
+// starts at 1: the sequence toward it restarts, the backlog (never
+// transmitted) first. A first contact (no incarnation known before)
+// abandons nothing and keeps the sequence.
 func (m *Machine) reborn(p *machPeer, boot uint64) {
 	if p.recvBoot != 0 {
 		m.unacked -= len(p.inflight)
 		clear(p.inflight)
 		p.inflight = p.inflight[:0]
+		p.nextSeq = 0
 	}
 	p.recvBoot = boot
 	p.recvHigh = 0
-	p.recvSeen = nil
+	p.recvMask = 0
 	p.ackN = 0
 }
 
 // retire drops the frames in flight numbered hi-run through hi, which an
-// ack for this incarnation named, frees their window slots and appends
-// the receipts of the tokens they carried to rcpt. A run longer than what
-// is in flight (a forged or garbled frame at worst) costs no more than
-// the walk over the window. The retired batches are only read: on the
-// in-memory mesh the receiver holds the same array and may not have
-// looked at it yet.
+// ack for this incarnation named, and appends the receipts of the tokens
+// they carried to rcpt. A run longer than what is in flight (a forged or
+// garbled frame at worst) costs no more than the walk over the window.
+// The retired batches are only read: on the in-memory mesh the receiver
+// holds the same array and may not have looked at it yet.
 func (m *Machine) retire(p *machPeer, hi uint64, run uint32, rcpt []core.Envelope) []core.Envelope {
 	lo := hi - min(uint64(run), hi-1)
 	kept := p.inflight[:0]

@@ -40,12 +40,12 @@ type sentFrame struct {
 
 // machRig is two machines, nodes 0 and 1, and the link between them.
 type machRig struct {
-	t   *testing.T
-	cfg SessionConfig
-	rng *rand.Rand
-	now time.Duration
-	m   [2]*Machine
-	air []flight
+	t    *testing.T
+	span uint64 // each machine's sendSpan
+	rng  *rand.Rand
+	now  time.Duration
+	m    [2]*Machine
+	air  []flight
 	// fate scripts the link: the transit time of frame n (counting every
 	// frame sent, from 0), negative to lose it. Nil carries everything in
 	// rigTransit.
@@ -61,21 +61,29 @@ type machRig struct {
 
 const receiptBit = 1 << 63
 
-// newMachRig builds the pair. Jitter is set too small to draw, so every
-// timeout falls where the test can name it.
-func newMachRig(t *testing.T, cfg SessionConfig) *machRig {
-	cfg.RTO, cfg.Jitter = rigRTO, 1e-12
-	r := &machRig{t: t, cfg: cfg, rng: rand.New(rand.NewSource(1))}
-	r.m[0], r.m[1] = NewMachine(0, cfg, r.rng), NewMachine(1, cfg, r.rng)
+// noJitter is a rand.Source that draws 0 every time: a machine built on
+// it adds no jitter, so every timeout falls where a test can name it.
+type noJitter struct{}
+
+func (noJitter) Int63() int64 { return 0 }
+func (noJitter) Seed(int64)   {}
+
+// newMachRig builds the pair. span, if not 0, lowers the window each
+// machine sends within, so a few batches reach the backlog.
+func newMachRig(t *testing.T, span uint64) *machRig {
+	r := &machRig{t: t, span: span, rng: rand.New(noJitter{})}
+	r.reboot(0, 1)
+	r.reboot(1, 1)
 	return r
 }
 
 // reboot replaces node i's machine with a fresh one of the given boot:
 // the crash that takes the session state with it.
 func (r *machRig) reboot(i ocube.Pos, boot uint64) {
-	cfg := r.cfg
-	cfg.Boot = boot
-	r.m[i] = NewMachine(i, cfg, r.rng)
+	r.m[i] = NewMachine(i, SessionConfig{RTO: rigRTO, Boot: boot}, r.rng)
+	if r.span != 0 {
+		r.m[i].sendSpan = r.span
+	}
 }
 
 func tagged(tag uint64) []core.Envelope { return []core.Envelope{{Instance: tag}} }
@@ -107,22 +115,26 @@ func (r *machRig) emit(out []Outgoing) {
 }
 
 // check holds after every step: nothing is counted twice or lost from the
-// books, and no peer is ever owed more than a window.
+// books, no peer's frames in flight span more than the window, and every
+// receiver has absorbed its in-order run into recvHigh.
 func (r *machRig) check() {
 	r.t.Helper()
 	for i, m := range r.m {
 		booked := 0
 		for _, p := range m.peers {
-			if len(p.inflight) > m.cfg.Window {
-				r.t.Fatalf("node %d has %d frames in flight to %v, window %d", i, len(p.inflight), p.pos, m.cfg.Window)
+			if n := len(p.inflight); n > 0 && p.inflight[n-1].seq-p.inflight[0].seq >= m.sendSpan {
+				r.t.Fatalf("node %d has Seq %d to %d in flight to %v, window %d", i, p.inflight[0].seq, p.inflight[n-1].seq, p.pos, m.sendSpan)
 			}
 			for j := 1; j < len(p.inflight); j++ {
 				if p.inflight[j-1].seq >= p.inflight[j].seq {
 					r.t.Fatalf("node %d: in-flight frames out of Seq order: %d before %d", i, p.inflight[j-1].seq, p.inflight[j].seq)
 				}
 			}
-			if len(p.backlog) > 0 && len(p.inflight) < m.cfg.Window {
-				r.t.Fatalf("node %d holds %d batches back with %d of %d window slots taken", i, len(p.backlog), len(p.inflight), m.cfg.Window)
+			if len(p.backlog) > 0 && m.room(p) {
+				r.t.Fatalf("node %d holds %d batches back with room in the window", i, len(p.backlog))
+			}
+			if p.recvMask&1 != 0 {
+				r.t.Fatalf("node %d: Seq %d from %v delivered and not absorbed into recvHigh %d", i, p.recvHigh+1, p.pos, p.recvHigh)
 			}
 			booked += len(p.inflight) + len(p.backlog)
 		}
@@ -211,10 +223,10 @@ func wantTags(t *testing.T, what string, got []uint64, want ...uint64) {
 func TestMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  SessionConfig
+		span uint64 // 0: the window
 		run  func(t *testing.T, r *machRig)
 	}{
-		{"exactly once under loss", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"exactly once under loss", 0, func(t *testing.T, r *machRig) {
 			data := 0
 			r.fate = func(_ int, _ ocube.Pos, f SessFrame) time.Duration {
 				if f.Seq != 0 {
@@ -243,7 +255,7 @@ func TestMachine(t *testing.T) {
 				t.Errorf("%d batches still unacknowledged at rest", r.m[0].Unacked())
 			}
 		}},
-		{"lost piggyback costs one retransmit", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"lost piggyback costs one retransmit", 0, func(t *testing.T, r *machRig) {
 			dropped := false
 			r.fate = func(_ int, to ocube.Pos, f SessFrame) time.Duration {
 				if to == 0 && f.Seq != 0 && f.Ack != 0 && !dropped {
@@ -263,7 +275,7 @@ func TestMachine(t *testing.T) {
 				t.Errorf("dropped=%v a=%+v b=%+v: want one retransmission each way, one dup-drop and its one immediate re-ack", dropped, a, b)
 			}
 		}},
-		{"a lone owed ack leaves after RTO/4", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"a lone owed ack leaves after RTO/4", 0, func(t *testing.T, r *machRig) {
 			r.send(0, 1)
 			r.rest()
 			acks := r.pureAcks(0)
@@ -274,18 +286,18 @@ func TestMachine(t *testing.T) {
 				t.Errorf("the ack delay cost a retransmission: %+v", st)
 			}
 		}},
-		{"Window/4 owed acks leave at once", SessionConfig{Window: 8}, func(t *testing.T, r *machRig) {
-			for i := uint64(1); i <= 4; i++ {
+		{"Window/4 owed acks leave at once", 0, func(t *testing.T, r *machRig) {
+			for i := uint64(1); i <= 2*ackEvery; i++ {
 				r.send(0, i)
 			}
 			r.rest()
 			acks := r.pureAcks(0)
 			if len(acks) != 2 || acks[0].at != rigTransit || acks[1].at != rigTransit ||
-				acks[0].Ack != 2 || acks[0].AckRun != 1 || acks[1].Ack != 4 || acks[1].AckRun != 1 {
-				t.Errorf("pure acks %+v, want runs 1-2 and 3-4 on arrival at %v", acks, rigTransit)
+				acks[0].Ack != ackEvery || acks[0].AckRun != ackEvery-1 || acks[1].Ack != 2*ackEvery || acks[1].AckRun != ackEvery-1 {
+				t.Errorf("pure acks %+v, want runs 1-%d and %d-%d on arrival at %v", acks, ackEvery, ackEvery+1, 2*ackEvery, rigTransit)
 			}
 		}},
-		{"gap and duplicate are acked at once", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"gap and duplicate are acked at once", 0, func(t *testing.T, r *machRig) {
 			r.fate = func(n int, _ ocube.Pos, _ SessFrame) time.Duration {
 				if n == 1 {
 					return 3 * rigTransit // seq 2 arrives after seq 3
@@ -311,7 +323,7 @@ func TestMachine(t *testing.T) {
 				t.Errorf("receiver %+v sender %+v: want one dup-drop, no retransmission", st, r.m[0].Stats())
 			}
 		}},
-		{"rebirth resets dedup and voids owed acks", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"rebirth resets dedup and voids owed acks", 0, func(t *testing.T, r *machRig) {
 			for i := uint64(1); i <= 3; i++ {
 				r.send(0, i)
 			}
@@ -343,7 +355,7 @@ func TestMachine(t *testing.T) {
 				t.Errorf("boot-1 straggler: stats %+v, %d frames in answer, delivered %v", st, len(r.sent)-before-1, r.got[1])
 			}
 		}},
-		{"previous-life frames are refused", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"previous-life frames are refused", 0, func(t *testing.T, r *machRig) {
 			r.send(1, 1) // node 0 learns which incarnation of node 1 it addresses
 			r.rest()
 			cut := true
@@ -369,7 +381,7 @@ func TestMachine(t *testing.T) {
 			r.rest()
 			wantTags(t, "node 1, both lives", r.got[1], 2, 3)
 		}},
-		{"backlog drains in order", SessionConfig{Window: 2}, func(t *testing.T, r *machRig) {
+		{"backlog drains in order", 2, func(t *testing.T, r *machRig) {
 			const heal = 200 * time.Millisecond
 			r.fate = func(_ int, _ ocube.Pos, f SessFrame) time.Duration {
 				if f.Seq != 0 && r.now < heal {
@@ -401,7 +413,7 @@ func TestMachine(t *testing.T) {
 			}
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, newMachRig(t, tc.cfg)) })
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, newMachRig(t, tc.span)) })
 	}
 }
 
@@ -422,7 +434,7 @@ func TestMachine(t *testing.T) {
 // see ROADMAP, Known protocol notes — so whoever gives the sim driver
 // that crash revisits this contract first.
 func TestMachineFirstFrameToRebornPeerIsRefused(t *testing.T) {
-	r := newMachRig(t, SessionConfig{})
+	r := newMachRig(t, 0)
 	r.send(1, 1) // A = node 0 hears from B = node 1 at boot 1
 	r.rest()
 	r.reboot(1, 2)
@@ -448,6 +460,40 @@ func TestMachineFirstFrameToRebornPeerIsRefused(t *testing.T) {
 	r.send(0, 8) // now addressed to boot 2
 	r.rest()
 	wantTags(t, "B's second life", r.got[1], 8)
+}
+
+// TestRebornPeerWindowAdvances: a survivor that went on numbering toward
+// a restarted peer from where the dead incarnation left off would send
+// hundreds of sequence numbers above a successor whose window starts at
+// 1. Learning of the rebirth restarts the survivor's sequence too, so the
+// successor delivers in order, its recvHigh advances, and nothing waits
+// in its mask.
+func TestRebornPeerWindowAdvances(t *testing.T) {
+	r := newMachRig(t, 0)
+	for tag := uint64(1); tag <= 300; tag++ {
+		r.send(0, tag)
+		r.send(1, tag)
+		r.run(r.now + rigTransit)
+	}
+	r.rest()
+	r.reboot(1, 2)
+	r.send(1, 301) // the successor speaks first
+	r.rest()
+	wantTags(t, "the survivor", r.got[0][300:], 301)
+
+	want := slices.Clone(r.got[1])
+	for tag := uint64(1001); tag <= 2000; tag++ {
+		r.send(0, tag)
+		want = append(want, tag)
+	}
+	r.rest()
+	wantTags(t, "both lives of the peer", r.got[1], want...)
+	if p := r.m[1].peers[0]; p.recvHigh != 1000 || p.recvMask != 0 {
+		t.Errorf("the successor's window toward the survivor: recvHigh %d, mask %#x; want 1000 and nothing parked", p.recvHigh, p.recvMask)
+	}
+	if st := r.m[1].Stats(); st.StaleBootDrops != 0 || st.DupDrops != 0 {
+		t.Errorf("the successor dropped frames: %+v", st)
+	}
 }
 
 // token returns one KindToken envelope of instance tag from node from to
@@ -488,10 +534,10 @@ func (r *machRig) wantReceipts(what string, i ocube.Pos, tags ...uint64) {
 func TestMachineReceipts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		cfg  SessionConfig
+		span uint64 // 0: the window
 		run  func(t *testing.T, r *machRig)
 	}{
-		{"a lost ack still yields one receipt", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"a lost ack still yields one receipt", 0, func(t *testing.T, r *machRig) {
 			lost := false
 			r.fate = func(_ int, to ocube.Pos, f SessFrame) time.Duration {
 				if to == 0 && f.Ack != 0 && !lost {
@@ -513,7 +559,7 @@ func TestMachineReceipts(t *testing.T) {
 			r.rest()
 			r.wantReceipts("after the repeated ack", 0, 5)
 		}},
-		{"reordered acks", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"reordered acks", 0, func(t *testing.T, r *machRig) {
 			first := true
 			r.fate = func(_ int, to ocube.Pos, f SessFrame) time.Duration {
 				if to == 0 && f.Ack != 0 && first {
@@ -531,7 +577,7 @@ func TestMachineReceipts(t *testing.T) {
 				t.Errorf("sender %+v: the slow ack cost a retransmission", st)
 			}
 		}},
-		{"one run ack, several frames", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"one run ack, several frames", 0, func(t *testing.T, r *machRig) {
 			r.sendEnvs(0, token(0, 1, ocube.None))
 			r.sendEnvs(0, tagged(2)...)
 			r.sendEnvs(0, token(0, 3, ocube.None))
@@ -542,7 +588,7 @@ func TestMachineReceipts(t *testing.T) {
 			}
 			r.wantReceipts("at rest", 0, 1, 3)
 		}},
-		{"two tokens in one batch of four, written behind it", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"two tokens in one batch of four, written behind it", 0, func(t *testing.T, r *machRig) {
 			batch := make([]core.Envelope, 4, 6) // what Session.SendBatch leaves: room for two receipts
 			copy(batch, []core.Envelope{tagged(1)[0], token(0, 2, ocube.None), token(0, 3, 0), token(0, 4, ocube.None)})
 			sent := slices.Clone(batch)
@@ -563,7 +609,7 @@ func TestMachineReceipts(t *testing.T) {
 			}
 			wantTags(t, "node 1", r.got[1], 1, 2, 3, 4)
 		}},
-		{"only unlent tokens are receipted", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"only unlent tokens are receipted", 0, func(t *testing.T, r *machRig) {
 			r.sendEnvs(0, token(0, 1, 0), token(0, 2, 1))
 			for k := core.KindRequest; k <= core.KindTokenAck; k++ {
 				if k != core.KindToken {
@@ -583,7 +629,7 @@ func TestMachineReceipts(t *testing.T) {
 				t.Errorf("%d unacknowledged, delivered %v", r.m[0].Unacked(), r.got[1])
 			}
 		}},
-		{"none once the peer is reborn", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"none once the peer is reborn", 0, func(t *testing.T, r *machRig) {
 			r.send(1, 1) // node 0 learns which incarnation of node 1 it addresses
 			r.rest()
 			cut := true
@@ -609,7 +655,7 @@ func TestMachineReceipts(t *testing.T) {
 			r.rest()
 			r.wantReceipts("after a late ack", 0)
 		}},
-		{"none from an ack for another incarnation of this node", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"none from an ack for another incarnation of this node", 0, func(t *testing.T, r *machRig) {
 			r.fate = func(_ int, to ocube.Pos, f SessFrame) time.Duration {
 				if to == 0 && r.now < rigRTO/2 {
 					return -1
@@ -627,7 +673,7 @@ func TestMachineReceipts(t *testing.T) {
 			r.rest() // the retransmission is acked at once, to boot 1
 			r.wantReceipts("at rest", 0, 7)
 		}},
-		{"none for a batch still in the backlog", SessionConfig{Window: 2}, func(t *testing.T, r *machRig) {
+		{"none for a batch still in the backlog", 2, func(t *testing.T, r *machRig) {
 			r.fate = func(_ int, _ ocube.Pos, f SessFrame) time.Duration {
 				if f.Seq != 0 && f.Seq <= 2 && r.now == 0 {
 					return -1 // the two first transmissions
@@ -649,7 +695,7 @@ func TestMachineReceipts(t *testing.T) {
 			r.wantReceipts("at rest", 0, 1, 2, 3)
 			wantTags(t, "node 1", r.got[1], 3)
 		}},
-		{"receipts go ahead of the frame's own payload", SessionConfig{}, func(t *testing.T, r *machRig) {
+		{"receipts go ahead of the frame's own payload", 0, func(t *testing.T, r *machRig) {
 			r.sendEnvs(0, token(0, 5, ocube.None))
 			r.run(2 * rigTransit)
 			r.send(1, 9) // carries the token's ack
@@ -662,7 +708,7 @@ func TestMachineReceipts(t *testing.T) {
 			}
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) { tc.run(t, newMachRig(t, tc.cfg)) })
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, newMachRig(t, tc.span)) })
 	}
 }
 
@@ -686,9 +732,9 @@ func TestSessionConfigFit(t *testing.T) {
 		{"set RTO, slack below RTO/4", SessionConfig{RTO: 30 * ms}, ft(40*ms, 6*ms), 24 * ms},
 		{"set RTO, slack above RTO/4", SessionConfig{RTO: 30 * ms}, ft(40*ms, 100*ms), 30 * ms},
 	} {
-		tc.in.Boot, tc.in.Window = 7, 9
+		tc.in.Boot = 7
 		got := tc.in.Fit(tc.node)
-		if got.RTO != tc.want || got.Boot != 7 || got.Window != 9 || got.MaxRTO != 0 || got.Jitter != 0 {
+		if got.RTO != tc.want || got.Boot != 7 || got.MaxRTO != 0 {
 			t.Errorf("%s: Fit gave %+v, want RTO %v and the rest as it was", tc.what, got, tc.want)
 		}
 	}

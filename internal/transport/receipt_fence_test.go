@@ -126,7 +126,7 @@ func TestFencedReceiptedTokenIsNotReminted(t *testing.T) {
 	const delta = 10 * time.Millisecond
 	for _, sessions := range []bool{true, false} {
 		r := &nodeRig{}
-		rng := rand.New(rand.NewSource(1))
+		rng := rand.New(noJitter{})
 		for i := range r.node {
 			node, err := core.NewNode(core.Config{
 				Self: ocube.Pos(i), P: 1, FT: true, EpochFence: true,
@@ -143,7 +143,7 @@ func TestFencedReceiptedTokenIsNotReminted(t *testing.T) {
 			r.node[i] = node
 			if sessions {
 				// RTO/4 = δ, the whole of the slack: the receipt's budget.
-				r.m[i] = NewMachine(ocube.Pos(i), SessionConfig{RTO: 4 * delta, Jitter: 1e-12}, rng)
+				r.m[i] = NewMachine(ocube.Pos(i), SessionConfig{RTO: 4 * delta}, rng)
 			}
 		}
 		// Node 1 learns of epoch 3 from a stray loan it has no use for.

@@ -61,7 +61,7 @@ type Session struct {
 	m      *Machine
 	closed bool
 	// urgent holds the frames onFrame wants sent — acks for a duplicate, a
-	// gap, Window/4 owed, a stale ToBoot, and backlog an ack let into the
+	// gap, ackEvery owed, a stale ToBoot, and backlog an ack let into the
 	// window. onFrame may be running on the link's reader, which must not
 	// write to the link, so they leave with whoever comes next: the timer,
 	// armed for now, or a SendBatch caller.

@@ -125,7 +125,7 @@ func testSessionRequestReplySendsNoPureAcks(t *testing.T, wrap linkWrap) {
 }
 
 // TestSessionOneWayBurstAckedByCount: with nothing to ride, acks leave
-// every Window/4 frames, so a one-way burst of ten windows never waits
+// every ackEvery (window/4) frames, so a one-way burst of ten windows never waits
 // for the ack delay (500 ms here) — the count keeps the window open.
 //
 // Restated when sends stopped pacing themselves (SendBatch no longer
@@ -134,7 +134,7 @@ func testSessionRequestReplySendsNoPureAcks(t *testing.T, wrap linkWrap) {
 // whoever writes to the link next — the timer or a SendBatch caller — so
 // two writers can put one peer's frames on the link out of order, and a
 // frame that does not extend the owed run is acked at once. The test
-// therefore no longer wants exactly one pure ack per Window/4 frames. It
+// therefore no longer wants exactly one pure ack per ackEvery frames. It
 // wants what the count trigger is for: the burst goes through without
 // the ack delay and without a retransmission, every batch once, on no
 // fewer than n/16 pure acks and — gap acks staying the exception — no
@@ -150,10 +150,9 @@ func testSessionOneWayBurstAckedByCount(t *testing.T, wrap linkWrap) {
 	}
 	var log frameLog
 	mesh.Drop = log.hook
-	cfg := SessionConfig{RTO: 2 * time.Second, MaxRTO: 4 * time.Second}.withDefaults()
-	a, b := sessPairOver(t, wrap, mesh, cfg)
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{RTO: 2 * time.Second, MaxRTO: 4 * time.Second})
 
-	n := 10 * cfg.Window
+	n := 10 * window
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if err := a.SendBatch(1, payload(i)); err != nil {
@@ -170,9 +169,8 @@ func testSessionOneWayBurstAckedByCount(t *testing.T, wrap linkWrap) {
 		}
 	}
 	waitQuiet(t, a) // the last few acks do wait out the delay: nothing follows them
-	every := cfg.Window / 4
-	if acks := log.pureAcks(); acks < n/every || acks > n/4 {
-		t.Errorf("%d pure ack frames for %d one-way frames, want %d (one per %d) to %d", acks, n, n/every, every, n/4)
+	if acks := log.pureAcks(); acks < n/ackEvery || acks > n/4 {
+		t.Errorf("%d pure ack frames for %d one-way frames, want %d (one per %d) to %d", acks, n, n/ackEvery, ackEvery, n/4)
 	}
 	if st := a.Stats(); st.Retransmits != 0 {
 		t.Errorf("retransmits without loss: %+v", st)

@@ -146,7 +146,9 @@ func testSessionAckPathNotBlockedByDelivery(t *testing.T, wrap linkWrap) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := sessPairOver(t, wrap, mesh, SessionConfig{Window: 8})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{})
+	a.narrow(8)
+	b.narrow(8)
 
 	const n = 1500 // > out-channel cap (1024) + window
 	sent := make(chan error, 1)
@@ -195,7 +197,9 @@ func testSessionIngressNeverWaitsForTheApp(t *testing.T, wrap linkWrap) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := sessPairOver(t, wrap, mesh, SessionConfig{Window: 1})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{})
+	a.narrow(1)
+	b.narrow(1)
 
 	const n = 1500 // > out-channel cap (1024) + window
 	sent := make(chan error, 2)

@@ -73,6 +73,14 @@ func sessPairOver(t *testing.T, wrap linkWrap, mesh *SessMesh, cfg SessionConfig
 	return a, b
 }
 
+// narrow lowers the window s sends within to n frames, so a test reaches
+// the backlog with a few batches.
+func (s *Session) narrow(n uint64) {
+	s.mu.Lock()
+	s.m.sendSpan = n
+	s.mu.Unlock()
+}
+
 func payload(i int) []core.Envelope {
 	return []core.Envelope{{Instance: uint64(i + 1), Msg: core.Message{Kind: core.KindRequest, From: 0, To: 1}}}
 }
@@ -193,7 +201,7 @@ func testSessionAckLossCausesDupDrops(t *testing.T, wrap linkWrap) {
 }
 
 // TestSessionWindowBounded pins the in-flight window without the wait it
-// used to cost: with Window=2 and the link black-holing data frames, five
+// used to cost: with a window of 2 and the link black-holing data frames, five
 // SendBatch calls all return at once, the link never sees a sequence
 // number past 2 however often the two in flight are re-sent, and once the
 // link heals all five batches arrive exactly once — the three beyond the
@@ -216,7 +224,8 @@ func testSessionWindowBounded(t *testing.T, wrap linkWrap) {
 		}
 		return blackhole && f.Seq != 0
 	}
-	a, b := sessPairOver(t, wrap, mesh, SessionConfig{Window: 2, RTO: 5 * time.Millisecond, MaxRTO: 20 * time.Millisecond})
+	a, b := sessPairOver(t, wrap, mesh, SessionConfig{RTO: 5 * time.Millisecond, MaxRTO: 20 * time.Millisecond})
+	a.narrow(2)
 
 	const n = 5
 	start := time.Now()

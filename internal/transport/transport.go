@@ -1,7 +1,8 @@
 // Package transport carries protocol traffic between live nodes — the
 // communication system the paper assumes reliable with a bounded
 // transmission delay δ (Section 2). One stack provides it. A Machine
-// (machine.go) is the session discipline — sequence numbers, acks,
+// (machine.go) is the session discipline — sequence numbers within a
+// window of 64 frames that is a constant of the wire, acks,
 // retransmission — as a pure state machine with two drivers: a Session
 // (session.go) makes an exactly-once BatchTransport out of any FrameLink,
 // and internal/sim steps one Machine per node from its event heap. Two

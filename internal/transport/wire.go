@@ -84,14 +84,15 @@ func appendSessFrame(dst []byte, f SessFrame) ([]byte, error) {
 	return appendRecords(dst, f.Batch)
 }
 
-// readSessFrame parses one body; the result does not alias it.
+// readSessFrame parses one body; the result does not alias it. A From
+// that is no position (it would get session state) is malformed.
 func readSessFrame(body []byte) (SessFrame, error) {
-	if len(body) < wireSessHead {
+	le := binary.LittleEndian
+	if len(body) < wireSessHead || le.Uint32(body) >= 1<<ocube.MaxP { // a negative From too
 		return SessFrame{}, errWireMalformed
 	}
-	le := binary.LittleEndian
 	f := SessFrame{
-		From:   ocube.Pos(int32(le.Uint32(body[0:]))),
+		From:   ocube.Pos(le.Uint32(body[0:])),
 		Boot:   le.Uint64(body[8:]),
 		Seq:    le.Uint64(body[16:]),
 		Ack:    le.Uint64(body[24:]),

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ocube"
 )
 
 // fillDistinct sets every leaf field under v to a distinct non-zero
@@ -75,10 +76,26 @@ func TestWireRoundTripEveryField(t *testing.T) {
 	if got := roundTrip(t, frame); !reflect.DeepEqual(got, frame) {
 		t.Errorf("SessFrame:\n got %+v\nwant %+v", got, frame)
 	}
-	// Negative positions (ocube.None) and an empty batch are legal too.
-	ack := SessFrame{From: -1, Boot: 1<<64 - 1, Ack: 9, ToBoot: 3, AckRun: 1<<32 - 1}
+	// The last position and an empty batch are legal too.
+	ack := SessFrame{From: 1<<ocube.MaxP - 1, Boot: 1<<64 - 1, Ack: 9, ToBoot: 3, AckRun: 1<<32 - 1}
 	if got := roundTrip(t, ack); !reflect.DeepEqual(got, ack) {
 		t.Errorf("pure ack:\n got %+v\nwant %+v", got, ack)
+	}
+}
+
+// TestWireRefusesNonPositionFrom: a frame whose From is not a position —
+// ocube.None or any other negative, or 2^MaxP and above — is malformed,
+// so garbage off a socket creates no session state for a peer that
+// cannot exist.
+func TestWireRefusesNonPositionFrom(t *testing.T) {
+	for _, from := range []ocube.Pos{ocube.None, -1 << 31, 1 << ocube.MaxP, 1<<31 - 1} {
+		body, err := appendSessFrame(nil, SessFrame{From: from, Boot: 1, Seq: 1, Batch: envBatch(1, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readSessFrame(body); err != errWireMalformed {
+			t.Errorf("From %d: decoded %+v, err %v; want errWireMalformed", from, got, err)
+		}
 	}
 }
 
@@ -179,7 +196,8 @@ func TestWireFlagBits(t *testing.T) {
 // bit 2 (Receipted) set — and one body in a layout the wire no longer
 // carries (a bare envelope record). The corpus under testdata/fuzz adds
 // malformed ones: torn frames, lying counts, an oversized length, unknown
-// flag bits (0xFC: bit 2 is known now, bits 3–7 still refuse the record).
+// flag bits (0xFC: bit 2 is known now, bits 3–7 still refuse the record),
+// and a From of −1 and of 2^MaxP ahead of one of 2^MaxP−1.
 func wireSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	frame := func(f SessFrame) []byte {
