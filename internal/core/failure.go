@@ -206,18 +206,26 @@ func (n *Node) onEnquiryTimeout() {
 	n.regenerateToken("enquiry unanswered, source presumed down")
 }
 
-// regenerateToken replaces a lost token at a lender root and resumes
-// service.
+// regenerateToken replaces the lost token of an outstanding loan: close
+// the loan, then regenerate.
 func (n *Node) regenerateToken(reason string) {
+	n.closeLoan()
+	n.regenerate(reason)
+}
+
+// closeLoan retires the outstanding loan's record and its watchdogs.
+func (n *Node) closeLoan() {
 	n.cancelTimer(TimerTokenReturn)
 	n.cancelTimer(TimerEnquiry)
 	n.loanSource, n.loanTarget = ocube.None, ocube.None
 	n.returnGrace = false
-	n.tokenHere = true
+}
+
+// regenerate mints a fresh token at a new epoch and serves it as the root.
+func (n *Node) regenerate(reason string) {
 	n.bumpEpoch()
 	n.regenerated(reason)
-	n.asking = false
-	n.drain()
+	n.serveAsRoot()
 }
 
 // --- unlent transfer guardianship (extension, see KindTokenAck) ---
@@ -282,42 +290,7 @@ func (n *Node) onTransferTimeout() {
 	if n.search.active {
 		n.endSearch()
 	}
-	n.becomeRootWithToken("unlent token transfer unacknowledged")
-}
-
-// becomeRootWithToken installs this node as the root holding a fresh
-// token and serves whatever obligation is pending: its own claim, a
-// mandate, or the queue.
-func (n *Node) becomeRootWithToken(reason string) {
-	n.father = ocube.None
-	n.tokenHere = true
-	n.bumpEpoch()
-	n.regenerated(reason)
-	switch {
-	case n.mandator == n.h.cfg.Self:
-		// Our own claim: enter the critical section as the new root.
-		n.cancelTimer(TimerSuspicion)
-		n.lender = n.h.cfg.Self
-		n.csSeq = n.curSeq
-		n.mandator = ocube.None
-		n.curSource = ocube.None
-		n.inCS = true
-		n.emitGrant(n.h.cfg.Self)
-		// asking remains true until ReleaseCS.
-	case n.mandator != ocube.None:
-		// Serve the mandate by lending the regenerated token.
-		n.cancelTimer(TimerSuspicion)
-		n.send(Message{Kind: KindToken, To: n.mandator, Lender: n.h.cfg.Self,
-			Source: n.curSource, Seq: n.curSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
-		n.tokenHere = false
-		n.beginLoan(n.mandator, n.curSource, n.curSeq)
-		n.mandator = ocube.None
-		n.curSource = ocube.None
-		// asking remains true until the token returns.
-	default:
-		n.asking = false
-		n.drain()
-	}
+	n.regenerate("unlent token transfer unacknowledged")
 }
 
 // bumpEpoch advances the token generation for a regeneration: the
@@ -650,7 +623,7 @@ func (n *Node) searchExhausted() {
 	tested := n.search.tested
 	n.endSearch()
 	n.searchEnded(ocube.None, tested)
-	n.becomeRootWithToken("search_father exhausted")
+	n.regenerate("search_father exhausted")
 }
 
 // searchStarted reports the start of a search_father attempt at phase.

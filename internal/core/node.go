@@ -443,10 +443,7 @@ func (n *Node) ReleaseCS() ([]Effect, error) {
 	n.inCS = false
 	n.wantCS = false
 	if n.lender != n.h.cfg.Self {
-		n.send(Message{Kind: KindToken, To: n.lender, Lender: ocube.None,
-			Source: n.h.cfg.Self, Seq: n.csSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
-		n.tokenHere = false
-		n.guardTransfer(n.lender, n.csSeq, ocube.None)
+		n.transfer(n.lender, n.h.cfg.Self, n.csSeq)
 	}
 	n.lender = ocube.None
 	n.asking = false
@@ -529,19 +526,7 @@ func (n *Node) processRequest(m Message) {
 	case BehaviorTransit:
 		if n.tokenHere {
 			// Give up the token outright: the requester becomes the root.
-			n.send(Message{Kind: KindToken, To: m.Target, Lender: ocube.None,
-				Source: m.Source, Seq: m.Seq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
-			n.tokenHere = false
-			if m.Target == m.Source {
-				// Only a transfer straight to the source proves its grant;
-				// handing the token to a proxy does not (the onward lend
-				// can still fail), so marking then would wrongly discard
-				// the source's recovery re-issues.
-				n.markGranted(m.Source, m.Seq)
-				n.guardTransfer(m.Target, m.Seq, m.Source)
-			} else {
-				n.guardTransfer(m.Target, m.Seq, ocube.None)
-			}
+			n.transfer(m.Target, m.Source, m.Seq)
 		} else {
 			fwd := m
 			fwd.To = n.father
@@ -552,11 +537,7 @@ func (n *Node) processRequest(m Message) {
 	case BehaviorProxy:
 		n.asking = true
 		if n.tokenHere {
-			// Temporarily lend the token; it must come back here.
-			n.send(Message{Kind: KindToken, To: m.Target, Lender: n.h.cfg.Self,
-				Source: m.Source, Seq: m.Seq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
-			n.tokenHere = false
-			n.beginLoan(m.Target, m.Source, m.Seq)
+			n.lend(m.Target, m.Source, m.Seq)
 		} else {
 			n.mandator = m.Target
 			n.curSource = m.Source
@@ -781,129 +762,149 @@ func (n *Node) onToken(m Message) {
 		// Receipted one is acknowledged by the session that carried it.
 		n.send(Message{Kind: KindTokenAck, To: m.From, Seq: m.Seq})
 	}
-	if n.mandator == ocube.None && !n.asking {
-		// Not waiting for a grant nor for a loan's return: the token
-		// serves a stale request (a failure-recovery duplicate). A LENT
-		// token has a guardian — the lender's return watchdog will detect
-		// the loss and regenerate — so dropping it is safe. An UNLENT
-		// token is an ownership transfer with no guardian: adopt it and
-		// become the root (the sender has already pointed its father at
-		// us), keeping the token unique and the system live.
-		if m.Lender != ocube.None {
-			n.dropped(m, "unexpected lent token")
-			if m.Source == n.h.cfg.Self && m.Lender != n.h.cfg.Self {
-				// The loan served a dead request of OURS (we are not
-				// asking — the request's copies outlived a crash and
-				// recovery). Without feedback the lender waits out its
-				// enquiry cycle, regenerates, and lends to the next
-				// circulating duplicate of the same request: one
-				// regeneration per copy, a mill that dominates churn
-				// runs. Tell the lender the request is obsolete and that
-				// its token died here, so it regenerates once and fences
-				// the siblings with a grant record (onObsolete).
-				n.send(Message{Kind: KindObsolete, To: m.Lender,
-					Source: m.Source, Seq: m.Seq})
-			}
-			return
+	// A token reaching a node that waits neither for a grant nor for a
+	// loan's return serves a stale request (a failure-recovery duplicate).
+	// A LENT token has a guardian — the lender's return watchdog will detect
+	// the loss and regenerate — so dropping it is safe. An UNLENT token is
+	// an ownership transfer with no guardian: it is adopted below and the
+	// node becomes the root (the sender has already pointed its father at
+	// us), keeping the token unique and the system live.
+	if n.mandator == ocube.None && !n.asking && m.Lender != ocube.None {
+		n.dropped(m, "unexpected lent token")
+		if m.Source == n.h.cfg.Self && m.Lender != n.h.cfg.Self {
+			// The loan served a dead request of OURS (we are not asking —
+			// the request's copies outlived a crash and recovery). Without
+			// feedback the lender waits out its enquiry cycle, regenerates,
+			// and lends to the next circulating duplicate of the same
+			// request: one regeneration per copy, a mill that dominates
+			// churn runs. Tell the lender the request is obsolete and that
+			// its token died here, so it regenerates once and fences the
+			// siblings with a grant record (onObsolete).
+			n.send(Message{Kind: KindObsolete, To: m.Lender, Source: m.Source, Seq: m.Seq})
 		}
-		if n.search.active {
-			// A recovery search can be in flight here (mandator is None
-			// and the node is not asking). It must die with the adoption:
-			// were it left running, its conclusion would overwrite the
-			// root's nil father, silently demoting the token holder to a
-			// low-power node that answers no probes — the one witness
-			// whose ok blocks every other searcher's regeneration — and
-			// its active flag would keep the queue held (drain is a no-op
-			// while searching), parking the token on a mute hoarder.
-			n.endSearch()
-		}
-		n.tokenHere = true
-		n.tokenEpoch = m.Epoch
-		n.fenceCtr = m.Fence
-		n.father = ocube.None
-		n.drain()
 		return
 	}
 	if n.search.active {
-		// The original request was served after all; abandon the search.
+		// Either the original request was served after all, or — for an
+		// idle node, whose mandator is None — a recovery search is in
+		// flight and must die with the adoption: were it left running, its
+		// conclusion would overwrite the root's nil father, silently
+		// demoting the token holder to a low-power node that answers no
+		// probes — the one witness whose ok blocks every other searcher's
+		// regeneration — and its active flag would keep the queue held
+		// (drain is a no-op while searching), parking the token on a mute
+		// hoarder.
 		n.endSearch()
 	}
-	if n.mandator == ocube.None && n.loanSource == ocube.None {
+	returned := n.mandator == ocube.None && n.asking
+	if returned && n.loanSource == ocube.None {
 		// Asking with no mandate and no outstanding loan: we are inside
 		// (or just past) our own critical section — the grant cleared the
 		// mandate — and a SECOND token reached us, a duplicate from a
 		// regeneration race. Absorb it: the acknowledgment above already
 		// released an unlent duplicate's guardian, so dropping it here
-		// retires the duplicate for good, while letting it fall through
-		// to the loan-return case below would clear `asking` mid-CS and
-		// drain the queue under the running critical section.
+		// retires the duplicate for good, while serving it as a loan's
+		// return would clear `asking` mid-CS and drain the queue under the
+		// running critical section.
 		n.dropped(m, "duplicate token while holding one")
 		return
 	}
-	n.tokenHere = true
-	n.tokenEpoch = m.Epoch
-	n.fenceCtr = m.Fence
+	n.tokenHere, n.tokenEpoch, n.fenceCtr = true, m.Epoch, m.Fence
 	switch {
-	case n.mandator == ocube.None:
-		// Return of the token after a loan.
-		n.cancelTimer(TimerTokenReturn)
-		n.cancelTimer(TimerEnquiry)
-		if n.loanSource != ocube.None && m.Lender == ocube.None &&
-			m.Source == n.loanSource && sameRequest(m.Seq, n.loanSeq) {
-			// Record the grant only when the return provably answers the
-			// outstanding loan: exit_cs stamps the source and served
-			// sequence and always returns the token UNLENT. Under
-			// overlapping failures other tokens land on a waiting lender
-			// — a duplicate from a raced regeneration, or the loan
-			// itself bounced back still-lent by a proxy whose mandate
-			// chain looped to us before reaching the source. Recording
-			// the loan's source as granted on such evidence would make
-			// this node swallow the source's live re-issues as "already
-			// granted" forever while the source is still asking.
+	case returned:
+		// Record the grant only when the return provably answers the
+		// outstanding loan: exit_cs stamps the source and served sequence
+		// and always returns the token UNLENT. Under overlapping failures
+		// other tokens land on a waiting lender — a duplicate from a raced
+		// regeneration, or the loan itself bounced back still-lent by a
+		// proxy whose mandate chain looped to us before reaching the
+		// source. Recording the loan's source as granted on such evidence
+		// would make this node swallow the source's live re-issues as
+		// "already granted" forever while the source is still asking.
+		if m.Lender == ocube.None && m.Source == n.loanSource && sameRequest(m.Seq, n.loanSeq) {
 			n.markGranted(n.loanSource, n.loanSeq)
 		}
-		n.loanSource, n.loanTarget = ocube.None, ocube.None
-		n.returnGrace = false
+		n.closeLoan()
+		n.serveAsRoot()
+	case m.Lender == ocube.None:
+		// An ownership transfer, adopted for a claim or a mandate, or
+		// stale at an idle node.
+		n.serveAsRoot()
+	case n.mandator == n.h.cfg.Self:
+		n.father = m.From
+		n.enterClaim(m.Lender)
+	default:
+		// Pass the loan on to the mandator; the token still returns to its
+		// lender.
+		n.cancelTimer(TimerSuspicion)
+		n.father = m.From
+		n.send(Message{Kind: KindToken, To: n.mandator, Lender: m.Lender,
+			Source: n.curSource, Seq: n.curSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
+		n.tokenHere = false
+		n.mandator, n.curSource = ocube.None, ocube.None
 		n.asking = false
 		n.drain()
-	case n.mandator == n.h.cfg.Self:
-		// Our own claim is satisfied.
-		n.cancelTimer(TimerSuspicion)
-		if m.Lender == ocube.None {
-			n.lender = n.h.cfg.Self
-			n.father = ocube.None
-		} else {
-			n.lender = m.Lender
-			n.father = m.From
-		}
-		n.csSeq = n.curSeq
-		n.mandator = ocube.None
-		n.curSource = ocube.None
-		n.inCS = true
-		n.emitGrant(n.lender)
-		// asking remains true until ReleaseCS.
-	default:
-		// Honor the mandator's request.
-		n.cancelTimer(TimerSuspicion)
-		if m.Lender == ocube.None {
-			// The token has no lender: become the root and lend it.
-			n.father = ocube.None
-			n.send(Message{Kind: KindToken, To: n.mandator, Lender: n.h.cfg.Self,
-				Source: n.curSource, Seq: n.curSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
-			n.tokenHere = false
-			n.beginLoan(n.mandator, n.curSource, n.curSeq)
-			n.mandator = ocube.None
-			n.curSource = ocube.None
-			// asking remains true until the token returns.
-		} else {
-			n.father = m.From
-			n.send(Message{Kind: KindToken, To: n.mandator, Lender: m.Lender,
-				Source: n.curSource, Seq: n.curSeq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
-			n.tokenHere = false
-			n.mandator = ocube.None
-			n.curSource = ocube.None
-			n.asking = false
-			n.drain()
-		}
 	}
+}
+
+// --- root custody ---
+
+// serveAsRoot is the one step by which a node holding an unlent token
+// becomes the root (DESIGN.md §5): an adopted ownership transfer, a
+// loan's return and a regeneration all end here. The node enters its own
+// pending claim, lends the token to its mandate, or resumes its queue.
+func (n *Node) serveAsRoot() {
+	n.father = ocube.None
+	n.tokenHere = true
+	switch {
+	case n.mandator == n.h.cfg.Self:
+		n.enterClaim(n.h.cfg.Self)
+	case n.mandator != ocube.None:
+		n.cancelTimer(TimerSuspicion)
+		n.lend(n.mandator, n.curSource, n.curSeq)
+		n.mandator, n.curSource = ocube.None, ocube.None
+		// asking remains true until the token returns.
+	default:
+		n.asking = false
+		n.drain()
+	}
+}
+
+// enterClaim enters the critical section for the node's own mandated
+// claim, on a token lent by lender — itself when it is the root, so that
+// exit_cs keeps the token. asking remains true until ReleaseCS.
+func (n *Node) enterClaim(lender ocube.Pos) {
+	n.cancelTimer(TimerSuspicion)
+	n.lender = lender
+	n.csSeq = n.curSeq
+	n.mandator, n.curSource = ocube.None, ocube.None
+	n.inCS = true
+	n.emitGrant(lender)
+}
+
+// lend sends the token to target for source's request seq; it must come
+// back here, and the return watchdog guards it (beginLoan).
+func (n *Node) lend(target, source ocube.Pos, seq uint64) {
+	n.send(Message{Kind: KindToken, To: target, Lender: n.h.cfg.Self,
+		Source: source, Seq: seq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
+	n.tokenHere = false
+	n.beginLoan(target, source, seq)
+}
+
+// transfer gives the token up unlent to `to` for source's request seq —
+// the transit handover, or the return to a lender at exit_cs — and guards
+// it until acknowledged (guardTransfer). Only a transfer straight to the
+// source proves its grant; handing the token to a proxy does not (the
+// onward lend can still fail), so marking then would wrongly discard the
+// source's recovery re-issues.
+func (n *Node) transfer(to, source ocube.Pos, seq uint64) {
+	n.send(Message{Kind: KindToken, To: to, Lender: ocube.None,
+		Source: source, Seq: seq, Epoch: n.tokenEpoch, Fence: n.fenceCtr})
+	n.tokenHere = false
+	granted := ocube.None
+	if to == source {
+		n.markGranted(source, seq)
+		granted = source
+	}
+	n.guardTransfer(to, seq, granted)
 }

@@ -57,27 +57,14 @@ func Uniform(rng *rand.Rand, n, count int, horizon time.Duration) []Request {
 // Hotspot draws a fraction of requests from a small hot set of nodes and
 // the rest uniformly — the skewed-load scenario where the open-cube's
 // workload adaptivity (frequent requesters drift towards the root)
-// should pay off.
+// should pay off. The hot set is nodes [0, hotNodes), hotNodes clamped to
+// [1, n]: HotspotSet over that set.
 func Hotspot(rng *rand.Rand, n, count int, horizon time.Duration, hotNodes int, hotFraction float64) []Request {
-	if hotNodes < 1 {
-		hotNodes = 1
+	var hot []int
+	for i := range min(max(hotNodes, 1), n) {
+		hot = append(hot, i)
 	}
-	if hotNodes > n {
-		hotNodes = n
-	}
-	out := make([]Request, clampCount(count))
-	for i := range out {
-		node := rng.Intn(n)
-		if rng.Float64() < hotFraction {
-			node = rng.Intn(hotNodes)
-		}
-		out[i] = Request{
-			Node: node,
-			At:   sampleAt(rng, horizon),
-		}
-	}
-	sortSchedule(out)
-	return out
+	return HotspotSet(rng, n, count, horizon, hot, hotFraction)
 }
 
 // HotspotSet draws a fraction of requests uniformly from an explicit hot
