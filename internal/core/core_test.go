@@ -105,12 +105,12 @@ func TestRootDirectGrantAndRelease(t *testing.T) {
 	}
 	var granted bool
 	for _, e := range effs {
-		if g, ok := e.(*Grant); ok {
+		if _, ok := e.(*Grant); ok {
 			granted = true
-			if g.Lender != 0 {
-				t.Errorf("lender = %v, want self", g.Lender)
-			}
 		}
+	}
+	if n.lender != 0 {
+		t.Errorf("lender = %v, want self", n.lender)
 	}
 	if !granted || !n.InCS() {
 		t.Fatal("root with idle token was not granted directly")

@@ -38,7 +38,7 @@ func effectLine(effs []Effect) string {
 			}
 			parts = append(parts, s)
 		case *Grant:
-			parts = append(parts, fmt.Sprintf("grant(lender=%d fence=%#x)", e.Lender, e.Fence))
+			parts = append(parts, fmt.Sprintf("grant(fence=%#x)", e.Fence))
 		case *StartTimer:
 			parts = append(parts, fmt.Sprintf("timer(%v)", e.Kind))
 		}
@@ -61,6 +61,54 @@ func effectLine(effs []Effect) string {
 // served. A nothing-pending cell queues a local wish where the node can
 // hold one at that moment, so its pin shows the queue resuming.
 func TestRootCustodyEntries(t *testing.T) {
+	cells, _ := custodyCells(t)
+	pos := func(p ocube.Pos) string {
+		if p == ocube.None {
+			return "None"
+		}
+		return fmt.Sprint(int(p))
+	}
+	for _, c := range cells {
+		t.Run(c.row+"/"+c.col, func(t *testing.T) {
+			n := c.node(t)
+			for _, step := range c.pending {
+				step(n)
+			}
+			if c.col != "nothing pending" && n.Father() == ocube.None {
+				t.Fatal("setup left the node fatherless: the cell cannot show the step naming it root")
+			}
+			if got := effectLine(c.entry(n)); got != c.effects {
+				t.Errorf("effects:\n got %s\nwant %s", got, c.effects)
+			}
+			got := fmt.Sprintf("father=%s lender=%s asking=%v loan=%s", pos(n.father), pos(n.lender), n.asking, pos(n.loanSource))
+			if got != c.state {
+				t.Errorf("state:\n got %s\nwant %s", got, c.state)
+			}
+			if !n.tokenHere && n.loanSource == ocube.None {
+				t.Error("the root ended without the token and without a loan")
+			}
+		})
+	}
+}
+
+// custodyCell is one entry of TestRootCustodyEntries: a node, the
+// obligation set up on it, the input that makes it the root, and what
+// that input must emit and leave.
+type custodyCell struct {
+	row, col string
+	node     func(*testing.T) *Node
+	pending  []func(*Node)
+	entry    func(*Node) []Effect
+	effects  string
+	state    string
+}
+
+// custodyCells returns TestRootCustodyEntries' table, and — built from the
+// same setups, with no entry — the further crash points of
+// TestRecoverIsRestart: a lender with a loan out, a proxy holding a
+// mandate, a searcher, a node in its critical section and a transfer
+// guardian.
+func custodyCells(t *testing.T) (cells, crashes []custodyCell) {
 	const P = 3
 	const S = seqStride
 	// In the pristine 8-cube, 4's father is 0 and its power 2, so a
@@ -89,20 +137,12 @@ func TestRootCustodyEntries(t *testing.T) {
 	transferLost := func(n *Node) []Effect { return fire(n, TimerTransferAck) }
 	suspect := func(n *Node) { fire(n, TimerSuspicion) }
 
-	type cell struct {
-		row, col string
-		node     func(*testing.T) *Node
-		pending  []func(*Node)
-		entry    func(*Node) []Effect
-		effects  string
-		state    string
-	}
-	cells := []cell{
+	cells = []custodyCell{
 		{"adopted transfer", "own claim", leaf4, []func(*Node){claim},
 			func(n *Node) []Effect {
 				return n.HandleMessage(Message{Kind: KindToken, From: 0, To: 4, Lender: ocube.None, Source: 4, Seq: S})
 			},
-			"token-ack→0 grant(lender=4 fence=0x1)",
+			"token-ack→0 grant(fence=0x1)",
 			"father=None lender=4 asking=true loan=None"},
 		{"adopted transfer", "mandate", leaf4, []func(*Node){mandate(5)},
 			func(n *Node) []Effect {
@@ -120,39 +160,39 @@ func TestRootCustodyEntries(t *testing.T) {
 			func(n *Node) []Effect {
 				return n.HandleMessage(Message{Kind: KindToken, From: 1, To: 0, Lender: ocube.None, Source: 1, Seq: S})
 			},
-			"token-ack→1 grant(lender=0 fence=0x1)",
+			"token-ack→1 grant(fence=0x1)",
 			"father=None lender=0 asking=true loan=None"},
 		{"loan returned still lent", "nothing pending", lender, nil,
 			func(n *Node) []Effect {
 				return n.HandleMessage(Message{Kind: KindToken, From: 1, To: 0, Lender: 0, Source: 1, Seq: S})
 			},
-			"grant(lender=0 fence=0x1)",
+			"grant(fence=0x1)",
 			"father=None lender=0 asking=true loan=None"},
 		{"regenerated: return grace expired", "nothing pending", lender, []func(*Node){overdue,
 			func(n *Node) {
 				n.HandleMessage(Message{Kind: KindEnquiryReply, From: 1, To: 0, Seq: S, Status: StatusTokenReturned})
 			}},
 			func(n *Node) []Effect { return fire(n, TimerTokenReturn) },
-			"grant(lender=0 fence=0x800000001)",
+			"grant(fence=0x800000001)",
 			"father=None lender=0 asking=true loan=None"},
 		{"regenerated: enquiry reports the token lost", "nothing pending", lender, []func(*Node){overdue},
 			func(n *Node) []Effect {
 				return n.HandleMessage(Message{Kind: KindEnquiryReply, From: 1, To: 0, Seq: S, Status: StatusTokenLost})
 			},
-			"grant(lender=0 fence=0x800000001)",
+			"grant(fence=0x800000001)",
 			"father=None lender=0 asking=true loan=None"},
 		{"regenerated: enquiry unanswered", "nothing pending", lender, []func(*Node){overdue},
 			func(n *Node) []Effect { return fire(n, TimerEnquiry) },
-			"grant(lender=0 fence=0x800000001)",
+			"grant(fence=0x800000001)",
 			"father=None lender=0 asking=true loan=None"},
 		{"regenerated: dead-loan obsolete", "nothing pending", lender, nil,
 			func(n *Node) []Effect {
 				return n.HandleMessage(Message{Kind: KindObsolete, From: 1, To: 0, Source: 1, Seq: S})
 			},
-			"grant(lender=0 fence=0x800000001)",
+			"grant(fence=0x800000001)",
 			"father=None lender=0 asking=true loan=None"},
 		{"regenerated: transfer watchdog", "own claim", transferred, []func(*Node){claim}, transferLost,
-			"grant(lender=0 fence=0x800000001)",
+			"grant(fence=0x800000001)",
 			"father=None lender=0 asking=true loan=None"},
 		{"regenerated: transfer watchdog", "mandate", transferred, []func(*Node){mandate(1)}, transferLost,
 			"token→1(lender=0 src=1 seq=1048576 epoch=8) timer(token-return)",
@@ -161,40 +201,24 @@ func TestRootCustodyEntries(t *testing.T) {
 			"",
 			"father=None lender=None asking=false loan=None"},
 		{"regenerated: search_father exhausted", "own claim", leaf4, []func(*Node){claim, suspect}, func(n *Node) []Effect { return exhaust(t, n) },
-			"grant(lender=4 fence=0x400000001)",
+			"grant(fence=0x400000001)",
 			"father=None lender=4 asking=true loan=None"},
 		{"regenerated: search_father exhausted", "mandate", leaf4, []func(*Node){mandate(5), suspect}, func(n *Node) []Effect { return exhaust(t, n) },
 			"token→5(lender=4 src=5 seq=1048576 epoch=4) timer(token-return)",
 			"father=None lender=None asking=true loan=5"},
 		{"regenerated: search_father exhausted", "nothing pending", leaf4, []func(*Node){func(n *Node) { n.Recover() }, claim}, func(n *Node) []Effect { return exhaust(t, n) },
-			"grant(lender=4 fence=0x400000001)",
+			"grant(fence=0x400000001)",
 			"father=None lender=4 asking=true loan=None"},
 	}
-	pos := func(p ocube.Pos) string {
-		if p == ocube.None {
-			return "None"
-		}
-		return fmt.Sprint(int(p))
+	inCS := func(n *Node) {
+		n.HandleMessage(Message{Kind: KindToken, From: 0, To: 4, Lender: 0, Source: 4, Seq: S, Epoch: 2, Fence: 5})
 	}
-	for _, c := range cells {
-		t.Run(c.row+"/"+c.col, func(t *testing.T) {
-			n := c.node(t)
-			for _, step := range c.pending {
-				step(n)
-			}
-			if c.col != "nothing pending" && n.Father() == ocube.None {
-				t.Fatal("setup left the node fatherless: the cell cannot show the step naming it root")
-			}
-			if got := effectLine(c.entry(n)); got != c.effects {
-				t.Errorf("effects:\n got %s\nwant %s", got, c.effects)
-			}
-			got := fmt.Sprintf("father=%s lender=%s asking=%v loan=%s", pos(n.father), pos(n.lender), n.asking, pos(n.loanSource))
-			if got != c.state {
-				t.Errorf("state:\n got %s\nwant %s", got, c.state)
-			}
-			if !n.tokenHere && n.loanSource == ocube.None {
-				t.Error("the root ended without the token and without a loan")
-			}
-		})
+	crashes = []custodyCell{
+		{row: "crashed", col: "lender with a loan out", node: lender},
+		{row: "crashed", col: "proxy holding a mandate", node: leaf4, pending: []func(*Node){mandate(5)}},
+		{row: "crashed", col: "searcher", node: leaf4, pending: []func(*Node){claim, suspect}},
+		{row: "crashed", col: "in its critical section", node: leaf4, pending: []func(*Node){claim, inCS}},
+		{row: "crashed", col: "transfer guardian", node: transferred},
 	}
+	return cells, crashes
 }

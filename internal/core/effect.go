@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/ocube"
 )
 
 // TimerKind enumerates the node's logical timers. Each kind has an
@@ -78,9 +76,6 @@ type Send struct{ Msg Message }
 // Grant tells the application layer it now holds the token and may enter
 // the critical section. The application must eventually call ReleaseCS.
 type Grant struct {
-	// Lender is the node the token will be given back to on release
-	// (self if the node became the root).
-	Lender ocube.Pos
 	// Fence is the client-visible fencing token of this grant:
 	// (tokenEpoch<<32 | per-token grant counter), strictly increasing
 	// across the grants of one token lineage, with regenerated tokens

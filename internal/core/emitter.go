@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/ocube"
 )
 
 // Emitter accumulates the effects of one driver call for every algorithm
@@ -49,10 +47,10 @@ func (e *Emitter) StartTimer(kind TimerKind, gen uint64, delay time.Duration) {
 	e.effects = append(e.effects, &e.timers[len(e.timers)-1])
 }
 
-// Grant appends a Grant effect with the given lender and fencing token
-// (zero for algorithms that do not fence).
-func (e *Emitter) Grant(lender ocube.Pos, fence uint64) {
-	e.grants = append(e.grants, Grant{Lender: lender, Fence: fence})
+// Grant appends a Grant effect with the given fencing token (zero for
+// algorithms that do not fence).
+func (e *Emitter) Grant(fence uint64) {
+	e.grants = append(e.grants, Grant{Fence: fence})
 	e.effects = append(e.effects, &e.grants[len(e.grants)-1])
 }
 

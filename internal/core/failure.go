@@ -30,7 +30,7 @@ import (
 // phase did.
 //
 // The candidate sets are plain slices, like the node's queue and track
-// table (pool.go), whose capacity survives across searches (clearSearch
+// table (pool.go), whose capacity survives across searches (clear
 // truncates, never frees): outstanding is kept sorted ascending so
 // membership is a binary search, and deferred accumulates in
 // answer-arrival order and is re-sorted before each probe round,
@@ -46,17 +46,12 @@ type searchState struct {
 	absorbed    []ocube.Pos // wait on this node's own repair (sorted; see onTestReply)
 	progress    bool        // a candidate left the set since the round opened
 	tested      int         // total test messages sent this search
-	recovery    bool        // search started by Recover (no request to re-issue)
 }
 
-// clearSearch resets the search state, keeping the candidate slices'
-// capacity for the next search.
+// clear resets the search state, keeping the candidate slices' capacity
+// for the next search.
 func (s *searchState) clear() {
-	s.active, s.recovery, s.progress = false, false, false
-	s.phase, s.startPhase, s.sweeps, s.tested = 0, 0, 0, 0
-	s.outstanding = s.outstanding[:0]
-	s.deferred = s.deferred[:0]
-	s.absorbed = s.absorbed[:0]
+	*s = searchState{outstanding: s.outstanding[:0], deferred: s.deferred[:0], absorbed: s.absorbed[:0]}
 }
 
 // absorb records that k's pending request transitively waits on this
@@ -108,7 +103,7 @@ func (n *Node) onSuspicion() {
 	if n.mandator == ocube.None || n.search.active {
 		return
 	}
-	n.startSearch(n.view().Power()+1, false)
+	n.startSearch(n.view().Power() + 1)
 }
 
 // --- root loan enquiry ---
@@ -117,7 +112,7 @@ func (n *Node) onSuspicion() {
 // 2δ+e when the token goes straight to the source, (pmax+1)δ+e otherwise
 // (Section 5, "Root").
 func (n *Node) beginLoan(target, source ocube.Pos, seq uint64) {
-	n.loanTarget, n.loanSource, n.loanSeq = target, source, seq
+	n.loanSource, n.loanSeq = source, seq
 	n.returnGrace = false
 	if !n.h.cfg.FT {
 		return
@@ -217,7 +212,7 @@ func (n *Node) regenerateToken(reason string) {
 func (n *Node) closeLoan() {
 	n.cancelTimer(TimerTokenReturn)
 	n.cancelTimer(TimerEnquiry)
-	n.loanSource, n.loanTarget = ocube.None, ocube.None
+	n.loanSource = ocube.None
 	n.returnGrace = false
 }
 
@@ -326,14 +321,14 @@ func (n *Node) bumpEpoch() {
 // startSearch begins the iterative father research at the given phase.
 // Every search advances the node's repair generation, fencing off the
 // replies of any earlier, abandoned search (Message.Gen).
-func (n *Node) startSearch(phase int, recovery bool) {
+func (n *Node) startSearch(phase int) {
 	if phase < 1 {
 		phase = 1
 	}
 	s := &n.search
 	s.clear()
 	n.repairGen++
-	s.active, s.phase, s.startPhase, s.recovery = true, phase, phase, recovery
+	s.active, s.phase, s.startPhase = true, phase, phase
 	n.searchStarted(phase)
 	if phase > n.h.cfg.P {
 		n.searchExhausted()
@@ -610,12 +605,12 @@ func (n *Node) searchExhausted() {
 		// shadowed by a regeneration. The restart is a fresh repair
 		// attempt: it advances the generation, so replies straggling in
 		// from the failed sweep cannot touch it.
-		tested, recovery := n.search.tested, n.search.recovery
+		tested := n.search.tested
 		n.endSearch()
 		n.repairGen++
 		s := &n.search
 		s.active, s.phase, s.startPhase = true, 1, 1
-		s.sweeps, s.recovery, s.tested = sweeps, recovery, tested
+		s.sweeps, s.tested = sweeps, tested
 		n.searchStarted(1)
 		n.probeRound(true)
 		return
@@ -679,36 +674,32 @@ func (n *Node) onAnomaly(m Message) {
 	if m.From != n.father || n.mandator == ocube.None || n.search.active {
 		return
 	}
-	n.startSearch(ocube.Dist(n.h.cfg.Self, n.father), false)
+	n.startSearch(ocube.Dist(n.h.cfg.Self, n.father))
 }
 
-// Recover re-initializes a node after a fail-stop crash. Per Section 5 it
-// retains only pmax and the distance function (pure label arithmetic
-// here) from stable storage — plus its request sequence counter, our
-// stable-storage addition that keeps re-issued requests monotonic (see
-// DESIGN.md), and its token-epoch high-water mark, so stale-token
-// sightings survive the crash of the very node that regenerated. The
-// node reconnects by running search_father from phase 1, i.e. as if it
-// were a leaf.
+// Recover re-initializes a node after a fail-stop crash. Per Section 5
+// it keeps only pmax and the distance function (pure label arithmetic
+// here) plus its stable storage (Stable), and reconnects as a leaf by
+// running search_father from phase 1: it is the pristine node of NewNode
+// minus the initial tree — no father and no token. What else it keeps is
+// not state: the storage behind its queue, track table and search sets,
+// and timer generations moved past every pre-crash arming, so no fire
+// scheduled before the crash is live. An in-place recovery and Recover on
+// a fresh node given the same Stable (RestoreStable) therefore reach the
+// same state.
 func (n *Node) Recover() []Effect {
 	n.h.em.Begin()
-	n.father = ocube.None
-	n.tokenHere = false
-	n.fenceCtr = 0 // the counter travels with the token; ours died with it
-	n.asking = false
-	n.inCS = false
-	n.wantCS = false
-	n.mandator = ocube.None
-	n.lender = ocube.None
-	n.curSource = ocube.None
-	n.loanSource, n.loanTarget = ocube.None, ocube.None
-	n.returnGrace = false
-	n.xferPending = false
+	old := *n
+	n.init(old.h, old.inst)
+	n.restore(old.Stable())
+	n.q, n.track, n.search = old.q, old.track, old.search
 	n.q.reset()
 	n.track.reset()
-	for k := range n.gens {
-		n.gens[k]++ // invalidate every pre-crash timer
+	n.search.clear()
+	for k, g := range old.gens {
+		n.gens[k] = g + 1
 	}
-	n.startSearch(1, true)
+	n.father, n.tokenHere = ocube.None, false
+	n.startSearch(1)
 	return n.h.em.Take()
 }

@@ -172,7 +172,6 @@ type Node struct {
 
 	// Root loan bookkeeping for the return timeout and enquiry.
 	loanSource  ocube.Pos
-	loanTarget  ocube.Pos
 	loanSeq     uint64
 	returnGrace bool // the source answered "token returned"; grace running
 
@@ -228,7 +227,6 @@ func (n *Node) init(h *Host, inst uint64) {
 		lender:     ocube.None,
 		curSource:  ocube.None,
 		loanSource: ocube.None,
-		loanTarget: ocube.None,
 	}
 }
 
@@ -290,31 +288,34 @@ func (n *Node) Policy() Policy { return n.h.cfg.Policy }
 // Epoch returns the highest token generation the node has observed.
 func (n *Node) Epoch() uint32 { return n.epoch }
 
-// Seq returns the node's own request sequence number. Like Epoch and
-// RepairGen it is Section 5 stable storage: it must survive a crash so
-// re-issued requests stay monotonic.
-func (n *Node) Seq() uint64 { return n.seq }
+// Stable is a node's Section 5 stable storage: the values it carries
+// across a crash so its reincarnation stays coherent with the living
+// cluster — a request sequence that keeps re-issued requests monotonic,
+// the token-epoch high-water mark that fences regenerated tokens, and the
+// repair generation that fences superseded repair rounds. Everything
+// else a node knows dies with it (Recover).
+type Stable struct {
+	Seq       uint64 `json:"seq"`
+	Epoch     uint32 `json:"epoch"`
+	RepairGen uint32 `json:"repair_gen"`
+}
 
-// RepairGen returns the repair-generation counter (Section 5 stable
-// storage): it fences messages of superseded repair rounds.
-func (n *Node) RepairGen() uint32 { return n.repairGen }
+// Stable returns the node's stable storage.
+func (n *Node) Stable() Stable { return Stable{Seq: n.seq, Epoch: n.epoch, RepairGen: n.repairGen} }
 
-// RestoreStable seeds a freshly constructed node with the Section 5
-// stable storage of its previous incarnation — request sequence, token
-// epoch high-water mark, repair generation. The simulator keeps the
-// same Node object across Recover, so it never needs this; a live
-// restart builds a new Node and replays the persisted values through
-// here, then runs Recover to rejoin. It refuses a node that already has
-// protocol activity.
-func (n *Node) RestoreStable(seq uint64, epoch, repairGen uint32) error {
+// RestoreStable seeds a freshly constructed node with the stable storage
+// of its previous incarnation; a live restart builds a new Node, restores
+// through here, then runs Recover to rejoin. It refuses a node that
+// already has protocol activity.
+func (n *Node) RestoreStable(s Stable) error {
 	if n.Busy() || n.seq != 0 {
 		return errors.New("core: RestoreStable on a non-pristine node")
 	}
-	n.seq = seq
-	n.epoch = epoch
-	n.repairGen = repairGen
+	n.restore(s)
 	return nil
 }
+
+func (n *Node) restore(s Stable) { n.seq, n.epoch, n.repairGen = s.Seq, s.Epoch, s.RepairGen }
 
 func (n *Node) view() View {
 	return View{Self: n.h.cfg.Self, Father: n.father, TokenHere: n.tokenHere, Pmax: n.h.cfg.P}
@@ -340,7 +341,7 @@ func (n *Node) emitGrant(lender ocube.Pos) {
 	if n.h.cfg.Observe != nil {
 		n.observe(TokenEvent{Kind: TokenEvGrant, Peer: lender, Epoch: n.tokenEpoch, Fence: fence})
 	}
-	n.h.em.Grant(lender, fence)
+	n.h.em.Grant(fence)
 }
 
 // observe reports ev, stamped with this node's position and instance,

@@ -13,7 +13,7 @@
 //   - mapiter: ranging over a map while emitting output, collecting
 //     results or sending effects needs a subsequent deterministic sort.
 //   - wiresize: core.Message must be exactly 80 bytes, core.Node at
-//     most 408 and the engine's heap entry at most 24, recomputed from
+//     most 392 and the engine's heap entry at most 24, recomputed from
 //     go/types layout so the diagnostic names the offending field at the
 //     line that grew it.
 //   - arenaretain: pooled effect values (pointer-boxed arena entries)

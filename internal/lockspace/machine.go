@@ -347,7 +347,7 @@ func (m *Machine) ensure(now time.Duration, id uint64) *instance {
 		m.insts, m.slab = append(m.insts, st), m.slab[1:]
 		if m.stable != nil {
 			s, ok := m.stable.Load(id)
-			if !ok || st.node.RestoreStable(s.Seq, s.Epoch, s.RepairGen) != nil {
+			if !ok || st.node.RestoreStable(s) != nil {
 				s = StableState{}
 			}
 			m.saved = append(m.saved, s)
@@ -375,7 +375,7 @@ func (m *Machine) settle(st *instance) {
 	if m.stable == nil {
 		return
 	}
-	cur := StableState{Seq: st.node.Seq(), Epoch: st.node.Epoch(), RepairGen: st.node.RepairGen()}
+	cur := st.node.Stable()
 	if cur != m.saved[st.ref] {
 		m.saved[st.ref] = cur
 		m.saves = append(m.saves, StableWrite{Instance: st.node.Instance(), State: cur})

@@ -451,9 +451,9 @@ func TestMachineRejoinRestoresStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := m.insts[0].node
-	if n.TokenHere() || !n.Searching() || n.Epoch() != was.Epoch || n.RepairGen() < was.RepairGen || n.Seq() < was.Seq {
-		t.Errorf("rejoined instance: token=%v searching=%v epoch=%d repairGen=%d seq=%d, want no token, searching, and nothing below %+v",
-			n.TokenHere(), n.Searching(), n.Epoch(), n.RepairGen(), n.Seq(), was)
+	if s := n.Stable(); n.TokenHere() || !n.Searching() || s.Epoch != was.Epoch || s.RepairGen < was.RepairGen || s.Seq < was.Seq {
+		t.Errorf("rejoined instance: token=%v searching=%v stable=%+v, want no token, searching, and nothing below %+v",
+			n.TokenHere(), n.Searching(), s, was)
 	}
 	out, saves := m.Drain()
 	if len(out) == 0 {
@@ -462,7 +462,7 @@ func TestMachineRejoinRestoresStable(t *testing.T) {
 	if b := m.Books(); b.Held != 0 || b.Waiting != 1 || b.Busy != 1 || b.Pending == 0 {
 		t.Errorf("books = %+v, want one waiter on one busy instance with its search timer pending", b)
 	}
-	now := StableState{Seq: n.Seq(), Epoch: n.Epoch(), RepairGen: n.RepairGen()}
+	now := n.Stable()
 	if now == was {
 		t.Fatal("recovery and a request changed nothing stable")
 	}

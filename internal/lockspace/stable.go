@@ -6,19 +6,13 @@ import (
 	"fmt"
 	"os"
 	"sync"
+
+	"repro/internal/core"
 )
 
-// StableState is one instance's Section 5 stable storage: the values a
-// node must carry across a crash so its reincarnation stays coherent
-// with the living cluster — a request sequence that keeps re-issued
-// requests monotonic, the token-epoch high-water mark that fences
-// regenerated tokens, and the repair generation that fences superseded
-// repair rounds.
-type StableState struct {
-	Seq       uint64 `json:"seq"`
-	Epoch     uint32 `json:"epoch"`
-	RepairGen uint32 `json:"repair_gen"`
-}
+// StableState is one instance's Section 5 stable storage, core.Stable:
+// its JSON fields are the stable log's record.
+type StableState = core.Stable
 
 // StableStore persists per-instance StableState across node restarts.
 // Save is called inside the step that changed the state, with the node's

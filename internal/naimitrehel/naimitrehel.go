@@ -108,7 +108,7 @@ func (n *Node) RequestCS() ([]core.Effect, error) {
 		// directly) or the queue threads to us via someone's next.
 		if n.token {
 			n.inCS = true
-			n.em.Grant(n.self, 0)
+			n.em.Grant(0)
 		}
 		return n.em.Take(), nil
 	}
@@ -160,7 +160,7 @@ func (n *Node) HandleMessage(m core.Message) []core.Effect {
 		n.token = true
 		if n.requesting {
 			n.inCS = true
-			n.em.Grant(n.self, 0)
+			n.em.Grant(0)
 		}
 	}
 	return n.em.Take()

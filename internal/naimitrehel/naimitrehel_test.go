@@ -11,13 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
-// newNetwork drives this package's nodes on the unified typed-event
-// engine. Naimi-Trehel is not cube-structured, so the node count is
-// passed through Config.N rather than as a cube order.
-func newNetwork(t *testing.T, n int, seed int64, rec *trace.Recorder) (*sim.Network, []*Node) {
+// newNetwork drives this package's 2^p nodes on the unified typed-event
+// engine.
+func newNetwork(t *testing.T, p int, seed int64, rec *trace.Recorder) (*sim.Network, []*Node) {
 	t.Helper()
 	w, err := sim.New(sim.Config{
-		N:         n,
+		P:         p,
 		Seed:      seed,
 		Algorithm: Algorithm(),
 		Delay:     sim.UniformDelay(time.Millisecond, 3*time.Millisecond),
@@ -40,10 +39,6 @@ func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(0); err == nil {
 		t.Error("NewSystem(0) succeeded")
 	}
-	// Any positive node count runs, including non-powers of two.
-	if _, err := sim.New(sim.Config{N: 6, Algorithm: Algorithm()}); err != nil {
-		t.Errorf("sim.New over 6 naimi-trehel nodes: %v", err)
-	}
 }
 
 func TestInitialState(t *testing.T) {
@@ -65,7 +60,7 @@ func TestPathCompression(t *testing.T) {
 	// A request from x makes every node on the probable-owner path point
 	// directly at x, and hands x the token.
 	rec := &trace.Recorder{}
-	w, nodes := newNetwork(t, 8, 1, rec)
+	w, nodes := newNetwork(t, 3, 1, rec)
 	w.RequestCS(5, 0)
 	if !w.RunUntilQuiescent(time.Minute) {
 		t.Fatal("did not quiesce")
@@ -90,7 +85,7 @@ func TestDistributedQueueHandoff(t *testing.T) {
 	// pointers: x requests, y requests while x is in CS, release hands
 	// the token straight to y.
 	w, err := sim.New(sim.Config{
-		N:         8,
+		P:         3,
 		Seed:      3,
 		Algorithm: Algorithm(),
 		Delay:     sim.FixedDelay(time.Millisecond),
@@ -129,7 +124,7 @@ func TestWorstCaseChainIsLinear(t *testing.T) {
 	// through a stale chain. Build it: nodes request in an order that
 	// leaves a chain, then measure the long walk.
 	rec := &trace.Recorder{}
-	w, _ := newNetwork(t, 16, 5, rec)
+	w, _ := newNetwork(t, 4, 5, rec)
 	// Sequential requests: each next requester's pointer still points at
 	// node 0 initially, so request i walks 0's forwarding chain of length
 	// growing with the number of distinct past requesters it must hop.
@@ -147,14 +142,15 @@ func TestWorstCaseChainIsLinear(t *testing.T) {
 
 // TestPropertySafetyAndLiveness mirrors sim/invariant_test.go's central
 // property test for the baseline on the unified engine: over seeded
-// random schedules with non-FIFO delays and arbitrary (non-power-of-two)
-// system sizes, Naimi-Trehel must never overlap critical sections, must
+// random schedules with non-FIFO delays and system sizes from 2 to 32,
+// Naimi-Trehel must never overlap critical sections, must
 // serve requests, and must keep exactly one live token.
 func TestPropertySafetyAndLiveness(t *testing.T) {
 	f := func(seed int64, nRaw, reqRaw uint8) bool {
-		n := 2 + int(nRaw%30)
+		p := 1 + int(nRaw%5)
+		n := 1 << p
 		requests := 2 + int(reqRaw%30)
-		w, nodes := newNetwork(t, n, seed, nil)
+		w, nodes := newNetwork(t, p, seed, nil)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < requests; i++ {
 			w.RequestCS(ocube.Pos(rng.Intn(n)), time.Duration(rng.Int63n(int64(50*time.Millisecond))))

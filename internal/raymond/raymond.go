@@ -109,7 +109,7 @@ func (n *Node) assignPrivilege() {
 	n.asked = false
 	if head == n.self {
 		n.using = true
-		n.em.Grant(n.self, 0)
+		n.em.Grant(0)
 		return
 	}
 	n.holder = head

@@ -111,9 +111,6 @@ func openCube(p int, nc core.Config) Algorithm {
 	return Algorithm{
 		Name: "open-cube",
 		New: func(n int) ([]Peer, error) {
-			if n != 1<<p {
-				return nil, fmt.Errorf("sim: open-cube needs 2^%d nodes, got %d", p, n)
-			}
 			peers := make([]Peer, n)
 			for i := 0; i < n; i++ {
 				cfg := nc

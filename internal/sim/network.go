@@ -72,12 +72,8 @@ func PartitionWindow(start, end time.Duration, side func(ocube.Pos) bool, inner 
 
 // Config describes a simulated network.
 type Config struct {
-	// P is the cube order; the network has 2^P nodes unless N overrides.
+	// P is the cube order; the network has 2^P nodes.
 	P int
-	// N optionally sets an explicit node count for algorithms that are
-	// not cube-structured (the Naimi-Trehel baseline runs at any size).
-	// Zero means 2^P. The open-cube algorithm requires N == 2^P.
-	N int
 	// Node is the per-node configuration template for the open-cube
 	// algorithm; Self is filled in per node. Leave Policy nil for the
 	// open-cube policy. Ignored when Algorithm is set.
@@ -232,13 +228,7 @@ func newNetwork(cfg Config, slots int) (*Network, error) {
 	if cfg.Delay == nil {
 		cfg.Delay = FixedDelay(time.Millisecond)
 	}
-	n := cfg.N
-	if n == 0 {
-		n = 1 << cfg.P
-	}
-	if n < 1 || n > 1<<20 {
-		return nil, fmt.Errorf("sim: N=%d out of range", n)
-	}
+	n := 1 << cfg.P
 	w := &Network{
 		Eng:      &Engine{},
 		cfg:      cfg,
