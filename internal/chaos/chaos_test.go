@@ -182,6 +182,20 @@ func seedName(seed int64) string {
 	return fmt.Sprintf("seed%d", seed)
 }
 
+// smokeConfig is TestChaosSmoke's shape: a generated plan with two
+// kills on four nodes over 5 s, 16 Zipf keys and a 250 ms lease.
+func smokeConfig(seed int64) Config {
+	return Config{
+		P:        2,
+		Seed:     seed,
+		Duration: 5 * time.Second,
+		Keys:     16,
+		ZipfS:    1.1,
+		LeaseTTL: 250 * time.Millisecond,
+		Kills:    2,
+	}
+}
+
 // TestChaosSmoke is the in-package slice of the CI chaos-smoke job: a
 // seeded generated plan (kills, a partition, a zombie, a burst) over a
 // few seconds, requiring every always assertion and the three headline
@@ -190,15 +204,7 @@ func TestChaosSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos smoke needs a few seconds of wall clock")
 	}
-	cfg := Config{
-		P:        2,
-		Seed:     42,
-		Duration: 5 * time.Second,
-		Keys:     16,
-		ZipfS:    1.1,
-		LeaseTTL: 250 * time.Millisecond,
-		Kills:    2,
-	}
+	cfg := smokeConfig(42)
 	cfg.Log = t.Logf
 	res := requireReached(t, cfg,
 		props.PropKillWhileHolding,

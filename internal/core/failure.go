@@ -442,18 +442,8 @@ func (n *Node) onTest(m Message) {
 			Reply: ReplyBusy})
 		return
 	}
-	p := n.view().Power()
-	if n.xferPending {
-		// We are the guardian of an in-flight unlent token: until the
-		// acknowledgment arrives we either still logically own it (and
-		// will regenerate it as the root on loss) or the acknowledged
-		// owner is about to exist. Claiming root power keeps the "some
-		// node answers ok whenever a token exists" invariant unbroken
-		// across ownership transfers.
-		p = n.h.cfg.P
-	}
 	switch {
-	case p >= d:
+	case n.view().Power() >= d:
 		n.send(Message{Kind: KindTestReply, To: m.From, Phase: m.Phase, Gen: m.Gen, Reply: ReplyOK})
 	case n.asking:
 		// Our power could still increase before the current request
@@ -599,12 +589,13 @@ func (n *Node) searchExhausted() {
 	}
 	if sweeps < 2 {
 		// Not yet two consecutive failed FULL sweeps: restart from phase
-		// 1. The confirmation sweep re-probes every node, so a root or
-		// transfer guardian that emerged behind the previous pass — the
-		// token is a moving target — answers ok and is adopted instead of
-		// shadowed by a regeneration. The restart is a fresh repair
-		// attempt: it advances the generation, so replies straggling in
-		// from the failed sweep cannot touch it.
+		// 1. The confirmation sweep re-probes every node, so a root that
+		// emerged behind the previous pass — the token is a moving
+		// target, and a transfer's recipient is the root once it lands —
+		// answers ok and is adopted instead of shadowed by a
+		// regeneration. The restart is a fresh repair attempt: it
+		// advances the generation, so replies straggling in from the
+		// failed sweep cannot touch it.
 		tested := n.search.tested
 		n.endSearch()
 		n.repairGen++

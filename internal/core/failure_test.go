@@ -265,26 +265,89 @@ func TestConcurrentSearchFlaggedOKFromJuniorDiscarded(t *testing.T) {
 	}
 }
 
-func TestGuardianAnswersOKWhileTransferPending(t *testing.T) {
-	// Root 0 transit-grants the token away; while the ack is pending it
-	// must answer probes with ok (it may yet have to regenerate).
-	n := ftNode(t, 0, 2)
-	effs := n.HandleMessage(Message{Kind: KindRequest, From: 2, To: 0,
-		Target: 2, Source: 2, Seq: seqStride})
-	msgs := sends(effs)
-	if len(msgs) != 1 || msgs[0].Kind != KindToken || msgs[0].Lender != ocube.None {
-		t.Fatalf("expected outright token grant, got %v", msgs)
+// timerOf returns the one arming of kind among effs.
+func timerOf(t *testing.T, effs []Effect, kind TimerKind) StartTimer {
+	t.Helper()
+	for _, st := range timers(effs) {
+		if st.Kind == kind {
+			return st
+		}
 	}
-	effs = n.HandleMessage(Message{Kind: KindTest, From: 1, To: 0, Phase: 2})
-	msgs = sends(effs)
-	if len(msgs) != 1 || msgs[0].Reply != ReplyOK {
-		t.Errorf("pending guardian answered %v, want ok", msgs)
+	t.Fatalf("no %v armed in %v", kind, effs)
+	return StartTimer{}
+}
+
+// TestGuardianHasOnePower is the zero-delay witness of the guardian's old
+// split power. Root 0 hands the token to 2 outright and guards the
+// transfer, unacknowledged, while searcher 3 (distance 2 from 0) probes
+// at phase 2. The guardian's power is 1 — its father is 2 — and it
+// answers probes and requests with that one power: it leaves the probe
+// unanswered, and nothing moves until the searcher's round timer. When
+// the guardian claimed root power for probes only, the two nodes cycled
+// test → ok → request → anomaly with no timer in the cycle, and the loop
+// below hit its cap. The recipient covers the transfer instead: it
+// answers a probe while the token is in flight, ok where its power
+// reaches the phase and try-later below it, because it is asking.
+func TestGuardianHasOnePower(t *testing.T) {
+	const maxMsgs = 64
+	g, recipient, s := ftNode(t, 0, 2), ftNode(t, 2, 2), ftNode(t, 3, 2)
+	effs, _ := recipient.RequestCS()
+	req := sends(effs)
+	if len(req) != 1 || req[0].To != 0 {
+		t.Fatalf("recipient's request = %v, want one to 0", req)
 	}
-	// After the ack, the guardian's claim drops to its real power.
-	n.HandleMessage(Message{Kind: KindTokenAck, From: 2, To: 0, Seq: seqStride})
-	effs = n.HandleMessage(Message{Kind: KindTest, From: 1, To: 0, Phase: 2})
-	if len(sends(effs)) != 0 {
-		t.Error("after ack, a low-power idle node must stay silent")
+	req[0].From = 2
+	xfer := sends(g.HandleMessage(req[0]))
+	if len(xfer) != 1 || xfer[0].Kind != KindToken || xfer[0].Lender != ocube.None || g.Power() != 1 {
+		t.Fatalf("guardian sent %v with power %d, want an outright transfer and power 1", xfer, g.Power())
+	}
+
+	// The searcher's phase 1 (its father, 2) goes unanswered; phase 2
+	// probes 0 and 1.
+	effs, _ = s.RequestCS()
+	effs = s.HandleTimer(TimerSuspicion, timerOf(t, effs, TimerSuspicion).Gen)
+	probe := sends(effs)
+	if len(probe) != 1 || probe[0].To != 2 {
+		t.Fatalf("phase-1 probes = %v, want one to 2", probe)
+	}
+	probe[0].From = 3
+	if got := sends(recipient.HandleMessage(probe[0])); len(got) != 1 || got[0].Kind != KindTestReply {
+		t.Fatalf("asking recipient answered %v, want a reply", got)
+	}
+	inflight := sends(s.HandleTimer(TimerSearchRound, timerOf(t, effs, TimerSearchRound).Gen))
+
+	// Deliver between guardian and searcher at zero delay; everything
+	// else (the token, probes to 1) stays in flight.
+	nodes := map[ocube.Pos]*Node{0: g, 3: s}
+	from := map[*Node]ocube.Pos{g: 0, s: 3}
+	for i := range inflight {
+		inflight[i].From = 3
+	}
+	delivered := 0
+	for len(inflight) > 0 && delivered < maxMsgs {
+		m := inflight[0]
+		inflight = inflight[1:]
+		n := nodes[m.To]
+		if n == nil {
+			continue
+		}
+		delivered++
+		for _, out := range sends(n.HandleMessage(m)) {
+			out.From = from[n]
+			inflight = append(inflight, out)
+		}
+	}
+	if delivered > 1 {
+		t.Fatalf("%d messages passed between guardian and searcher at zero delay (cap %d), want the one probe: a cycle needs no timer", delivered, maxMsgs)
+	}
+	if !s.Searching() {
+		t.Error("searcher stopped searching, want it waiting on its round timer")
+	}
+
+	// After the ack the guardian still has its one power.
+	g.HandleMessage(Message{Kind: KindTokenAck, From: 2, To: 0, Seq: xfer[0].Seq})
+	if got := sends(g.HandleMessage(Message{Kind: KindTest, From: 1, To: 0, Phase: 2})); len(got) != 0 {
+		t.Errorf("after the ack the guardian answered %v, want silence from a low-power idle node", got)
 	}
 }
 
@@ -855,5 +918,57 @@ func TestEpochFenceRefusesStaleToken(t *testing.T) {
 	}
 	if n2.Mandator() != ocube.None {
 		t.Error("unfenced node ignored the stale-epoch token")
+	}
+}
+
+// TestFencedReceiptedClaimIsNotStranded pins the chaos smoke shape's
+// seed 91 stuck. Root 0 transfers the token to 2 for 2's claim and
+// records the claim as granted. 2 knows a newer epoch and fences the
+// token out; the session's receipt has already released 0, so no
+// watchdog rolls 0's record back. 2's next re-issue must not fall in the
+// granted block: 0 would drop it as "request already granted", and on
+// the live rig it did, every suspicion period until the run ended.
+func TestFencedReceiptedClaimIsNotStranded(t *testing.T) {
+	fenced := func(self ocube.Pos) *Node {
+		n, err := NewNode(Config{Self: self, P: 2, FT: true, EpochFence: true,
+			Delta: time.Millisecond, CSEstimate: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	g, r := fenced(0), fenced(2)
+	// 2 learns epoch 3 from a stray loan it has no use for.
+	r.HandleMessage(Message{Kind: KindToken, From: 1, To: 2, Lender: 1, Epoch: 3})
+	effs, _ := r.RequestCS()
+	suspicion := timerOf(t, effs, TimerSuspicion)
+	req := sends(effs)[0]
+	req.From = 2
+	tok := sends(g.HandleMessage(req))[0]
+	tok.From, tok.Receipted = 0, true
+	rep := watch(r)
+	r.HandleMessage(tok)
+	if !rep.take().dropped("stale epoch fenced") || r.TokenHere() {
+		t.Fatal("recipient did not fence the stale token out")
+	}
+	g.HandleMessage(Message{Kind: KindTokenAck, From: 2, To: 0, Seq: tok.Seq}) // the receipt
+
+	// 2 suspects and searches; 0 — the root again in the chaos run, where
+	// its own search regenerated — answers ok and gets the re-issue.
+	effs = r.HandleTimer(TimerSuspicion, suspicion.Gen)
+	probe := sends(effs)[0]
+	reissue := sends(r.HandleMessage(Message{Kind: KindTestReply, From: 0, To: 2,
+		Phase: probe.Phase, Gen: probe.Gen, Reply: ReplyOK}))
+	if len(reissue) != 1 || reissue[0].Kind != KindRequest || reissue[0].To != 0 {
+		t.Fatalf("re-issue = %v, want one request to 0", reissue)
+	}
+	if sameRequest(reissue[0].Seq, tok.Seq) {
+		t.Errorf("re-issue seq %d is in the block 0 recorded as granted (%d)", reissue[0].Seq, tok.Seq)
+	}
+	reissue[0].From = 2
+	rep = watch(g)
+	g.HandleMessage(reissue[0])
+	if rep.take().dropped("request already granted") {
+		t.Error("the claim's sender dropped its re-issue as already granted")
 	}
 }

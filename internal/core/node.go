@@ -753,6 +753,14 @@ func (n *Node) onToken(m Message) {
 			// waits for this token is repaired by its own suspicion. A
 			// lent one is the lender's return watchdog's to replace.
 			n.dropped(m, "stale epoch fenced")
+			if m.Receipted && m.Source == n.h.cfg.Self && n.mandator == n.h.cfg.Self && sameRequest(m.Seq, n.curSeq) {
+				// It served our claim, so its released sender holds a
+				// grant record no watchdog rolls back, and would drop our
+				// re-issues in this block as "request already granted":
+				// the claim moves to a new block.
+				n.seq += seqStride
+				n.curSeq = n.seq
+			}
 			return
 		}
 	} else {

@@ -34,9 +34,6 @@ const directivePrefix = "ocmxvet:"
 type fileDirectives struct {
 	// allowed maps line -> analyzer names suppressed on that line.
 	allowed map[int]map[string]bool
-	// live / deterministic are the file pragmas.
-	live          bool
-	deterministic bool
 }
 
 // directives is the package-wide annotation state plus the findings the
@@ -81,13 +78,12 @@ func (d *directives) parseComment(fset *token.FileSet, fd *fileDirectives, c *as
 	case "allow":
 		d.parseAllow(pos, fd, rest)
 	case "live":
+		// The file pragmas are read by filePragmas; here they are only
+		// checked.
 		if _, reason, ok := strings.Cut(rest, "--"); !ok || strings.TrimSpace(reason) == "" {
 			d.report(pos, "ocmxvet:live needs a reason: //ocmxvet:live -- <reason>")
-			return
 		}
-		fd.live = true
 	case "deterministic":
-		fd.deterministic = true
 	default:
 		d.report(pos, "unknown ocmxvet directive %q", verb)
 	}

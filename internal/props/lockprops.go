@@ -74,7 +74,6 @@ const (
 type hold struct {
 	node  int
 	fence uint64
-	at    time.Time
 }
 
 type keyState struct {
@@ -250,7 +249,7 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) {
 		p.healPending = false
 		p.c.Sometimes(PropPartitionHeal, true, nil)
 	}
-	ks.holder = &hold{node: node, fence: fence, at: now}
+	ks.holder = &hold{node: node, fence: fence}
 	ks.lapsedAt = time.Time{}
 	ks.lapsedKind = lapsedNone
 }

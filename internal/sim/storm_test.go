@@ -202,7 +202,7 @@ func TestRootHolderStormPinned(t *testing.T) {
 		repair int64 // failure-handling messages in the whole run
 		outage time.Duration
 	}{
-		{name: "root-holder", root: true, repair: 746, outage: 1070697139 * time.Nanosecond},
+		{name: "root-holder", root: true, repair: 687, outage: 1070697139 * time.Nanosecond},
 		{name: "borrower", root: false, repair: 44, outage: 117866043 * time.Nanosecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
