@@ -10,9 +10,10 @@
 // freezes virtual time instead of burning it, so a wall-clock deadline
 // outside the bubble catches it.
 //
-// Run it with the experiment on (Go 1.24):
+// Run it with the experiment on (Go 1.24); -v prints each seed's longest
+// lease reclaim and how many seeds took more than twice the lease:
 //
-//	GOEXPERIMENT=synctest go test -count=1 -cpu 1 -run Bubble ./internal/chaos
+//	GOEXPERIMENT=synctest go test -v -count=1 -cpu 1 -run Bubble ./internal/chaos
 //
 // The asynctimerchan directive above is needed because go.mod's go 1.22
 // selects the pre-1.23 timer channels, under which synctest.Run panics.
@@ -44,21 +45,35 @@ const bubbleDeadline = 20 * time.Second
 // failure, on a cluster that does not quiesce, or on missing its
 // wall-clock deadline, which in a bubble means a livelock. A missed
 // deadline ends the sweep: the spinning bubble cannot be stopped, and it
-// would starve every later seed of the one processor.
+// would starve every later seed of the one processor. The sweep logs how
+// many seeds reclaimed a lapsed lock later than twice the lease, which
+// no assertion bounds yet.
 func TestBubbleSweep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	lease := smokeConfig(0).LeaseTTL
+	late, longest, longestSeed := 0, time.Duration(0), int64(0)
 	for seed := int64(1); seed <= 100; seed++ {
 		hung := false
-		t.Run(fmt.Sprintf("smoke/seed%d", seed), func(t *testing.T) { bubbleSeed(t, seed, &hung) })
+		var reclaim time.Duration
+		t.Run(fmt.Sprintf("smoke/seed%d", seed), func(t *testing.T) { reclaim = bubbleSeed(t, seed, &hung) })
 		if hung {
 			return
 		}
+		if reclaim > 2*lease {
+			late++
+		}
+		if reclaim > longest {
+			longest, longestSeed = reclaim, seed
+		}
 	}
+	t.Logf("%d of 100 seeds took more than twice the %v lease to reclaim; the longest, %v, at seed %d",
+		late, lease, longest, longestSeed)
 }
 
 // bubbleSeed runs one smoke seed in a bubble and judges it, setting
-// *hung when the bubble misses its deadline.
-func bubbleSeed(t *testing.T, seed int64, hung *bool) {
+// *hung when the bubble misses its deadline. It returns the seed's longest
+// lease reclaim.
+func bubbleSeed(t *testing.T, seed int64, hung *bool) time.Duration {
 	replay := fmt.Sprintf("GOEXPERIMENT=synctest go test -count=1 -cpu 1 -run 'TestBubbleSweep/smoke/seed%d$' ./internal/chaos", seed)
 	cfg := smokeConfig(seed)
 	var autopsy bytes.Buffer
@@ -90,4 +105,6 @@ func bubbleSeed(t *testing.T, seed int64, hung *bool) {
 	if !res.Drained {
 		t.Fatalf("smoke seed %d: cluster failed to quiesce; replay: %s\n%s", seed, replay, props.Format(res.Report))
 	}
+	t.Logf("smoke seed %d: %d grants, %d reclaims (max %v)", seed, res.Totals.Grants, res.Totals.Reclaims, res.Totals.MaxReclaim)
+	return res.Totals.MaxReclaim
 }

@@ -19,10 +19,12 @@ import (
 // sequence space, a lower boot delivers nothing, neither does a frame
 // addressed to another incarnation of the receiver, and neither does one
 // numbered more than the window (64) above the highest sequence number
-// below which everything was delivered. The seed corpus (f.Add plus
-// testdata/fuzz) encodes the E11 duplicate-token shapes: the same
-// transfer frame re-sent after an ack loss, and a reborn node replaying
-// its old sequence numbers.
+// below which everything was delivered; and every ack the receiver puts
+// on the link is the model's window of the sender's current boot, (Ack,
+// AckMask) = (that highest number, the set of delivered ones above it).
+// The seed corpus (f.Add plus testdata/fuzz) encodes the E11
+// duplicate-token shapes: the same transfer frame re-sent after an ack
+// loss, and a reborn node replaying its old sequence numbers.
 //
 // Input encoding: 3 bytes per op — opcode (mod 6), boot (1..4 before
 // bumps), seq (0..15; 0 is a pure ack wire-wise).
@@ -34,10 +36,10 @@ import (
 //	op 3: send (boot, seq+64) — a far-future seq: delivered and parked in
 //	      the mask while the window reaches it, refused beyond
 //	op 4: send (boot+4, seq) — a rebirth bump
-//	op 5: send (boot, seq) carrying ack fields and a ToBoot taken from the
-//	      raw bytes — a piggybacked ack must not disturb the data half of
-//	      its frame, and only ToBoot 0 or the receiver's own boot (1) let
-//	      the payload through
+//	op 5: send (boot, seq) carrying an ack window (Ack, AckMask) and a
+//	      ToBoot taken from the raw bytes — a piggybacked ack must not
+//	      disturb the data half of its frame, and only ToBoot 0 or the
+//	      receiver's own boot (1) let the payload through
 func FuzzSessionDedup(f *testing.F) {
 	// Retransmit duplicate: one frame, then the same frame twice more.
 	f.Add([]byte{0, 1, 1, 1, 1, 1})
@@ -67,35 +69,8 @@ func FuzzSessionDedup(f *testing.F) {
 		b := NewMachine(1, SessionConfig{}, rand.New(rand.NewSource(1)))
 		var got []uint64
 		now := time.Duration(0)
-		// step hands b one frame, a millisecond after the last, and lets its
-		// timer run if it is due. b never sends, so all it may put on the
-		// link is pure acks and bare frames.
-		step := func(f SessFrame) {
-			now += time.Millisecond
-			batch, receipts, out := b.Frame(now, f, nil, nil)
-			if len(receipts) != 0 {
-				t.Fatalf("a machine that never sent was handed receipts %v", receipts)
-			}
-			if b.Deadline() <= now {
-				out = b.Tick(now, out)
-			}
-			if batch != nil {
-				if len(batch) != 1 {
-					t.Fatalf("torn batch: %d envelopes", len(batch))
-				}
-				got = append(got, batch[0].Instance)
-			}
-			for _, o := range out {
-				if o.To != 0 || o.Frame.Seq != 0 || o.Frame.Batch != nil {
-					t.Fatalf("a machine that never sent put %+v on the link", o)
-				}
-			}
-			if b.Unacked() != 0 {
-				t.Fatalf("Unacked() = %d on a machine that never sent", b.Unacked())
-			}
-		}
-
-		// Reference model: the delivery stream the dedup contract allows.
+		// Reference model: the delivery stream the dedup contract allows,
+		// and the window it leaves.
 		var want []uint64
 		cur := uint64(0)
 		seen := make(map[uint64]struct{})
@@ -120,14 +95,55 @@ func FuzzSessionDedup(f *testing.F) {
 			}
 			want = append(want, boot<<32|seq)
 		}
+		mask := func() (m uint64) {
+			for seq := range seen {
+				if seq > high {
+					m |= 1 << (seq - high - 1)
+				}
+			}
+			return m
+		}
+
+		// step hands b one frame, a millisecond after the last, and lets its
+		// timer run if it is due; the model has taken the frame already. b
+		// never sends, so all it may put on the link is pure acks, each the
+		// model's window, and bare frames, which acknowledge nothing.
+		step := func(f SessFrame) {
+			now += time.Millisecond
+			batch, receipts, out := b.Frame(now, f, nil, nil)
+			if len(receipts) != 0 {
+				t.Fatalf("a machine that never sent was handed receipts %v", receipts)
+			}
+			if b.Deadline() <= now {
+				out = b.Tick(now, out)
+			}
+			if batch != nil {
+				if len(batch) != 1 {
+					t.Fatalf("torn batch: %d envelopes", len(batch))
+				}
+				got = append(got, batch[0].Instance)
+			}
+			for _, o := range out {
+				if o.To != 0 || o.Frame.Seq != 0 || o.Frame.Batch != nil {
+					t.Fatalf("a machine that never sent put %+v on the link", o)
+				}
+				if a := o.Frame; (a.Ack != 0 || a.AckMask != 0) && (a.ToBoot != cur || a.Ack != high || a.AckMask != mask()) {
+					t.Fatalf("ack %+v, model's window is boot %d, Ack %d, AckMask %#x", a, cur, high, mask())
+				}
+			}
+			if b.Unacked() != 0 {
+				t.Fatalf("Unacked() = %d on a machine that never sent", b.Unacked())
+			}
+		}
+
 		var ack SessFrame // ack fields of the next data frame
 		send := func(boot, seq uint64) {
+			model(boot, seq, ack.ToBoot)
 			step(SessFrame{
 				From: 0, Boot: boot, Seq: seq,
-				Ack: ack.Ack, ToBoot: ack.ToBoot, AckRun: ack.AckRun,
+				Ack: ack.Ack, AckMask: ack.AckMask, ToBoot: ack.ToBoot,
 				Batch: []core.Envelope{{Instance: boot<<32 | seq}},
 			})
-			model(boot, seq, ack.ToBoot)
 			ack = SessFrame{}
 		}
 
@@ -142,16 +158,17 @@ func FuzzSessionDedup(f *testing.F) {
 				send(boot, seq)
 				send(boot, seq)
 			case 2:
-				step(SessFrame{From: 0, Boot: boot, Ack: seq})
 				model(boot, 0, 0)
+				step(SessFrame{From: 0, Boot: boot, Ack: seq})
 			case 3:
 				send(boot, seq+64)
 			case 4:
 				send(boot+4, seq)
 			case 5:
 				// ToBoot 1 is the receiver's own boot, so some of these
-				// reach retire: huge runs, runs past seq 1, unknown seqs.
-				ack = SessFrame{Ack: uint64(data[i+2]), ToBoot: uint64(data[i+1] >> 6), AckRun: uint32(data[i+1]) << 24}
+				// reach retire: masks reaching the top bit, acks of
+				// unknown seqs.
+				ack = SessFrame{Ack: uint64(data[i+2]), ToBoot: uint64(data[i+1] >> 6), AckMask: uint64(data[i+1])<<56 | uint64(data[i+2])}
 				send(boot, seq)
 			}
 		}
@@ -182,7 +199,7 @@ func FuzzSessionDedup(f *testing.F) {
 // read again per frame with its index, that frame's fate.
 func FuzzMachineReceipts(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 1, 0, 30, 4, 200})              // tokens both ways, acks riding and alone
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 3, 90})    // a burst: run acks, one loan, one plain
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 3, 90})    // a burst: window acks, one loan, one plain
 	f.Add([]byte{0, 7, 0, 7, 4, 7, 0, 14, 4, 21, 3, 250}) // fates that lose and delay every few frames
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 400 {

@@ -16,7 +16,7 @@ import (
 // paper assumes every link reliable with a bounded delay (Section 2), and
 // a Machine manufactures such a link out of a lossy one — per-peer
 // sequence numbers in a window that is a wire constant, a receiver that
-// drops duplicates with one 64-bit mask, acks that name runs of frames,
+// drops duplicates with one 64-bit window, acks that are that window,
 // and exponential-backoff retransmission with jitter. It is a pure state
 // machine in the shape of core.Node: the driver tells it the time and
 // what happened (Send, Frame, Tick), and it answers with the frames to
@@ -25,12 +25,13 @@ import (
 // the deterministic engine — so the simulator validates the code that
 // ships.
 //
-// Acks ride, they are not sent: a received data frame makes its ack
-// owed, and owed acks leave on the next data frame to that peer. Only
-// when no data frame comes do they travel alone, as one pure ack frame
-// once the oldest has waited RTO/4 or ackEvery of them are owed; a
-// duplicate (its sender is already retransmitting) and a gap in the
-// sequence (something was lost or reordered) are acked at once.
+// Acks ride, they are not sent: every frame to a peer carries the
+// receiver's dedup window, which acknowledges all it delivered, so the
+// next frame repairs a lost ack. The window travels alone, as a pure ack
+// frame, only when no data frame takes it: once the oldest owed frame has
+// waited RTO/4, once ackEvery frames are owed or its in-order floor has
+// moved by ackEvery, and at once for a duplicate (its sender is
+// retransmitting).
 //
 // An ack is also the receipt of what its frame carried. The protocol
 // wants one thing acknowledged end to end, the unlent token (core.
@@ -166,9 +167,9 @@ type PeerStats struct {
 
 // SessFrame is the wire unit of a session: a data frame carries one
 // envelope batch under a per-sender sequence number, a pure ack carries
-// Seq 0. Either may acknowledge a run of the peer's frames. An ack names
-// the frames it covers, it is not cumulative, so a lost ack costs one
-// retransmission rather than a window stall.
+// Seq 0. Either acknowledges with the receiver's dedup window: every
+// frame the peer delivered so far, so an ack lost is an ack repeated by
+// the next frame, not a retransmission.
 //
 // A frame travels between two incarnations: Boot is the sender's, ToBoot
 // the one it addresses. Sequence numbers, acks and payloads all belong
@@ -185,12 +186,12 @@ type SessFrame struct {
 	// Seq numbers data frames per sender starting at 1; 0 marks a pure
 	// ack frame.
 	Seq uint64
-	// Ack acknowledges receipt of the peer's data frames Ack-AckRun
-	// through Ack (0 = none).
+	// Ack acknowledges receipt of every one of the peer's data frames up
+	// to and including Ack.
 	Ack uint64
-	// AckRun is how many frames immediately below Ack are acknowledged
-	// with it; a receiver acks contiguous arrivals as one run.
-	AckRun uint32
+	// AckMask acknowledges, beyond Ack, frame Ack+1+i for each set bit i.
+	// Ack and AckMask both 0 acknowledge nothing.
+	AckMask uint64
 	// ToBoot is the incarnation of the receiver this frame addresses: the
 	// boot of the last frame the sender had from it, 0 if it has had
 	// none. A receiver whose boot differs ignores the ack fields and
@@ -228,9 +229,11 @@ type Machine struct {
 	rng      *rand.Rand
 	sendSpan uint64 // window; lowered only by tests, to reach the backlog
 
-	peers map[ocube.Pos]*machPeer
+	// peers is indexed by position, grown on first use (SessTCP refuses a
+	// frame from a position with no address); nil where no peer is yet.
+	peers []*machPeer
 	// active lists the peers Tick has to look at: those with a frame in
-	// flight or an ack owed. A peer joins when either becomes true and is
+	// flight or a window owed. A peer joins when either becomes true and is
 	// dropped by the first Tick that finds neither.
 	active []*machPeer
 	// deadline is when Tick next has work, as a lower bound: a send or a
@@ -261,12 +264,15 @@ type machPeer struct {
 	recvHigh uint64 // every seq ≤ recvHigh was delivered
 	recvMask uint64 // bit i: seq recvHigh+1+i was delivered
 
-	// Owed acks: the run of recvBoot's frames (ackHi-ackN, ackHi] was
-	// received and not yet acknowledged; ackN == 0 means nothing is owed.
-	// ackAt is when the run leaves alone unless a data frame takes it.
-	ackHi uint64
-	ackN  uint32
+	// owed counts the frames delivered since the window last left for
+	// the peer; while it is not 0, ackAt is when the window leaves alone
+	// unless a data frame takes it first. acked is recvHigh when it left.
+	// The window leaves at once when ackEvery are owed or recvHigh has
+	// moved ackEvery past acked: the sender's span opens only as recvHigh
+	// moves, and frames parked above a late one may have left uncounted.
+	owed  int
 	ackAt time.Duration
+	acked uint64
 
 	active bool // listed in Machine.active
 
@@ -294,7 +300,6 @@ func NewMachine(self ocube.Pos, cfg SessionConfig, rng *rand.Rand) *Machine {
 		cfg:      cfg,
 		rng:      rng,
 		sendSpan: window,
-		peers:    make(map[ocube.Pos]*machPeer),
 		deadline: Never,
 	}
 }
@@ -305,10 +310,10 @@ func (m *Machine) Stats() SessionStats { return m.stats }
 // PeerStats returns the per-peer counter breakdown; the values sum to
 // the aggregate Stats counters.
 func (m *Machine) PeerStats() map[ocube.Pos]PeerStats {
-	out := make(map[ocube.Pos]PeerStats, len(m.peers))
-	for pos, p := range m.peers {
-		if p.retransmits != 0 || p.dupDrops != 0 {
-			out[pos] = PeerStats{Retransmits: p.retransmits, DupDrops: p.dupDrops}
+	out := make(map[ocube.Pos]PeerStats)
+	for _, p := range m.peers {
+		if p != nil && (p.retransmits != 0 || p.dupDrops != 0) {
+			out[p.pos] = PeerStats{Retransmits: p.retransmits, DupDrops: p.dupDrops}
 		}
 	}
 	return out
@@ -324,6 +329,9 @@ func (m *Machine) Unacked() int { return m.unacked }
 func (m *Machine) Deadline() time.Duration { return m.deadline }
 
 func (m *Machine) peer(pos ocube.Pos) *machPeer {
+	if n := int(pos) + 1; n > len(m.peers) {
+		m.peers = append(m.peers, make([]*machPeer, n-len(m.peers))...)
+	}
 	p := m.peers[pos]
 	if p == nil {
 		p = &machPeer{pos: pos}
@@ -392,32 +400,28 @@ func (m *Machine) release(now time.Duration, p *machPeer, out []Outgoing) []Outg
 	return out
 }
 
-// dataFrame builds data frame seq for p; whatever acks p is owed ride on
-// it. The frame's view of batch ends at its length: the capacity behind it
-// is for receipts (see Frame), and on the in-memory mesh the receiver
-// gets this very slice.
+// ackFrame builds a pure ack frame for p: p's window, which leaves with
+// every frame to p and settles what p is owed.
+func (m *Machine) ackFrame(p *machPeer) SessFrame {
+	p.owed, p.acked = 0, p.recvHigh
+	return SessFrame{From: m.self, Boot: m.cfg.Boot, ToBoot: p.recvBoot, Ack: p.recvHigh, AckMask: p.recvMask}
+}
+
+// dataFrame builds data frame seq for p, the window riding on it. The
+// frame's view of batch ends at its length: the capacity behind it is for
+// receipts (see Frame), and on the in-memory mesh the receiver gets this
+// very slice.
 func (m *Machine) dataFrame(p *machPeer, seq uint64, batch []core.Envelope) SessFrame {
-	f := SessFrame{From: m.self, Boot: m.cfg.Boot, ToBoot: p.recvBoot, Seq: seq, Batch: batch[:len(batch):len(batch)]}
-	if p.ackN > 0 {
-		m.stats.AcksPiggybacked += int64(p.ackN)
-		f.Ack, f.AckRun = p.ackHi, p.ackN-1
-		p.ackN = 0
-	}
+	m.stats.AcksPiggybacked += int64(p.owed)
+	f := m.ackFrame(p)
+	f.Seq, f.Batch = seq, batch[:len(batch):len(batch)]
 	return f
 }
 
-// ackFrame builds a pure ack frame for the run of n of p's frames ending
-// at hi.
-func (m *Machine) ackFrame(p *machPeer, hi uint64, n uint32) Outgoing {
+// pureAck is ackFrame on its own, for the link.
+func (m *Machine) pureAck(p *machPeer) Outgoing {
 	m.stats.AckFrames++
-	return Outgoing{p.pos, SessFrame{From: m.self, Boot: m.cfg.Boot, ToBoot: p.recvBoot, Ack: hi, AckRun: n - 1}}
-}
-
-// owedFrame empties p's owed acks into a pure ack frame.
-func (m *Machine) owedFrame(p *machPeer) Outgoing {
-	f := m.ackFrame(p, p.ackHi, p.ackN)
-	p.ackN = 0
-	return f
+	return Outgoing{p.pos, m.ackFrame(p)}
 }
 
 // backoff returns the retransmission timeout for the given attempt
@@ -434,9 +438,9 @@ func (m *Machine) backoff(attempts int) time.Duration {
 }
 
 // Tick is the machine's timer: it re-sends every frame in flight that is
-// overdue, per peer in Seq order, sends alone the owed acks that have
-// waited out the ack delay, and works out the next deadline. A Tick
-// before the deadline does nothing.
+// overdue, per peer in Seq order, sends alone the windows owed past the
+// ack delay, and works out the next deadline. A Tick before the deadline
+// does nothing.
 func (m *Machine) Tick(now time.Duration, out []Outgoing) []Outgoing {
 	if now < m.deadline {
 		return out
@@ -456,13 +460,13 @@ func (m *Machine) Tick(now time.Duration, out []Outgoing) []Outgoing {
 			}
 			next = min(next, o.due)
 		}
-		if p.ackN > 0 && p.ackAt <= now {
-			out = append(out, m.owedFrame(p))
+		if p.owed > 0 && p.ackAt <= now {
+			out = append(out, m.pureAck(p))
 		}
-		if p.ackN > 0 {
+		if p.owed > 0 {
 			next = min(next, p.ackAt)
 		}
-		if p.active = len(p.inflight) > 0 || p.ackN > 0; p.active {
+		if p.active = len(p.inflight) > 0 || p.owed > 0; p.active {
 			busy = append(busy, p)
 		}
 	}
@@ -473,7 +477,7 @@ func (m *Machine) Tick(now time.Duration, out []Outgoing) []Outgoing {
 
 // Frame takes one inbound frame: it retires what the frame acknowledges,
 // lets backlog into the room that made, and for a data frame runs the
-// dedup window and books the ack now owed. It returns the batch to hand
+// dedup window and owes the peer its window. It returns the batch to hand
 // to the application, nil for a pure ack, a duplicate or a refused frame.
 //
 // It also returns, appended to rcpt, the receipts the frame's ack
@@ -499,8 +503,8 @@ func (m *Machine) Frame(now time.Duration, f SessFrame, out []Outgoing, rcpt []c
 		m.reborn(p, f.Boot)
 	}
 	mine := f.ToBoot == m.cfg.Boot
-	if mine && f.Ack != 0 {
-		rcpt = m.retire(p, f.Ack, f.AckRun, rcpt)
+	if mine {
+		rcpt = m.retire(p, f.Ack, f.AckMask, rcpt)
 	}
 	switch {
 	case f.Seq == 0: // pure ack
@@ -517,7 +521,7 @@ func (m *Machine) Frame(now time.Duration, f SessFrame, out []Outgoing, rcpt []c
 	return batch, rcpt, m.release(now, p, out)
 }
 
-// accept runs data frame f through p's dedup window and books its ack.
+// accept runs data frame f through p's dedup window and owes p the window.
 func (m *Machine) accept(now time.Duration, p *machPeer, f SessFrame, out []Outgoing) ([]core.Envelope, []Outgoing) {
 	bit := uint64(1) << (f.Seq - p.recvHigh - 1) // f's bit in the mask, if f is in the window
 	switch {
@@ -527,38 +531,30 @@ func (m *Machine) accept(now time.Duration, p *machPeer, f SessFrame, out []Outg
 		m.stats.StaleBootDrops++
 		return nil, out
 	case f.Seq <= p.recvHigh || p.recvMask&bit != 0:
-		// The original ack was lost (or is still owed) and the sender is
+		// The window was lost (or is still owed) and the sender is
 		// retransmitting: answer at once.
 		m.stats.DupDrops++
 		p.dupDrops++
-		return nil, append(out, m.ackFrame(p, f.Seq, 1))
+		return nil, append(out, m.pureAck(p))
 	}
 	p.recvMask |= bit
 	n := bits.TrailingZeros64(^p.recvMask) // the run delivered in order from recvHigh+1
 	p.recvHigh += uint64(n)
 	p.recvMask >>= n
 
-	// Book the ack. A frame that does not extend the owed run marks a
-	// loss or a reordering: the run and the frame are acked at once.
-	gap := p.ackN > 0 && f.Seq != p.ackHi+1
-	if gap {
-		out = append(out, m.owedFrame(p))
-	}
-	if p.ackN == 0 {
+	if p.owed == 0 {
 		p.ackAt = now + m.cfg.RTO/4 // the ack delay
 		m.wake(p, p.ackAt)
 	}
-	p.ackHi = f.Seq
-	p.ackN++
-	if gap || p.ackN >= ackEvery {
-		out = append(out, m.owedFrame(p))
+	if p.owed++; p.owed >= ackEvery || p.recvHigh-p.acked >= ackEvery {
+		out = append(out, m.pureAck(p))
 	}
 	return f.Batch, out
 }
 
 // reborn notes that p now runs incarnation boot. Its sequence space
-// restarted, so the dedup window restarts too; the acks owed to the
-// previous incarnation have no one to receive them; and the frames it
+// restarted, so the dedup window restarts too; the window owed to the
+// previous incarnation has no one to receive it; and the frames it
 // never acknowledged were addressed to it and died with it — it may have
 // consumed them, so they must not reach its successor, whose window
 // starts at 1: the sequence toward it restarts, the backlog (never
@@ -574,20 +570,19 @@ func (m *Machine) reborn(p *machPeer, boot uint64) {
 	p.recvBoot = boot
 	p.recvHigh = 0
 	p.recvMask = 0
-	p.ackN = 0
+	p.owed, p.acked = 0, 0
 }
 
-// retire drops the frames in flight numbered hi-run through hi, which an
-// ack for this incarnation named, and appends the receipts of the tokens
-// they carried to rcpt. A run longer than what is in flight (a forged or
-// garbled frame at worst) costs no more than the walk over the window.
-// The retired batches are only read: on the in-memory mesh the receiver
-// holds the same array and may not have looked at it yet.
-func (m *Machine) retire(p *machPeer, hi uint64, run uint32, rcpt []core.Envelope) []core.Envelope {
-	lo := hi - min(uint64(run), hi-1)
+// retire drops the frames in flight that the window (ack, mask) of an
+// ack for this incarnation names — every one numbered up to ack, and
+// ack+1+i for each set bit i of mask — and appends the receipts of the
+// tokens they carried to rcpt. The retired batches are only read: on the
+// in-memory mesh the receiver holds the same array and may not have
+// looked at it yet.
+func (m *Machine) retire(p *machPeer, ack, mask uint64, rcpt []core.Envelope) []core.Envelope {
 	kept := p.inflight[:0]
 	for _, o := range p.inflight {
-		if o.seq < lo || o.seq > hi {
+		if o.seq > ack && mask>>(o.seq-ack-1)&1 == 0 {
 			kept = append(kept, o)
 			continue
 		}

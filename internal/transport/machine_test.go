@@ -122,6 +122,9 @@ func (r *machRig) check() {
 	for i, m := range r.m {
 		booked := 0
 		for _, p := range m.peers {
+			if p == nil {
+				continue
+			}
 			if n := len(p.inflight); n > 0 && p.inflight[n-1].seq-p.inflight[0].seq >= m.sendSpan {
 				r.t.Fatalf("node %d has Seq %d to %d in flight to %v, window %d", i, p.inflight[0].seq, p.inflight[n-1].seq, p.pos, m.sendSpan)
 			}
@@ -206,7 +209,7 @@ func (r *machRig) rest() {
 // pureAcks returns the pure ack frames sent to node to.
 func (r *machRig) pureAcks(to ocube.Pos) (acks []sentFrame) {
 	for _, s := range r.sent {
-		if s.to == to && s.Seq == 0 && s.Ack != 0 {
+		if s.to == to && s.Seq == 0 && (s.Ack != 0 || s.AckMask != 0) {
 			acks = append(acks, s)
 		}
 	}
@@ -275,11 +278,29 @@ func TestMachine(t *testing.T) {
 				t.Errorf("dropped=%v a=%+v b=%+v: want one retransmission each way, one dup-drop and its one immediate re-ack", dropped, a, b)
 			}
 		}},
+		{"a lost pure ack is repaired by the next window", 0, func(t *testing.T, r *machRig) {
+			lost := false
+			r.fate = func(_ int, to ocube.Pos, f SessFrame) time.Duration {
+				if to == 0 && f.Seq == 0 && !lost {
+					lost = true
+					return -1
+				}
+				return rigTransit
+			}
+			r.send(0, 1)
+			r.run(rigTransit + rigRTO/4) // seq 1's pure ack has left, and is lost
+			r.send(0, 2)                 // before seq 1's retransmission timeout
+			r.rest()
+			wantTags(t, "node 1", r.got[1], 1, 2)
+			if a, b := r.m[0].Stats(), r.m[1].Stats(); !lost || a.Retransmits != 0 || b.DupDrops != 0 {
+				t.Errorf("lost=%v sender %+v receiver %+v: want the ack of seq 2 to retire seq 1 too", lost, a, b)
+			}
+		}},
 		{"a lone owed ack leaves after RTO/4", 0, func(t *testing.T, r *machRig) {
 			r.send(0, 1)
 			r.rest()
 			acks := r.pureAcks(0)
-			if len(acks) != 1 || acks[0].at != rigTransit+rigRTO/4 || acks[0].Ack != 1 || acks[0].AckRun != 0 {
+			if len(acks) != 1 || acks[0].at != rigTransit+rigRTO/4 || acks[0].Ack != 1 || acks[0].AckMask != 0 {
 				t.Errorf("pure acks %+v, want one for seq 1 at %v", acks, rigTransit+rigRTO/4)
 			}
 			if st := r.m[0].Stats(); st.Retransmits != 0 {
@@ -293,11 +314,11 @@ func TestMachine(t *testing.T) {
 			r.rest()
 			acks := r.pureAcks(0)
 			if len(acks) != 2 || acks[0].at != rigTransit || acks[1].at != rigTransit ||
-				acks[0].Ack != ackEvery || acks[0].AckRun != ackEvery-1 || acks[1].Ack != 2*ackEvery || acks[1].AckRun != ackEvery-1 {
-				t.Errorf("pure acks %+v, want runs 1-%d and %d-%d on arrival at %v", acks, ackEvery, ackEvery+1, 2*ackEvery, rigTransit)
+				acks[0].Ack != ackEvery || acks[0].AckMask != 0 || acks[1].Ack != 2*ackEvery || acks[1].AckMask != 0 {
+				t.Errorf("pure acks %+v, want windows up to %d and up to %d on arrival at %v", acks, ackEvery, 2*ackEvery, rigTransit)
 			}
 		}},
-		{"gap and duplicate are acked at once", 0, func(t *testing.T, r *machRig) {
+		{"a gap waits, a duplicate is acked at once", 0, func(t *testing.T, r *machRig) {
 			r.fate = func(n int, _ ocube.Pos, _ SessFrame) time.Duration {
 				if n == 1 {
 					return 3 * rigTransit // seq 2 arrives after seq 3
@@ -309,18 +330,45 @@ func TestMachine(t *testing.T) {
 			r.send(0, 3)
 			r.run(rigTransit)
 			acks := r.pureAcks(0)
-			if len(acks) != 2 || acks[0].Ack != 1 || acks[1].Ack != 3 || acks[0].AckRun != 0 || acks[1].AckRun != 0 {
-				t.Fatalf("after the gap: pure acks %+v, want seq 1 and seq 3 at once", acks)
+			if len(acks) != 0 {
+				t.Fatalf("after the gap: pure acks %+v, want none before the ack delay", acks)
 			}
 			r.inject(1, r.sent[0].SessFrame) // the network repeats seq 1
 			r.run(2 * rigTransit)
-			if acks = r.pureAcks(0); len(acks) != 3 || acks[2].Ack != 1 || acks[2].at != 2*rigTransit {
-				t.Fatalf("after the duplicate: pure acks %+v, want seq 1 re-acked on arrival", acks)
+			if acks = r.pureAcks(0); len(acks) != 1 || acks[0].Ack != 1 || acks[0].AckMask != 0b10 || acks[0].at != 2*rigTransit {
+				t.Fatalf("after the duplicate: pure acks %+v, want the window, seq 1 and seq 3, on arrival", acks)
 			}
 			r.rest()
+			if acks = r.pureAcks(0); len(acks) != 2 || acks[1].Ack != 3 || acks[1].AckMask != 0 || acks[1].at != 3*rigTransit+rigRTO/4 {
+				t.Fatalf("after the fill: pure acks %+v, want the window up to 3 an ack delay after seq 2 arrives", acks)
+			}
 			wantTags(t, "node 1", r.got[1], 1, 3, 2)
 			if st := r.m[1].Stats(); st.DupDrops != 1 || r.m[0].Stats().Retransmits != 0 {
 				t.Errorf("receiver %+v sender %+v: want one dup-drop, no retransmission", st, r.m[0].Stats())
+			}
+		}},
+		{"a late frame holds the window for no ack delay", 0, func(t *testing.T, r *machRig) {
+			// Every 13th frame takes 3 ms more than the rest, so a window's
+			// oldest frame keeps arriving after frames parked above it,
+			// which an earlier window may have acknowledged already.
+			r.fate = func(n int, _ ocube.Pos, f SessFrame) time.Duration {
+				if f.Seq != 0 && n%13 == 0 {
+					return 4 * rigTransit
+				}
+				return rigTransit
+			}
+			const n = 10 * window
+			for i := uint64(1); i <= n; i++ {
+				r.send(0, i)
+			}
+			for len(r.got[1]) < n {
+				r.run(r.now + rigTransit/10)
+			}
+			// Ten windows of a round trip, 2 ms, and a late frame, 3 ms
+			// more, and one ack delay (10 ms) in all: one per window would
+			// take twice that.
+			if limit := n/window*5*rigTransit + rigRTO/4; r.now > limit {
+				t.Errorf("%d batches delivered at %v, want by %v", n, r.now, limit)
 			}
 		}},
 		{"rebirth resets dedup and voids owed acks", 0, func(t *testing.T, r *machRig) {
@@ -337,9 +385,9 @@ func TestMachine(t *testing.T) {
 			wantTags(t, "node 0", r.got[0], 20)
 			acking := 0
 			for _, s := range r.sent {
-				if s.to == 0 && s.Ack != 0 {
+				if s.to == 0 && (s.Ack != 0 || s.AckMask != 0) {
 					acking++
-					if s.ToBoot != 2 || s.Ack != 1 || s.AckRun != 0 {
+					if s.ToBoot != 2 || s.Ack != 1 || s.AckMask != 0 {
 						t.Errorf("node 1 acknowledged %+v, want only seq 1 of boot 2", s.SessFrame)
 					}
 				}
@@ -572,19 +620,19 @@ func TestMachineReceipts(t *testing.T) {
 			r.run(rigTransit + rigRTO/4 + rigTransit) // its ack has left, alone
 			r.sendEnvs(0, token(0, 2, ocube.None))
 			r.rest()
-			r.wantReceipts("at rest", 0, 2, 1)
+			r.wantReceipts("at rest", 0, 1, 2) // the overtaking window names both
 			if st := r.m[0].Stats(); st.Retransmits != 0 {
 				t.Errorf("sender %+v: the slow ack cost a retransmission", st)
 			}
 		}},
-		{"one run ack, several frames", 0, func(t *testing.T, r *machRig) {
+		{"one window ack, several frames", 0, func(t *testing.T, r *machRig) {
 			r.sendEnvs(0, token(0, 1, ocube.None))
 			r.sendEnvs(0, tagged(2)...)
 			r.sendEnvs(0, token(0, 3, ocube.None))
 			r.rest()
 			acks := r.pureAcks(0)
-			if len(acks) != 1 || acks[0].Ack != 3 || acks[0].AckRun != 2 {
-				t.Fatalf("pure acks %+v, want one run 1-3", acks)
+			if len(acks) != 1 || acks[0].Ack != 3 || acks[0].AckMask != 0 {
+				t.Fatalf("pure acks %+v, want one window up to 3", acks)
 			}
 			r.wantReceipts("at rest", 0, 1, 3)
 		}},
@@ -685,7 +733,7 @@ func TestMachineReceipts(t *testing.T) {
 			}
 			// An ack naming all three sequence numbers, the third not yet
 			// given to any frame.
-			r.inject(0, SessFrame{From: 1, Boot: 1, ToBoot: 1, Ack: 3, AckRun: 2})
+			r.inject(0, SessFrame{From: 1, Boot: 1, ToBoot: 1, Ack: 3})
 			r.run(rigTransit)
 			r.wantReceipts("after the wide ack", 0, 1, 2)
 			if r.m[0].Unacked() != 1 {

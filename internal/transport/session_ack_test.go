@@ -10,7 +10,7 @@ import (
 )
 
 // Ack-discipline tests: acks ride on data frames, and travel alone only
-// on the count trigger, the delay, a duplicate or a gap. The SessMesh
+// on the count trigger, the delay or a duplicate. The SessMesh
 // Drop hook doubles as the observer of what actually crossed the link.
 
 // frameLog records every frame the mesh carried; drop, when set, decides
@@ -132,13 +132,11 @@ func testSessionRequestReplySendsNoPureAcks(t *testing.T, wrap linkWrap) {
 // waits for a window slot): all 640 batches are accepted at once, nine
 // windows of them into the backlog, and what an ack releases leaves with
 // whoever writes to the link next — the timer or a SendBatch caller — so
-// two writers can put one peer's frames on the link out of order, and a
-// frame that does not extend the owed run is acked at once. The test
-// therefore no longer wants exactly one pure ack per ackEvery frames. It
-// wants what the count trigger is for: the burst goes through without
+// two writers can put one peer's frames on the link out of order. The
+// test therefore does not want exactly one pure ack per ackEvery frames.
+// It wants what the count trigger is for: the burst goes through without
 // the ack delay and without a retransmission, every batch once, on no
-// fewer than n/16 pure acks and — gap acks staying the exception — no
-// more than one per four frames.
+// fewer than n/16 pure acks and no more than one per four frames.
 func TestSessionOneWayBurstAckedByCount(t *testing.T) {
 	eachIngress(t, testSessionOneWayBurstAckedByCount)
 }
@@ -288,11 +286,11 @@ func testSessionRebirthDiscardsOwedAcks(t *testing.T, wrap linkWrap) {
 	defer log.mu.Unlock()
 	acked := 0
 	for _, f := range log.frames {
-		if f.to != 0 || f.Ack == 0 {
+		if f.to != 0 || f.Ack == 0 && f.AckMask == 0 {
 			continue
 		}
 		acked++
-		if f.ToBoot != 2 || f.Ack != 1 || f.AckRun != 0 {
+		if f.ToBoot != 2 || f.Ack != 1 || f.AckMask != 0 {
 			t.Errorf("b acknowledged %+v, want only seq 1 of boot 2", f.SessFrame)
 		}
 	}

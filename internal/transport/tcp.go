@@ -141,6 +141,9 @@ func (t *SessTCP) readLoop(conn net.Conn) {
 		if err != nil || t.closed.Load() {
 			return
 		}
+		if _, member := t.addrs[f.From]; !member {
+			return // no session state for a sender outside the cluster
+		}
 		if sink := t.sink.Load(); sink != nil {
 			(*sink)(f)
 			continue

@@ -2,14 +2,15 @@
 // communication system the paper assumes reliable with a bounded
 // transmission delay δ (Section 2). One stack provides it. A Machine
 // (machine.go) is the session discipline — sequence numbers within a
-// window of 64 frames that is a constant of the wire, acks,
-// retransmission — as a pure state machine with two drivers: a Session
-// (session.go) makes an exactly-once BatchTransport out of any FrameLink,
-// and internal/sim steps one Machine per node from its event heap. Two
-// FrameLinks exist — the in-memory SessMesh for single-process clusters
-// (NewCluster, tests, benchmarks) and SessTCP (tcp.go) for multi-process
-// deployment (NewTCPNode, examples/tcpcluster, ocmxchaos node), whose
-// frames travel in the one fixed binary layout of wire.go.
+// 64-frame window that is a wire constant, acks that are the receiver's
+// dedup window, retransmission — as a pure state machine with two
+// drivers: a Session (session.go) makes an exactly-once BatchTransport
+// out of any FrameLink, and internal/sim steps one Machine per node from
+// its event heap. Two FrameLinks exist — the in-memory SessMesh for
+// single-process clusters (NewCluster, tests, benchmarks) and SessTCP
+// (tcp.go) for multi-process deployment (NewTCPNode, examples/tcpcluster,
+// ocmxchaos node), whose frames travel in the one fixed binary layout of
+// wire.go.
 package transport
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -198,6 +199,44 @@ func TestTCPErrors(t *testing.T) {
 	}
 	if err := a.SendFrame(1, SessFrame{}); err != ErrClosed {
 		t.Errorf("send after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestTCPRefusesSenderOutsideCluster: a well-formed frame whose From has
+// no address in the cluster closes its connection before the session
+// sees it, so a stray or forged sender cannot make a Machine grow its
+// peer table to that position.
+func TestTCPRefusesSenderOutsideCluster(t *testing.T) {
+	a, b := tcpPair(t)
+	defer a.Close()
+	defer b.Close()
+	conn, err := net.DialTimeout("tcp", b.Addr(), dialTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var buf []byte
+	for _, f := range []SessFrame{
+		{From: 1<<ocube.MaxP - 1, Boot: 1, Seq: 1, Batch: envBatch(7, 1)},
+		{From: 0, Boot: 1, Seq: 1, Batch: envBatch(8, 1)}, // after it on the same connection
+	} {
+		if buf, err = appendWireFrame(buf, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("the connection stayed open after a frame from outside the cluster (%v)", err)
+	}
+	want := SessFrame{From: 0, Boot: 1, Seq: 2, Batch: envBatch(9, 1)}
+	if err := a.SendFrame(1, want); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvFrame(t, b); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want only the member's frame %v", got, want)
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 //	 16    8 Seq
 //	 24    8 Ack
 //	 32    8 ToBoot
-//	 40    4 AckRun
+//	 40    8 AckMask
 //
 // Envelope record (wireRecordSize bytes; every field of core.Message
 // plus Envelope.Instance):
@@ -52,7 +52,7 @@ import (
 //	         bit 2 Msg.Receipted; bits 3–7 must be zero
 const (
 	wireRecordSize = 56
-	wireSessHead   = 44
+	wireSessHead   = 48
 
 	// MaxBatch caps the envelopes one wire frame may carry. A sender
 	// refuses a larger batch; a reader that sees a larger declared count
@@ -80,7 +80,7 @@ func appendSessFrame(dst []byte, f SessFrame) ([]byte, error) {
 	dst = le.AppendUint64(dst, f.Seq)
 	dst = le.AppendUint64(dst, f.Ack)
 	dst = le.AppendUint64(dst, f.ToBoot)
-	dst = le.AppendUint32(dst, f.AckRun)
+	dst = le.AppendUint64(dst, f.AckMask)
 	return appendRecords(dst, f.Batch)
 }
 
@@ -92,12 +92,12 @@ func readSessFrame(body []byte) (SessFrame, error) {
 		return SessFrame{}, errWireMalformed
 	}
 	f := SessFrame{
-		From:   ocube.Pos(le.Uint32(body[0:])),
-		Boot:   le.Uint64(body[8:]),
-		Seq:    le.Uint64(body[16:]),
-		Ack:    le.Uint64(body[24:]),
-		ToBoot: le.Uint64(body[32:]),
-		AckRun: le.Uint32(body[40:]),
+		From:    ocube.Pos(le.Uint32(body[0:])),
+		Boot:    le.Uint64(body[8:]),
+		Seq:     le.Uint64(body[16:]),
+		Ack:     le.Uint64(body[24:]),
+		ToBoot:  le.Uint64(body[32:]),
+		AckMask: le.Uint64(body[40:]),
 	}
 	var err error
 	f.Batch, err = readRecords(le.Uint32(body[4:]), body[wireSessHead:])
