@@ -202,8 +202,8 @@ func TestRootHolderStormPinned(t *testing.T) {
 		repair int64 // failure-handling messages in the whole run
 		outage time.Duration
 	}{
-		{name: "root-holder", root: true, repair: 687, outage: 1070697139 * time.Nanosecond},
-		{name: "borrower", root: false, repair: 44, outage: 117866043 * time.Nanosecond},
+		{name: "root-holder", root: true, repair: 645, outage: 1070697139 * time.Nanosecond},
+		{name: "borrower", root: false, repair: 47, outage: 117657163 * time.Nanosecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := 1 << p
