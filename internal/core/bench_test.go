@@ -102,6 +102,9 @@ func BenchmarkNodeStep(b *testing.B) {
 		op(k)
 	}
 	inputs, grant = 0, 0
+	// Mallocs counts every goroutine's allocations: on one P, as under
+	// testing.AllocsPerRun, no other goroutine runs beside the op.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()

@@ -745,6 +745,9 @@ func BenchmarkMachineStep(b *testing.B) {
 		op(i)
 	}
 	inputs = 0
+	// Mallocs counts every goroutine's allocations: on one P, as under
+	// testing.AllocsPerRun, no other goroutine runs beside the op.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()

@@ -129,11 +129,10 @@ type Network struct {
 	rng      *rand.Rand
 
 	// Session-layer state (nil/zero unless Config.Session is set): one
-	// machine per node, built on first use, and the instant its engine
-	// timer slot — sessSlot+node, after every node's protocol timers — is
-	// armed for (transport.Never when it is not).
+	// machine per node, built on first use, which aims its node's engine
+	// timer slot — sessSlot+node, after every node's protocol timers
+	// (transport.Machine.Aim).
 	sess        []*transport.Machine
-	sessArmed   []time.Duration
 	sessSlot    int32
 	sessUnacked int                  // envelopes accepted but not yet acked
 	sessOut     []transport.Outgoing // scratch: the frames of the machine call in progress
@@ -246,10 +245,6 @@ func newNetwork(cfg Config, slots int) (*Network, error) {
 	w.sessSlot = int32(timerSlots)
 	if cfg.Session != nil {
 		w.sess = make([]*transport.Machine, n)
-		w.sessArmed = make([]time.Duration, n)
-		for i := range w.sessArmed {
-			w.sessArmed[i] = transport.Never
-		}
 		timerSlots += n
 	}
 	w.Eng.bind(w, timerSlots)

@@ -74,8 +74,8 @@ func (w *Network) sessSend(env core.Envelope) {
 
 // sessEmit puts the frames node from's machine just emitted on the wire
 // — each draws its delay here, inside the step that emitted it, and each
-// data frame is recorded per physical transmission — and re-aims the
-// node's timer slot at the machine's deadline. Pure acks travel the same
+// data frame is recorded per physical transmission — and sets the node's
+// timer slot where the machine aims it. Pure acks travel the same
 // lossy channel but are not protocol messages: they are neither recorded
 // nor counted in LostInTransit — a lost ack surfaces as a retransmission
 // and a duplicate drop instead.
@@ -95,8 +95,7 @@ func (w *Network) sessEmit(from ocube.Pos, out []transport.Outgoing) {
 		w.Eng.schedule(d, evSessFrame, w.Eng.frames.put(sessArrival{to: o.To, f: o.Frame}))
 	}
 	w.sessOut = out[:0]
-	if at := w.sess[from].Deadline(); at < w.sessArmed[from] {
-		w.sessArmed[from] = at
+	if at, ok := w.sess[from].Aim(); ok {
 		w.Eng.scheduleTimer(w.sessSlot+int32(from), 0, at-now)
 	}
 }
@@ -105,7 +104,6 @@ func (w *Network) sessEmit(from ocube.Pos, out []transport.Outgoing) {
 // with doubled backoff, owed acks that found no ride leave alone. Like
 // the rest of the session it runs whether or not the node is up.
 func (w *Network) sessTick(x ocube.Pos) {
-	w.sessArmed[x] = transport.Never
 	w.sessEmit(x, w.sess[x].Tick(w.Eng.Now(), w.sessOut[:0]))
 }
 

@@ -76,6 +76,9 @@ func BenchmarkSessionStep(b *testing.B) {
 	}
 	inputs, delivered, rcpts = 0, 0, 0
 	acks := ms[0].Stats().AckFrames + ms[1].Stats().AckFrames
+	// Mallocs counts every goroutine's allocations: on one P, as under
+	// testing.AllocsPerRun, no other goroutine runs beside the op.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()

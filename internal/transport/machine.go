@@ -113,15 +113,12 @@ func (c SessionConfig) Fit(node core.Config) SessionConfig {
 type SessionStats struct {
 	// Frames counts first transmissions of data frames.
 	Frames int64
-	// Retransmits counts data frames sent again after a timeout or a
-	// failed send.
+	// Retransmits counts data frames sent again because their
+	// retransmission timeout expired before an ack retired them.
 	Retransmits int64
 	// DupDrops counts received data frames discarded as duplicates (the
 	// original delivery won; the ack is repeated).
 	DupDrops int64
-	// AckTimeouts counts retransmission timeouts that expired with the
-	// frame still unacknowledged.
-	AckTimeouts int64
 	// StaleBootDrops counts data frames that belong to no live sequence
 	// space: from a dead incarnation of the sender (a boot below its
 	// current one) or to a dead one of this node — traffic in flight
@@ -145,7 +142,6 @@ func (s SessionStats) Add(b SessionStats) SessionStats {
 	s.Frames += b.Frames
 	s.Retransmits += b.Retransmits
 	s.DupDrops += b.DupDrops
-	s.AckTimeouts += b.AckTimeouts
 	s.StaleBootDrops += b.StaleBootDrops
 	s.AckFrames += b.AckFrames
 	s.AcksPiggybacked += b.AcksPiggybacked
@@ -222,7 +218,8 @@ const Never = time.Duration(math.MaxInt64)
 //
 // What a machine gives its driver is four things: frames for the link,
 // the batch a frame delivered, the receipts an ack produced (see Frame),
-// and one deadline.
+// and one deadline, which Aim tells the driver when to set its one timer
+// for.
 type Machine struct {
 	self     ocube.Pos
 	cfg      SessionConfig
@@ -241,8 +238,11 @@ type Machine struct {
 	// peer anyway — pushes it out, so a frame acked before its timeout
 	// costs at most one idle Tick and no call here scans the peers.
 	deadline time.Duration
-	unacked  int // batches accepted and not yet acknowledged, backlog included
-	stats    SessionStats
+	// aimedAt is when the driver's one timer is set to fire, Never while
+	// it is not (Aim).
+	aimedAt time.Duration
+	unacked int // batches accepted and not yet acknowledged, backlog included
+	stats   SessionStats
 }
 
 // machPeer is one peer's session state, both directions.
@@ -301,6 +301,7 @@ func NewMachine(self ocube.Pos, cfg SessionConfig, rng *rand.Rand) *Machine {
 		rng:      rng,
 		sendSpan: window,
 		deadline: Never,
+		aimedAt:  Never,
 	}
 }
 
@@ -327,6 +328,20 @@ func (m *Machine) Unacked() int { return m.unacked }
 // machine waits for nothing. It is a lower bound (see Machine.deadline):
 // a Tick at it may find nothing to do and name a later one.
 func (m *Machine) Deadline() time.Duration { return m.deadline }
+
+// Aim keeps the driver's one timer aimed at the deadline: it reports the
+// deadline when the timer has to be set for it, and the driver calls Tick
+// when the timer fires. The aim only tightens, as lockspace.Machine's
+// does: a timer already set to fire earlier is left alone — Tick forgets
+// the aim, and the next Aim sets it for whatever is next — so steady
+// traffic sets the timer about once per RTO, not per frame.
+func (m *Machine) Aim() (time.Duration, bool) {
+	if m.deadline >= m.aimedAt {
+		return 0, false
+	}
+	m.aimedAt = m.deadline
+	return m.deadline, true
+}
 
 func (m *Machine) peer(pos ocube.Pos) *machPeer {
 	if n := int(pos) + 1; n > len(m.peers) {
@@ -439,9 +454,11 @@ func (m *Machine) backoff(attempts int) time.Duration {
 
 // Tick is the machine's timer: it re-sends every frame in flight that is
 // overdue, per peer in Seq order, sends alone the windows owed past the
-// ack delay, and works out the next deadline. A Tick before the deadline
-// does nothing.
+// ack delay, and works out the next deadline. It forgets the aim (Aim):
+// the driver's timer has fired. A Tick before the deadline does nothing
+// else.
 func (m *Machine) Tick(now time.Duration, out []Outgoing) []Outgoing {
+	m.aimedAt = Never
 	if now < m.deadline {
 		return out
 	}
@@ -453,7 +470,6 @@ func (m *Machine) Tick(now time.Duration, out []Outgoing) []Outgoing {
 			if o.due <= now {
 				o.attempts++
 				o.due = now + m.backoff(o.attempts)
-				m.stats.AckTimeouts++
 				m.stats.Retransmits++
 				p.retransmits++
 				out = append(out, Outgoing{p.pos, m.dataFrame(p, o.seq, o.batch)})

@@ -251,7 +251,7 @@ func TestMachine(t *testing.T) {
 					t.Fatalf("delivered %v, want each of 1..%d once", r.got[1], n)
 				}
 			}
-			if st := r.m[0].Stats(); len(got) != n || st.Frames != n || st.Retransmits == 0 || st.Retransmits != st.AckTimeouts {
+			if st := r.m[0].Stats(); len(got) != n || st.Frames != n || st.Retransmits == 0 {
 				t.Errorf("%d delivered, stats %+v: want %d frames repaired by retransmission", len(got), st, n)
 			}
 			if r.m[0].Unacked() != 0 {
@@ -757,6 +757,47 @@ func TestMachineReceipts(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, newMachRig(t, tc.span)) })
+	}
+}
+
+// TestMachineAim: the driver's one timer follows the machine's deadline
+// as lockspace.Machine's does. The aim only tightens, a machine waiting
+// for nothing is never aimed, and a Tick forgets the aim — the timer has
+// fired — even when it returns before the deadline.
+func TestMachineAim(t *testing.T) {
+	const ms = time.Millisecond
+	send := func(m *Machine, now time.Duration) { m.Send(now, 1, tagged(1), nil) }
+	recv := func(m *Machine, now time.Duration) {
+		m.Frame(now, SessFrame{From: 1, Boot: 1, Seq: 1, Batch: tagged(2)}, nil, nil)
+	}
+	ack := func(m *Machine, now time.Duration) {
+		m.Frame(now, SessFrame{From: 1, Boot: 1, ToBoot: 1, Ack: 1}, nil, nil)
+	}
+	tick := func(m *Machine, now time.Duration) { m.Tick(now, nil) }
+	type step struct {
+		do  func(*Machine, time.Duration)
+		now time.Duration
+		aim time.Duration // what Aim reports after the step; Never for nothing
+	}
+	for _, tc := range []struct {
+		what  string
+		steps []step
+	}{
+		{"an idle machine aims nothing", []step{{tick, 0, Never}, {tick, ms, Never}}},
+		{"a send aims its retransmission once", []step{{send, 0, 40 * ms}, {send, ms, Never}}},
+		{"an owed ack tightens the aim", []step{{send, 0, 40 * ms}, {recv, 5 * ms, 15 * ms}, {send, 20 * ms, Never}}},
+		{"a Tick before the deadline forgets the aim", []step{{send, 0, 40 * ms}, {tick, 10 * ms, 40 * ms}}},
+		{"a Tick that re-sends aims the backoff", []step{{send, 0, 40 * ms}, {tick, 40 * ms, 120 * ms}}},
+		{"a Tick that finds nothing left aims nothing", []step{{send, 0, 40 * ms}, {ack, 5 * ms, Never}, {tick, 40 * ms, Never}}},
+	} {
+		m := NewMachine(0, SessionConfig{RTO: rigRTO, Boot: 1}, rand.New(noJitter{}))
+		for i, st := range tc.steps {
+			st.do(m, st.now)
+			at, ok := m.Aim()
+			if want := st.aim != Never; ok != want || ok && at != st.aim {
+				t.Errorf("%s: step %d: Aim() = %v, %v; want %v, %v", tc.what, i, at, ok, st.aim, want)
+			}
+		}
 	}
 }
 

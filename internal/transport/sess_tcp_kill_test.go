@@ -39,15 +39,8 @@ func killLiveConns(t *SessTCP) int {
 // torn frame kills the connection, never yields a partial batch),
 // and no duplicate surfaces to the app.
 func TestSessTCPMidStreamKillReplays(t *testing.T) {
-	addrs := reserveLoopbackAddrs(t, 2)
-	la, err := NewSessTCP(0, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := NewSessTCP(1, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, links := tcpLinks(t, 2, 0, 1)
+	la, lb := links[0], links[1]
 	cfg := SessionConfig{RTO: 20 * time.Millisecond, MaxRTO: 200 * time.Millisecond}
 	a := NewSession(0, la, cfg)
 	b := NewSession(1, lb, cfg)

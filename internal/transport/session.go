@@ -35,9 +35,9 @@ type FrameLink interface {
 // framePusher is a FrameLink that can call its receiver instead of
 // queueing for it: the in-tree links (SessTCP, a SessMesh endpoint) hand
 // each inbound frame to the session on the goroutine that read it, which
-// saves the hop through RecvFrame's channel and recvLoop. NewSession
-// discovers it; a wrapper that only forwards the FrameLink methods hides
-// it, and its session is fed through RecvFrame as before.
+// saves the hop through RecvFrame's channel and the session's loop.
+// NewSession discovers it; a wrapper that only forwards the FrameLink
+// methods hides it, and its session's loop reads RecvFrame instead.
 type framePusher interface {
 	// pushTo makes the link call sink for each inbound frame from now on,
 	// possibly from several goroutines at once, and returns the undo,
@@ -52,7 +52,10 @@ type framePusher interface {
 // exactly-once delivery of every batch that SendBatch accepted. The
 // discipline is the Machine's; the Session adds what a live node needs
 // around it — the lock, the clock, the timer, and the hand-over of
-// received batches to an application that may be slow.
+// received batches to an application that may be slow. It is the machine
+// under a mutex plus one goroutine, loop, that owns every wait: the
+// timer, the app taking a batch it was not ready for, and the frames of a
+// link that cannot push.
 type Session struct {
 	link  FrameLink
 	start time.Time // origin of the machine's clock
@@ -60,58 +63,53 @@ type Session struct {
 	mu     sync.Mutex
 	m      *Machine
 	closed bool
-	// urgent holds the frames onFrame wants sent — acks for a duplicate, a
+	// urgent holds the frames the machine wants sent that no SendBatch
+	// caller is writing: those onFrame yields — acks for a duplicate, a
 	// gap, ackEvery owed, a stale ToBoot, and backlog an ack let into the
-	// window. onFrame may be running on the link's reader, which must not
-	// write to the link, so they leave with whoever comes next: the timer,
-	// armed for now, or a SendBatch caller.
+	// window — and those a timer fire re-sends. onFrame may be running on
+	// the link's reader, which must not write to the link, so they leave
+	// with whoever comes next: the loop, woken for them, or a SendBatch
+	// caller.
 	urgent []Outgoing
-	// timer is the session's one timer: it serves the ack delay, the
-	// earliest retransmission and the urgent frames alike. timerAt is when
-	// it is set to fire, on the machine's clock; Never when it is not armed.
-	timer   *time.Timer
-	timerAt time.Duration
+	// timer is the session's one timer, set where the machine aims it
+	// (Machine.Aim): it serves the ack delay and the earliest
+	// retransmission alike.
+	timer *time.Timer
 	// A received batch goes straight onto out when nothing is ahead of
 	// it. When the app is behind (out is full, or older batches are still
-	// waiting) it joins pending, which deliverLoop hands over in order;
-	// delivering says deliverLoop still holds batches it took from
-	// pending. outClosed is set before out is closed.
-	pending    [][]core.Envelope
-	delivering bool
-	outClosed  bool
+	// waiting) it joins pending, whose oldest the loop offers the app
+	// until it is taken. outClosed is set before out is closed.
+	pending   [][]core.Envelope
+	outClosed bool
 
 	// out is buffered so that a consumer busy with one batch does not push
-	// every arrival onto the deliverLoop path; its size only decides when
+	// every arrival onto the pending path; its size only decides when
 	// arrivals start to queue in pending instead, nothing is ever dropped.
-	out      chan []core.Envelope
-	pendingC chan struct{} // wakes deliverLoop; cap 1, best-effort
-	recvDone chan struct{} // recvLoop exited (link closed)
-	done     chan struct{}
-	unpush   func() // undoes the link's pushTo; nil for a link that cannot push
-	wg       sync.WaitGroup
+	out    chan []core.Envelope
+	wake   chan struct{} // tells the loop urgent or pending grew; cap 1, best-effort
+	done   chan struct{}
+	unpush func() // undoes the link's pushTo; nil for a link that cannot push
+	wg     sync.WaitGroup
 }
 
 // NewSession wraps link in a reliable session for node self. The session
 // owns the link: Close closes it.
 func NewSession(self ocube.Pos, link FrameLink, cfg SessionConfig) *Session {
 	s := &Session{
-		link:     link,
-		start:    time.Now(),
-		m:        NewMachine(self, cfg, rand.New(rand.NewSource(int64(self)*2654435761+1))),
-		timerAt:  Never,
-		out:      make(chan []core.Envelope, 1024),
-		pendingC: make(chan struct{}, 1),
-		recvDone: make(chan struct{}),
-		done:     make(chan struct{}),
+		link:  link,
+		start: time.Now(),
+		m:     NewMachine(self, cfg, rand.New(rand.NewSource(int64(self)*2654435761+1))),
+		timer: time.NewTimer(Never), // aim sets it
+		out:   make(chan []core.Envelope, 1024),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
-	s.timer = time.AfterFunc(Never, s.onTimer) // aim sets it
-	s.wg.Add(2)
-	go s.recvLoop()
-	go s.deliverLoop()
+	s.wg.Add(1)
+	go s.loop()
 	if pl, ok := link.(framePusher); ok {
-		// recvLoop stays: it takes what the link queued before this call
-		// and sees the link close.
-		s.unpush = pl.pushTo(func(f SessFrame) { s.onFrame(f) })
+		// The loop still reads RecvFrame: it takes what the link queued
+		// before this call and sees the link close.
+		s.unpush = pl.pushTo(s.onFrame)
 	}
 	return s
 }
@@ -187,54 +185,79 @@ func (s *Session) write(frames []Outgoing) {
 	}
 }
 
-// aim makes sure the timer fires no later than the machine's deadline,
-// and at once while urgent frames wait. A timer already set to fire
-// earlier is left alone — onTimer re-aims for whatever is next — so
-// steady traffic resets the timer about once per RTO, not per frame. The
-// caller holds s.mu.
+// aim sets the timer where the machine aims it. The caller holds s.mu.
 func (s *Session) aim(now time.Duration) {
-	at := s.m.Deadline()
-	if len(s.urgent) > 0 {
-		at = now
-	}
-	if at < s.timerAt {
-		s.timerAt = at
+	if at, ok := s.m.Aim(); ok {
 		s.timer.Reset(at - now)
 	}
 }
 
-// onTimer is the session's timer firing: it sends the urgent frames,
-// lets the machine re-send what is overdue and release the acks that have
-// waited out their delay, and re-aims for whichever comes next.
-func (s *Session) onTimer() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+// poke wakes the loop to look at urgent and pending again; it never
+// blocks.
+func (s *Session) poke() {
+	select {
+	case s.wake <- struct{}{}:
+	default: // the loop is already due to look
 	}
-	s.timerAt = Never
-	var buf [8]Outgoing
-	now := time.Since(s.start)
-	frames := s.m.Tick(now, s.takeUrgent(buf[:0]))
-	s.aim(now)
-	s.mu.Unlock()
-	s.write(frames)
 }
 
-// recvLoop feeds onFrame from RecvFrame: the whole ingress of a link that
-// cannot push, and for one that can, the frames it queued before the
-// session bound it. It exits on link closure or session Close — the former
+// loop is the session's one goroutine. Each turn it writes the urgent
+// frames, then waits for one of: a frame on RecvFrame (the whole ingress
+// of a link that cannot push; for one that can, what it queued before the
+// session bound it), the app taking the oldest pending batch, the timer,
+// whose Tick queues what it re-sends as urgent, a wake, or Close. It
+// closes out as it returns: on Close, or once the link has closed and the
+// app has taken every batch the link delivered. The link's closing
 // matters for links whose endpoints are owned elsewhere (SessMesh) and
 // outlive the session.
-func (s *Session) recvLoop() {
+//
+// The loop is serial: a write that stalls (SessTCP bounds one to a
+// connected peer by writeTimeout) holds up the loop's next turn for as
+// long.
+func (s *Session) loop() {
 	defer s.wg.Done()
-	defer close(s.recvDone)
+	defer func() {
+		s.mu.Lock()
+		s.outClosed = true
+		s.mu.Unlock()
+		close(s.out)
+	}()
+	recv := s.link.RecvFrame()
+	var buf [8]Outgoing
 	for {
+		var (
+			out  chan<- []core.Envelope // nil, so never ready, while nothing is pending
+			next []core.Envelope
+		)
+		s.mu.Lock()
+		frames := s.takeUrgent(buf[:0])
+		if len(s.pending) > 0 {
+			out, next = s.out, s.pending[0]
+		}
+		s.mu.Unlock()
+		s.write(frames)
+		if recv == nil && out == nil {
+			return // the link closed, and the app has what it delivered
+		}
 		select {
-		case f, ok := <-s.link.RecvFrame():
-			if !ok || !s.onFrame(f) {
-				return
+		case f, ok := <-recv:
+			if !ok {
+				recv = nil
+				continue
 			}
+			s.onFrame(f)
+		case out <- next:
+			s.mu.Lock()
+			s.pending[0] = nil
+			s.pending = s.pending[1:]
+			s.mu.Unlock()
+		case <-s.timer.C:
+			s.mu.Lock()
+			now := time.Since(s.start)
+			s.urgent = s.m.Tick(now, s.urgent)
+			s.aim(now)
+			s.mu.Unlock()
+		case <-s.wake:
 		case <-s.done:
 			return
 		}
@@ -243,8 +266,7 @@ func (s *Session) recvLoop() {
 
 // onFrame steps the machine with one inbound frame and hands what it
 // yields to the app: the receipts its ack produced, as a batch of their
-// own, then the batch it carried. It reports false once the session is
-// closed.
+// own, then the batch it carried.
 //
 // It runs on whatever goroutine the link received the frame on, so it
 // holds s.mu briefly, never waits for the app and never writes to the
@@ -255,11 +277,11 @@ func (s *Session) recvLoop() {
 // idealization — a permanently stalled consumer costs memory, not
 // cluster-wide deadlock). And the frames the machine wants sent are
 // queued for whoever may write to the link (see Session.urgent).
-func (s *Session) onFrame(f SessFrame) bool {
+func (s *Session) onFrame(f SessFrame) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false
+		return
 	}
 	now := time.Since(s.start)
 	var batch, receipts []core.Envelope
@@ -270,19 +292,21 @@ func (s *Session) onFrame(f SessFrame) bool {
 	if batch != nil {
 		s.deliver(batch)
 	}
+	if len(s.urgent) > 0 {
+		s.poke()
+	}
 	s.aim(now)
-	return true
 }
 
 // deliver hands a received batch to the app: straight onto out when
 // nothing received earlier is still waiting and out has room, else
-// through pending and deliverLoop, which keeps arrival order. The caller
+// through pending, which the loop hands over in arrival order. The caller
 // holds s.mu.
 func (s *Session) deliver(batch []core.Envelope) {
 	if s.outClosed {
 		return // the link closed under the session; its last frames raced the close
 	}
-	if len(s.pending) == 0 && !s.delivering {
+	if len(s.pending) == 0 {
 		select {
 		case s.out <- batch:
 			return
@@ -290,57 +314,7 @@ func (s *Session) deliver(batch []core.Envelope) {
 		}
 	}
 	s.pending = append(s.pending, batch)
-	select {
-	case s.pendingC <- struct{}{}:
-	default: // deliverLoop is already awake
-	}
-}
-
-// deliverLoop hands over the batches that could not go straight onto out:
-// it blocks on the app so that onFrame never has to. It closes out when
-// the link or the session closes.
-func (s *Session) deliverLoop() {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		s.outClosed = true
-		s.mu.Unlock()
-		close(s.out)
-	}()
-	// drain empties pending, in order, until nothing is left; it reports
-	// false if the session closed first.
-	drain := func() bool {
-		for {
-			s.mu.Lock()
-			batches := s.pending
-			s.pending = nil
-			s.delivering = len(batches) > 0
-			s.mu.Unlock()
-			if len(batches) == 0 {
-				return true
-			}
-			for _, b := range batches {
-				select {
-				case s.out <- b:
-				case <-s.done:
-					return false
-				}
-			}
-		}
-	}
-	for {
-		select {
-		case <-s.pendingC:
-			if !drain() {
-				return
-			}
-		case <-s.recvDone:
-			drain() // the link closed; hand over what it delivered last
-			return
-		case <-s.done:
-			return
-		}
-	}
+	s.poke()
 }
 
 // RecvBatch implements BatchTransport.

@@ -198,7 +198,17 @@ func testSessionLostPiggybackCostsOneRetransmit(t *testing.T, wrap linkWrap) {
 		return false
 	}
 	mesh.Drop = log.hook
-	a, b := sessPairOver(t, wrap, mesh, SessionConfig{RTO: 50 * time.Millisecond})
+	// The replier's RTO is ten times the requester's, so the requester's
+	// retransmission always comes first: were b's re-sent reply to reach
+	// a before a's timeout, its window would ack the request, and a would
+	// retransmit nothing.
+	a := NewSession(0, wrap(mesh.Endpoint(0)), SessionConfig{RTO: 50 * time.Millisecond})
+	b := NewSession(1, wrap(mesh.Endpoint(1)), SessionConfig{RTO: 500 * time.Millisecond})
+	t.Cleanup(func() {
+		a.Close()
+		b.Close()
+		mesh.Close()
+	})
 
 	if err := a.SendBatch(1, payload(0)); err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
@@ -116,7 +117,8 @@ func TestMeshClosed(t *testing.T) {
 }
 
 // reserveLoopbackAddrs grabs n free loopback ports and returns them as a
-// transport address map (listen on :0, record the address, close).
+// transport address map (listen on :0, record the address, close). A
+// port is free only at that moment: bind it through onLoopback.
 func reserveLoopbackAddrs(t *testing.T, n int) map[ocube.Pos]string {
 	t.Helper()
 	addrs := map[ocube.Pos]string{}
@@ -131,19 +133,51 @@ func reserveLoopbackAddrs(t *testing.T, n int) map[ocube.Pos]string {
 	return addrs
 }
 
+// onLoopback runs up, the bring-up of a test's links, on n freshly
+// reserved loopback ports and returns them. Another process can bind a
+// reserved port before up does; up then fails with address already in
+// use, closing what it opened, and the whole bring-up runs again on new
+// ports.
+func onLoopback(t *testing.T, n int, up func(addrs map[ocube.Pos]string) error) map[ocube.Pos]string {
+	t.Helper()
+	for try := 1; ; try++ {
+		addrs := reserveLoopbackAddrs(t, n)
+		err := up(addrs)
+		if err == nil {
+			return addrs
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || try == 10 {
+			t.Fatal(err)
+		}
+	}
+}
+
+// tcpLinks starts a SessTCP for each of the positions selves on n
+// loopback ports (onLoopback), in that order.
+func tcpLinks(t *testing.T, n int, selves ...ocube.Pos) (map[ocube.Pos]string, []*SessTCP) {
+	t.Helper()
+	var links []*SessTCP
+	addrs := onLoopback(t, n, func(addrs map[ocube.Pos]string) error {
+		links = links[:0]
+		for _, self := range selves {
+			l, err := NewSessTCP(self, addrs)
+			if err != nil {
+				for _, l := range links {
+					l.Close()
+				}
+				return err
+			}
+			links = append(links, l)
+		}
+		return nil
+	})
+	return addrs, links
+}
+
 func tcpPair(t *testing.T) (*SessTCP, *SessTCP) {
 	t.Helper()
-	addrs := reserveLoopbackAddrs(t, 2)
-	a, err := NewSessTCP(0, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSessTCP(1, addrs)
-	if err != nil {
-		a.Close()
-		t.Fatal(err)
-	}
-	return a, b
+	_, links := tcpLinks(t, 2, 0, 1)
+	return links[0], links[1]
 }
 
 // recvFrame takes the link's next inbound frame.
@@ -280,16 +314,9 @@ func TestTCPRedialAfterPeerRestart(t *testing.T) {
 // what the session's retransmission repairs — while the next send dials
 // again.
 func TestTCPDeadPeerDoesNotStallLink(t *testing.T) {
-	addrs := reserveLoopbackAddrs(t, 3)
-	a, err := NewSessTCP(0, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	addrs, links := tcpLinks(t, 3, 0, 2)
+	a, c := links[0], links[1]
 	defer a.Close()
-	c, err := NewSessTCP(2, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
 
 	dialing := make(chan struct{}, 1)
@@ -389,12 +416,12 @@ func TestTCPStalledReaderBoundsSend(t *testing.T) {
 			c.Close()
 		}
 	})
-	addrs := reserveLoopbackAddrs(t, 1)
-	addrs[1] = ln.Addr().String()
-	a, err := NewSessTCP(0, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var a *SessTCP
+	onLoopback(t, 1, func(addrs map[ocube.Pos]string) (err error) {
+		addrs[1] = ln.Addr().String()
+		a, err = NewSessTCP(0, addrs)
+		return err
+	})
 	defer a.Close()
 
 	f := SessFrame{Seq: 1, Batch: envBatch(1, 1024)} // ≈ 56 KiB on the wire

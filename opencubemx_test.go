@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -345,33 +346,49 @@ func TestTCPNodeValidation(t *testing.T) {
 	}
 }
 
-// freeLoopbackAddrs reserves n distinct loopback addresses by binding and
-// releasing listeners (a benign bind race, standard for tests).
-func freeLoopbackAddrs(t *testing.T, n int) []string {
+// tcpNodes starts an n-member TCP cluster on free loopback ports and
+// returns the addresses and the nodes, the caller's to close. A port is
+// reserved by binding and releasing a listener, and another process can
+// take it before its node binds it: then the nodes started are closed and
+// the whole cluster starts again on new ports.
+func tcpNodes(t *testing.T, n int) ([]string, []*TCPNode) {
 	t.Helper()
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+	for try := 1; ; try++ {
+		addrs := make([]string, n)
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = ln.Addr().String()
+			ln.Close()
+		}
+		nodes := make([]*TCPNode, 0, n)
+		var err error
+		for i := range addrs {
+			var node *TCPNode
+			if node, err = NewTCPNode(i, addrs); err != nil {
+				break
+			}
+			nodes = append(nodes, node)
+		}
+		if err == nil {
+			return addrs, nodes
+		}
+		for _, node := range nodes {
+			node.Close()
+		}
+		if !errors.Is(err, syscall.EADDRINUSE) || try == 10 {
 			t.Fatal(err)
 		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
 	}
-	return addrs
 }
 
 func TestTCPClusterLive(t *testing.T) {
 	// Four nodes over real loopback TCP sockets, each locking in turn.
-	addrs := freeLoopbackAddrs(t, 4)
-	nodes := make([]*TCPNode, len(addrs))
-	for i := range addrs {
-		n, err := NewTCPNode(i, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
+	_, nodes := tcpNodes(t, 4)
+	for _, n := range nodes {
 		defer n.Close()
-		nodes[i] = n
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -406,16 +423,9 @@ func TestTCPClusterLive(t *testing.T) {
 // peers take the new process's frames as a new incarnation's — and then
 // acquires the mutex.
 func TestTCPNodeRestart(t *testing.T) {
-	addrs := freeLoopbackAddrs(t, 2)
-	n0, err := NewTCPNode(0, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	addrs, nodes := tcpNodes(t, 2)
+	n0, first := nodes[0], nodes[1]
 	defer n0.Close()
-	first, err := NewTCPNode(1, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if first.Addr() != addrs[1] {
 		t.Errorf("Addr = %s, want %s", first.Addr(), addrs[1])
 	}
