@@ -332,7 +332,7 @@ func TestStringers(t *testing.T) {
 			t.Error("empty behavior string")
 		}
 	}
-	for _, k := range []TimerKind{TimerSuspicion, TimerTokenReturn, TimerEnquiry, TimerSearchRound, TimerKind(9)} {
+	for _, k := range []TimerKind{TimerSuspicion, TimerTokenReturn, TimerTransferAck, TimerKind(9)} {
 		if k.String() == "" {
 			t.Error("empty timer kind string")
 		}

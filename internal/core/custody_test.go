@@ -20,7 +20,7 @@ func exhaust(t *testing.T, n *Node) []Effect {
 		if i == 100 {
 			t.Fatal("search never ended")
 		}
-		effs = fire(n, TimerSearchRound)
+		effs = fire(n, TimerSuspicion)
 	}
 	return effs
 }
@@ -182,7 +182,7 @@ func custodyCells(t *testing.T) (cells, crashes []custodyCell) {
 			"grant(fence=0x800000001)",
 			"father=None lender=0 asking=true loan=None"},
 		{"regenerated: enquiry unanswered", "nothing pending", lender, []func(*Node){overdue},
-			func(n *Node) []Effect { return fire(n, TimerEnquiry) },
+			func(n *Node) []Effect { return fire(n, TimerTokenReturn) },
 			"grant(fence=0x800000001)",
 			"father=None lender=0 asking=true loan=None"},
 		{"regenerated: dead-loan obsolete", "nothing pending", lender, nil,

@@ -5,26 +5,28 @@ import (
 	"time"
 )
 
-// TimerKind enumerates the node's logical timers. Each kind has an
-// associated generation counter; re-arming or cancelling a timer bumps the
-// generation, so drivers never need to cancel anything — stale fires are
-// ignored by HandleTimer.
+// TimerKind enumerates the node's logical timers: one watchdog per duty
+// a fault-tolerant node keeps (Section 5) — the request it waits on, the
+// loan it made as root, and the unlent transfer it guards. Each kind has
+// an associated generation counter; re-arming or cancelling a timer bumps
+// the generation, so drivers never need to cancel anything — stale fires
+// are ignored by HandleTimer.
 type TimerKind uint8
 
 const (
-	// TimerSuspicion fires when an asking node has waited too long for the
-	// token (Section 5: at least 2·pmax·δ after sending its request) and
-	// must start search_father.
+	// TimerSuspicion is the mandate's watchdog. While no search runs it
+	// fires when an asking node has waited too long for the token
+	// (Section 5: at least 2·pmax·δ after sending its request) and must
+	// start search_father; while a search runs it closes the search's
+	// 2δ test round: unanswered nodes are discarded, deferred nodes are
+	// retested.
 	TimerSuspicion TimerKind = iota + 1
-	// TimerTokenReturn fires when a lender root's loan is overdue
-	// (2δ+e or (pmax+1)δ+e) and triggers an enquiry to the source.
+	// TimerTokenReturn is the loan's watchdog. It fires when a lender
+	// root's loan is overdue (2δ+e or (pmax+1)δ+e) and triggers an
+	// enquiry to the source; then when the enquiry got no answer within
+	// 2δ, or when a token the source claimed returned did not arrive
+	// within δ: either way the token is regenerated.
 	TimerTokenReturn
-	// TimerEnquiry fires when an enquiry got no answer within 2δ; the
-	// source is presumed down and the token is regenerated.
-	TimerEnquiry
-	// TimerSearchRound closes a search_father test round after 2δ:
-	// unanswered nodes are discarded, deferred nodes are retested.
-	TimerSearchRound
 	// TimerTransferAck fires when an unlent token transfer was not
 	// acknowledged within 2δ: the recipient was dead at delivery, the
 	// token is lost, and the sender — its guardian — regenerates it.
@@ -44,10 +46,6 @@ func (k TimerKind) String() string {
 		return "suspicion"
 	case TimerTokenReturn:
 		return "token-return"
-	case TimerEnquiry:
-		return "enquiry"
-	case TimerSearchRound:
-		return "search-round"
 	case TimerTransferAck:
 		return "transfer-ack"
 	default:

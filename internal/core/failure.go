@@ -98,9 +98,10 @@ func (n *Node) armSuspicion() {
 
 // onSuspicion fires when an asking node has waited too long for the token:
 // start search_father from phase power+1 (Section 5, "asking nodes with
-// father ≠ nil").
+// father ≠ nil"). A fire while a search runs closes its round instead
+// (HandleTimer): the search owns the mandate's watchdog.
 func (n *Node) onSuspicion() {
-	if n.mandator == ocube.None || n.search.active {
+	if n.mandator == ocube.None {
 		return
 	}
 	n.startSearch(n.view().Power() + 1)
@@ -108,12 +109,21 @@ func (n *Node) onSuspicion() {
 
 // --- root loan enquiry ---
 
+// loanPhase is what an outstanding loan's watchdog (TimerTokenReturn)
+// waits for when it fires.
+type loanPhase uint8
+
+const (
+	loanWaiting   loanPhase = iota // the token's return; overdue → enquire
+	loanEnquiring                  // the enquiry's answer; silence → regenerate
+	loanGrace                      // a return the source claimed; absence → regenerate
+)
+
 // beginLoan records an outgoing loan and arms the return watchdog:
 // 2δ+e when the token goes straight to the source, (pmax+1)δ+e otherwise
 // (Section 5, "Root").
 func (n *Node) beginLoan(target, source ocube.Pos, seq uint64) {
-	n.loanSource, n.loanSeq = source, seq
-	n.returnGrace = false
+	n.loanSource, n.loanSeq, n.loanPhase = source, seq, loanWaiting
 	if !n.h.cfg.FT {
 		return
 	}
@@ -132,22 +142,29 @@ func (n *Node) awaitingReturn() bool {
 	return n.asking && !n.tokenHere && n.mandator == ocube.None && n.loanSource != ocube.None
 }
 
-// onReturnOverdue fires when the loan's return deadline passed: enquire
-// with the source. If the source already claimed it returned the token
-// and the grace window elapsed without an arrival, the claimed return
-// does not exist (delays are bounded by δ): the token is lost — this is
-// how a loan made against a recovery duplicate, whose token the
-// non-asking recipient discarded, is finally detected.
+// onReturnOverdue fires when the loan's watchdog expires. Past the
+// return deadline it enquires with the source. If the enquiry went
+// unanswered within 2δ, the source is down: the token cannot be in
+// flight to us anymore (see DESIGN.md note 4), so regeneration is safe.
+// If the source claimed it returned the token and the grace window
+// elapsed without an arrival, the claimed return does not exist (delays
+// are bounded by δ): the token is lost — this is how a loan made against
+// a recovery duplicate, whose token the non-asking recipient discarded,
+// is finally detected.
 func (n *Node) onReturnOverdue() {
 	if !n.awaitingReturn() {
 		return
 	}
-	if n.returnGrace {
+	switch n.loanPhase {
+	case loanWaiting:
+		n.send(Message{Kind: KindEnquiry, To: n.loanSource, Seq: n.loanSeq})
+		n.loanPhase = loanEnquiring
+		n.armTimer(TimerTokenReturn, n.roundDelay())
+	case loanEnquiring:
+		n.regenerateToken("enquiry unanswered, source presumed down")
+	case loanGrace:
 		n.regenerateToken("confirmed-returned token never arrived")
-		return
 	}
-	n.send(Message{Kind: KindEnquiry, To: n.loanSource, Seq: n.loanSeq})
-	n.armTimer(TimerEnquiry, n.roundDelay())
 }
 
 // onEnquiry answers a lender's enquiry about a specific loan, identified
@@ -156,7 +173,7 @@ func (n *Node) onReturnOverdue() {
 func (n *Node) onEnquiry(m Message) {
 	var status EnquiryStatus
 	switch {
-	case n.inCS && sameRequest(n.csSeq, m.Seq):
+	case n.inCS && sameRequest(n.curSeq, m.Seq):
 		status = StatusInCS
 	case n.mandator == n.h.cfg.Self && sameRequest(n.curSeq, m.Seq):
 		// Still waiting for (or searching a new father because of) that
@@ -177,28 +194,16 @@ func (n *Node) onEnquiryReply(m Message) {
 	switch m.Status {
 	case StatusInCS:
 		// Keep waiting a full critical section plus round trip.
-		n.returnGrace = false
-		n.cancelTimer(TimerEnquiry)
+		n.loanPhase = loanWaiting
 		n.armTimer(TimerTokenReturn, 2*n.h.cfg.Delta+n.h.cfg.CSEstimate+n.slack())
 	case StatusTokenReturned:
 		// If a return is genuinely in flight it arrives within δ; beyond
 		// that grace the next TimerTokenReturn fire concludes loss.
-		n.returnGrace = true
-		n.cancelTimer(TimerEnquiry)
+		n.loanPhase = loanGrace
 		n.armTimer(TimerTokenReturn, n.h.cfg.Delta+n.slack())
 	case StatusTokenLost:
 		n.regenerateToken("source reported token lost")
 	}
-}
-
-// onEnquiryTimeout fires when the source did not answer within 2δ: it is
-// down. The token cannot be in flight to us anymore (see DESIGN.md note
-// 4), so regeneration is safe.
-func (n *Node) onEnquiryTimeout() {
-	if !n.awaitingReturn() {
-		return
-	}
-	n.regenerateToken("enquiry unanswered, source presumed down")
 }
 
 // regenerateToken replaces the lost token of an outstanding loan: close
@@ -208,12 +213,10 @@ func (n *Node) regenerateToken(reason string) {
 	n.regenerate(reason)
 }
 
-// closeLoan retires the outstanding loan's record and its watchdogs.
+// closeLoan retires the outstanding loan's record and its watchdog.
 func (n *Node) closeLoan() {
 	n.cancelTimer(TimerTokenReturn)
-	n.cancelTimer(TimerEnquiry)
-	n.loanSource = ocube.None
-	n.returnGrace = false
+	n.loanSource, n.loanPhase = ocube.None, loanWaiting
 }
 
 // regenerate mints a fresh token at a new epoch and serves it as the root.
@@ -231,14 +234,14 @@ func (n *Node) guardTransfer(to ocube.Pos, seq uint64, source ocube.Pos) {
 	if !n.h.cfg.FT {
 		return
 	}
-	n.xferTo, n.xferSeq, n.xferSource, n.xferPending = to, seq, source, true
+	n.xferTo, n.xferSeq, n.xferSource = to, seq, source
 	n.armTimer(TimerTransferAck, n.roundDelay())
 }
 
 // onTokenAck releases guardianship of an acknowledged transfer.
 func (n *Node) onTokenAck(m Message) {
-	if n.xferPending && m.From == n.xferTo && m.Seq == n.xferSeq {
-		n.xferPending = false
+	if n.xferTo != ocube.None && m.From == n.xferTo && m.Seq == n.xferSeq {
+		n.xferTo = ocube.None
 		n.cancelTimer(TimerTransferAck)
 	}
 }
@@ -248,10 +251,10 @@ func (n *Node) onTokenAck(m Message) {
 // recipient was dead at delivery and the token is gone. The sender — its
 // guardian — reclaims the root role and regenerates it.
 func (n *Node) onTransferTimeout() {
-	if !n.xferPending {
+	if n.xferTo == ocube.None {
 		return
 	}
-	n.xferPending = false
+	n.xferTo = ocube.None
 	if n.xferSource != ocube.None {
 		if tr := n.track.lookup(n.xferSource); tr != nil && tr.hasGrant && tr.grantSeq == n.xferSeq {
 			// The transfer was never acknowledged, so the source cannot
@@ -358,7 +361,7 @@ func (n *Node) probeRound(inject bool) {
 		s.tested++
 		n.send(Message{Kind: KindTest, To: k, Phase: int32(ocube.Dist(n.h.cfg.Self, k)), Gen: n.repairGen})
 	}
-	n.armTimer(TimerSearchRound, n.roundDelay())
+	n.armTimer(TimerSuspicion, n.roundDelay())
 }
 
 // onSearchRound closes a test round: silent candidates are discarded.
@@ -371,9 +374,6 @@ func (n *Node) probeRound(inject bool) {
 // phase has been injected, tail rounds keep retesting the carried set
 // until it drains, and only then is the search exhausted.
 func (n *Node) onSearchRound() {
-	if !n.search.active {
-		return
-	}
 	s := &n.search
 	if len(s.outstanding) > 0 {
 		s.progress = true // no answer within 2δ: discarded
@@ -624,10 +624,10 @@ func (n *Node) searchEnded(father ocube.Pos, tested int) {
 }
 
 // endSearch clears search state (keeping its pooled candidate slices)
-// and its round timer.
+// and cancels its round, the mandate's watchdog while it ran.
 func (n *Node) endSearch() {
 	n.search.clear()
-	n.cancelTimer(TimerSearchRound)
+	n.cancelTimer(TimerSuspicion)
 }
 
 // reissueRequest regenerates the pending request towards the (new) father

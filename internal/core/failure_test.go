@@ -73,7 +73,7 @@ func TestSearchRoundDiscardsSilentAndAdvances(t *testing.T) {
 	effs = n.HandleTimer(TimerSuspicion, gen)
 	round := timers(effs)[0]
 	// No answer within the round: phase 1 fails, phase 2 probes 2 nodes.
-	effs = n.HandleTimer(TimerSearchRound, round.Gen)
+	effs = n.HandleTimer(TimerSuspicion, round.Gen)
 	probes := sends(effs)
 	if len(probes) != 2 || probes[0].Phase != 2 {
 		t.Fatalf("phase-2 probes = %v", probes)
@@ -112,7 +112,7 @@ func TestSearchTryLaterCarriedAcrossPhases(t *testing.T) {
 	effs = n.HandleTimer(TimerSuspicion, timers(effs)[0].Gen)
 	round := timers(effs)[0]
 	n.HandleMessage(Message{Kind: KindTestReply, From: 8, To: 9, Phase: 1, Gen: 1, Reply: ReplyTryLater, Target: 12})
-	effs = n.HandleTimer(TimerSearchRound, round.Gen)
+	effs = n.HandleTimer(TimerSuspicion, round.Gen)
 	probes := sends(effs)
 	if len(probes) != 3 || probes[0].To != 8 || probes[0].Phase != 1 ||
 		probes[1].Phase != 2 || probes[2].Phase != 2 {
@@ -133,10 +133,10 @@ func TestSearchTryLaterRetestsSamePhaseOnProgress(t *testing.T) {
 	round := timers(effs)[0]
 	// Advance past phase 1 (its only candidate stays silent) into phase 2
 	// with candidates {10, 11}: one defers, one stays silent.
-	effs = n.HandleTimer(TimerSearchRound, round.Gen)
+	effs = n.HandleTimer(TimerSuspicion, round.Gen)
 	round = timers(effs)[0]
 	n.HandleMessage(Message{Kind: KindTestReply, From: 10, To: 9, Phase: 2, Gen: 1, Reply: ReplyTryLater, Target: 14})
-	effs = n.HandleTimer(TimerSearchRound, round.Gen)
+	effs = n.HandleTimer(TimerSuspicion, round.Gen)
 	probes := sends(effs)
 	if len(probes) != 1 || probes[0].To != 10 || probes[0].Phase != 2 {
 		t.Errorf("retest = %v, want test(2) to 10 only", probes)
@@ -171,12 +171,12 @@ func TestDoubleSweepBeforeRegeneration(t *testing.T) {
 	effs = n.HandleTimer(TimerSuspicion, timers(effs)[0].Gen)
 	// Phase 1 = pmax: silent round → sweep 1 exhausted → sweep 2 (restart
 	// from phase 1) → silent round → regenerate.
-	effs = n.HandleTimer(TimerSearchRound, timers(effs)[0].Gen)
+	effs = n.HandleTimer(TimerSuspicion, timers(effs)[0].Gen)
 	if !n.Searching() {
 		t.Fatal("first failed sweep must restart, not regenerate")
 	}
 	rep := watch(n)
-	n.HandleTimer(TimerSearchRound, timers(effs)[0].Gen)
+	n.HandleTimer(TimerSuspicion, timers(effs)[0].Gen)
 	got := rep.take()
 	if len(got.of(TokenEvRegenerated)) != 1 {
 		t.Fatalf("second failed sweep did not regenerate: %+v", got)
@@ -198,7 +198,7 @@ func TestSingleSweepAblation(t *testing.T) {
 	effs, _ := n.RequestCS()
 	effs = n.HandleTimer(TimerSuspicion, timers(effs)[0].Gen)
 	rep := watch(n)
-	n.HandleTimer(TimerSearchRound, timers(effs)[0].Gen)
+	n.HandleTimer(TimerSuspicion, timers(effs)[0].Gen)
 	if len(rep.take().of(TokenEvRegenerated)) != 1 {
 		t.Error("paper mode must regenerate on the first exhausted sweep")
 	}
@@ -314,7 +314,7 @@ func TestGuardianHasOnePower(t *testing.T) {
 	if got := sends(recipient.HandleMessage(probe[0])); len(got) != 1 || got[0].Kind != KindTestReply {
 		t.Fatalf("asking recipient answered %v, want a reply", got)
 	}
-	inflight := sends(s.HandleTimer(TimerSearchRound, timerOf(t, effs, TimerSearchRound).Gen))
+	inflight := sends(s.HandleTimer(TimerSuspicion, timerOf(t, effs, TimerSuspicion).Gen))
 
 	// Deliver between guardian and searcher at zero delay; everything
 	// else (the token, probes to 1) stays in flight.
@@ -418,14 +418,24 @@ func TestAnomalyTriggersSearchAtFatherDistance(t *testing.T) {
 	// Paper's example: node 13 (pos 12, father pos 8) gets an anomaly
 	// from its father; the search starts at phase dist(12,8) = 3.
 	n := ftNode(t, 12, 4)
-	n.RequestCS()
-	effs := n.HandleMessage(Message{Kind: KindAnomaly, From: 8, To: 12})
+	effs, _ := n.RequestCS()
+	request := timerOf(t, effs, TimerSuspicion)
+	effs = n.HandleMessage(Message{Kind: KindAnomaly, From: 8, To: 12})
 	if !n.Searching() {
 		t.Fatal("anomaly did not start a search")
 	}
 	probes := sends(effs)
 	if len(probes) != 4 || probes[0].Phase != 3 {
 		t.Errorf("probes = %v, want 4 tests at phase 3", probes)
+	}
+	// One watchdog per duty: the search's round supersedes the request's
+	// suspicion, which must not outlive it as a dead fire.
+	round := timerOf(t, effs, TimerSuspicion)
+	if live := n.TimerGen(TimerSuspicion); live == request.Gen || live != round.Gen {
+		t.Errorf("live suspicion gen = %d, want the round's %d past the request's %d", live, round.Gen, request.Gen)
+	}
+	if round.Delay != n.roundDelay() {
+		t.Errorf("live suspicion delay = %v, want the round's %v", round.Delay, n.roundDelay())
 	}
 }
 
@@ -688,7 +698,7 @@ func TestInCSAnswersBusyAndIsRetested(t *testing.T) {
 	}
 	// The busy candidate is deferred, never discarded: the carry round
 	// re-probes it at its own distance.
-	effs = searcher.HandleTimer(TimerSearchRound, searcher.TimerGen(TimerSearchRound))
+	effs = searcher.HandleTimer(TimerSuspicion, searcher.TimerGen(TimerSuspicion))
 	var reprobed bool
 	for _, m := range sends(effs) {
 		if m.Kind == KindTest && m.To == 8 {

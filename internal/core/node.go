@@ -166,21 +166,20 @@ type Node struct {
 	// per-source duplicate-discard state, sorted by source (pool.go).
 	seq       uint64    // own request sequence (survives recovery: stable storage)
 	curSource ocube.Pos // source of the request currently mandated
-	curSeq    uint64    // sequence of the request currently mandated
-	csSeq     uint64    // sequence of the request being served in CS
+	curSeq    uint64    // sequence of the request currently mandated, or being served in CS
 	track     trackTable
 
-	// Root loan bookkeeping for the return timeout and enquiry.
-	loanSource  ocube.Pos
-	loanSeq     uint64
-	returnGrace bool // the source answered "token returned"; grace running
+	// Root loan bookkeeping for the return watchdog (TimerTokenReturn):
+	// loanSource is None when no loan is outstanding.
+	loanSource ocube.Pos
+	loanSeq    uint64
+	loanPhase  loanPhase
 
-	// Unlent-transfer guardianship: set while an outright token transfer
-	// or loan return awaits its acknowledgment (FT only).
-	xferTo      ocube.Pos
-	xferSource  ocube.Pos // source marked granted at send, for rollback
-	xferSeq     uint64
-	xferPending bool
+	// Unlent-transfer guardianship: xferTo is not None while an outright
+	// token transfer or loan return awaits its acknowledgment (FT only).
+	xferTo     ocube.Pos
+	xferSource ocube.Pos // source marked granted at send, for rollback
+	xferSeq    uint64
 
 	// Failure machinery (failure.go). repairGen counts the repair
 	// attempts (search_father runs, including confirmation-sweep
@@ -227,6 +226,7 @@ func (n *Node) init(h *Host, inst uint64) {
 		lender:     ocube.None,
 		curSource:  ocube.None,
 		loanSource: ocube.None,
+		xferTo:     ocube.None,
 	}
 }
 
@@ -397,13 +397,13 @@ func (n *Node) HandleTimer(kind TimerKind, gen uint64) []Effect {
 	}
 	switch kind {
 	case TimerSuspicion:
-		n.onSuspicion()
+		if n.search.active {
+			n.onSearchRound()
+		} else {
+			n.onSuspicion()
+		}
 	case TimerTokenReturn:
 		n.onReturnOverdue()
-	case TimerEnquiry:
-		n.onEnquiryTimeout()
-	case TimerSearchRound:
-		n.onSearchRound()
 	case TimerTransferAck:
 		n.onTransferTimeout()
 	}
@@ -444,7 +444,7 @@ func (n *Node) ReleaseCS() ([]Effect, error) {
 	n.inCS = false
 	n.wantCS = false
 	if n.lender != n.h.cfg.Self {
-		n.transfer(n.lender, n.h.cfg.Self, n.csSeq)
+		n.transfer(n.lender, n.h.cfg.Self, n.curSeq)
 	}
 	n.lender = ocube.None
 	n.asking = false
@@ -477,7 +477,7 @@ func (n *Node) processEnterCS() {
 		// paper's pseudocode leaves lender untouched here; it must be self
 		// so that exit_cs keeps the token (DESIGN.md note 1).
 		n.seq += seqStride
-		n.csSeq = n.seq
+		n.curSeq = n.seq
 		n.lender = n.h.cfg.Self
 		n.inCS = true
 		n.emitGrant(n.h.cfg.Self)
@@ -881,11 +881,11 @@ func (n *Node) serveAsRoot() {
 
 // enterClaim enters the critical section for the node's own mandated
 // claim, on a token lent by lender — itself when it is the root, so that
-// exit_cs keeps the token. asking remains true until ReleaseCS.
+// exit_cs keeps the token. asking remains true until ReleaseCS, and
+// curSeq keeps naming the claim until then (onEnquiry, ReleaseCS).
 func (n *Node) enterClaim(lender ocube.Pos) {
 	n.cancelTimer(TimerSuspicion)
 	n.lender = lender
-	n.csSeq = n.curSeq
 	n.mandator, n.curSource = ocube.None, ocube.None
 	n.inCS = true
 	n.emitGrant(lender)

@@ -79,7 +79,7 @@ func TestRecoverIsRestart(t *testing.T) {
 				{"probed by a searcher", func(n *Node) []Effect {
 					return n.HandleMessage(Message{Kind: KindTest, From: near, To: x, Phase: 1, Gen: 1})
 				}},
-				{"phase 1 silent", func(n *Node) []Effect { return fire(n, TimerSearchRound) }},
+				{"phase 1 silent", func(n *Node) []Effect { return fire(n, TimerSuspicion) }},
 				{"adopt", func(n *Node) []Effect {
 					return n.HandleMessage(Message{Kind: KindTestReply, From: far, To: x, Phase: 2,
 						Gen: n.Stable().RepairGen, Reply: ReplyOK})

@@ -13,7 +13,7 @@
 //   - mapiter: ranging over a map while emitting output, collecting
 //     results or sending effects needs a subsequent deterministic sort.
 //   - wiresize: core.Message must be exactly 80 bytes, core.Node at
-//     most 392 and the engine's heap entry at most 24, recomputed from
+//     most 360 and the engine's heap entry at most 24, recomputed from
 //     go/types layout so the diagnostic names the offending field at the
 //     line that grew it.
 //   - arenaretain: pooled effect values (pointer-boxed arena entries)
@@ -25,9 +25,10 @@
 //     receivers, and core.Config.Observe / chaos.Config.Autopsy /
 //     harness.Options.Autopsy uses must be nil-guarded, keeping the
 //     zero-cost-when-off contract honest.
-//   - looptimer: the live lockspace node loop owns one time.Timer under
-//     one deadline heap; time.AfterFunc and time.After are forbidden in
-//     its files, so a closed node cannot be kept alive by what it armed.
+//   - looptimer: a live loop — the lockspace node loop, the transport
+//     session loop — owns one time.Timer; time.AfterFunc and time.After
+//     are forbidden in the //ocmxvet:live files of every package, so a
+//     closed node cannot be kept alive by what it armed.
 //   - heldblock: the live lockspace node is stepped under one mutex by
 //     whoever has the input; a function documented "the caller holds
 //     ls.mu" may not wait on a channel, select without a default, sleep

@@ -18,10 +18,12 @@ import (
 //	    a finding, as is one naming an unknown analyzer.
 //
 //	//ocmxvet:live -- <reason>
-//	    File pragma: the file is the live (wall-clock) side of a package
-//	    that the determinism analyzer otherwise covers, and is exempt
-//	    from it wholesale. Used by internal/lockspace, whose simulated
-//	    multiplexer and live goroutine runtime share one package.
+//	    File pragma: the file is the live (wall-clock) side of a package.
+//	    The determinism analyzer exempts it wholesale where it otherwise
+//	    covers the package (internal/lockspace, whose simulated
+//	    multiplexer and live goroutine runtime share one package), and
+//	    looptimer holds it to one runtime timer per loop (lockspace.go,
+//	    and transport's session.go and tcp.go).
 //
 //	//ocmxvet:deterministic
 //	    File pragma: opts a file into the determinism analyzer even

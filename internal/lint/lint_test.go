@@ -65,7 +65,7 @@ func TestLooptimerLiveLoopFiles(t *testing.T) {
 	linttest.Run(t, fixtures, "testdata/src/looptimer/lockspace", lint.LooptimerAnalyzer)
 }
 
-func TestLooptimerOtherPackages(t *testing.T) {
+func TestLooptimerLiveFilesOfAnyPackage(t *testing.T) {
 	linttest.Run(t, fixtures, "testdata/src/looptimer/transport", lint.LooptimerAnalyzer)
 }
 

@@ -1,5 +1,5 @@
-// Package transport is outside the rule: a session arms one timer per
-// peer, stops it on Close, and has no loop to own a heap.
+// Package transport is another package with a live loop: its session
+// goroutine owns one timer too, so the rule holds in its live files.
 package transport
 
 //ocmxvet:live -- fixture: a live file of another package
@@ -7,5 +7,5 @@ package transport
 import "time"
 
 func arm(d time.Duration, fire func()) *time.Timer {
-	return time.AfterFunc(d, fire)
+	return time.AfterFunc(d, fire) // want "time.AfterFunc arms a runtime timer per event"
 }

@@ -11,7 +11,7 @@ import (
 // cache-line-pair struct each wire record encodes field by field, runtime-pinned
 // by TestMessageStays80Bytes since PR 6), the 24-byte sim heap entry
 // (four-word heap sifts, and the unit the arrivals lane stores —
-// DESIGN.md §8) and the 392-byte core.Node (what a keyed instance costs
+// DESIGN.md §8) and the 360-byte core.Node (what a keyed instance costs
 // in its host's slab once Config and the effect scratch moved to
 // core.Host — DESIGN.md §9; a field added to Node is paid by every
 // instantiated (position, instance) pair). Matching is by path suffix +
@@ -24,7 +24,7 @@ var wirePins = []struct {
 	exact      bool // false: upper bound
 }{
 	{"core", "Message", 80, true},
-	{"core", "Node", 392, false},
+	{"core", "Node", 360, false},
 	{"sim", "heapEntry", 24, false},
 }
 
@@ -33,7 +33,7 @@ var wirePins = []struct {
 // unsafe.Sizeof checks into compile-time diagnostics.
 var WiresizeAnalyzer = &Analyzer{
 	Name: "wiresize",
-	Doc:  "pin core.Message to exactly 80 bytes, core.Node to at most 392 and the sim heap entry to at most 24",
+	Doc:  "pin core.Message to exactly 80 bytes, core.Node to at most 360 and the sim heap entry to at most 24",
 	Run:  runWiresize,
 }
 

@@ -44,7 +44,7 @@ func TestWheelSameInstantPopOrder(t *testing.T) {
 	}{
 		{3, core.TimerSuspicion},
 		{1, wheelHold},
-		{7, core.TimerSearchRound},
+		{7, core.TimerTransferAck},
 		{2, core.TimerSuspicion},
 		{5, wheelHold},
 	}
@@ -52,7 +52,7 @@ func TestWheelSameInstantPopOrder(t *testing.T) {
 		w.arm(o.inst, o.kind, uint64(i), at)
 	}
 	// An earlier deadline scheduled last still pops first.
-	w.arm(9, core.TimerEnquiry, 99, at-time.Millisecond)
+	w.arm(9, core.TimerTokenReturn, 99, at-time.Millisecond)
 
 	ent, ok := w.popDue(at)
 	if !ok || ent.inst != 9 {
@@ -237,12 +237,12 @@ func TestWheelReapRemovesDeadGenerations(t *testing.T) {
 	ref := w.mint()
 	live := node.TimerGen(core.TimerSuspicion)
 	w.schedule(ref, 1, core.TimerSuspicion, live, time.Second)
-	w.schedule(ref, 1, core.TimerEnquiry, node.TimerGen(core.TimerEnquiry)+1, time.Millisecond)
+	w.schedule(ref, 1, core.TimerTokenReturn, node.TimerGen(core.TimerTokenReturn)+1, time.Millisecond)
 	w.schedule(ref, 1, wheelHold, 99, 2*time.Second)
 	w.reap(ref, node)
-	if len(w.ents) != 2 || !w.pending(ref, core.TimerSuspicion) || !w.pending(ref, wheelHold) || w.pending(ref, core.TimerEnquiry) {
-		t.Fatalf("after reap: %d entries (suspicion %v, lease %v, enquiry %v), want the live suspicion timer and the lease check",
-			len(w.ents), w.pending(ref, core.TimerSuspicion), w.pending(ref, wheelHold), w.pending(ref, core.TimerEnquiry))
+	if len(w.ents) != 2 || !w.pending(ref, core.TimerSuspicion) || !w.pending(ref, wheelHold) || w.pending(ref, core.TimerTokenReturn) {
+		t.Fatalf("after reap: %d entries (suspicion %v, lease %v, token-return %v), want the live suspicion timer and the lease check",
+			len(w.ents), w.pending(ref, core.TimerSuspicion), w.pending(ref, wheelHold), w.pending(ref, core.TimerTokenReturn))
 	}
 	if at, _ := w.earliest(); at != time.Second {
 		t.Errorf("earliest = %v after reaping the 1ms corpse, want 1s", at)

@@ -140,7 +140,7 @@ type series struct {
 	c   *Counter
 	g   *Gauge
 	h   *Histogram
-	fn  func() float64 // scrape-time collection (CounterFunc/GaugeFunc)
+	fn  func() float64 // scrape-time collection (CounterFunc)
 }
 
 // family groups the series sharing one metric name.
@@ -207,11 +207,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // name+labels replaces fn.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
 	r.get(name, help, "counter", labels, func(s *series) { s.fn = fn })
-}
-
-// GaugeFunc registers a gauge collected by calling fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	r.get(name, help, "gauge", labels, func(s *series) { s.fn = fn })
 }
 
 // get finds or creates the series and runs set on it while r.mu is still

@@ -17,7 +17,7 @@ func TestPromGolden(t *testing.T) {
 	r.Gauge("aa_gauge", "A gauge.", "node", "3").Set(2.5)
 	r.Gauge("aa_gauge", "A gauge.", "node", "10").Set(-1)
 	r.Counter("esc_total", "Escapes.", "path", "a\\b\"c\nd").Inc()
-	r.GaugeFunc("fn_gauge", "Collected at scrape time.", func() float64 { return 42 })
+	r.CounterFunc("fn_total", "Collected at scrape time.", func() float64 { return 42 })
 	h := r.Histogram("lat_seconds", "A histogram.", []float64{0.1, 1}, "op", "lock")
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -35,9 +35,9 @@ aa_gauge{node="3"} 2.5
 # HELP esc_total Escapes.
 # TYPE esc_total counter
 esc_total{path="a\\b\"c\nd"} 1
-# HELP fn_gauge Collected at scrape time.
-# TYPE fn_gauge gauge
-fn_gauge 42
+# HELP fn_total Collected at scrape time.
+# TYPE fn_total counter
+fn_total 42
 # HELP lat_seconds A histogram.
 # TYPE lat_seconds histogram
 lat_seconds_bucket{op="lock",le="0.1"} 1
@@ -101,7 +101,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Histogram("con_seconds", "help", []float64{1}).Observe(0.5)
 				if j%100 == 0 {
 					// Scrapes race new series and a replaced fn.
-					r.GaugeFunc("con_fn", "help", func() float64 { return 1 }, "j", strconv.Itoa(j))
+					r.CounterFunc("con_fn", "help", func() float64 { return 1 }, "j", strconv.Itoa(j))
 					if err := r.WriteProm(io.Discard); err != nil {
 						t.Error(err)
 					}

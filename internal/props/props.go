@@ -10,12 +10,11 @@
 //
 // The assertion vocabulary follows the SDK the Filecoin-Antithesis rig
 // uses — Always must hold at every evaluation, Sometimes must hold at
-// least once per run, Reachable marks code paths a good run visits,
-// Unreachable marks paths no run may visit — but the backend here is a
-// plain in-process Collector with no external dependency, so the same
-// assertions run in go test, in the CI chaos smoke job, and (later)
-// under a deterministic-hypervisor runner that swaps the collector for
-// the real SDK.
+// least once per run, Reachable marks code paths a good run visits — but
+// the backend here is a plain in-process Collector with no external
+// dependency, so the same assertions run in go test, in the CI chaos
+// smoke job, and (later) under a deterministic-hypervisor runner that
+// swaps the collector for the real SDK.
 package props
 
 import (
@@ -38,9 +37,6 @@ const (
 	// Reachable marks a code path at least one execution should visit;
 	// it is a Sometimes assertion whose evaluation is the visit itself.
 	Reachable
-	// Unreachable marks a code path no execution may visit; visiting it
-	// fails the run.
-	Unreachable
 )
 
 // String names the kind.
@@ -52,8 +48,6 @@ func (k Kind) String() string {
 		return "sometimes"
 	case Reachable:
 		return "reachable"
-	case Unreachable:
-		return "unreachable"
 	}
 	return fmt.Sprintf("kind(%d)", k)
 }
@@ -87,19 +81,13 @@ type Assertion struct {
 	Passes int64
 	Fails  int64
 	// FirstFail holds the details of the first failing evaluation of an
-	// Always/Unreachable assertion (nil while none).
+	// Always assertion (nil while none).
 	FirstFail Details
 }
 
 // Failed reports whether the assertion's contract is broken: an Always
-// with a false evaluation, or an Unreachable that was reached.
-func (a Assertion) Failed() bool {
-	switch a.Kind {
-	case Always, Unreachable:
-		return a.Fails > 0
-	}
-	return false
-}
+// with a false evaluation.
+func (a Assertion) Failed() bool { return a.Kind == Always && a.Fails > 0 }
 
 // Unreached reports whether a Sometimes/Reachable assertion was never
 // satisfied — the coverage gap -strict turns into a failure.
@@ -190,21 +178,6 @@ func (c *Collector) Reachable(id string, d Details) {
 	c.get(id, Reachable).passes++
 }
 
-// Unreachable marks the calling path as one no run may visit; calling it
-// is the failure.
-func (c *Collector) Unreachable(id string, d Details) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.get(id, Unreachable)
-	s.fails++
-	if s.firstFail == nil {
-		if d == nil {
-			d = Details{}
-		}
-		s.firstFail = d
-	}
-}
-
 // Report snapshots every assertion in declaration order.
 func (c *Collector) Report() []Assertion {
 	c.mu.Lock()
@@ -239,7 +212,7 @@ func (c *Collector) Coverage() float64 {
 	return float64(reached) / float64(declared)
 }
 
-// Err folds the report into a verdict: any failed Always/Unreachable is
+// Err folds the report into a verdict: any failed Always is
 // an error; with strict set, any unreached Sometimes/Reachable is too.
 func (c *Collector) Err(strict bool) error {
 	var fails, unreached []string

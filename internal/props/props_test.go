@@ -69,19 +69,6 @@ func TestCollectorSometimesAndCoverage(t *testing.T) {
 	}
 }
 
-func TestCollectorUnreachable(t *testing.T) {
-	var c Collector
-	c.Declare(Unreachable, "u.path")
-	if err := c.Err(true); err != nil {
-		t.Fatalf("undeclared-visit Unreachable must be fine: %v", err)
-	}
-	c.Unreachable("u.path", Details{"why": "boom"})
-	err := c.Err(false)
-	if err == nil || !strings.Contains(err.Error(), "u.path") {
-		t.Fatalf("visited Unreachable must fail, got %v", err)
-	}
-}
-
 func TestCollectorConcurrent(t *testing.T) {
 	var c Collector
 	var wg sync.WaitGroup

@@ -267,17 +267,17 @@ func TestEngineTimerOrderingAcrossKeys(t *testing.T) {
 	e.bind(h, 4*core.NumTimerKinds)
 	var cbAt []time.Duration
 	after(&e, 15*time.Millisecond, func() { cbAt = append(cbAt, e.Now()) })
-	e.scheduleTimer(timerKey(0, core.TimerEnquiry), 1, 30*time.Millisecond)
-	e.scheduleTimer(timerKey(2, core.TimerSearchRound), 1, 10*time.Millisecond)
+	e.scheduleTimer(timerKey(0, core.TimerTokenReturn), 1, 30*time.Millisecond)
+	e.scheduleTimer(timerKey(2, core.TimerSuspicion), 1, 10*time.Millisecond)
 	// Move node 0's timer earlier and node 2's later.
-	e.scheduleTimer(timerKey(0, core.TimerEnquiry), 2, 5*time.Millisecond)
-	e.scheduleTimer(timerKey(2, core.TimerSearchRound), 2, 20*time.Millisecond)
+	e.scheduleTimer(timerKey(0, core.TimerTokenReturn), 2, 5*time.Millisecond)
+	e.scheduleTimer(timerKey(2, core.TimerSuspicion), 2, 20*time.Millisecond)
 	for e.Step() {
 	}
 	if len(h.fired) != 2 || h.fired[0].node != 0 || h.fired[1].node != 2 {
 		t.Fatalf("fired = %+v, want node 0 then node 2", h.fired)
 	}
-	if h.fired[0].kind != core.TimerEnquiry || h.fired[1].kind != core.TimerSearchRound {
+	if h.fired[0].kind != core.TimerTokenReturn || h.fired[1].kind != core.TimerSuspicion {
 		t.Errorf("fired kinds = %v, %v", h.fired[0].kind, h.fired[1].kind)
 	}
 	if h.fired[0].at != 5*time.Millisecond || h.fired[1].at != 20*time.Millisecond {

@@ -1,5 +1,7 @@
 package transport
 
+//ocmxvet:live -- the session loop: wall clock, goroutines and its one runtime timer
+
 import (
 	"errors"
 	"fmt"

@@ -1,5 +1,7 @@
 package transport
 
+//ocmxvet:live -- sockets, dial and write deadlines, and the accept and read goroutines
+
 import (
 	"context"
 	"fmt"
