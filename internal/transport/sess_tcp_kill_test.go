@@ -8,21 +8,19 @@ import (
 	"repro/internal/core"
 )
 
-// killLiveConns hard-closes every TCP connection of the link — outbound
-// cached conns and inbound accepted ones — without touching the
-// listener: the moral equivalent of a middlebox resetting every flow
-// mid-stream. The next send re-dials lazily; the session layer replays
-// whatever died on the wire.
+// killLiveConns hard-closes every TCP connection the link writes on,
+// without touching the listener: called on both ends of a pair, the
+// moral equivalent of a middlebox resetting every flow mid-stream, since
+// a live connection is always its dialer's write connection. The next
+// send re-dials lazily; the session layer replays whatever died on the
+// wire.
 func killLiveConns(t *SessTCP) int {
-	t.mu.Lock()
 	var conns []net.Conn
+	t.mu.Lock()
 	for _, pc := range t.conns {
 		if pc.conn != nil {
 			conns = append(conns, pc.conn)
 		}
-	}
-	for c := range t.accepted {
-		conns = append(conns, c)
 	}
 	t.mu.Unlock()
 	for _, c := range conns {

@@ -24,25 +24,29 @@ const dialTimeout = 2 * time.Second
 // on it holds up the step that makes it, with its node's mutex held. A
 // write that misses the deadline drops the connection as a failed write
 // does: the session retransmits, the next send re-dials. The deadline is
-// re-armed only when less than half of it is left, so a write has between
-// half of it and all of it, and most writes set nothing.
+// re-armed only on another connection or with less than half of it left,
+// so a write has between half of it and all of it; most writes set nothing.
 const writeTimeout = 100 * time.Millisecond
 
 // SessTCP is the FrameLink over TCP sockets: each node listens on its
-// own address and dials peers lazily, in the background; outbound
-// connections are cached and serialized per peer; one session frame
+// own address, and a pair of nodes shares one connection, read at both
+// ends. A send writes on the pair's connection or, with none, dials one in
+// the background; an accepted connection becomes the pair's when its
+// first frame comes from a member this end has none to (crossed dials
+// leave a pair two, each written by its dialer). One session frame
 // travels per wire frame, in the fixed binary layout of wire.go. Under a
-// session it is a reliable multi-process BatchTransport: a dropped
-// connection is re-dialed by the next send, and the session's
-// retransmission replays whatever the drop swallowed. Suitable for the
-// multi-process examples; production hardening (TLS, reconnection
-// backoff) is out of scope for the reproduction.
+// session it is a reliable multi-process BatchTransport: a connection
+// that ends is dropped by its reader, the next send re-dials, and the
+// session's retransmission replays whatever the drop swallowed. SessTCP
+// authenticates nobody: an accepted connection is trusted as far as its
+// first frame's From, as every frame's From is. Production hardening
+// (TLS, authentication, backoff) is out of scope for the reproduction.
 type SessTCP struct {
 	addrs map[ocube.Pos]string
 	// dial opens the connection to a peer address (a hook for tests) under
 	// ctx, which Close cancels.
 	dial   func(ctx context.Context, addr string) (net.Conn, error)
-	ctx    context.Context
+	ctx    context.Context // cancelled, every reader closes its connection
 	cancel context.CancelFunc
 
 	listener net.Listener
@@ -52,21 +56,22 @@ type SessTCP struct {
 	sink   atomic.Pointer[func(SessFrame)]
 	closed atomic.Bool // set under mu; readLoop reads it without
 
-	mu       sync.Mutex
-	conns    map[ocube.Pos]*peerConn
-	accepted map[net.Conn]bool
-	wg       sync.WaitGroup
+	mu    sync.Mutex
+	conns map[ocube.Pos]*peerConn
+	wg    sync.WaitGroup
 }
 
-// peerConn is the outbound state of one peer. Its mu serializes writing
-// to that peer only, so a peer that hangs in a write delays nobody else.
-// conn is written with both mu and the link's mu held and may be read
-// under either. While dialing, the frames sent meanwhile wait encoded in
-// queue, in order.
+// peerConn is one peer's end of the pair. Its mu serializes writing to
+// that peer only, so a peer that hangs in a write delays nobody else.
+// conn, the pair's connection, is read and set under the link's mu alone:
+// a reader adopts or drops it without waiting on a write (DESIGN.md §16).
+// While dialing, the frames sent meanwhile wait encoded in queue, in
+// order, even if a reader adopts a connection before the dial ends.
 type peerConn struct {
 	mu       sync.Mutex
 	conn     net.Conn
-	deadline time.Time // conn's write deadline (writeTimeout)
+	armed    net.Conn  // the connection deadline was set on
+	deadline time.Time // armed's write deadline (writeTimeout)
 	buf      []byte    // encode buffer, reused across sends
 	dialing  bool
 	queue    [][]byte
@@ -91,7 +96,6 @@ func NewSessTCP(self ocube.Pos, addrs map[ocube.Pos]string) (*SessTCP, error) {
 		listener: ln,
 		inbox:    make(chan SessFrame, 1024),
 		conns:    make(map[ocube.Pos]*peerConn),
-		accepted: make(map[net.Conn]bool),
 	}
 	for k, v := range addrs {
 		t.addrs[k] = v
@@ -112,26 +116,37 @@ func (t *SessTCP) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		t.mu.Lock()
-		if t.closed.Load() {
-			t.mu.Unlock()
-			conn.Close()
-			return
-		}
-		t.accepted[conn] = true
-		t.mu.Unlock()
 		t.wg.Add(1)
-		go t.readLoop(conn)
+		go t.readLoop(conn, nil)
 	}
 }
 
-func (t *SessTCP) readLoop(conn net.Conn) {
+// peer returns to's peerConn, made on first use. The caller holds t.mu.
+func (t *SessTCP) peer(to ocube.Pos) *peerConn {
+	pc := t.conns[to]
+	if pc == nil {
+		pc = &peerConn{}
+		t.conns[to] = pc
+	}
+	return pc
+}
+
+// readLoop reads conn until it ends, then drops it from its pair. pc is
+// the peer a dialed conn belongs to; an accepted one (pc nil) learns its
+// peer from its first frame and becomes the pair's connection if the pair
+// has none.
+func (t *SessTCP) readLoop(conn net.Conn, pc *peerConn) {
 	defer t.wg.Done()
+	defer context.AfterFunc(t.ctx, func() { conn.Close() })()
 	defer func() {
 		conn.Close()
-		t.mu.Lock()
-		delete(t.accepted, conn)
-		t.mu.Unlock()
+		if pc != nil {
+			t.mu.Lock()
+			if pc.conn == conn {
+				pc.conn = nil
+			}
+			t.mu.Unlock()
+		}
 	}()
 	r := newWireReader(conn)
 	for {
@@ -146,6 +161,13 @@ func (t *SessTCP) readLoop(conn net.Conn) {
 		if _, member := t.addrs[f.From]; !member {
 			return // no session state for a sender outside the cluster
 		}
+		if pc == nil {
+			t.mu.Lock()
+			if pc = t.peer(f.From); pc.conn == nil {
+				pc.conn = conn
+			}
+			t.mu.Unlock()
+		}
 		if sink := t.sink.Load(); sink != nil {
 			(*sink)(f)
 			continue
@@ -159,25 +181,16 @@ func (t *SessTCP) readLoop(conn net.Conn) {
 	}
 }
 
-// SendFrame implements FrameLink: it encodes the frame and writes it to
-// the peer. It does not wait for a dial: with no connection to the peer
+// SendFrame implements FrameLink: it encodes the frame and writes it on
+// the pair's connection. It does not wait for a dial: with no connection
 // the frame queues behind one dialed in the background, which writes the
 // queue in order once it connects and drops it if it fails.
 func (t *SessTCP) SendFrame(to ocube.Pos, f SessFrame) error {
+	if _, ok := t.addrs[to]; !ok {
+		return fmt.Errorf("transport: no address for %v", to)
+	}
 	t.mu.Lock()
-	if t.closed.Load() {
-		t.mu.Unlock()
-		return ErrClosed
-	}
-	pc := t.conns[to]
-	if pc == nil {
-		if _, ok := t.addrs[to]; !ok {
-			t.mu.Unlock()
-			return fmt.Errorf("transport: no address for %v", to)
-		}
-		pc = &peerConn{}
-		t.conns[to] = pc
-	}
+	pc := t.peer(to)
 	t.mu.Unlock()
 
 	pc.mu.Lock()
@@ -187,25 +200,27 @@ func (t *SessTCP) SendFrame(to ocube.Pos, f SessFrame) error {
 		return err
 	}
 	pc.buf = buf
-	if pc.conn == nil {
-		if !pc.dialing {
-			t.mu.Lock()
-			if t.closed.Load() {
-				t.mu.Unlock()
-				return ErrClosed
-			}
-			t.wg.Add(1)
-			t.mu.Unlock()
-			pc.dialing = true
-			go t.connect(to, pc)
-		}
+	t.mu.Lock()
+	closed, conn := t.closed.Load(), pc.conn
+	if !closed && conn == nil && !pc.dialing {
+		t.wg.Add(1)
+		pc.dialing = true
+		go t.connect(to, pc)
+	}
+	t.mu.Unlock()
+	switch {
+	case closed:
+		return ErrClosed
+	case pc.dialing:
 		pc.queue = append(pc.queue, append([]byte(nil), buf...))
 		return nil
 	}
-	return t.write(to, pc, buf)
+	return t.write(to, pc, conn, buf)
 }
 
-// connect dials the peer and writes what queued meanwhile.
+// connect dials the peer, makes the connection the pair's, reads it and
+// writes what queued meanwhile: if the dial fails, on the connection a
+// reader adopted meanwhile, or nowhere.
 func (t *SessTCP) connect(to ocube.Pos, pc *peerConn) {
 	defer t.wg.Done()
 	conn, err := t.dial(t.ctx, t.addrs[to])
@@ -213,36 +228,35 @@ func (t *SessTCP) connect(to ocube.Pos, pc *peerConn) {
 	defer pc.mu.Unlock()
 	queue := pc.queue
 	pc.queue, pc.dialing = nil, false
-	if err != nil {
-		return
-	}
 	t.mu.Lock()
-	if t.closed.Load() {
-		t.mu.Unlock()
-		conn.Close()
-		return
+	if err == nil {
+		pc.conn = conn
+		t.wg.Add(1)
+		go t.readLoop(conn, pc)
 	}
-	pc.conn, pc.deadline = conn, time.Time{}
+	conn = pc.conn
 	t.mu.Unlock()
 	for _, b := range queue {
-		if t.write(to, pc, b) != nil {
+		if conn == nil || t.write(to, pc, conn, b) != nil {
 			return
 		}
 	}
 }
 
-// write puts one encoded frame on pc's connection, dropping the
-// connection if that fails or misses its deadline; the next send re-dials.
-// The caller holds pc.mu.
-func (t *SessTCP) write(to ocube.Pos, pc *peerConn, b []byte) error {
-	if now := time.Now(); pc.deadline.Sub(now) < writeTimeout/2 {
-		pc.deadline = now.Add(writeTimeout)
-		_ = pc.conn.SetWriteDeadline(pc.deadline) // an error here resurfaces as the Write's
+// write puts one encoded frame on conn, dropping the connection if that
+// fails or misses its deadline; the next send re-dials. The caller holds
+// pc.mu.
+func (t *SessTCP) write(to ocube.Pos, pc *peerConn, conn net.Conn, b []byte) error {
+	if now := time.Now(); conn != pc.armed || pc.deadline.Sub(now) < writeTimeout/2 {
+		pc.armed, pc.deadline = conn, now.Add(writeTimeout)
+		_ = conn.SetWriteDeadline(pc.deadline) // an error here resurfaces as the Write's
 	}
-	if _, err := pc.conn.Write(b); err != nil {
-		pc.conn.Close()
+	if _, err := conn.Write(b); err != nil {
+		conn.Close()
 		t.mu.Lock()
-		pc.conn = nil
+		if pc.conn == conn {
+			pc.conn = nil
+		}
 		t.mu.Unlock()
 		return fmt.Errorf("transport: send to %v: %w", to, err)
 	}
@@ -261,27 +275,13 @@ func (t *SessTCP) pushTo(sink func(SessFrame)) (stop func()) {
 // and the inbox.
 func (t *SessTCP) Close() error {
 	t.mu.Lock()
-	if t.closed.Load() {
-		t.mu.Unlock()
+	already := t.closed.Swap(true)
+	t.mu.Unlock()
+	if already {
 		return nil
 	}
-	t.closed.Store(true)
-	conns := make([]net.Conn, 0, len(t.conns)+len(t.accepted))
-	for _, pc := range t.conns {
-		if pc.conn != nil {
-			conns = append(conns, pc.conn) //ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
-		}
-	}
-	for c := range t.accepted {
-		conns = append(conns, c) //ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
-	}
-	t.mu.Unlock()
-
-	t.cancel() // a dial in flight gives up
+	t.cancel() // a dial in flight gives up; every reader closes its connection
 	err := t.listener.Close()
-	for _, c := range conns {
-		c.Close()
-	}
 	t.wg.Wait()
 	close(t.inbox)
 	return err
