@@ -123,7 +123,7 @@ func BenchmarkLiveClusterContended(b *testing.B) {
 // own session on the in-memory SessMesh, configured like `ocmxchaos node`.
 // It returns the nodes and 64 key names.
 func liveMesh(tb testing.TB) ([]*lockspace.Lockspace, []string) {
-	c, err := NewLockspaceCluster(8,
+	c, err := NewCluster(8,
 		WithFaultTolerance(200*time.Millisecond, 200*time.Millisecond, time.Second),
 		WithLeaseTTL(2*time.Second))
 	if err != nil {

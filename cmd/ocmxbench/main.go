@@ -27,10 +27,10 @@
 // their coordinates and assembled in sweep order, so stdout is
 // byte-identical for every N — only wall-clock changes, reported on stderr.
 //
-// -obs FILE attaches flight recorders to every simulated network, routes
-// E13 stall autopsies to stderr, and writes a Prometheus-text metrics
-// snapshot of the run to FILE at exit. Stdout is byte-identical with it on
-// or off (CI cmp-gates this). See DESIGN.md §14.
+// -obs FILE attaches flight recorders to every keyed simulation (E9 and
+// E13's slices), routes E13 stall autopsies to stderr, and writes a
+// Prometheus-text metrics snapshot of the run to FILE at exit. Stdout is
+// byte-identical with it on or off (CI cmp-gates this). See DESIGN.md §14.
 package main
 
 import (
@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*par = runtime.GOMAXPROCS(0)
 	}
 	o := harness.Options{Seed: *seed, Full: *full, Workers: *par}
-	// -obs: flight recorders on every simulated network, E13 stall
+	// -obs: flight recorders on every keyed simulation, E13 stall
 	// autopsies to stderr, and a run-scoped metrics snapshot at exit.
 	// Nothing it does may reach stdout.
 	if *obsPath != "" {

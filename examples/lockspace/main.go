@@ -17,18 +17,18 @@ import (
 )
 
 func main() {
-	ls, err := opencubemx.NewLockspaceCluster(4)
+	cluster, err := opencubemx.NewCluster(4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer ls.Close()
+	defer cluster.Close()
 
 	accounts := map[string]int{"alice": 100, "bob": 100, "carol": 100}
 	var mu sync.Mutex // guards the map structure; balances are guarded per key
 
 	var wg sync.WaitGroup
-	for i := 0; i < ls.N(); i++ {
-		node, err := ls.Lockspace(i)
+	for i := 0; i < cluster.N(); i++ {
+		node, err := cluster.Lockspace(i)
 		if err != nil {
 			log.Fatal(err)
 		}

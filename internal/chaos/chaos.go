@@ -202,16 +202,6 @@ type driver struct {
 	// feed the property suite: Run must join them before Finish, or their
 	// events would land after the accounting identity is checked.
 	aux sync.WaitGroup
-
-	// grabMu guards grabbedHolds: the fence a kill-holder fault holds per
-	// node, so the kill can account the hold as lost after OnKilled.
-	grabMu       sync.Mutex
-	grabbedHolds map[int]grabbed
-}
-
-type grabbed struct {
-	key   string
-	fence uint64
 }
 
 // Run executes one chaos run to completion and returns its Result. The
@@ -231,14 +221,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var col props.Collector
 	d := &driver{
-		cfg:          cfg,
-		n:            n,
-		mesh:         mesh,
-		plane:        newPlane(),
-		props:        props.NewLockProps(&col, cfg.LeaseTTL, 0),
-		keys:         make([]string, cfg.Keys),
-		zipf:         zipf,
-		grabbedHolds: make(map[int]grabbed),
+		cfg:   cfg,
+		n:     n,
+		mesh:  mesh,
+		plane: newPlane(),
+		props: props.NewLockProps(&col, cfg.LeaseTTL, 0),
+		keys:  make([]string, cfg.Keys),
+		zipf:  zipf,
 	}
 	mesh.Drop = d.plane.drop
 	for i := range d.keys {
@@ -364,6 +353,11 @@ func (d *driver) lockCycle(sp *lockspace.Lockspace, node int, key string, hold t
 	if hold > 0 {
 		time.Sleep(hold)
 	}
+	d.unlock(sp, node, key, fence)
+}
+
+// unlock releases a hold and reports how the release went to the suite.
+func (d *driver) unlock(sp *lockspace.Lockspace, node int, key string, fence uint64) {
 	switch err := sp.Unlock(key, fence); {
 	case err == nil:
 		d.props.OnRelease(node, key, fence)
@@ -524,13 +518,17 @@ func (d *driver) runFaults(plan []Fault, res *Result) {
 			if _, alive := m.get(); !alive {
 				continue
 			}
+			var key string
+			var fence uint64
 			if f.Kind == FaultKillHolder {
-				d.grabHold(f)
+				key, fence = d.grabHold(f)
 			}
 			d.cfg.Log("chaos: %v kill node %d for %v", f.At.Round(time.Millisecond), f.Node, f.Down)
 			m.kill()
 			d.props.OnKilled(f.Node)
-			d.finishGrabbedHold(f.Node)
+			if fence != 0 {
+				d.props.OnHoldLost(f.Node, key, fence)
+			}
 			res.Kills++
 			restarts.Add(1)
 			go func(m *member, down time.Duration) {
@@ -562,16 +560,15 @@ func (d *driver) runFaults(plan []Fault, res *Result) {
 }
 
 // grabHold makes the victim a holder just before its kill: the
-// guaranteed kill-while-holding scenario. Failure to grab (contention)
-// is tolerated — the kill still fires, and another kill covers the
-// scenario.
-func (d *driver) grabHold(f Fault) {
-	m := d.members[f.Node]
-	sp, alive := m.get()
+// guaranteed kill-while-holding scenario. It returns the hold it took, or
+// a zero fence when it took none: failure to grab (contention) is
+// tolerated — the kill still fires, and another kill covers the scenario.
+func (d *driver) grabHold(f Fault) (key string, fence uint64) {
+	sp, alive := d.members[f.Node].get()
 	if !alive {
-		return
+		return "", 0
 	}
-	key := f.Key
+	key = f.Key
 	if key == "" {
 		key = d.keys[0] // the hottest key
 	}
@@ -581,43 +578,21 @@ func (d *driver) grabHold(f Fault) {
 	cancel()
 	if err != nil {
 		d.props.OnAborted(f.Node, key)
-		return
+		return "", 0
 	}
 	d.props.OnGrant(f.Node, key, fence)
-	d.grabMu.Lock()
-	d.grabbedHolds[f.Node] = grabbed{key: key, fence: fence}
-	d.grabMu.Unlock()
-}
-
-// finishGrabbedHold accounts the grabbed hold as lost after the kill.
-func (d *driver) finishGrabbedHold(node int) {
-	d.grabMu.Lock()
-	g, ok := d.grabbedHolds[node]
-	delete(d.grabbedHolds, node)
-	d.grabMu.Unlock()
-	if ok {
-		d.props.OnHoldLost(node, g.key, g.fence)
-	}
+	return key, fence
 }
 
 // zombie grabs a key through a live node and goes silent past the lease
 // TTL, sends a witness from another node to reclaim it (the
 // reclaim-after-lease coverage), and finally calls the long-dead Unlock
 // to watch ErrLeaseExpired surface. The planned victim may be mid-kill
-// at injection time, so the node is picked alive at execution.
+// at injection time, so the node is picked alive at execution. Only a
+// hold the ledger admitted can lapse into a reclaim: a grant it refuses
+// (a superseded token's) is released at once, and one lease TTL later the
+// next live node asks, all within one 10 s budget.
 func (d *driver) zombie(f Fault) {
-	node := -1
-	var sp *lockspace.Lockspace
-	for i := 0; i < d.n; i++ {
-		cand := (f.Node + i) % d.n
-		if s, alive := d.members[cand].get(); alive {
-			node, sp = cand, s
-			break
-		}
-	}
-	if sp == nil {
-		return
-	}
 	key := f.Key
 	if key == "" {
 		key = d.keys[0]
@@ -625,35 +600,54 @@ func (d *driver) zombie(f Fault) {
 	d.aux.Add(1)
 	go func() {
 		defer d.aux.Done()
-		d.props.OnRequest(node, key)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		fence, err := sp.Lock(ctx, key)
-		cancel()
-		if err != nil {
-			d.props.OnAborted(node, key)
-			return
-		}
-		d.props.OnGrant(node, key, fence)
-		d.props.OnZombie(node, key, fence)
-		d.cfg.Log("chaos: %v zombie hold on %q at node %d (fence %#x)", f.At.Round(time.Millisecond), key, node, fence)
-		// The witness: a client elsewhere must get the key back through
-		// lease reclaim.
-		witness := (node + 1) % d.n
-		d.aux.Add(1)
-		go func() {
-			defer d.aux.Done()
-			wsp, alive := d.members[witness].get()
+		defer cancel()
+		for i, dead := 0, 0; ctx.Err() == nil && dead < d.n; i++ {
+			node := (f.Node + i) % d.n
+			sp, alive := d.members[node].get()
 			if !alive {
+				dead++
+				continue
+			}
+			dead = 0
+			d.props.OnRequest(node, key)
+			fence, err := sp.Lock(ctx, key)
+			if err != nil {
+				d.props.OnAborted(node, key)
 				return
 			}
-			d.lockCycle(wsp, witness, key, 0)
-		}()
-		// Long past the TTL, the zombie wakes up and tries to unlock: the
-		// lease machinery must surface the expiry, and the dead fence must
-		// be refused by the ledger.
-		time.Sleep(3 * d.cfg.LeaseTTL)
-		if err := sp.Unlock(key, fence); errors.Is(err, lockspace.ErrLeaseExpired) {
-			d.props.OnLateExpiry(node, key, fence)
+			if !d.props.OnGrant(node, key, fence) {
+				d.cfg.Log("chaos: %v zombie grant on %q at node %d refused by the ledger (fence %#x)", f.At.Round(time.Millisecond), key, node, fence)
+				d.unlock(sp, node, key, fence)
+				time.Sleep(d.cfg.LeaseTTL) // let the lineage change before asking again
+				continue
+			}
+			d.silence(sp, node, key, fence, f.At)
+			return
 		}
 	}()
+}
+
+// silence is the zombie's admitted hold: it goes silent, a witness on the
+// next node must get the key back through lease reclaim, and long past
+// the TTL the zombie wakes up and tries to unlock — the lease machinery
+// must surface the expiry, and the dead fence must be refused by the
+// ledger.
+func (d *driver) silence(sp *lockspace.Lockspace, node int, key string, fence uint64, at time.Duration) {
+	d.props.OnZombie(node, key, fence)
+	d.cfg.Log("chaos: %v zombie hold on %q at node %d (fence %#x)", at.Round(time.Millisecond), key, node, fence)
+	witness := (node + 1) % d.n
+	d.aux.Add(1)
+	go func() {
+		defer d.aux.Done()
+		wsp, alive := d.members[witness].get()
+		if !alive {
+			return
+		}
+		d.lockCycle(wsp, witness, key, 0)
+	}()
+	time.Sleep(3 * d.cfg.LeaseTTL)
+	if err := sp.Unlock(key, fence); errors.Is(err, lockspace.ErrLeaseExpired) {
+		d.props.OnLateExpiry(node, key, fence)
+	}
 }

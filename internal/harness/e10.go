@@ -162,7 +162,7 @@ func runE10(o Options, p, run int) (e10Cell, error) {
 	// masquerade as failures.
 	node := ftNodeConfig()
 	node.SuspicionSlack += time.Duration(8*p) * delta
-	w, rec, err := simulate(o, sim.Config{P: p, Seed: cellSeed,
+	w, rec, err := simulate(sim.Config{P: p, Seed: cellSeed,
 		Delay: sim.UniformDelay(delta/2, delta), Node: node, CSTime: csTime(delta)})
 	if err != nil {
 		return cell, err

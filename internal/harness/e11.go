@@ -142,7 +142,7 @@ func runE11(o Options, p int, reqs []workload.Request, loss float64, crash, sess
 	if session {
 		cfg.Session = e11Session()
 	}
-	w, rec, err := simulate(o, cfg)
+	w, rec, err := simulate(cfg)
 	if err != nil {
 		return row, err
 	}

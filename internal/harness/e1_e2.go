@@ -44,7 +44,7 @@ func E1WorstCase(o Options, ps []int, probesPerP int) ([]E1Row, error) {
 		}
 		// Sequential probes on evolving trees.
 		rng := newRng(o.Seed + int64(p))
-		w, rec, err := simulate(o, sim.Config{P: p, Seed: o.Seed, Delay: sim.FixedDelay(delta)})
+		w, rec, err := simulate(sim.Config{P: p, Seed: o.Seed, Delay: sim.FixedDelay(delta)})
 		if err != nil {
 			return row, err
 		}
@@ -67,7 +67,7 @@ func E1WorstCase(o Options, ps []int, probesPerP int) ([]E1Row, error) {
 // 2^p-open-cube, each an independent cell on the sweep pool.
 func pristineCosts(o Options, p int) ([]int64, error) {
 	return forEach(o.Workers, 1<<p, func(i int) (int64, error) {
-		return singleRequestCost(o, p, ocube.Pos(i))
+		return singleRequestCost(p, ocube.Pos(i))
 	})
 }
 
@@ -129,7 +129,7 @@ func E2Average(o Options, ps []int) ([]E2Row, error) {
 // steadyStateAverage runs a concurrent random workload and returns mean
 // messages per grant.
 func steadyStateAverage(o Options, p int) (float64, error) {
-	w, rec, err := simulate(o, sim.Config{P: p, Seed: o.Seed,
+	w, rec, err := simulate(sim.Config{P: p, Seed: o.Seed,
 		Delay: sim.UniformDelay(delta/2, delta), CSTime: csTime(2 * delta)})
 	if err != nil {
 		return 0, err

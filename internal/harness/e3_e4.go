@@ -66,7 +66,7 @@ func E3FailureOverhead(o Options, p, failures int, paperMode bool) (E3Row, error
 	rng := newRng(o.Seed)
 	nodeCfg := ftNodeConfig()
 	nodeCfg.DisableConfirmSweep = paperMode
-	w, rec, err := simulate(o, sim.Config{P: p, Seed: o.Seed,
+	w, rec, err := simulate(sim.Config{P: p, Seed: o.Seed,
 		Delay: sim.UniformDelay(delta/2, delta), Node: nodeCfg, CSTime: csTime(delta)})
 	if err != nil {
 		return E3Row{}, err
@@ -197,7 +197,7 @@ func E4SearchCost(o Options, ps []int, trials int) ([]E4Row, error) {
 					got = append(got, searchOutcome{father: ev.Peer, tested: int(ev.Seq)})
 				}
 			}
-			w, _, err := simulate(o, sim.Config{P: p, Seed: o.Seed ^ int64(trial), Delay: sim.FixedDelay(delta), Node: node})
+			w, _, err := simulate(sim.Config{P: p, Seed: o.Seed ^ int64(trial), Delay: sim.FixedDelay(delta), Node: node})
 			if err != nil {
 				return nil, err
 			}

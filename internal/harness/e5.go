@@ -120,7 +120,7 @@ func simulateAlgorithm(o Options, algo string, p int, delay sim.DelayFn, ft bool
 		node.Policy, node.EpochFence = cfg.Node.Policy, algo == "open-cube-fenced"
 		cfg.Node = node
 	}
-	return simulate(o, cfg)
+	return simulate(cfg)
 }
 
 func runE5(o Options, algo string, p int, load string, reqs []workload.Request) (E5Row, error) {

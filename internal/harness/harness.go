@@ -9,9 +9,10 @@
 // walk those two lists.
 //
 // Every simulated cell is built by one of two functions: simulate for a
-// single-mutex sim.Network, runKeyed for a lockspace.Space (E9, and each
-// slice of E13). Both attach the cell's message recorder and the
-// Options.FlightDepth flight recorder, so -obs records every network.
+// single-mutex sim.Network, which attaches the cell's message recorder,
+// and runKeyed for a lockspace.Space (E9, and each slice of E13), which
+// attaches the Options.FlightDepth flight recorder its stall autopsy
+// reads.
 //
 // Every experiment is deterministic given its seed, and stays so when the
 // independent (p, seed, probe) cells are spread over Options.Workers
@@ -48,8 +49,8 @@ type Options struct {
 	// slices) are spread over; <= 1 is the sequential sweep.
 	Workers int
 	// FlightDepth > 0 attaches a token-lineage flight recorder
-	// (internal/obs) of that depth to every simulated network and space:
-	// simulate and runKeyed, which build every cell, attach it.
+	// (internal/obs) of that depth to every keyed space runKeyed builds,
+	// where an E13 slice's stall autopsy (Autopsy) reads it.
 	FlightDepth int
 	// Autopsy, when non-nil, receives a JSONL autopsy for every E13 slice
 	// that stalls, after the sweep and in (cell, slice) order.
@@ -60,10 +61,9 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// flight returns a fresh flight recorder for one simulated network or
-// space, or nil when recording is off. Each network gets its own: sweeps
-// run cells in parallel and lineage is only read for autopsies, never
-// merged.
+// flight returns a fresh flight recorder for one keyed space, or nil when
+// recording is off. Each space gets its own: sweeps run cells in parallel
+// and lineage is only read for autopsies, never merged.
 func (o Options) flight() *obs.Flight {
 	if o.FlightDepth <= 0 {
 		return nil
@@ -88,10 +88,10 @@ func ftNodeConfig() core.Config {
 
 // simulate builds one single-mutex network of a cell, the one place the
 // harness does: cfg as the cell sets it, plus a fresh message recorder,
-// returned beside the network, and the flight recorder of o.
-func simulate(o Options, cfg sim.Config) (*sim.Network, *trace.Recorder, error) {
+// returned beside the network.
+func simulate(cfg sim.Config) (*sim.Network, *trace.Recorder, error) {
 	rec := &trace.Recorder{}
-	cfg.Recorder, cfg.Flight = rec, o.flight()
+	cfg.Recorder = rec
 	w, err := sim.New(cfg)
 	return w, rec, err
 }
@@ -99,8 +99,8 @@ func simulate(o Options, cfg sim.Config) (*sim.Network, *trace.Recorder, error) 
 // singleRequestCost measures c(i): the number of messages to fully serve
 // one request from node i on a pristine 2^p-open-cube with the token at
 // the root, including the final token return.
-func singleRequestCost(o Options, p int, i ocube.Pos) (int64, error) {
-	w, rec, err := simulate(o, sim.Config{P: p, Seed: 1, Delay: sim.FixedDelay(delta)})
+func singleRequestCost(p int, i ocube.Pos) (int64, error) {
+	w, rec, err := simulate(sim.Config{P: p, Seed: 1, Delay: sim.FixedDelay(delta)})
 	if err != nil {
 		return 0, err
 	}

@@ -271,7 +271,7 @@ func TestSingleRequestCostMatchesHandTrace(t *testing.T) {
 	}{
 		{1, 0}, {2, 3}, {3, 3}, {4, 4}, {5, 2}, {6, 5}, {7, 3}, {8, 4},
 	} {
-		got, err := singleRequestCost(Options{}, 3, ocube.FromLabel(tc.label))
+		got, err := singleRequestCost(3, ocube.FromLabel(tc.label))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -128,10 +127,6 @@ type Config struct {
 	// into the shared flight recorder, stamped with wall time; Node.Observe,
 	// when set too, still sees every event.
 	Flight *obs.Flight
-	// Autopsy, when set, receives a JSONL autopsy from Close when any
-	// instance still has queued waiters — the "stuck at shutdown" dump,
-	// carrying those keys' recent lineage and protocol state.
-	Autopsy io.Writer
 }
 
 // Lockspace is one node of the live keyed lock service: the keyed Machine
@@ -530,37 +525,15 @@ func (ls *Lockspace) Close() error {
 	}
 	ls.halt()
 	<-ls.done
-	// The loop marked the node dead on its way out: the autopsy scan below
-	// shares the machine with nobody. The instantaneous gauges reset so a
-	// chaos member restarting this node in the same registry starts clean.
+	// The instantaneous gauges reset so a chaos member restarting this node
+	// in the same registry starts clean.
 	ls.obsHeld.Set(0)
 	ls.obsWaiters.Set(0)
 	ls.obsDeadlines.Set(0)
-	if ls.cfg.Autopsy != nil {
-		ls.autopsyStuck()
-	}
 	if ls.sess != nil {
 		return ls.sess.Close()
 	}
 	return nil
-}
-
-// autopsyStuck dumps every instance closed with clients still queued —
-// in-flight Locks that Close failed with ErrClosed — as a JSONL autopsy:
-// the keys' recent token lineage (with a flight recorder attached) plus
-// each wedged instance's protocol state.
-func (ls *Lockspace) autopsyStuck() {
-	states := ls.m.States(func(r obs.NodeState) bool { return r.Waiters > 0 })
-	if len(states) == 0 {
-		return
-	}
-	stuck := make([]uint64, len(states))
-	for i, r := range states {
-		stuck[i] = r.Instance
-	}
-	_ = obs.WriteAutopsy(ls.cfg.Autopsy, "lockspace-close-stuck-waiters",
-		map[string]any{"node": int(ls.cfg.Node.Self), "stuck": len(stuck)},
-		ls.cfg.Flight, stuck, states)
 }
 
 // drainMax bounds how many received batches one step of the loop handles.

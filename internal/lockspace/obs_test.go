@@ -12,13 +12,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
-// Observability wiring tests: live metrics and token lineage, the
-// stuck-waiter autopsy on Close, and the forced-stall autopsy of the
-// simulated Space — the test-pinned halves of the PR 9 acceptance
-// criteria.
+// Observability wiring tests: live metrics and token lineage, and the
+// forced-stall autopsy of the simulated Space.
 
 // newObsLiveSpace is newLiveSpace with a shared registry and flight
 // recorder attached to every node.
@@ -122,61 +119,6 @@ func TestDeadlinesPendingGauge(t *testing.T) {
 	want("after Close", 0)
 }
 
-// TestCloseStuckWaiterAutopsy closes a lockspace with a hold and a
-// queued waiter still in place: Close must write a JSONL autopsy naming
-// the key's instance, its lineage (through the attached flight
-// recorder), and the wedged state.
-func TestCloseStuckWaiterAutopsy(t *testing.T) {
-	sessions, _ := newSessions(t, 2)
-	fl := obs.NewFlight(32)
-	var autopsy bytes.Buffer
-	ls, err := New(Config{
-		Node:      core.Config{Self: 0, P: 1},
-		Transport: sessions[0],
-		Flight:    fl,
-		Autopsy:   &autopsy,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := ls.Lock(ctx, "stuck-key"); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	go func() { _, err := ls.Lock(ctx, "stuck-key"); got <- err }()
-	awaitQueued(t, ls, "stuck-key", 2) // the waiter is behind the holder
-	if err := ls.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-got // the waiter observed ErrClosed; its queue entry is the stuck one
-
-	out := autopsy.String()
-	if out == "" {
-		t.Fatal("Close with a stuck waiter wrote no autopsy")
-	}
-	if !strings.Contains(out, `"reason":"lockspace-close-stuck-waiters"`) {
-		t.Errorf("autopsy missing reason header:\n%s", out)
-	}
-	id := KeyInstance("stuck-key")
-	if !strings.Contains(out, `"instance":`+itoa(id)) {
-		t.Errorf("autopsy does not name instance %d:\n%s", id, out)
-	}
-	if !strings.Contains(out, `"kind":"grant"`) {
-		t.Errorf("autopsy lineage missing the hold's grant:\n%s", out)
-	}
-	// The state line is the machine's row: the protocol queue under
-	// queue_len, the local FIFO — holder and waiter — under waiters.
-	st := ls.m.insts[ls.m.index[id]]
-	rows := stateLines(t, out)
-	if len(rows) != 1 {
-		t.Fatalf("autopsy has %d state lines, want the stuck instance's:\n%s", len(rows), out)
-	}
-	if r := rows[0]; r.Instance != id || r.QueueLen != st.node.QueueLen() || r.Waiters != 2 || !r.Held || !r.InCS {
-		t.Errorf("state line %+v, want instance %d held with queue_len %d and 2 waiters", r, id, st.node.QueueLen())
-	}
-}
-
 // stateLines decodes an autopsy's node-state lines.
 func stateLines(t *testing.T, out string) []obs.NodeState {
 	t.Helper()
@@ -261,29 +203,15 @@ func TestSpaceStallAutopsy(t *testing.T) {
 }
 
 // TestFlightKeepsCallersObserve attaches a flight recorder and a caller's
-// own Observe hook together to each of the three constructors that take
-// both — sim.New, NewSpace and New — and checks both see every event: the
-// recorder must not take the hook's place.
+// own Observe hook together to each of the two constructors that take
+// both — NewSpace and New — and checks both see every event: the recorder
+// must not take the hook's place.
 func TestFlightKeepsCallersObserve(t *testing.T) {
-	ft := core.Config{FT: true, Delta: time.Millisecond, CSEstimate: time.Millisecond}
 	for _, tc := range []struct {
 		name string
 		want []string // kinds the run must report
 		run  func(t *testing.T, node core.Config, fl *obs.Flight)
 	}{
-		{"sim.New", []string{"request", "grant", "search-started", "search-ended", "regenerated"}, func(t *testing.T, node core.Config, fl *obs.Flight) {
-			node.FT, node.Delta, node.CSEstimate = ft.FT, ft.Delta, ft.CSEstimate
-			w, err := sim.New(sim.Config{P: 2, Node: node, Seed: 1, Flight: fl})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Fail(0, 0) // the root dies with the token: searches and a regeneration
-			w.RequestCS(1, time.Millisecond)
-			w.RequestCS(3, time.Millisecond)
-			if !w.RunUntilQuiescent(time.Minute) {
-				t.Fatal("network did not quiesce")
-			}
-		}},
 		{"NewSpace", []string{"request", "grant", "transfer"}, func(t *testing.T, node core.Config, fl *obs.Flight) {
 			sp, err := NewSpace(SpaceConfig{P: 1, Instances: 2, Node: node, Seed: 1, Flight: fl})
 			if err != nil {

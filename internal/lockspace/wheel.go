@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// Protocol timers use the core.TimerKind values 1..5; kind 0 is free for
+// Protocol timers use the core.TimerKind values 1..3; kind 0 is free for
 // the one deadline the keyed node schedules for itself.
 const (
 	// wheelHold is the end of a hold: the live node's lease, the

@@ -182,8 +182,10 @@ func (p *LockProps) OnRequest(node int, key string) {
 // OnGrant records a granted Lock and runs the safety checks: fence
 // monotonicity and uniqueness, ledger admission, and — when the key's
 // previous hold lapsed unreleased — the reclaim coverage and latency
-// properties.
-func (p *LockProps) OnGrant(node int, key string, fence uint64) {
+// properties. It reports whether the ledger admitted the grant: a refused
+// one (a superseded token's) is never the key's holder, so it cannot
+// lapse into a reclaim.
+func (p *LockProps) OnGrant(node int, key string, fence uint64) bool {
 	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -209,7 +211,7 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) {
 		p.always(PropLedgerAdmit, fence < ks.lastFence, details)
 		p.c.Reachable(PropFencedOutOverlap, Details{"key": key, "fence": fence, "hwm": ks.lastFence})
 		p.c.Reachable(PropStaleFenceRejected, Details{"key": key, "fence": fence, "current": ks.lastFence})
-		return
+		return false
 	}
 
 	p.always(PropFenceMonotonic, fence > ks.lastFence, details)
@@ -252,6 +254,7 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) {
 	ks.holder = &hold{node: node, fence: fence}
 	ks.lapsedAt = time.Time{}
 	ks.lapsedKind = lapsedNone
+	return true
 }
 
 // always evaluates an Always assertion, building its details only when it

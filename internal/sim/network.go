@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -100,13 +99,6 @@ type Config struct {
 	Recorder *trace.Recorder
 	// OnEffect, when set, observes every effect any node emits.
 	OnEffect func(node ocube.Pos, e core.Effect)
-	// Flight, when set, records every open-cube node's token lineage
-	// (core.Config.Observe) into the recorder, stamped with virtual time
-	// under instance 0; Node.Observe, when set too, still sees every
-	// event. Purely observational — runs are byte-identical with or
-	// without it. Ignored when Algorithm is set (the baselines have no
-	// observe hook).
-	Flight *obs.Flight
 }
 
 // Network binds an algorithm's peers to an Engine. It is the single
@@ -176,9 +168,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	algo := cfg.Algorithm
 	if algo.New == nil {
-		node := cfg.Node
-		node.Observe = obs.Observer(cfg.Flight, func() int64 { return int64(w.Eng.Now()) }, node.Observe)
-		algo = openCube(cfg.P, node)
+		algo = openCube(cfg.P, cfg.Node)
 	}
 	peers, err := algo.New(w.n)
 	if err != nil {
@@ -202,8 +192,7 @@ func New(cfg Config) (*Network, error) {
 // through RequestInstanceCS, and every envelope on the wire names its
 // instance. The positions account for their own critical sections, so
 // Grants and the violation counts stay zero; Config.Node, Algorithm,
-// CSTime, OnEffect and Flight belong to single-mutex networks and are
-// ignored.
+// CSTime and OnEffect belong to single-mutex networks and are ignored.
 func NewKeyed(cfg Config, position func(x ocube.Pos) (Keyed, error)) (*Network, error) {
 	w, err := newNetwork(cfg, 1) // a position's deadlines share one timer slot
 	if err != nil {

@@ -2,19 +2,18 @@
 // on an open-cube logical tree, reproducing Hélary & Mostefaoui's
 // algorithm (INRIA RR-2041, 1993 / ICDCS 1994).
 //
-// The package offers three entry points:
+// The package offers two entry points:
 //
-//   - Cluster: an in-process live cluster for applications that want a
-//     ready-to-use mutual exclusion service, one Mutex handle per node.
-//     See examples/quickstart and examples/bankledger.
-//   - LockspaceCluster: an in-process keyed lock service — every
-//     distinct key is its own independent open-cube mutex, with
-//     instances lazily instantiated and multiplexed over one runtime
-//     (Lock(ctx, key) / Unlock(key, fence)). See examples/lockspace.
+//   - Cluster: an in-process live cluster. Each node offers a Mutex, one
+//     cluster-wide mutual exclusion token (see examples/quickstart and
+//     examples/bankledger), and a Lockspace, a keyed lock service in which
+//     every distinct key is its own independent open-cube mutex, lazily
+//     instantiated and multiplexed over one runtime (Lock(ctx, key) /
+//     Unlock(key, fence); see examples/lockspace).
 //   - NewTCPNode: a single node communicating over TCP for multi-process
 //     deployments. See examples/tcpcluster.
 //
-// All three are the same node: a keyed lockspace over a reliable session
+// Both are the same node: a keyed lockspace over a reliable session
 // (sequence numbers, acks, retransmission) over an in-memory or TCP
 // link. A Mutex is that node's lock on one fixed key.
 //
@@ -76,17 +75,10 @@ func WithFaultTolerance(delta, csEstimate, slack time.Duration) Option {
 	}
 }
 
-// WithPolicy selects a general-scheme behavior policy; the default is the
-// paper's open-cube rule. The Raymond and Naimi-Trehel instances are
-// provided for experimentation.
-func WithPolicy(p core.Policy) Option {
-	return func(o *options) { o.node.Policy = p }
-}
-
 // WithLeaseTTL bounds how long a hold stays valid without renewal. A
 // holder that neither Unlocks nor Keepalives within ttl has its hold
 // reclaimed and the lock re-granted to the next waiter; the expired
-// holder's later Unlock/Keepalive reports lockspace.ErrLeaseExpired, and
+// holder's later Lockspace.Unlock/Keepalive reports ErrLeaseExpired, and
 // its fence is stale at every FencedResource a newer holder has touched.
 // A Mutex has no Keepalive, so under a lease its critical sections must
 // be shorter than ttl. Combine with WithFaultTolerance so a crashed
@@ -95,15 +87,20 @@ func WithLeaseTTL(ttl time.Duration) Option {
 	return func(o *options) { o.lease = ttl }
 }
 
-// live is an in-process group of 2^p lockspace nodes, each over its own
-// session on one in-memory frame mesh: what Cluster and LockspaceCluster
-// both are.
-type live struct {
+// Cluster is an in-process group of 2^p nodes, each over its own session
+// on one in-memory frame mesh. Every node serves one keyed lock service:
+// its Lockspace handle locks any key, and its Mutex handle the one
+// cluster-wide mutex, which is the service's key "opencubemx.Mutex".
+type Cluster struct {
 	mesh  *transport.SessMesh
 	nodes []*lockspace.Lockspace
 }
 
-func newLive(n int, opts []Option) (*live, error) {
+// NewCluster starts an n-node cluster; n must be a power of two (the
+// open-cube structure requires it — run a non-power-of-two membership by
+// rounding up and leaving the spare positions unused with fault tolerance
+// enabled). Position 0 holds every key's initial token.
+func NewCluster(n int, opts ...Option) (*Cluster, error) {
 	if n <= 0 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("opencubemx: cluster size %d is not a power of two", n)
 	}
@@ -111,7 +108,7 @@ func newLive(n int, opts []Option) (*live, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &live{mesh: mesh}
+	c := &Cluster{mesh: mesh}
 	for i := 0; i < n; i++ {
 		cfg := config(i, bits.TrailingZeros(uint(n)), opts)
 		node, err := lockspace.Start(mesh.Endpoint(cfg.Node.Self), transport.SessionConfig{}, cfg)
@@ -125,9 +122,9 @@ func newLive(n int, opts []Option) (*live, error) {
 }
 
 // N returns the cluster size.
-func (c *live) N() int { return len(c.nodes) }
+func (c *Cluster) N() int { return len(c.nodes) }
 
-func (c *live) node(i int) (*lockspace.Lockspace, error) {
+func (c *Cluster) node(i int) (*lockspace.Lockspace, error) {
 	if i < 0 || i >= len(c.nodes) {
 		return nil, fmt.Errorf("opencubemx: node %d out of range [0,%d)", i, len(c.nodes))
 	}
@@ -140,7 +137,7 @@ func (c *live) node(i int) (*lockspace.Lockspace, error) {
 // the paper's Section 5. With fault tolerance enabled the surviving nodes
 // detect the crash by timeout and repair the tree. Intended for failure
 // drills and tests.
-func (c *live) Kill(i int) error {
+func (c *Cluster) Kill(i int) error {
 	node, err := c.node(i)
 	if err != nil {
 		return err
@@ -149,27 +146,11 @@ func (c *live) Kill(i int) error {
 }
 
 // Close stops every node and the transport fabric.
-func (c *live) Close() error {
+func (c *Cluster) Close() error {
 	for i := range c.nodes {
 		c.Kill(i)
 	}
 	return c.mesh.Close()
-}
-
-// Cluster is an in-process group of 2^p nodes sharing one mutual
-// exclusion token.
-type Cluster struct{ *live }
-
-// NewCluster starts an n-node cluster; n must be a power of two (the
-// open-cube structure requires it — run a non-power-of-two membership by
-// rounding up and leaving the spare positions unused with fault tolerance
-// enabled).
-func NewCluster(n int, opts ...Option) (*Cluster, error) {
-	c, err := newLive(n, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{c}, nil
 }
 
 // Mutex returns node i's handle on the distributed mutex.
@@ -179,6 +160,15 @@ func (c *Cluster) Mutex(i int) (*Mutex, error) {
 		return nil, err
 	}
 	return &Mutex{node}, nil
+}
+
+// Lockspace returns node i's handle on the keyed lock service.
+func (c *Cluster) Lockspace(i int) (*Lockspace, error) {
+	node, err := c.node(i)
+	if err != nil {
+		return nil, err
+	}
+	return &Lockspace{node}, nil
 }
 
 // mutexKey is the lockspace key the single mutex lives under; every
@@ -209,33 +199,6 @@ func (m *Mutex) LockFenced(ctx context.Context) (uint64, error) { return m.node.
 // lender or keeping it if this node became the tree root.
 func (m *Mutex) Unlock() error { return m.node.Unlock(mutexKey, 0) }
 
-// LockspaceCluster is an in-process group of 2^p nodes sharing a keyed
-// lock-space: every distinct key names an independent open-cube mutex,
-// lazily instantiated on first touch and multiplexed with every other
-// key's instance over one shared runtime (one goroutine and one
-// transport endpoint per node, envelopes batched per destination). The
-// paper's per-critical-section message bound holds per key.
-type LockspaceCluster struct{ *live }
-
-// NewLockspaceCluster starts an n-node keyed lock service; n must be a
-// power of two. Position 0 holds every key's initial token.
-func NewLockspaceCluster(n int, opts ...Option) (*LockspaceCluster, error) {
-	c, err := newLive(n, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &LockspaceCluster{c}, nil
-}
-
-// Lockspace returns node i's handle on the keyed lock service.
-func (c *LockspaceCluster) Lockspace(i int) (*Lockspace, error) {
-	node, err := c.node(i)
-	if err != nil {
-		return nil, err
-	}
-	return &Lockspace{node}, nil
-}
-
 // Lockspace is one node's handle on the keyed lock service: a named
 // mutex per key, each as strong as the single Mutex. Clients on the same
 // node queue FIFO behind each other per key.
@@ -256,15 +219,22 @@ func (l *Lockspace) Lock(ctx context.Context, key string) (uint64, error) {
 
 // Unlock releases the hold on key that fence names (the value Lock
 // returned; 0 releases whatever hold is current). It reports
-// lockspace.ErrLeaseExpired when that hold already lapsed and was
-// reclaimed.
+// ErrLeaseExpired when that hold already lapsed and was reclaimed.
 func (l *Lockspace) Unlock(key string, fence uint64) error { return l.node.Unlock(key, fence) }
 
 // Keepalive renews the lease on the hold that fence names, postponing
 // its expiry by the cluster's WithLeaseTTL. Holders doing long critical
 // sections heartbeat with it; a holder that stops heartbeating loses the
-// key after one TTL.
+// key after one TTL, and its Keepalive then reports ErrLeaseExpired.
 func (l *Lockspace) Keepalive(key string, fence uint64) error { return l.node.Keepalive(key, fence) }
+
+// ErrLeaseExpired is returned by Lockspace.Unlock and Lockspace.Keepalive
+// when the hold the fence names is gone: its lease (WithLeaseTTL) lapsed
+// and the lock was reclaimed, possibly re-granted. The caller must treat
+// its critical section as already invalid; a FencedResource has been
+// rejecting its fence since the next grant touched it. Test for it with
+// errors.Is.
+var ErrLeaseExpired = lockspace.ErrLeaseExpired
 
 // ErrStaleFence is returned by FencedResource.Access for a fence below
 // the resource's high-water mark: the caller's lock expired or was

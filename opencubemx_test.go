@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/lockspace"
 )
 
@@ -93,23 +92,46 @@ func TestClusterWithFaultToleranceLive(t *testing.T) {
 	}
 }
 
-func TestClusterWithPolicy(t *testing.T) {
-	c, err := NewCluster(4, WithPolicy(core.NaimiTrehelPolicy{}))
+// TestClusterServesMutexAndLockspace: one Cluster gives node i both a
+// Mutex and a Lockspace handle, and they are independent locks — a held
+// mutex does not block a keyed Lock on another key, and a held key does
+// not block the mutex.
+func TestClusterServesMutexAndLockspace(t *testing.T) {
+	c, err := NewCluster(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	m, err := c.Mutex(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Lock(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Unlock(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < c.N(); i++ {
+		m, err := c.Mutex(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls, err := c.Lockspace(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := m.Lock(ctx); err != nil {
+			t.Fatalf("node %d: mutex: %v", i, err)
+		}
+		fence, err := ls.Lock(ctx, "orders/1")
+		if err != nil {
+			t.Fatalf("node %d: keyed Lock while the mutex is held: %v", i, err)
+		}
+		if err := m.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Lock(ctx); err != nil {
+			t.Fatalf("node %d: mutex while a key is held: %v", i, err)
+		}
+		if err := m.Unlock(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ls.Unlock("orders/1", fence); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
 	}
 }
 
@@ -183,7 +205,7 @@ func TestLeaseExpiryServesWaiter(t *testing.T) {
 		stale error
 	}{
 		{"Lockspace", func(t *testing.T) (hs [2]handle) {
-			c, err := NewLockspaceCluster(2, WithLeaseTTL(ttl))
+			c, err := NewCluster(2, WithLeaseTTL(ttl))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +218,7 @@ func TestLeaseExpiryServesWaiter(t *testing.T) {
 				}
 			}
 			return hs
-		}, lockspace.ErrLeaseExpired},
+		}, ErrLeaseExpired},
 		{"Mutex", func(t *testing.T) (hs [2]handle) {
 			c, err := NewCluster(2, WithLeaseTTL(ttl))
 			if err != nil {
@@ -450,10 +472,7 @@ func TestTCPNodeRestart(t *testing.T) {
 }
 
 func TestLockspaceClusterLive(t *testing.T) {
-	if _, err := NewLockspaceCluster(3); err == nil {
-		t.Error("non-power-of-two lockspace cluster accepted")
-	}
-	c, err := NewLockspaceCluster(4)
+	c, err := NewCluster(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +530,7 @@ func TestLockspaceClusterLive(t *testing.T) {
 // so every ack travels alone after its full delay — and no token is ever
 // regenerated: every fence stays in epoch 0.
 func TestReceiptFitsASmallDelta(t *testing.T) {
-	c, err := NewLockspaceCluster(8, WithFaultTolerance(5*time.Millisecond, 5*time.Millisecond, 0))
+	c, err := NewCluster(8, WithFaultTolerance(5*time.Millisecond, 5*time.Millisecond, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
