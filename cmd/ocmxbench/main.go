@@ -25,12 +25,13 @@
 // cell's 64 key slices — over N workers (0, the default, uses GOMAXPROCS;
 // 1 is sequential). It is purely an execution knob: cells are seeded from
 // their coordinates and assembled in sweep order, so stdout is
-// byte-identical for every N — only wall-clock changes, reported on stderr.
+// byte-identical for every N — only the wall-clock time changes.
 //
 // -obs FILE attaches flight recorders to every keyed simulation (E9 and
-// E13's slices), routes E13 stall autopsies to stderr, and writes a
-// Prometheus-text metrics snapshot of the run to FILE at exit. Stdout is
-// byte-identical with it on or off (CI cmp-gates this). See DESIGN.md §14.
+// E13's slices), routes their stall autopsies to stderr — which otherwise
+// carries errors only — and writes a Prometheus-text metrics snapshot of
+// the run to FILE at exit. Stdout is byte-identical with it on or off (CI
+// cmp-gates this). See DESIGN.md §14.
 package main
 
 import (
@@ -71,18 +72,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*par = runtime.GOMAXPROCS(0)
 	}
 	o := harness.Options{Seed: *seed, Full: *full, Workers: *par}
-	// -obs: flight recorders on every keyed simulation, E13 stall
+	// -obs: flight recorders on every keyed simulation, their stall
 	// autopsies to stderr, and a run-scoped metrics snapshot at exit.
 	// Nothing it does may reach stdout.
 	if *obsPath != "" {
-		o.Metrics, o.FlightDepth, o.Autopsy = obs.NewRegistry(), obs.DefaultFlightDepth, stderr
+		o.Metrics, o.Autopsy = obs.NewRegistry(), stderr
 	}
 	for _, e := range exps {
 		rep, err := e.Run(o)
 		if rep.Table != "" {
 			fmt.Fprintln(stdout, rep.Table)
 		}
-		fmt.Fprint(stderr, rep.Note)
 		if err == nil && *strict {
 			err = rep.Strict
 		}

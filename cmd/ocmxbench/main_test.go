@@ -9,7 +9,8 @@ import (
 // TestUnknownExperimentIsAnError: an -exp value that names no experiment
 // exits non-zero with the valid names on stderr and nothing on stdout
 // (`-exp e12` and `-exp E9` used to print nothing and exit 0), and the
-// deleted -json, -shards and -progress flags are flag-parse errors.
+// deleted -json, -shards and -progress flags are flag-parse errors. A run
+// that succeeds writes its tables and nothing on stderr.
 func TestUnknownExperimentIsAnError(t *testing.T) {
 	for _, args := range [][]string{{"-exp", "e12"}, {"-exp", "E9"}, {"-json", "x"}, {"-shards", "1"}, {"-progress"}} {
 		var stdout, stderr bytes.Buffer
@@ -21,7 +22,7 @@ func TestUnknownExperimentIsAnError(t *testing.T) {
 		}
 	}
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "e1"}, &stdout, &stderr); code != 0 || !strings.HasPrefix(stdout.String(), "E1 —") {
-		t.Errorf("-exp e1: exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
+	if code := run([]string{"-exp", "all", "-strict"}, &stdout, &stderr); code != 0 || !strings.HasPrefix(stdout.String(), "E1 —") || stderr.Len() != 0 {
+		t.Errorf("-exp all -strict: exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
 	}
 }

@@ -1,15 +1,11 @@
 package harness
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/lockspace"
 	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/sim"
@@ -198,78 +194,4 @@ func formatE11(rows []E11Row) string {
 		}
 	}
 	return "E11: lossy-channel recovery — sessions × fencing × crash (FT open cube)\n" + table(header, body)
-}
-
-// e11LeaseReclaim measures the live lease-reclaim path on loopback
-// wall-clock time: four lockspace nodes over a lossy in-memory frame
-// link wrapped in reliable sessions, a holder that goes silent (no
-// unlock, no heartbeat), and a waiter on another node timed from request
-// to reclaimed grant. Returns that latency. The holder's later unlock
-// must report lockspace.ErrLeaseExpired and the reclaiming fence must
-// outrank the lapsed one, or an error is returned.
-//
-// Being wall-clock, the latency is environment-dependent (roughly the
-// TTL plus scheduling and exit-protocol time) and is reported on stderr
-// by ocmxbench, keeping stdout byte-identical across runs.
-func e11LeaseReclaim(ttl time.Duration) (time.Duration, error) {
-	const p = 2
-	n := 1 << p
-	mesh, err := transport.NewSessMesh(n, 4096)
-	if err != nil {
-		return 0, err
-	}
-	// Deterministic loss on the live path: every 7th data frame vanishes;
-	// the sessions repair it.
-	var dropMu sync.Mutex
-	nData := 0
-	mesh.Drop = func(to ocube.Pos, f transport.SessFrame) bool {
-		if f.Seq == 0 {
-			return false
-		}
-		dropMu.Lock()
-		defer dropMu.Unlock()
-		nData++
-		return nData%7 == 0
-	}
-	defer mesh.Close()
-
-	nodes := make([]*lockspace.Lockspace, n)
-	for i := range nodes {
-		ls, err := lockspace.Start(mesh.Endpoint(ocube.Pos(i)), transport.SessionConfig{RTO: 20 * time.Millisecond},
-			lockspace.Config{Node: core.Config{Self: ocube.Pos(i), P: p}, LeaseTTL: ttl})
-		if err != nil {
-			return 0, err
-		}
-		defer ls.Close()
-		nodes[i] = ls
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	const key = "lease-reclaim"
-	f1, err := nodes[3].Lock(ctx, key)
-	if err != nil {
-		return 0, fmt.Errorf("holder lock: %w", err)
-	}
-	// The holder goes silent. A waiter on node 1 must be served once the
-	// lease lapses and the hold is reclaimed through the exit protocol.
-	// This is the live half of E11, so the latency is wall time by
-	// nature; it is measured through the obs layer (the replay domain
-	// never calls time.Now itself) and reported on stderr only.
-	start := obs.StartStopwatch()
-	f2, err := nodes[1].Lock(ctx, key)
-	latency := start.Elapsed()
-	if err != nil {
-		return 0, fmt.Errorf("waiter after lapsed lease: %w", err)
-	}
-	if f2 <= f1 {
-		return 0, fmt.Errorf("reclaiming fence %d does not outrank lapsed fence %d", f2, f1)
-	}
-	if err := nodes[3].Unlock(key, f1); !errors.Is(err, lockspace.ErrLeaseExpired) {
-		return 0, fmt.Errorf("lapsed holder's unlock = %v, want ErrLeaseExpired", err)
-	}
-	if err := nodes[1].Unlock(key, f2); err != nil {
-		return 0, fmt.Errorf("reclaimer unlock: %w", err)
-	}
-	return latency, nil
 }

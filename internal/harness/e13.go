@@ -125,14 +125,7 @@ func E13Sharded(o Options, cells []E13Cell) ([]E13Row, error) {
 	for i, c := range cells {
 		rows[i], _ = mergeE13(c, slices[i*e13Slices:(i+1)*e13Slices])
 	}
-	if o.Autopsy != nil {
-		for _, s := range slices {
-			if len(s.autopsy) > 0 {
-				// A diagnostic: failing to write it must not fail the sweep.
-				_, _ = o.Autopsy.Write(s.autopsy)
-			}
-		}
-	}
+	o.writeAutopsies(slices)
 	return rows, nil
 }
 
@@ -191,7 +184,7 @@ func runE13Slice(o Options, c E13Cell, slice int, members []int32) (keyedRun, er
 	}
 	return runKeyed(o, keyedCell{p: c.P, keys: len(members), skew: c.Skew,
 		seed: workload.ShardSeed(seed, slice), count: perKey * len(members),
-		crash: slice == lockspace.InstanceShard(0, e13Slices), slice: slice})
+		crash: slice == lockspace.InstanceShard(0, e13Slices), reason: fmt.Sprintf("shard-slice-%d-stalled", slice)})
 }
 
 // formatE13 renders the sliced sweep. Deliberately absent: the worker

@@ -54,7 +54,8 @@ func (r E9Row) strict() error {
 }
 
 // E9Lockspace sweeps instance counts × skews at cube order p. Cells are
-// independent and seeded from their coordinates, so the sweep is
+// independent and seeded from their coordinates, so the sweep — and the
+// stalled cells' autopsies, written after it in cell order — is
 // byte-identical at any parallelism.
 func E9Lockspace(o Options, p int, keyCounts []int) ([]E9Row, error) {
 	type cell struct {
@@ -67,35 +68,43 @@ func E9Lockspace(o Options, p int, keyCounts []int) ([]E9Row, error) {
 			cells = append(cells, cell{keys: k, skew: s})
 		}
 	}
-	return forEach(o.Workers, len(cells), func(i int) (E9Row, error) {
+	runs := make([]keyedRun, len(cells))
+	rows, err := forEach(o.Workers, len(cells), func(i int) (E9Row, error) {
 		c := cells[i]
-		row, _, err := runE9(o, p, c.keys, c.skew)
+		row, r, err := runE9(o, p, c.keys, c.skew)
 		if err != nil {
 			err = fmt.Errorf("harness: e9 k=%d/%s: %w", c.keys, c.skew, err)
 		}
+		runs[i] = r
 		return row, err
 	})
+	if err != nil {
+		return nil, err
+	}
+	o.writeAutopsies(runs)
+	return rows, nil
 }
 
-// runE9 is one lockspace cell: a keyed schedule of max(6K, 4N) requests
-// over K instances, carrying the crash. Beside the row it returns the
-// messages delivered. The K=1 cell carries the crash too: its historical
-// exemption existed only because a single-mutex crash at N=256 under load
-// used to land in the DESIGN.md §7 storm residual, which the §7 fix removed.
-func runE9(o Options, p, keys int, skew string) (E9Row, int64, error) {
+// runE9 is one lockspace cell — a keyed schedule of max(6K, 4N) requests
+// over K instances, carrying the crash — as its row and its raw run. The
+// K=1 cell carries the crash too: its historical exemption existed only
+// because a single-mutex crash at N=256 under load used to land in the
+// DESIGN.md §7 storm residual, which the §7 fix removed.
+func runE9(o Options, p, keys int, skew string) (E9Row, keyedRun, error) {
 	// Per-cell seed: a fixed mix of the coordinates, so adding or
 	// reordering cells never changes another cell's draw stream.
 	seed := o.Seed + int64(keys)*7919
 	if skew == "zipf" {
 		seed++
 	}
-	r, err := runKeyed(o, keyedCell{p: p, keys: keys, skew: skew, seed: seed, count: max(6*keys, 4<<p), crash: true})
+	r, err := runKeyed(o, keyedCell{p: p, keys: keys, skew: skew, seed: seed, count: max(6*keys, 4<<p),
+		crash: true, reason: fmt.Sprintf("e9-k%d-%s-stalled", keys, skew)})
 	row := E9Row{N: 1 << p, Keys: keys, Skew: skew, Requests: r.scheduled, Grants: r.grants,
 		Regens: r.regens, Stale: r.stale, Violations: r.violations, States: r.states, Completed: r.stalled == 0}
 	if row.Grants > 0 {
 		row.MsgsPerCS = float64(r.msgs) / float64(row.Grants)
 	}
-	return row, r.msgs, err
+	return row, r, err
 }
 
 // formatE9 renders the lockspace sweep.

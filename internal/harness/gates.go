@@ -32,8 +32,8 @@ func Gates() []Gate {
 	}
 	e9 := func(name string, keys int) Gate {
 		return Gate{name, "msgs/grant", func(o Options) (int64, float64, error) {
-			row, msgs, err := runE9(o, 4, keys, "zipf")
-			return perGrant(msgs, row.Grants, row.strict(), err)
+			row, r, err := runE9(o, 4, keys, "zipf")
+			return perGrant(r.msgs, row.Grants, row.strict(), err)
 		}}
 	}
 	return []Gate{

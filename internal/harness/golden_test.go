@@ -3,13 +3,12 @@ package harness
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from the current harness")
@@ -41,19 +40,19 @@ func checkGolden(t *testing.T, name, got string) {
 // files were recorded before the refactors they have outlived — E5 and E6
 // on the deleted mutexsim driver's engine, E9 and E13 while the simulated
 // multiplexer still stepped its instances itself, the rest before the
-// registry existed. Every table is also run with a flight recorder on
-// every network, as under `ocmxbench -obs`, against the same file: the
-// recorder observes and never changes a byte.
+// registry existed. Every table is also run with an autopsy writer, which
+// puts a flight recorder on every keyed space as under `ocmxbench -obs`,
+// against the same file: the recorder observes and never changes a byte.
 func TestGoldenTables(t *testing.T) {
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
-			for _, depth := range []int{0, obs.DefaultFlightDepth} {
-				rep, err := e.Run(Options{Seed: 1993, Workers: 2, FlightDepth: depth})
+			for _, autopsy := range []io.Writer{nil, io.Discard} {
+				rep, err := e.Run(Options{Seed: 1993, Workers: 2, Autopsy: autopsy})
 				if err != nil {
-					t.Fatalf("flight depth %d: %v", depth, err)
+					t.Fatalf("autopsy %v: %v", autopsy != nil, err)
 				}
 				if rep.Strict != nil {
-					t.Errorf("flight depth %d: -strict would fail: %v", depth, rep.Strict)
+					t.Errorf("autopsy %v: -strict would fail: %v", autopsy != nil, rep.Strict)
 				}
 				checkGolden(t, e.Name+"_seed1993", rep.Table+"\n")
 			}

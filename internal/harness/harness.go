@@ -11,12 +11,12 @@
 // Every simulated cell is built by one of two functions: simulate for a
 // single-mutex sim.Network, which attaches the cell's message recorder,
 // and runKeyed for a lockspace.Space (E9, and each slice of E13), which
-// attaches the Options.FlightDepth flight recorder its stall autopsy
-// reads.
+// attaches the flight recorder its stall autopsy (Options.Autopsy) reads.
 //
 // Every experiment is deterministic given its seed, and stays so when the
 // independent (p, seed, probe) cells are spread over Options.Workers
-// workers: tables are byte-identical for any worker count.
+// workers: tables are byte-identical for any worker count. No experiment
+// reads the clock or starts a live node; none writes but to Options.Autopsy.
 package harness
 
 import (
@@ -48,27 +48,14 @@ type Options struct {
 	// Workers is the number of goroutines independent cells (and E13's
 	// slices) are spread over; <= 1 is the sequential sweep.
 	Workers int
-	// FlightDepth > 0 attaches a token-lineage flight recorder
-	// (internal/obs) of that depth to every keyed space runKeyed builds,
-	// where an E13 slice's stall autopsy (Autopsy) reads it.
-	FlightDepth int
-	// Autopsy, when non-nil, receives a JSONL autopsy for every E13 slice
-	// that stalls, after the sweep and in (cell, slice) order.
+	// Autopsy, when non-nil, puts an obs.DefaultFlightDepth flight
+	// recorder on every keyed space runKeyed builds, and receives the JSONL
+	// autopsy of every keyed run that stalls (E9 cells, E13 slices) after
+	// the sweep, in cell order.
 	Autopsy io.Writer
 	// Metrics, when non-nil, receives what a run exports beside its
-	// table: experiments run and their wall-clock, E11's acknowledgment
-	// counters.
+	// table: the experiments run, E11's acknowledgment counters.
 	Metrics *obs.Registry
-}
-
-// flight returns a fresh flight recorder for one keyed space, or nil when
-// recording is off. Each space gets its own: sweeps run cells in parallel
-// and lineage is only read for autopsies, never merged.
-func (o Options) flight() *obs.Flight {
-	if o.FlightDepth <= 0 {
-		return nil
-	}
-	return obs.NewFlight(o.FlightDepth)
 }
 
 // ftNodeConfig is the node configuration used by the failure experiments.

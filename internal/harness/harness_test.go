@@ -335,6 +335,26 @@ func TestE9NoStalledCells(t *testing.T) {
 	}
 }
 
+// TestWriteAutopsies: E9 and E13 hand their runs, in cell order, to one
+// writer, which writes the autopsies the stalled runs carry in that order
+// and nothing for a run that settled.
+func TestWriteAutopsies(t *testing.T) {
+	stalled := func(s string) keyedRun { return keyedRun{stalled: 1, autopsy: []byte(s)} }
+	for _, tc := range []struct {
+		runs []keyedRun
+		want string
+	}{
+		{[]keyedRun{{}, stalled("cell 1\n")}, "cell 1\n"},
+		{[]keyedRun{stalled("cell 0\n"), stalled("cell 1\n")}, "cell 0\ncell 1\n"},
+	} {
+		var b strings.Builder
+		Options{Autopsy: &b}.writeAutopsies(tc.runs)
+		if b.String() != tc.want {
+			t.Errorf("wrote %q, want %q", b.String(), tc.want)
+		}
+	}
+}
+
 func TestE10SteadyChurnShape(t *testing.T) {
 	// The steady-state experiment the §7 fix unblocks: continuous churn
 	// concurrent with load, no episode boundaries. Every run must settle

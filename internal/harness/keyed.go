@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/lockspace"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -22,7 +23,7 @@ type keyedCell struct {
 	seed    int64  // seeds the schedule, the delays and the CS durations
 	count   int    // requests drawn over the horizon
 	crash   bool   // key 0's second grant crashes its holder
-	slice   int    // names the autopsy of a run that does not settle
+	reason  string // names the autopsy of a run that does not settle
 }
 
 // keyedRun is one keyed run's raw measurement, mergeable across slices.
@@ -32,6 +33,21 @@ type keyedRun struct {
 	waits                                   *metrics.Summary // accept→grant
 	// autopsy is the stalled run's JSONL dump, written after the sweep.
 	autopsy []byte
+}
+
+// writeAutopsies writes the autopsies the runs carry to o.Autopsy, in run
+// order: a sweep hands its runs in cell order (E13: cell, then slice) once
+// every worker is done, so the bytes do not depend on -parallel.
+func (o Options) writeAutopsies(runs []keyedRun) {
+	if o.Autopsy == nil {
+		return
+	}
+	for _, r := range runs {
+		if len(r.autopsy) > 0 {
+			// A diagnostic: failing to write it must not fail the sweep.
+			_, _ = o.Autopsy.Write(r.autopsy)
+		}
+	}
 }
 
 // runKeyed simulates one keyed cell, a pure function of (o.Seed, c):
@@ -80,6 +96,10 @@ func runKeyed(o Options, c keyedCell) (keyedRun, error) {
 	node := ftNodeConfig()
 	node.SuspicionSlack += time.Duration(8*c.p) * delta
 	rec := &trace.Recorder{}
+	var fl *obs.Flight // one per space: cells run in parallel, lineage is never merged
+	if o.Autopsy != nil {
+		fl = obs.NewFlight(obs.DefaultFlightDepth)
+	}
 	sp, err := lockspace.NewSpace(lockspace.SpaceConfig{
 		P:         c.p,
 		Instances: c.keys,
@@ -88,7 +108,7 @@ func runKeyed(o Options, c keyedCell) (keyedRun, error) {
 		Delay:     sim.UniformDelay(delta/2, delta),
 		CSTime:    csTime(delta),
 		Recorder:  rec,
-		Flight:    o.flight(),
+		Flight:    fl,
 	})
 	if err != nil {
 		return res, err
@@ -117,7 +137,7 @@ func runKeyed(o Options, c keyedCell) (keyedRun, error) {
 		res.stalled = 1
 		if o.Autopsy != nil {
 			var buf bytes.Buffer
-			if sp.Autopsy(&buf, fmt.Sprintf("shard-slice-%d-stalled", c.slice)) == nil {
+			if sp.Autopsy(&buf, c.reason) == nil {
 				res.autopsy = buf.Bytes()
 			}
 		}

@@ -3,9 +3,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"time"
-
-	"repro/internal/obs"
 )
 
 // Report is what one experiment hands the CLI.
@@ -16,9 +13,6 @@ type Report struct {
 	// Strict is the first row -strict fails on, nil when every liveness
 	// and safety gate of the table holds.
 	Strict error
-	// Note is what the experiment says on stderr: wall-clock readings,
-	// which no one may compare.
-	Note string
 }
 
 // Experiment is one table of the evaluation.
@@ -30,13 +24,10 @@ type Experiment struct {
 
 // Run sweeps the experiment at o's scale and counts it in o.Metrics.
 func (e Experiment) Run(o Options) (Report, error) {
-	start := obs.StartStopwatch()
 	rep, err := e.run(o)
 	if o.Metrics != nil {
 		o.Metrics.Counter("ocmx_experiments_total",
 			"Experiments executed this run.", "exp", e.Name).Inc()
-		o.Metrics.Gauge("ocmx_experiment_seconds",
-			"Wall-clock duration of the experiment.", "exp", e.Name).Set(start.Elapsed().Seconds())
 	}
 	return rep, err
 }
@@ -126,31 +117,14 @@ func Experiments() []Experiment {
 		}},
 		{"e11", func(o Options) (Report, error) {
 			rows, err := E11LossyRecovery(o, pick(o, 4, 5))
-			rep, err := report(rows, err, formatE11, E11Row.strict)
-			if err != nil {
-				return rep, err
-			}
-			if o.Metrics != nil {
+			if err == nil && o.Metrics != nil {
 				e11Export(o.Metrics, rows)
 			}
-			// The live half: wall-clock lease-reclaim latency on loopback,
-			// environment wall time and so never part of the table.
-			lat, err := e11LeaseReclaim(100 * time.Millisecond)
-			if err != nil {
-				return rep, fmt.Errorf("lease reclaim: %w", err)
-			}
-			rep.Note = fmt.Sprintf("e11: live lease-reclaim latency (ttl=100ms, lossy loopback sessions): %v\n", lat)
-			return rep, nil
+			return report(rows, err, formatE11, E11Row.strict)
 		}},
 		{"e13", func(o Options) (Report, error) {
-			start := obs.StartStopwatch()
 			rows, err := E13Sharded(o, e13Cells(o.Full))
-			rep, err := report(rows, err, formatE13, E13Row.strict)
-			if err == nil {
-				rep.Note = fmt.Sprintf("e13: swept %d cells in %v\n",
-					len(rows), start.Elapsed().Round(time.Millisecond))
-			}
-			return rep, err
+			return report(rows, err, formatE13, E13Row.strict)
 		}},
 	}
 }

@@ -23,7 +23,7 @@ func newLeasedSpace(t *testing.T, p int, ttl time.Duration, ft bool) []*Lockspac
 			CSEstimate: 10 * time.Millisecond, SuspicionSlack: 5 * time.Millisecond,
 		}
 	}
-	nodes, _ := newSessMeshSpace(t, p, tmpl)
+	nodes, _ := newSessMeshSpace(t, p, tmpl, 0)
 	return nodes
 }
 
@@ -65,37 +65,46 @@ func TestCancelledWaiterConsumesNoGrant(t *testing.T) {
 // TestLeaseExpiryReclaimsLock: a holder that goes silent past the TTL
 // loses the lock through the ordinary exit protocol — the next waiter is
 // served with a higher fence, and the zombie's Unlock/Keepalive report
-// ErrLeaseExpired.
+// ErrLeaseExpired. It holds on a lossless mesh and on one that loses
+// every other data frame — here the reclaimed token's first send — which
+// the sessions repair.
 func TestLeaseExpiryReclaimsLock(t *testing.T) {
-	nodes := newLeasedSpace(t, 1, 50*time.Millisecond, false)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	f1, err := nodes[0].Lock(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The holder never unlocks and never heartbeats. A waiter on the
-	// other node must get through once the lease lapses.
-	start := time.Now()
-	f2, err := nodes[1].Lock(ctx, "k")
-	if err != nil {
-		t.Fatalf("waiter after lapsed lease: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("lock reclaimed after %v, before the lease could lapse", elapsed)
-	}
-	if f2 <= f1 {
-		t.Errorf("reclaiming grant fence = %d, want > %d", f2, f1)
-	}
-	// The expired holder's fence is dead.
-	if err := nodes[0].Unlock("k", f1); !errors.Is(err, ErrLeaseExpired) {
-		t.Errorf("expired holder's unlock = %v, want ErrLeaseExpired", err)
-	}
-	if err := nodes[0].Keepalive("k", f1); !errors.Is(err, ErrLeaseExpired) {
-		t.Errorf("expired holder's keepalive = %v, want ErrLeaseExpired", err)
-	}
-	if err := nodes[1].Unlock("k", f2); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name      string
+		lossEvery int
+	}{{"lossless", 0}, {"every_2nd_data_frame_lost", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, _ := newSessMeshSpace(t, 1, Config{LeaseTTL: 50 * time.Millisecond}, tc.lossEvery)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			f1, err := nodes[0].Lock(ctx, "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The holder never unlocks and never heartbeats. A waiter on the
+			// other node must get through once the lease lapses.
+			start := time.Now()
+			f2, err := nodes[1].Lock(ctx, "k")
+			if err != nil {
+				t.Fatalf("waiter after lapsed lease: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
+				t.Errorf("lock reclaimed after %v, before the lease could lapse", elapsed)
+			}
+			if f2 <= f1 {
+				t.Errorf("reclaiming grant fence = %d, want > %d", f2, f1)
+			}
+			// The expired holder's fence is dead.
+			if err := nodes[0].Unlock("k", f1); !errors.Is(err, ErrLeaseExpired) {
+				t.Errorf("expired holder's unlock = %v, want ErrLeaseExpired", err)
+			}
+			if err := nodes[0].Keepalive("k", f1); !errors.Is(err, ErrLeaseExpired) {
+				t.Errorf("expired holder's keepalive = %v, want ErrLeaseExpired", err)
+			}
+			if err := nodes[1].Unlock("k", f2); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
