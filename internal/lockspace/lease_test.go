@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ocube"
+	"repro/internal/transport"
 )
 
 // Fencing, lease-expiry, and cancellation tests (PR 6): the client-visible
@@ -23,7 +25,7 @@ func newLeasedSpace(t *testing.T, p int, ttl time.Duration, ft bool) []*Lockspac
 			CSEstimate: 10 * time.Millisecond, SuspicionSlack: 5 * time.Millisecond,
 		}
 	}
-	nodes, _ := newSessMeshSpace(t, p, tmpl, 0)
+	nodes, _ := newSessMeshSpace(t, p, tmpl)
 	return nodes
 }
 
@@ -70,11 +72,32 @@ func TestCancelledWaiterConsumesNoGrant(t *testing.T) {
 // the sessions repair.
 func TestLeaseExpiryReclaimsLock(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		lossEvery int
-	}{{"lossless", 0}, {"every_2nd_data_frame_lost", 2}} {
+		name  string
+		lossy bool
+	}{{"lossless", false}, {"every_2nd_data_frame_lost", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			nodes, _ := newSessMeshSpace(t, 1, Config{LeaseTTL: 50 * time.Millisecond}, tc.lossEvery)
+			mesh, err := transport.NewSessMesh(2, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.lossy {
+				data := 0 // Drop runs under the mesh's lock, and never once it is closed
+				mesh.Drop = func(_ ocube.Pos, f transport.SessFrame) bool {
+					if f.Seq == 0 {
+						return false // a pure ack
+					}
+					data++
+					return data%2 == 0
+				}
+				// Registered before the nodes' stop, so it runs after the
+				// mesh is closed.
+				t.Cleanup(func() {
+					if data < 2 {
+						t.Errorf("the mesh carried %d data frames and lost none", data)
+					}
+				})
+			}
+			nodes, _ := startOnMesh(t, mesh, 1, Config{LeaseTTL: 50 * time.Millisecond})
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			f1, err := nodes[0].Lock(ctx, "k")

@@ -16,7 +16,7 @@ import (
 // the sessions under it are reliable.
 func newLiveSpace(t *testing.T, p int) []*Lockspace {
 	t.Helper()
-	nodes, _ := newSessMeshSpace(t, p, Config{}, 0)
+	nodes, _ := newSessMeshSpace(t, p, Config{})
 	return nodes
 }
 

@@ -199,33 +199,21 @@ func newSessions(t *testing.T, n int) (sessions []*transport.Session, stop func(
 }
 
 // newSessMeshSpace starts 2^p nodes with Start on one in-memory SessMesh,
-// each from tmpl with its own position filled in. With lossEvery > 0 the
-// mesh loses every lossEvery-th data frame, which the sessions repair,
-// and the test fails if it lost none; 0 is a lossless mesh. stop closes
-// the nodes, their sessions and the mesh; it also runs with the test's
-// cleanup.
-func newSessMeshSpace(t *testing.T, p int, tmpl Config, lossEvery int) (nodes []*Lockspace, stop func()) {
+// each from tmpl with its own position filled in. stop closes the nodes,
+// their sessions and the mesh; it also runs with the test's cleanup.
+func newSessMeshSpace(t *testing.T, p int, tmpl Config) (nodes []*Lockspace, stop func()) {
 	t.Helper()
 	mesh, err := transport.NewSessMesh(1<<p, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lossEvery > 0 {
-		data := 0 // Drop runs under the mesh's lock, and never once it is closed
-		mesh.Drop = func(_ ocube.Pos, f transport.SessFrame) bool {
-			if f.Seq == 0 {
-				return false // a pure ack
-			}
-			data++
-			return data%lossEvery == 0
-		}
-		// Registered before stop, so it runs after the mesh is closed.
-		t.Cleanup(func() {
-			if data < lossEvery {
-				t.Errorf("the mesh carried %d data frames and lost none", data)
-			}
-		})
-	}
+	return startOnMesh(t, mesh, p, tmpl)
+}
+
+// startOnMesh is newSessMeshSpace on a mesh the caller built, for a test
+// that sets the mesh's Drop before any traffic.
+func startOnMesh(t *testing.T, mesh *transport.SessMesh, p int, tmpl Config) (nodes []*Lockspace, stop func()) {
+	t.Helper()
 	for i := 0; i < 1<<p; i++ {
 		cfg := tmpl
 		cfg.Node.Self, cfg.Node.P = ocube.Pos(i), p
@@ -287,7 +275,7 @@ func quietFT(reg *obs.Registry) Config {
 func TestWheelHoldsOnlyLiveDeadlines(t *testing.T) {
 	const keys, holds, holder = 256, 5, 5
 	reg := obs.NewRegistry()
-	nodes, _ := newSessMeshSpace(t, 3, quietFT(reg), 0)
+	nodes, _ := newSessMeshSpace(t, 3, quietFT(reg))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -550,7 +538,7 @@ func TestCutPeerDoesNotParkCallers(t *testing.T) {
 func TestCallsRaceIngressAndClose(t *testing.T) {
 	const clients, keys, patience = 16, 4, 5 * time.Second
 	baseline := runtime.NumGoroutine()
-	nodes, closeAll := newSessMeshSpace(t, 1, quietFT(nil), 0)
+	nodes, closeAll := newSessMeshSpace(t, 1, quietFT(nil))
 
 	var gate metrics.FenceGate
 	var inside [keys]atomic.Int32

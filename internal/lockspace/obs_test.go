@@ -21,7 +21,7 @@ import (
 // recorder attached to every node.
 func newObsLiveSpace(t *testing.T, p int, reg *obs.Registry, fl *obs.Flight) []*Lockspace {
 	t.Helper()
-	nodes, _ := newSessMeshSpace(t, p, Config{Metrics: reg, Flight: fl}, 0)
+	nodes, _ := newSessMeshSpace(t, p, Config{Metrics: reg, Flight: fl})
 	return nodes
 }
 
@@ -89,7 +89,7 @@ func TestLiveMetricsAndLineage(t *testing.T) {
 // cancelled leaves the count with the step that cancelled it.
 func TestDeadlinesPendingGauge(t *testing.T) {
 	reg := obs.NewRegistry()
-	nodes, _ := newSessMeshSpace(t, 0, Config{LeaseTTL: time.Hour, Metrics: reg}, 0)
+	nodes, _ := newSessMeshSpace(t, 0, Config{LeaseTTL: time.Hour, Metrics: reg})
 	ls := nodes[0]
 	var err error
 	pending := reg.Gauge("ocmx_lock_deadlines_pending", "", "node", "0")
@@ -225,7 +225,7 @@ func TestFlightKeepsCallersObserve(t *testing.T) {
 			}
 		}},
 		{"New", []string{"request", "grant"}, func(t *testing.T, node core.Config, fl *obs.Flight) {
-			nodes, stop := newSessMeshSpace(t, 1, Config{Node: node, Flight: fl}, 0)
+			nodes, stop := newSessMeshSpace(t, 1, Config{Node: node, Flight: fl})
 			f, err := nodes[1].Lock(context.Background(), "k")
 			if err != nil {
 				t.Fatal(err)
