@@ -3,25 +3,25 @@
 //
 // Two modes:
 //
-//	ocmxchaos local [-p 3] [-duration 60s] [-seed 1] [-keys 64] [-zipf 1.1]
-//	                [-clients 2] [-ttl 250ms] [-kills 3] [-partitions 2]
-//	                [-patience 15s] [-strict] [-v]
+//	ocmxchaos local [-p 3] [-duration 60s] [-seed 1] [-strict] [-v]
 //	                [-metrics host:port] [-autopsy FILE]
 //
 // runs the whole cluster in-process: goroutine nodes over an in-memory
-// session mesh, Zipf-keyed client traffic, seeded kills / partitions /
-// drop bursts / zombie holds, and the full Antithesis-style property
-// suite (internal/props) evaluated inline. Exit status 1 when any
-// always assertion fails — or, with -strict, when any sometimes or
-// reachable assertion goes unreached. This is the CI chaos-smoke job.
+// session mesh, Zipf-keyed client traffic (64 keys, skew 1.1, two
+// clients per node, a 250 ms lease), seeded kills / partitions / drop
+// bursts / zombie holds, and the full Antithesis-style property suite
+// (internal/props) evaluated inline. Exit status 1 when any always
+// assertion fails — or, with -strict, when any sometimes or reachable
+// assertion goes unreached. This is the CI chaos-smoke job. -metrics
+// serves the run's registry; -autopsy also attaches the flight recorder
+// whose lineage a failed verdict's autopsy carries.
 //
 //	ocmxchaos node -self 0 -addrs host0:7000,host1:7000,... -dir /data
-//	               [-ttl 250ms] [-keys 64] [-zipf 1.1] [-hold 2ms] [-seed 1]
 //	               [-metrics host:port]
 //
 // runs ONE cluster member as a real OS process over TCP: a lockspace
-// node plus its own Zipf client loop, emitting one JSON event per line
-// on stdout. The -dir directory holds stable.jsonl (append-only,
+// node (250 ms lease, 50 ms delay bound) plus its own client loop over
+// 64 Zipf keys, emitting one JSON event per line on stdout. The -dir directory holds stable.jsonl (append-only,
 // torn-tail tolerant): the node's §5 stable storage and, beside it, its
 // session boot (lockspace.Start's life record), so the process is
 // SIGKILL-able: a restart with the same -dir comes back with a higher
@@ -80,13 +80,6 @@ func runLocal(args []string) error {
 	p := fs.Int("p", 3, "cube order: the cluster runs 1<<p nodes")
 	duration := fs.Duration("duration", 60*time.Second, "traffic phase length")
 	seed := fs.Int64("seed", 1, "schedule seed (fault plan, keys, pacing)")
-	keys := fs.Int("keys", 64, "key-space size")
-	zipf := fs.Float64("zipf", 1.1, "Zipf skew of key popularity")
-	clients := fs.Int("clients", 2, "client goroutines per node")
-	ttl := fs.Duration("ttl", 250*time.Millisecond, "lease TTL")
-	kills := fs.Int("kills", 3, "minimum kills in the generated plan")
-	partitions := fs.Int("partitions", 2, "minimum partitions in the generated plan")
-	patience := fs.Duration("patience", 15*time.Second, "per-lock stuck threshold")
 	strict := fs.Bool("strict", false, "unreached coverage fails the run (CI gate)")
 	verbose := fs.Bool("v", false, "log fault injections as they happen")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address during the run")
@@ -95,29 +88,14 @@ func runLocal(args []string) error {
 		return err
 	}
 
-	cfg := chaos.Config{
-		P:              *p,
-		Seed:           *seed,
-		Duration:       *duration,
-		Keys:           *keys,
-		ZipfS:          *zipf,
-		ClientsPerNode: *clients,
-		LeaseTTL:       *ttl,
-		Kills:          *kills,
-		Partitions:     *partitions,
-		Patience:       *patience,
-		Strict:         *strict,
-	}
+	cfg := chaos.Config{P: *p, Seed: *seed, Duration: *duration, Strict: *strict}
 	if *verbose {
 		cfg.Log = func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		}
 	}
-	if *metricsAddr != "" || *autopsyPath != "" {
-		cfg.Metrics = obs.NewRegistry()
-		cfg.Flight = obs.NewFlight(obs.DefaultFlightDepth)
-	}
 	if *metricsAddr != "" {
+		cfg.Metrics = obs.NewRegistry()
 		srv, addr, err := obs.Serve(*metricsAddr, cfg.Metrics)
 		if err != nil {
 			return err
@@ -131,7 +109,7 @@ func runLocal(args []string) error {
 			return err
 		}
 		defer f.Close()
-		cfg.Autopsy = f
+		cfg.Flight, cfg.Autopsy = obs.NewFlight(obs.DefaultFlightDepth), f
 	}
 	res, err := chaos.Run(cfg)
 	if err != nil {

@@ -42,6 +42,19 @@ type nodeEvent struct {
 	Err   string `json:"err,omitempty"`
 }
 
+// The node's settings: its lease, its failure detector's message-delay
+// bound, and its client loop's keys, skew, dwell, stuck threshold and
+// pacing seed.
+const (
+	nodeTTL      = 250 * time.Millisecond
+	nodeDelta    = 50 * time.Millisecond
+	nodeKeys     = 64
+	nodeZipfS    = 1.1
+	nodeHold     = 2 * time.Millisecond
+	nodePatience = 15 * time.Second
+	nodeSeed     = 1
+)
+
 func emit(ev nodeEvent) {
 	ev.T = time.Now().UTC().Format(time.RFC3339Nano)
 	b, err := json.Marshal(ev)
@@ -56,13 +69,6 @@ func runNode(args []string) error {
 	self := fs.Int("self", 0, "this node's cube position")
 	addrsFlag := fs.String("addrs", "", "comma-separated host:port for every node, position order (required, length 1<<p)")
 	dir := fs.String("dir", "", "state directory: stable.jsonl, the node's boot and stable storage, survives SIGKILL (required)")
-	ttl := fs.Duration("ttl", 250*time.Millisecond, "lease TTL")
-	keys := fs.Int("keys", 64, "key-space size")
-	zipfS := fs.Float64("zipf", 1.1, "Zipf skew of key popularity")
-	hold := fs.Duration("hold", 2*time.Millisecond, "critical-section dwell per grant")
-	patience := fs.Duration("patience", 15*time.Second, "per-lock stuck threshold")
-	seed := fs.Int64("seed", 1, "client pacing seed")
-	delta := fs.Duration("delta", 50*time.Millisecond, "failure-detector message-delay bound")
 	metricsAddr := fs.String("metrics", "", "serve /metrics and /debug/pprof on this address")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -94,10 +100,8 @@ func runNode(args []string) error {
 	defer stable.Close()
 
 	var reg *obs.Registry
-	var fl *obs.Flight
 	if *metricsAddr != "" {
 		reg = obs.NewRegistry()
-		fl = obs.NewFlight(obs.DefaultFlightDepth)
 	}
 
 	link, err := transport.NewSessTCP(ocube.Pos(*self), addrs)
@@ -110,13 +114,12 @@ func runNode(args []string) error {
 	space, err := lockspace.Start(link, transport.SessionConfig{}, lockspace.Config{
 		Node: core.Config{
 			Self: ocube.Pos(*self), P: p, FT: true, EpochFence: true,
-			Delta: *delta, CSEstimate: *delta,
-			SuspicionSlack: 2 * *delta,
+			Delta: nodeDelta, CSEstimate: nodeDelta,
+			SuspicionSlack: 2 * nodeDelta,
 		},
-		LeaseTTL: *ttl,
+		LeaseTTL: nodeTTL,
 		Stable:   stable,
 		Metrics:  reg,
-		Flight:   fl,
 	})
 	if err != nil {
 		return err
@@ -133,7 +136,7 @@ func runNode(args []string) error {
 		fmt.Fprintf(os.Stderr, "ocmxchaos: node %d serving /metrics and /debug/pprof/ on http://%s\n", *self, maddr)
 	}
 
-	zipf, err := workload.NewZipf(*keys, *zipfS)
+	zipf, err := workload.NewZipf(nodeKeys, nodeZipfS)
 	if err != nil {
 		return err
 	}
@@ -141,10 +144,10 @@ func runNode(args []string) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rng := rand.New(rand.NewSource(*seed ^ int64(*self)*2654435761))
+	rng := rand.New(rand.NewSource(nodeSeed ^ int64(*self)*2654435761))
 	for ctx.Err() == nil {
 		key := fmt.Sprintf("key-%03d", zipf.Sample(rng))
-		lctx, cancel := context.WithTimeout(ctx, *patience)
+		lctx, cancel := context.WithTimeout(ctx, nodePatience)
 		fence, err := space.Lock(lctx, key)
 		timedOut := lctx.Err() == context.DeadlineExceeded
 		cancel()
@@ -159,9 +162,7 @@ func runNode(args []string) error {
 			continue
 		}
 		emit(nodeEvent{Node: *self, Boot: boot, Event: "grant", Key: key, Fence: fence})
-		if *hold > 0 {
-			time.Sleep(time.Duration(rng.Int63n(int64(*hold))) + 1)
-		}
+		time.Sleep(time.Duration(rng.Int63n(int64(nodeHold))) + 1)
 		switch uerr := space.Unlock(key, fence); {
 		case uerr == nil:
 			emit(nodeEvent{Node: *self, Boot: boot, Event: "release", Key: key, Fence: fence})

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -127,4 +128,35 @@ func funcLabel(d *ast.FuncDecl) string {
 		}
 	}
 	return "method (" + recv + ")." + d.Name.Name
+}
+
+// TestExperimentsE11TableIsTheGolden compares the first fenced block
+// under EXPERIMENTS.md's "## E11" heading with E11's golden table,
+// minus the golden's title line and the blank line that ends every
+// printed table. The doc copy is written by hand; this keeps it equal.
+func TestExperimentsE11TableIsTheGolden(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("internal/harness/testdata/e11_seed1993.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n## E11")
+	if !ok {
+		t.Fatal(`EXPERIMENTS.md has no "## E11" heading`)
+	}
+	_, block, ok := strings.Cut(section, "\n```\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md: no fenced block under ## E11")
+	}
+	table, _, ok := strings.Cut(block, "```\n")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md: the fenced block under ## E11 is not closed")
+	}
+	_, want, _ := strings.Cut(strings.TrimSuffix(string(golden), "\n"), "\n")
+	if table != want {
+		t.Errorf("EXPERIMENTS.md ## E11 table differs from e11_seed1993.golden:\ndoc:\n%s\ngolden:\n%s", table, want)
+	}
 }

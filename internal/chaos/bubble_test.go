@@ -11,7 +11,7 @@
 // outside the bubble catches it.
 //
 // Run it with the experiment on (Go 1.24); -v prints each seed's longest
-// lease reclaim and how many seeds took more than twice the lease:
+// reclaim wait and how many seeds had one longer than twice the lease:
 //
 //	GOEXPERIMENT=synctest go test -v -count=1 -cpu 1 -run Bubble ./internal/chaos
 //
@@ -46,8 +46,8 @@ const bubbleDeadline = 20 * time.Second
 // wall-clock deadline, which in a bubble means a livelock. A missed
 // deadline ends the sweep: the spinning bubble cannot be stopped, and it
 // would starve every later seed of the one processor. The sweep logs how
-// many seeds reclaimed a lapsed lock later than twice the lease, which
-// no assertion bounds yet.
+// many seeds had a client wait longer than twice the lease for a lapsed
+// lock, which no assertion bounds yet.
 func TestBubbleSweep(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	lease := smokeConfig(0).LeaseTTL
@@ -72,7 +72,8 @@ func TestBubbleSweep(t *testing.T) {
 
 // bubbleSeed runs one smoke seed in a bubble and judges it, setting
 // *hung when the bubble misses its deadline. It returns the seed's longest
-// lease reclaim.
+// reclaim wait (Totals.MaxReclaim: from the later of the lapse and the
+// reclaiming client's Lock call to its grant).
 func bubbleSeed(t *testing.T, seed int64, hung *bool) time.Duration {
 	replay := fmt.Sprintf("GOEXPERIMENT=synctest go test -count=1 -cpu 1 -run 'TestBubbleSweep/smoke/seed%d$' ./internal/chaos", seed)
 	cfg := smokeConfig(seed)
@@ -105,6 +106,7 @@ func bubbleSeed(t *testing.T, seed int64, hung *bool) time.Duration {
 	if !res.Drained {
 		t.Fatalf("smoke seed %d: cluster failed to quiesce; replay: %s\n%s", seed, replay, props.Format(res.Report))
 	}
-	t.Logf("smoke seed %d: %d grants, %d reclaims (max %v)", seed, res.Totals.Grants, res.Totals.Reclaims, res.Totals.MaxReclaim)
+	t.Logf("smoke seed %d: %d grants, %d reclaims (max %v, lapse to grant %v)", seed, res.Totals.Grants,
+		res.Totals.Reclaims, res.Totals.MaxReclaim, res.Totals.MaxLapseToGrant)
 	return res.Totals.MaxReclaim
 }

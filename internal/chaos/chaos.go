@@ -82,6 +82,15 @@ type Fault struct {
 	Down time.Duration
 }
 
+// Settings no run varies: client goroutines per node, partitions in a
+// generated plan, and how long a client waits for one Lock before
+// declaring it stuck (a PropNoStuck failure).
+const (
+	clientsPerNode = 2
+	planPartitions = 2
+	patience       = 15 * time.Second
+)
+
 // Config parameterizes a chaos run. Zero fields take the documented
 // defaults.
 type Config struct {
@@ -97,19 +106,13 @@ type Config struct {
 	Keys int
 	// ZipfS is the Zipf skew of key popularity. Default 1.1.
 	ZipfS float64
-	// ClientsPerNode is the number of concurrent client goroutines per
-	// node. Default 2.
-	ClientsPerNode int
 	// LeaseTTL is the lockspace lease. Default 250ms.
 	LeaseTTL time.Duration
-	// Patience is how long a client waits for one Lock before declaring
-	// it stuck (a PropNoStuck failure). Default 15s.
-	Patience time.Duration
 	// Faults is the scripted fault plan; nil generates one from Seed
-	// with at least Kills kills and Partitions partitions.
+	// with at least Kills kills and two partitions.
 	Faults []Fault
-	// Kills and Partitions size the generated plan (defaults 3 and 2).
-	Kills, Partitions int
+	// Kills sizes the generated plan. Default 3.
+	Kills int
 	// Strict turns unreached Sometimes/Reachable assertions into run
 	// failures (the CI gate).
 	Strict bool
@@ -143,20 +146,11 @@ func (c Config) withDefaults() Config {
 	if c.ZipfS == 0 {
 		c.ZipfS = 1.1
 	}
-	if c.ClientsPerNode <= 0 {
-		c.ClientsPerNode = 2
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 250 * time.Millisecond
 	}
-	if c.Patience <= 0 {
-		c.Patience = 15 * time.Second
-	}
 	if c.Kills <= 0 {
 		c.Kills = 3
-	}
-	if c.Partitions <= 0 {
-		c.Partitions = 2
 	}
 	if c.Log == nil {
 		c.Log = func(string, ...any) {}
@@ -198,10 +192,19 @@ type driver struct {
 	trafficCtx    context.Context
 	trafficCancel context.CancelFunc
 
-	// aux tracks fault-spawned helper goroutines (zombie witnesses) that
-	// feed the property suite: Run must join them before Finish, or their
-	// events would land after the accounting identity is checked.
-	aux sync.WaitGroup
+	// wg joins every goroutine of the traffic phase (spawn): clients, the
+	// fault runner and what it starts. Run waits on it before the drain,
+	// or their events would land after the accounting identity is checked.
+	wg sync.WaitGroup
+}
+
+// spawn runs f on a goroutine of the traffic phase.
+func (d *driver) spawn(f func()) {
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		f()
+	}()
 }
 
 // Run executes one chaos run to completion and returns its Result. The
@@ -249,41 +252,27 @@ func Run(cfg Config) (*Result, error) {
 	d.start = time.Now()
 	cfg.Log("chaos: N=%d keys=%d duration=%v faults=%d seed=%d", n, cfg.Keys, cfg.Duration, len(plan), cfg.Seed)
 
-	var clients sync.WaitGroup
 	for node := 0; node < n; node++ {
-		for ci := 0; ci < cfg.ClientsPerNode; ci++ {
-			clients.Add(1)
+		for ci := 0; ci < clientsPerNode; ci++ {
 			rng := rand.New(rand.NewSource(cfg.Seed ^ int64(node*997+ci+1)))
-			go func(node int, rng *rand.Rand) {
-				defer clients.Done()
-				d.client(node, rng)
-			}(node, rng)
+			d.spawn(func() { d.client(node, rng) })
 		}
 	}
-
 	res := &Result{}
-	var faults sync.WaitGroup
-	faults.Add(1)
-	go func() {
-		defer faults.Done()
-		d.runFaults(plan, res)
-	}()
+	d.spawn(func() { d.runFaults(plan, res) })
 
 	// Traffic phase: clients loop until Duration, then the context cut
 	// aborts any Lock still in flight.
 	time.Sleep(cfg.Duration)
 	d.trafficCancel()
-	clients.Wait()
-	faults.Wait()
-	d.aux.Wait()
+	d.wg.Wait()
 
 	// Drain: heal everything, resurrect the dead, wait for quiescence.
 	d.plane.clear()
 	for _, m := range d.members {
 		m.start()
 	}
-	drained := d.quiesce(30 * time.Second)
-	census := d.census()
+	drained, census := d.settle(30 * time.Second)
 	d.props.Finish(drained, census)
 
 	res.Report = d.props.Collector().Report()
@@ -310,19 +299,10 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // client is one traffic goroutine: Zipf-keyed lock/unlock cycles with
-// every outcome routed into the property suite.
+// every outcome routed into the property suite, until traffic ends.
 func (d *driver) client(node int, rng *rand.Rand) {
-	for {
-		select {
-		case <-d.trafficCtx.Done():
-			return
-		default:
-		}
-		if time.Since(d.start) >= d.cfg.Duration {
-			return
-		}
-		m := d.members[node]
-		sp, alive := m.get()
+	for d.trafficCtx.Err() == nil {
+		sp, alive := d.members[node].get()
 		if !alive {
 			time.Sleep(20 * time.Millisecond)
 			continue
@@ -334,26 +314,28 @@ func (d *driver) client(node int, rng *rand.Rand) {
 
 // lockCycle runs one request → grant → hold → unlock cycle against sp,
 // reporting every outcome to the suite. hold is the critical-section
-// dwell time.
-func (d *driver) lockCycle(sp *lockspace.Lockspace, node int, key string, hold time.Duration) {
+// dwell time. It returns the grant's fence (0 for none) and whether the
+// ledger admitted it.
+func (d *driver) lockCycle(sp *lockspace.Lockspace, node int, key string, hold time.Duration) (uint64, bool) {
 	d.props.OnRequest(node, key)
-	ctx, cancel := context.WithTimeout(d.trafficCtx, d.cfg.Patience)
+	ctx, cancel := context.WithTimeout(d.trafficCtx, patience)
 	fence, err := sp.Lock(ctx, key)
 	cancel()
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) {
-			d.props.OnStuck(node, key, d.cfg.Patience)
+			d.props.OnStuck(node, key, patience)
 		} else {
 			// ErrClosed (the node died under us) or run shutdown.
 			d.props.OnAborted(node, key)
 		}
-		return
+		return 0, false
 	}
-	d.props.OnGrant(node, key, fence)
+	admitted := d.props.OnGrant(node, key, fence)
 	if hold > 0 {
 		time.Sleep(hold)
 	}
 	d.unlock(sp, node, key, fence)
+	return fence, admitted
 }
 
 // unlock releases a hold and reports how the release went to the suite.
@@ -368,13 +350,17 @@ func (d *driver) unlock(sp *lockspace.Lockspace, node int, key string, fence uin
 	}
 }
 
-// quiesce polls every member's census until no instance is busy or
-// held, or the budget runs out.
-func (d *driver) quiesce(budget time.Duration) bool {
+// settle polls every live member's census until no instance is busy or
+// held, or the budget runs out. It returns whether the cluster drained
+// and the last poll's live tokens per instance, counting only tokens at
+// the instance's highest epoch: a lower-epoch token is a fenced relic of
+// a regeneration race (the known §5 class; every fence it could mint is
+// already refused), not a second live token.
+func (d *driver) settle(budget time.Duration) (drained bool, census map[uint64]int) {
 	deadline := time.Now().Add(budget)
 	for {
-		settled := true
-	scan:
+		drained, census = true, make(map[uint64]int)
+		top := make(map[uint64]uint32)
 		for _, m := range d.members {
 			sp, alive := m.get()
 			if !alive {
@@ -385,63 +371,26 @@ func (d *driver) quiesce(budget time.Duration) bool {
 				continue
 			}
 			for _, r := range rows {
-				if r.Busy || r.Held {
-					settled = false
-					break scan
+				drained = drained && !r.Busy && !r.Held
+				if !r.TokenHere {
+					continue
+				}
+				if e, seen := top[r.Instance]; !seen || r.Epoch > e {
+					top[r.Instance], census[r.Instance] = r.Epoch, 1
+				} else if r.Epoch == e {
+					census[r.Instance]++
 				}
 			}
 		}
-		if settled {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
+		if drained || time.Now().After(deadline) {
+			return drained, census
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 }
 
-// census sums live tokens per instance across the cluster — counting
-// only tokens at the instance's highest observed epoch: a lower-epoch
-// token is a fenced relic of a regeneration race (the known §5 class;
-// every fence it could mint is already refused), not a second live
-// token.
-func (d *driver) census() map[uint64]int {
-	type tok struct {
-		epoch uint32
-		count int
-	}
-	best := make(map[uint64]*tok)
-	for _, m := range d.members {
-		sp, alive := m.get()
-		if !alive {
-			continue
-		}
-		rows, err := sp.Census()
-		if err != nil {
-			continue
-		}
-		for _, r := range rows {
-			if !r.TokenHere {
-				continue
-			}
-			b := best[r.Instance]
-			if b == nil || r.Epoch > b.epoch {
-				best[r.Instance] = &tok{epoch: r.Epoch, count: 1}
-			} else if r.Epoch == b.epoch {
-				b.count++
-			}
-		}
-	}
-	out := make(map[uint64]int, len(best))
-	for inst, b := range best {
-		out[inst] = b.count
-	}
-	return out
-}
-
 // defaultPlan generates a fault schedule from the seed: at least
-// cfg.Kills kills (alternating kill-holder and plain), cfg.Partitions
+// cfg.Kills kills (alternating kill-holder and plain), planPartitions
 // partition windows, one zombie hold, one drop burst — the coverage
 // the Sometimes assertions demand — spread over the middle of the run.
 func defaultPlan(rng *rand.Rand, cfg Config, n int) []Fault {
@@ -482,7 +431,7 @@ func defaultPlan(rng *rand.Rand, cfg Config, n int) []Fault {
 		lastUp[node] = t + down
 		plan = append(plan, Fault{At: t, Kind: kind, Node: node, Down: down})
 	}
-	for i := 0; i < cfg.Partitions; i++ {
+	for i := 0; i < planPartitions; i++ {
 		a := rng.Intn(n)
 		b := (a + 1 + rng.Intn(n-1)) % n
 		plan = append(plan, Fault{
@@ -499,18 +448,13 @@ func defaultPlan(rng *rand.Rand, cfg Config, n int) []Fault {
 
 // runFaults executes the plan in order, tallying into res.
 func (d *driver) runFaults(plan []Fault, res *Result) {
-	var restarts sync.WaitGroup
 	for _, f := range plan {
-		wait := time.Until(d.start.Add(f.At))
-		if wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-d.trafficCtx.Done():
-				// Traffic is over; skip faults that have not fired (the
-				// drain phase restarts/heals everything anyway).
-				restarts.Wait()
-				return
-			}
+		select {
+		case <-time.After(time.Until(d.start.Add(f.At))):
+		case <-d.trafficCtx.Done():
+			// Traffic is over; skip faults that have not fired (the drain
+			// phase restarts and heals everything anyway).
+			return
 		}
 		switch f.Kind {
 		case FaultKill, FaultKillHolder:
@@ -530,23 +474,19 @@ func (d *driver) runFaults(plan []Fault, res *Result) {
 				d.props.OnHoldLost(f.Node, key, fence)
 			}
 			res.Kills++
-			restarts.Add(1)
-			go func(m *member, down time.Duration) {
-				defer restarts.Done()
-				time.Sleep(down)
+			d.spawn(func() {
+				time.Sleep(f.Down)
 				m.start()
-			}(m, f.Down)
+			})
 		case FaultPartition:
 			d.cfg.Log("chaos: %v partition %d<->%d for %v", f.At.Round(time.Millisecond), f.Node, f.Peer, f.Down)
 			d.plane.cut(f.Node, f.Peer)
 			res.Partitions++
-			restarts.Add(1)
-			go func(a, b int, down time.Duration) {
-				defer restarts.Done()
-				time.Sleep(down)
-				d.plane.heal(a, b)
+			d.spawn(func() {
+				time.Sleep(f.Down)
+				d.plane.heal(f.Node, f.Peer)
 				d.props.OnHealed()
-			}(f.Node, f.Peer, f.Down)
+			})
 		case FaultBurst:
 			d.cfg.Log("chaos: %v drop burst for %v", f.At.Round(time.Millisecond), f.Down)
 			d.plane.burst(f.Down)
@@ -556,7 +496,6 @@ func (d *driver) runFaults(plan []Fault, res *Result) {
 			res.Zombies++
 		}
 	}
-	restarts.Wait()
 }
 
 // grabHold makes the victim a holder just before its kill: the
@@ -597,9 +536,7 @@ func (d *driver) zombie(f Fault) {
 	if key == "" {
 		key = d.keys[0]
 	}
-	d.aux.Add(1)
-	go func() {
-		defer d.aux.Done()
+	d.spawn(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		for i, dead := 0, 0; ctx.Err() == nil && dead < d.n; i++ {
@@ -625,7 +562,7 @@ func (d *driver) zombie(f Fault) {
 			d.silence(sp, node, key, fence, f.At)
 			return
 		}
-	}()
+	})
 }
 
 // silence is the zombie's admitted hold: it goes silent, a witness on the
@@ -637,15 +574,15 @@ func (d *driver) silence(sp *lockspace.Lockspace, node int, key string, fence ui
 	d.props.OnZombie(node, key, fence)
 	d.cfg.Log("chaos: %v zombie hold on %q at node %d (fence %#x)", at.Round(time.Millisecond), key, node, fence)
 	witness := (node + 1) % d.n
-	d.aux.Add(1)
-	go func() {
-		defer d.aux.Done()
+	d.spawn(func() {
 		wsp, alive := d.members[witness].get()
 		if !alive {
 			return
 		}
-		d.lockCycle(wsp, witness, key, 0)
-	}()
+		if fence, admitted := d.lockCycle(wsp, witness, key, 0); fence != 0 && !admitted {
+			d.cfg.Log("chaos: %v witness grant on %q at node %d refused by the ledger (fence %#x)", at.Round(time.Millisecond), key, witness, fence)
+		}
+	})
 	time.Sleep(3 * d.cfg.LeaseTTL)
 	if err := sp.Unlock(key, fence); errors.Is(err, lockspace.ErrLeaseExpired) {
 		d.props.OnLateExpiry(node, key, fence)

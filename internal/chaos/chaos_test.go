@@ -25,14 +25,12 @@ import (
 // every seed finishes in a few seconds while keys stay contended.
 func stormConfig(seed int64) Config {
 	return Config{
-		P:              2, // N=4
-		Seed:           seed,
-		Duration:       2500 * time.Millisecond,
-		Keys:           8,
-		ZipfS:          1.2,
-		ClientsPerNode: 2,
-		LeaseTTL:       200 * time.Millisecond,
-		Patience:       10 * time.Second,
+		P:        2, // N=4
+		Seed:     seed,
+		Duration: 2500 * time.Millisecond,
+		Keys:     8,
+		ZipfS:    1.2,
+		LeaseTTL: 200 * time.Millisecond,
 	}
 }
 

@@ -32,7 +32,7 @@ const (
 	PropLedgerAdmit = "lock.ledger_admit"
 	// PropReclaimBounded: when a lapsed hold (holder killed or lease run
 	// out) is reclaimed, the next grant lands within the configured
-	// bound of the lapse.
+	// bound of the lapse (Totals.MaxLapseToGrant).
 	PropReclaimBounded = "lock.reclaim_bounded"
 	// PropNoStuck: no request is left pending once the run drains.
 	PropNoStuck = "lock.no_stuck"
@@ -76,6 +76,12 @@ type hold struct {
 	fence uint64
 }
 
+// ask is a request that has not yet ended: node called Lock at at.
+type ask struct {
+	node int
+	at   time.Time
+}
+
 type keyState struct {
 	// id is the key's dense id in the suite's Holds, where each client is
 	// in its critical section from the grant to its outcome call.
@@ -86,6 +92,9 @@ type keyState struct {
 	holder     *hold
 	lapsedAt   time.Time
 	lapsedKind uint8
+	// asks are the key's open requests in arrival order; a request's
+	// outcome ends the node's oldest one.
+	asks []ask
 }
 
 // Totals are the run counters a LockProps accumulates, exported for
@@ -95,7 +104,12 @@ type Totals struct {
 	Expired, Lost, Zombies, Stuck       int64
 	FencedOut                           int64
 	Reclaims                            int64
-	MaxReclaim                          time.Duration
+	// MaxReclaim is the longest wait a reclaiming client had: from the
+	// later of the lapse and its own Lock call to its grant.
+	MaxReclaim time.Duration
+	// MaxLapseToGrant is the longest time from a lapse to the key's next
+	// admitted grant, asked for or not; PropReclaimBounded judges it.
+	MaxLapseToGrant time.Duration
 }
 
 // LockProps evaluates the lock property suite against a stream of
@@ -174,9 +188,24 @@ func (p *LockProps) key(key string) *keyState {
 
 // OnRequest records a client issuing Lock.
 func (p *LockProps) OnRequest(node int, key string) {
+	now := time.Now()
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.totals.Requests++
-	p.mu.Unlock()
+	ks := p.key(key)
+	ks.asks = append(ks.asks, ask{node: node, at: now})
+}
+
+// endAsk ends node's oldest open request on ks, first in, first out, and
+// returns when it was made (zero when there is none).
+func (ks *keyState) endAsk(node int) time.Time {
+	for i, a := range ks.asks {
+		if a.node == node {
+			ks.asks = append(ks.asks[:i], ks.asks[i+1:]...)
+			return a.at
+		}
+	}
+	return time.Time{}
 }
 
 // OnGrant records a granted Lock and runs the safety checks: fence
@@ -191,6 +220,7 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) bool {
 	defer p.mu.Unlock()
 	p.totals.Grants++
 	ks := p.key(key)
+	asked := ks.endAsk(node)
 
 	details := func() Details { return Details{"key": key, "fence": fence, "hwm": ks.lastFence, "node": node} }
 	// Refused grants enter too: their holder is in its critical section
@@ -223,14 +253,14 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) bool {
 	if prev := ks.holder; prev != nil {
 		switch ks.lapsedKind {
 		case lapsedKill, lapsedLease:
-			lat := now.Sub(ks.lapsedAt)
-			if lat < 0 {
-				lat = 0
-			}
+			lat := max(now.Sub(ks.lapsedAt), 0)
 			p.totals.Reclaims++
-			if lat > p.totals.MaxReclaim {
-				p.totals.MaxReclaim = lat
+			p.totals.MaxLapseToGrant = max(p.totals.MaxLapseToGrant, lat)
+			from := ks.lapsedAt
+			if asked.After(from) {
+				from = asked
 			}
+			p.totals.MaxReclaim = max(p.totals.MaxReclaim, now.Sub(from))
 			if ks.lapsedKind == lapsedKill {
 				p.c.Sometimes(PropReclaimAfterKill, true, nil)
 			} else {
@@ -344,6 +374,7 @@ func (p *LockProps) OnAborted(node int, key string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.totals.Aborted++
+	p.key(key).endAsk(node)
 }
 
 // OnStuck records a request that outlived the patience window — the
@@ -353,6 +384,7 @@ func (p *LockProps) OnStuck(node int, key string, waited time.Duration) {
 	p.mu.Lock()
 	p.totals.Stuck++
 	p.totals.Aborted++ // the stuck client gives up; account its request
+	p.key(key).endAsk(node)
 	p.mu.Unlock()
 	p.c.Always(PropNoStuck, false, Details{"node": node, "key": key, "waited": waited})
 }

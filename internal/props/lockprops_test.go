@@ -158,6 +158,68 @@ func TestLockPropsKillReclaimCoverageAndBound(t *testing.T) {
 	}
 }
 
+// TestLockPropsReclaimWaitStartsAtTheAsk times a reclaim from the later
+// of the lapse and the reclaiming client's Lock call: a key nobody asked
+// for while it was lapsed is no wait. The lapse-to-grant time stays
+// beside it, and PropReclaimBounded still judges that one.
+func TestLockPropsReclaimWaitStartsAtTheAsk(t *testing.T) {
+	var c Collector
+	p := NewLockProps(&c, 0, time.Hour)
+	p.OnRequest(2, "k")
+	p.OnGrant(2, "k", 1)
+	p.OnKilled(2)
+	p.OnHoldLost(2, "k", 1)
+	time.Sleep(100 * time.Millisecond)
+	p.OnRequest(3, "k")
+	p.OnGrant(3, "k", 1<<32|1)
+	p.OnRelease(3, "k", 1<<32|1)
+	p.Finish(true, nil)
+	if err := c.Err(false); err != nil {
+		t.Fatal(err)
+	}
+	tot := p.Totals()
+	if tot.Reclaims != 1 {
+		t.Fatalf("reclaims = %d, want 1", tot.Reclaims)
+	}
+	if tot.MaxReclaim >= 50*time.Millisecond {
+		t.Fatalf("MaxReclaim = %v, want well under the 100ms before anyone asked", tot.MaxReclaim)
+	}
+	if tot.MaxLapseToGrant < 100*time.Millisecond {
+		t.Fatalf("MaxLapseToGrant = %v, want at least 100ms", tot.MaxLapseToGrant)
+	}
+	if rep := report(p); rep[PropReclaimBounded].Passes != 1 {
+		t.Fatalf("%s passes = %d, want 1", PropReclaimBounded, rep[PropReclaimBounded].Passes)
+	}
+}
+
+// TestLockPropsAsksPairFIFO pairs a node's requests of one key with
+// their outcomes first in, first out: of two clients of node 1 asking
+// 60ms apart, the grant ends the older ask and the abort the newer. A
+// request of another key is no ask of this one.
+func TestLockPropsAsksPairFIFO(t *testing.T) {
+	var c Collector
+	p := NewLockProps(&c, 0, time.Hour)
+	p.OnRequest(0, "k")
+	p.OnGrant(0, "k", 1)
+	p.OnKilled(0)
+	p.OnHoldLost(0, "k", 1)
+	p.OnRequest(1, "k")
+	time.Sleep(60 * time.Millisecond)
+	p.OnRequest(1, "other")
+	p.OnRequest(1, "k")
+	p.OnGrant(1, "k", 1<<32|1)
+	p.OnRelease(1, "k", 1<<32|1)
+	p.OnAborted(1, "k")
+	p.OnAborted(1, "other")
+	p.Finish(true, nil)
+	if err := c.Err(false); err != nil {
+		t.Fatal(err)
+	}
+	if tot := p.Totals(); tot.MaxReclaim < 60*time.Millisecond {
+		t.Fatalf("MaxReclaim = %v: the grant must end node 1's older ask, made at the lapse", tot.MaxReclaim)
+	}
+}
+
 func TestLockPropsZombieLeaseReclaim(t *testing.T) {
 	var c Collector
 	ttl := 10 * time.Millisecond
