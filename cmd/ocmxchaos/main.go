@@ -13,8 +13,10 @@
 // (internal/props) evaluated inline. Exit status 1 when any always
 // assertion fails — or, with -strict, when any sometimes or reachable
 // assertion goes unreached. This is the CI chaos-smoke job. -metrics
-// serves the run's registry; -autopsy also attaches the flight recorder
-// whose lineage a failed verdict's autopsy carries.
+// serves the run's registry. -autopsy FILE is chaos.Config.Autopsy, which
+// implies a flight recorder on every member (obs.DefaultFlightDepth
+// events per instance): a failed verdict's autopsy carries its lineage.
+// Without -autopsy no recorder runs.
 //
 //	ocmxchaos node -self 0 -addrs host0:7000,host1:7000,... -dir /data
 //	               [-metrics host:port]
@@ -33,7 +35,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -42,37 +47,42 @@ import (
 	"repro/internal/props"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "local":
-		err = runLocal(os.Args[2:])
-	case "node":
-		err = runNode(os.Args[2:])
-	case "-h", "-help", "--help", "help":
-		usage()
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "ocmxchaos: unknown mode %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ocmxchaos: %v\n", err)
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
+// run is main with its arguments, error stream and exit status as
+// values: 2 for a bad mode, 1 for a failed run, 0 for a passed run or a
+// -h (the flag set prints its own defaults).
+func run(args []string, stderr io.Writer) int {
+	usage := func() {
+		fmt.Fprint(stderr, `usage:
   ocmxchaos local [flags]   in-process chaos run with the property suite
   ocmxchaos node  [flags]   one cluster member as an OS process over TCP
 Run "ocmxchaos <mode> -h" for mode flags.
 `)
+	}
+	if len(args) == 0 {
+		usage()
+		return 2
+	}
+	var err error
+	switch args[0] {
+	case "local":
+		err = runLocal(args[1:])
+	case "node":
+		err = runNode(args[1:])
+	case "-h", "-help", "--help", "help":
+		usage()
+		return 0
+	default:
+		fmt.Fprintf(stderr, "ocmxchaos: unknown mode %q\n", args[0])
+		usage()
+		return 2
+	}
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintf(stderr, "ocmxchaos: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 func runLocal(args []string) error {
@@ -109,7 +119,7 @@ func runLocal(args []string) error {
 			return err
 		}
 		defer f.Close()
-		cfg.Flight, cfg.Autopsy = obs.NewFlight(obs.DefaultFlightDepth), f
+		cfg.Autopsy = f
 	}
 	res, err := chaos.Run(cfg)
 	if err != nil {

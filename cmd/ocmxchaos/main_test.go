@@ -32,6 +32,17 @@ func TestComposeNodeCommandsParse(t *testing.T) {
 	}
 }
 
+// TestHelpExitsZero: -h on either mode prints the mode's flags (the flag
+// set writes them itself) and exits 0, with no error line.
+func TestHelpExitsZero(t *testing.T) {
+	for _, mode := range []string{"local", "node"} {
+		var stderr strings.Builder
+		if code := run([]string{mode, "-h"}, &stderr); code != 0 || stderr.Len() > 0 {
+			t.Errorf("ocmxchaos %s -h: exit %d, stderr %q; want exit 0 and no error line", mode, code, stderr.String())
+		}
+	}
+}
+
 // composeCommands returns each service's command: the "- " items under
 // a "command:" line.
 func composeCommands(yml string) [][]string {

@@ -1,24 +1,19 @@
 // Command ocmxvet is the repository's invariant checker: a vet-style
 // multichecker running the internal/lint analyzer suite (determinism,
 // mapiter, wiresize, arenaretain, nilsafe, looptimer, heldblock) plus the stock
-// `go vet` passes over the named packages. It exits nonzero when any finding
-// survives the annotation layer, which makes it a tier-1 CI gate: the
-// contracts the runtime tests and byte-identity cmp gates verify after
-// the fact — replayable executions, the 80-byte wire struct, arena
-// lifetimes, nil-safe observability hooks — fail here at the line that
-// broke them.
+// `go vet` passes over the named packages. It exits nonzero on any
+// finding, which makes it a tier-1 CI gate: the contracts the runtime
+// tests and byte-identity cmp gates verify after the fact — replayable
+// executions, the 80-byte wire struct, arena lifetimes, nil-safe
+// observability hooks — fail here at the line that broke them.
 //
 // Usage:
 //
 //	go run ./cmd/ocmxvet [-vet=false] [packages]
 //
-// Packages default to ./... . A genuine exception is silenced in place:
-//
-//	//ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
-//
-// The reason after “--” is mandatory; a missing reason or an unknown
-// analyzer name is itself a finding. See DESIGN.md §15 for the analyzer
-// catalog and the annotation grammar.
+// Packages default to ./... . No annotation silences a finding; a
+// malformed or unknown //ocmxvet: directive is itself one. See DESIGN.md
+// §15 for the analyzer catalog and the two file pragmas.
 package main
 
 import (

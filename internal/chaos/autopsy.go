@@ -70,5 +70,5 @@ func (d *driver) writeAutopsy(w io.Writer, res *Result) error {
 	if len(keys) > 0 {
 		details["keys"] = keys
 	}
-	return obs.WriteAutopsy(w, "chaos-verdict-failed", details, d.cfg.Flight, insts, states)
+	return obs.WriteAutopsy(w, "chaos-verdict-failed", details, d.flight, insts, states)
 }

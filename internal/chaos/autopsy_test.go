@@ -26,15 +26,15 @@ func TestForcedViolationAutopsy(t *testing.T) {
 	}
 	t.Cleanup(func() { mesh.Close() })
 
-	fl := obs.NewFlight(64)
 	var col props.Collector
-	cfg := Config{P: 1, Flight: fl}.withDefaults()
+	cfg := Config{P: 1}.withDefaults()
 	d := &driver{
-		cfg:   cfg,
-		n:     2,
-		mesh:  mesh,
-		plane: newPlane(),
-		props: props.NewLockProps(&col, cfg.LeaseTTL, 0),
+		cfg:    cfg,
+		n:      2,
+		mesh:   mesh,
+		plane:  newPlane(),
+		props:  props.NewLockProps(&col, cfg.LeaseTTL, 0),
+		flight: obs.NewFlight(obs.DefaultFlightDepth),
 	}
 	mesh.Drop = d.plane.drop
 	d.members = make([]*member, d.n)

@@ -27,7 +27,6 @@ import (
 	"testing/synctest"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/props"
 )
 
@@ -78,7 +77,7 @@ func bubbleSeed(t *testing.T, seed int64, hung *bool) time.Duration {
 	replay := fmt.Sprintf("GOEXPERIMENT=synctest go test -count=1 -cpu 1 -run 'TestBubbleSweep/smoke/seed%d$' ./internal/chaos", seed)
 	cfg := smokeConfig(seed)
 	var autopsy bytes.Buffer
-	cfg.Flight, cfg.Autopsy = obs.NewFlight(0), &autopsy
+	cfg.Autopsy = &autopsy
 	type outcome struct {
 		res *Result
 		err error

@@ -122,12 +122,11 @@ type Config struct {
 	// scrape time (lockspace.Start). cmd/ocmxchaos serves it over HTTP
 	// with -metrics.
 	Metrics *obs.Registry
-	// Flight, when set, records every member's token lineage stamped
-	// with wall-clock time; it is what gives an Autopsy its lineage.
-	Flight *obs.Flight
 	// Autopsy, when set, receives a JSONL autopsy when the run's verdict
-	// fails: the failing assertions, the offending keys' full token
-	// lineage, and the final cluster census as state lines.
+	// fails: the failing assertions, the offending keys' token lineage,
+	// and the final cluster census as state lines. It also attaches one
+	// obs.DefaultFlightDepth flight recorder to every member, which
+	// keeps that lineage stamped with wall-clock time.
 	Autopsy io.Writer
 	// Log, when set, receives progress lines.
 	Log func(format string, args ...any)
@@ -188,6 +187,7 @@ type driver struct {
 	keys    []string
 	zipf    *workload.Zipf
 	start   time.Time
+	flight  *obs.Flight // the members' recorder; nil without cfg.Autopsy
 
 	trafficCtx    context.Context
 	trafficCancel context.CancelFunc
@@ -231,6 +231,9 @@ func Run(cfg Config) (*Result, error) {
 		props: props.NewLockProps(&col, cfg.LeaseTTL, 0),
 		keys:  make([]string, cfg.Keys),
 		zipf:  zipf,
+	}
+	if cfg.Autopsy != nil {
+		d.flight = obs.NewFlight(obs.DefaultFlightDepth)
 	}
 	mesh.Drop = d.plane.drop
 	for i := range d.keys {

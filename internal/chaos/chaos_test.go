@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/props"
 )
 
@@ -42,7 +41,7 @@ func stormConfig(seed int64) Config {
 func runStorm(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	var autopsy bytes.Buffer
-	cfg.Flight, cfg.Autopsy = obs.NewFlight(0), &autopsy
+	cfg.Autopsy = &autopsy
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("chaos run setup: %v", err)

@@ -64,7 +64,7 @@ func (m *member) start() {
 		LeaseTTL: cfg.LeaseTTL,
 		Stable:   m.stable,
 		Metrics:  cfg.Metrics,
-		Flight:   cfg.Flight,
+		Flight:   m.d.flight,
 	})
 	if err != nil {
 		// The template is static and validated by every test; a failure

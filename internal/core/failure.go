@@ -104,7 +104,7 @@ func (n *Node) onSuspicion() {
 	if n.mandator == ocube.None {
 		return
 	}
-	n.startSearch(n.view().Power() + 1)
+	n.startSearch(n.view().Power()+1, 0, 0)
 }
 
 // --- root loan enquiry ---
@@ -321,10 +321,12 @@ func (n *Node) bumpEpoch() {
 
 // --- search_father (Section 5) ---
 
-// startSearch begins the iterative father research at the given phase.
-// Every search advances the node's repair generation, fencing off the
-// replies of any earlier, abandoned search (Message.Gen).
-func (n *Node) startSearch(phase int) {
+// startSearch begins the iterative father research at the given phase,
+// after sweeps failed full sweeps that sent tested probes (both 0 but for
+// the confirmation sweep's restart). Every search advances the node's
+// repair generation, fencing off the replies of any earlier, abandoned
+// search (Message.Gen).
+func (n *Node) startSearch(phase, sweeps, tested int) {
 	if phase < 1 {
 		phase = 1
 	}
@@ -332,6 +334,7 @@ func (n *Node) startSearch(phase int) {
 	s.clear()
 	n.repairGen++
 	s.active, s.phase, s.startPhase = true, phase, phase
+	s.sweeps, s.tested = sweeps, tested
 	n.searchStarted(phase)
 	if phase > n.h.cfg.P {
 		n.searchExhausted()
@@ -595,15 +598,10 @@ func (n *Node) searchExhausted() {
 		// answers ok and is adopted instead of shadowed by a
 		// regeneration. The restart is a fresh repair attempt: it
 		// advances the generation, so replies straggling in from the
-		// failed sweep cannot touch it.
-		tested := n.search.tested
-		n.endSearch()
-		n.repairGen++
-		s := &n.search
-		s.active, s.phase, s.startPhase = true, 1, 1
-		s.sweeps, s.tested = sweeps, tested
-		n.searchStarted(1)
-		n.probeRound(true)
+		// failed sweep cannot touch it. On a one-node cube (pmax = 0)
+		// phase 1 is past pmax too, so the restart exhausts at once.
+		n.cancelTimer(TimerSuspicion)
+		n.startSearch(1, sweeps, n.search.tested)
 		return
 	}
 	tested := n.search.tested
@@ -665,7 +663,7 @@ func (n *Node) onAnomaly(m Message) {
 	if m.From != n.father || n.mandator == ocube.None || n.search.active {
 		return
 	}
-	n.startSearch(ocube.Dist(n.h.cfg.Self, n.father))
+	n.startSearch(ocube.Dist(n.h.cfg.Self, n.father), 0, 0)
 }
 
 // Recover re-initializes a node after a fail-stop crash. Per Section 5
@@ -691,6 +689,6 @@ func (n *Node) Recover() []Effect {
 		n.gens[k] = g + 1
 	}
 	n.father, n.tokenHere = ocube.None, false
-	n.startSearch(1)
+	n.startSearch(1, 0, 0)
 	return n.h.em.Take()
 }

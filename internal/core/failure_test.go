@@ -470,6 +470,28 @@ func TestRecoverRejoinsAsLeaf(t *testing.T) {
 	}
 }
 
+// TestRecoverAloneRegeneratesAtOnce: a one-node cube (pmax = 0) has no
+// node to probe, so its rejoin exhausts both sweeps inside Recover and
+// regenerates there: no probe, no round to wait, the token here at a
+// new epoch.
+func TestRecoverAloneRegeneratesAtOnce(t *testing.T) {
+	n := ftNode(t, 0, 0)
+	was := n.Epoch()
+	rep := watch(n)
+	effs := n.Recover()
+	if msgs, ts := sends(effs), timers(effs); len(msgs) > 0 || len(ts) > 0 {
+		t.Errorf("recovery sent %v and armed %v; want neither", msgs, ts)
+	}
+	if n.Searching() || !n.TokenHere() || n.Epoch() <= was {
+		t.Errorf("after recovery: searching=%v token=%v epoch=%d (was %d); want the token here at a new epoch",
+			n.Searching(), n.TokenHere(), n.Epoch(), was)
+	}
+	got := rep.take()
+	if len(got.of(TokenEvSearchStarted)) != 2 || len(got.of(TokenEvRegenerated)) != 1 {
+		t.Errorf("reports = %+v, want two sweeps started and one regeneration", got)
+	}
+}
+
 func TestRecoveredNodeDetectsAnomalyFromStaleSons(t *testing.T) {
 	// Recovered node pos 8 adopted pos 9 (power 0). A request from its
 	// stale son pos 12 (distance 3) must raise an anomaly.

@@ -34,10 +34,7 @@
 //     ls.mu" may not wait on a channel, select without a default, sleep
 //     or lock the mutex again.
 //
-// A genuine exception is silenced with an annotation carrying a
-// mandatory reason:
-//
-//	//ocmxvet:allow mapiter -- teardown only: the order sockets are closed in is unobservable
+// No annotation silences a finding.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // API shapes (Analyzer, Pass, Diagnostic) on the standard library's
@@ -58,7 +55,7 @@ import (
 // package through its Pass and reports findings; it must be stateless
 // across packages.
 type Analyzer struct {
-	// Name is the annotation key: //ocmxvet:allow <Name> -- reason.
+	// Name labels the analyzer's findings.
 	Name string
 	// Doc is the one-line contract the analyzer enforces.
 	Doc string
@@ -116,21 +113,9 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// knownAnalyzer reports whether name is a suite member (used to reject
-// //ocmxvet:allow annotations naming a checker that does not exist).
-func knownAnalyzer(name string) bool {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Check runs every suite analyzer over pkg, applies the annotation
-// layer (well-formed //ocmxvet:allow directives suppress their line;
-// malformed ones become findings of their own), and returns the
-// surviving diagnostics sorted by position.
+// Check runs every suite analyzer over pkg, adds a finding for each
+// malformed ocmxvet directive, and returns the diagnostics sorted by
+// position.
 func Check(pkg *Package) ([]Diagnostic, error) {
 	return CheckWith(pkg, Analyzers())
 }
@@ -153,8 +138,7 @@ func CheckWith(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 	}
-	dirs := parseDirectives(pkg.Fset, pkg.Files)
-	diags = dirs.filter(diags)
+	diags = append(diags, malformedDirectives(pkg.Fset, pkg.Files)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {

@@ -121,7 +121,7 @@ func reportRetainingLHS(pass *Pass, lhs ast.Expr, t types.Type) {
 		sel := pass.Info.Selections[lhs]
 		if sel != nil && sel.Kind() == types.FieldVal {
 			pass.Reportf(lhs.Pos(),
-				"arena-backed effect value (%s) stored in struct field %s outlives the driver call; copy the effect's data instead, or annotate with //ocmxvet:allow arenaretain -- <reason>",
+				"arena-backed effect value (%s) stored in struct field %s outlives the driver call; copy the effect's data instead",
 				t, types.ExprString(lhs))
 			return
 		}

@@ -86,7 +86,7 @@ func runDeterminism(pass *Pass) error {
 			case "time":
 				if forbiddenTime[name] {
 					pass.Reportf(sel.Pos(),
-						"time.%s reads the wall clock inside the deterministic package %s; route it through the obs layer or annotate with //ocmxvet:allow determinism -- <reason>",
+						"time.%s reads the wall clock inside the deterministic package %s; route it through the obs layer",
 						name, pass.Pkg.Path())
 				}
 			case "math/rand", "math/rand/v2":

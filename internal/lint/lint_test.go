@@ -79,9 +79,8 @@ func TestHeldblockOtherPackages(t *testing.T) {
 
 // TestTreeIsClean runs the full suite over the real module: the tree
 // must carry zero findings, so every invariant the analyzers encode is
-// structurally true of the shipped code (annotated allowances
-// included). This is the same gate `go run ./cmd/ocmxvet ./...`
-// enforces in CI.
+// structurally true of the shipped code. This is the same gate `go run
+// ./cmd/ocmxvet ./...` enforces in CI.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module from source")

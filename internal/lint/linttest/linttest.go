@@ -7,12 +7,12 @@
 //
 // Each regexp must match exactly one diagnostic reported on that line,
 // and every diagnostic must be claimed by a want — so fixtures prove
-// both that a seeded violation is caught and that annotated allowances
-// (which carry no want) are suppressed. Because one source line holds
-// at most one line comment, a line testing an annotation embeds the
+// both that a seeded violation is caught and that legal code (which
+// carries no want) is not flagged. Because one source line holds at
+// most one line comment, a line testing a directive embeds the
 // expectation in the same comment:
 //
-//	time.Now() //ocmxvet:allow determinism // want "needs a reason"
+//	time.Now() //ocmxvet:allow determinism // want "unknown ocmxvet directive"
 package linttest
 
 import (
@@ -41,7 +41,7 @@ type expectation struct {
 
 // Run loads the fixture package at dir (relative to the caller's
 // working directory, e.g. "testdata/src/determinism/a"), runs the given
-// analyzers plus the annotation layer over it, and matches the
+// analyzers plus the directive check over it, and matches the
 // diagnostics against the fixture's want comments.
 func Run(t *testing.T, loader *lint.Loader, dir string, analyzers ...*lint.Analyzer) {
 	t.Helper()

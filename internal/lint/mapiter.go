@@ -90,7 +90,7 @@ func checkMapBody(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 	for v, pos := range collected {
 		if !sortedAfter(pass, fnBody, rs, v) {
 			pass.Reportf(pos,
-				"iteration over map %s collects into %s in randomized map order; sort it afterwards (sort.* / slices.Sort*) or annotate with //ocmxvet:allow mapiter -- <reason>",
+				"iteration over map %s collects into %s in randomized map order; sort it afterwards (sort.* / slices.Sort*)",
 				exprString(rs.X), v.Name())
 		}
 	}

@@ -55,10 +55,6 @@ func copied(effs []core.Effect) []core.Message {
 	return msgs
 }
 
-func allowed(d *driver, effs []core.Effect) {
-	d.all = effs //ocmxvet:allow arenaretain -- fixture: driver drains the slice before returning
-}
-
 // The effect scratch belongs to the host, not the node: a call into a
 // sibling instance recycles what an earlier call handed out.
 

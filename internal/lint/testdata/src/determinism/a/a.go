@@ -37,19 +37,7 @@ func fleet() int {
 	return runtime.NumGoroutine() // want "runtime.NumGoroutine observes scheduler state"
 }
 
-func allowed() time.Time {
-	return time.Now() //ocmxvet:allow determinism -- fixture: sanctioned wall read
-}
-
-func allowedAbove() time.Time {
-	//ocmxvet:allow determinism -- fixture: the annotation also covers the next line
-	return time.Now()
-}
-
-func missingReason() time.Time {
-	return time.Now() //ocmxvet:allow determinism // want "needs a reason" "time.Now reads the wall clock"
-}
-
-func unknownAnalyzer() time.Time {
-	return time.Now() //ocmxvet:allow nosuch -- misspelled // want "unknown analyzer" "time.Now reads the wall clock"
+// A leftover allowance is an unknown directive, and silences nothing.
+func allowance() time.Time {
+	return time.Now() //ocmxvet:allow determinism -- fixture: no annotation silences a finding // want "unknown ocmxvet directive" "time.Now reads the wall clock"
 }

@@ -85,11 +85,6 @@ func (ls *node) later() {
 	go func() { <-ls.in }()
 }
 
-// sanctioned blocks with a stated reason. The caller holds ls.mu.
-func (ls *node) sanctioned() {
-	<-ls.in //ocmxvet:allow heldblock -- fixture: an annotated exception
-}
-
 // begin takes the mutex for a step: it makes no claim about its caller,
 // so it may.
 func (ls *node) begin() {

@@ -27,7 +27,3 @@ func (l *loop) own(d time.Duration) {
 	l.timer = time.NewTimer(d) // the loop's one timer: legal
 	l.timer.Reset(d)
 }
-
-func (l *loop) sanctioned(d time.Duration) {
-	time.AfterFunc(d, func() {}) //ocmxvet:allow looptimer -- fixture: an annotated exception
-}

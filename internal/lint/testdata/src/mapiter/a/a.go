@@ -95,11 +95,3 @@ func loopLocal(m map[string]int) {
 		_ = parts
 	}
 }
-
-func allowed(m map[string]int) []string {
-	var keys []string
-	for k := range m {
-		keys = append(keys, k) //ocmxvet:allow mapiter -- fixture: order provably irrelevant
-	}
-	return keys
-}

@@ -62,7 +62,3 @@ func autopsyGuarded(cfg chaos.Config) {
 		cfg.Autopsy.Write([]byte("autopsy"))
 	}
 }
-
-func allowed(cfg core.Config, ev core.TokenEvent) {
-	cfg.Observe(ev) //ocmxvet:allow nilsafe -- fixture: caller guarantees the hook is set
-}

@@ -471,6 +471,34 @@ func TestMachineRejoinRestoresStable(t *testing.T) {
 	}
 }
 
+// TestMachineRejoinAloneGrantsInTheStep: on a one-node cube (pmax = 0) a
+// rejoin machine has no node to search, so each key's recovery
+// regenerates inside the Lock that instantiates it: the Lock is granted
+// in its own step, with no timer fired, and nothing goes on the link.
+func TestMachineRejoinAloneGrantsInTheStep(t *testing.T) {
+	tmpl := ftTemplate()
+	tmpl.Self, tmpl.P = 0, 0
+	r := &rig{t: t, ttl: -1, holder: map[uint64]*rigHold{}, fences: map[uint64]uint64{}}
+	m, err := NewMachine(tmpl, true, nil, &rigDriver{rig: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 5; id++ {
+		if err := m.Lock(0, id, "a"); err != nil {
+			t.Fatal(err)
+		}
+		if r.holder[id] == nil {
+			t.Errorf("Lock on instance %d was not granted inside its step", id)
+		}
+	}
+	if out, _ := m.Drain(); len(out) > 0 {
+		t.Errorf("Drain = %v, want no envelope", out)
+	}
+	if b := m.Books(); b.Held != 5 || b.Regenerations != 5 {
+		t.Errorf("books = %+v, want five holds, each of a regenerated token", b)
+	}
+}
+
 // TestMachineCrashVoidsAndRecoverRejoins: at a crash every hold ends,
 // every waiter and every deadline is void; Recover then restarts each
 // instance through its Section 5 rejoin, in instance order.
