@@ -35,6 +35,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,7 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	par := fs.Int("parallel", 0, "workers for experiment cells and e13 key slices (0 = GOMAXPROCS, 1 = sequential)")
 	strict := fs.Bool("strict", false, "fail on any stuck episode, stalled cell or in-model violation")
 	obsPath := fs.String("obs", "", "attach flight recorders and write a Prometheus metrics snapshot to this file at exit")
-	if fs.Parse(args) != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
 		return 2
 	}
 	fail := func(what string, err error) int {

@@ -26,3 +26,20 @@ func TestUnknownExperimentIsAnError(t *testing.T) {
 		t.Errorf("-exp all -strict: exit %d, stdout %q, stderr %q", code, &stdout, &stderr)
 	}
 }
+
+// TestHelpExitsZero: -h prints the usage, which names -exp, and exits 0;
+// an unknown flag is a parse error and exits 2. Neither runs a table.
+func TestHelpExitsZero(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		code int
+	}{{"-h", 0}, {"-nope", 2}} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{tc.arg}, &stdout, &stderr); code != tc.code || stdout.Len() != 0 {
+			t.Errorf("%s: exit %d, stdout %q; want exit %d and no table", tc.arg, code, &stdout, tc.code)
+		}
+		if !strings.Contains(stderr.String(), "-exp") {
+			t.Errorf("%s: usage %q does not name -exp", tc.arg, &stderr)
+		}
+	}
+}

@@ -33,7 +33,7 @@ func TestForcedViolationAutopsy(t *testing.T) {
 		n:      2,
 		mesh:   mesh,
 		plane:  newPlane(),
-		props:  props.NewLockProps(&col, cfg.LeaseTTL, 0),
+		props:  props.NewLockProps(&col, cfg.LeaseTTL),
 		flight: obs.NewFlight(obs.DefaultFlightDepth),
 	}
 	mesh.Drop = d.plane.drop

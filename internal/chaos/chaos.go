@@ -75,8 +75,6 @@ type Fault struct {
 	Node int
 	// Peer is the other side of a partition.
 	Peer int
-	// Key is the key a kill-holder/zombie grabs ("" = the hottest key).
-	Key string
 	// Down is the outage length: time to restart (kills), heal
 	// (partitions), or stop dropping (bursts).
 	Down time.Duration
@@ -228,7 +226,7 @@ func Run(cfg Config) (*Result, error) {
 		n:     n,
 		mesh:  mesh,
 		plane: newPlane(),
-		props: props.NewLockProps(&col, cfg.LeaseTTL, 0),
+		props: props.NewLockProps(&col, cfg.LeaseTTL),
 		keys:  make([]string, cfg.Keys),
 		zipf:  zipf,
 	}
@@ -468,7 +466,7 @@ func (d *driver) runFaults(plan []Fault, res *Result) {
 			var key string
 			var fence uint64
 			if f.Kind == FaultKillHolder {
-				key, fence = d.grabHold(f)
+				key, fence = d.grabHold(f.Node)
 			}
 			d.cfg.Log("chaos: %v kill node %d for %v", f.At.Round(time.Millisecond), f.Node, f.Down)
 			m.kill()
@@ -501,28 +499,26 @@ func (d *driver) runFaults(plan []Fault, res *Result) {
 	}
 }
 
-// grabHold makes the victim a holder just before its kill: the
-// guaranteed kill-while-holding scenario. It returns the hold it took, or
-// a zero fence when it took none: failure to grab (contention) is
-// tolerated — the kill still fires, and another kill covers the scenario.
-func (d *driver) grabHold(f Fault) (key string, fence uint64) {
-	sp, alive := d.members[f.Node].get()
+// grabHold makes node a holder of the hottest key just before its kill:
+// the guaranteed kill-while-holding scenario. It returns the hold it
+// took, or a zero fence when it took none: failure to grab (contention)
+// is tolerated — the kill still fires, and another kill covers the
+// scenario.
+func (d *driver) grabHold(node int) (key string, fence uint64) {
+	sp, alive := d.members[node].get()
 	if !alive {
 		return "", 0
 	}
-	key = f.Key
-	if key == "" {
-		key = d.keys[0] // the hottest key
-	}
-	d.props.OnRequest(f.Node, key)
+	key = d.keys[0]
+	d.props.OnRequest(node, key)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	fence, err := sp.Lock(ctx, key)
 	cancel()
 	if err != nil {
-		d.props.OnAborted(f.Node, key)
+		d.props.OnAborted(node, key)
 		return "", 0
 	}
-	d.props.OnGrant(f.Node, key, fence)
+	d.props.OnGrant(node, key, fence)
 	return key, fence
 }
 
@@ -535,10 +531,7 @@ func (d *driver) grabHold(f Fault) (key string, fence uint64) {
 // (a superseded token's) is released at once, and one lease TTL later the
 // next live node asks, all within one 10 s budget.
 func (d *driver) zombie(f Fault) {
-	key := f.Key
-	if key == "" {
-		key = d.keys[0]
-	}
+	key := d.keys[0] // the hottest key
 	d.spawn(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

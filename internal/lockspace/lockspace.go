@@ -108,7 +108,7 @@ type Config struct {
 	// higher fence, so fence-checking resources refuse the expired holder.
 	LeaseTTL time.Duration
 	// Stable, when set, persists each instance's Section 5 stable storage
-	// (StableState) write-through at the end of each step, and the node's
+	// (core.Stable) write-through at the end of each step, and the node's
 	// life record, its last boot, under core.NoInstance. A node that finds
 	// a record rejoins a cluster that may remember its previous life: each
 	// instance is restored and instantiated through Section 5 recovery, as
@@ -193,11 +193,6 @@ type parked struct {
 	fence   uint64
 }
 
-// CensusRow is one instance's snapshot in a Census (Machine.States): what
-// the chaos harness's end-of-run checks read (at most one token per
-// instance across surviving nodes; quiescence) and its autopsy writes.
-type CensusRow = obs.NodeState
-
 // Start starts a live node over link, in a reliable session it owns:
 // Close, or a failed Start, closes the session and the link. The node's
 // last boot (Config.Stable) plus one is written back before the node runs
@@ -242,7 +237,7 @@ func nextLife(stable StableStore) (boot uint64, rejoin bool, err error) {
 	}
 	last, rejoin := stable.Load(core.NoInstance)
 	boot = last.Seq + 1
-	if err := stable.Save(core.NoInstance, StableState{Seq: boot}); err != nil {
+	if err := stable.Save(core.NoInstance, core.Stable{Seq: boot}); err != nil {
 		return 0, false, err
 	}
 	return boot, rejoin, nil
@@ -321,15 +316,6 @@ func (ls *Lockspace) Self() ocube.Pos { return ls.cfg.Node.Self }
 
 // Boot returns the incarnation Start gave the node's session; 0 under New.
 func (ls *Lockspace) Boot() uint64 { return ls.boot }
-
-// SessionStats returns the counters of the session Start built; zero
-// under New.
-func (ls *Lockspace) SessionStats() transport.SessionStats {
-	if ls.sess == nil {
-		return transport.SessionStats{}
-	}
-	return ls.sess.Stats()
-}
 
 // begin takes ls.mu for one client step; it reports false, with the
 // mutex released, on a node whose loop has exited.
@@ -507,7 +493,7 @@ func (l *leases) ended(id, fence uint64, lapsed bool) {
 // instance order (Machine.States) — a consistent view for the chaos
 // harness's end-of-run checks (at most one live token per instance across
 // the surviving nodes, quiescence at rest) and its autopsy's state lines.
-func (ls *Lockspace) Census() ([]CensusRow, error) {
+func (ls *Lockspace) Census() ([]obs.NodeState, error) {
 	if !ls.begin() {
 		return nil, ErrClosed
 	}

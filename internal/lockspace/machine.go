@@ -42,7 +42,7 @@ type driver interface {
 // between the two has promised nothing it cannot remember.
 type StableWrite struct {
 	Instance uint64
-	State    StableState
+	State    core.Stable
 }
 
 // Books are a machine's accounts between two steps: state machines
@@ -71,7 +71,7 @@ type Machine struct {
 	// traffic) and its row in the wheel's slot table, all in minting order.
 	index map[uint64]int32
 	insts []*instance
-	saved []StableState
+	saved []core.Stable
 	// slab is where instances are carved from, so a record costs no
 	// allocation and never moves; spare is where an instance's FIFO gets its
 	// first slot, so neither does a lone waiter — every simulated one.
@@ -348,7 +348,7 @@ func (m *Machine) ensure(now time.Duration, id uint64) *instance {
 		if m.stable != nil {
 			s, ok := m.stable.Load(id)
 			if !ok || st.node.RestoreStable(s) != nil {
-				s = StableState{}
+				s = core.Stable{}
 			}
 			m.saved = append(m.saved, s)
 		}

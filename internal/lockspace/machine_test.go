@@ -437,7 +437,7 @@ func TestMachineCancelRacesGrant(t *testing.T) {
 // reported with the envelopes of the same Drain.
 func TestMachineRejoinRestoresStable(t *testing.T) {
 	const id = 21
-	was := StableState{Seq: 5 << 20, Epoch: 6, RepairGen: 2}
+	was := core.Stable{Seq: 5 << 20, Epoch: 6, RepairGen: 2}
 	store := NewMemStable()
 	store.Save(id, was)
 	tmpl := ftTemplate()

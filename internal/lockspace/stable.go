@@ -10,11 +10,8 @@ import (
 	"repro/internal/core"
 )
 
-// StableState is one instance's Section 5 stable storage, core.Stable:
-// its JSON fields are the stable log's record.
-type StableState = core.Stable
-
-// StableStore persists per-instance StableState across node restarts.
+// StableStore persists each instance's Section 5 stable storage,
+// core.Stable, across node restarts.
 // Save is called inside the step that changed the state, with the node's
 // mutex held (seq bumps on each request), so implementations should be
 // cheap and must not call back into the node; Load is called once per
@@ -22,8 +19,8 @@ type StableState = core.Stable
 // node before the step sends anything: it would otherwise promise what
 // its next life cannot remember.
 type StableStore interface {
-	Load(inst uint64) (StableState, bool)
-	Save(inst uint64, s StableState) error
+	Load(inst uint64) (core.Stable, bool)
+	Save(inst uint64, s core.Stable) error
 }
 
 // MemStable is an in-memory StableStore: it survives a Lockspace being
@@ -32,16 +29,16 @@ type StableStore interface {
 // NewMemStable.
 type MemStable struct {
 	mu sync.Mutex
-	m  map[uint64]StableState
+	m  map[uint64]core.Stable
 }
 
 // NewMemStable builds an empty in-memory stable store.
 func NewMemStable() *MemStable {
-	return &MemStable{m: make(map[uint64]StableState)}
+	return &MemStable{m: make(map[uint64]core.Stable)}
 }
 
 // Load implements StableStore.
-func (s *MemStable) Load(inst uint64) (StableState, bool) {
+func (s *MemStable) Load(inst uint64) (core.Stable, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st, ok := s.m[inst]
@@ -49,14 +46,14 @@ func (s *MemStable) Load(inst uint64) (StableState, bool) {
 }
 
 // Save implements StableStore; it cannot fail.
-func (s *MemStable) Save(inst uint64, st StableState) error {
+func (s *MemStable) Save(inst uint64, st core.Stable) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[inst] = st
 	return nil
 }
 
-// FileStable is a StableStore on an append-only JSONL log, written for
+// FileStable is a MemStable plus an append-only JSONL log, written for
 // node processes that die by SIGKILL. Each Save appends one record with a
 // single write(2) and no fsync; OpenFileStable replays the log with
 // last-record-wins and silently discards a torn final line. A live node
@@ -67,14 +64,15 @@ func (s *MemStable) Save(inst uint64, st StableState) error {
 // disk: a kernel crash or power loss can drop a tail of records whose
 // sends already left, which is outside the fail-stop model.
 type FileStable struct {
-	mu sync.Mutex
-	m  map[uint64]StableState
-	f  *os.File
+	MemStable
+	f *os.File
 }
 
+// fileStableRec is one line of the log: the instance and core.Stable's
+// JSON fields.
 type fileStableRec struct {
 	Inst uint64 `json:"inst"`
-	StableState
+	core.Stable
 }
 
 // OpenFileStable opens (creating if needed) the stable log at path and
@@ -84,7 +82,7 @@ func OpenFileStable(path string) (*FileStable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lockspace: stable log: %w", err)
 	}
-	s := &FileStable{m: make(map[uint64]StableState), f: f}
+	s := &FileStable{MemStable: MemStable{m: make(map[uint64]core.Stable)}, f: f}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -92,7 +90,7 @@ func OpenFileStable(path string) (*FileStable, error) {
 		if json.Unmarshal(sc.Bytes(), &rec) != nil {
 			continue // torn tail of a killed writer
 		}
-		s.m[rec.Inst] = rec.StableState
+		s.m[rec.Inst] = rec.Stable
 	}
 	if err := sc.Err(); err != nil {
 		f.Close()
@@ -113,20 +111,12 @@ func OpenFileStable(path string) (*FileStable, error) {
 	return s, nil
 }
 
-// Load implements StableStore.
-func (s *FileStable) Load(inst uint64) (StableState, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st, ok := s.m[inst]
-	return st, ok
-}
-
 // Save implements StableStore: it reports the append's write error.
-func (s *FileStable) Save(inst uint64, st StableState) error {
+func (s *FileStable) Save(inst uint64, st core.Stable) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m[inst] = st
-	b, err := json.Marshal(fileStableRec{Inst: inst, StableState: st})
+	b, err := json.Marshal(fileStableRec{Inst: inst, Stable: st})
 	if err == nil {
 		_, err = s.f.Write(append(b, '\n'))
 	}

@@ -31,14 +31,14 @@ func FuzzStableDecode(f *testing.F) {
 	f.Add([]byte(`{"inst":0,"seq":1}` + "\n" + `{"inst":5,"seq":3}` + "\n" + `{"inst":0,"seq":2}` + "\n" + `{"inst":0,"se`)) // life records, one torn
 	f.Fuzz(func(t *testing.T, log []byte) {
 		lines := bytes.Split(log, []byte("\n"))
-		want := make(map[uint64]StableState)
+		want := make(map[uint64]core.Stable)
 		for _, line := range lines {
 			if len(line) >= 1<<20 {
 				t.Skip("a line the scanner refuses")
 			}
 			var rec fileStableRec
 			if json.Unmarshal(line, &rec) == nil {
-				want[rec.Inst] = rec.StableState
+				want[rec.Inst] = rec.Stable
 			}
 		}
 		path := filepath.Join(t.TempDir(), "stable.jsonl")
@@ -56,7 +56,7 @@ func FuzzStableDecode(f *testing.F) {
 		// Any instance will do: a record glued onto a torn tail is lost,
 		// whether it was new or superseded one the log holds.
 		inst := uint64(len(log))
-		st := StableState{Seq: 42, Epoch: 3, RepairGen: 1}
+		st := core.Stable{Seq: 42, Epoch: 3, RepairGen: 1}
 		s.Save(inst, st)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -84,9 +84,9 @@ func TestFileStableRoundTrip(t *testing.T) {
 	}
 	wantLife(t, s, 1, false)
 	wantLife(t, s, 2, true)
-	s.Save(7, StableState{Seq: 1, Epoch: 0, RepairGen: 1})
-	s.Save(9, StableState{Seq: 5, Epoch: 2, RepairGen: 3})
-	s.Save(7, StableState{Seq: 4, Epoch: 1, RepairGen: 2}) // supersedes
+	s.Save(7, core.Stable{Seq: 1, Epoch: 0, RepairGen: 1})
+	s.Save(9, core.Stable{Seq: 5, Epoch: 2, RepairGen: 3})
+	s.Save(7, core.Stable{Seq: 4, Epoch: 1, RepairGen: 2}) // supersedes
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestFileStableRoundTrip(t *testing.T) {
 	}
 	defer s2.Close()
 	got, ok := s2.Load(7)
-	if !ok || got != (StableState{Seq: 4, Epoch: 1, RepairGen: 2}) {
+	if !ok || got != (core.Stable{Seq: 4, Epoch: 1, RepairGen: 2}) {
 		t.Fatalf("Load(7) = %+v %v, want the last record", got, ok)
 	}
 	if got, ok := s2.Load(9); !ok || got.Seq != 5 {
@@ -129,7 +129,7 @@ func TestFileStableTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLife(t, s, 1, false)
-	s.Save(1, StableState{Seq: 10})
+	s.Save(1, core.Stable{Seq: 10})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFileStableTornTail(t *testing.T) {
 	}
 	wantLife(t, s2, 2, true)
 	// And the store still appends cleanly after the torn tail.
-	s2.Save(3, StableState{Seq: 7})
+	s2.Save(3, core.Stable{Seq: 7})
 	s2.Close()
 	s3, err := OpenFileStable(path)
 	if err != nil {

@@ -72,7 +72,7 @@ func TestStartRestartRecipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := nodes[0].SessionStats(); st.Frames != 0 {
+	if st := nodes[0].sess.Stats(); st.Frames != 0 {
 		t.Fatalf("a grant at home on a first life sent %d frames, want none: it did not start at cluster birth", st.Frames)
 	}
 	// Node 1 hears from boot 1 before it dies.
@@ -101,10 +101,10 @@ func TestStartRestartRecipe(t *testing.T) {
 	if err := again.Unlock("k", f2); err != nil {
 		t.Fatal(err)
 	}
-	if st := nodes[1].SessionStats(); st.StaleBootDrops != 0 {
+	if st := nodes[1].sess.Stats(); st.StaleBootDrops != 0 {
 		t.Errorf("node 1 dropped %d frames of node 0's second life as stale", st.StaleBootDrops)
 	}
-	if st := again.SessionStats(); st.Frames == 0 {
+	if st := again.sess.Stats(); st.Frames == 0 {
 		t.Error("the rejoin sent nothing: it did not search for the living structure")
 	}
 }
@@ -126,7 +126,7 @@ func TestRestartRepointsSessionSeries(t *testing.T) {
 	if err := nodes[1].Unlock("k", f); err != nil {
 		t.Fatal(err)
 	}
-	if nodes[1].SessionStats().Frames == 0 {
+	if nodes[1].sess.Stats().Frames == 0 {
 		t.Fatal("a remote grant sent no frames")
 	}
 	nodes[1].Close()
@@ -136,7 +136,7 @@ func TestRestartRepointsSessionSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range []string{
-		`ocmx_session_frames_total{node="1"} ` + itoa(uint64(again.SessionStats().Frames)),
+		`ocmx_session_frames_total{node="1"} ` + itoa(uint64(again.sess.Stats().Frames)),
 		`ocmx_session_receipts_total{node="1"} 0`,
 		`ocmx_session_retransmits_total{node="1",peer="0"} 0`,
 		`ocmx_session_dup_drops_total{node="0",peer="1"} `,

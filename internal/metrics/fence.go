@@ -11,7 +11,9 @@ import "sync"
 // lapsed, a token that survived its own regeneration — is rejected. The
 // gate is what turns a "fenced-out" violation (distinct fences) into a
 // non-event for the application; opencubemx.FencedResource wraps it for
-// client use, and E11 counts both verdicts.
+// client use, and props.LockProps judges every live grant by it. E11's
+// "fenced" column counts no verdict of its own: Holds classifies each
+// overlap by the rule this gate enforces.
 //
 // The zero value is ready to use; it is safe for concurrent access.
 type FenceGate struct {

@@ -19,15 +19,14 @@ import (
 	"sync"
 )
 
-// Summary accumulates observations and reports count, mean, standard
-// deviation, min, max and exact quantiles. It retains all samples (the
+// Summary accumulates observations and reports count, mean, max and
+// exact quantiles. It retains all samples (the
 // paper's experiments record at most a few hundred thousand observations).
 // It is safe for concurrent use; the zero value is ready to use.
 type Summary struct {
 	mu      sync.Mutex
 	samples []float64
 	sum     float64
-	sumSq   float64
 	sorted  bool
 }
 
@@ -39,9 +38,9 @@ type Summary struct {
 // Merging is sample-exact, which gives the sharded path (E13) the
 // guarantees its zero-traffic shards need: an empty or zero-grant
 // shard's summary contributes NOTHING — no phantom zero sample — so it
-// cannot drag p50/p99 wait percentiles down or poison Min to 0. Merge
-// order does not affect any reported statistic (quantiles sort, moments
-// commute); nil and self merges are no-ops. TestSummaryMergeTable pins
+// cannot drag p50/p99 wait percentiles down or the lowest sample to 0.
+// Merge order does not affect any reported statistic (quantiles sort,
+// the mean's sum commutes); nil and self merges are no-ops. TestSummaryMergeTable pins
 // all of these.
 func (s *Summary) Merge(other *Summary) {
 	if other == nil || other == s {
@@ -55,7 +54,6 @@ func (s *Summary) Merge(other *Summary) {
 	for _, v := range samples {
 		s.samples = append(s.samples, v)
 		s.sum += v
-		s.sumSq += v * v
 	}
 	s.sorted = false
 }
@@ -66,7 +64,6 @@ func (s *Summary) Observe(v float64) {
 	defer s.mu.Unlock()
 	s.samples = append(s.samples, v)
 	s.sum += v
-	s.sumSq += v * v
 	s.sorted = false
 }
 
@@ -85,34 +82,6 @@ func (s *Summary) Mean() float64 {
 		return 0
 	}
 	return s.sum / float64(len(s.samples))
-}
-
-// Stddev returns the population standard deviation, or 0 with fewer than
-// two samples.
-func (s *Summary) Stddev() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := float64(len(s.samples))
-	if n < 2 {
-		return 0
-	}
-	mean := s.sum / n
-	v := s.sumSq/n - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// Min returns the smallest sample, or 0 with no samples.
-func (s *Summary) Min() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sortLocked()
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.samples[0]
 }
 
 // Max returns the largest sample, or 0 with no samples.

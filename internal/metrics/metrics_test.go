@@ -10,7 +10,7 @@ import (
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.Count() != 0 || s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 || s.Quantile(0.5) != 0 {
+	if s.Count() != 0 || s.Mean() != 0 || s.Max() != 0 || s.Quantile(0) != 0 || s.Quantile(0.5) != 0 {
 		t.Error("zero-value summary must report zeros")
 	}
 	for _, v := range []float64{3, 1, 4, 1, 5, 9, 2, 6} {
@@ -22,8 +22,8 @@ func TestSummaryBasics(t *testing.T) {
 	if got := s.Mean(); math.Abs(got-31.0/8) > 1e-12 {
 		t.Errorf("mean = %v", got)
 	}
-	if s.Min() != 1 || s.Max() != 9 {
-		t.Errorf("min=%v max=%v", s.Min(), s.Max())
+	if s.Quantile(0) != 1 || s.Max() != 9 {
+		t.Errorf("min=%v max=%v", s.Quantile(0), s.Max())
 	}
 	if q := s.Quantile(0.5); q != 3 {
 		t.Errorf("median = %v, want 3 (nearest rank)", q)
@@ -39,29 +39,14 @@ func TestSummaryBasics(t *testing.T) {
 	}
 }
 
-func TestSummaryStddev(t *testing.T) {
-	var s Summary
-	if s.Stddev() != 0 {
-		t.Error("stddev of empty summary")
-	}
-	s.Observe(2)
-	if s.Stddev() != 0 {
-		t.Error("stddev of single sample")
-	}
-	s.Observe(4)
-	if got := s.Stddev(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("stddev = %v, want 1", got)
-	}
-}
-
 func TestSummaryObserveAfterQuantile(t *testing.T) {
 	// Observations after a sorted read must keep statistics correct.
 	var s Summary
 	s.Observe(5)
 	_ = s.Quantile(0.5)
 	s.Observe(1)
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("min=%v max=%v after re-observe", s.Min(), s.Max())
+	if s.Quantile(0) != 1 || s.Max() != 5 {
+		t.Errorf("min=%v max=%v after re-observe", s.Quantile(0), s.Max())
 	}
 }
 
@@ -100,7 +85,7 @@ func TestSummaryPropertyMeanBounds(t *testing.T) {
 			return true
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9
+		return m >= s.Quantile(0)-1e-9 && m <= s.Max()+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -108,8 +93,8 @@ func TestSummaryPropertyMeanBounds(t *testing.T) {
 }
 
 // TestSummaryMergeTable is the sharded-merge contract (E13): merging
-// empty or zero-grant shard summaries must not poison percentiles, Min
-// or Mean; merge order must not change any reported statistic; nil and
+// empty or zero-grant shard summaries must not poison percentiles, the
+// lowest sample or Mean; merge order must not change any reported statistic; nil and
 // self merges are no-ops.
 func TestSummaryMergeTable(t *testing.T) {
 	build := func(vals ...float64) *Summary {
@@ -124,7 +109,7 @@ func TestSummaryMergeTable(t *testing.T) {
 		mean, min, max, p50, p99 float64
 	}
 	read := func(s *Summary) stats {
-		return stats{s.Count(), s.Mean(), s.Min(), s.Max(), s.Quantile(0.5), s.Quantile(0.99)}
+		return stats{s.Count(), s.Mean(), s.Quantile(0), s.Max(), s.Quantile(0.5), s.Quantile(0.99)}
 	}
 	cases := []struct {
 		name   string
@@ -180,7 +165,7 @@ func TestSummaryMergeOrderInvariant(t *testing.T) {
 	}
 	type key struct{ count, mean, min, max, p50, p99 float64 }
 	k := func(s *Summary) key {
-		return key{float64(s.Count()), s.Mean(), s.Min(), s.Max(), s.Quantile(0.5), s.Quantile(0.99)}
+		return key{float64(s.Count()), s.Mean(), s.Quantile(0), s.Max(), s.Quantile(0.5), s.Quantile(0.99)}
 	}
 	if k(forward) != k(backward) {
 		t.Errorf("merge order changed statistics: %+v vs %+v", k(forward), k(backward))

@@ -79,7 +79,6 @@ func TestNilReceivers(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil handles reported non-zero values")
@@ -97,7 +96,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("con_total", "help").Inc()
-				r.Gauge("con_gauge", "help").Add(1)
+				r.Gauge("con_gauge", "help").Set(float64(j))
 				r.Histogram("con_seconds", "help", []float64{1}).Observe(0.5)
 				if j%100 == 0 {
 					// Scrapes race new series and a replaced fn.

@@ -172,9 +172,6 @@ func MustNew(p int) *Cube {
 // N returns the number of nodes, 2^p.
 func (c *Cube) N() int { return len(c.father) }
 
-// P returns the cube order pmax = log2(N).
-func (c *Cube) P() int { return c.p }
-
 // Father returns the father of x, or None if x is a root.
 func (c *Cube) Father(x Pos) Pos { return c.father[x] }
 

@@ -134,17 +134,14 @@ type LockProps struct {
 }
 
 // NewLockProps wires the suite to a collector. ttl is the lockspace's
-// lease TTL (zombie lapse instants are enter+ttl); reclaimBound is the
-// c·TTL envelope PropReclaimBounded enforces (0 picks 10·ttl+15s, and
-// with no ttl a flat 30s). Every assertion is declared up front so an
-// unexercised property shows as unreached, not absent.
-func NewLockProps(c *Collector, ttl, reclaimBound time.Duration) *LockProps {
-	if reclaimBound <= 0 {
-		if ttl > 0 {
-			reclaimBound = 10*ttl + 15*time.Second
-		} else {
-			reclaimBound = 30 * time.Second
-		}
+// lease TTL: zombie lapse instants are enter+ttl, and PropReclaimBounded
+// enforces the c·TTL envelope 10·ttl+15s (with no ttl a flat 30s). Every
+// assertion is declared up front so an unexercised property shows as
+// unreached, not absent.
+func NewLockProps(c *Collector, ttl time.Duration) *LockProps {
+	reclaimBound := 30 * time.Second
+	if ttl > 0 {
+		reclaimBound = 10*ttl + 15*time.Second
 	}
 	p := &LockProps{
 		c:            c,
@@ -239,8 +236,8 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) bool {
 		// with the admitted hold.
 		p.totals.FencedOut++
 		p.always(PropLedgerAdmit, fence < ks.lastFence, details)
-		p.c.Reachable(PropFencedOutOverlap, Details{"key": key, "fence": fence, "hwm": ks.lastFence})
-		p.c.Reachable(PropStaleFenceRejected, Details{"key": key, "fence": fence, "current": ks.lastFence})
+		p.c.Reachable(PropFencedOutOverlap)
+		p.c.Reachable(PropStaleFenceRejected)
 		return false
 	}
 
@@ -262,9 +259,9 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) bool {
 			}
 			p.totals.MaxReclaim = max(p.totals.MaxReclaim, now.Sub(from))
 			if ks.lapsedKind == lapsedKill {
-				p.c.Sometimes(PropReclaimAfterKill, true, nil)
+				p.c.Sometimes(PropReclaimAfterKill, true)
 			} else {
-				p.c.Sometimes(PropReclaimAfterLease, true, nil)
+				p.c.Sometimes(PropReclaimAfterLease, true)
 			}
 			p.always(PropReclaimBounded, lat <= p.reclaimBound, func() Details {
 				return Details{"key": key, "latency": lat, "bound": p.reclaimBound}
@@ -274,12 +271,12 @@ func (p *LockProps) OnGrant(node int, key string, fence uint64) bool {
 			// nor lapsed: an overlap with distinct fences — the fenced-out
 			// class, harmless to the ledger, recorded but not failed.
 			p.totals.FencedOut++
-			p.c.Reachable(PropFencedOutOverlap, Details{"key": key, "fence": fence, "prevFence": prev.fence})
+			p.c.Reachable(PropFencedOutOverlap)
 		}
 	}
 	if p.healPending {
 		p.healPending = false
-		p.c.Sometimes(PropPartitionHeal, true, nil)
+		p.c.Sometimes(PropPartitionHeal, true)
 	}
 	ks.holder = &hold{node: node, fence: fence}
 	ks.lapsedAt = time.Time{}
@@ -320,9 +317,9 @@ func (p *LockProps) OnExpired(node int, key string, fence uint64) {
 	p.totals.Expired++
 	ks := p.key(key)
 	p.holds.Exit(ks.id, fence)
-	p.c.Reachable(PropLeaseExpiredSurfaced, Details{"key": key, "fence": fence})
+	p.c.Reachable(PropLeaseExpiredSurfaced)
 	if fence < ks.lastFence && !p.gate.Admit(key, fence) {
-		p.c.Reachable(PropStaleFenceRejected, Details{"key": key, "fence": fence, "current": ks.lastFence})
+		p.c.Reachable(PropStaleFenceRejected)
 	}
 }
 
@@ -335,7 +332,7 @@ func (p *LockProps) OnHoldLost(node int, key string, fence uint64) {
 	ks := p.key(key)
 	p.holds.Exit(ks.id, fence)
 	if fence < ks.lastFence && !p.gate.Admit(key, fence) {
-		p.c.Reachable(PropStaleFenceRejected, Details{"key": key, "fence": fence, "current": ks.lastFence})
+		p.c.Reachable(PropStaleFenceRejected)
 	}
 }
 
@@ -362,9 +359,9 @@ func (p *LockProps) OnLateExpiry(node int, key string, fence uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ks := p.key(key)
-	p.c.Reachable(PropLeaseExpiredSurfaced, Details{"key": key, "fence": fence})
+	p.c.Reachable(PropLeaseExpiredSurfaced)
 	if fence < ks.lastFence && !p.gate.Admit(key, fence) {
-		p.c.Reachable(PropStaleFenceRejected, Details{"key": key, "fence": fence, "current": ks.lastFence})
+		p.c.Reachable(PropStaleFenceRejected)
 	}
 }
 
@@ -404,7 +401,7 @@ func (p *LockProps) OnKilled(node int) {
 			held++
 		}
 	}
-	p.c.Sometimes(PropKillWhileHolding, held > 0, Details{"node": node, "held": held})
+	p.c.Sometimes(PropKillWhileHolding, held > 0)
 }
 
 // OnHealed records a partition heal; the next grant anywhere witnesses

@@ -18,7 +18,7 @@ func report(p *LockProps) map[string]Assertion {
 
 func TestLockPropsCleanRun(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 100*time.Millisecond, 0)
+	p := NewLockProps(&c, 100*time.Millisecond)
 	for i := uint64(1); i <= 3; i++ {
 		p.OnRequest(0, "k")
 		p.OnGrant(0, "k", i)
@@ -42,7 +42,7 @@ func TestLockPropsCleanRun(t *testing.T) {
 
 func TestLockPropsSameFenceOverlapFails(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, 0)
+	p := NewLockProps(&c, 0)
 	p.OnRequest(0, "k")
 	p.OnGrant(0, "k", 5)
 	// Second grant of the same fence while the first is still in CS:
@@ -60,7 +60,7 @@ func TestLockPropsSameFenceOverlapFails(t *testing.T) {
 
 func TestLockPropsDistinctFenceOverlapIsFencedOut(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, 0)
+	p := NewLockProps(&c, 0)
 	p.OnRequest(0, "k")
 	p.OnGrant(0, "k", 1)
 	// A second, higher-fence grant while holder 0 is neither released
@@ -97,7 +97,7 @@ func TestLockPropsDistinctFenceOverlapIsFencedOut(t *testing.T) {
 // strictly stale.
 func TestLockPropsStaleTokenGrantIsFencedOut(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, 0)
+	p := NewLockProps(&c, 0)
 	p.OnRequest(0, "k")
 	p.OnGrant(0, "k", 1<<32|1) // regenerated token, epoch 1
 	p.OnRelease(0, "k", 1<<32|1)
@@ -120,7 +120,7 @@ func TestLockPropsStaleTokenGrantIsFencedOut(t *testing.T) {
 	// bug and must fail PropLedgerAdmit — simulate via a zero fence with
 	// an empty ledger (never admitted, nothing above it).
 	var c2 Collector
-	p2 := NewLockProps(&c2, 0, 0)
+	p2 := NewLockProps(&c2, 0)
 	p2.OnRequest(0, "q")
 	p2.OnGrant(0, "q", 0)
 	if rep2 := report(p2); !rep2[PropLedgerAdmit].Failed() {
@@ -130,7 +130,7 @@ func TestLockPropsStaleTokenGrantIsFencedOut(t *testing.T) {
 
 func TestLockPropsKillReclaimCoverageAndBound(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, time.Hour)
+	p := NewLockProps(&c, 0)
 	p.OnRequest(2, "k")
 	p.OnGrant(2, "k", 1)
 	p.OnKilled(2)
@@ -164,7 +164,7 @@ func TestLockPropsKillReclaimCoverageAndBound(t *testing.T) {
 // beside it, and PropReclaimBounded still judges that one.
 func TestLockPropsReclaimWaitStartsAtTheAsk(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, time.Hour)
+	p := NewLockProps(&c, 0)
 	p.OnRequest(2, "k")
 	p.OnGrant(2, "k", 1)
 	p.OnKilled(2)
@@ -198,7 +198,7 @@ func TestLockPropsReclaimWaitStartsAtTheAsk(t *testing.T) {
 // request of another key is no ask of this one.
 func TestLockPropsAsksPairFIFO(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, time.Hour)
+	p := NewLockProps(&c, 0)
 	p.OnRequest(0, "k")
 	p.OnGrant(0, "k", 1)
 	p.OnKilled(0)
@@ -223,7 +223,7 @@ func TestLockPropsAsksPairFIFO(t *testing.T) {
 func TestLockPropsZombieLeaseReclaim(t *testing.T) {
 	var c Collector
 	ttl := 10 * time.Millisecond
-	p := NewLockProps(&c, ttl, time.Hour)
+	p := NewLockProps(&c, ttl)
 	p.OnRequest(0, "k")
 	p.OnGrant(0, "k", 1)
 	p.OnZombie(0, "k", 1)
@@ -249,7 +249,7 @@ func TestLockPropsZombieLeaseReclaim(t *testing.T) {
 
 func TestLockPropsPartitionHealWitness(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, 0)
+	p := NewLockProps(&c, 0)
 	p.OnHealed()
 	p.OnRequest(0, "k")
 	p.OnGrant(0, "k", 1)
@@ -261,7 +261,7 @@ func TestLockPropsPartitionHealWitness(t *testing.T) {
 
 func TestLockPropsFinishCatchesImbalanceAndTokens(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, 0)
+	p := NewLockProps(&c, 0)
 	p.OnRequest(0, "k") // never granted, never aborted
 	p.Finish(true, map[uint64]int{7: 2})
 	rep := report(p)
@@ -285,7 +285,7 @@ func TestLockPropsFinishCatchesImbalanceAndTokens(t *testing.T) {
 // around the accountant.
 func TestLockPropsConcurrentClients(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, 0)
+	p := NewLockProps(&c, 0)
 	const clients, rounds = 8, 200
 	var wg sync.WaitGroup
 	for g := 0; g < clients; g++ {
@@ -316,7 +316,7 @@ func TestLockPropsConcurrentClients(t *testing.T) {
 // Always assertion are built when it fails.
 func TestLockPropsPassingGrantBuildsNoDetails(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, 0)
+	p := NewLockProps(&c, 0)
 	fence := uint64(1)
 	p.OnGrant(0, "k", fence)
 	p.OnRelease(0, "k", fence)
@@ -333,9 +333,33 @@ func TestLockPropsPassingGrantBuildsNoDetails(t *testing.T) {
 	}
 }
 
+// TestLockPropsLateExpiryAllocsNothing pins the zombie's late Unlock, one
+// of the chaos run's most frequent events, at zero allocations: a known
+// key, a stale fence the ledger refuses, and two Reachable witnesses that
+// carry no details.
+func TestLockPropsLateExpiryAllocsNothing(t *testing.T) {
+	var c Collector
+	p := NewLockProps(&c, time.Second)
+	p.OnRequest(0, "k")
+	p.OnGrant(0, "k", 1<<32|1)
+	p.OnZombie(0, "k", 1<<32|1)
+	p.OnRequest(1, "k")
+	p.OnGrant(1, "k", 2<<32|1)
+	p.OnRelease(1, "k", 2<<32|1)
+	allocs := testing.AllocsPerRun(100, func() {
+		p.OnLateExpiry(0, "k", 1<<32|1)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocs per late expiry, want 0", allocs)
+	}
+	if rep := report(p); rep[PropStaleFenceRejected].Passes == 0 {
+		t.Fatalf("the stale fence must be refused and witnessed by %s", PropStaleFenceRejected)
+	}
+}
+
 func TestLockPropsStuck(t *testing.T) {
 	var c Collector
-	p := NewLockProps(&c, 0, 0)
+	p := NewLockProps(&c, 0)
 	p.OnRequest(0, "k")
 	p.OnStuck(0, "k", time.Minute)
 	p.Finish(true, nil)

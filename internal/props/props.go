@@ -52,8 +52,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-// Details carries the structured context of one evaluation — the values
-// that make a failure diagnosable without re-running.
+// Details carries the structured context of an Always evaluation — the
+// values that make a failure diagnosable without re-running. Sometimes
+// and Reachable take none: only their counts are reported.
 type Details map[string]any
 
 // String renders the details as sorted key=value pairs, so failure
@@ -160,7 +161,7 @@ func (c *Collector) Always(id string, cond bool, d Details) bool {
 
 // Sometimes evaluates a sometimes-assertion: cond must be true on at
 // least one call per run.
-func (c *Collector) Sometimes(id string, cond bool, d Details) {
+func (c *Collector) Sometimes(id string, cond bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.get(id, Sometimes)
@@ -172,7 +173,7 @@ func (c *Collector) Sometimes(id string, cond bool, d Details) {
 }
 
 // Reachable marks the calling path as reached.
-func (c *Collector) Reachable(id string, d Details) {
+func (c *Collector) Reachable(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.get(id, Reachable).passes++

@@ -47,10 +47,10 @@ func TestCollectorSometimesAndCoverage(t *testing.T) {
 	c.Declare(Reachable, "r.hit")
 	c.Declare(Reachable, "r.miss")
 
-	c.Sometimes("s.hit", false, nil)
-	c.Sometimes("s.hit", true, nil)
-	c.Sometimes("s.miss", false, nil)
-	c.Reachable("r.hit", nil)
+	c.Sometimes("s.hit", false)
+	c.Sometimes("s.hit", true)
+	c.Sometimes("s.miss", false)
+	c.Reachable("r.hit")
 
 	if err := c.Err(false); err != nil {
 		t.Fatalf("non-strict must not fail on unreached: %v", err)
@@ -78,7 +78,7 @@ func TestCollectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Always("conc", true, nil)
-				c.Sometimes("conc.s", i%2 == 0, nil)
+				c.Sometimes("conc.s", i%2 == 0)
 			}
 		}()
 	}

@@ -63,7 +63,7 @@ func BenchmarkSessionStep(b *testing.B) {
 		settle()
 		now += time.Millisecond
 		for _, m := range ms {
-			if m.Deadline() <= now {
+			if m.deadline <= now {
 				link = m.Tick(now, link)
 				inputs++
 			}

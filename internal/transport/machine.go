@@ -324,11 +324,6 @@ func (m *Machine) PeerStats() map[ocube.Pos]PeerStats {
 // whether transmitted or still waiting for a window slot.
 func (m *Machine) Unacked() int { return m.unacked }
 
-// Deadline reports when Tick should next be called, Never while the
-// machine waits for nothing. It is a lower bound (see Machine.deadline):
-// a Tick at it may find nothing to do and name a later one.
-func (m *Machine) Deadline() time.Duration { return m.deadline }
-
 // Aim keeps the driver's one timer aimed at the deadline: it reports the
 // deadline when the timer has to be set for it, and the driver calls Tick
 // when the timer fires. The aim only tightens, as lockspace.Machine's

@@ -157,7 +157,7 @@ func (r *machRig) run(until time.Duration) {
 		}
 		next, who := until+1, -1 // who: 0 or 1 ticks that node, 2 lands a frame
 		for i, m := range r.m {
-			if at := m.Deadline(); at < next {
+			if at := m.deadline; at < next {
 				next, who = at, i
 			}
 		}
@@ -200,7 +200,7 @@ func (r *machRig) rest() {
 	r.t.Helper()
 	r.run(r.now + time.Hour)
 	for i, m := range r.m {
-		if at := m.Deadline(); at != Never {
+		if at := m.deadline; at != Never {
 			r.t.Fatalf("node %d still has a deadline at %v an hour on", i, at)
 		}
 	}

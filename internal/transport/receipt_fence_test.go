@@ -69,7 +69,7 @@ func (r *nodeRig) emit(i ocube.Pos, out []Outgoing) {
 		f := o.Frame
 		r.after(rigTransit, nodeEvent{to: o.To, frame: &f})
 	}
-	if at := r.m[i].Deadline(); at != Never {
+	if at := r.m[i].deadline; at != Never {
 		r.after(at-r.now, nodeEvent{to: i})
 	}
 }

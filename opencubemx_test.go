@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -12,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/lockspace"
+	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 func TestNewClusterValidation(t *testing.T) {
@@ -305,12 +310,6 @@ func TestKilledNodeDoesNotWedgeSurvivors(t *testing.T) {
 			t.Fatalf("pair %d on node %d: %v", k, i, err)
 		}
 	}
-	var frames, retransmits int64
-	for _, node := range c.nodes {
-		st := node.SessionStats()
-		frames, retransmits = frames+st.Frames, retransmits+st.Retransmits
-	}
-	t.Logf("%d frames, %d retransmits", frames, retransmits)
 }
 
 func TestMutexOutOfRange(t *testing.T) {
@@ -530,11 +529,8 @@ func TestLockspaceClusterLive(t *testing.T) {
 // so every ack travels alone after its full delay — and no token is ever
 // regenerated: every fence stays in epoch 0.
 func TestReceiptFitsASmallDelta(t *testing.T) {
-	c, err := NewCluster(8, WithFaultTolerance(5*time.Millisecond, 5*time.Millisecond, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	reg := obs.NewRegistry()
+	c := meteredCluster(t, 8, reg, WithFaultTolerance(5*time.Millisecond, 5*time.Millisecond, 0))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	for i := 0; i < 20; i++ {
@@ -554,13 +550,50 @@ func TestReceiptFitsASmallDelta(t *testing.T) {
 		}
 		time.Sleep(30 * time.Millisecond)
 	}
-	var receipts, pure int64
-	for _, node := range c.nodes {
-		st := node.SessionStats()
-		receipts += st.Receipts
-		pure += st.AckFrames
-	}
+	receipts, pure := scrapeSum(t, reg, "ocmx_session_receipts_total"), scrapeSum(t, reg, "ocmx_session_ack_frames_total")
 	if receipts == 0 || pure == 0 {
-		t.Errorf("%d receipts, %d pure acks: the run acknowledged no token through a lone ack", receipts, pure)
+		t.Errorf("%v receipts, %v pure acks: the run acknowledged no token through a lone ack", receipts, pure)
 	}
+}
+
+// meteredCluster is NewCluster with every node's series in reg, so a test
+// reads the session counters as a scrape of the ocmx_session_* series.
+func meteredCluster(t *testing.T, n int, reg *obs.Registry, opts ...Option) *Cluster {
+	t.Helper()
+	mesh, err := transport.NewSessMesh(n, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Cluster{mesh: mesh}
+	t.Cleanup(func() { c.Close() })
+	for i := 0; i < n; i++ {
+		cfg := config(i, bits.TrailingZeros(uint(n)), opts)
+		cfg.Metrics = reg
+		node, err := lockspace.Start(mesh.Endpoint(cfg.Node.Self), transport.SessionConfig{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.nodes = append(c.nodes, node)
+	}
+	return c
+}
+
+// scrapeSum sums every labelled sample of the series name in reg's scrape.
+func scrapeSum(t *testing.T, reg *obs.Registry, name string) (sum float64) {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, name+"{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("scrape line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }
