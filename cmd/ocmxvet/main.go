@@ -1,12 +1,13 @@
 // Command ocmxvet is the repository's invariant checker: a vet-style
 // multichecker running the internal/lint analyzer suite (determinism,
-// mapiter, wiresize, arenaretain, nilsafe, looptimer, heldblock) over the
-// named packages; the stock `go vet` passes are run on their own. It
-// exits nonzero on any finding, which makes it a tier-1 CI gate: the
-// contracts the runtime tests and byte-identity cmp gates verify after
-// the fact — replayable executions, the 80-byte wire struct, arena
-// lifetimes, nil-safe observability hooks — fail here at the line that
-// broke them.
+// mapiter, arenaretain, nilsafe, looptimer, heldblock) over the named
+// packages; the stock `go vet` passes are run on their own. It exits
+// nonzero on any finding, which makes it a tier-1 CI gate: the
+// code-shape contracts the runtime tests and byte-identity cmp gates
+// verify only after the fact — replayable executions, arena lifetimes,
+// nil-guarded observability hooks — fail here at the line that broke
+// them. Invariants a test can read, such as the struct layout pins, are
+// tests instead.
 //
 // Usage:
 //

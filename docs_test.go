@@ -134,14 +134,16 @@ func funcLabel(d *ast.FuncDecl) string {
 // under each listed EXPERIMENTS.md heading with that experiment's golden
 // table, minus the golden's title line and the blank line that ends
 // every printed table. The doc copies are written by hand; this keeps
-// them equal. Still open: E5 (an excerpt), E7, E9, E10 and E13, whose
-// doc tables are not their goldens.
+// them equal. E7 and E10 show their -full table, whose leading rows are
+// the default scale the golden pins (CI diffs the rest against the -full
+// run). Still open: E5 (an excerpt), E9 and E13, whose doc tables are
+// not their goldens.
 func TestExperimentsTablesAreTheGoldens(t *testing.T) {
 	doc, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, exp := range []string{"E1", "E2", "E3", "E4", "E6", "E8", "E11"} {
+	for _, exp := range []string{"E1", "E2", "E3", "E4", "E6", "E7", "E8", "E10", "E11"} {
 		t.Run(exp, func(t *testing.T) {
 			golden, err := os.ReadFile("internal/harness/testdata/" + strings.ToLower(exp) + "_seed1993.golden")
 			if err != nil {
@@ -163,7 +165,8 @@ func TestExperimentsTablesAreTheGoldens(t *testing.T) {
 				t.Fatalf("EXPERIMENTS.md: the fenced block under %s is not closed", heading)
 			}
 			_, want, _ := strings.Cut(strings.TrimSuffix(string(golden), "\n"), "\n")
-			if table != want {
+			full := exp == "E7" || exp == "E10"
+			if full && !strings.HasPrefix(table, want) || !full && table != want {
 				t.Errorf("EXPERIMENTS.md %s table differs from its golden:\ndoc:\n%s\ngolden:\n%s", heading, table, want)
 			}
 		})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"unsafe"
 
 	"repro/internal/ocube"
 )
@@ -12,16 +11,6 @@ import (
 // of one token lineage, with a regenerated token's fences outranking every
 // fence of the copy it replaced. The counter travels with the token on
 // KindToken messages, so grants issued by different nodes still count up.
-
-// TestMessageStays80Bytes pins the wire-struct layout: Fence filled the
-// word freed by narrowing Phase to int32, so adding client-visible fencing
-// must not have grown the per-message footprint the sim's event arenas and
-// the transport's fixed-size wire record are sized around.
-func TestMessageStays80Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Message{}); got != 80 {
-		t.Fatalf("sizeof(Message) = %d, want 80", got)
-	}
-}
 
 func grantsOf(effs []Effect) []Grant {
 	var out []Grant

@@ -71,10 +71,16 @@ type E10Row struct {
 }
 
 // strict is what -strict fails an E10 row on: a settle phase that did not
-// drain, or a violation.
+// drain, a violation, overall msgs/CS above the log₂²N envelope, or a
+// request left unserved.
 func (r E10Row) strict() error {
-	if r.Stuck != 0 || r.Violations != 0 {
+	switch {
+	case r.Stuck != 0 || r.Violations != 0:
 		return fmt.Errorf("strict: e10 N=%d stuck=%d violations=%d", r.N, r.Stuck, r.Violations)
+	case r.OverallMsgs > r.Log2Sq:
+		return fmt.Errorf("strict: e10 N=%d: overall msgs/CS %.3f > log2²N = %.0f", r.N, r.OverallMsgs, r.Log2Sq)
+	case r.Grants != int64(r.Requests):
+		return fmt.Errorf("strict: e10 N=%d: %d grants for %d requests", r.N, r.Grants, r.Requests)
 	}
 	return nil
 }

@@ -19,6 +19,15 @@ type E1Row struct {
 	ProbedConfig int   // number of (configuration, requester) pairs probed
 }
 
+// strict is the paper's worst-case claim, at DESIGN.md §6's strict
+// bound: no request costs more than log2(N)+2 messages.
+func (r E1Row) strict() error {
+	if r.MaxMeasured > int64(r.StrictBound) {
+		return fmt.Errorf("strict: e1 N=%d: max msgs/request %d > log2N+2 = %d", r.N, r.MaxMeasured, r.StrictBound)
+	}
+	return nil
+}
+
 // E1WorstCase measures the worst per-request message cost for each cube
 // order: every requester on the pristine cube, plus sequential probes on
 // randomly evolved (but always valid) open-cubes. Pristine-cube probes
@@ -95,6 +104,19 @@ type E2Row struct {
 	AlphaExact  float64 // αp / 2^p
 	Approx      float64 // 3/4·log2 N + 5/4
 	SteadyState float64 // mean msgs/grant under a random steady workload
+}
+
+// strict is the paper's average-case claim: the pristine-cube average
+// is αp/2^p to the printed four decimals, and the steady-state average
+// stays within ¾·log2 N + 5/4.
+func (r E2Row) strict() error {
+	switch {
+	case fmt.Sprintf("%.4f", r.Measured) != fmt.Sprintf("%.4f", r.AlphaExact):
+		return fmt.Errorf("strict: e2 N=%d: measured avg %.4f != αp/2^p = %.4f", r.N, r.Measured, r.AlphaExact)
+	case r.SteadyState > r.Approx:
+		return fmt.Errorf("strict: e2 N=%d: steady-state avg %.4f > ¾log2N+5/4 = %.4f", r.N, r.SteadyState, r.Approx)
+	}
+	return nil
 }
 
 // E2Average measures the exact per-node average on pristine cubes (the

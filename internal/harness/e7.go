@@ -32,10 +32,16 @@ type E7Row struct {
 }
 
 // strict is what -strict fails an E7 row on: a stuck episode or a
-// violation in either run.
+// violation in either run, failure-free msgs/CS above Lavault's
+// ¾·log₂N + 5/4, or fault-tolerant msgs/CS above the log₂²N envelope.
 func (r E7Row) strict() error {
-	if r.Stuck != 0 || r.Violations != 0 {
+	switch {
+	case r.Stuck != 0 || r.Violations != 0:
 		return fmt.Errorf("strict: e7 N=%d stuck=%d violations=%d", r.N, r.Stuck, r.Violations)
+	case r.FFMsgsPerCS > r.Lavault:
+		return fmt.Errorf("strict: e7 N=%d: ff msgs/CS %.3f > ¾log2N+5/4 = %.4f", r.N, r.FFMsgsPerCS, r.Lavault)
+	case r.FTMsgsPerCS > r.Log2Sq:
+		return fmt.Errorf("strict: e7 N=%d: ft msgs/CS %.3f > log2²N = %.0f", r.N, r.FTMsgsPerCS, r.Log2Sq)
 	}
 	return nil
 }

@@ -39,10 +39,10 @@ func Gates() []Gate {
 	return []Gate{
 		throughput("engine_throughput", "open-cube", false),
 		throughput("engine_throughput_ft", "open-cube", true),
-		rowGate("e1_n32", "worst-msgs/request", nil,
+		rowGate("e1_n32", "worst-msgs/request", E1Row.strict,
 			func(o Options) ([]E1Row, error) { return E1WorstCase(o, []int{5}, 10) },
 			func(r E1Row) float64 { return float64(r.MaxMeasured) }),
-		rowGate("e2_n128", "avg-msgs/request", nil,
+		rowGate("e2_n128", "avg-msgs/request", E2Row.strict,
 			func(o Options) ([]E2Row, error) { return E2Average(o, []int{7}) },
 			func(r E2Row) float64 { return r.Measured }),
 		rowGate("e3_n32", "repair-msgs/failure", E3Row.strict,

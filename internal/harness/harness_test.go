@@ -39,8 +39,8 @@ func TestE1WithinStrictBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.MaxMeasured > int64(r.StrictBound) {
-			t.Errorf("N=%d: max %d exceeds strict bound %d", r.N, r.MaxMeasured, r.StrictBound)
+		if err := r.strict(); err != nil {
+			t.Error(err)
 		}
 		// For N ≥ 8 the pristine cube already realizes log2(N)+2 (e.g.
 		// paper node 6 on the 8-cube), demonstrating the off-by-one in
@@ -52,6 +52,56 @@ func TestE1WithinStrictBound(t *testing.T) {
 	}
 	if s := formatE1(rows); !strings.Contains(s, "E1") {
 		t.Error("formatE1 missing header")
+	}
+}
+
+// TestStrictClaims feeds each paper claim that -strict checks a
+// fabricated row that breaks it, and the row at the claim's edge, which
+// passes.
+func TestStrictClaims(t *testing.T) {
+	for _, c := range []struct {
+		claim string
+		edge  error
+		bad   error
+		want  string
+	}{
+		{"e1 worst case log2N+2",
+			E1Row{N: 64, MaxMeasured: 8, StrictBound: 8}.strict(),
+			E1Row{N: 64, MaxMeasured: 9, StrictBound: 8}.strict(),
+			"max msgs/request 9 > log2N+2 = 8"},
+		{"e2 average is alpha_p over 2^p",
+			E2Row{N: 64, Measured: 5.64061, AlphaExact: 5.640625, Approx: 5.75}.strict(),
+			E2Row{N: 64, Measured: 5.6400, AlphaExact: 5.640625, Approx: 5.75}.strict(),
+			"measured avg 5.6400 != αp/2^p = 5.6406"},
+		{"e2 steady state within Lavault",
+			E2Row{N: 64, Measured: 5.640625, AlphaExact: 5.640625, Approx: 5.75, SteadyState: 5.75}.strict(),
+			E2Row{N: 64, Measured: 5.640625, AlphaExact: 5.640625, Approx: 5.75, SteadyState: 5.7501}.strict(),
+			"steady-state avg 5.7501 > ¾log2N+5/4 = 5.7500"},
+		{"e7 failure-free within Lavault",
+			E7Row{N: 256, FFMsgsPerCS: 7.25, Lavault: 7.25, Log2Sq: 64}.strict(),
+			E7Row{N: 256, FFMsgsPerCS: 7.251, Lavault: 7.25, Log2Sq: 64}.strict(),
+			"ff msgs/CS 7.251 > ¾log2N+5/4 = 7.2500"},
+		{"e7 fault-tolerant within log2 squared N",
+			E7Row{N: 256, Lavault: 7.25, FTMsgsPerCS: 64, Log2Sq: 64}.strict(),
+			E7Row{N: 256, Lavault: 7.25, FTMsgsPerCS: 64.5, Log2Sq: 64}.strict(),
+			"ft msgs/CS 64.500 > log2²N = 64"},
+		{"e10 overall within log2 squared N",
+			E10Row{N: 256, Requests: 1598, Grants: 1598, OverallMsgs: 64, Log2Sq: 64}.strict(),
+			E10Row{N: 256, Requests: 1598, Grants: 1598, OverallMsgs: 64.5, Log2Sq: 64}.strict(),
+			"overall msgs/CS 64.500 > log2²N = 64"},
+		{"e10 every request served",
+			E10Row{N: 256, Requests: 1598, Grants: 1598, Log2Sq: 64}.strict(),
+			E10Row{N: 256, Requests: 1598, Grants: 1597, Log2Sq: 64}.strict(),
+			"1597 grants for 1598 requests"},
+	} {
+		t.Run(c.claim, func(t *testing.T) {
+			if c.edge != nil {
+				t.Errorf("the row at the claim's edge fails: %v", c.edge)
+			}
+			if c.bad == nil || !strings.Contains(c.bad.Error(), c.want) {
+				t.Errorf("the violating row reads %v, want an error containing %q", c.bad, c.want)
+			}
+		})
 	}
 }
 

@@ -73,11 +73,11 @@ func Experiments() []Experiment {
 	return []Experiment{
 		{"e1", func(o Options) (Report, error) {
 			rows, err := E1WorstCase(o, orders(o, 1, 6, 8), 40)
-			return report(rows, err, formatE1, nil)
+			return report(rows, err, formatE1, E1Row.strict)
 		}},
 		{"e2", func(o Options) (Report, error) {
 			rows, err := E2Average(o, orders(o, 1, 6, 8))
-			return report(rows, err, formatE2, nil)
+			return report(rows, err, formatE2, E2Row.strict)
 		}},
 		// -full is the paper's scale: 300 failures at N=32, 200 at N=64.
 		{"e3", func(o Options) (Report, error) {

@@ -1,28 +1,22 @@
-// Package lint is ocmxvet: a suite of source-level invariant checkers
-// that make the repository's strongest runtime guarantees structural.
-// The byte-identical experiment tables (any -parallel count),
-// the 80-byte core.Message wire pin, the valid-until-next-call arena
-// discipline and the zero-cost-when-off observability contract are all
-// enforced by runtime tests and CI cmp gates — which catch a violation
-// only after it has shipped a nondeterministic run. The analyzers here
-// flag the offending line instead:
+// Package lint is ocmxvet: a suite of source-level checkers for the
+// invariants that live in code shape, where no test can observe them.
+// The byte-identical experiment tables (any -parallel count), the
+// valid-until-next-call arena discipline and the zero-cost-when-off
+// observability hooks are enforced by runtime tests and CI cmp gates —
+// which catch a violation only after it has shipped a nondeterministic
+// run. The analyzers here flag the offending line instead:
 //
 //   - determinism: wall-clock calls, global math/rand sources and
 //     runtime.NumGoroutine are forbidden inside the deterministic
 //     packages (seeded rand.New(rand.NewSource(...)) stays legal).
 //   - mapiter: ranging over a map while emitting output, collecting
 //     results or sending effects needs a subsequent deterministic sort.
-//   - wiresize: core.Message must be exactly 80 bytes, core.Node at
-//     most 360 and the engine's heap entry at most 24, recomputed from
-//     go/types layout so the diagnostic names the offending field at the
-//     line that grew it.
 //   - arenaretain: pooled effect values (pointer-boxed arena entries)
 //     must not be stored in struct fields, globals, or goroutine
 //     closures, nor read after a later call into a core.Node — they are
 //     valid only until the next call into any node of the emitting
 //     state machine's host.
-//   - nilsafe: obs.Counter/Gauge/Histogram methods must tolerate nil
-//     receivers, and core.Config.Observe / chaos.Config.Autopsy /
+//   - nilsafe: core.Config.Observe / chaos.Config.Autopsy /
 //     harness.Options.Autopsy uses must be nil-guarded, keeping the
 //     zero-cost-when-off contract honest.
 //   - looptimer: a live loop — the lockspace node loop, the transport
@@ -33,6 +27,10 @@
 //     whoever has the input; a function documented "the caller holds
 //     ls.mu" may not wait on a channel, select without a default, sleep
 //     or lock the mutex again.
+//
+// An invariant a test can read is a test instead: the struct layout
+// pins are TestLayoutPins in core and in sim, and the nil-safe metric
+// handles are obs's TestNilReceivers.
 //
 // No annotation silences a finding.
 //
@@ -72,10 +70,6 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Sizes computes struct layout with the gc sizing rules for the
-	// pinned 64-bit target, so wiresize diagnostics match the runtime
-	// unsafe.Sizeof pins.
-	Sizes types.Sizes
 	diags *[]Diagnostic
 }
 
@@ -105,7 +99,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		MapiterAnalyzer,
-		WiresizeAnalyzer,
 		ArenaRetainAnalyzer,
 		NilsafeAnalyzer,
 		LooptimerAnalyzer,
@@ -131,7 +124,6 @@ func CheckWith(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Sizes:    WireSizes(),
 			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {
@@ -168,10 +160,3 @@ func selectedPkg(pass *Pass, sel *ast.SelectorExpr) string {
 
 // exprString renders an expression for diagnostics.
 func exprString(e ast.Expr) string { return types.ExprString(e) }
-
-// WireSizes returns the layout model shared by wiresize and the runtime
-// unsafe.Sizeof pins: gc sizing rules on the 64-bit target the BENCH
-// tables are recorded on.
-func WireSizes() types.Sizes {
-	return types.SizesFor("gc", "amd64")
-}

@@ -35,26 +35,8 @@ func TestMapiterFixture(t *testing.T) {
 	linttest.Run(t, fixtures, "testdata/src/mapiter/a", lint.MapiterAnalyzer)
 }
 
-func TestWiresizeGrown(t *testing.T) {
-	linttest.Run(t, fixtures, "testdata/src/wiresize/core", lint.WiresizeAnalyzer)
-	linttest.Run(t, fixtures, "testdata/src/wiresize/sim", lint.WiresizeAnalyzer)
-}
-
-func TestWiresizeAtThePin(t *testing.T) {
-	linttest.Run(t, fixtures, "testdata/src/wiresizeok/core", lint.WiresizeAnalyzer)
-	linttest.Run(t, fixtures, "testdata/src/wiresizeok/sim", lint.WiresizeAnalyzer)
-}
-
-func TestWiresizeShrunk(t *testing.T) {
-	linttest.Run(t, fixtures, "testdata/src/wiresizesmall/core", lint.WiresizeAnalyzer)
-}
-
 func TestArenaRetainFixture(t *testing.T) {
 	linttest.Run(t, fixtures, "testdata/src/arenaretain/a", lint.ArenaRetainAnalyzer)
-}
-
-func TestNilsafeMetricMethods(t *testing.T) {
-	linttest.Run(t, fixtures, "testdata/src/nilsafe/obs", lint.NilsafeAnalyzer)
 }
 
 func TestNilsafeHookGuards(t *testing.T) {

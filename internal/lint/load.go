@@ -134,10 +134,7 @@ func (l *Loader) check(path string, filenames []string) (*Package, error) {
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{
-		Importer: l.imp,
-		Sizes:    WireSizes(),
-	}
+	conf := types.Config{Importer: l.imp}
 	tpkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: typecheck %s: %w", path, err)

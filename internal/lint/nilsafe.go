@@ -6,26 +6,19 @@ import (
 	"go/types"
 )
 
-// NilsafeAnalyzer keeps the zero-cost-when-off observability contract
-// (DESIGN.md §14) honest on both sides of the hook seam:
-//
-//   - in package obs, every method on Counter, Gauge and Histogram that
-//     touches its receiver must open with a nil-receiver guard, so call
-//     sites never need an "is obs enabled" branch of their own;
-//   - every call of the core.Config.Observe function field, and every
-//     read of the chaos.Config.Autopsy / harness.Options.Autopsy writers,
-//     must be dominated by a nil check of that same expression in the
-//     enclosing function (an enclosing `if x != nil` block or an early
-//     `if x == nil { return }`).
+// NilsafeAnalyzer keeps the hook side of the zero-cost-when-off
+// observability contract (DESIGN.md §14) honest: every call of the
+// core.Config.Observe function field, and every read of the
+// chaos.Config.Autopsy / harness.Options.Autopsy writers, must be
+// dominated by a nil check of that same expression in the enclosing
+// function (an enclosing `if x != nil` block or an early
+// `if x == nil { return }`). The metric side — every obs handle method
+// callable on a nil receiver — is obs's TestNilReceivers.
 var NilsafeAnalyzer = &Analyzer{
 	Name: "nilsafe",
-	Doc:  "obs metric methods tolerate nil receivers; Observe/Autopsy hooks are nil-guarded",
+	Doc:  "Observe/Autopsy hooks are nil-guarded",
 	Run:  runNilsafe,
 }
-
-// nilReceiverTypes are the obs metric types whose methods form the
-// always-callable surface.
-var nilReceiverTypes = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
 
 // guardedHooks are the optional hook fields whose uses must be
 // nil-guarded, keyed by owning package path and struct/field name.
@@ -39,9 +32,6 @@ var guardedHooks = []struct {
 }
 
 func runNilsafe(pass *Pass) error {
-	if pass.Pkg.Name() == "obs" {
-		checkNilReceivers(pass)
-	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -52,68 +42,6 @@ func runNilsafe(pass *Pass) error {
 		}
 	}
 	return nil
-}
-
-// checkNilReceivers enforces the guard-first shape on the metric types'
-// pointer-receiver methods.
-func checkNilReceivers(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || fn.Body == nil || len(fn.Recv.List) == 0 {
-				continue
-			}
-			field := fn.Recv.List[0]
-			star, ok := field.Type.(*ast.StarExpr)
-			if !ok {
-				continue // value receiver: cannot be nil
-			}
-			id, ok := star.X.(*ast.Ident)
-			if !ok || !nilReceiverTypes[id.Name] {
-				continue
-			}
-			if len(field.Names) == 0 || field.Names[0].Name == "_" {
-				continue // receiver unused: trivially nil-safe
-			}
-			recv := pass.Info.Defs[field.Names[0]]
-			if recv == nil || !usesObject(pass, fn.Body, recv) {
-				continue
-			}
-			if !startsWithNilGuard(pass, fn, recv) {
-				pass.Reportf(fn.Name.Pos(),
-					"method (*%s).%s dereferences its receiver without a leading nil guard; every obs metric method must be callable on a nil receiver",
-					id.Name, fn.Name.Name)
-			}
-		}
-	}
-}
-
-// startsWithNilGuard reports whether the method body's first statement
-// is `if recv == nil { return ... }`.
-func startsWithNilGuard(pass *Pass, fn *ast.FuncDecl, recv types.Object) bool {
-	if len(fn.Body.List) == 0 {
-		return false
-	}
-	ifs, ok := fn.Body.List[0].(*ast.IfStmt)
-	if !ok || ifs.Init != nil {
-		return false
-	}
-	bin, ok := ifs.Cond.(*ast.BinaryExpr)
-	if !ok || bin.Op != token.EQL {
-		return false
-	}
-	if !isNilCheckOf(pass, bin, recv) {
-		return false
-	}
-	return terminates(ifs.Body)
-}
-
-func isNilCheckOf(pass *Pass, bin *ast.BinaryExpr, recv types.Object) bool {
-	matches := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && pass.Info.Uses[id] == recv
-	}
-	return matches(bin.X) && isNilIdent(pass, bin.Y) || matches(bin.Y) && isNilIdent(pass, bin.X)
 }
 
 func isNilIdent(pass *Pass, e ast.Expr) bool {
@@ -143,17 +71,6 @@ func terminates(b *ast.BlockStmt) bool {
 		return ok && id.Name == "panic"
 	}
 	return false
-}
-
-func usesObject(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
-	used := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.Info.Uses[id] == obj {
-			used = true
-		}
-		return !used
-	})
-	return used
 }
 
 // guardRegion is a source range within which chain is known non-nil.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,18 +71,33 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
-// TestNilReceivers pins the zero-cost-when-off contract: every mutation
-// method must be a no-op on a nil handle.
+// TestNilReceivers pins the zero-cost-when-off contract (DESIGN.md §14):
+// every exported method of a metric handle can be called on a nil handle
+// with zero-valued arguments and returns only zero values, so a call site
+// needs no "is obs enabled" branch. It walks the method sets, so a method
+// added later is covered too.
 func TestNilReceivers(t *testing.T) {
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
-	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Error("nil handles reported non-zero values")
+	for _, h := range []any{(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil)} {
+		v := reflect.ValueOf(h)
+		for i := 0; i < v.NumMethod(); i++ {
+			m := v.Type().Method(i)
+			args := make([]reflect.Value, m.Type.NumIn()-1)
+			for j := range args {
+				args[j] = reflect.Zero(m.Type.In(j + 1))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("(%s).%s panics on a nil handle: %v", v.Type(), m.Name, r)
+					}
+				}()
+				for _, out := range v.Method(i).Call(args) {
+					if !out.IsZero() {
+						t.Errorf("(%s).%s on a nil handle returns %v, want zero", v.Type(), m.Name, out)
+					}
+				}
+			}()
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -42,6 +43,26 @@ func after(e *Engine, d time.Duration, fn func()) {
 	}
 	c.fns = append(c.fns, fn)
 	e.schedule(d, evCallback, int32(len(c.fns)-1))
+}
+
+// TestLayoutPins pins the heap entry at no more than three words
+// (DESIGN.md §8): heap sifts copy entries wholesale, and the arrivals
+// lane stores them. A failure names the field that crosses the pin.
+func TestLayoutPins(t *testing.T) {
+	const limit = 24
+	typ := reflect.TypeOf(heapEntry{})
+	size := typ.Size()
+	if size <= limit {
+		return
+	}
+	name := typ.Field(typ.NumField() - 1).Name // when only trailing padding crosses
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Offset+f.Type.Size() > limit {
+			name = f.Name
+			break
+		}
+	}
+	t.Errorf("sim.heapEntry is %d bytes, want at most %d; field %s pushes past the pin", size, limit, name)
 }
 
 func TestEngineOrdering(t *testing.T) {
