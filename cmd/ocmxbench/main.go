@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	ocmxbench [-exp all|NAME] [-seed N] [-full] [-parallel N] [-strict] [-obs FILE]
+//	ocmxbench [-exp all|NAME] [-seed N] [-full] [-parallel N] [-strict] [-autopsy FILE]
 //
 // NAME is one of the list's names (ocmxbench -h prints them); any other
 // value is an error. -full runs every sweep at its paper or acceptance
@@ -27,11 +27,12 @@
 // their coordinates and assembled in sweep order, so stdout is
 // byte-identical for every N — only the wall-clock time changes.
 //
-// -obs FILE attaches flight recorders to every keyed simulation (E9 and
-// E13's slices), routes their stall autopsies to stderr — which otherwise
-// carries errors only — and writes a Prometheus-text metrics snapshot of
-// the run to FILE at exit. Stdout is byte-identical with it on or off (CI
-// cmp-gates this). See DESIGN.md §14.
+// -autopsy FILE is harness.Options.Autopsy, as ocmxchaos local's flag is
+// chaos.Config.Autopsy: it attaches an obs.DefaultFlightDepth flight
+// recorder to every keyed simulation (E9 cells and E13 slices) and writes
+// the JSONL autopsy of each one that stalls to FILE, which is created
+// before the sweep starts. Stdout is byte-identical with it on or off (CI
+// cmp-gates this), and stderr carries errors only. See DESIGN.md §14.
 package main
 
 import (
@@ -43,13 +44,12 @@ import (
 	"runtime"
 
 	"repro/internal/harness"
-	"repro/internal/obs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its arguments, streams and exit status as values.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("ocmxbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	exp := fs.String("exp", "all", "experiment to run: "+harness.Names())
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	full := fs.Bool("full", false, "paper-scale parameters (slower)")
 	par := fs.Int("parallel", 0, "workers for experiment cells and e13 key slices (0 = GOMAXPROCS, 1 = sequential)")
 	strict := fs.Bool("strict", false, "fail on any stuck episode, stalled cell or in-model violation")
-	obsPath := fs.String("obs", "", "attach flight recorders and write a Prometheus metrics snapshot to this file at exit")
+	autopsyPath := fs.String("autopsy", "", "attach flight recorders to the keyed simulations and write a JSONL autopsy of each stalled run here")
 	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
 		return 0
 	} else if err != nil {
@@ -75,11 +75,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*par = runtime.GOMAXPROCS(0)
 	}
 	o := harness.Options{Seed: *seed, Full: *full, Workers: *par}
-	// -obs: flight recorders on every keyed simulation, their stall
-	// autopsies to stderr, and a run-scoped metrics snapshot at exit.
-	// Nothing it does may reach stdout.
-	if *obsPath != "" {
-		o.Metrics, o.Autopsy = obs.NewRegistry(), stderr
+	if *autopsyPath != "" {
+		f, err := os.Create(*autopsyPath)
+		if err != nil {
+			return fail("-autopsy", err)
+		}
+		defer func() {
+			if err := f.Close(); err != nil && code == 0 {
+				code = fail("-autopsy", err)
+			}
+		}()
+		o.Autopsy = f
 	}
 	for _, e := range exps {
 		rep, err := e.Run(o)
@@ -92,20 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(e.Name, err)
 		}
-	}
-	if o.Metrics == nil {
-		return 0
-	}
-	f, err := os.Create(*obsPath)
-	if err != nil {
-		return fail("obs", err)
-	}
-	err = o.Metrics.WriteProm(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fail("obs", err)
 	}
 	return 0
 }

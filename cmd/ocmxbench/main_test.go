@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -28,12 +30,13 @@ func TestUnknownExperimentIsAnError(t *testing.T) {
 }
 
 // TestHelpExitsZero: -h prints the usage, which names -exp, and exits 0;
-// an unknown flag is a parse error and exits 2. Neither runs a table.
+// an unknown flag, the deleted -obs among them, is a parse error and
+// exits 2. Neither runs a table.
 func TestHelpExitsZero(t *testing.T) {
 	for _, tc := range []struct {
 		arg  string
 		code int
-	}{{"-h", 0}, {"-nope", 2}} {
+	}{{"-h", 0}, {"-nope", 2}, {"-obs", 2}} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{tc.arg}, &stdout, &stderr); code != tc.code || stdout.Len() != 0 {
 			t.Errorf("%s: exit %d, stdout %q; want exit %d and no table", tc.arg, code, &stdout, tc.code)
@@ -41,5 +44,36 @@ func TestHelpExitsZero(t *testing.T) {
 		if !strings.Contains(stderr.String(), "-exp") {
 			t.Errorf("%s: usage %q does not name -exp", tc.arg, &stderr)
 		}
+	}
+}
+
+// TestAutopsyFlag: -autopsy FILE changes no table byte and writes nothing
+// on stderr; FILE is created, and stays empty because no E9 cell stalls at
+// seed 1993. A FILE that cannot be created fails before any table runs.
+func TestAutopsyFlag(t *testing.T) {
+	var plain, plainErr bytes.Buffer
+	if code := run([]string{"-exp", "e9"}, &plain, &plainErr); code != 0 {
+		t.Fatalf("-exp e9: exit %d, stderr %q", code, &plainErr)
+	}
+	path := filepath.Join(t.TempDir(), "e9.autopsy")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "e9", "-autopsy", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-exp e9 -autopsy: exit %d, stderr %q", code, &stderr)
+	}
+	if !bytes.Equal(stdout.Bytes(), plain.Bytes()) {
+		t.Errorf("-autopsy moved the table:\nwith:\n%s\nwithout:\n%s", &stdout, &plain)
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("-autopsy: stderr %q, want none", &stderr)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Errorf("-autopsy file: %v, err %v; want an empty file", fi, err)
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	bad := filepath.Join(t.TempDir(), "missing", "e9.autopsy")
+	if code := run([]string{"-exp", "e9", "-autopsy", bad}, &stdout, &stderr); code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "-autopsy") {
+		t.Errorf("-autopsy %s: exit %d, stdout %q, stderr %q; want exit 1 before any table", bad, code, &stdout, &stderr)
 	}
 }

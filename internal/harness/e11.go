@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -60,9 +59,9 @@ type E11Row struct {
 	// Session repair work (zero when Session is off).
 	Retransmits int64
 	DupDrops    int64
-	// Who acknowledged the unlent tokens (not in the table; ocmxbench -obs
-	// exports both): TokenAcks is the KindTokenAck messages put on the
-	// wire, Receipts the acknowledgments the sessions gave their own nodes
+	// Who acknowledged the unlent tokens (not in the table; read by the
+	// tests): TokenAcks is the KindTokenAck messages put on the wire,
+	// Receipts the acknowledgments the sessions gave their own nodes
 	// instead. A session-on cell sends no token-ack at all.
 	TokenAcks int64
 	Receipts  int64
@@ -83,20 +82,6 @@ func (r E11Row) strict() error {
 			r.Loss, r.Crash, r.Completed, r.Visible)
 	}
 	return nil
-}
-
-// e11Export records where the token acknowledgments went: on the wire as
-// token-ack messages without sessions, inside the sender's session as
-// receipts with them.
-func e11Export(reg *obs.Registry, rows []E11Row) {
-	for _, r := range rows {
-		labels := []string{"loss", strconv.FormatFloat(r.Loss, 'g', -1, 64),
-			"crash", strconv.FormatBool(r.Crash), "session", strconv.FormatBool(r.Session)}
-		reg.Counter("ocmx_e11_token_acks_total",
-			"Token-ack messages put on the simulated wire, per E11 cell.", labels...).Add(r.TokenAcks)
-		reg.Counter("ocmx_e11_session_receipts_total",
-			"Token acknowledgments the sessions gave their own nodes, per E11 cell.", labels...).Add(r.Receipts)
-	}
 }
 
 // E11LossyRecovery sweeps loss × crash × session over the fault-tolerant

@@ -41,7 +41,7 @@ func checkGolden(t *testing.T, name, got string) {
 // on the deleted mutexsim driver's engine, E9 and E13 while the simulated
 // multiplexer still stepped its instances itself, the rest before the
 // registry existed. Every table is also run with an autopsy writer, which
-// puts a flight recorder on every keyed space as under `ocmxbench -obs`,
+// puts a flight recorder on every keyed space as `ocmxbench -autopsy` does,
 // against the same file: the recorder observes and never changes a byte.
 func TestGoldenTables(t *testing.T) {
 	for _, e := range Experiments() {

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/ocube"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -53,9 +52,6 @@ type Options struct {
 	// autopsy of every keyed run that stalls (E9 cells, E13 slices) after
 	// the sweep, in cell order.
 	Autopsy io.Writer
-	// Metrics, when non-nil, receives what a run exports beside its
-	// table: the experiments run, E11's acknowledgment counters.
-	Metrics *obs.Registry
 }
 
 // ftNodeConfig is the node configuration used by the failure experiments.

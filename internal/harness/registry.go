@@ -19,17 +19,8 @@ type Report struct {
 type Experiment struct {
 	// Name is the -exp value that selects it.
 	Name string
-	run  func(o Options) (Report, error)
-}
-
-// Run sweeps the experiment at o's scale and counts it in o.Metrics.
-func (e Experiment) Run(o Options) (Report, error) {
-	rep, err := e.run(o)
-	if o.Metrics != nil {
-		o.Metrics.Counter("ocmx_experiments_total",
-			"Experiments executed this run.", "exp", e.Name).Inc()
-	}
-	return rep, err
+	// Run sweeps the experiment at o's scale.
+	Run func(o Options) (Report, error)
 }
 
 // report renders a finished sweep: its table, and the first row its
@@ -117,9 +108,6 @@ func Experiments() []Experiment {
 		}},
 		{"e11", func(o Options) (Report, error) {
 			rows, err := E11LossyRecovery(o, pick(o, 4, 5))
-			if err == nil && o.Metrics != nil {
-				e11Export(o.Metrics, rows)
-			}
 			return report(rows, err, formatE11, E11Row.strict)
 		}},
 		{"e13", func(o Options) (Report, error) {

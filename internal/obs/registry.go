@@ -39,14 +39,6 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds d (d must be non-negative to keep the series monotone).
-func (c *Counter) Add(d int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(d)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {

@@ -14,7 +14,10 @@ import (
 // escaping, and the stable family/series ordering a scraper relies on.
 func TestPromGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zz_last_total", "Registered first, rendered last.").Add(7)
+	last := r.Counter("zz_last_total", "Registered first, rendered last.")
+	for i := 0; i < 7; i++ {
+		last.Inc()
+	}
 	r.Gauge("aa_gauge", "A gauge.", "node", "3").Set(2.5)
 	r.Gauge("aa_gauge", "A gauge.", "node", "10").Set(-1)
 	r.Counter("esc_total", "Escapes.", "path", "a\\b\"c\nd").Inc()
